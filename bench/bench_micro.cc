@@ -91,77 +91,60 @@ void BM_DistSort(benchmark::State& state) {
 }
 BENCHMARK(BM_DistSort)->Arg(1 << 12)->Arg(1 << 15);
 
-/// One machine-centric engine round with per-machine local compute: the
+/// One machine-centric kernel round with per-machine local compute: the
 /// stepping pool's scaling surface. Lanes follow MPCSPAN_THREADS, shards
 /// MPCSPAN_SHARDS, so the CI job compares 1-lane vs N-lane (and sharded)
-/// wall-clock on the identical deterministic workload.
+/// wall-clock on the identical deterministic workload. args[0] = spin.
 void BM_EngineStep(benchmark::State& state) {
   using namespace mpcspan::runtime;
+  class SpinKernel final : public StepKernel {
+   public:
+    std::vector<Message> step(const KernelCtx& ctx) override {
+      // Deterministic local work standing in for a machine's round compute.
+      std::uint64_t h = ctx.machine + 1;
+      for (Word i = 0; i < ctx.args[0]; ++i)
+        h = h * 6364136223846793005ULL + 1442695040888963407ULL;
+      return {{(ctx.machine + 1) % ctx.numMachines, {h}}};
+    }
+  };
   const auto machines = static_cast<std::size_t>(state.range(0));
   const auto spin = static_cast<std::size_t>(state.range(1));
   RoundEngine eng(EngineConfig{machines, 0, 0},
                   std::make_unique<MpcTopology>(1u << 20));
-  for (auto _ : state) {
-    eng.step([&](std::size_t m, const std::vector<Delivery>&) {
-      // Deterministic local work standing in for a machine's round compute.
-      std::uint64_t h = m + 1;
-      for (std::size_t i = 0; i < spin; ++i)
-        h = h * 6364136223846793005ULL + 1442695040888963407ULL;
-      std::vector<Message> out;
-      out.push_back({(m + 1) % machines, {h}});
-      return out;
-    });
-  }
+  const KernelId k = eng.registerKernel(
+      "bench.spin", [] { return std::make_unique<SpinKernel>(); });
+  for (auto _ : state) eng.step(k, {spin});
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(machines * spin));
 }
 BENCHMARK(BM_EngineStep)->Args({64, 20000})->Args({256, 5000});
 
-/// Per-round dispatch latency of the sharded backends: the same tiny
-/// exchange round (4 machines per shard, one single-word message each)
-/// driven through resident workers vs the legacy fork-per-round snapshot
-/// dispatch at a fixed shard count. This is the probe behind the
-/// resident-workers acceptance criterion: the round trip over the control
-/// frames must beat fork + snapshot + reap per round. arg0 = shards,
-/// arg1 = 1 for resident, 0 for fork-per-round.
+/// Per-round dispatch latency of the sharded backend: the same tiny
+/// coordinator-built exchange round (4 machines per shard, one single-word
+/// message each) driven through the resident workers' control frames at a
+/// fixed shard count. arg0 = shards.
 void BM_ShardRoundDispatch(benchmark::State& state) {
   using namespace mpcspan::runtime;
   const auto shards = static_cast<std::size_t>(state.range(0));
-  const bool resident = state.range(1) != 0;
   const std::size_t machines = 4 * shards;
-  EngineConfig cfg{machines, 1, shards};
-  cfg.resident = resident ? 1 : 0;
-  RoundEngine eng(cfg, std::make_unique<MpcTopology>(64));
+  RoundEngine eng(EngineConfig{machines, 1, shards},
+                  std::make_unique<MpcTopology>(64));
   for (auto _ : state) {
     std::vector<std::vector<Message>> out(machines);
     for (std::size_t m = 0; m < machines; ++m)
       out[m].push_back({(m + 1) % machines, {m}});
     benchmark::DoNotOptimize(eng.exchange(std::move(out)));
   }
-  state.SetLabel(resident ? "resident" : "fork-per-round");
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK(BM_ShardRoundDispatch)
-    ->Args({4, 1})
-    ->Args({4, 0})
-    ->Args({2, 1})
-    ->Args({2, 0})
-    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_ShardRoundDispatch)->Arg(4)->Arg(2)->Unit(benchmark::kMicrosecond);
 
 /// One full growth-iteration wave (both find-min supersteps) through the
-/// registered kernels, resident workers vs the coordinator-driven
-/// fork-per-round reference, at a fixed shard count. This is the probe
-/// behind the kernel-port acceptance criterion: with the candidate blocks
-/// and kernel state living inside the resident workers, the wave must beat
-/// the backend that re-marshals every round coordinator-side. The simulated
-/// ledger is identical on both (asserted by test_wave_kernels); only the
-/// dispatch cost differs. arg0 = shards, arg1 = 1 resident / 0 legacy,
-/// arg2 = 1 pipelined barrier / 0 strict (resident mesh rounds only —
-/// pipelining is inert on the fork-per-round reference).
+/// registered kernels on the resident shm workers at a fixed shard count.
+/// The simulated ledger matches the in-process engine (pinned by
+/// test_golden); this measures the dispatch cost. arg0 = shards.
 void BM_IterationRoundDispatch(benchmark::State& state) {
   const auto shards = static_cast<std::size_t>(state.range(0));
-  const bool resident = state.range(1) != 0;
-  const bool pipelined = state.range(2) != 0;
   Rng rng(23);
   const Graph g = gnmRandom(400, 2000, rng, {WeightModel::kUniform, 12.0}, true);
   const std::size_t n = g.numVertices();
@@ -170,38 +153,25 @@ void BM_IterationRoundDispatch(benchmark::State& state) {
   const std::vector<char> sampled =
       HashCoinPolicy::draw(std::vector<char>(n, 1), 0.3, 23, 1);
   MpcSimulator sim(MpcConfig::forInput(4 * g.numEdges(), 0.6, 3.0),
-                   /*threads=*/1, shards, resident ? 1 : 0,
-                   runtime::Transport::kDefault, pipelined ? 1 : 0);
+                   /*threads=*/1, shards);
   for (auto _ : state)
     benchmark::DoNotOptimize(distIterationKernel(sim, g, ident, ident, sampled));
-  state.SetLabel(resident
-                     ? (pipelined ? "resident-pipelined" : "resident-strict")
-                     : "fork-per-round");
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_IterationRoundDispatch)
-    ->Args({4, 1, 1})
-    ->Args({4, 1, 0})
-    ->Args({4, 0, 0})
-    ->Args({2, 1, 1})
-    ->Args({2, 1, 0})
-    ->Args({2, 0, 0})
+    ->Arg(4)
+    ->Arg(2)
     ->Unit(benchmark::kMillisecond);
 
-/// The transport acceptance probe: exchange-heavy kernel rounds (every
-/// machine ships one multi-word payload to every machine outside its own
-/// shard, distSort-phase / clique-label-round shaped traffic) at a fixed
-/// shard count, cross-shard sections routed through the shared-memory
-/// rings vs the socket mesh vs the coordinator relay. The ledger and
-/// contents are identical on all three (asserted by test_peer_exchange /
-/// test_shm_exchange); only where the bytes travel differs — the shm ring
-/// must beat the socket mesh by cutting the kernel socket copies out of
-/// the payload path, and the tcp-loopback axis prices the cross-machine
-/// transport against its same-host siblings. arg0 = shards (1 = the
-/// in-process reference), arg1 = 3 tcp mesh / 2 shm ring / 1 socket mesh /
-/// 0 coordinator relay, arg2 = 1 pipelined barrier / 0 strict (the
-/// overlap axis: speculative delivery under the fused single-verdict
-/// barrier vs the two-phase reference; inert on the relay).
+/// The transport probe: exchange-heavy kernel rounds (every machine ships
+/// one multi-word payload to every machine outside its own shard,
+/// distSort-phase / clique-label-round shaped traffic) at a fixed shard
+/// count, cross-shard sections routed through the shared-memory rings vs
+/// the tcp loopback mesh. The ledger and contents are identical on both
+/// (pinned by test_transport); only where the bytes travel differs — the
+/// tcp axis prices the cross-machine transport against the same-host one.
+/// arg0 = shards (1 = the in-process reference), arg1 = 3 tcp mesh /
+/// 2 shm ring.
 void BM_CrossShardExchange(benchmark::State& state) {
   using namespace mpcspan::runtime;
   class AllToAllKernel final : public StepKernel {
@@ -218,27 +188,18 @@ void BM_CrossShardExchange(benchmark::State& state) {
     }
   };
   const auto shards = static_cast<std::size_t>(state.range(0));
-  const Transport transport = state.range(1) == 3   ? Transport::kTcp
-                              : state.range(1) == 2 ? Transport::kShmRing
-                              : state.range(1) == 1 ? Transport::kSocketMesh
-                                                    : Transport::kRelay;
-  const bool pipelined = state.range(2) != 0;
+  const Transport transport =
+      state.range(1) == 3 ? Transport::kTcp : Transport::kShmRing;
   const std::size_t machines = 4 * shards;
   const std::size_t payloadWords = 256;
-  EngineConfig cfg{machines, 1, shards, /*resident=*/1,
-                   /*peerExchange=*/-1, transport, pipelined ? 1 : 0};
-  RoundEngine eng(cfg,
+  RoundEngine eng(EngineConfig{machines, 1, shards, transport},
                   std::make_unique<MpcTopology>(machines * payloadWords));
   const KernelId k = eng.registerKernel(
       "bench.alltoall", [] { return std::make_unique<AllToAllKernel>(); });
   for (auto _ : state) eng.step(k, {payloadWords});
-  std::string label = shards == 1                          ? "in-process"
-                      : transport == Transport::kTcp       ? "tcp-loopback"
-                      : transport == Transport::kShmRing   ? "shm-ring"
-                      : transport == Transport::kSocketMesh ? "peer-mesh"
-                                                            : "coordinator-relay";
-  if (pipelined && shards > 1) label += "+pipelined";
-  state.SetLabel(label);
+  state.SetLabel(shards == 1                      ? "in-process"
+                 : transport == Transport::kTcp   ? "tcp-loopback"
+                                                  : "shm-ring");
   // Cross-shard words moved per round (the traffic whose routing is probed).
   const std::size_t crossWords =
       shards == 1 ? 0 : machines * (machines - 4) * payloadWords;
@@ -247,21 +208,11 @@ void BM_CrossShardExchange(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_CrossShardExchange)
-    ->Args({4, 3, 1})
-    ->Args({4, 3, 0})
-    ->Args({4, 2, 1})
-    ->Args({4, 2, 0})
-    ->Args({4, 1, 1})
-    ->Args({4, 1, 0})
-    ->Args({4, 0, 0})
-    ->Args({2, 3, 1})
-    ->Args({2, 3, 0})
-    ->Args({2, 2, 1})
-    ->Args({2, 2, 0})
-    ->Args({2, 1, 1})
-    ->Args({2, 1, 0})
-    ->Args({2, 0, 0})
-    ->Args({1, 2, 0})
+    ->Args({4, 3})
+    ->Args({4, 2})
+    ->Args({2, 3})
+    ->Args({2, 2})
+    ->Args({1, 2})
     ->Unit(benchmark::kMicrosecond);
 
 /// The arena acceptance probe: BlockStore block churn shaped like the sort

@@ -15,11 +15,10 @@ std::size_t checkedNodes(std::size_t n) {
 }  // namespace
 
 CongestedClique::CongestedClique(std::size_t n, std::size_t threads,
-                                 std::size_t shards, int resident,
-                                 runtime::Transport transport, int pipeline)
+                                 std::size_t shards,
+                                 runtime::Transport transport)
     : n_(checkedNodes(n)),
-      engine_(runtime::EngineConfig{n, threads, shards, resident,
-                                    /*peerExchange=*/-1, transport, pipeline},
+      engine_(runtime::EngineConfig{n, threads, shards, transport},
               std::make_unique<runtime::CliqueTopology>()) {}
 
 std::vector<std::vector<std::pair<VertexId, Word>>> CongestedClique::directRound(

@@ -24,24 +24,16 @@ namespace mpcspan {
 class CongestedClique {
  public:
   /// `threads` is forwarded to the round engine's stepping pool, `shards`
-  /// to its multi-process backend, `resident` selects that backend's
-  /// worker lifetime (1 resident, 0 legacy fork-per-round, -1 the
-  /// MPCSPAN_RESIDENT default; see runtime::EngineConfig), and `transport`
-  /// routes its cross-shard sections (kDefault resolves via
-  /// MPCSPAN_TCP_EXCHANGE / MPCSPAN_SHM_EXCHANGE / MPCSPAN_PEER_EXCHANGE).
-  /// `pipeline` selects the pipelined barrier of resident mesh rounds
-  /// (1 on, 0 strict, -1 the MPCSPAN_PIPELINE default).
+  /// to its multi-process backend, and `transport` routes that backend's
+  /// cross-shard sections (shm ring or tcp mesh; see
+  /// runtime::EngineConfig).
   explicit CongestedClique(std::size_t n, std::size_t threads = 0,
-                           std::size_t shards = 0, int resident = -1,
+                           std::size_t shards = 0,
                            runtime::Transport transport =
-                               runtime::Transport::kDefault,
-                           int pipeline = -1);
+                               runtime::Transport::kShmRing);
 
   std::size_t numNodes() const { return n_; }
   std::size_t numShards() const { return engine_.numShards(); }
-  /// True when resident mesh rounds run the pipelined barrier
-  /// (MPCSPAN_PIPELINE=0 or pipeline=0 selects the strict reference).
-  bool pipelinedShards() const { return engine_.pipelinedShards(); }
   std::size_t rounds() const { return engine_.rounds(); }
   std::size_t totalWords() const { return engine_.totalWordsSent(); }
 

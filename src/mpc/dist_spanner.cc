@@ -10,6 +10,7 @@
 #include "mpc/dist_iteration.hpp"
 #include "mpc/primitives.hpp"
 #include "spanner/engine.hpp"
+#include "spanner/tradeoff.hpp"
 
 namespace mpcspan {
 
@@ -231,9 +232,7 @@ DistSpannerResult buildDistributedTradeoff(MpcSimulator& sim, const Graph& g,
     std::iota(out.edges.begin(), out.edges.end(), 0);
     return out;
   }
-  if (t == 0)
-    t = static_cast<std::uint32_t>(
-        std::max(1.0, std::ceil(std::log2(static_cast<double>(k)))));
+  t = tradeoffIterations(k, t);
 
   DistState st = makeState(g);
   const std::vector<EpochSpec> schedule = tradeoffSchedule(g.numVertices(), k, t);

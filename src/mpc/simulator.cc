@@ -57,11 +57,10 @@ MpcConfig MpcConfig::forInput(std::size_t inputWords, double gamma, double slack
 }
 
 MpcSimulator::MpcSimulator(MpcConfig cfg, std::size_t threads,
-                           std::size_t shards, int resident,
-                           runtime::Transport transport, int pipeline)
+                           std::size_t shards, runtime::Transport transport)
     : cfg_(cfg),
-      engine_(runtime::EngineConfig{cfg.numMachines, threads, shards, resident,
-                                    /*peerExchange=*/-1, transport, pipeline},
+      engine_(runtime::EngineConfig{cfg.numMachines, threads, shards,
+                                    transport},
               makeMpcTopology(cfg)) {}
 
 std::vector<std::vector<Word>> MpcSimulator::communicate(

@@ -31,42 +31,21 @@ struct MpcConfig {
 class MpcSimulator {
  public:
   /// `threads` is forwarded to the round engine's stepping pool, `shards`
-  /// to its multi-process backend, `resident` selects that backend's
-  /// worker lifetime (1 resident, 0 legacy fork-per-round, -1 the
-  /// MPCSPAN_RESIDENT default; see runtime::EngineConfig), and `transport`
-  /// routes its cross-shard sections (kDefault resolves via
-  /// MPCSPAN_TCP_EXCHANGE / MPCSPAN_SHM_EXCHANGE / MPCSPAN_PEER_EXCHANGE).
-  /// `pipeline` selects the pipelined barrier of resident mesh rounds
-  /// (1 on, 0 strict, -1 the MPCSPAN_PIPELINE default). Results are
-  /// bit-identical for every thread, shard, backend, transport, and
-  /// pipeline choice.
+  /// to its multi-process backend, and `transport` routes that backend's
+  /// cross-shard sections (shm ring or tcp mesh; see
+  /// runtime::EngineConfig). Results are bit-identical for every thread,
+  /// shard, and transport choice.
   explicit MpcSimulator(MpcConfig cfg, std::size_t threads = 0,
-                        std::size_t shards = 0, int resident = -1,
+                        std::size_t shards = 0,
                         runtime::Transport transport =
-                            runtime::Transport::kDefault,
-                        int pipeline = -1);
+                            runtime::Transport::kShmRing);
 
   std::size_t numMachines() const { return cfg_.numMachines; }
   std::size_t numShards() const { return engine_.numShards(); }
-  /// True when the rounds run on resident shard worker processes (the
-  /// default for shards > 1; MPCSPAN_RESIDENT=0 selects the legacy
-  /// fork-per-round dispatch).
-  bool residentShards() const { return engine_.residentShards(); }
-  /// True when resident kernel rounds route cross-shard sections over the
-  /// worker-to-worker mesh (MPCSPAN_PEER_EXCHANGE=0 selects the
-  /// coordinator-relay reference).
-  bool peerMeshShards() const { return engine_.peerMeshShards(); }
-  /// True when the mesh sections move through shared-memory rings (the
-  /// default for resident meshes; MPCSPAN_SHM_EXCHANGE=0 selects the
-  /// socket-mesh reference).
+  /// True when sharded rounds move sections through shared-memory rings.
   bool shmRingShards() const { return engine_.shmRingShards(); }
-  /// True when the mesh is TCP, formed by rendezvous (MPCSPAN_TCP_EXCHANGE=1
-  /// or an explicit kTcp; cross-machine capable).
+  /// True when sharded rounds move sections over the tcp mesh.
   bool tcpMeshShards() const { return engine_.tcpMeshShards(); }
-  /// True when resident mesh rounds run the pipelined barrier — overlap of
-  /// one round's cross-shard delivery with the next round's local phase
-  /// (MPCSPAN_PIPELINE=0 or pipeline=0 selects the strict reference).
-  bool pipelinedShards() const { return engine_.pipelinedShards(); }
   std::size_t wordsPerMachine() const { return cfg_.wordsPerMachine; }
 
   std::size_t rounds() const { return engine_.rounds(); }

@@ -1,6 +1,5 @@
 #include "query/build.hpp"
 
-#include <cmath>
 #include <fstream>
 #include <stdexcept>
 #include <utility>
@@ -15,12 +14,6 @@
 namespace mpcspan::query {
 
 namespace {
-
-std::uint32_t effectiveT(std::uint32_t k, std::uint32_t t) {
-  if (t != 0) return t;
-  return static_cast<std::uint32_t>(
-      std::max(1.0, std::ceil(std::log2(static_cast<double>(std::max(k, 2u))))));
-}
 
 struct SpannerBuild {
   std::vector<EdgeId> edges;
@@ -55,7 +48,7 @@ SpannerBuild runSpanner(const Graph& g, const BuildPlan& plan) {
       r = buildDistributedBaswanaSen(sim, g, plan.k, plan.seed);
       out.stretch = 2.0 * plan.k - 1.0;
     } else {
-      out.t = effectiveT(plan.k, plan.t);
+      out.t = tradeoffIterations(plan.k, plan.t);
       r = buildDistributedTradeoff(sim, g, plan.k, plan.t, plan.seed);
       out.stretch = tradeoffTheoreticalStretch(plan.k, out.t);
     }

@@ -1,17 +1,14 @@
 // Registered step kernels and worker-owned state — the resident half of the
 // round-engine runtime.
 //
-// The legacy RoundEngine::step(StepFn) closure cannot outlive a process
-// boundary: under the sharded backend it executes against a fork snapshot,
-// so its captured-state mutations die with the worker. A *registered* kernel
-// inverts that contract: the engine constructs one kernel instance per
+// A closure cannot cross a process boundary, so machines step through
+// *registered* kernels: the engine constructs one kernel instance per
 // worker process (or one in-process instance when shards == 1), and that
 // instance **owns** its per-machine state across rounds — per-machine
 // inboxes and blocks stay resident where they are used and are never
-// re-shipped through the coordinator. What the legacy path expressed as
-// "StepFn must be pure" becomes explicit ownership: anything a kernel wants
-// to persist lives in the kernel instance or the BlockStore, and anything
-// it wants to communicate moves through returned messages.
+// re-shipped through the coordinator. Anything a kernel wants to persist
+// lives in the kernel instance or the BlockStore, and anything it wants to
+// communicate moves through returned messages.
 //
 // Identity across processes: a kernel is named. A factory registered on the
 // engine *before its workers fork* crosses into them with the fork
@@ -35,8 +32,8 @@
 namespace mpcspan::runtime {
 
 /// Handle for a kernel registered on one RoundEngine. Deliberately a struct
-/// (not a bare index) so RoundEngine::step(KernelId, args) can never be
-/// confused with the legacy closure overload.
+/// (not a bare index) so RoundEngine::step(KernelId, args) cannot be called
+/// with a stray integer.
 struct KernelId {
   static constexpr std::size_t kInvalid = static_cast<std::size_t>(-1);
   std::size_t index = kInvalid;

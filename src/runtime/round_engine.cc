@@ -19,10 +19,10 @@ RoundEngine::RoundEngine(EngineConfig cfg, std::unique_ptr<Topology> topology)
   inboxes_.resize(numMachines_);
 
   // Backend selection (the engine factory): 1 shard keeps the in-process
-  // path below; more partitions the machines over worker processes —
-  // resident ones by default, which fork once (lazily, at the first sharded
-  // operation, so kernels/blocks registered until then cross with the fork
-  // snapshot) — splitting the configured lane count across the workers. The
+  // path below; more partitions the machines over resident worker
+  // processes, which fork once (lazily, at the first sharded operation, so
+  // kernels/blocks registered until then cross with the fork snapshot) —
+  // splitting the configured lane count across the workers. The
   // coordinator keeps its full-width pool_ anyway — sharded rounds bypass
   // it, but consumers run their host-side compute through
   // pool()/parallelFor() between rounds, and ThreadPool spawns its lanes
@@ -34,21 +34,9 @@ RoundEngine::RoundEngine(EngineConfig cfg, std::unique_ptr<Topology> topology)
   if (shards > 1) {
     const std::size_t perShard =
         std::max<std::size_t>(1, pool_.numThreads() / shards);
-    const bool resident = cfg.resident < 0
-                              ? shard::ShardedEngine::defaultResident()
-                              : cfg.resident != 0;
-    const bool peer = cfg.peerExchange < 0
-                          ? shard::ShardedEngine::defaultPeerExchange()
-                          : cfg.peerExchange != 0;
-    // An explicit transport wins; otherwise peerExchange=0 selects the
-    // relay and the ShardedEngine resolves kDefault among the mesh kinds
-    // (MPCSPAN_TCP_EXCHANGE first, then MPCSPAN_SHM_EXCHANGE, default shm).
-    Transport transport = cfg.transport;
-    if (transport == Transport::kDefault && !peer)
-      transport = Transport::kRelay;
     shard_ = std::make_unique<shard::ShardedEngine>(
-        numMachines_, shards, perShard, topology_.get(), resident, &kernels_,
-        &store_, &inboxes_, transport, cfg.pipeline);
+        numMachines_, shards, perShard, topology_.get(), &kernels_, &store_,
+        cfg.transport);
   }
 }
 
@@ -58,39 +46,22 @@ std::size_t RoundEngine::numShards() const {
   return shard_ ? shard_->numShards() : 1;
 }
 
-bool RoundEngine::residentShards() const {
-  return shard_ && shard_->resident();
-}
-
-bool RoundEngine::peerMeshShards() const {
-  return shard_ && shard_->peerExchange();
-}
-
 bool RoundEngine::shmRingShards() const {
-  return shard_ && shard_->shmExchange();
+  return shard_ && shard_->transport() == Transport::kShmRing;
 }
 
 bool RoundEngine::tcpMeshShards() const {
-  return shard_ && shard_->tcpExchange();
-}
-
-bool RoundEngine::pipelinedShards() const {
-  return shard_ && shard_->pipelined();
+  return shard_ && shard_->transport() == Transport::kTcp;
 }
 
 std::vector<std::vector<Delivery>> RoundEngine::exchange(
     std::vector<std::vector<Message>> outboxes) {
-  return exchangeImpl(std::move(outboxes), /*updateResident=*/false);
-}
-
-std::vector<std::vector<Delivery>> RoundEngine::exchangeImpl(
-    std::vector<std::vector<Message>> outboxes, bool updateResident) {
   if (outboxes.size() != numMachines_)
     throw std::invalid_argument("RoundEngine: outboxes size mismatch");
 
   if (shard_) {
     std::size_t roundWords = 0;
-    auto inbox = shard_->exchange(outboxes, roundWords, updateResident);
+    auto inbox = shard_->exchange(outboxes, roundWords);
     ledger_.noteRound(roundWords);
     return inbox;
   }
@@ -134,22 +105,6 @@ std::vector<std::vector<Delivery>> RoundEngine::exchangeImpl(
   return inbox;
 }
 
-void RoundEngine::step(const StepFn& fn) {
-  if (shard_) {
-    // Compute in forked snapshot workers, then run the sharded exchange
-    // over the assembled outboxes, keeping the worker-resident inboxes in
-    // sync so closure and kernel rounds can interleave.
-    syncInboxes();
-    inboxes_ = exchangeImpl(shard_->computeOutboxes(fn, inboxes_),
-                            /*updateResident=*/true);
-    return;
-  }
-  std::vector<std::vector<Message>> outboxes(numMachines_);
-  pool_.parallelFor(numMachines_,
-                    [&](std::size_t m) { outboxes[m] = fn(m, inboxes_[m]); });
-  inboxes_ = exchangeImpl(std::move(outboxes), /*updateResident=*/false);
-}
-
 // --- Registered kernels. ---
 
 KernelId RoundEngine::registerKernel(std::string name, KernelFactory factory) {
@@ -165,7 +120,7 @@ KernelId RoundEngine::registerKernel(std::string name, KernelFactory factory) {
   const KernelId id{kernels_.size()};
   kernels_.push_back({std::move(name), std::move(factory)});
   kernelInstances_.emplace_back();
-  if (shard_ && shard_->resident() && shard_->started()) {
+  if (shard_ && shard_->started()) {
     const KernelRegistration& reg = kernels_.back();
     if (reg.factory && !findGlobalKernel(reg.name)) {
       const std::string unreachable = reg.name;
@@ -224,17 +179,14 @@ StepKernel& RoundEngine::ensureKernelInstance(KernelId kernel) {
 void RoundEngine::step(KernelId kernel, std::vector<Word> args) {
   if (kernel.index >= kernels_.size())
     throw std::invalid_argument("RoundEngine: unknown kernel id");
-  if (shard_ && shard_->resident()) {
+  if (shard_) {
     std::size_t roundWords = 0;
     shard_->stepKernel(kernel.index, args, roundWords);
     ledger_.noteRound(roundWords);
     inboxesResident_ = true;
     return;
   }
-  // In-process — and the legacy fork-per-round backend, which has no
-  // worker-resident state: the kernel computes coordinator-side and only
-  // the exchange is sharded.
-  inboxes_ = exchangeImpl(runKernelWave(kernel, args), /*updateResident=*/false);
+  inboxes_ = exchange(runKernelWave(kernel, args));
 }
 
 std::vector<std::vector<Message>> RoundEngine::runKernelWave(
@@ -251,14 +203,12 @@ std::vector<std::vector<Message>> RoundEngine::runKernelWave(
 void RoundEngine::stepShuffle(KernelId kernel, std::vector<Word> args) {
   if (kernel.index >= kernels_.size())
     throw std::invalid_argument("RoundEngine: unknown kernel id");
-  if (shard_ && shard_->resident()) {
+  if (shard_) {
     std::size_t ignoredWords = 0;
     shard_->stepKernel(kernel.index, args, ignoredWords, /*freePlacement=*/true);
     inboxesResident_ = true;
     return;
   }
-  // In-process (and the legacy fork-per-round backend, whose kernels live
-  // coordinator-side anyway): free movement needs no worker wave at all.
   deliverFree(runKernelWave(kernel, args));
 }
 
@@ -291,7 +241,7 @@ void RoundEngine::deliverFree(std::vector<std::vector<Message>> outboxes) {
 void RoundEngine::stepLocal(KernelId kernel, std::vector<Word> args) {
   if (kernel.index >= kernels_.size())
     throw std::invalid_argument("RoundEngine: unknown kernel id");
-  if (shard_ && shard_->resident()) {
+  if (shard_) {
     shard_->localKernel(kernel.index, args);
     return;
   }
@@ -305,7 +255,7 @@ std::vector<std::vector<Word>> RoundEngine::fetchKernel(
     KernelId kernel, std::vector<Word> args) {
   if (kernel.index >= kernels_.size())
     throw std::invalid_argument("RoundEngine: unknown kernel id");
-  if (shard_ && shard_->resident()) return shard_->fetchKernel(kernel.index, args);
+  if (shard_) return shard_->fetchKernel(kernel.index, args);
   StepKernel& ker = ensureKernelInstance(kernel);
   std::vector<std::vector<Word>> out(numMachines_);
   pool_.parallelFor(numMachines_, [&](std::size_t m) {
@@ -321,12 +271,12 @@ std::uint64_t RoundEngine::createBlocks(
   if (perMachine.size() != numMachines_)
     throw std::invalid_argument("createBlocks: perMachine size mismatch");
   const std::uint64_t handle = nextBlockHandle_++;
-  if (shard_ && shard_->resident() && shard_->started()) {
+  if (shard_ && shard_->started()) {
     shard_->storeBlocks(handle, std::move(perMachine));
     return handle;
   }
-  // In-process, or staged for the fork snapshot (the resident workers adopt
-  // the store's contents when they start).
+  // In-process, or staged for the fork snapshot (the workers adopt the
+  // store's contents when they start).
   store_.create(handle);
   for (std::size_t m = 0; m < numMachines_; ++m)
     store_.block(handle, m) = std::move(perMachine[m]);
@@ -334,7 +284,7 @@ std::uint64_t RoundEngine::createBlocks(
 }
 
 std::vector<std::vector<Word>> RoundEngine::readBlocks(std::uint64_t handle) {
-  if (shard_ && shard_->resident() && shard_->started())
+  if (shard_ && shard_->started())
     return shard_->fetchBlocks(handle);
   std::vector<std::vector<Word>> out(numMachines_);
   for (std::size_t m = 0; m < numMachines_; ++m)
@@ -343,7 +293,7 @@ std::vector<std::vector<Word>> RoundEngine::readBlocks(std::uint64_t handle) {
 }
 
 void RoundEngine::freeBlocks(std::uint64_t handle) {
-  if (shard_ && shard_->resident() && shard_->started()) {
+  if (shard_ && shard_->started()) {
     shard_->freeBlocks(handle);
     return;
   }
@@ -357,12 +307,6 @@ std::vector<std::vector<Delivery>> RoundEngine::snapshotInboxes() {
   // copy as valid.
   if (inboxesResident_) return shard_->fetchInboxes();
   return inboxes_;
-}
-
-void RoundEngine::syncInboxes() {
-  if (!inboxesResident_) return;
-  inboxes_ = shard_->fetchInboxes();
-  inboxesResident_ = false;
 }
 
 }  // namespace mpcspan::runtime

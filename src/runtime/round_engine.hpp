@@ -11,18 +11,14 @@
 // delivery is deterministic: every inbox holds its deliveries in (source
 // id, send position) order regardless of the thread or shard count, so
 // 1-thread, N-thread, 1-shard, and N-shard runs of the same workload are
-// bit-identical — rounds, traffic totals, and message contents.
+// bit-identical — rounds, traffic totals, and message contents
+// (tests/test_golden.cc pins them).
 //
-// Two ways to step the machines:
-//   - the legacy closure step(StepFn): convenient, but a closure cannot
-//     follow machines into another process, so under sharding its compute
-//     wave still runs against a per-round fork snapshot and must keep its
-//     per-machine state in messages/inboxes (see step below);
-//   - registered kernels (runtime/kernel.hpp): registerKernel gives the
-//     engine a named factory, step(KernelId, args) drives one round, and
-//     the kernel instance lives *where the machines live* — inside each
-//     resident worker — owning per-machine state (inboxes, BlockStore
-//     blocks) across rounds without ever re-shipping it.
+// Machines step through registered kernels (runtime/kernel.hpp):
+// registerKernel gives the engine a named factory, step(KernelId, args)
+// drives one round, and the kernel instance lives *where the machines
+// live* — inside each resident worker — owning per-machine state (inboxes,
+// BlockStore blocks) across rounds without ever re-shipping it.
 //
 // MpcSimulator and CongestedClique are thin model-specific facades over
 // this class; see src/runtime/README.md for the design.
@@ -53,33 +49,12 @@ struct EngineConfig {
   /// (MPCSPAN_SHARDS env var, else 1). Clamped to numMachines. Sharded or
   /// not, the same workload is bit-identical — rounds, ledger, contents.
   std::size_t shards = 0;
-  /// Shard worker lifetime: 1 = resident workers (fork once per engine,
-  /// control frames per round — the default), 0 = legacy fork-per-round
-  /// snapshot dispatch (kept as the bench_micro baseline; no kernel/block
-  /// support), -1 = the MPCSPAN_RESIDENT env var (default resident).
-  int resident = -1;
-  /// Cross-shard section routing of resident kernel rounds: 1 = worker-to-
-  /// worker peer mesh (the coordinator only arbitrates the barrier — the
-  /// default), 0 = coordinator relay (the bit-identical equivalence
-  /// reference), -1 = the MPCSPAN_PEER_EXCHANGE env var (default peer).
-  int peerExchange = -1;
-  /// Concrete transport override. kDefault resolves from `peerExchange`
-  /// first (0 -> kRelay), then MPCSPAN_TCP_EXCHANGE (1 -> kTcp), then
-  /// MPCSPAN_SHM_EXCHANGE between the two same-host mesh kinds (unset/1 ->
-  /// kShmRing, 0 -> kSocketMesh). An explicit value here wins over all
-  /// knobs. kTcp forms the mesh by rendezvous through an ephemeral
-  /// listener instead of fd inheritance, so its workers may also be remote
-  /// processes (MPCSPAN_TCP_REMOTE=1 + mpcspan_worker --connect).
-  Transport transport = Transport::kDefault;
-  /// Pipelined resident rounds: 1 = overlap a round's cross-shard delivery
-  /// with the next round's local phase when the topology allows it
-  /// (Topology::canOverlap — fused epoch-tagged barrier, speculative
-  /// pre-verdict merge into double-buffered inboxes), 0 = strict barrier
-  /// (every transport's classic conversation, the bit-identical reference),
-  /// -1 = the MPCSPAN_PIPELINE env var (default pipelined). Only the
-  /// resident mesh transports pipeline; relay and fork-per-round stay
-  /// strict regardless.
-  int pipeline = -1;
+  /// Where cross-shard sections travel: kShmRing (shared-memory rings
+  /// between forked same-host workers) or kTcp (a mesh formed by
+  /// rendezvous through an ephemeral listener instead of fd inheritance,
+  /// so its workers may also be remote processes — MPCSPAN_TCP_REMOTE=1 +
+  /// mpcspan_worker --connect). Irrelevant in-process.
+  Transport transport = Transport::kShmRing;
 };
 
 class RoundEngine {
@@ -90,23 +65,10 @@ class RoundEngine {
   std::size_t numMachines() const { return numMachines_; }
   /// Worker processes executing the rounds (1 = in-process).
   std::size_t numShards() const;
-  /// True when rounds run on resident shard workers (shards > 1 and the
-  /// resident backend selected).
-  bool residentShards() const;
-  /// True when resident kernel rounds route cross-shard sections over the
-  /// worker-to-worker mesh — either kind (false: coordinator relay, or not
-  /// sharded).
-  bool peerMeshShards() const;
-  /// True when the mesh sections move through shared-memory rings (false:
-  /// socket mesh, relay, or not sharded).
+  /// True when sharded rounds move sections through shared-memory rings.
   bool shmRingShards() const;
-  /// True when the mesh is TCP, formed by rendezvous (cross-machine
-  /// capable; false: same-host transports, relay, or not sharded).
+  /// True when sharded rounds move sections over the tcp mesh.
   bool tcpMeshShards() const;
-  /// True when resident rounds run the pipelined (epoch-tagged, overlap-
-  /// capable) barrier rather than the strict reference barrier (false:
-  /// strict mode, relay, or not sharded).
-  bool pipelinedShards() const;
   /// The multi-process backend, null when in-process (introspection: worker
   /// pids, shard ranges).
   const shard::ShardedEngine* shardBackend() const { return shard_.get(); }
@@ -126,30 +88,10 @@ class RoundEngine {
   /// validates the outboxes against the topology, delivers, and updates the
   /// ledger. inbox[d] holds deliveries ordered by (src, position in src's
   /// outbox). Under Topology::Mode::kPriorityWrite only the first delivery
-  /// per destination lands. Outboxes are consumed.
+  /// per destination lands. Outboxes are consumed; the machines' resident
+  /// inboxes are left alone.
   std::vector<std::vector<Delivery>> exchange(
       std::vector<std::vector<Message>> outboxes);
-
-  /// Machine-centric round: runs step(machine, inbox) for every machine in
-  /// parallel on the pool (the inbox is the previous step's deliveries),
-  /// then exchanges the produced outboxes. The deliveries are stored and
-  /// readable via inbox() until the next step.
-  ///
-  /// Sharded caveat: the closure executes its compute wave in per-round
-  /// forked processes against a copy-on-write snapshot (the resident
-  /// workers forked before the closure existed, so they cannot run it). It
-  /// may *read* any captured state, but every mutation it makes to captured
-  /// state is discarded with the wave — only the returned messages survive.
-  /// A StepFn that must behave identically in-process and sharded therefore
-  /// keeps per-machine state in the messages/inboxes it returns, never in
-  /// captured variables. Kernels (below) replace that purity caveat with an
-  /// explicit owned-state contract.
-  using StepFn = std::function<std::vector<Message>(
-      std::size_t machine, const std::vector<Delivery>& inbox)>;
-  void step(const StepFn& fn);
-  const std::vector<Delivery>& inbox(std::size_t machine) const {
-    return inboxes_[machine];
-  }
 
   // --- Registered kernels: the resident step path. ---
 
@@ -201,9 +143,7 @@ class RoundEngine {
   std::vector<std::vector<Word>> readBlocks(std::uint64_t handle);
   void freeBlocks(std::uint64_t handle);
 
-  /// Every machine's resident inbox, fetched from wherever it lives. The
-  /// inbox(machine) accessor only tracks closure-step rounds; after kernel
-  /// rounds on a sharded engine this is the authoritative view.
+  /// Every machine's resident inbox, fetched from wherever it lives.
   std::vector<std::vector<Delivery>> snapshotInboxes();
 
   /// Deterministic parallel loop on the engine's pool. fn must write to
@@ -218,22 +158,17 @@ class RoundEngine {
   /// pool (step's and stepShuffle's shared half).
   std::vector<std::vector<Message>> runKernelWave(KernelId kernel,
                                                   const std::vector<Word>& args);
-  std::vector<std::vector<Delivery>> exchangeImpl(
-      std::vector<std::vector<Message>> outboxes, bool updateResident);
   /// Unvalidated, uncharged deliver-all into inboxes_ (stepShuffle's
   /// in-process half).
   void deliverFree(std::vector<std::vector<Message>> outboxes);
-  /// Refreshes inboxes_ from the workers if kernel rounds left the
-  /// authoritative copy worker-side.
-  void syncInboxes();
 
   std::size_t numMachines_;
   std::unique_ptr<Topology> topology_;
   ThreadPool pool_;
   Accounting ledger_;
-  std::vector<std::vector<Delivery>> inboxes_;
-  /// True while the worker-resident inboxes are ahead of inboxes_ (kernel
-  /// rounds ran on the sharded backend).
+  std::vector<std::vector<Delivery>> inboxes_;  // in-process only
+  /// True once kernel rounds ran on the sharded backend, so the
+  /// authoritative inboxes live in the workers.
   bool inboxesResident_ = false;
   std::vector<KernelRegistration> kernels_;
   std::vector<std::unique_ptr<StepKernel>> kernelInstances_;  // in-process

@@ -1,20 +1,19 @@
-// Worker-to-worker exchange mesh for the resident shard backend.
+// Worker-to-worker mesh pieces shared by both shard transports.
 //
-// With the peer exchange enabled (MPCSPAN_PEER_EXCHANGE, default on), every
-// pair of resident workers shares a dedicated nonblocking AF_UNIX
-// socketpair, created by the coordinator *before the first fork* so each
-// worker can inherit exactly its own row of the mesh. After local phase-A
-// validation, each worker ships its cross-shard sections straight to the
-// destination workers over these sockets; the coordinator never relays a
-// payload byte — it only arbitrates the round barrier (per-shard verdicts
-// in, one-byte go/commit out), so per-round coordinator traffic is
-// O(shards) and per-round wall-clock scales with per-shard traffic, not
-// total traffic.
+//   - makeMesh: one nonblocking AF_UNIX socketpair per worker pair, created
+//     by the coordinator *before the first fork* so each worker inherits
+//     exactly its own row. Under the shm transport these sockets only ring
+//     doorbells (shm_ring.hpp); no payload byte crosses them.
+//   - meshExchange: the tcp mesh's data path — every worker ships its
+//     cross-shard sections straight to the destination workers; the
+//     coordinator never relays a payload byte, it only arbitrates the round
+//     barrier, so per-round coordinator traffic is O(shards).
+//   - mergeSectionRows: the one section decoder both transports feed.
 //
-// The section row format is shared with the coordinator-relay path
-// ((src, dst, len, words) per row, rows in (src asc, send-position asc)
-// order within a section), and receivers merge sections in ascending source
-// shard order — so peer and relay rounds are bit-identical by construction.
+// The section row format ((src, dst, len, words) per row, rows in (src asc,
+// send-position asc) order within a section) is the same on both
+// transports, and receivers merge sections in ascending source shard order
+// — so shm and tcp rounds are bit-identical by construction.
 #pragma once
 
 #include <cstddef>

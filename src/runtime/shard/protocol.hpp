@@ -7,8 +7,8 @@
 // it moved out when Transport::kTcp made the worker loop reachable from a
 // *different binary* (tools/mpcspan_worker), which must agree with the
 // coordinator on every byte. The frame helpers are templated over the wire
-// type so the same code drives a raw WireFd (fork-per-round waves) and a
-// Channel (resident workers, deadline-paced tcp channels).
+// type so the same code drives a raw WireFd and a Channel (resident
+// workers, deadline-paced tcp channels).
 #pragma once
 
 #include <cstddef>
@@ -44,7 +44,7 @@ inline constexpr std::uint8_t kOpFreeBlocks = 8;
 inline constexpr std::uint8_t kOpFetchInboxes = 9;
 inline constexpr std::uint8_t kOpShutdown = 10;
 // Remote-attach provisioning: the engine state a fork snapshot would have
-// carried (dimensions, topology descriptor, kernel names, blocks, inboxes),
+// carried (dimensions, topology descriptor, kernel names, blocks),
 // sent to a worker that dialed in over tcp instead of being forked. See
 // worker_loop.hpp.
 inline constexpr std::uint8_t kOpSetup = 11;
@@ -70,8 +70,8 @@ struct Report {
 std::uint8_t classify(std::string& err);
 
 /// Briefly spin-polls a wire for readability before the caller blocks on
-/// it. The fused shm barrier turns a round into pure hand-offs (reports
-/// up, one verdict byte down); letting each side stay runnable while the
+/// it. The one-report barrier turns a round into pure hand-offs (reports
+/// up, one verdict frame down); letting each side stay runnable while the
 /// other finishes converts those hand-offs into cheap runqueue rotations
 /// instead of sleep/wake cycles — a woken sleeper preempts its waker, so
 /// blocking doubles the context switches per round. Bounded: an idle

@@ -3,7 +3,6 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <stdexcept>
@@ -15,7 +14,6 @@
 #include "runtime/shard/shm_ring.hpp"
 #include "runtime/shard/tcp_transport.hpp"
 #include "runtime/shard/worker_loop.hpp"
-#include "runtime/thread_pool.hpp"
 
 namespace mpcspan::runtime::shard {
 
@@ -29,8 +27,8 @@ struct Proc {
 /// Forks one process per index; `body(i, fd)` runs in the child, which then
 /// exits without unwinding (no destructors, no atexit — the child shares
 /// the parent's stdio buffers and thread-owning objects by fork).
-std::vector<Proc> forkProcs(
-    std::size_t count, const std::function<void(std::size_t, WireFd&)>& body) {
+template <class Body>
+std::vector<Proc> forkProcs(std::size_t count, const Body& body) {
   std::vector<WireFd> parentEnds(count);
   std::vector<WireFd> childEnds(count);
   for (std::size_t s = 0; s < count; ++s)
@@ -75,54 +73,20 @@ std::vector<Proc> forkProcs(
   return procs;
 }
 
-/// Reaps every worker of a {pid, fd} collection (the per-round fork waves
-/// and the resident workers share this). Closing the coordinator ends first
-/// unblocks any worker still waiting on a frame (it reads EOF and exits).
-/// Crash detection relies on waitpid seeing each child's exit status, so
-/// the host process must not disown its children (SIGCHLD set to SIG_IGN
-/// or SA_NOCLDWAIT): auto-reaped workers read as crashes (ECHILD), which
-/// is loud rather than wrong, but makes every sharded round throw.
-template <class W>
-void reapAll(std::vector<W>& procs, bool& anyCrashed) {
-  for (W& p : procs) p.fd.reset();
-  for (W& p : procs) {
-    if (p.pid < 0) continue;
-    int st = 0;
-    pid_t r;
-    do {
-      r = ::waitpid(p.pid, &st, 0);
-    } while (r < 0 && errno == EINTR);
-    // A wait failure (ECHILD etc.) means the exit status is unknowable —
-    // treat it as a crash rather than reading st == 0 as a clean exit.
-    if (r < 0 || !WIFEXITED(st) || WEXITSTATUS(st) != 0) anyCrashed = true;
-    p.pid = -1;
-  }
-}
-
 }  // namespace
 
 ShardedEngine::ShardedEngine(std::size_t numMachines, std::size_t shards,
                              std::size_t threadsPerShard,
-                             const Topology* topology, bool resident,
+                             const Topology* topology,
                              const std::vector<KernelRegistration>* kernels,
-                             BlockStore* blocks,
-                             const std::vector<std::vector<Delivery>>* inboxes,
-                             Transport transport, int pipeline)
+                             BlockStore* blocks, Transport transport)
     : numMachines_(numMachines),
       shards_(shards),
       threadsPerShard_(threadsPerShard == 0 ? 1 : threadsPerShard),
       topology_(topology),
-      resident_(resident),
-      transport_(transport == Transport::kDefault
-                     ? (defaultTcpExchange()
-                            ? Transport::kTcp
-                            : (defaultShmExchange() ? Transport::kShmRing
-                                                    : Transport::kSocketMesh))
-                     : transport),
-      pipelined_(pipeline < 0 ? defaultPipeline() : pipeline != 0),
+      transport_(transport),
       kernels_(kernels),
-      blocks_(blocks),
-      inboxes_(inboxes) {
+      blocks_(blocks) {
   if (numMachines_ == 0)
     throw std::invalid_argument("ShardedEngine: numMachines must be positive");
   if (shards_ < 2 || shards_ > numMachines_)
@@ -149,36 +113,6 @@ std::size_t ShardedEngine::defaultShards() {
   return 1;
 }
 
-bool ShardedEngine::defaultResident() {
-  if (const char* env = std::getenv("MPCSPAN_RESIDENT"))
-    return std::strtol(env, nullptr, 10) != 0;
-  return true;
-}
-
-bool ShardedEngine::defaultPeerExchange() {
-  if (const char* env = std::getenv("MPCSPAN_PEER_EXCHANGE"))
-    return std::strtol(env, nullptr, 10) != 0;
-  return true;
-}
-
-bool ShardedEngine::defaultShmExchange() {
-  if (const char* env = std::getenv("MPCSPAN_SHM_EXCHANGE"))
-    return std::strtol(env, nullptr, 10) != 0;
-  return true;
-}
-
-bool ShardedEngine::defaultTcpExchange() {
-  if (const char* env = std::getenv("MPCSPAN_TCP_EXCHANGE"))
-    return std::strtol(env, nullptr, 10) != 0;
-  return false;
-}
-
-bool ShardedEngine::defaultPipeline() {
-  if (const char* env = std::getenv("MPCSPAN_PIPELINE"))
-    return std::strtol(env, nullptr, 10) != 0;
-  return true;
-}
-
 std::vector<pid_t> ShardedEngine::workerPids() const {
   std::vector<pid_t> pids;
   pids.reserve(workers_.size());
@@ -186,62 +120,29 @@ std::vector<pid_t> ShardedEngine::workerPids() const {
   return pids;
 }
 
-void ShardedEngine::requireResident(const char* op) const {
-  if (!resident_)
-    throw std::logic_error(
-        std::string(op) +
-        " requires the resident shard backend (MPCSPAN_RESIDENT=1 / "
-        "EngineConfig::resident)");
-}
-
 void ShardedEngine::start() {
   if (failed_)
     throw ShardError(
         "ShardedEngine: shard backend is down (a worker died earlier)");
   if (started()) return;
-  if (resident_ && transport_ == Transport::kTcp) {
+  if (transport_ == Transport::kTcp) {
     startTcp();
     return;
   }
-  // The peer mesh must exist before the first fork so every worker can
-  // inherit its row; worker s keeps row s and drops every other row's fds
-  // (both ends of foreign pairs), so a dead peer reads as EOF, never as a
-  // silently-held open socket. The coordinator closes the whole matrix when
-  // this frame unwinds — it never touches a mesh byte.
-  std::vector<std::vector<WireFd>> mesh;
-  if (resident_ && transport_ != Transport::kRelay) {
-    mesh = makeMesh(shards_);
-    if (transport_ == Transport::kShmRing) {
-      // The shm transport commits rounds off the fused barrier, whose
-      // validation is the validateSources + validateInbound split — a
-      // custom topology that only implements validateSlice would silently
-      // under-validate there (the base validateSources just counts words).
-      // Such topologies take the socket mesh instead, whose strict
-      // conversation runs the full validateSlice; same fallback as a host
-      // that cannot map POSIX shm (no /dev/shm).
-      if (!topology_->canOverlap(/*freePlacement=*/false)) {
-        transport_ = Transport::kSocketMesh;
-      } else {
-        // The shared arena must also exist before the first fork (every
-        // worker inherits the one mapping); the mesh then only carries
-        // doorbell bytes.
-        try {
-          shmArena_ = std::make_unique<ShmArena>(shards_);
-        } catch (const ShardError&) {
-          transport_ = Transport::kSocketMesh;
-        }
-      }
-    }
-  }
+  // The shared arena and the doorbell mesh must exist before the first fork
+  // so every worker inherits the one mapping and its own mesh row. Worker s
+  // keeps row s and drops every other row's fds (both ends of foreign
+  // pairs), so a dead peer reads as EOF, never as a silently-held open
+  // socket. The coordinator closes the whole matrix when this frame
+  // unwinds — it never touches a ring or doorbell byte.
+  shmArena_ = std::make_unique<ShmArena>(shards_);
+  std::vector<std::vector<WireFd>> mesh = makeMesh(shards_);
   std::vector<Proc> procs =
       forkProcs(shards_, [this, &mesh](std::size_t s, WireFd& fd) {
-        std::vector<WireFd> peers;
-        if (!mesh.empty()) {
-          for (std::size_t j = 0; j < shards_; ++j)
-            if (j != s)
-              for (WireFd& end : mesh[j]) end.reset();
-          peers = std::move(mesh[s]);
-        }
+        for (std::size_t j = 0; j < shards_; ++j)
+          if (j != s)
+            for (WireFd& end : mesh[j]) end.reset();
+        std::vector<WireFd> peers = std::move(mesh[s]);
         Channel ctrl(std::move(fd));
         runSnapshotWorker(s, ctrl, peers, -1);
       });
@@ -333,8 +234,7 @@ void ShardedEngine::startTcp() {
     if (remote)
       for (std::size_t s = 0; s < shards_; ++s)
         sendWorkerSetup(workers[s].fd, numMachines_, shards_, s,
-                        threadsPerShard_, *topology_, kernels_, blocks_,
-                        inboxes_, pipelined_);
+                        threadsPerShard_, *topology_, kernels_, blocks_);
   } catch (...) {
     // Unwind without zombies or hangs: closing the listener and every
     // accepted control channel gives each worker EOF/ECONNREFUSED within
@@ -380,7 +280,6 @@ void ShardedEngine::runSnapshotWorker(std::size_t s, Channel& ctrl,
   cfg.transport = transport_;
   cfg.shmArena = shmArena_.get();
   cfg.meshTimeoutMs = meshTimeoutMs;
-  cfg.pipelined = pipelined_;
   std::vector<KernelRegistration> kernels =
       kernels_ ? *kernels_ : std::vector<KernelRegistration>{};
   const std::size_t lo = shardBegin(s), hi = shardEnd(s);
@@ -392,11 +291,7 @@ void ShardedEngine::runSnapshotWorker(std::size_t s, Channel& ctrl,
         store.block(h, m) = blocks_->block(h, m);
     }
   }
-  std::vector<std::vector<Delivery>> inboxes(hi - lo);
-  if (inboxes_ && inboxes_->size() == numMachines_)
-    for (std::size_t i = 0; i < hi - lo; ++i) inboxes[i] = (*inboxes_)[lo + i];
-  runResidentWorker(cfg, ctrl, peers, std::move(kernels), store,
-                    std::move(inboxes));
+  runResidentWorker(cfg, ctrl, peers, std::move(kernels), store);
 }
 
 void ShardedEngine::shutdownWorkers() noexcept {
@@ -416,10 +311,17 @@ void ShardedEngine::shutdownWorkers() noexcept {
     }
   }
   // Closing the fds unblocks any worker still reading (EOF -> clean exit);
-  // crash status is deliberately ignored here — either the failure already
-  // surfaced as ShardError, or this is a destructor.
-  bool crashed = false;
-  reapAll(workers_, crashed);
+  // exit status is deliberately ignored here — either the failure already
+  // surfaced as ShardError, or this is a destructor. The host process must
+  // not disown its children (SIGCHLD set to SIG_IGN or SA_NOCLDWAIT), or
+  // waitpid cannot see a worker die mid-round.
+  for (Worker& w : workers_) w.fd.reset();
+  for (Worker& w : workers_) {
+    if (w.pid < 0) continue;  // remote tcp worker: not ours to reap
+    int st = 0;
+    while (::waitpid(w.pid, &st, 0) < 0 && errno == EINTR) {
+    }
+  }
   workers_.clear();
 }
 
@@ -478,7 +380,6 @@ void broadcastVerdict(std::vector<W>& workers,
 }  // namespace
 
 void ShardedEngine::registerKernel(std::size_t id, const std::string& name) {
-  requireResident("registerKernel");
   if (!started()) return;  // the fork snapshot will carry the table
   guarded([&] {
     for (Worker& w : workers_) {
@@ -503,170 +404,83 @@ void ShardedEngine::registerKernel(std::size_t id, const std::string& name) {
 
 void ShardedEngine::stepKernel(std::size_t id, const std::vector<Word>& args,
                                std::size_t& roundWords, bool freePlacement) {
-  requireResident("step(KernelId)");
   start();
   // One epoch per STEP attempt, aborts included; the workers advance their
   // own counters in lockstep, so both sides can vet every frame of the
-  // conversation against it (essential once rounds overlap: a verdict must
-  // never be appliable to the wrong round's speculative state).
+  // conversation against it (a verdict must never be appliable to the wrong
+  // round's speculative state).
   const std::uint64_t epoch = stepEpoch_++;
-  // Overlap eligibility is per round: pipelined engine, and a topology
-  // whose validation splits across the fused barrier for this round kind.
-  // Ineligible rounds fall back to the strict conversation below — the two
-  // modes interleave freely on one engine because the kOpStep frame carries
-  // the mode byte.
-  const bool overlap = pipelined() && topology_->canOverlap(freePlacement);
   guarded([&] {
     for (Worker& w : workers_) {
       WireWriter f;
       f.u8(kOpStep);
       f.u64(epoch);
-      f.u8(overlap ? 1 : 0);
       f.u64(id);
       f.u8(freePlacement ? 1 : 0);
       writeArgs(f, args);
       f.sendFramed(w.fd);
     }
 
-    const bool shmMode =
-        transport_ == Transport::kShmRing && shmArena_ != nullptr;
-    if (shmMode || overlap) {
-      // Fused single barrier — the shm ring's native conversation,
-      // generalized to every mesh transport for pipelined rounds. Workers
-      // validate their own sources at phase A and ship their sections
-      // (pre-written into the rings, or speculatively exchanged over the
-      // mesh before the verdict lands); each report carries the source
-      // verdict plus (for topologies with inbound budgets) this worker's
-      // per-destination word sums. The coordinator totals the sums, runs
-      // the receiver-side validation, and broadcasts the one commit/abort
-      // frame — two scheduling waves per round instead of four. Reports
-      // and verdicts echo the epoch so a desynced stream fails loudly
-      // instead of committing round r against round r+1's state.
-      const bool wantSums = !freePlacement && topology_->needsInboundSums();
-      std::vector<std::uint64_t> received(wantSums ? numMachines_ : 0, 0);
-      std::vector<Report> reports(shards_);
-      for (std::size_t s = 0; s < shards_; ++s) {
-        spinAwaitReadable(workers_[s].fd.fd());
-        WireReader r = WireReader::recvFramed(workers_[s].fd);
-        reports[s].kind = r.u8();
-        if (r.u64() != epoch)
-          throw ShardError("step barrier: report epoch mismatch (shard " +
-                           std::to_string(s) + " desynced)");
-        if (reports[s].kind == kOk) {
-          reports[s].words = r.u64();
-          if (wantSums)
-            for (std::size_t m = 0; m < numMachines_; ++m)
-              received[m] += r.u64();
-        } else {
-          reports[s].err = r.str();
-        }
-      }
-      std::size_t firstErr = reports.size();
-      for (std::size_t s = 0; s < reports.size(); ++s)
-        if (reports[s].kind != kOk) {
-          firstErr = s;
-          break;
-        }
-      std::uint8_t inKind = kOk;
-      std::string inErr;
-      if (firstErr == reports.size() && wantSums) {
-        try {
-          topology_->validateInbound(numMachines_, received);
-        } catch (...) {
-          inKind = classify(inErr);
-        }
-      }
-      const bool ok = firstErr == reports.size() && inKind == kOk;
-      for (Worker& w : workers_) {
-        WireWriter f;
-        f.u8(ok ? kGo : kAbort);
-        f.u64(epoch);
-        f.sendFramed(w.fd);
-      }
-      if (!ok) {
-        if (firstErr != reports.size())
-          rethrow(reports[firstErr].kind, reports[firstErr].err);
-        rethrow(inKind, inErr);
-      }
-      roundWords = 0;
-      for (const Report& rep : reports) roundWords += rep.words;
-      return;
-    }
-
-    if (transport_ != Transport::kRelay) {
-      // Peer exchange: the coordinator is a pure barrier arbiter. Phase A
-      // reports carry only verdicts — one abort byte kills the round for
-      // all before any peer byte moves; on go the workers exchange their
-      // sections over the mesh and report validation, and the coordinator
-      // broadcasts the one-byte commit/abort. Per-round coordinator
-      // traffic is O(shards) regardless of the payload volume.
-      broadcastVerdict(workers_, collectReports(workers_));
-
-      // Validation barrier (the workers are mid-mesh-exchange), then commit.
-      const std::vector<Report> reports = collectReports(workers_);
-      broadcastVerdict(workers_, reports);
-
-      roundWords = 0;
-      for (const Report& rep : reports) roundWords += rep.words;
-      return;
-    }
-
-    // Coordinator relay (MPCSPAN_PEER_EXCHANGE=0, the equivalence
-    // reference). Phase A barrier: collect every compute report. The ok
-    // ones carry the cross-shard sections (s -> t) as raw byte slices,
-    // which are appended straight into the per-target phase-B frames as
-    // they are parsed — replies arrive in ascending origin order, which is
-    // exactly the section order the workers expect, so no intermediate
-    // copy is needed.
+    // The one barrier: workers validate their own sources at phase A and
+    // ship their sections before the verdict exists; each report carries
+    // the source verdict plus (for topologies with inbound budgets) this
+    // worker's per-destination word sums. The coordinator totals the sums,
+    // runs the receiver-side validation, and broadcasts the one
+    // commit/abort frame. Reports and verdicts echo the epoch so a desynced
+    // stream fails loudly instead of committing round r against round
+    // r+1's state.
+    const bool wantSums = !freePlacement && topology_->needsInboundSums();
+    std::vector<std::uint64_t> received(wantSums ? numMachines_ : 0, 0);
     std::vector<Report> reports(shards_);
-    std::vector<WireWriter> scatter(shards_);
-    for (WireWriter& f : scatter) f.u8(kGo);
     for (std::size_t s = 0; s < shards_; ++s) {
+      spinAwaitReadable(workers_[s].fd.fd());
       WireReader r = WireReader::recvFramed(workers_[s].fd);
       reports[s].kind = r.u8();
-      if (reports[s].kind != kOk) {
+      if (r.u64() != epoch)
+        throw ShardError("step barrier: report epoch mismatch (shard " +
+                         std::to_string(s) + " desynced)");
+      if (reports[s].kind == kOk) {
+        reports[s].words = r.u64();
+        if (wantSums)
+          for (std::size_t m = 0; m < numMachines_; ++m)
+            received[m] += r.u64();
+      } else {
         reports[s].err = r.str();
-        continue;
-      }
-      for (std::size_t t = 0; t < shards_; ++t) {
-        if (t == s) continue;
-        const std::uint64_t count = r.u64();
-        const std::uint64_t byteLen = r.u64();
-        WireWriter& f = scatter[t];
-        f.u64(count);
-        f.u64(byteLen);
-        f.bytes(r.raw(byteLen), byteLen);
       }
     }
-    std::size_t firstErr = shards_;
-    for (std::size_t s = 0; s < shards_; ++s)
+    std::size_t firstErr = reports.size();
+    for (std::size_t s = 0; s < reports.size(); ++s)
       if (reports[s].kind != kOk) {
         firstErr = s;
         break;
       }
-    if (firstErr != shards_) {
-      for (Worker& w : workers_) {
-        WireWriter f;
-        f.u8(kAbort);
-        f.sendFramed(w.fd);
+    std::uint8_t inKind = kOk;
+    std::string inErr;
+    if (firstErr == reports.size() && wantSums) {
+      try {
+        topology_->validateInbound(numMachines_, received);
+      } catch (...) {
+        inKind = classify(inErr);
       }
-      rethrow(reports[firstErr].kind, reports[firstErr].err);
     }
-
-    // Phase B: scatter each worker its inbound sections (origin order).
-    for (std::size_t t = 0; t < shards_; ++t) scatter[t].sendFramed(workers_[t].fd);
-
-    // Validation barrier, then commit.
-    reports = collectReports(workers_);
-    broadcastVerdict(workers_, reports);
-
+    const bool ok = firstErr == reports.size() && inKind == kOk;
+    for (Worker& w : workers_) {
+      WireWriter f;
+      f.u8(ok ? kGo : kAbort);
+      f.u64(epoch);
+      f.sendFramed(w.fd);
+    }
+    if (!ok) {
+      if (firstErr != reports.size())
+        rethrow(reports[firstErr].kind, reports[firstErr].err);
+      rethrow(inKind, inErr);
+    }
     roundWords = 0;
     for (const Report& rep : reports) roundWords += rep.words;
   });
 }
 
 void ShardedEngine::localKernel(std::size_t id, const std::vector<Word>& args) {
-  requireResident("stepLocal(KernelId)");
   start();
   guarded([&] {
     for (Worker& w : workers_) {
@@ -691,7 +505,6 @@ void ShardedEngine::localKernel(std::size_t id, const std::vector<Word>& args) {
 
 std::vector<std::vector<Word>> ShardedEngine::fetchKernel(
     std::size_t id, const std::vector<Word>& args) {
-  requireResident("fetchKernel");
   start();
   return guarded([&] {
     for (Worker& w : workers_) {
@@ -729,7 +542,6 @@ std::vector<std::vector<Word>> ShardedEngine::fetchKernel(
 
 void ShardedEngine::storeBlocks(std::uint64_t handle,
                                 std::vector<std::vector<Word>> perMachine) {
-  requireResident("createBlocks");
   start();
   guarded([&] {
     for (std::size_t s = 0; s < shards_; ++s) {
@@ -757,7 +569,6 @@ void ShardedEngine::storeBlocks(std::uint64_t handle,
 
 std::vector<std::vector<Word>> ShardedEngine::fetchBlocks(
     std::uint64_t handle) {
-  requireResident("readBlocks");
   start();
   return guarded([&] {
     for (Worker& w : workers_) {
@@ -793,7 +604,6 @@ std::vector<std::vector<Word>> ShardedEngine::fetchBlocks(
 }
 
 void ShardedEngine::freeBlocks(std::uint64_t handle) {
-  requireResident("freeBlocks");
   start();
   guarded([&] {
     for (Worker& w : workers_) {
@@ -807,7 +617,6 @@ void ShardedEngine::freeBlocks(std::uint64_t handle) {
 }
 
 std::vector<std::vector<Delivery>> ShardedEngine::fetchInboxes() {
-  requireResident("fetchInboxes");
   start();
   return guarded([&] {
     for (Worker& w : workers_) {
@@ -825,15 +634,8 @@ std::vector<std::vector<Delivery>> ShardedEngine::fetchInboxes() {
 }
 
 std::vector<std::vector<Delivery>> ShardedEngine::exchange(
-    const std::vector<std::vector<Message>>& outboxes, std::size_t& roundWords,
-    bool updateResident) {
-  return resident_ ? exchangeResident(outboxes, roundWords, updateResident)
-                   : exchangeForked(outboxes, roundWords);
-}
-
-std::vector<std::vector<Delivery>> ShardedEngine::exchangeResident(
-    const std::vector<std::vector<Message>>& outboxes, std::size_t& roundWords,
-    bool updateResident) {
+    const std::vector<std::vector<Message>>& outboxes,
+    std::size_t& roundWords) {
   const std::size_t n = numMachines_;
 
   // Bounds-check and bucket the cross-shard messages in one scan, appending
@@ -861,12 +663,11 @@ std::vector<std::vector<Delivery>> ShardedEngine::exchangeResident(
   return guarded([&] {
     for (std::size_t s = 0; s < shards_; ++s) {
       WireWriter f;
-      // Exact frame size: op + flag bytes, a count word per own machine,
-      // the own-outbox rows, the cross count word, the cross section.
-      f.reserve(2 + 8 * (shardEnd(s) - shardBegin(s)) + ownBytes[s] + 8 +
+      // Exact frame size: op byte, a count word per own machine, the
+      // own-outbox rows, the cross count word, the cross section.
+      f.reserve(1 + 8 * (shardEnd(s) - shardBegin(s)) + ownBytes[s] + 8 +
                 cross[s].size());
       f.u8(kOpExchange);
-      f.u8(updateResident ? 1 : 0);
       for (std::size_t m = shardBegin(s); m < shardEnd(s); ++m)
         writeRows(f, outboxes[m]);
       f.u64(crossCount[s]);
@@ -889,249 +690,6 @@ std::vector<std::vector<Delivery>> ShardedEngine::exchangeResident(
     for (const Report& rep : reports) roundWords += rep.words;
     return inbox;
   });
-}
-
-// ---------------------------------------------------------------------------
-// Legacy fork-per-round dispatch (resident == false) and the closure-step
-// compute wave. The wave is fork-per-round even on the resident backend:
-// RoundEngine::step's closure and its captures exist only in the
-// coordinator's address space — the resident workers forked before the
-// closure did — so a copy-on-write snapshot is the only way the closure can
-// read captured state without marshalling.
-// ---------------------------------------------------------------------------
-
-std::vector<std::vector<Delivery>> ShardedEngine::exchangeForked(
-    const std::vector<std::vector<Message>>& outboxes,
-    std::size_t& roundWords) {
-  const std::size_t n = numMachines_;
-  const bool priorityWrite =
-      topology_->mode() == Topology::Mode::kPriorityWrite;
-
-  std::vector<Proc> procs = forkProcs(shards_, [&](std::size_t s,
-                                                   WireFd& fd) {
-    const std::size_t lo = shardBegin(s), hi = shardEnd(s);
-
-    // --- Phase 1: validate locally (bounds + this range's topology
-    // constraints), report {ok, words sent by my sources} or the error.
-    // The bounds scan covers this shard's own sources; the union over all
-    // shards covers every message, and a validateSlice that scans sources
-    // outside [lo, hi) checks msg.dst itself (the topology.hpp contract),
-    // so a rogue destination can never index anything out of bounds.
-    std::uint8_t kind = kOk;
-    std::string err;
-    std::uint64_t words = 0;
-    try {
-      for (std::size_t src = lo; src < hi; ++src)
-        for (const Message& msg : outboxes[src])
-          if (msg.dst >= n)
-            throw std::invalid_argument(
-                "RoundEngine: message to unknown machine");
-      words = topology_->validateSlice(n, outboxes, lo, hi);
-    } catch (...) {
-      kind = classify(err);
-    }
-    writeReport(fd, kind, err, words);
-    if (kind != kOk) return;  // the coordinator aborts the round
-
-    // --- Barrier: the round commits only once every shard validated. A 0
-    // byte means another shard failed validation — exit cleanly; only a
-    // torn socket (coordinator death) surfaces as an abnormal exit.
-    std::uint8_t go = 0;
-    fd.readAll(&go, 1);
-    if (go == 0) return;
-
-    // --- Phase 2: materialize this shard's destination range. The index
-    // pass scans sources in ascending (src, position) order, which *is* the
-    // delivery order — the merge is deterministic by construction.
-    const std::size_t local = hi - lo;
-    const std::vector<std::vector<Ref>> byDst =
-        indexByDst(outboxes, lo, hi, priorityWrite);
-    std::vector<WireWriter> fragments(local);
-    ThreadPool pool(threadsPerShard_);
-    pool.parallelFor(local, [&](std::size_t i) {
-      WireWriter& w = fragments[i];
-      w.u64(byDst[i].size());
-      for (const Ref& ref : byDst[i]) {
-        const Payload& p = outboxes[ref.src][ref.pos].payload;
-        w.u64(ref.src);
-        w.u64(p.size());
-        w.words(p.data(), p.size());
-      }
-    });
-    WireWriter body;
-    for (const WireWriter& f : fragments) body.append(f);
-    body.sendFramed(fd);
-  });
-
-  // --- Coordinator, phase 1: collect every report before releasing anyone.
-  std::vector<Report> reports(shards_);
-  try {
-    for (std::size_t s = 0; s < shards_; ++s) {
-      try {
-        reports[s] = readReport(procs[s].fd);
-      } catch (const ShardError& e) {
-        reports[s].kind = kOtherKind;
-        reports[s].err = e.what();
-      }
-    }
-  } catch (...) {
-    // Non-ShardError (e.g. bad_alloc from a corrupted frame-length prefix):
-    // reap before propagating so no worker leaks as a zombie.
-    bool crashed = false;
-    reapAll(procs, crashed);
-    throw;
-  }
-  for (std::size_t s = 0; s < shards_; ++s) {
-    if (reports[s].kind == kOk) continue;
-    // Abort: release the barrier with a 0 byte so healthy workers exit
-    // cleanly (best effort — a dead worker's socket just errors), then reap
-    // and surface the lowest failed shard's error.
-    for (std::size_t j = 0; j < shards_; ++j) {
-      const std::uint8_t stop = 0;
-      try {
-        procs[j].fd.writeAll(&stop, 1);
-      } catch (const ShardError&) {
-      }
-    }
-    bool crashed = false;
-    reapAll(procs, crashed);
-    // Workers exit 0 even in an aborted round, so an abnormal exit here is
-    // an infrastructure bug (e.g. a sanitizer abort inside a child) — keep
-    // it loud instead of letting the validation error mask it, or CI's
-    // sanitizer jobs would never see a child-side crash.
-    if (crashed && reports[s].kind == kOtherKind)
-      throw ShardError("a shard worker exited abnormally (" + reports[s].err +
-                       ")");
-    if (crashed)
-      throw ShardError("a shard worker exited abnormally while aborting on: " +
-                       reports[s].err);
-    rethrow(reports[s].kind, reports[s].err);
-  }
-
-  // --- Barrier release.
-  for (std::size_t s = 0; s < shards_; ++s) {
-    const std::uint8_t go = 1;
-    try {
-      procs[s].fd.writeAll(&go, 1);
-    } catch (const ShardError& e) {
-      bool crashed = false;
-      reapAll(procs, crashed);
-      throw ShardError(std::string("shard ") + std::to_string(s) +
-                       " died at the barrier: " + e.what());
-    }
-  }
-
-  // --- Coordinator, phase 2: merge fragments in shard (= destination) order.
-  // Any failure (worker death, truncated frame, corrupt wire-supplied
-  // count/length) reaps the workers in the enclosing catch before
-  // propagating — no zombies on a bad frame.
-  std::vector<std::vector<Delivery>> inbox(n);
-  try {
-    for (std::size_t s = 0; s < shards_; ++s) {
-      WireReader r = [&] {
-        try {
-          return WireReader::recvFramed(procs[s].fd);
-        } catch (const ShardError& e) {
-          throw ShardError(std::string("shard ") + std::to_string(s) +
-                           " died in delivery: " + e.what());
-        }
-      }();
-      parseRows(r, shardBegin(s), shardEnd(s), inbox);
-    }
-  } catch (...) {
-    bool crashed = false;
-    reapAll(procs, crashed);
-    throw;
-  }
-
-  bool crashed = false;
-  reapAll(procs, crashed);
-  if (crashed) throw ShardError("a shard worker exited abnormally");
-
-  roundWords = 0;
-  for (const Report& rep : reports) roundWords += rep.words;
-  return inbox;
-}
-
-std::vector<std::vector<Message>> ShardedEngine::computeOutboxes(
-    const StepFn& fn, const std::vector<std::vector<Delivery>>& inboxes) {
-  const std::size_t n = numMachines_;
-
-  std::vector<Proc> procs =
-      forkProcs(shards_, [&](std::size_t s, WireFd& fd) {
-        const std::size_t lo = shardBegin(s), hi = shardEnd(s);
-        const std::size_t local = hi - lo;
-        std::uint8_t kind = kOk;
-        std::string err;
-        std::vector<std::vector<Message>> out(local);
-        try {
-          ThreadPool pool(threadsPerShard_);
-          pool.parallelFor(local, [&](std::size_t i) {
-            out[i] = fn(lo + i, inboxes[lo + i]);
-          });
-        } catch (const CapacityError& e) {
-          kind = kCapacityKind;
-          err = e.what();
-        } catch (const std::exception& e) {
-          kind = kOtherKind;
-          err = e.what();
-        }
-        WireWriter body;
-        body.u8(kind);
-        if (kind != kOk) {
-          body.str(err);
-        } else {
-          for (const auto& outbox : out) writeRows(body, outbox);
-        }
-        body.sendFramed(fd);
-      });
-
-  std::vector<std::vector<Message>> outboxes(n);
-  std::uint8_t failKind = kOk;
-  std::string failErr;
-  try {
-    for (std::size_t s = 0; s < shards_; ++s) {
-      WireReader r = [&]() -> WireReader {
-        try {
-          return WireReader::recvFramed(procs[s].fd);
-        } catch (const ShardError& e) {
-          if (failKind == kOk) {
-            failKind = kOtherKind;
-            failErr = std::string("shard ") + std::to_string(s) +
-                      " died in step: " + e.what();
-          }
-          return WireReader();
-        }
-      }();
-      if (failKind != kOk) continue;  // keep draining frames, keep first error
-      const std::uint8_t kind = r.u8();
-      if (kind != kOk) {
-        failKind = kind;
-        failErr = r.str();
-        continue;
-      }
-      parseRows(r, shardBegin(s), shardEnd(s), outboxes);
-    }
-  } catch (...) {
-    // Parse failure (truncated frame, corrupt count/length): reap before
-    // propagating so no worker leaks as a zombie.
-    bool crashed = false;
-    reapAll(procs, crashed);
-    throw;
-  }
-
-  bool crashed = false;
-  reapAll(procs, crashed);
-  // Crash first, then the step error: a worker that reports an error still
-  // exits 0, so an abnormal exit is an infrastructure bug (e.g. a sanitizer
-  // abort inside a child) that must not hide behind a concurrent StepFn
-  // failure — same rule as the abort path of the forked exchange.
-  if (crashed)
-    throw ShardError(failKind != kOk
-                         ? "a shard worker exited abnormally (" + failErr + ")"
-                         : "a shard worker exited abnormally");
-  if (failKind != kOk) rethrow(failKind, failErr);
-  return outboxes;
 }
 
 }  // namespace mpcspan::runtime::shard

@@ -1,73 +1,57 @@
 // ShardedEngine — the multi-process backend of runtime::RoundEngine.
 //
 // The simulated machines are partitioned into contiguous shards, each owned
-// by a worker *process* (fork + socketpair, never exec) running the
-// work-stealing ThreadPool over its machine range. Since PR "resident shard
-// workers" the workers are **resident**: they fork once per engine — lazily,
-// at the first operation that needs them, so every kernel factory and block
+// by a **resident** worker *process* running the work-stealing ThreadPool
+// over its machine range. The workers fork once per engine — lazily, at the
+// first operation that needs them, so every kernel factory and block
 // registered up to that point crosses in the fork snapshot — and then stay
 // alive across rounds, driven by small control frames over the wire:
 //
 //   REGISTER_KERNEL  bind a kernel id to a name/factory (ack'd);
 //   STEP             one kernel round: compute shard-side, exchange the
-//                    cross-shard sections worker-to-worker over the peer
-//                    mesh (or through the coordinator relay), validate the
-//                    slice, commit into the worker-resident inboxes;
+//                    cross-shard sections worker to worker, commit into the
+//                    worker-resident inboxes;
 //   LOCAL / FETCH    free kernel phases (no round): per-machine local
 //                    compute, per-machine state readout;
-//   EXCHANGE         one legacy round whose outboxes were built coordinator-
-//                    side: ship each worker its sources' outboxes plus the
-//                    cross-shard messages for its destinations, validate,
-//                    ship the materialized deliveries back;
+//   EXCHANGE         one round whose outboxes were built coordinator-side
+//                    (MpcSimulator::communicate): ship each worker its
+//                    sources' outboxes plus the cross-shard messages for its
+//                    destinations, validate, ship the deliveries back;
 //   STORE/FETCH/FREE worker-owned BlockStore maintenance (DistVector);
 //   SHUTDOWN         clean exit; the destructor sends it and reaps.
 //
-// A round is a lockstep barrier conversation. For STEP (with the default
-// worker-to-worker peer exchange, MPCSPAN_PEER_EXCHANGE=1):
+// Cross-shard sections travel over one of two transports: shared-memory
+// rings between same-host workers (Transport::kShmRing; socketpairs only
+// ring doorbells) or a tcp mesh formed by rendezvous (Transport::kTcp; the
+// workers may live on other machines). Both run the same STEP barrier:
 //   phase A  every worker runs kernel->step over its machines, buckets the
 //            *cross-shard* messages into per-peer sections (own-destined
-//            ones never leave), and reports only its verdict — no payload
-//            goes up the coordinator wire;
-//   barrier  the coordinator collects every phase-A report and broadcasts
-//            one go/abort byte — one failed shard aborts the round for all
-//            before any peer byte moves, resident state untouched;
-//   phase B  each worker ships its sections *directly to the destination
-//            workers* over the pre-forked peer mesh (runtime/shard/
-//            peer_mesh.hpp), merges inbound sections in ascending source
-//            shard order into the projected round view (its own sources
-//            complete + inbound rows) and runs Topology::validateSlice
-//            over its machine range — the same slice-validation reuse as
-//            the legacy path;
-//   commit   all slices valid: workers install the deliveries into their
-//            resident inboxes in (source shard, src, send position) order;
-//            any slice invalid: every worker discards the peer bytes it
-//            received (nothing was consumed), the coordinator rethrows the
-//            loud CapacityError / std::invalid_argument, the ledger is
-//            never charged.
+//            ones never leave), validates its own sources
+//            (Topology::validateSources), and reports {verdict, epoch,
+//            words, per-destination inbound word sums} — no payload goes
+//            up the coordinator wire;
+//   exchange right after its report, each worker ships its sections to the
+//            destination workers and merges the inbound ones, in ascending
+//            source-shard order, into *back-buffer* inboxes — before the
+//            verdict exists;
+//   verdict  the coordinator totals the inbound sums
+//            (Topology::validateInbound) and broadcasts one epoch-tagged
+//            go/abort frame. Go flips every worker's buffers; abort (a
+//            kernel throw, a capacity violation anywhere) discards the back
+//            buffers, so resident state, the ledger, and the workers are
+//            untouched and the coordinator rethrows the loud error.
 //
 // The coordinator therefore only arbitrates the barrier: its per-round
-// traffic is O(shards) bytes (verdicts in, go/commit bytes out), and
-// per-round wall-clock scales with per-shard traffic instead of total
-// traffic. MPCSPAN_PEER_EXCHANGE=0 keeps the coordinator-relay STEP (the
-// sections ride the phase-A report up and the phase-B barrier frame down)
-// as the bit-identical equivalence reference.
+// traffic is O(shards) bytes regardless of the payload volume.
 //
 // Delivery order is fixed by that serial merge rule — never by process or
 // thread scheduling — so 1-shard, N-shard, 1-thread, N-thread runs of one
 // workload stay bit-identical: same rounds, same ledger, same contents.
-//
-// The legacy fork-per-round dispatch is kept behind resident == false
-// (MPCSPAN_RESIDENT=0): it is the baseline the bench_micro round-latency
-// probe compares against, and its fork snapshot is still how the legacy
-// closure RoundEngine::step(StepFn) reads captured state (see
-// computeOutboxes — a closure captured after the residents forked cannot
-// reach them, so the closure compute wave still snapshots per round).
 #pragma once
 
 #include <sys/types.h>
 
 #include <cstddef>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -83,33 +67,19 @@ class ShmArena;
 
 class ShardedEngine {
  public:
-  /// `topology`, `kernels`, `blocks`, and `inboxes` are borrowed from the
-  /// owning RoundEngine; the worker fork snapshots whatever they hold at
-  /// start() time (kernels registered, blocks created, and closure-step
-  /// inboxes delivered before the first sharded round all cross for free).
-  /// `threadsPerShard` is the lane count of each worker's local pool (>= 1).
-  /// `shards` must be in [2, numMachines] — a single shard is RoundEngine's
-  /// in-process path. `resident` selects the backend described above; false
-  /// keeps the fork-per-round snapshot dispatch. `transport` routes the
-  /// cross-shard sections of resident STEP rounds: kShmRing (shared-memory
-  /// rings, the doorbell mesh underneath — the default), kSocketMesh (the
-  /// PR-5 socket mesh, the bit-identical reference), kRelay (coordinator
-  /// relay); kTcp forms the same mesh by rendezvous over TCP (loopback
-  /// forks by default; MPCSPAN_TCP_REMOTE=1 awaits `mpcspan_worker`
-  /// attaches instead). Irrelevant when `resident` is false. kDefault here
-  /// resolves to defaultTcpExchange(), then defaultShmExchange()'s pick
-  /// between the two same-host mesh kinds. `pipeline` selects the
-  /// epoch-tagged pipelined STEP barrier (1), the strict reference
-  /// conversation (0), or defaultPipeline() (-1); it only takes effect on
-  /// the resident mesh transports — relay and fork-per-round are always
-  /// strict.
+  /// `topology`, `kernels`, and `blocks` are borrowed from the owning
+  /// RoundEngine; the worker fork snapshots whatever they hold at start()
+  /// time (kernels registered and blocks created before the first sharded
+  /// operation cross for free). `threadsPerShard` is the lane count of each
+  /// worker's local pool (>= 1). `shards` must be in [2, numMachines] — a
+  /// single shard is RoundEngine's in-process path. `transport` picks the
+  /// section route described above; kTcp forks loopback workers by default,
+  /// and MPCSPAN_TCP_REMOTE=1 awaits `mpcspan_worker` attaches instead.
   ShardedEngine(std::size_t numMachines, std::size_t shards,
                 std::size_t threadsPerShard, const Topology* topology,
-                bool resident = true,
                 const std::vector<KernelRegistration>* kernels = nullptr,
                 BlockStore* blocks = nullptr,
-                const std::vector<std::vector<Delivery>>* inboxes = nullptr,
-                Transport transport = Transport::kDefault, int pipeline = -1);
+                Transport transport = Transport::kShmRing);
 
   /// Sends SHUTDOWN to every resident worker and reaps it (EINTR-safe);
   /// never throws, never leaks a zombie.
@@ -120,32 +90,8 @@ class ShardedEngine {
 
   std::size_t numShards() const { return shards_; }
   std::size_t threadsPerShard() const { return threadsPerShard_; }
-  bool resident() const { return resident_; }
-  /// True when resident STEP rounds exchange cross-shard sections worker to
-  /// worker — over either mesh kind (false: coordinator relay).
-  bool peerExchange() const {
-    return resident_ && transport_ != Transport::kRelay;
-  }
-  /// The selected cross-shard section route (already resolved — never
-  /// kDefault).
+  /// The cross-shard section route.
   Transport transport() const { return transport_; }
-  /// True when resident STEP rounds move sections through the shared-memory
-  /// rings (the doorbell mesh only carries wakeup bytes).
-  bool shmExchange() const {
-    return resident_ && transport_ == Transport::kShmRing;
-  }
-  /// True when resident STEP rounds move sections over the TCP mesh (the
-  /// only transport that can span machines).
-  bool tcpExchange() const {
-    return resident_ && transport_ == Transport::kTcp;
-  }
-  /// True when resident STEP rounds run the pipelined barrier: the fused
-  /// epoch-tagged report/verdict conversation on every mesh transport,
-  /// with workers speculatively exchanging and merging into back-buffer
-  /// inboxes before the verdict lands (discarded on abort). False: the
-  /// strict reference conversation (also always the case for relay and
-  /// fork-per-round).
-  bool pipelined() const { return peerExchange() && pipelined_; }
   /// True once the resident workers have forked (they fork lazily, at the
   /// first round / kernel / block operation).
   bool started() const { return !workers_.empty(); }
@@ -161,32 +107,15 @@ class ShardedEngine {
   std::size_t shardEnd(std::size_t s) const { return shardBegin(s + 1); }
   std::size_t shardOf(std::size_t machine) const;
 
-  using StepFn = std::function<std::vector<Message>(
-      std::size_t machine, const std::vector<Delivery>& inbox)>;
-
-  /// One sharded synchronous round over coordinator-built outboxes. Returns
-  /// the per-machine inboxes and writes the words moved to `roundWords`
-  /// (the caller owns the ledger). With `updateResident` the deliveries are
-  /// also installed into the workers' resident inboxes (the step-driven
-  /// variant; a raw RoundEngine::exchange leaves them alone, exactly as the
-  /// in-process path leaves RoundEngine::inboxes_ alone). Throws
-  /// CapacityError / std::invalid_argument exactly as the in-process path
-  /// would, and ShardError if a worker dies.
+  /// One sharded synchronous round over coordinator-built outboxes (the
+  /// EXCHANGE op). Returns the per-machine inboxes and writes the words
+  /// moved to `roundWords` (the caller owns the ledger); the workers'
+  /// resident inboxes are left alone. Throws CapacityError /
+  /// std::invalid_argument exactly as the in-process path would, and
+  /// ShardError if a worker dies.
   std::vector<std::vector<Delivery>> exchange(
       const std::vector<std::vector<Message>>& outboxes,
-      std::size_t& roundWords, bool updateResident = false);
-
-  /// The compute half of the legacy closure RoundEngine::step, sharded:
-  /// runs fn over each shard's machines inside a *fork-per-round* worker
-  /// wave (the closure and its captures exist only in the coordinator, so
-  /// this wave still snapshots even when the resident backend is on) and
-  /// returns the assembled full outboxes. An exception thrown by fn is
-  /// re-thrown here as CapacityError (if it was one) or std::runtime_error.
-  std::vector<std::vector<Message>> computeOutboxes(
-      const StepFn& fn, const std::vector<std::vector<Delivery>>& inboxes);
-
-  // --- Resident-only operations (throw std::logic_error when the legacy
-  // backend is selected). ---
+      std::size_t& roundWords);
 
   /// Announces an engine-level registration to the running workers; no-op
   /// before start() (the fork snapshot carries the table). The workers
@@ -216,28 +145,11 @@ class ShardedEngine {
   std::vector<std::vector<Word>> fetchBlocks(std::uint64_t handle);
   void freeBlocks(std::uint64_t handle);
 
-  /// Ships every worker's resident inboxes back (free; diagnostics and the
-  /// closure-step sync when closure and kernel rounds are interleaved).
+  /// Ships every worker's resident inboxes back (free; diagnostics).
   std::vector<std::vector<Delivery>> fetchInboxes();
 
   /// The MPCSPAN_SHARDS env var (clamped to >= 1), else 1.
   static std::size_t defaultShards();
-  /// MPCSPAN_RESIDENT env var: 0 selects the legacy fork-per-round
-  /// dispatch; anything else (or unset) the resident workers.
-  static bool defaultResident();
-  /// MPCSPAN_PEER_EXCHANGE env var: 0 selects the coordinator-relay STEP
-  /// exchange; anything else (or unset) the worker-to-worker peer mesh.
-  static bool defaultPeerExchange();
-  /// MPCSPAN_SHM_EXCHANGE env var: 0 selects the socket mesh for the peer
-  /// exchange; anything else (or unset) the shared-memory rings.
-  static bool defaultShmExchange();
-  /// MPCSPAN_TCP_EXCHANGE env var: 1 selects the TCP rendezvous mesh
-  /// (default off — same-host engines keep the shm/socket fast paths).
-  /// Wins over defaultShmExchange() when set.
-  static bool defaultTcpExchange();
-  /// MPCSPAN_PIPELINE env var: 0 selects the strict-barrier reference
-  /// conversation; anything else (or unset) the pipelined barrier.
-  static bool defaultPipeline();
 
  private:
   struct Worker {
@@ -247,7 +159,7 @@ class ShardedEngine {
 
   /// Forks (or, for kTcp, rendezvouses) the resident workers if they are
   /// not running yet. Throws ShardError if the backend already failed (a
-  /// worker died earlier).
+  /// worker died earlier) or the shm arena cannot be mapped.
   void start();
   /// The kTcp half of start(): listens, forks local workers (unless
   /// MPCSPAN_TCP_REMOTE=1), collects one control hello per shard, answers
@@ -257,7 +169,6 @@ class ShardedEngine {
   /// form the mesh, run the command loop.
   void tcpWorkerMain(std::size_t s, std::uint16_t port, std::uint64_t epoch,
                      int deadlineMs);
-  void requireResident(const char* op) const;
   /// Marks the backend failed, best-effort shuts down and reaps every
   /// worker, and throws ShardError built from `what`.
   [[noreturn]] void fail(const std::string& what);
@@ -268,29 +179,16 @@ class ShardedEngine {
 
   /// Runs shard s's command loop (worker_loop.hpp) in the child after
   /// building its WorkerConfig and the fork-snapshot state (kernel table
-  /// copy, the shard's BlockStore slice, its inbox slice). `peers` is this
-  /// worker's row of the exchange mesh (empty vector when the peer
-  /// exchange is off).
+  /// copy, the shard's BlockStore slice). `peers` is this worker's row of
+  /// the doorbell (shm) or tcp mesh.
   void runSnapshotWorker(std::size_t s, Channel& ctrl,
                          std::vector<WireFd>& peers, int meshTimeoutMs);
-
-  std::vector<std::vector<Delivery>> exchangeResident(
-      const std::vector<std::vector<Message>>& outboxes,
-      std::size_t& roundWords, bool updateResident);
-  std::vector<std::vector<Delivery>> exchangeForked(
-      const std::vector<std::vector<Message>>& outboxes,
-      std::size_t& roundWords);
 
   std::size_t numMachines_;
   std::size_t shards_;
   std::size_t threadsPerShard_;
   const Topology* topology_;
-  bool resident_;
   Transport transport_;
-  /// Pipelined STEP barrier selected (see pipelined(); resolved at
-  /// construction, may be cleared by start() if the topology cannot ride
-  /// the fused barrier).
-  bool pipelined_ = false;
   /// Round epoch of the STEP conversation, incremented per attempt (aborts
   /// included) in lockstep with every worker's own counter; stamped into
   /// each kOpStep frame and echoed through reports/verdicts so a desynced
@@ -303,7 +201,6 @@ class ShardedEngine {
   std::unique_ptr<ShmArena> shmArena_;
   const std::vector<KernelRegistration>* kernels_;  // owner: RoundEngine
   BlockStore* blocks_;                              // owner: RoundEngine
-  const std::vector<std::vector<Delivery>>* inboxes_;  // owner: RoundEngine
   std::vector<Worker> workers_;
 };
 

@@ -1,12 +1,9 @@
 #include "runtime/shard/shm_ring.hpp"
 
-#include <fcntl.h>
 #include <poll.h>
 #include <sched.h>
 #include <sys/mman.h>
 #include <sys/socket.h>
-#include <sys/stat.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <bit>
@@ -157,7 +154,7 @@ bool pumpShmRecv(ShmArena& arena, std::size_t from, std::size_t self,
         progress = true;
         continue;
       }
-      // Same plausibility vet as the socket mesh: the body always leads
+      // Same plausibility vet as the tcp mesh: the body always leads
       // with a u64 row count, and nothing legitimate exceeds the frame
       // cap. A garbled ring header dies here, before any allocation.
       if (len < sizeof(std::uint64_t) || len > kMaxFrameBytes)
@@ -243,35 +240,16 @@ std::size_t defaultShmRingBytes() {
 }
 
 ShmArena::ShmArena(std::size_t workers, std::size_t ringBytes)
-    : workers_(workers), ringBytes_(std::bit_ceil(ringBytes)) {
+    : workers_(workers),
+      ringBytes_(std::bit_ceil(ringBytes)),
+      pending_(workers) {
   if (ringBytes_ < (std::size_t{1} << 12)) ringBytes_ = std::size_t{1} << 12;
   mapBytes_ = workers_ * workers_ * slotBytes();
-  // A name collision is possible across processes; retry with a fresh
-  // suffix rather than ever opening someone else's segment.
-  int fd = -1;
-  std::string name;
-  for (unsigned attempt = 0; attempt < 64; ++attempt) {
-    name = "/mpcspan-shm-" + std::to_string(::getpid()) + "-" +
-           std::to_string(attempt);
-    fd = ::shm_open(name.c_str(), O_CREAT | O_EXCL | O_RDWR, 0600);
-    if (fd >= 0) break;
-    if (errno != EEXIST)
-      throw ShardError(std::string("shm_open: ") + std::strerror(errno));
-  }
-  if (fd < 0) throw ShardError("shm_open: could not find a free name");
-  if (::ftruncate(fd, static_cast<off_t>(mapBytes_)) != 0) {
-    const int err = errno;
-    ::shm_unlink(name.c_str());
-    ::close(fd);
-    throw ShardError(std::string("shm ftruncate: ") + std::strerror(err));
-  }
-  void* p = ::mmap(nullptr, mapBytes_, PROT_READ | PROT_WRITE, MAP_SHARED,
-                   fd, 0);
-  // Unlink before anything else can fail: the mapping (inherited by every
-  // forked worker) keeps the memory alive, and /dev/shm never shows an
-  // entry a crashed run could orphan.
-  ::shm_unlink(name.c_str());
-  ::close(fd);
+  // Anonymous shared memory: every worker forked afterwards inherits the
+  // same pages, there is no name to collide on or to orphan, and nothing
+  // depends on /dev/shm.
+  void* p = ::mmap(nullptr, mapBytes_, PROT_READ | PROT_WRITE,
+                   MAP_SHARED | MAP_ANONYMOUS, -1, 0);
   if (p == MAP_FAILED)
     throw ShardError(std::string("shm mmap: ") + std::strerror(errno));
   base_ = static_cast<std::uint8_t*>(p);
@@ -293,13 +271,13 @@ std::uint8_t* ShmArena::data(std::size_t from, std::size_t to) const {
 
 void ShmArena::deferRelease(std::size_t from, std::size_t to,
                             std::uint64_t newConsumed) {
-  pending_.push_back({from, to, newConsumed});
+  pending_[to].push_back({from, newConsumed});
 }
 
-void ShmArena::releaseInbound() {
-  for (const Pending& p : pending_)
-    hdr(p.from, p.to).consumed.store(p.newConsumed, std::memory_order_release);
-  pending_.clear();
+void ShmArena::releaseInbound(std::size_t to) {
+  for (const Pending& p : pending_[to])
+    hdr(p.from, to).consumed.store(p.newConsumed, std::memory_order_release);
+  pending_[to].clear();
 }
 
 ShmSendState beginShmSend(ShmArena& arena, std::size_t self,

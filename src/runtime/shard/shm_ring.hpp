@@ -1,26 +1,26 @@
 // Shared-memory ring transport for the resident worker mesh.
 //
-// With the shm exchange selected (Transport::kShmRing — the default on a
-// same-host engine, see MPCSPAN_SHM_EXCHANGE), every ordered worker pair
-// (a → b) shares one fixed-size SPSC byte ring inside a single
-// mmap(MAP_SHARED) arena that the coordinator creates *before the first
-// fork* and shm_unlink()s the moment it is mapped — a crashed run can
-// never leave an orphan under /dev/shm. Senders serialize each cross-shard
-// section exactly once, straight into the ring (same frame bytes as the
-// socket mesh: `u64 bodyLen | u64 rowCount | rows`); receivers parse a
+// With the shm exchange selected (Transport::kShmRing — the default), every
+// ordered worker pair (a → b) shares one fixed-size SPSC byte ring inside a
+// single mmap(MAP_SHARED | MAP_ANONYMOUS) arena that the coordinator
+// creates *before the first fork*, so every worker inherits the same pages
+// and no named object exists to collide on or to orphan. Senders serialize
+// each cross-shard section exactly once, straight into the ring (same frame
+// bytes as the tcp mesh: `u64 bodyLen | u64 rowCount | rows`); receivers
+// parse a
 // frame that fits the ring *in place* through a non-owning WireReader view
 // and only release the ring span after the merge has consumed it
 // (ShmArena::releaseInbound), so a cross-shard payload is copied exactly
 // once on the whole path — ring bytes into the receiver's delivery arena.
 //
-// The PR-5 socketpair mesh stays underneath as the wakeup channel: a
-// worker that advances its ring (produced or consumed) rings a one-byte
-// doorbell so a blocked peer re-pumps. Doorbell sends are nonblocking and
-// EAGAIN is safely ignored — a full doorbell buffer means the peer already
-// has wakeups queued. Peer death keeps the mesh semantics: the doorbell
-// socket reports EOF, the survivor drains the ring one last time, and an
-// incomplete frame becomes the same "peer shard worker died mid-exchange"
-// ShardError the socket mesh raises.
+// A socketpair mesh (peer_mesh.hpp makeMesh) stays underneath as the
+// wakeup channel only: a worker that advances its ring (produced or
+// consumed) rings a one-byte doorbell so a blocked peer re-pumps. Doorbell
+// sends are nonblocking and EAGAIN is safely ignored — a full doorbell
+// buffer means the peer already has wakeups queued. Peer death: the
+// doorbell socket reports EOF, the survivor drains the ring one last time,
+// and an incomplete frame becomes the same "peer shard worker died
+// mid-exchange" ShardError the tcp mesh raises.
 //
 // Frame placement rules (both ends compute from the same free-running
 // stream position, so no flags cross the wire):
@@ -67,9 +67,9 @@ constexpr std::uint64_t kPadMarker = ~0ull;
 std::size_t defaultShmRingBytes();
 
 /// The process-shared arena: workers * workers ring slots (diagonal
-/// unused), created pre-fork so every worker inherits the same mapping.
-/// The backing shm object is unlinked immediately after mmap — the mapping
-/// lives exactly as long as the processes that hold it.
+/// unused), one anonymous shared mapping created pre-fork so every worker
+/// inherits it; it lives exactly as long as the processes that hold it.
+/// Throws ShardError when the mapping fails.
 class ShmArena {
  public:
   ShmArena(std::size_t workers, std::size_t ringBytes = defaultShmRingBytes());
@@ -87,15 +87,15 @@ class ShmArena {
 
   /// Records that the (from → to) ring's consumed cursor must advance to
   /// `newConsumed` once the in-place frame view has been merged. Pending
-  /// entries are process-local: each worker only defers its own inbound
-  /// rings.
+  /// entries are kept per receiver, so each worker (or test thread playing
+  /// one) only ever touches its own list.
   void deferRelease(std::size_t from, std::size_t to,
                     std::uint64_t newConsumed);
-  /// Applies every deferred release. Must run after the merge consumed the
-  /// frame views and before the worker reports phase B — the commit
-  /// barrier then guarantees no peer writes the next round's frame into a
-  /// span that is still being read.
-  void releaseInbound();
+  /// Applies every release deferred for receiver `to`. Must run after the
+  /// merge consumed the frame views and before the worker waits for its
+  /// verdict — the barrier then guarantees no peer writes the next round's
+  /// frame into a span that is still being read.
+  void releaseInbound(std::size_t to);
 
  private:
   std::size_t slotBytes() const { return sizeof(RingHdr) + ringBytes_; }
@@ -106,10 +106,10 @@ class ShmArena {
   std::size_t ringBytes_ = 0;
 
   struct Pending {
-    std::size_t from, to;
+    std::size_t from;
     std::uint64_t newConsumed;
   };
-  std::vector<Pending> pending_;
+  std::vector<std::vector<Pending>> pending_;  // indexed by receiver
 };
 
 /// One outgoing frame's progress through its ring. `stage` 0 is still
@@ -139,29 +139,28 @@ struct ShmSendState {
 /// frame as its ring accepts *right now*, without blocking, and rings the
 /// doorbell for every ring it advanced — a peer that already reached its
 /// own exchange may be parked in poll waiting for exactly this frame.
-/// Called straight after phase-A compute, before any barrier report; in
-/// the steady state (empty rings) every ring-sized frame is fully placed
-/// here and finishShmExchange never blocks. The sections must outlive the
+/// Called straight after phase-A compute, before the barrier report; in the
+/// steady state (empty rings) every ring-sized frame is fully placed here
+/// and finishShmExchange never blocks. The sections must outlive the
 /// returned state (rows are borrowed).
 ShmSendState beginShmSend(ShmArena& arena, std::size_t self,
                           const std::vector<std::uint64_t>& counts,
                           const std::vector<WireWriter>& sections,
                           std::vector<WireFd>& doorbells);
 
-/// Aborted round (no go byte): rewinds every outbound ring's produced
-/// cursor to its pre-frame position. Safe because a receiver only reads
-/// after go — no peer byte was ever consumed, exactly the socket mesh's
-/// abort guarantee.
+/// Rewinds every outbound ring's produced cursor to its pre-frame
+/// position, erasing frames no receiver has started reading (a sender that
+/// gives up on a round before any peer drained it).
 void abortShmSend(ShmSendState& st);
 
-/// Completes the exchange after the go byte: finishes any oversized sends
-/// and receives one frame from every peer's (t → self) ring, multiplexed
-/// on the doorbell sockets (`doorbells` is the worker's mesh row). Returns
+/// Completes the exchange: finishes any oversized sends and receives one
+/// frame from every peer's (t → self) ring, multiplexed on the doorbell
+/// sockets (`doorbells` is the worker's mesh row). Returns
 /// the frame bodies indexed by peer shard (empty reader at `self`), each
 /// positioned at its leading row count — in-place ring views for bodies
-/// that fit the ring (release them with arena.releaseInbound() after
+/// that fit the ring (release them with arena.releaseInbound(self) after
 /// merging), owned heap frames for larger bodies. Same body bytes, same
-/// ShardError surface as meshExchange.
+/// ShardError surface as the tcp mesh's meshExchange.
 std::vector<WireReader> finishShmExchange(ShmArena& arena,
                                           std::vector<WireFd>& doorbells,
                                           std::size_t self, ShmSendState& st);

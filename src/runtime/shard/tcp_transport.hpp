@@ -45,7 +45,7 @@ namespace mpcspan::runtime::shard {
 constexpr std::uint64_t kTcpMagic = 0x314e415053504d4dull;
 /// Bumped whenever a control or mesh frame changes shape; remote workers
 /// from an older build are rejected at the handshake.
-constexpr std::uint8_t kTcpVersion = 2;
+constexpr std::uint8_t kTcpVersion = 3;
 
 /// MPCSPAN_TCP_TIMEOUT_MS (default 30000): per-blocking-wait deadline for
 /// every tcp channel.

@@ -80,22 +80,6 @@ std::size_t PramTopology::validateSlice(
   return sliceWords;
 }
 
-std::size_t Topology::validateSources(
-    std::size_t /*numMachines*/,
-    const std::vector<std::vector<Message>>& sliceOutboxes,
-    std::size_t /*begin*/) const {
-  // No source-side constraints by default — just the word count, so the
-  // per-slice sums still add up to validate()'s return.
-  std::size_t words = 0;
-  for (const std::vector<Message>& out : sliceOutboxes)
-    for (const Message& msg : out) words += msg.payload.size();
-  return words;
-}
-
-void Topology::validateInbound(
-    std::size_t /*numMachines*/,
-    const std::vector<std::uint64_t>& /*received*/) const {}
-
 std::size_t MpcTopology::validateSources(
     std::size_t /*numMachines*/,
     const std::vector<std::vector<Message>>& sliceOutboxes,

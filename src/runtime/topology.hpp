@@ -73,12 +73,11 @@ class Topology {
   /// throw std::invalid_argument, never index out of bounds.
   /// The union over a partition of [0, numMachines) validates the whole
   /// round, and the per-slice word counts sum to validate()'s return; this
-  /// is what lets every ShardedEngine worker validate its own range — the
-  /// fork-per-round workers against the snapshot outboxes, the resident
-  /// workers against their projected round view (own sources complete,
-  /// inbound cross-shard rows for the rest: receives of [begin, end) are
-  /// complete by construction, and sends outside the slice, though
-  /// partial, are never checked here).
+  /// is what lets every ShardedEngine worker validate its own range of a
+  /// coordinator-built EXCHANGE round against its projected round view
+  /// (own sources complete, inbound cross-shard rows for the rest: receives
+  /// of [begin, end) are complete by construction, and sends outside the
+  /// slice, though partial, are never checked here).
   virtual std::size_t validateSlice(
       std::size_t numMachines,
       const std::vector<std::vector<Message>>& outboxes, std::size_t begin,
@@ -90,14 +89,16 @@ class Topology {
   /// constraint attributable to those sources and returns the words they
   /// send. Receiver-side constraints are covered by validateInbound()
   /// over the cross-shard per-destination sums — together the two halves
-  /// check exactly what validateSlice checks. The split is what lets the
-  /// shm transport's fused barrier validate a round *before* any frame
-  /// is exchanged: sources are complete at phase A, and the inbound sums
-  /// ride the barrier report for the coordinator to total up.
+  /// must check exactly what validateSlice checks (tests/test_transport.cc
+  /// pins that contract for the built-ins). The split is what lets the
+  /// sharded engine's one barrier validate a kernel round *before* any
+  /// frame is exchanged: sources are complete at phase A, and the inbound
+  /// sums ride the barrier report for the coordinator to total up. Both
+  /// halves are pure virtual so no topology can silently under-validate.
   virtual std::size_t validateSources(
       std::size_t numMachines,
       const std::vector<std::vector<Message>>& sliceOutboxes,
-      std::size_t begin) const;
+      std::size_t begin) const = 0;
 
   /// True when the topology constrains per-machine *inbound* words; the
   /// sharded engine then ships per-destination word sums with each
@@ -106,26 +107,11 @@ class Topology {
 
   /// Receiver-side half: received[m] = words delivered to machine m this
   /// round, summed across every shard (same-shard deliveries included).
-  /// Throws CapacityError on a violation; the default has no receiver
-  /// constraints.
+  /// Throws CapacityError on a violation. Only called when
+  /// needsInboundSums() is true.
   virtual void validateInbound(
       std::size_t numMachines,
-      const std::vector<std::uint64_t>& received) const;
-
-  /// Round independence for the pipelined shard barrier: true when a round
-  /// of this topology can commit off the *fused* single-verdict barrier —
-  /// i.e. when validateSources() + validateInbound() together check exactly
-  /// what validateSlice() checks, so no post-exchange validation wave is
-  /// needed and consecutive rounds may overlap (a worker that shipped its
-  /// sections starts the next round's local phase while late peers still
-  /// stream). The base class only promises that split for free placement
-  /// rounds (nothing is validated there); a subclass whose constraints are
-  /// fully covered by the source/inbound halves overrides this to return
-  /// true unconditionally — all three built-in topologies do. A custom
-  /// subclass that only implements validateSlice() keeps the strict
-  /// two-phase barrier (and the shm transport falls back to the socket
-  /// mesh), so its checks always run.
-  virtual bool canOverlap(bool freePlacement) const { return freePlacement; }
+      const std::vector<std::uint64_t>& received) const = 0;
 
   virtual Mode mode() const { return Mode::kDeliverAll; }
 };
@@ -147,12 +133,10 @@ class MpcTopology final : public Topology {
       const std::vector<std::vector<Message>>& sliceOutboxes,
       std::size_t begin) const override;
   bool needsInboundSums() const override { return true; }
+  // Send budgets are source-side, receive budgets ride the inbound sums.
   void validateInbound(
       std::size_t numMachines,
       const std::vector<std::uint64_t>& received) const override;
-  // Send budgets are source-side, receive budgets ride the inbound sums:
-  // the two halves cover validateSlice exactly, every round.
-  bool canOverlap(bool) const override { return true; }
 
  private:
   std::size_t wordsPerMachine_;
@@ -170,7 +154,8 @@ class CliqueTopology final : public Topology {
       const std::vector<std::vector<Message>>& sliceOutboxes,
       std::size_t begin) const override;
   // Pair-uniqueness and single-word checks are fully source-side.
-  bool canOverlap(bool) const override { return true; }
+  void validateInbound(std::size_t,
+                       const std::vector<std::uint64_t>&) const override {}
 };
 
 class PramTopology final : public Topology {
@@ -185,7 +170,8 @@ class PramTopology final : public Topology {
       const std::vector<std::vector<Message>>& sliceOutboxes,
       std::size_t begin) const override;
   // Single-word cell writes are checked entirely at the source.
-  bool canOverlap(bool) const override { return true; }
+  void validateInbound(std::size_t,
+                       const std::vector<std::uint64_t>&) const override {}
   Mode mode() const override { return Mode::kPriorityWrite; }
 };
 

@@ -30,18 +30,14 @@ class CapacityError : public std::runtime_error {
 
 namespace runtime {
 
-/// Transport of resident cross-shard traffic (EngineConfig::transport;
-/// resolved by RoundEngine before the backend is built, so ShardedEngine
-/// only ever sees a concrete choice). kRelay/kSocketMesh/kShmRing are
-/// same-host (pre-fork fd inheritance); kTcp rendezvouses over loopback or a
-/// real network and is the only transport that can attach workers from
-/// other machines (tools/mpcspan_worker).
+/// Transport of cross-shard traffic (EngineConfig::transport). kShmRing is
+/// same-host (the arena and doorbell sockets are inherited across fork);
+/// kTcp rendezvouses over loopback or a real network and is the only
+/// transport that can attach workers from other machines
+/// (tools/mpcspan_worker).
 enum class Transport : int {
-  kDefault = -1,     ///< resolve from peerExchange + MPCSPAN_*_EXCHANGE env
-  kRelay = 0,        ///< sections relayed through the coordinator
-  kSocketMesh = 1,   ///< worker-to-worker socketpair mesh
-  kShmRing = 2,      ///< shared-memory rings; mesh sockets carry doorbells
-  kTcp = 3,          ///< TCP mesh formed by rendezvous (cross-machine capable)
+  kShmRing = 2,  ///< shared-memory rings; socketpairs carry doorbells
+  kTcp = 3,      ///< TCP mesh formed by rendezvous (cross-machine capable)
 };
 
 /// Message payload with a single-word fast path. Most traffic in the clique

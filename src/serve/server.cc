@@ -284,12 +284,17 @@ void Server::reloaderLoop() {
 
 void Server::serveConnection(WireFd conn) {
   const IoPacing pacing{&stopping_, opts_.pollSliceMs};
-  const util::DeadlineBudget idle;  // a quiet client may sit connected
+  // A client that never says HELLO would pin this session thread forever:
+  // the first frame must land within frameTimeoutMs of the session start.
+  // After HELLO a quiet client may sit connected.
+  const util::DeadlineBudget hello(opts_.frameTimeoutMs);
+  const util::DeadlineBudget idle;
   std::vector<std::uint8_t> body;
   bool helloDone = false;
   for (;;) {
-    const IoStatus st = readFrame(conn.fd(), body, kMaxServeFrameBytes, idle,
-                                  opts_.frameTimeoutMs, pacing);
+    const IoStatus st =
+        readFrame(conn.fd(), body, kMaxServeFrameBytes, helloDone ? idle : hello,
+                  opts_.frameTimeoutMs, pacing);
     if (st == IoStatus::kOk) {
       if (!dispatch(conn, body, helloDone)) break;
       continue;

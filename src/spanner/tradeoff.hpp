@@ -30,6 +30,19 @@ struct TradeoffParams {
 
 SpannerResult buildTradeoffSpanner(const Graph& g, const TradeoffParams& params);
 
+/// Growth iterations per epoch: an explicit `t`, else the paper's default
+/// t = max(1, ceil(log2 k)). The one definition shared by the host engine,
+/// the distributed driver, the artifact builder, and the CLI.
+std::uint32_t tradeoffIterations(std::uint32_t k, std::uint32_t t = 0);
+
+/// The stretch a tradeoff build with these parameters certifies: the
+/// cluster-radius bound 4r + 2 + 2 * sum(r at each contraction), which
+/// depends only on the schedule (l epochs of t growth iterations, a
+/// contraction after each). It equals buildTradeoffSpanner(...).stretchBound
+/// and holds for buildDistributedTradeoff too, which runs the same schedule
+/// to the same edge set. 1 for k <= 1 (the identity spanner).
+double tradeoffCertifiedStretch(std::uint32_t k, std::uint32_t t = 0);
+
 /// The paper's stretch exponent s = log(2t+1)/log(t+1).
 double tradeoffStretchExponent(std::uint32_t t);
 

@@ -11,6 +11,7 @@
 
 #include "pram/pram.hpp"
 #include "runtime/thread_pool.hpp"
+#include "probe_kernels.hpp"
 
 namespace mpcspan {
 namespace {
@@ -126,23 +127,14 @@ TEST(RoundEngine, PramTopologyResolvesPriorityCrcw) {
 }
 
 TEST(RoundEngine, StepRunsMachineCentricRounds) {
-  // Ring token passing: machine m forwards (token + 1) to m+1 each round.
   RoundEngine eng = makeMpcEngine(8, 8, 3);
-  eng.step([](std::size_t m, const std::vector<Delivery>&) {
-    std::vector<Message> out;
-    if (m == 0) out.push_back({1, {100}});
-    return out;
-  });
-  for (int r = 0; r < 6; ++r) {
-    eng.step([&](std::size_t m, const std::vector<Delivery>& in) {
-      std::vector<Message> out;
-      if (!in.empty())
-        out.push_back({(m + 1) % eng.numMachines(), {in[0].payload[0] + 1}});
-      return out;
-    });
-  }
-  EXPECT_EQ(eng.inbox(7).size(), 1u);
-  EXPECT_EQ(eng.inbox(7)[0].payload[0], 106u);
+  const runtime::KernelId k = eng.registerKernel(
+      "test.token", [] { return std::make_unique<test_kernels::TokenKernel>(); });
+  eng.step(k, {0});
+  for (int r = 0; r < 6; ++r) eng.step(k);
+  const auto inboxes = eng.snapshotInboxes();
+  EXPECT_EQ(inboxes[7].size(), 1u);
+  EXPECT_EQ(inboxes[7][0].payload[0], 106u);
   EXPECT_EQ(eng.rounds(), 7u);
 }
 

@@ -402,6 +402,29 @@ TEST(ServeShed, PastWatermarkConnectionsGetShedReply) {
   server.stop();
 }
 
+// --- A client that connects and then says nothing ------------------------
+
+TEST(ServeSilentClient, ConnectionThatNeverSaysHelloIsDroppedAndCounted) {
+  // One session thread, and a connection that never sends a byte takes it.
+  // The first frame (HELLO) is bounded by frameTimeoutMs, so the silent
+  // connection is dropped as a slow client and a real client queued behind
+  // it is still answered.
+  ServerOptions opts = testServerOptions(artifactA());
+  opts.sessionThreads = 1;
+  opts.frameTimeoutMs = 200;
+  Server server(opts);
+  server.start();
+  serve::WireFd silent = serve::dialTcp("127.0.0.1", server.port(), 2000);
+  // Let the session thread pick the silent connection up first.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  ServeClient client(clientFor(server));
+  const serve::WireAnswer ans = client.query(1, 2);
+  EXPECT_GE(ans.dist, 0.0);
+  EXPECT_GE(client.stats().slowClientDrops, 1u);
+  silent.reset();
+  server.stop();
+}
+
 // --- Malformed input -------------------------------------------------------
 
 TEST(ServeMalformed, OversizedFrameGetsErrorReplyAndClose) {

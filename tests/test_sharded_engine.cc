@@ -3,8 +3,7 @@
 // bit-identical — rounds, traffic ledger, delivery contents — on all three
 // topologies), the resident-worker protocol (fork once, pid stability,
 // kernel-owned state, worker-lifecycle failure modes), the round barrier's
-// failure modes on both backends, and the facades running sharded
-// end-to-end.
+// failure modes, and the facades running sharded end-to-end.
 #include "runtime/shard/sharded_engine.hpp"
 
 #include <gtest/gtest.h>
@@ -25,6 +24,7 @@
 #include "runtime/kernel.hpp"
 #include "runtime/round_engine.hpp"
 #include "spanner/baswana_sen.hpp"
+#include "probe_kernels.hpp"
 
 namespace mpcspan {
 namespace {
@@ -153,24 +153,16 @@ TEST(ShardedEngine, PramPriorityWritesBitIdenticalAcrossShards) {
 }
 
 TEST(ShardedEngine, StepRunsInWorkerProcesses) {
-  // Ring token passing, compute phase executed inside forked shard workers.
+  // Ring token passing, compute phase executed inside the shard workers.
   RoundEngine eng(EngineConfig{8, 2, 4}, std::make_unique<MpcTopology>(8));
   ASSERT_EQ(eng.numShards(), 4u);
-  eng.step([](std::size_t m, const std::vector<Delivery>&) {
-    std::vector<Message> out;
-    if (m == 0) out.push_back({1, {100}});
-    return out;
-  });
-  for (int r = 0; r < 6; ++r) {
-    eng.step([&](std::size_t m, const std::vector<Delivery>& in) {
-      std::vector<Message> out;
-      if (!in.empty())
-        out.push_back({(m + 1) % eng.numMachines(), {in[0].payload[0] + 1}});
-      return out;
-    });
-  }
-  ASSERT_EQ(eng.inbox(7).size(), 1u);
-  EXPECT_EQ(eng.inbox(7)[0].payload[0], 106u);
+  const KernelId k = eng.registerKernel(
+      "test.token", [] { return std::make_unique<test_kernels::TokenKernel>(); });
+  eng.step(k, {0});
+  for (int r = 0; r < 6; ++r) eng.step(k);
+  const auto inboxes = eng.snapshotInboxes();
+  ASSERT_EQ(inboxes[7].size(), 1u);
+  EXPECT_EQ(inboxes[7][0].payload[0], 106u);
   EXPECT_EQ(eng.rounds(), 7u);
 }
 
@@ -212,16 +204,6 @@ TEST(ShardedEngine, UnknownDestinationFromAnotherShardsSource) {
   ASSERT_EQ(inbox[0].size(), 1u);
   EXPECT_EQ(inbox[0][0].payload[0], 5u);
   EXPECT_EQ(eng.rounds(), 1u);
-}
-
-TEST(ShardedEngine, StepFnExceptionPropagates) {
-  RoundEngine eng(EngineConfig{6, 1, 3}, std::make_unique<MpcTopology>(8));
-  EXPECT_THROW(eng.step([](std::size_t m, const std::vector<Delivery>&)
-                            -> std::vector<Message> {
-                 if (m == 4) throw std::runtime_error("boom in worker");
-                 return {};
-               }),
-               std::runtime_error);
 }
 
 TEST(ShardedEngine, ShardCountClampsToMachines) {
@@ -289,11 +271,10 @@ class CounterKernel final : public runtime::StepKernel {
 };
 
 TEST(ResidentWorkers, ForkOncePidsStableAcrossRounds) {
-  RoundEngine eng(EngineConfig{8, 1, 4, /*resident=*/1},
+  RoundEngine eng(EngineConfig{8, 1, 4},
                   std::make_unique<MpcTopology>(16));
   const auto* backend = eng.shardBackend();
   ASSERT_NE(backend, nullptr);
-  ASSERT_TRUE(backend->resident());
   EXPECT_FALSE(backend->started());  // lazy: nothing forked yet
 
   auto oneRound = [&] {
@@ -316,7 +297,7 @@ TEST(ResidentWorkers, KernelStatePersistsAndMatchesInProcessBitForBit) {
   // topology.
   auto run = [](std::size_t threads, std::size_t shards, bool pram) {
     const std::size_t n = 8;
-    RoundEngine eng(EngineConfig{n, threads, shards, /*resident=*/1},
+    RoundEngine eng(EngineConfig{n, threads, shards},
                     pram ? std::unique_ptr<Topology>(new PramTopology())
                          : std::unique_ptr<Topology>(new MpcTopology(16)));
     const KernelId k = eng.registerKernel(
@@ -351,7 +332,7 @@ TEST(ResidentWorkers, KernelStatePersistsAndMatchesInProcessBitForBit) {
 }
 
 TEST(ResidentWorkers, KernelThrowMidRoundAbortsRoundForAllShards) {
-  RoundEngine eng(EngineConfig{8, 1, 4, /*resident=*/1},
+  RoundEngine eng(EngineConfig{8, 1, 4},
                   std::make_unique<MpcTopology>(16));
   const KernelId k = eng.registerKernel(
       CounterKernel::kernelName(),
@@ -392,7 +373,7 @@ TEST(ResidentWorkers, CapacityViolationInKernelRoundKeepsType) {
       return {{0, {1}}};
     }
   };
-  RoundEngine eng(EngineConfig{8, 1, 4, /*resident=*/1},
+  RoundEngine eng(EngineConfig{8, 1, 4},
                   std::make_unique<MpcTopology>(16));
   const KernelId k = eng.registerKernel(
       "test.flooder", [] { return std::make_unique<Flooder>(); });
@@ -410,7 +391,7 @@ TEST(ResidentWorkers, PostForkRegistrationResolvesViaGlobalRegistry) {
   runtime::registerGlobalKernel("test.counter.global", [] {
     return std::make_unique<CounterKernel>();
   });
-  RoundEngine eng(EngineConfig{8, 1, 4, /*resident=*/1},
+  RoundEngine eng(EngineConfig{8, 1, 4},
                   std::make_unique<MpcTopology>(16));
   std::vector<std::vector<Message>> out(8);
   out[0].push_back({5, {11}});
@@ -430,7 +411,7 @@ TEST(ResidentWorkers, PostForkRegistrationResolvesViaGlobalRegistry) {
 }
 
 TEST(ResidentWorkers, WorkerDeathBetweenRoundsSurfacesAsShardError) {
-  auto eng = std::make_unique<RoundEngine>(EngineConfig{8, 1, 4, /*resident=*/1},
+  auto eng = std::make_unique<RoundEngine>(EngineConfig{8, 1, 4},
                                            std::make_unique<MpcTopology>(16));
   auto oneRound = [&] {
     std::vector<std::vector<Message>> out(8);
@@ -459,7 +440,7 @@ TEST(ResidentWorkers, WorkerDeathBetweenRoundsSurfacesAsShardError) {
 TEST(ResidentWorkers, DestructorReapsIdleWorkers) {
   std::vector<pid_t> pids;
   {
-    RoundEngine eng(EngineConfig{6, 1, 3, /*resident=*/1},
+    RoundEngine eng(EngineConfig{6, 1, 3},
                     std::make_unique<MpcTopology>(16));
     std::vector<std::vector<Message>> out(6);
     out[0].push_back({5, {1}});
@@ -472,83 +453,6 @@ TEST(ResidentWorkers, DestructorReapsIdleWorkers) {
     EXPECT_EQ(::waitpid(pid, &st, WNOHANG), -1) << "worker leaked: " << pid;
     EXPECT_EQ(errno, ECHILD);
   }
-}
-
-TEST(ResidentWorkers, LegacyForkPerRoundBackendStaysSelectableAndIdentical) {
-  // MPCSPAN_RESIDENT=0 / EngineConfig::resident=0 keeps the fork-per-round
-  // dispatch (the bench_micro baseline) — bit-identical results, workers
-  // forked per round (no resident pids).
-  const Trace base = runMpcWorkload(1, 1);
-  auto runLegacy = [&](std::size_t shards) {
-    const std::size_t p = 16;
-    EngineConfig cfg{p, 1, shards};
-    cfg.resident = 0;
-    RoundEngine eng(cfg, std::make_unique<MpcTopology>(6 * p));
-    EXPECT_FALSE(eng.residentShards());
-    Trace trace;
-    std::uint64_t h = 42;
-    for (int round = 0; round < 8; ++round) {
-      std::vector<std::vector<Message>> out(p);
-      for (std::size_t src = 0; src < p; ++src)
-        for (std::size_t k = 0; k < 3; ++k) {
-          h = h * 6364136223846793005ULL + 1442695040888963407ULL;
-          const std::size_t dst = (src + 1 + (h >> 33) % (p - 1)) % p;
-          if (k == 0)
-            out[src].push_back({dst, {h}});
-          else
-            out[src].push_back({dst, {h, h ^ src, h >> 7}});
-        }
-      recordRound(trace, eng.exchange(std::move(out)));
-    }
-    finishTrace(trace, eng);
-    EXPECT_TRUE(eng.shardBackend()->workerPids().empty());
-    return trace;
-  };
-  EXPECT_EQ(base, runLegacy(4));
-
-  ASSERT_EQ(::setenv("MPCSPAN_RESIDENT", "0", 1), 0);
-  {
-    RoundEngine eng(EngineConfig{8, 1, 2}, std::make_unique<MpcTopology>(8));
-    EXPECT_FALSE(eng.residentShards());
-  }
-  ASSERT_EQ(::unsetenv("MPCSPAN_RESIDENT"), 0);
-  {
-    RoundEngine eng(EngineConfig{8, 1, 2}, std::make_unique<MpcTopology>(8));
-    EXPECT_TRUE(eng.residentShards());
-  }
-}
-
-TEST(ResidentWorkers, ClosureStepAndKernelRoundsInterleave) {
-  // The legacy closure step (fork-per-round compute wave) and kernel rounds
-  // share one logical inbox stream; interleaving them must match the
-  // in-process engine exactly.
-  auto run = [](std::size_t shards) {
-    RoundEngine eng(EngineConfig{6, 1, shards, /*resident=*/1},
-                    std::make_unique<MpcTopology>(32));
-    const KernelId k = eng.registerKernel(
-        CounterKernel::kernelName(),
-        [] { return std::make_unique<CounterKernel>(); });
-    eng.step(k);
-    eng.step(k);
-    // Closure step: forwards each machine's inbox sum to machine 0.
-    eng.step([](std::size_t m, const std::vector<Delivery>& inbox)
-                 -> std::vector<Message> {
-      Word sum = m;
-      for (const Delivery& d : inbox) sum += d.payload.front();
-      return {{0, {sum}}};
-    });
-    std::vector<Word> flat;
-    for (const Delivery& d : eng.inbox(0)) {
-      flat.push_back(d.src);
-      flat.insert(flat.end(), d.payload.begin(), d.payload.end());
-    }
-    flat.push_back(eng.rounds());
-    flat.push_back(eng.totalWordsSent());
-    return flat;
-  };
-  const auto base = run(1);
-  EXPECT_EQ(base, run(2));
-  EXPECT_EQ(base, run(3));
 }
 
 // --- Facades running sharded, end to end. ---

@@ -1,330 +1,32 @@
-// The shared-memory ring transport: resident STEP rounds over the shm
-// rings must be bit-identical to the socket mesh and the in-process
-// reference (rounds, ledger, kernel state, resident inbox contents) across
-// shard and thread counts on all three topologies; oversized frames chunk
-// through a tiny ring with backpressure instead of deadlocking; a peer
-// death mid-exchange surfaces ShardError for everyone and leaves no shm
-// object behind (the arena is unlinked at creation, so /dev/shm must stay
-// clean even while engines are alive); and a corrupt ring length prefix is
-// rejected as ShardError, never chased out of bounds.
+// The shared-memory ring itself, in-process on a tiny arena: a small
+// (in-place view) and an oversized (chunked) frame cross one 4 KiB ring
+// pair in both directions; an aborted send rewinds without a trace and the
+// ring stays usable; a corrupt length prefix is rejected as ShardError,
+// never chased out of bounds; and the ring size knob rounds and clamps.
+// Engine-level shm behavior lives in the transport suite (test_transport).
 #include "runtime/shard/shm_ring.hpp"
 
 #include <gtest/gtest.h>
 
-#include <sys/types.h>
-#include <sys/wait.h>
-
 #include <cstdlib>
-#include <filesystem>
-#include <memory>
-#include <mutex>
-#include <string>
+#include <cstring>
 #include <thread>
+#include <vector>
 
-#include "runtime/round_engine.hpp"
 #include "runtime/shard/peer_mesh.hpp"
-#include "runtime/shard/sharded_engine.hpp"
 #include "runtime/shard/wire.hpp"
 
 namespace mpcspan {
 namespace {
 
-using runtime::CliqueTopology;
-using runtime::Delivery;
-using runtime::EngineConfig;
-using runtime::KernelCtx;
-using runtime::KernelId;
 using runtime::Message;
-using runtime::MpcTopology;
-using runtime::PramTopology;
-using runtime::RoundEngine;
-using runtime::StepKernel;
-using runtime::Topology;
 using runtime::shard::kMaxFrameBytes;
 using runtime::shard::mergeSectionRows;
 using runtime::shard::RingHdr;
 using runtime::shard::ShardError;
 using runtime::shard::ShmArena;
 using runtime::shard::ShmSendState;
-using runtime::shard::WireFd;
-using runtime::shard::WireReader;
 using runtime::shard::WireWriter;
-
-/// True when /dev/shm holds any mpcspan shm object. The arena unlinks its
-/// object the moment it is mapped, so this must hold even while engines
-/// are alive — a crashed run can never orphan a segment.
-bool shmDirClean() {
-  std::error_code ec;
-  for (const auto& e :
-       std::filesystem::directory_iterator("/dev/shm", ec)) {
-    if (e.path().filename().string().starts_with("mpcspan")) return false;
-  }
-  return true;
-}
-
-/// Deterministic cross-shard-heavy kernel (the test_peer_exchange probe):
-/// per-machine owned state feeds the next round's emissions, so any
-/// divergence in routing or merge order compounds across rounds.
-class ShmProbeKernel final : public StepKernel {
- public:
-  static std::string kernelName() { return "test.shmprobe"; }
-
-  std::vector<Message> step(const KernelCtx& ctx) override {
-    ensureSized(ctx);
-    const Word mode = ctx.args.empty() ? 0 : ctx.args[0];
-    const std::size_t n = ctx.numMachines;
-    const std::size_t m = ctx.machine;
-    Word sum = 1;
-    for (const Delivery& d : ctx.inbox) sum += 3 * d.src + d.payload.front();
-    state_[m] += sum;
-    const Word r = ++round_[m];
-    std::vector<Message> out;
-    if (mode == 0) {
-      out.push_back({(m + r) % n, {state_[m], state_[m] ^ m, r}});
-      out.push_back({(m * 3 + 1) % n, {state_[m]}});
-      if (m % 2 == 0) out.push_back({(m + n - 1) % n, {r, static_cast<Word>(m)}});
-    } else if (mode == 1) {
-      out.push_back({(m + r) % n, {state_[m]}});
-    } else {
-      out.push_back({(m * 5 + r) % 4, {state_[m]}});
-    }
-    return out;
-  }
-
-  std::vector<Word> fetch(const KernelCtx& ctx) override {
-    ensureSized(ctx);
-    return {state_[ctx.machine], round_[ctx.machine]};
-  }
-
- private:
-  void ensureSized(const KernelCtx& ctx) {
-    std::call_once(sized_, [&] {
-      state_.resize(ctx.numMachines);
-      round_.resize(ctx.numMachines);
-    });
-  }
-
-  std::once_flag sized_;
-  std::vector<Word> state_;
-  std::vector<Word> round_;
-};
-
-std::unique_ptr<Topology> makeTopology(int mode) {
-  if (mode == 0) return std::make_unique<MpcTopology>(64);
-  if (mode == 1) return std::make_unique<CliqueTopology>();
-  return std::make_unique<PramTopology>();
-}
-
-/// Everything observable after a kernel-round workload.
-struct Result {
-  std::vector<std::vector<Word>> fetched;
-  std::vector<Word> flatInboxes;
-  std::size_t rounds = 0, words = 0, maxRound = 0;
-
-  friend bool operator==(const Result&, const Result&) = default;
-};
-
-Result observe(RoundEngine& eng, KernelId k) {
-  Result res;
-  res.fetched = eng.fetchKernel(k);
-  for (const auto& inbox : eng.snapshotInboxes())
-    for (const Delivery& d : inbox) {
-      res.flatInboxes.push_back(d.src);
-      res.flatInboxes.insert(res.flatInboxes.end(), d.payload.begin(),
-                             d.payload.end());
-    }
-  res.rounds = eng.rounds();
-  res.words = eng.totalWordsSent();
-  res.maxRound = eng.maxRoundWords();
-  return res;
-}
-
-Result runWorkload(int mode, std::size_t threads, std::size_t shards,
-                   runtime::Transport transport) {
-  const std::size_t n = 12;
-  EngineConfig cfg{n, threads, shards, /*resident=*/1, /*peerExchange=*/1,
-                   transport};
-  RoundEngine eng(cfg, makeTopology(mode));
-  const KernelId k = eng.registerKernel(
-      ShmProbeKernel::kernelName(),
-      [] { return std::make_unique<ShmProbeKernel>(); });
-  for (int i = 0; i < 5; ++i) eng.step(k, {static_cast<Word>(mode)});
-  // One free data-placement round rides the same exchange machinery.
-  eng.stepShuffle(k, {static_cast<Word>(mode)});
-  return observe(eng, k);
-}
-
-TEST(ShmExchange, BitIdenticalToSocketMeshAndInProcessOnAllTopologies) {
-  for (const int mode : {0, 1, 2}) {
-    const Result base = runWorkload(mode, 1, 1, runtime::Transport::kDefault);
-    EXPECT_EQ(base.rounds, 5u) << "mode " << mode;
-    for (const std::size_t shards : {2u, 4u})
-      for (const std::size_t threads : {1u, 2u}) {
-        EXPECT_EQ(base,
-                  runWorkload(mode, threads, shards,
-                              runtime::Transport::kShmRing))
-            << "mode " << mode << ", " << shards << " shards x " << threads
-            << " threads, shm";
-        EXPECT_EQ(base,
-                  runWorkload(mode, threads, shards,
-                              runtime::Transport::kSocketMesh))
-            << "mode " << mode << ", " << shards << " shards x " << threads
-            << " threads, socket";
-      }
-  }
-  EXPECT_TRUE(shmDirClean());
-}
-
-TEST(ShmExchange, BackendSelectionFollowsConfigAndEnv) {
-  // This test exercises the kDefault resolution chain, so neutralize an
-  // outer MPCSPAN_TCP_EXCHANGE (the CI tcp leg sets it process-wide) and
-  // restore it afterwards for the remaining tests in this binary.
-  const char* tcpEnv = std::getenv("MPCSPAN_TCP_EXCHANGE");
-  const std::string tcpSaved = tcpEnv ? tcpEnv : "";
-  if (tcpEnv) {
-    ASSERT_EQ(::unsetenv("MPCSPAN_TCP_EXCHANGE"), 0);
-  }
-  {
-    RoundEngine eng(EngineConfig{8, 1, 2, 1, 1, runtime::Transport::kShmRing},
-                    std::make_unique<MpcTopology>(16));
-    EXPECT_TRUE(eng.peerMeshShards());
-    EXPECT_TRUE(eng.shmRingShards());
-    // Alive engine, clean /dev/shm: the arena object is already unlinked.
-    EXPECT_TRUE(shmDirClean());
-  }
-  {
-    RoundEngine eng(
-        EngineConfig{8, 1, 2, 1, 1, runtime::Transport::kSocketMesh},
-        std::make_unique<MpcTopology>(16));
-    EXPECT_TRUE(eng.peerMeshShards());
-    EXPECT_FALSE(eng.shmRingShards());
-  }
-  {
-    // peerExchange=0 forces the relay; no mesh, no rings.
-    RoundEngine eng(EngineConfig{8, 1, 2, 1, 0},
-                    std::make_unique<MpcTopology>(16));
-    EXPECT_FALSE(eng.peerMeshShards());
-    EXPECT_FALSE(eng.shmRingShards());
-  }
-  ASSERT_EQ(::setenv("MPCSPAN_SHM_EXCHANGE", "0", 1), 0);
-  {
-    RoundEngine eng(EngineConfig{8, 1, 2}, std::make_unique<MpcTopology>(16));
-    EXPECT_TRUE(eng.peerMeshShards());
-    EXPECT_FALSE(eng.shmRingShards());
-  }
-  ASSERT_EQ(::unsetenv("MPCSPAN_SHM_EXCHANGE"), 0);
-  {
-    RoundEngine eng(EngineConfig{8, 1, 2}, std::make_unique<MpcTopology>(16));
-    EXPECT_TRUE(eng.shmRingShards());
-    EXPECT_FALSE(eng.tcpMeshShards());
-  }
-  // MPCSPAN_TCP_EXCHANGE=1 outranks the shm/socket default resolution.
-  ASSERT_EQ(::setenv("MPCSPAN_TCP_EXCHANGE", "1", 1), 0);
-  {
-    RoundEngine eng(EngineConfig{8, 1, 2}, std::make_unique<MpcTopology>(16));
-    EXPECT_TRUE(eng.peerMeshShards());
-    EXPECT_TRUE(eng.tcpMeshShards());
-    EXPECT_FALSE(eng.shmRingShards());
-  }
-  ASSERT_EQ(::unsetenv("MPCSPAN_TCP_EXCHANGE"), 0);
-  if (!tcpSaved.empty()) {
-    ASSERT_EQ(::setenv("MPCSPAN_TCP_EXCHANGE", tcpSaved.c_str(), 1), 0);
-  }
-}
-
-/// Emits one ~1.6 MB payload per machine per round — hundreds of ring
-/// lengths under MPCSPAN_SHM_RING_BYTES=4096, so every frame must stream
-/// chunk by chunk with doorbell backpressure.
-class BigFrameKernel final : public StepKernel {
- public:
-  static constexpr std::size_t kWords = 200000;  // 1.6 MB of payload
-
-  std::vector<Message> step(const KernelCtx& ctx) override {
-    ensureSized(ctx);
-    const std::size_t n = ctx.numMachines;
-    const std::size_t m = ctx.machine;
-    Word seed = m + 1;
-    for (const Delivery& d : ctx.inbox) seed += d.payload[0] + d.payload[kWords / 2];
-    seen_[m] += seed;
-    std::vector<Word> pay(kWords);
-    for (std::size_t w = 0; w < kWords; ++w)
-      pay[w] = seed * 2654435761u + w;
-    return {{(m + 1) % n, std::move(pay)}};
-  }
-
-  std::vector<Word> fetch(const KernelCtx& ctx) override {
-    ensureSized(ctx);
-    return {seen_[ctx.machine]};
-  }
-
- private:
-  void ensureSized(const KernelCtx& ctx) {
-    std::call_once(sized_, [&] { seen_.resize(ctx.numMachines); });
-  }
-
-  std::once_flag sized_;
-  std::vector<Word> seen_;
-};
-
-Result runBigFrames(std::size_t shards, runtime::Transport transport) {
-  const std::size_t n = 4;
-  EngineConfig cfg{n, 1, shards, 1, 1, transport};
-  RoundEngine eng(cfg, std::make_unique<MpcTopology>(BigFrameKernel::kWords));
-  const KernelId k = eng.registerKernel(
-      "test.bigframe", [] { return std::make_unique<BigFrameKernel>(); });
-  eng.step(k);
-  eng.step(k);
-  return observe(eng, k);
-}
-
-TEST(ShmExchange, OversizedFramesChunkThroughTinyRingWithBackpressure) {
-  ASSERT_EQ(::setenv("MPCSPAN_SHM_RING_BYTES", "4096", 1), 0);
-  const Result base = runBigFrames(1, runtime::Transport::kDefault);
-  for (const std::size_t shards : {2u, 4u}) {
-    EXPECT_EQ(base, runBigFrames(shards, runtime::Transport::kShmRing))
-        << shards << " shards, shm, 4 KiB ring";
-    EXPECT_EQ(base, runBigFrames(shards, runtime::Transport::kSocketMesh))
-        << shards << " shards, socket";
-  }
-  ASSERT_EQ(::unsetenv("MPCSPAN_SHM_RING_BYTES"), 0);
-  EXPECT_TRUE(shmDirClean());
-}
-
-TEST(ShmExchange, PeerDeathMidExchangeSurfacesShardErrorForAll) {
-  // The injected fault (MPCSPAN_TEST_PEER_DIE_SHARD, read at worker fork)
-  // kills shard 1 right before it pre-writes its frames — mid shm exchange
-  // from every peer's point of view. Every other worker must observe the
-  // dead peer (doorbell EOF, or the coordinator the missing report), the
-  // engine must fail loudly (not hang), stay failed, reap every worker,
-  // and leave /dev/shm clean.
-  ASSERT_EQ(::setenv("MPCSPAN_TEST_PEER_DIE_SHARD", "1", 1), 0);
-  std::vector<pid_t> pids;
-  {
-    RoundEngine eng(
-        EngineConfig{8, 1, 4, 1, 1, runtime::Transport::kShmRing},
-        std::make_unique<MpcTopology>(32));
-    const KernelId k = eng.registerKernel(
-        ShmProbeKernel::kernelName(),
-        [] { return std::make_unique<ShmProbeKernel>(); });
-    // Fork the workers on a round that does not reach the fault hook.
-    std::vector<std::vector<Message>> out(8);
-    out[0].push_back({7, {1}});
-    eng.exchange(std::move(out));
-    pids = eng.shardBackend()->workerPids();
-    ASSERT_EQ(pids.size(), 4u);
-    EXPECT_THROW(eng.step(k), ShardError);
-    EXPECT_THROW(eng.step(k), ShardError);  // the backend stays failed
-  }
-  ASSERT_EQ(::unsetenv("MPCSPAN_TEST_PEER_DIE_SHARD"), 0);
-  for (const pid_t pid : pids) {
-    int st = 0;
-    EXPECT_EQ(::waitpid(pid, &st, WNOHANG), -1) << "worker leaked: " << pid;
-    EXPECT_EQ(errno, ECHILD);
-  }
-  EXPECT_TRUE(shmDirClean());
-}
-
-// --- The ring transport itself, in-process on a tiny arena. ---
 
 /// Builds one single-row section (src -> dst, the given payload).
 void fillSection(std::vector<WireWriter>& sections,
@@ -363,7 +65,7 @@ TEST(ShmRing, DirectExchangeRoundTripContiguousAndChunked) {
         ASSERT_EQ(count, 1u);
         mergeSectionRows(frames[1 - self], count, 1 - self, 2 - self, self,
                          self + 1, got[self]);
-        arena.releaseInbound();
+        arena.releaseInbound(self);
       } catch (...) {
         errors[self] = std::current_exception();
       }
@@ -413,7 +115,7 @@ TEST(ShmRing, AbortRewindsProducedAndTheRingStaysUsable) {
         ASSERT_EQ(count, 1u);
         mergeSectionRows(frames[1 - self], count, 1 - self, 2 - self, self,
                          self + 1, got[self]);
-        arena.releaseInbound();
+        arena.releaseInbound(self);
       } catch (...) {
         errors[self] = std::current_exception();
       }

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "graph/generators.hpp"
+#include "query/build.hpp"
 #include "spanner/baswana_sen.hpp"
 #include "spanner/verify.hpp"
 
@@ -18,6 +19,36 @@ TEST(Tradeoff, StretchExponentFormula) {
   EXPECT_GT(tradeoffStretchExponent(1), tradeoffStretchExponent(2));
   EXPECT_GT(tradeoffStretchExponent(4), tradeoffStretchExponent(16));
   EXPECT_NEAR(tradeoffStretchExponent(1 << 20), 1.0, 0.05);
+}
+
+TEST(Tradeoff, OneIterationRuleAndCertifiedBoundForHostAndDist) {
+  // tradeoffIterations is the one t = max(1, ceil(log2 k)) rule; the
+  // schedule-only certified bound must equal what the host engine
+  // certifies, and the distributed build (same schedule, same edges) must
+  // use the same t.
+  Rng rng(42);
+  const Graph g = gnmRandom(120, 900, rng, {WeightModel::kUniform, 20.0}, true);
+  for (std::uint32_t k = 2; k <= 16; ++k) {
+    const std::uint32_t t = tradeoffIterations(k);
+    EXPECT_EQ(t, static_cast<std::uint32_t>(std::max(
+                     1.0, std::ceil(std::log2(static_cast<double>(k))))));
+    EXPECT_EQ(tradeoffIterations(k, 5), 5u);
+    const SpannerResult host = buildTradeoffSpanner(g, {k, 0, 3});
+    EXPECT_EQ(host.t, t) << "k=" << k;
+    EXPECT_DOUBLE_EQ(tradeoffCertifiedStretch(k), host.stretchBound) << "k=" << k;
+    query::BuildPlan plan;
+    plan.algo = "dist-tradeoff";
+    plan.k = k;
+    plan.seed = 3;
+    plan.sketchK = 2;
+    plan.shards = 1;
+    const query::QueryArtifact a = query::buildArtifact(g, plan);
+    EXPECT_EQ(a.t, t) << "k=" << k;
+    EXPECT_EQ(a.spannerEdges, host.edges) << "k=" << k;
+    EXPECT_DOUBLE_EQ(a.spannerStretch, tradeoffTheoreticalStretch(k, t));
+  }
+  EXPECT_EQ(tradeoffCertifiedStretch(1), 1.0);
+  EXPECT_EQ(tradeoffCertifiedStretch(8), 152.0);  // the CLI's k=8 bound
 }
 
 TEST(Tradeoff, TheoreticalStretchIsMonotoneInT) {

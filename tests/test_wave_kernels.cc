@@ -2,11 +2,10 @@
 // kernels (growth find-min supersteps, clique label round, PRAM LeaderForest
 // CRCW writes): for each wave, the same multi-iteration workload must be
 // bit-identical — results, rounds, traffic ledger, and (where observable)
-// kernel-owned state — across 1/N shards × 1/N threads, on the resident
-// worker backend and on the legacy fork-per-round reference
-// (MPCSPAN_RESIDENT=0 / EngineConfig::resident = 0), with the resident
+// kernel-owned state — across 1/N shards × 1/N threads, with the resident
 // workers forking exactly once across all iterations. Extends the
-// test_sharded_engine / test_mpc_primitives pattern to the three waves.
+// test_sharded_engine / test_mpc_primitives pattern to the three waves;
+// test_golden freezes the same workloads' values.
 #include <gtest/gtest.h>
 
 #include <sys/types.h>
@@ -51,7 +50,7 @@ struct WaveTrace {
 /// the kernel instances (sort splitters, segmented-min reductions, the
 /// filter/scatter chain) must carry their per-machine state across
 /// iterations identically on every backend.
-WaveTrace runGrowthWave(std::size_t threads, std::size_t shards, int resident,
+WaveTrace runGrowthWave(std::size_t threads, std::size_t shards,
                         std::vector<pid_t>* pidsOut = nullptr) {
   Rng rng(99);
   const Graph g = gnmRandom(300, 1500, rng, {WeightModel::kUniform, 15.0}, true);
@@ -61,7 +60,7 @@ WaveTrace runGrowthWave(std::size_t threads, std::size_t shards, int resident,
   std::vector<char> alive(g.numEdges(), 1);
 
   MpcSimulator sim(MpcConfig::forInput(4 * g.numEdges(), 0.6, 3.0), threads,
-                   shards, resident);
+                   shards);
   WaveTrace trace;
   for (int iter = 0; iter < 3; ++iter) {
     const std::vector<char> sampled = HashCoinPolicy::draw(
@@ -91,23 +90,21 @@ WaveTrace runGrowthWave(std::size_t threads, std::size_t shards, int resident,
   return trace;
 }
 
-TEST(WaveKernels, GrowthBitIdenticalAcrossShardsThreadsAndBackends) {
-  const WaveTrace base = runGrowthWave(1, 1, /*resident=*/1);
+TEST(WaveKernels, GrowthBitIdenticalAcrossShardsAndThreads) {
+  const WaveTrace base = runGrowthWave(1, 1);
   ASSERT_FALSE(base.groupMins.empty());
   ASSERT_GT(base.rounds, 0u);
   std::vector<pid_t> pids;
-  EXPECT_EQ(base, runGrowthWave(1, 2, 1, &pids)) << "2 shards resident";
+  EXPECT_EQ(base, runGrowthWave(1, 2, &pids)) << "2 shards";
   EXPECT_EQ(pids.size(), 2u);
-  EXPECT_EQ(base, runGrowthWave(2, 3, 1)) << "3 shards x 2 threads resident";
-  EXPECT_EQ(base, runGrowthWave(1, 2, 0)) << "2 shards fork-per-round";
-  EXPECT_EQ(base, runGrowthWave(2, 4, 0)) << "4 shards x 2 threads fork-per-round";
+  EXPECT_EQ(base, runGrowthWave(2, 3)) << "3 shards x 2 threads";
 }
 
 /// Two clique iterations (different sampled draws) on one clique — the
 /// label round, candidate derivation, and Lenzen accounting must match on
 /// every backend, with the kernel's candidate state cleanly rebuilt per
 /// iteration.
-WaveTrace runCliqueWave(std::size_t threads, std::size_t shards, int resident,
+WaveTrace runCliqueWave(std::size_t threads, std::size_t shards,
                         std::vector<pid_t>* pidsOut = nullptr) {
   Rng rng(7);
   const Graph g = gnmRandom(60, 260, rng, {WeightModel::kUniform, 9.0}, true);
@@ -115,7 +112,7 @@ WaveTrace runCliqueWave(std::size_t threads, std::size_t shards, int resident,
   std::vector<char> alive(g.numEdges(), 1);
   for (EdgeId id = 0; id < g.numEdges(); id += 5) alive[id] = 0;
 
-  CongestedClique cc(n, threads, shards, resident);
+  CongestedClique cc(n, threads, shards);
   WaveTrace trace;
   for (int iter = 0; iter < 3; ++iter) {
     const std::vector<char> sampled = HashCoinPolicy::draw(
@@ -144,15 +141,14 @@ WaveTrace runCliqueWave(std::size_t threads, std::size_t shards, int resident,
   return trace;
 }
 
-TEST(WaveKernels, CliqueLabelRoundBitIdenticalAcrossShardsAndBackends) {
-  const WaveTrace base = runCliqueWave(1, 1, /*resident=*/1);
+TEST(WaveKernels, CliqueLabelRoundBitIdenticalAcrossShards) {
+  const WaveTrace base = runCliqueWave(1, 1);
   ASSERT_GT(base.rounds, 0u);
   ASSERT_GT(base.words, 0u);
   std::vector<pid_t> pids;
-  EXPECT_EQ(base, runCliqueWave(1, 3, 1, &pids)) << "3 shards resident";
+  EXPECT_EQ(base, runCliqueWave(1, 3, &pids)) << "3 shards";
   EXPECT_EQ(pids.size(), 3u);
-  EXPECT_EQ(base, runCliqueWave(2, 4, 1)) << "4 shards x 2 threads resident";
-  EXPECT_EQ(base, runCliqueWave(1, 3, 0)) << "3 shards fork-per-round";
+  EXPECT_EQ(base, runCliqueWave(2, 4)) << "4 shards x 2 threads";
 }
 
 /// A merge schedule on an engine-backed LeaderForest: host mirror, kernel
@@ -166,10 +162,10 @@ struct ForestTrace {
   friend bool operator==(const ForestTrace&, const ForestTrace&) = default;
 };
 
-ForestTrace runForestWave(std::size_t threads, std::size_t shards, int resident,
+ForestTrace runForestWave(std::size_t threads, std::size_t shards,
                           std::vector<pid_t>* pidsOut = nullptr) {
   const std::size_t n = 32;
-  RoundEngine eng(EngineConfig{n, threads, shards, resident},
+  RoundEngine eng(EngineConfig{n, threads, shards},
                   std::make_unique<PramTopology>());
   LeaderForest lf(n);
   lf.attachEngine(&eng);
@@ -202,14 +198,13 @@ ForestTrace runForestWave(std::size_t threads, std::size_t shards, int resident,
   return trace;
 }
 
-TEST(WaveKernels, LeaderForestWritesBitIdenticalAcrossShardsAndBackends) {
-  const ForestTrace base = runForestWave(1, 1, /*resident=*/1);
+TEST(WaveKernels, LeaderForestWritesBitIdenticalAcrossShards) {
+  const ForestTrace base = runForestWave(1, 1);
   ASSERT_GT(base.rounds, 0u);
   std::vector<pid_t> pids;
-  EXPECT_EQ(base, runForestWave(1, 4, 1, &pids)) << "4 shards resident";
+  EXPECT_EQ(base, runForestWave(1, 4, &pids)) << "4 shards";
   EXPECT_EQ(pids.size(), 4u);
-  EXPECT_EQ(base, runForestWave(2, 2, 1)) << "2 shards x 2 threads resident";
-  EXPECT_EQ(base, runForestWave(1, 4, 0)) << "4 shards fork-per-round";
+  EXPECT_EQ(base, runForestWave(2, 2)) << "2 shards x 2 threads";
 }
 
 }  // namespace

@@ -476,17 +476,10 @@ int main(int argc, char** argv) {
       .flag("threads", "0", "stepping-pool lanes (0 = MPCSPAN_THREADS/hardware)")
       .flag("shards", "0",
             "simulator worker processes (0 = MPCSPAN_SHARDS, 1 = in-process; "
-            ">1 forks resident workers, MPCSPAN_RESIDENT=0 for fork-per-round, "
-            "MPCSPAN_PEER_EXCHANGE=0 for the coordinator-relay exchange)")
-      .flag("transport", "",
-            "cross-shard section route: shm (shared-memory rings, default), "
-            "socket (PR-5 socket mesh), tcp (rendezvous mesh, cross-machine "
-            "capable), relay (coordinator relay); empty = MPCSPAN_TCP_EXCHANGE "
-            "/ MPCSPAN_SHM_EXCHANGE / MPCSPAN_PEER_EXCHANGE defaults")
-      .flag("pipeline", "",
-            "pipelined resident rounds: on (overlap cross-shard delivery "
-            "with the next round's local phase, the default), off (strict "
-            "barrier, the bit-identical reference); empty = MPCSPAN_PIPELINE")
+            ">1 forks resident workers)")
+      .flag("transport", "shm",
+            "cross-shard section route: shm (shared-memory rings) or tcp "
+            "(rendezvous mesh, cross-machine capable)")
       .flag("seed", "1", "random seed")
       .flag("verify", "false", "audit stretch (sampled) before exiting")
       .flag("out", "", "write the spanner as an edge list to this path");
@@ -511,58 +504,33 @@ int main(int argc, char** argv) {
       const auto t = static_cast<std::uint32_t>(args.getInt("t"));
       const auto seed = static_cast<std::uint64_t>(args.getInt("seed"));
       const std::string transportName = args.get("transport");
-      runtime::Transport transport = runtime::Transport::kDefault;
-      if (transportName == "shm")
-        transport = runtime::Transport::kShmRing;
-      else if (transportName == "socket")
-        transport = runtime::Transport::kSocketMesh;
-      else if (transportName == "tcp")
+      runtime::Transport transport = runtime::Transport::kShmRing;
+      if (transportName == "tcp")
         transport = runtime::Transport::kTcp;
-      else if (transportName == "relay")
-        transport = runtime::Transport::kRelay;
-      else if (!transportName.empty())
-        throw std::invalid_argument("unknown --transport: " + transportName);
-      const std::string pipelineName = args.get("pipeline");
-      int pipeline = -1;
-      if (pipelineName == "on")
-        pipeline = 1;
-      else if (pipelineName == "off")
-        pipeline = 0;
-      else if (!pipelineName.empty())
-        throw std::invalid_argument("unknown --pipeline: " + pipelineName +
-                                    " (expected on or off)");
+      else if (transportName != "shm")
+        throw std::invalid_argument("unknown --transport: " + transportName +
+                                    " (expected shm or tcp)");
       // Negative counts fall back to the defaults (0 = env var / hardware),
       // matching the env vars' own garbage handling.
       MpcSimulator sim(
           MpcConfig::forInput(8 * g.numEdges(), args.getDouble("gamma"), 3.0),
           static_cast<std::size_t>(std::max<std::int64_t>(0, args.getInt("threads"))),
           static_cast<std::size_t>(std::max<std::int64_t>(0, args.getInt("shards"))),
-          /*resident=*/-1, transport, pipeline);
-      std::fprintf(stdout,
-                   "simulator: %zu machines x %zu words, %zu shard(s)%s%s\n",
+          transport);
+      std::fprintf(stdout, "simulator: %zu machines x %zu words, %zu shard(s)%s\n",
                    sim.numMachines(), sim.wordsPerMachine(), sim.numShards(),
-                   sim.numShards() > 1
-                       ? (sim.residentShards()
-                              ? (sim.tcpMeshShards()
-                                     ? " (resident workers, tcp mesh)"
-                                     : (sim.shmRingShards()
-                                            ? " (resident workers, shm ring)"
-                                            : (sim.peerMeshShards()
-                                                   ? " (resident workers, peer "
-                                                     "mesh)"
-                                                   : " (resident workers, "
-                                                     "coordinator relay)")))
-                              : " (fork per round)")
-                       : "",
-                   sim.numShards() > 1 && sim.residentShards()
-                       ? (sim.pipelinedShards() ? " [pipelined rounds]"
-                                                : " [strict barrier]")
-                       : "");
+                   sim.numShards() == 1 ? ""
+                   : sim.tcpMeshShards() ? " (resident workers, tcp mesh)"
+                                         : " (resident workers, shm ring)");
       const DistSpannerResult r =
           algo == "dist-tradeoff"
               ? buildDistributedTradeoff(sim, g, k, t, seed)
               : buildDistributedBaswanaSen(sim, g, k, seed);
-      const double bound = 2.0 * k - 1.0;
+      // dist-tradeoff builds the host engine's edge set over the same
+      // schedule, so it certifies the same bound; dist-baswana-sen is 2k-1.
+      const double bound = algo == "dist-tradeoff"
+                               ? tradeoffCertifiedStretch(k, t)
+                               : 2.0 * k - 1.0;
       std::fprintf(stdout,
                    "%s: %zu edges (%.1f%%), k=%u, %zu iterations, "
                    "%zu simulator rounds, %zu words moved\n",
@@ -571,6 +539,7 @@ int main(int argc, char** argv) {
                                       static_cast<double>(g.numEdges())
                                 : 0.0,
                    k, r.iterations, r.simulatorRounds, r.wordsMoved);
+      std::fprintf(stdout, "certified stretch <= %.1f\n", bound);
       if (args.getBool("verify")) {
         const StretchReport report = verifySpanner(
             g, r.edges, bound, {.maxEdgeChecks = 4000, .pairSources = 4});

@@ -9,7 +9,8 @@
 //     control hello, receives the roster + SETUP frame, forms the peer
 //     mesh, and runs the resident command loop until SHUTDOWN. Kernels are
 //     resolved by name against this binary's global registry, so the
-//     coordinator and the workers must run the same build.
+//     coordinator and the workers must run the same build (a worker from
+//     another protocol version fails at the hello).
 //
 //   mpcspan_worker --coordinate S --port P [--machines N] [--rounds R]
 //                  [--threads T] [--timeout ms]
@@ -130,7 +131,7 @@ int runConnect(const std::string& endpoint, std::size_t shardId,
   std::fprintf(stderr, "mpcspan_worker: shard %zu/%zu attached (%zu machines)\n",
                shardId, setup.cfg.shards, setup.cfg.numMachines);
   runResidentWorker(setup.cfg, ctrl, peers, std::move(setup.kernels),
-                    *setup.store, std::move(setup.inboxes));
+                    *setup.store);
   return 0;
 }
 
@@ -156,7 +157,6 @@ int runCoordinate(std::size_t shards, std::uint16_t port,
   cfg.numMachines = machines;
   cfg.threads = threads;
   cfg.shards = shards;
-  cfg.resident = 1;
   cfg.transport = Transport::kTcp;
   RoundEngine eng(cfg, std::make_unique<MpcTopology>(/*wordsPerMachine=*/256));
   const KernelId probe = ensureKernel<TcpProbeKernel>(eng);
