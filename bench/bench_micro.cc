@@ -168,7 +168,7 @@ BENCHMARK(BM_IterationRoundDispatch)
 /// distSort-phase / clique-label-round shaped traffic) at a fixed shard
 /// count, cross-shard sections routed through the shared-memory rings vs
 /// the tcp loopback mesh. The ledger and contents are identical on both
-/// (pinned by test_transport); only where the bytes travel differs — the
+/// (pinned by test_peer_exchange); only where the bytes travel differs — the
 /// tcp axis prices the cross-machine transport against the same-host one.
 /// arg0 = shards (1 = the in-process reference), arg1 = 3 tcp mesh /
 /// 2 shm ring.

@@ -52,7 +52,7 @@ void runResidentWorker(const WorkerConfig& cfg, Channel& ctrl,
   const int roundDeadline = ctrl.deadline();
   // Test-only fault injection: the named shard exits abnormally right
   // before its phase-A report, as every peer enters its exchange. Exercised
-  // by test_transport; never set outside tests.
+  // by test_peer_exchange; never set outside tests.
   long dieShard = -1;
   if (const char* env = std::getenv("MPCSPAN_TEST_PEER_DIE_SHARD"))
     dieShard = std::strtol(env, nullptr, 10);

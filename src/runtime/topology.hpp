@@ -89,7 +89,7 @@ class Topology {
   /// constraint attributable to those sources and returns the words they
   /// send. Receiver-side constraints are covered by validateInbound()
   /// over the cross-shard per-destination sums — together the two halves
-  /// must check exactly what validateSlice checks (tests/test_transport.cc
+  /// must check exactly what validateSlice checks (tests/test_pipeline.cc
   /// pins that contract for the built-ins). The split is what lets the
   /// sharded engine's one barrier validate a kernel round *before* any
   /// frame is exchanged: sources are complete at phase A, and the inbound

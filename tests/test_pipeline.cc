@@ -1,389 +1,81 @@
-// The pipelined shard barrier: overlapped rounds must be bit-identical to
-// the strict reference (rounds, ledger, kernel state, resident inbox
-// contents) across topologies, shard/thread counts, and all three mesh
-// transports; a kernel throw during the speculative phase aborts with no
-// state leak and no zombies; a peer death during overlap surfaces
-// ShardError for everyone; Topology::canOverlap gates per-round overlap
-// (custom subclasses keep the strict barrier and shm falls back to the
-// socket mesh); and the per-round communication budget fails a trickling
-// peer instead of letting it extend the round unbounded.
+// The one pipelined STEP barrier's own contracts. Every round's waits draw
+// down one shared DeadlineBudget, so a peer that trickles bytes cannot reset
+// a per-wait timeout forever (tcp mesh); same-host shm rings carry no budget
+// and must wait such a peer out. And the Topology split contract the barrier
+// rests on: validateSources over every shard slice plus validateInbound over
+// the summed inbound words must agree with whole-round validate(). Exchange
+// equivalence and failure modes live in test_peer_exchange.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
-#include <sys/types.h>
-#include <sys/wait.h>
-#include <unistd.h>
 
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "runtime/round_engine.hpp"
 #include "runtime/shard/peer_mesh.hpp"
-#include "runtime/shard/sharded_engine.hpp"
+#include "runtime/shard/shm_ring.hpp"
 #include "runtime/shard/transport.hpp"
 #include "runtime/shard/wire.hpp"
+#include "runtime/shard/worker_loop.hpp"
 #include "runtime/topology.hpp"
+#include "util/rng.hpp"
+#include "probe_kernels.hpp"
 
 namespace mpcspan {
 namespace {
 
-using runtime::CliqueTopology;
-using runtime::Delivery;
-using runtime::EngineConfig;
-using runtime::KernelCtx;
-using runtime::KernelId;
 using runtime::Message;
 using runtime::MpcTopology;
-using runtime::PramTopology;
-using runtime::RoundEngine;
-using runtime::StepKernel;
 using runtime::Topology;
 using runtime::Transport;
 using runtime::shard::DeadlineBudget;
 using runtime::shard::ShardError;
 using runtime::shard::WireReader;
 using runtime::shard::WireWriter;
+using test_kernels::probeTopology;
 
-// --- canOverlap: the per-topology overlap contract. ---
+class ShardTransport : public ::testing::TestWithParam<Transport> {};
 
-/// Minimal custom topology: full validation delegated to an inner
-/// MpcTopology, but none of the fused-barrier overrides — the base class
-/// promises overlap only for free placement, so kernel rounds must keep
-/// the strict barrier (and shm must fall back to the socket mesh, whose
-/// strict conversation always runs validateSlice).
-class CustomCapTopology final : public Topology {
- public:
-  explicit CustomCapTopology(std::size_t cap) : inner_(cap) {}
-  const char* name() const override { return "custom-cap"; }
-  std::size_t validateSlice(std::size_t numMachines,
-                            const std::vector<std::vector<Message>>& outboxes,
-                            std::size_t begin, std::size_t end) const override {
-    return inner_.validateSlice(numMachines, outboxes, begin, end);
-  }
+INSTANTIATE_TEST_SUITE_P(
+    Both, ShardTransport, ::testing::Values(Transport::kShmRing, Transport::kTcp),
+    [](const ::testing::TestParamInfo<Transport>& info) {
+      return std::string(info.param == Transport::kTcp ? "tcp" : "shm");
+    });
 
- private:
-  MpcTopology inner_;
-};
+/// A valid empty section frame (u64 bodyLen = 8, u64 rowCount = 0,
+/// little-endian), the unit both trickle tests dribble out.
+constexpr std::uint8_t kEmptyFrame[16] = {8, 0, 0, 0, 0, 0, 0, 0,
+                                          0, 0, 0, 0, 0, 0, 0, 0};
 
-TEST(Pipeline, CanOverlapContract) {
-  // All three built-ins split validation across the fused barrier exactly,
-  // so every round kind may overlap.
-  EXPECT_TRUE(MpcTopology(64).canOverlap(false));
-  EXPECT_TRUE(MpcTopology(64).canOverlap(true));
-  EXPECT_TRUE(CliqueTopology().canOverlap(false));
-  EXPECT_TRUE(CliqueTopology().canOverlap(true));
-  EXPECT_TRUE(PramTopology().canOverlap(false));
-  EXPECT_TRUE(PramTopology().canOverlap(true));
-  // A custom subclass that only implements validateSlice keeps the strict
-  // barrier for kernel rounds; free-placement rounds validate nothing and
-  // may always overlap.
-  EXPECT_FALSE(CustomCapTopology(64).canOverlap(false));
-  EXPECT_TRUE(CustomCapTopology(64).canOverlap(true));
-}
-
-TEST(Pipeline, BackendSelectionFollowsConfigAndEnv) {
-  // Pin the env default regardless of what the outer test harness exports.
-  ASSERT_EQ(::unsetenv("MPCSPAN_PIPELINE"), 0);
-  {
-    RoundEngine eng(EngineConfig{8, 1, 2, 1, 1},
-                    std::make_unique<MpcTopology>(16));
-    EXPECT_TRUE(eng.pipelinedShards());  // MPCSPAN_PIPELINE default: on
-  }
-  {
-    RoundEngine eng(EngineConfig{8, 1, 2, 1, 1, Transport::kDefault,
-                                 /*pipeline=*/0},
-                    std::make_unique<MpcTopology>(16));
-    EXPECT_FALSE(eng.pipelinedShards());
-  }
-  {
-    // Relay rounds have no mesh to overlap on: pipeline=1 is inert.
-    RoundEngine eng(EngineConfig{8, 1, 2, 1, 0, Transport::kDefault,
-                                 /*pipeline=*/1},
-                    std::make_unique<MpcTopology>(16));
-    EXPECT_FALSE(eng.pipelinedShards());
-  }
-  ASSERT_EQ(::setenv("MPCSPAN_PIPELINE", "0", 1), 0);
-  {
-    RoundEngine eng(EngineConfig{8, 1, 2, 1, 1},
-                    std::make_unique<MpcTopology>(16));
-    EXPECT_FALSE(eng.pipelinedShards());
-  }
-  {
-    // An explicit config wins over the env var.
-    RoundEngine eng(EngineConfig{8, 1, 2, 1, 1, Transport::kDefault,
-                                 /*pipeline=*/1},
-                    std::make_unique<MpcTopology>(16));
-    EXPECT_TRUE(eng.pipelinedShards());
-  }
-  ASSERT_EQ(::unsetenv("MPCSPAN_PIPELINE"), 0);
-}
-
-// --- Bit-identity: pipelined vs strict vs in-process golden. ---
-
-/// Deterministic cross-shard-heavy kernel whose per-round emissions are a
-/// pure function of the inbox, so a correctly-discarded abort leaves no
-/// trace and any divergence in delivery order or speculative state
-/// compounds across rounds. args[0] picks the topology-legal shape.
-class PipeProbeKernel final : public StepKernel {
- public:
-  static std::string kernelName() { return "test.pipeprobe"; }
-
-  std::vector<Message> step(const KernelCtx& ctx) override {
-    const Word mode = ctx.args.empty() ? 0 : ctx.args[0];
-    const std::size_t n = ctx.numMachines;
-    const std::size_t m = ctx.machine;
-    Word sum = m + 1;
-    for (const Delivery& d : ctx.inbox) sum += 3 * d.src + d.payload.front();
-    std::vector<Message> out;
-    if (mode == 0) {
-      // MPC: mixed single- and multi-word fan-out.
-      out.push_back({(m + sum) % n, {sum, sum ^ m}});
-      out.push_back({(m * 3 + 1) % n, {sum}});
-    } else if (mode == 1) {
-      // Clique: one single-word message per ordered pair.
-      out.push_back({(m + 1 + sum % (n - 1)) % n, {sum}});
-    } else {
-      // PRAM: concurrent single-word writes, priority-CRCW resolved.
-      out.push_back({(m * 5 + sum) % 4, {sum}});
-    }
-    return out;
-  }
-
-  std::vector<Word> fetch(const KernelCtx& ctx) override {
-    Word sum = ctx.machine;
-    for (const Delivery& d : ctx.inbox) sum += 7 * d.src + d.payload.front();
-    return {sum};
-  }
-};
-
-std::unique_ptr<Topology> makeTopology(int mode) {
-  if (mode == 0) return std::make_unique<MpcTopology>(64);
-  if (mode == 1) return std::make_unique<CliqueTopology>();
-  return std::make_unique<PramTopology>();
-}
-
-/// Everything observable after a kernel-round workload.
-struct Result {
-  std::vector<std::vector<Word>> fetched;
-  std::vector<Word> flatInboxes;
-  std::size_t rounds = 0, words = 0, maxRound = 0;
-
-  friend bool operator==(const Result&, const Result&) = default;
-};
-
-Result collect(RoundEngine& eng, KernelId k) {
-  Result res;
-  res.fetched = eng.fetchKernel(k);
-  for (const auto& inbox : eng.snapshotInboxes())
-    for (const Delivery& d : inbox) {
-      res.flatInboxes.push_back(d.src);
-      res.flatInboxes.insert(res.flatInboxes.end(), d.payload.begin(),
-                             d.payload.end());
-    }
-  res.rounds = eng.rounds();
-  res.words = eng.totalWordsSent();
-  res.maxRound = eng.maxRoundWords();
-  return res;
-}
-
-Result runWorkload(int mode, std::size_t threads, std::size_t shards,
-                   Transport transport, int pipeline) {
-  const std::size_t n = 12;
-  EngineConfig cfg{n,         threads,   shards, /*resident=*/1,
-                   /*peerExchange=*/1,   transport, pipeline};
-  RoundEngine eng(cfg, makeTopology(mode));
-  const KernelId k = eng.registerKernel(
-      PipeProbeKernel::kernelName(),
-      [] { return std::make_unique<PipeProbeKernel>(); });
-  for (int i = 0; i < 5; ++i) eng.step(k, {static_cast<Word>(mode)});
-  // One free data-placement round rides the same overlap machinery.
-  eng.stepShuffle(k, {static_cast<Word>(mode)});
-  return collect(eng, k);
-}
-
-TEST(Pipeline, BitIdenticalToStrictAndInProcessOnAllTopologies) {
-  for (const int mode : {0, 1, 2}) {
-    const Result base =
-        runWorkload(mode, 1, 1, Transport::kDefault, /*pipeline=*/-1);
-    EXPECT_EQ(base.rounds, 5u) << "mode " << mode;
-    for (const Transport transport :
-         {Transport::kShmRing, Transport::kSocketMesh, Transport::kTcp}) {
-      for (const std::size_t shards : {2u, 4u})
-        for (const int pipeline : {0, 1})
-          EXPECT_EQ(base, runWorkload(mode, 1, shards, transport, pipeline))
-              << "mode " << mode << ", " << shards << " shards, transport "
-              << static_cast<int>(transport) << ", pipeline=" << pipeline;
-      EXPECT_EQ(base, runWorkload(mode, 2, 4, transport, /*pipeline=*/1))
-          << "mode " << mode << ", 2 threads x 4 shards, transport "
-          << static_cast<int>(transport);
-    }
-  }
-}
-
-TEST(Pipeline, ShmFallsBackToSocketMeshForCustomTopology) {
-  // A topology without the fused-validation overrides cannot commit off
-  // the shm ring's single-verdict barrier: the engine must route its
-  // sections over the socket mesh instead (strict two-phase, full
-  // validateSlice), and stay bit-identical to the in-process reference.
-  auto run = [](std::size_t shards, Transport transport) {
-    RoundEngine eng(EngineConfig{12, 1, shards, 1, 1, transport},
-                    std::make_unique<CustomCapTopology>(64));
-    const KernelId k = eng.registerKernel(
-        PipeProbeKernel::kernelName(),
-        [] { return std::make_unique<PipeProbeKernel>(); });
-    for (int i = 0; i < 4; ++i) eng.step(k, {0});
-    Result res = collect(eng, k);
-    if (shards > 1) {
-      EXPECT_FALSE(eng.shmRingShards());
-      EXPECT_TRUE(eng.peerMeshShards());
-    }
-    return res;
-  };
-  const Result base = run(1, Transport::kDefault);
-  EXPECT_EQ(run(3, Transport::kShmRing), base);
-  EXPECT_EQ(run(3, Transport::kDefault), base);
-}
-
-// --- Abort semantics during overlap. ---
-
-class OverlapThrower final : public StepKernel {
- public:
-  std::vector<Message> step(const KernelCtx& ctx) override {
-    if (!ctx.args.empty() && ctx.machine == 5)
-      throw std::runtime_error("boom mid-overlap");
-    const std::size_t n = ctx.numMachines;
-    const std::size_t m = ctx.machine;
-    Word sum = m + 3;
-    for (const Delivery& d : ctx.inbox) sum += 5 * d.src + d.payload.front();
-    return {{(m + sum) % n, {sum}}, {(m * 7 + 2) % n, {sum ^ m}}};
-  }
-
-  std::vector<Word> fetch(const KernelCtx& ctx) override {
-    Word sum = 0;
-    for (const Delivery& d : ctx.inbox) sum += d.src + d.payload.front();
-    return {sum};
-  }
-};
-
-TEST(Pipeline, KernelThrowDuringSpeculativeComputeAbortsCleanly) {
-  // The abort lands at round r while the workers have already merged and
-  // staged speculative r state into their back buffers. Discarding it must
-  // leave the resident inboxes, ledger, and worker processes exactly as
-  // before the round — and the rounds after the abort must match an
-  // engine that never attempted it.
-  for (const Transport transport :
-       {Transport::kShmRing, Transport::kSocketMesh, Transport::kTcp}) {
-    RoundEngine ref(EngineConfig{12, 1, 1}, std::make_unique<MpcTopology>(64));
-    RoundEngine eng(EngineConfig{12, 1, 4, 1, 1, transport, /*pipeline=*/1},
-                    std::make_unique<MpcTopology>(64));
-    const KernelId kr = ref.registerKernel(
-        "test.overthrow", [] { return std::make_unique<OverlapThrower>(); });
-    const KernelId ke = eng.registerKernel(
-        "test.overthrow", [] { return std::make_unique<OverlapThrower>(); });
-    ref.step(kr);
-    ref.step(kr);
-    eng.step(ke);
-    eng.step(ke);
-    const std::vector<pid_t> pids = eng.shardBackend()->workerPids();
-    ASSERT_EQ(pids.size(), 4u);
-    const std::size_t wordsBefore = eng.totalWordsSent();
-    EXPECT_THROW(eng.step(ke, {1}), std::runtime_error);
-    EXPECT_EQ(eng.rounds(), 2u);
-    EXPECT_EQ(eng.totalWordsSent(), wordsBefore);
-    // Same worker processes — the abort forked nothing and killed nothing.
-    EXPECT_EQ(eng.shardBackend()->workerPids(), pids);
-    ref.step(kr);
-    ref.step(kr);
-    eng.step(ke);
-    eng.step(ke);
-    EXPECT_EQ(collect(eng, ke), collect(ref, kr))
-        << "transport " << static_cast<int>(transport);
-  }
-}
-
-TEST(Pipeline, PeerDeathDuringOverlapSurfacesShardErrorForAll) {
-  // Shard 1 dies as its peers enter the speculative exchange — every
-  // worker is mid-mesh with its verdict still pending. The engine must
-  // fail the round loudly (not hang, not commit), stay failed, and reap
-  // every worker.
-  ASSERT_EQ(::setenv("MPCSPAN_TEST_PEER_DIE_SHARD", "1", 1), 0);
-  std::vector<pid_t> pids;
-  {
-    RoundEngine eng(
-        EngineConfig{8, 1, 4, 1, 1, Transport::kSocketMesh, /*pipeline=*/1},
-        std::make_unique<MpcTopology>(32));
-    const KernelId k = eng.registerKernel(
-        PipeProbeKernel::kernelName(),
-        [] { return std::make_unique<PipeProbeKernel>(); });
-    // Fork the workers on a round that does not reach the fault hook.
-    std::vector<std::vector<Message>> out(8);
-    out[0].push_back({7, {1}});
-    eng.exchange(std::move(out));
-    pids = eng.shardBackend()->workerPids();
-    ASSERT_EQ(pids.size(), 4u);
-    EXPECT_THROW(eng.step(k, {0}), ShardError);
-    EXPECT_THROW(eng.step(k, {0}), ShardError);  // the backend stays failed
-  }
-  ASSERT_EQ(::unsetenv("MPCSPAN_TEST_PEER_DIE_SHARD"), 0);
-  for (const pid_t pid : pids) {
-    int st = 0;
-    EXPECT_EQ(::waitpid(pid, &st, WNOHANG), -1) << "worker leaked: " << pid;
-    EXPECT_EQ(errno, ECHILD);
-  }
-}
-
-// --- The per-round communication budget. ---
-
-TEST(Pipeline, DeadlineBudgetSemantics) {
-  {
-    const DeadlineBudget unbounded(-1);
-    EXPECT_FALSE(unbounded.bounded());
-    EXPECT_EQ(unbounded.remainingMs(), -1);
-    EXPECT_FALSE(unbounded.expired());
-  }
-  {
-    const DeadlineBudget budget(200);
-    EXPECT_TRUE(budget.bounded());
-    EXPECT_EQ(budget.totalMs(), 200);
-    EXPECT_GT(budget.remainingMs(), 0);
-    EXPECT_FALSE(budget.expired());
-    std::this_thread::sleep_for(std::chrono::milliseconds(250));
-    EXPECT_EQ(budget.remainingMs(), 0);  // clamped, never negative
-    EXPECT_TRUE(budget.expired());
-  }
-}
-
-TEST(Pipeline, TricklingPeerExhaustsRoundBudget) {
-  // A peer that keeps the connection alive but trickles one byte at a time
-  // makes progress on every poll wait — a per-wait timeout would reset
-  // forever and the round would stretch to (frame bytes x trickle gap).
-  // The shared round budget must fail the exchange once the *total* wait
-  // crosses it, while the same trickle without a budget still completes.
-  const auto trickle = [](const runtime::shard::WireFd& fd) {
-    // A valid empty mesh frame: u64 bodyLen = 8, then u64 rowCount = 0
-    // (little-endian) — 16 bytes, one every 50 ms, ~800 ms total.
-    std::uint8_t frame[16] = {8, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0};
-    for (const std::uint8_t byte : frame) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-      ASSERT_EQ(::send(fd.fd(), &byte, 1, MSG_NOSIGNAL), 1);
-    }
-  };
+TEST_P(ShardTransport, TricklingPeerIsBoundedOrCompletes) {
   const std::vector<std::uint64_t> counts(2, 0);
   const std::vector<WireWriter> sections(2);
-  {
-    auto mesh = runtime::shard::makeMesh(2);
-    std::thread peer([&] { trickle(mesh[1][0]); });
-    const DeadlineBudget budget(250);
-    EXPECT_THROW(runtime::shard::meshExchange(mesh[0], 0, counts, sections,
-                                              &budget),
-                 ShardError);
-    peer.join();
-  }
-  {
+  if (GetParam() == Transport::kTcp) {
+    // The tcp mesh's data path: a peer that keeps the connection alive but
+    // trickles one byte every 50 ms makes progress on every poll wait — a
+    // per-wait timeout would reset forever. The shared round budget must
+    // fail the exchange once the *total* wait crosses it, while the same
+    // trickle without a budget still completes.
+    const auto trickle = [](const runtime::shard::WireFd& fd) {
+      for (const std::uint8_t byte : kEmptyFrame) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        ASSERT_EQ(::send(fd.fd(), &byte, 1, MSG_NOSIGNAL), 1);
+      }
+    };
+    {
+      auto mesh = runtime::shard::makeMesh(2);
+      std::thread peer([&] { trickle(mesh[1][0]); });
+      const DeadlineBudget budget(250);
+      EXPECT_THROW(runtime::shard::meshExchange(mesh[0], 0, counts, sections,
+                                                &budget),
+                   ShardError);
+      peer.join();
+    }
     auto mesh = runtime::shard::makeMesh(2);
     std::thread peer([&] { trickle(mesh[1][0]); });
     std::vector<WireReader> frames =
@@ -391,6 +83,152 @@ TEST(Pipeline, TricklingPeerExhaustsRoundBudget) {
     peer.join();
     ASSERT_EQ(frames.size(), 2u);
     EXPECT_EQ(frames[1].u64(), 0u);  // the trickled frame, intact
+    return;
+  }
+  // The shm ring: same-host workers carry no round budget (a dead peer
+  // always surfaces as doorbell EOF), so a peer that publishes its frame
+  // one byte at a time, ringing the doorbell after each, must simply be
+  // waited out and parsed intact.
+  runtime::shard::ShmArena arena(2, 4096);
+  auto mesh = runtime::shard::makeMesh(2);
+  std::thread peer([&] {
+    runtime::shard::RingHdr& h = arena.hdr(1, 0);
+    for (std::size_t i = 0; i < sizeof kEmptyFrame; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      arena.data(1, 0)[i] = kEmptyFrame[i];
+      h.produced.store(i + 1, std::memory_order_release);
+      const std::uint8_t bell = 1;
+      ASSERT_EQ(::send(mesh[1][0].fd(), &bell, 1, MSG_NOSIGNAL), 1);
+    }
+  });
+  std::vector<WireReader> frames =
+      runtime::shard::shmExchange(arena, mesh[0], 0, counts, sections);
+  peer.join();
+  ASSERT_EQ(frames.size(), 2u);
+  EXPECT_EQ(frames[1].u64(), 0u);
+  EXPECT_TRUE(frames[1].atEnd());
+  arena.releaseInbound(0);
+}
+
+TEST(DeadlineBudget, SpendsOneBudgetAcrossWaits) {
+  {
+    const DeadlineBudget unbounded(-1);
+    EXPECT_FALSE(unbounded.bounded());
+    EXPECT_EQ(unbounded.remainingMs(), -1);
+    EXPECT_FALSE(unbounded.expired());
+  }
+  const DeadlineBudget budget(200);
+  EXPECT_TRUE(budget.bounded());
+  EXPECT_EQ(budget.totalMs(), 200);
+  EXPECT_GT(budget.remainingMs(), 0);
+  EXPECT_FALSE(budget.expired());
+  std::this_thread::sleep_for(std::chrono::milliseconds(250));
+  EXPECT_EQ(budget.remainingMs(), 0);  // clamped, never negative
+  EXPECT_TRUE(budget.expired());
+}
+
+// --- The Topology split contract: validateSources over every slice plus
+// validateInbound over the summed inbound words must accept or reject
+// exactly when validate() does, with the same exception type and the same
+// word total. The one STEP barrier validates kernel rounds this way only. ---
+
+enum class Verdict { kOk, kCapacity, kBounds };
+
+struct Outcome {
+  Verdict verdict = Verdict::kOk;
+  std::size_t words = 0;  // meaningful only for kOk
+
+  friend bool operator==(const Outcome&, const Outcome&) = default;
+};
+
+/// The engine vets destinations before any topology sees a round.
+bool destinationsInRange(std::size_t n,
+                         const std::vector<std::vector<Message>>& outboxes) {
+  for (const auto& out : outboxes)
+    for (const Message& msg : out)
+      if (msg.dst >= n) return false;
+  return true;
+}
+
+Outcome validateWhole(const Topology& topo, std::size_t n,
+                      const std::vector<std::vector<Message>>& outboxes) {
+  if (!destinationsInRange(n, outboxes)) return {Verdict::kBounds, 0};
+  try {
+    return {Verdict::kOk, topo.validate(n, outboxes)};
+  } catch (const CapacityError&) {
+    return {Verdict::kCapacity, 0};
+  }
+}
+
+Outcome validateSplit(const Topology& topo, std::size_t n, std::size_t shards,
+                      const std::vector<std::vector<Message>>& outboxes) {
+  if (!destinationsInRange(n, outboxes)) return {Verdict::kBounds, 0};
+  try {
+    std::size_t words = 0;
+    for (std::size_t s = 0; s < shards; ++s) {
+      const std::size_t lo = runtime::shard::shardRangeBegin(n, shards, s);
+      const std::size_t hi = runtime::shard::shardRangeEnd(n, shards, s);
+      const std::vector<std::vector<Message>> slice(outboxes.begin() + lo,
+                                                    outboxes.begin() + hi);
+      words += topo.validateSources(n, slice, lo);
+    }
+    if (topo.needsInboundSums()) {
+      std::vector<std::uint64_t> received(n, 0);
+      for (const auto& out : outboxes)
+        for (const Message& msg : out) received[msg.dst] += msg.payload.size();
+      topo.validateInbound(n, received);
+    }
+    return {Verdict::kOk, words};
+  } catch (const CapacityError&) {
+    return {Verdict::kCapacity, 0};
+  }
+}
+
+/// One seeded random round shaped to hit every rule of `mode`'s model:
+/// over-budget sends and receives (MPC), duplicate pairs and multi-word
+/// payloads (clique, PRAM), and the odd out-of-range destination.
+std::vector<std::vector<Message>> randomRound(int mode, std::size_t n,
+                                              Rng& rng) {
+  std::vector<std::vector<Message>> out(n);
+  for (std::size_t src = 0; src < n; ++src) {
+    const std::size_t count = rng.next(mode == 0 ? 5 : 4);
+    for (std::size_t i = 0; i < count; ++i) {
+      std::size_t dst = rng.next(n);
+      if (rng.next(40) == 0) dst = n + rng.next(3);
+      std::size_t len = 1;
+      if (mode == 0)
+        len = rng.next(5);
+      else if (rng.next(12) == 0)
+        len = 2 + rng.next(2);
+      std::vector<Word> pay(len);
+      for (Word& w : pay) w = rng.next(1000);
+      out[src].push_back({dst, std::move(pay)});
+    }
+  }
+  return out;
+}
+
+TEST(TopologySplit, SourcesPlusInboundMatchWholeValidation) {
+  Rng rng(20210712);
+  for (const int mode : {0, 1, 2}) {
+    const std::unique_ptr<Topology> topo =
+        mode == 0 ? std::unique_ptr<Topology>(new MpcTopology(8))
+                  : probeTopology(mode);
+    std::size_t seen[3] = {0, 0, 0};
+    for (int round = 0; round < 600; ++round) {
+      const std::size_t n = 2 + rng.next(7);
+      const auto outboxes = randomRound(mode, n, rng);
+      const Outcome whole = validateWhole(*topo, n, outboxes);
+      ++seen[static_cast<int>(whole.verdict)];
+      for (const std::size_t shards : {std::size_t{1}, std::size_t{2}, n})
+        ASSERT_EQ(validateSplit(*topo, n, shards, outboxes), whole)
+            << topo->name() << " round " << round << ", " << shards
+            << " shards";
+    }
+    // The rounds must exercise acceptance and both rejection kinds.
+    EXPECT_GT(seen[0], 0u) << topo->name();
+    EXPECT_GT(seen[1], 0u) << topo->name();
+    EXPECT_GT(seen[2], 0u) << topo->name();
   }
 }
 

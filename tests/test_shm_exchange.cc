@@ -3,7 +3,7 @@
 // pair in both directions; an aborted send rewinds without a trace and the
 // ring stays usable; a corrupt length prefix is rejected as ShardError,
 // never chased out of bounds; and the ring size knob rounds and clamps.
-// Engine-level shm behavior lives in the transport suite (test_transport).
+// Engine-level shm behavior lives in the transport suite (test_peer_exchange).
 #include "runtime/shard/shm_ring.hpp"
 
 #include <gtest/gtest.h>

@@ -2,7 +2,7 @@
 // network — refused dial, accept timeout, a stray client speaking garbage,
 // a worker from another protocol version, a mesh dial from a stale epoch —
 // surfaces as ShardError within the deadline, never a hang. Engine-level
-// tcp behavior lives in the transport suite (test_transport).
+// tcp behavior lives in the transport suite (test_peer_exchange).
 #include "runtime/shard/tcp_transport.hpp"
 
 #include <gtest/gtest.h>
