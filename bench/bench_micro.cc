@@ -119,22 +119,25 @@ void BM_EngineStep(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineStep)->Args({64, 20000})->Args({256, 5000});
 
-/// Per-round dispatch latency of the sharded backend: the same tiny
-/// coordinator-built exchange round (4 machines per shard, one single-word
-/// message each) driven through the resident workers' control frames at a
-/// fixed shard count. arg0 = shards.
+/// Per-round dispatch latency of the sharded backend: the same tiny kernel
+/// round (4 machines per shard, each sending one single-word message to
+/// m + 1) driven through the resident workers' STEP barrier at a fixed
+/// shard count. arg0 = shards.
 void BM_ShardRoundDispatch(benchmark::State& state) {
   using namespace mpcspan::runtime;
+  class RingKernel final : public StepKernel {
+   public:
+    std::vector<Message> step(const KernelCtx& ctx) override {
+      return {{(ctx.machine + 1) % ctx.numMachines, {ctx.machine}}};
+    }
+  };
   const auto shards = static_cast<std::size_t>(state.range(0));
   const std::size_t machines = 4 * shards;
   RoundEngine eng(EngineConfig{machines, 1, shards},
                   std::make_unique<MpcTopology>(64));
-  for (auto _ : state) {
-    std::vector<std::vector<Message>> out(machines);
-    for (std::size_t m = 0; m < machines; ++m)
-      out[m].push_back({(m + 1) % machines, {m}});
-    benchmark::DoNotOptimize(eng.exchange(std::move(out)));
-  }
+  const KernelId k = eng.registerKernel(
+      "bench.ring", [] { return std::make_unique<RingKernel>(); });
+  for (auto _ : state) eng.step(k);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_ShardRoundDispatch)->Arg(4)->Arg(2)->Unit(benchmark::kMicrosecond);

@@ -2,9 +2,10 @@
 // runtime::RoundEngine with a CliqueTopology.
 //
 // n nodes; in one synchronous round every ordered pair may exchange one
-// Theta(log n)-bit message (one machine word here). The engine enforces the
-// per-pair limit, counts rounds and words, and delivers deterministically;
-// this facade adds the two routing facilities the paper relies on:
+// Theta(log n)-bit message (one machine word here). Rounds are registered-
+// kernel steps on the engine (engine().step), which enforces the per-pair
+// limit, counts rounds and words, and delivers deterministically; this
+// facade adds the two routing facilities the paper relies on:
 //   - Lenzen's routing [Len13]: any instance where each node sends and
 //     receives at most n words completes in O(1) rounds (we charge 2).
 //   - spanner collection: every node learns a payload of W words in
@@ -13,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -36,25 +36,6 @@ class CongestedClique {
   std::size_t numShards() const { return engine_.numShards(); }
   std::size_t rounds() const { return engine_.rounds(); }
   std::size_t totalWords() const { return engine_.totalWordsSent(); }
-
-  /// A directed message. The clique model allows exactly one word per
-  /// ordered pair per round, so `payload` is normally one word; the vector
-  /// form exists so the API edge can *reject* malformed (zero-word)
-  /// messages explicitly instead of reading past an empty payload, and the
-  /// topology rejects oversized ones.
-  struct Msg {
-    VertexId src;
-    VertexId dst;
-    std::vector<Word> payload;
-  };
-
-  /// One direct round: at most one word per ordered (src,dst) pair.
-  /// Returns per-node inboxes as (src, payload) pairs in sender order.
-  /// Throws std::invalid_argument on an out-of-range node id or an empty
-  /// payload, CapacityError when a pair is reused or a payload exceeds the
-  /// one-word budget.
-  std::vector<std::vector<std::pair<VertexId, Word>>> directRound(
-      const std::vector<Msg>& msgs);
 
   /// Validates a Lenzen routing instance (per-node send/receive <= n words)
   /// and charges its O(1) rounds. The caller performs delivery host-side;

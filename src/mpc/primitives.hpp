@@ -5,8 +5,6 @@
 //                     splitter broadcast down a B-ary tree, one all-to-all
 //                     partition route, local merge. O(1/gamma) rounds.
 //   treeBroadcast   — B-ary broadcast of a payload from machine 0.
-//   prefixCounts    — exclusive prefix sums of per-machine counts
-//                     (coordinator scan; 2 rounds).
 //   segmentedMinSorted — per-key minimum over key-sorted data: local reduce,
 //                     then a machine-0 boundary fix-up for keys that span
 //                     machine boundaries. This is the "Find Minimum"
@@ -17,10 +15,9 @@
 // capacity violations are genuine, not estimated. Items must be trivially
 // copyable.
 //
-// distSort and segmentedMinSorted execute as *registered kernels*
-// (sort_kernels.hpp): the DistVector blocks they operate on live beside the
-// machines — inside the resident shard workers when the engine is sharded —
-// and every phase (local sort, sampling, splitter fan-out, the all-to-all
+// All three execute as *registered kernels* (sort_kernels.hpp): the
+// DistVector blocks they operate on live beside the machines — inside the
+// resident shard workers when the engine is sharded — and every phase (local sort, sampling, splitter fan-out, the all-to-all
 // route, boundary fix-ups) builds and validates its outboxes shard-side;
 // the host only drives the phase schedule. The comparators therefore cross
 // the process boundary *by type*: they must be stateless (capture-free)
@@ -155,13 +152,30 @@ class DistVector {
 };
 
 /// Broadcasts `payload` from machine 0 to every machine along a B-ary tree
-/// with the largest branching the capacity allows. Returns rounds used.
-std::size_t treeBroadcastWords(MpcSimulator& sim, const std::vector<Word>& payload);
-
-/// Exclusive prefix sums of per-machine counts via the coordinator
-/// (2 rounds). Requires numMachines <= wordsPerMachine.
-std::vector<std::size_t> prefixCounts(MpcSimulator& sim,
-                                      const std::vector<std::size_t>& counts);
+/// with the largest branching the capacity allows (the fanTargets
+/// schedule). Returns rounds used; afterwards every machine's
+/// BroadcastKernel fetch() holds the payload.
+inline std::size_t treeBroadcastWords(MpcSimulator& sim,
+                                      const std::vector<Word>& payload) {
+  const std::size_t p = sim.numMachines();
+  if (p <= 1) return 0;
+  if (payload.size() > sim.wordsPerMachine())
+    throw CapacityError("treeBroadcastWords: payload exceeds machine memory");
+  const std::size_t branch = fanBranch(sim.wordsPerMachine(), payload.size());
+  runtime::RoundEngine& eng = sim.engine();
+  const runtime::KernelId k = detail::ensureKernel<BroadcastKernel>(eng);
+  // Machine 0 reads the payload from its worker-resident block; kernel
+  // args reach every machine, so they must not carry it.
+  std::vector<std::vector<Word>> staged(p);
+  staged[0] = payload;
+  const runtime::BlockLease lease(eng, eng.createBlocks(std::move(staged)));
+  std::size_t rounds = 0;
+  for (std::size_t holders = 1; holders < p;
+       holders = fanNextHolders(p, holders, branch), ++rounds)
+    eng.step(k, {lease.handle(), holders, branch});
+  eng.stepLocal(k);
+  return rounds;
+}
 
 /// Distributed sample sort. cmp must be a strict weak order and a stateless
 /// (capture-free) function object — it is default-constructed inside each
@@ -192,19 +206,15 @@ void distSort(DistVector<T>& dv, Cmp cmp) {
              32, sim.wordsPerMachine() / (wordsPerItem<T>() * p)));
   eng.step(k, {kSortPhaseSample, dv.handle(), perMachineSamples});
 
-  // Machine 0 picks the p-1 splitters and fans them down a B-ary tree, the
-  // exact schedule of treeBroadcastWords: branch B from the capacity, the
-  // holder prefix (1+B)x-ing every round. The driver replays the holder
-  // arithmetic only to know how many fan rounds to issue.
-  const std::size_t perCopy = (p - 1) * wordsPerItem<T>();
+  // Machine 0 picks the p-1 splitters and fans them down the B-ary
+  // fanTargets schedule (the one treeBroadcastWords runs). The driver
+  // replays the holder arithmetic only to know how many fan rounds to issue.
   const std::size_t branch =
-      std::max<std::size_t>(1, sim.wordsPerMachine() / perCopy);
+      fanBranch(sim.wordsPerMachine(), (p - 1) * wordsPerItem<T>());
   eng.step(k, {kSortPhasePickAndFan, dv.handle(), branch});
-  std::size_t holders = std::min(p, 1 + branch);
-  while (holders < p) {
+  for (std::size_t holders = fanNextHolders(p, 1, branch); holders < p;
+       holders = fanNextHolders(p, holders, branch))
     eng.step(k, {kSortPhaseFanForward, dv.handle(), holders, branch});
-    holders = std::min(p, holders + holders * branch);
-  }
 
   // One all-to-all: machine j receives keys in (splitter[j-1], splitter[j]],
   // then merges locally (free).

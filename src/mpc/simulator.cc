@@ -63,22 +63,4 @@ MpcSimulator::MpcSimulator(MpcConfig cfg, std::size_t threads,
                                     transport},
               makeMpcTopology(cfg)) {}
 
-std::vector<std::vector<Word>> MpcSimulator::communicate(
-    std::vector<std::vector<Message>> outboxes) {
-  const std::vector<std::vector<runtime::Delivery>> delivered =
-      engine_.exchange(std::move(outboxes));
-
-  // Concatenate each machine's deliveries (already in sender order) into
-  // the flat word inbox the primitives consume.
-  std::vector<std::vector<Word>> inbox(delivered.size());
-  engine_.parallelFor(delivered.size(), [&](std::size_t m) {
-    std::size_t total = 0;
-    for (const runtime::Delivery& d : delivered[m]) total += d.payload.size();
-    inbox[m].reserve(total);
-    for (const runtime::Delivery& d : delivered[m])
-      inbox[m].insert(inbox[m].end(), d.payload.begin(), d.payload.end());
-  });
-  return inbox;
-}
-
 }  // namespace mpcspan

@@ -4,7 +4,8 @@
 // Models the [KSV10/GSZ11/BKS13] machine cluster: `numMachines` machines,
 // each with `wordsPerMachine` words of local memory; computation proceeds in
 // synchronous rounds, and in one round no machine may send or receive more
-// words than its memory. The engine routes messages, enforces those limits
+// words than its memory. Every round is a registered-kernel step on the
+// engine (engine().step): it routes the messages, enforces those limits
 // (throwing CapacityError on violation — a violation means the *algorithm*
 // breaks the model, so it must be loud), counts rounds and traffic, and
 // steps machines in parallel on a work-stealing thread pool with
@@ -51,16 +52,6 @@ class MpcSimulator {
   std::size_t rounds() const { return engine_.rounds(); }
   std::size_t totalWordsSent() const { return engine_.totalWordsSent(); }
   std::size_t maxRoundWords() const { return engine_.maxRoundWords(); }
-
-  /// A message from one machine to another within a single round.
-  using Message = runtime::Message;
-
-  /// Executes one synchronous communication round. `outboxes[i]` holds the
-  /// messages machine i sends. Returns the inbox of each machine (payloads
-  /// concatenated in sender order — deterministic for every thread count).
-  /// Enforces per-machine send and receive limits of wordsPerMachine.
-  std::vector<std::vector<Word>> communicate(
-      std::vector<std::vector<Message>> outboxes);
 
   /// Charges `n` rounds without moving data (used when a primitive's round
   /// structure is simulated at a coarser granularity, e.g. local sorting

@@ -1,22 +1,25 @@
-// Registered step kernels behind distSort / segmentedMinSorted — the
-// worker-resident implementation of the Goodrich-style primitives.
+// Registered step kernels behind distSort / segmentedMinSorted /
+// treeBroadcastWords — the worker-resident implementation of the
+// Goodrich-style primitives.
 //
-// Each phase of the legacy coordinator-driven primitives becomes a kernel
-// phase selected by args[0], executed where the data lives: local sorting,
-// sampling, splitter fan-out, the all-to-all route, and the segmented-min
-// boundary fix-up all build their outboxes *inside the shard workers*
-// against worker-owned DistVector blocks (runtime::BlockStore) — the
-// coordinator only drives the phase schedule. The phases mirror the legacy
-// host-driven implementation bit for bit (same sampling hashes, splitter
-// picks, broadcast schedule, partition bounds, fix-up resolution), so
-// rounds, ledger words, and final block contents are identical to what the
-// coordinator-side primitives produced, and identical across 1/N shards ×
-// 1/N threads.
+// Each phase of the sort and the segmented min is a kernel phase selected
+// by args[0], executed where the data lives: local sorting, sampling,
+// splitter fan-out, the all-to-all route, and the segmented-min boundary
+// fix-up all build their outboxes *inside the shard workers* against
+// worker-owned DistVector blocks (runtime::BlockStore) — the coordinator
+// only drives the phase schedule. The broadcast kernel runs one fan round
+// of the same schedule as the splitter fan-out per step. The phases mirror
+// the former coordinator-driven primitives bit for bit (same sampling
+// hashes, splitter picks, broadcast schedule, partition bounds, fix-up
+// resolution), so rounds, ledger words, and final block contents are
+// unchanged (tests/test_golden.cc freezes them) and identical across 1/N
+// shards × 1/N threads.
 //
-// Kernels are type-parameterized on the item and its stateless comparators;
-// each instantiation registers itself in the process-global kernel registry
-// at static initialization (GlobalKernelRegistrar), so a resident worker
-// can construct it by name no matter when the engine first uses it.
+// The sort and seg-min kernels are type-parameterized on the item and its
+// stateless comparators; every kernel registers itself in the
+// process-global kernel registry at static initialization
+// (GlobalKernelRegistrar), so a resident worker can construct it by name no
+// matter when the engine first uses it.
 #pragma once
 
 #include <algorithm>
@@ -52,9 +55,8 @@ constexpr Word kSegPhaseEmit = 5;      // local: pack reduced_ into block args[1
 
 namespace detail {
 
-/// Flattens a machine's resident inbox into one word vector in delivery
-/// order — exactly the view MpcSimulator::communicate hands the legacy
-/// primitives.
+/// Flattens a machine's resident inbox into one word vector: the payloads
+/// concatenated in delivery (sender) order.
 inline std::vector<Word> flatInbox(const runtime::KernelCtx& ctx) {
   std::size_t total = 0;
   for (const runtime::Delivery& d : ctx.inbox) total += d.payload.size();
@@ -96,6 +98,37 @@ struct PackedKeyWord<T, Cmp, std::void_t<decltype(Cmp::kPackedKeyWord)>> {
 };
 
 }  // namespace detail
+
+/// The B-ary fan schedule of the Lemma 6.1 broadcast, shared by distSort's
+/// splitter fan-out and treeBroadcastWords. The holders are the machine
+/// prefix [0, holders); holder m sends one copy to each of the (at most)
+/// `branch` consecutive machines from holders + m * branch, and the prefix
+/// then grows to fanNextHolders(). `branch` is the largest B whose copies
+/// fit one holder's per-round send budget (B = 1 degrades to doubling,
+/// still O(log p) rounds).
+inline std::size_t fanBranch(std::size_t wordsPerMachine,
+                             std::size_t copyWords) {
+  return std::max<std::size_t>(
+      1, wordsPerMachine / std::max<std::size_t>(1, copyWords));
+}
+
+inline std::size_t fanNextHolders(std::size_t p, std::size_t holders,
+                                  std::size_t branch) {
+  return std::min(p, holders + holders * branch);
+}
+
+/// Machine `machine`'s targets [first, last) in the fan round that starts
+/// with `holders` holders (empty for non-holders).
+struct FanTargets {
+  std::size_t first, last;
+};
+inline FanTargets fanTargets(std::size_t p, std::size_t holders,
+                             std::size_t branch, std::size_t machine) {
+  const std::size_t end = fanNextHolders(p, holders, branch);
+  if (machine >= holders) return {end, end};
+  const std::size_t first = std::min(end, holders + machine * branch);
+  return {first, std::min(end, first + branch)};
+}
 
 /// Distributed sample sort (see distSort in primitives.hpp for the driver
 /// and the round schedule). Per-machine persistent state: the splitter set,
@@ -191,28 +224,21 @@ class SortKernel final : public runtime::StepKernel {
 
   std::vector<runtime::Message> fanForward(const runtime::KernelCtx& ctx) {
     absorbSplitters(ctx);
-    const std::size_t holders = ctx.args.at(2);
-    if (ctx.machine >= holders) return {};
-    return fanOut(ctx, holders, /*branch=*/ctx.args.at(3));
+    return fanOut(ctx, /*holders=*/ctx.args.at(2), /*branch=*/ctx.args.at(3));
   }
 
-  /// One broadcast fan round: holders are the machine prefix [0, holders);
-  /// targets extend the prefix in ascending order, `branch` consecutive per
-  /// holder — the exact schedule of the legacy treeBroadcastWords, so the
-  /// per-round message pattern (and the ledger) is unchanged.
+  /// One fan round of the splitter broadcast (the fanTargets schedule).
   std::vector<runtime::Message> fanOut(const runtime::KernelCtx& ctx,
                                        std::size_t holders,
                                        std::size_t branch) {
-    const std::size_t p = ctx.numMachines;
-    const std::size_t newHolders = std::min(p - holders, holders * branch);
-    const std::size_t first = holders + ctx.machine * branch;
-    const std::size_t last = std::min(first + branch, holders + newHolders);
+    const FanTargets t =
+        fanTargets(ctx.numMachines, holders, branch, ctx.machine);
     std::vector<runtime::Message> out;
-    if (first >= last) return out;
+    if (t.first == t.last) return out;
     const std::vector<Word> payload = packItems(splitters_[ctx.machine].data(),
                                                 splitters_[ctx.machine].size());
-    out.reserve(last - first);
-    for (std::size_t t = first; t < last; ++t) out.push_back({t, payload});
+    out.reserve(t.last - t.first);
+    for (std::size_t d = t.first; d < t.last; ++d) out.push_back({d, payload});
     return out;
   }
 
@@ -479,6 +505,61 @@ class SegMinKernel final : public runtime::StepKernel {
   Better better_{};
   std::once_flag sized_;
   std::vector<std::vector<T>> reduced_;  // per machine
+};
+
+/// treeBroadcastWords' kernel (see primitives.hpp): a payload fanned from
+/// machine 0 down the fanTargets schedule. args = {block handle, holders,
+/// branch}; machine 0 loads the payload from its block of the handle in
+/// the first round. Per-machine persistent state: the copy each machine
+/// holds, readable through fetch().
+class BroadcastKernel final : public runtime::StepKernel {
+ public:
+  static std::string kernelName() { return "mpcspan.broadcast"; }
+
+  std::vector<runtime::Message> step(const runtime::KernelCtx& ctx) override {
+    ensureState(ctx);
+    const std::size_t holders = ctx.args.at(1);
+    std::vector<Word>& mine = held_[ctx.machine];
+    if (holders > 1) {
+      absorb(ctx);  // the previous fan round's targets
+    } else if (ctx.machine == 0) {
+      const runtime::WordBuf& block = ctx.store.block(ctx.args.at(0), 0);
+      mine.assign(block.begin(), block.end());
+    }
+    const FanTargets t =
+        fanTargets(ctx.numMachines, holders, ctx.args.at(2), ctx.machine);
+    std::vector<runtime::Message> out;
+    out.reserve(t.last - t.first);
+    for (std::size_t d = t.first; d < t.last; ++d) out.push_back({d, mine});
+    return out;
+  }
+
+  /// After the last fan round: its targets keep their copy.
+  void local(const runtime::KernelCtx& ctx) override {
+    ensureState(ctx);
+    absorb(ctx);
+  }
+
+  std::vector<Word> fetch(const runtime::KernelCtx& ctx) override {
+    ensureState(ctx);
+    return held_[ctx.machine];
+  }
+
+ private:
+  void ensureState(const runtime::KernelCtx& ctx) {
+    std::call_once(sized_, [&] { held_.resize(ctx.numMachines); });
+  }
+
+  /// Every machine is a fan target exactly once, and its resident inbox is
+  /// replaced every round, so a non-empty inbox is the copy it just got.
+  void absorb(const runtime::KernelCtx& ctx) {
+    if (ctx.inbox.empty()) return;
+    const runtime::Payload& payload = ctx.inbox.front().payload;
+    held_[ctx.machine].assign(payload.begin(), payload.end());
+  }
+
+  std::once_flag sized_;
+  std::vector<std::vector<Word>> held_;  // per machine
 };
 
 }  // namespace mpcspan

@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "runtime/shard/protocol.hpp"
 #include "runtime/shard/sharded_engine.hpp"
 
 namespace mpcspan::runtime {
@@ -52,57 +53,6 @@ bool RoundEngine::shmRingShards() const {
 
 bool RoundEngine::tcpMeshShards() const {
   return shard_ && shard_->transport() == Transport::kTcp;
-}
-
-std::vector<std::vector<Delivery>> RoundEngine::exchange(
-    std::vector<std::vector<Message>> outboxes) {
-  if (outboxes.size() != numMachines_)
-    throw std::invalid_argument("RoundEngine: outboxes size mismatch");
-
-  if (shard_) {
-    std::size_t roundWords = 0;
-    auto inbox = shard_->exchange(outboxes, roundWords);
-    ledger_.noteRound(roundWords);
-    return inbox;
-  }
-
-  // Index pass (serial, no payload movement): per-destination list of
-  // (src, outbox position), naturally in (src, position) order.
-  struct Ref {
-    std::uint32_t src;
-    std::uint32_t pos;
-  };
-  std::vector<std::vector<Ref>> byDst(numMachines_);
-  for (std::size_t src = 0; src < numMachines_; ++src) {
-    const auto& outbox = outboxes[src];
-    for (std::size_t pos = 0; pos < outbox.size(); ++pos) {
-      if (outbox[pos].dst >= numMachines_)
-        throw std::invalid_argument("RoundEngine: message to unknown machine");
-      byDst[outbox[pos].dst].push_back({static_cast<std::uint32_t>(src),
-                                        static_cast<std::uint32_t>(pos)});
-    }
-  }
-
-  const std::size_t roundWords = topology_->validate(numMachines_, outboxes);
-  const bool priorityWrite = topology_->mode() == Topology::Mode::kPriorityWrite;
-
-  // Materialize inboxes in parallel: each destination is owned by exactly
-  // one loop index, and every message has exactly one destination, so the
-  // payload moves below are disjoint — delivery order is fixed by the index
-  // pass, not by the schedule.
-  std::vector<std::vector<Delivery>> inbox(numMachines_);
-  pool_.parallelFor(numMachines_, [&](std::size_t d) {
-    const auto& refs = byDst[d];
-    if (refs.empty()) return;
-    const std::size_t take = priorityWrite ? 1 : refs.size();
-    inbox[d].reserve(take);
-    for (std::size_t i = 0; i < take; ++i)
-      inbox[d].push_back(
-          {refs[i].src, std::move(outboxes[refs[i].src][refs[i].pos].payload)});
-  });
-
-  ledger_.noteRound(roundWords);
-  return inbox;
 }
 
 // --- Registered kernels. ---
@@ -186,7 +136,7 @@ void RoundEngine::step(KernelId kernel, std::vector<Word> args) {
     inboxesResident_ = true;
     return;
   }
-  inboxes_ = exchange(runKernelWave(kernel, args));
+  deliver(runKernelWave(kernel, args), /*charged=*/true);
 }
 
 std::vector<std::vector<Message>> RoundEngine::runKernelWave(
@@ -209,33 +159,39 @@ void RoundEngine::stepShuffle(KernelId kernel, std::vector<Word> args) {
     inboxesResident_ = true;
     return;
   }
-  deliverFree(runKernelWave(kernel, args));
+  deliver(runKernelWave(kernel, args), /*charged=*/false);
 }
 
-void RoundEngine::deliverFree(std::vector<std::vector<Message>> outboxes) {
-  struct Ref {
-    std::uint32_t src;
-    std::uint32_t pos;
-  };
-  std::vector<std::vector<Ref>> byDst(numMachines_);
-  for (std::size_t src = 0; src < numMachines_; ++src) {
-    const auto& outbox = outboxes[src];
-    for (std::size_t pos = 0; pos < outbox.size(); ++pos) {
-      if (outbox[pos].dst >= numMachines_)
-        throw std::invalid_argument("RoundEngine: message to unknown machine");
-      byDst[outbox[pos].dst].push_back({static_cast<std::uint32_t>(src),
-                                        static_cast<std::uint32_t>(pos)});
-    }
+void RoundEngine::deliver(std::vector<std::vector<Message>> outboxes,
+                          bool charged) {
+  // Everything is checked before anything moves, so a rejected round
+  // leaves the inboxes and the ledger untouched.
+  std::size_t roundWords = 0;
+  if (charged) {
+    roundWords = topology_->validate(numMachines_, outboxes);
+  } else {
+    for (const std::vector<Message>& outbox : outboxes)
+      for (const Message& msg : outbox)
+        if (msg.dst >= numMachines_)
+          throw std::invalid_argument("RoundEngine: message to unknown machine");
   }
+  const bool priorityWrite =
+      charged && topology_->mode() == Topology::Mode::kPriorityWrite;
+  const std::vector<std::vector<shard::Ref>> byDst =
+      shard::indexByDst(outboxes, 0, numMachines_, priorityWrite);
+
+  // Materialize in parallel: each destination is owned by exactly one loop
+  // index and every message has one destination, so the payload moves are
+  // disjoint — delivery order is fixed by the index pass, not the schedule.
   std::vector<std::vector<Delivery>> inbox(numMachines_);
   pool_.parallelFor(numMachines_, [&](std::size_t d) {
-    const auto& refs = byDst[d];
-    inbox[d].reserve(refs.size());
-    for (const Ref& ref : refs)
+    inbox[d].reserve(byDst[d].size());
+    for (const shard::Ref& ref : byDst[d])
       inbox[d].push_back(
           {ref.src, std::move(outboxes[ref.src][ref.pos].payload)});
   });
   inboxes_ = std::move(inbox);
+  if (charged) ledger_.noteRound(roundWords);
 }
 
 void RoundEngine::stepLocal(KernelId kernel, std::vector<Word> args) {

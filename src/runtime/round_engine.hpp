@@ -84,15 +84,6 @@ class RoundEngine {
   void chargeRounds(std::size_t n) { ledger_.rounds += n; }
   void chargeTraffic(std::size_t words) { ledger_.wordsSent += words; }
 
-  /// One synchronous communication round: bounds-checks destinations,
-  /// validates the outboxes against the topology, delivers, and updates the
-  /// ledger. inbox[d] holds deliveries ordered by (src, position in src's
-  /// outbox). Under Topology::Mode::kPriorityWrite only the first delivery
-  /// per destination lands. Outboxes are consumed; the machines' resident
-  /// inboxes are left alone.
-  std::vector<std::vector<Delivery>> exchange(
-      std::vector<std::vector<Message>> outboxes);
-
   // --- Registered kernels: the resident step path. ---
 
   /// Registers a kernel under `name`. With a factory, the registration is
@@ -106,13 +97,16 @@ class RoundEngine {
   /// The id `name` was registered under, or an invalid id.
   KernelId findKernel(const std::string& name) const;
 
-  /// One kernel round: the kernel steps every machine where that machine
-  /// lives (in-process, or inside its resident worker), the outboxes are
-  /// validated/delivered under the topology exactly like exchange(), and
-  /// the deliveries land in the machines' resident inboxes (worker-owned
-  /// when sharded — they are not shipped back; use snapshotInboxes() or
-  /// fetchKernel() to observe state). `args` is broadcast to every machine.
-  /// A kernel throw aborts the round for all shards: ledger and inboxes
+  /// One synchronous round — the only kind the ledger charges: the kernel
+  /// steps every machine where that machine lives (in-process, or inside
+  /// its resident worker), the outboxes are validated against the topology
+  /// (an unknown destination throws std::invalid_argument, a model
+  /// violation CapacityError), and the deliveries land in the machines'
+  /// resident inboxes in (src, send-position) order — only the first per
+  /// destination under Topology::Mode::kPriorityWrite. Sharded, the inboxes
+  /// stay worker-owned (use snapshotInboxes() or fetchKernel() to observe
+  /// state). `args` is broadcast to every machine. A throw — kernel or
+  /// validation — aborts the round for all shards: ledger and inboxes
   /// untouched, engine and workers still usable.
   void step(KernelId kernel, std::vector<Word> args = {});
   /// A free data-placement round: the kernel steps every machine and the
@@ -158,9 +152,11 @@ class RoundEngine {
   /// pool (step's and stepShuffle's shared half).
   std::vector<std::vector<Message>> runKernelWave(KernelId kernel,
                                                   const std::vector<Word>& args);
-  /// Unvalidated, uncharged deliver-all into inboxes_ (stepShuffle's
-  /// in-process half).
-  void deliverFree(std::vector<std::vector<Message>> outboxes);
+  /// In-process delivery into inboxes_ in (src, send-position) order, the
+  /// half step and stepShuffle share. `charged` (step) validates the round
+  /// first, applies priority-write, and charges the ledger; stepShuffle's
+  /// free placement only bounds-checks destinations and delivers all.
+  void deliver(std::vector<std::vector<Message>> outboxes, bool charged);
 
   std::size_t numMachines_;
   std::unique_ptr<Topology> topology_;

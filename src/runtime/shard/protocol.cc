@@ -64,12 +64,6 @@ std::vector<Word> readArgs(WireReader& r) {
   return args;
 }
 
-void writeRows(WireWriter& w, const std::vector<Message>& outbox) {
-  w.u64(outbox.size());
-  for (const Message& m : outbox)
-    w.idRow(m.dst, m.payload.data(), m.payload.size());
-}
-
 std::vector<std::vector<Ref>> indexByDst(
     const std::vector<std::vector<Message>>& projected, std::size_t lo,
     std::size_t hi, bool priorityWrite) {

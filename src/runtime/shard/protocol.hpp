@@ -32,8 +32,9 @@ inline constexpr std::uint8_t kOtherKind = 3;
 inline constexpr std::uint8_t kRangeKind = 4;
 
 // Control-frame opcodes of the resident worker protocol (first byte of
-// every coordinator -> worker frame).
-inline constexpr std::uint8_t kOpExchange = 1;
+// every coordinator -> worker frame). Opcode 1 is retired and stays
+// unassigned, so a stale coordinator sending it fails through the worker's
+// unknown-opcode path.
 inline constexpr std::uint8_t kOpStep = 2;
 inline constexpr std::uint8_t kOpLocal = 3;
 inline constexpr std::uint8_t kOpFetchKernel = 4;
@@ -85,9 +86,6 @@ void spinAwaitReadable(int fd, const util::DeadlineBudget* budget = nullptr);
 void writeArgs(WireWriter& w, const std::vector<Word>& args);
 std::vector<Word> readArgs(WireReader& r);
 
-/// Serializes one machine's outbox section in the parseRows format.
-void writeRows(WireWriter& w, const std::vector<Message>& outbox);
-
 /// Reference to one message of a projected round view, in global delivery
 /// order (source id, send position).
 struct Ref {
@@ -105,10 +103,10 @@ std::vector<std::vector<Ref>> indexByDst(
     std::size_t hi, bool priorityWrite);
 
 /// Parses one shard's per-machine section of a frame into rows[m] for m in
-/// [lo, hi): a u64 count, then (u64 id, u64 len, len words) per row. Row is
-/// Message (id = dst) or Delivery (id = src). Wire-supplied sizes are vetted
-/// against the frame's remaining bytes before sizing any container, so a
-/// corrupt frame throws ShardError, never bad_alloc.
+/// [lo, hi): a u64 count, then (u64 id, u64 len, len words) per row; Row is
+/// Delivery (id = src). Wire-supplied sizes are vetted against the frame's
+/// remaining bytes before sizing any container, so a corrupt frame throws
+/// ShardError, never bad_alloc.
 template <class Row>
 void parseRows(WireReader& r, std::size_t lo, std::size_t hi,
                std::vector<std::vector<Row>>& rows) {

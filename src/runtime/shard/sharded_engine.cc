@@ -344,41 +344,6 @@ auto ShardedEngine::guarded(Fn&& io) -> decltype(io()) {
 // Coordinator side.
 // ---------------------------------------------------------------------------
 
-namespace {
-
-/// Collects one report per worker, in shard order.
-template <class W>
-std::vector<Report> collectReports(std::vector<W>& workers) {
-  std::vector<Report> reports(workers.size());
-  for (std::size_t s = 0; s < workers.size(); ++s)
-    reports[s] = readReport(workers[s].fd);
-  return reports;
-}
-
-/// The shared tail of every coordinator barrier: broadcasts the one-byte
-/// go/abort verdict derived from the reports to every worker, and on abort
-/// rethrows the lowest failed shard's error.
-template <class W>
-void broadcastVerdict(std::vector<W>& workers,
-                      const std::vector<Report>& reports) {
-  std::size_t firstErr = reports.size();
-  for (std::size_t s = 0; s < reports.size(); ++s)
-    if (reports[s].kind != kOk) {
-      firstErr = s;
-      break;
-    }
-  const std::uint8_t verdict = firstErr == reports.size() ? kGo : kAbort;
-  for (W& w : workers) {
-    WireWriter f;
-    f.u8(verdict);
-    f.sendFramed(w.fd);
-  }
-  if (verdict == kAbort)
-    rethrow(reports[firstErr].kind, reports[firstErr].err);
-}
-
-}  // namespace
-
 void ShardedEngine::registerKernel(std::size_t id, const std::string& name) {
   if (!started()) return;  // the fork snapshot will carry the table
   guarded([&] {
@@ -630,65 +595,6 @@ std::vector<std::vector<Delivery>> ShardedEngine::fetchInboxes() {
       parseRows<Delivery>(r, shardBegin(s), shardEnd(s), out);
     }
     return out;
-  });
-}
-
-std::vector<std::vector<Delivery>> ShardedEngine::exchange(
-    const std::vector<std::vector<Message>>& outboxes,
-    std::size_t& roundWords) {
-  const std::size_t n = numMachines_;
-
-  // Bounds-check and bucket the cross-shard messages in one scan, appending
-  // each row straight into its destination shard's section instead of
-  // collecting refs and re-walking outboxes[src][pos] per message. Nothing
-  // has been sent when a rogue destination throws std::invalid_argument, so
-  // the engine (and the workers) stay untouched, exactly like in-process.
-  std::vector<WireWriter> cross(shards_);
-  std::vector<std::uint64_t> crossCount(shards_, 0);
-  std::vector<std::size_t> ownBytes(shards_, 0);  // each shard's writeRows span
-  for (std::size_t src = 0; src < n; ++src) {
-    const std::size_t home = shardOf(src);
-    for (const Message& msg : outboxes[src]) {
-      if (msg.dst >= n)
-        throw std::invalid_argument("RoundEngine: message to unknown machine");
-      ownBytes[home] += 2 * sizeof(std::uint64_t) + sizeof(Word) * msg.payload.size();
-      const std::size_t t = shardOf(msg.dst);
-      if (t == home) continue;
-      cross[t].row(src, msg.dst, msg.payload.data(), msg.payload.size());
-      ++crossCount[t];
-    }
-  }
-
-  start();
-  return guarded([&] {
-    for (std::size_t s = 0; s < shards_; ++s) {
-      WireWriter f;
-      // Exact frame size: op byte, a count word per own machine, the
-      // own-outbox rows, the cross count word, the cross section.
-      f.reserve(1 + 8 * (shardEnd(s) - shardBegin(s)) + ownBytes[s] + 8 +
-                cross[s].size());
-      f.u8(kOpExchange);
-      for (std::size_t m = shardBegin(s); m < shardEnd(s); ++m)
-        writeRows(f, outboxes[m]);
-      f.u64(crossCount[s]);
-      f.append(cross[s]);
-      f.sendFramed(workers_[s].fd);
-    }
-
-    // Validation barrier: every slice must pass before anyone commits; one
-    // failed shard aborts the round for all, and the workers stay alive.
-    const std::vector<Report> reports = collectReports(workers_);
-    broadcastVerdict(workers_, reports);
-
-    // Commit: merge the delivery fragments in shard (= destination) order.
-    std::vector<std::vector<Delivery>> inbox(n);
-    for (std::size_t s = 0; s < shards_; ++s) {
-      WireReader r = WireReader::recvFramed(workers_[s].fd);
-      parseRows<Delivery>(r, shardBegin(s), shardEnd(s), inbox);
-    }
-    roundWords = 0;
-    for (const Report& rep : reports) roundWords += rep.words;
-    return inbox;
   });
 }
 

@@ -13,10 +13,6 @@
 //                    worker-resident inboxes;
 //   LOCAL / FETCH    free kernel phases (no round): per-machine local
 //                    compute, per-machine state readout;
-//   EXCHANGE         one round whose outboxes were built coordinator-side
-//                    (MpcSimulator::communicate): ship each worker its
-//                    sources' outboxes plus the cross-shard messages for its
-//                    destinations, validate, ship the deliveries back;
 //   STORE/FETCH/FREE worker-owned BlockStore maintenance (DistVector);
 //   SHUTDOWN         clean exit; the destructor sends it and reaps.
 //
@@ -101,21 +97,11 @@ class ShardedEngine {
 
   /// Machine range [shardBegin(s), shardEnd(s)) owned by shard s, and the
   /// inverse map (the one definition of the balanced contiguous split —
-  /// the coordinator's cross-shard bucketing and the workers' range checks
-  /// must never drift apart).
+  /// the coordinator's per-shard frames and the workers' range checks must
+  /// never drift apart).
   std::size_t shardBegin(std::size_t s) const;
   std::size_t shardEnd(std::size_t s) const { return shardBegin(s + 1); }
   std::size_t shardOf(std::size_t machine) const;
-
-  /// One sharded synchronous round over coordinator-built outboxes (the
-  /// EXCHANGE op). Returns the per-machine inboxes and writes the words
-  /// moved to `roundWords` (the caller owns the ledger); the workers'
-  /// resident inboxes are left alone. Throws CapacityError /
-  /// std::invalid_argument exactly as the in-process path would, and
-  /// ShardError if a worker dies.
-  std::vector<std::vector<Delivery>> exchange(
-      const std::vector<std::vector<Message>>& outboxes,
-      std::size_t& roundWords);
 
   /// Announces an engine-level registration to the running workers; no-op
   /// before start() (the fork snapshot carries the table). The workers

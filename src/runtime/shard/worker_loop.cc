@@ -311,52 +311,6 @@ void runResidentWorker(const WorkerConfig& cfg, Channel& ctrl,
           break;
         }
 
-        case kOpExchange: {
-          // The whole projected view arrives in one frame: own sources'
-          // outboxes (destinations already bounds-checked by the
-          // coordinator) plus inbound cross-shard rows.
-          std::vector<std::vector<Message>> projected(n);
-          std::uint8_t kind = kOk;
-          std::string err;
-          std::uint64_t words = 0;
-          Arena& mergeArena = deliveryArena[1 - curArena];
-          mergeArena.reset();
-          try {
-            parseRows<Message>(cmd, lo, hi, projected);
-            // Inbound cross-shard rows: the section header's per-source
-            // counts pre-reserve the projected rows, so a source fanning
-            // many messages into this range never reallocates per delivery.
-            const std::uint64_t count = cmd.u64();
-            mergeSectionRows(cmd, count, 0, n, lo, hi, projected, &mergeArena);
-            words = cfg.topology->validateSlice(n, projected, lo, hi);
-          } catch (const ShardError&) {
-            throw;
-          } catch (...) {
-            kind = classify(err);
-          }
-          writeReport(ctrl, kind, err, words);
-
-          WireReader b = WireReader::recvFramed(ctrl);
-          if (kind != kOk || b.u8() != kGo) break;  // round aborted
-
-          // Commit: materialize this destination range and ship it back.
-          const std::vector<std::vector<Ref>> byDst =
-              indexByDst(projected, lo, hi, priorityWrite);
-          std::vector<WireWriter> fragments(local);
-          pool.parallelFor(local, [&](std::size_t i) {
-            WireWriter& w = fragments[i];
-            w.u64(byDst[i].size());
-            for (const Ref& ref : byDst[i]) {
-              const Payload& p = projected[ref.src][ref.pos].payload;
-              w.idRow(ref.src, p.data(), p.size());
-            }
-          });
-          WireWriter body;
-          for (const WireWriter& f : fragments) body.append(f);
-          body.sendFramed(ctrl);
-          break;
-        }
-
         case kOpLocal: {
           const std::uint64_t kid = cmd.u64();
           const std::vector<Word> args = readArgs(cmd);

@@ -31,8 +31,8 @@ namespace mpcspan::runtime::shard {
 class ShmArena;
 
 /// The balanced contiguous machine split shared by the coordinator and the
-/// workers (the one definition — coordinator-side bucketing and worker-side
-/// range checks must never drift apart).
+/// workers (the one definition — the coordinator's per-shard frames and the
+/// workers' bucketing and range checks must never drift apart).
 std::size_t shardRangeBegin(std::size_t numMachines, std::size_t shards,
                             std::size_t s);
 inline std::size_t shardRangeEnd(std::size_t numMachines, std::size_t shards,

@@ -56,45 +56,25 @@ class Topology {
   /// for MpcTopology; unused otherwise).
   virtual std::uint64_t wireParam() const { return 0; }
 
-  /// Validates one round's outboxes (outboxes[src] = messages machine src
-  /// sends; destination ids already bounds-checked by the engine). Throws
-  /// CapacityError on a model violation. Returns the words moved.
+  /// Validates one whole round (outboxes[src] = every message machine src
+  /// sends) as the composition every sharded round runs: validateSources
+  /// over all sources, then — when needsInboundSums() — validateInbound
+  /// over the per-destination word sums. Throws std::invalid_argument on a
+  /// destination outside [0, numMachines) and CapacityError on a model
+  /// violation. Returns the words moved.
   std::size_t validate(std::size_t numMachines,
-                       const std::vector<std::vector<Message>>& outboxes) const {
-    return validateSlice(numMachines, outboxes, 0, numMachines);
-  }
+                       const std::vector<std::vector<Message>>& outboxes) const;
 
-  /// Shardable validation: checks every constraint *attributable to machines
-  /// in [begin, end)* — their sends and their receives — against the full
-  /// round's outboxes, and returns the words sent by sources in the range.
-  /// Callers guarantee bounds-checked destinations only for sources in
-  /// [begin, end); an implementation that scans sources outside the range
-  /// (MpcTopology does, for receive budgets) must check msg.dst itself and
-  /// throw std::invalid_argument, never index out of bounds.
-  /// The union over a partition of [0, numMachines) validates the whole
-  /// round, and the per-slice word counts sum to validate()'s return; this
-  /// is what lets every ShardedEngine worker validate its own range of a
-  /// coordinator-built EXCHANGE round against its projected round view
-  /// (own sources complete, inbound cross-shard rows for the rest: receives
-  /// of [begin, end) are complete by construction, and sends outside the
-  /// slice, though partial, are never checked here).
-  virtual std::size_t validateSlice(
-      std::size_t numMachines,
-      const std::vector<std::vector<Message>>& outboxes, std::size_t begin,
-      std::size_t end) const = 0;
-
-  /// Source-side half of validateSlice, over just the slice's own
-  /// complete outboxes (sliceOutboxes[i] = every message machine
-  /// begin + i sends; destinations already bounds-checked). Checks each
-  /// constraint attributable to those sources and returns the words they
-  /// send. Receiver-side constraints are covered by validateInbound()
-  /// over the cross-shard per-destination sums — together the two halves
-  /// must check exactly what validateSlice checks (tests/test_pipeline.cc
-  /// pins that contract for the built-ins). The split is what lets the
-  /// sharded engine's one barrier validate a kernel round *before* any
-  /// frame is exchanged: sources are complete at phase A, and the inbound
-  /// sums ride the barrier report for the coordinator to total up. Both
-  /// halves are pure virtual so no topology can silently under-validate.
+  /// Source-side half: checks every constraint attributable to the slice's
+  /// own complete outboxes (sliceOutboxes[i] = every message machine
+  /// begin + i sends; destinations already bounds-checked) and returns the
+  /// words they send. Receiver-side constraints belong to validateInbound()
+  /// over the cross-shard per-destination sums. The split is what lets the
+  /// sharded engine's one barrier validate a round *before* any frame is
+  /// exchanged: sources are complete at phase A, and the inbound sums ride
+  /// the barrier report for the coordinator to total up. Both halves are
+  /// pure virtual so no topology can silently under-validate
+  /// (tests/test_pipeline.cc checks both against the model rules).
   virtual std::size_t validateSources(
       std::size_t numMachines,
       const std::vector<std::vector<Message>>& sliceOutboxes,
@@ -125,9 +105,6 @@ class MpcTopology final : public Topology {
   WireKind wireKind() const override { return WireKind::kMpc; }
   std::uint64_t wireParam() const override { return wordsPerMachine_; }
   std::size_t wordsPerMachine() const { return wordsPerMachine_; }
-  std::size_t validateSlice(std::size_t numMachines,
-                            const std::vector<std::vector<Message>>& outboxes,
-                            std::size_t begin, std::size_t end) const override;
   std::size_t validateSources(
       std::size_t numMachines,
       const std::vector<std::vector<Message>>& sliceOutboxes,
@@ -146,9 +123,6 @@ class CliqueTopology final : public Topology {
  public:
   const char* name() const override { return "clique"; }
   WireKind wireKind() const override { return WireKind::kClique; }
-  std::size_t validateSlice(std::size_t numMachines,
-                            const std::vector<std::vector<Message>>& outboxes,
-                            std::size_t begin, std::size_t end) const override;
   std::size_t validateSources(
       std::size_t numMachines,
       const std::vector<std::vector<Message>>& sliceOutboxes,
@@ -162,9 +136,6 @@ class PramTopology final : public Topology {
  public:
   const char* name() const override { return "pram"; }
   WireKind wireKind() const override { return WireKind::kPram; }
-  std::size_t validateSlice(std::size_t numMachines,
-                            const std::vector<std::vector<Message>>& outboxes,
-                            std::size_t begin, std::size_t end) const override;
   std::size_t validateSources(
       std::size_t numMachines,
       const std::vector<std::vector<Message>>& sliceOutboxes,

@@ -4,9 +4,11 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "runtime/kernel.hpp"
+#include "runtime/round_engine.hpp"
 #include "runtime/topology.hpp"
 
 namespace mpcspan::test_kernels {
@@ -86,5 +88,45 @@ class TokenKernel final : public runtime::StepKernel {
     return out;
   }
 };
+
+/// One round's outboxes: outboxes[m] = every message machine m sends.
+using Outboxes = std::vector<std::vector<runtime::Message>>;
+
+/// Replays a fixed per-round outbox table: step returns
+/// script[args[0]][machine]. The table rides the factory, so register it
+/// (registerScript) before the engine's first sharded operation — it
+/// crosses into the workers with the fork snapshot.
+class ScriptKernel final : public runtime::StepKernel {
+ public:
+  explicit ScriptKernel(std::shared_ptr<const std::vector<Outboxes>> script)
+      : script_(std::move(script)) {}
+
+  std::vector<runtime::Message> step(const runtime::KernelCtx& ctx) override {
+    return script_->at(ctx.args.at(0)).at(ctx.machine);
+  }
+
+ private:
+  std::shared_ptr<const std::vector<Outboxes>> script_;
+};
+
+inline runtime::KernelId registerScript(runtime::RoundEngine& eng,
+                                        std::vector<Outboxes> script) {
+  auto table = std::make_shared<const std::vector<Outboxes>>(std::move(script));
+  return eng.registerKernel(
+      "test.script", [table] { return std::make_unique<ScriptKernel>(table); });
+}
+
+/// Steps scripted round `round` and returns every machine's inbox.
+inline std::vector<std::vector<runtime::Delivery>> scriptedRound(
+    runtime::RoundEngine& eng, runtime::KernelId k, Word round) {
+  eng.step(k, {round});
+  return eng.snapshotInboxes();
+}
+
+/// A one-round script: registers `out` and runs it.
+inline std::vector<std::vector<runtime::Delivery>> scriptedRound(
+    runtime::RoundEngine& eng, Outboxes out) {
+  return scriptedRound(eng, registerScript(eng, {std::move(out)}), 0);
+}
 
 }  // namespace mpcspan::test_kernels

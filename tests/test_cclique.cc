@@ -8,40 +8,45 @@
 #include "cclique/spanner_cc.hpp"
 #include "graph/distance.hpp"
 #include "graph/generators.hpp"
+#include "probe_kernels.hpp"
 #include "spanner/verify.hpp"
 
 namespace mpcspan {
 namespace {
 
-TEST(CongestedClique, DirectRoundDeliversAndCounts) {
+TEST(CongestedClique, RoundDeliversAndCounts) {
   CongestedClique cc(4);
-  const auto inbox = cc.directRound({{0, 1, {42}}, {2, 1, {43}}, {1, 0, {44}}});
+  test_kernels::Outboxes out(4);
+  out[0].push_back({1, {42}});
+  out[2].push_back({1, {43}});
+  out[1].push_back({0, {44}});
+  const auto inbox = test_kernels::scriptedRound(cc.engine(), std::move(out));
   EXPECT_EQ(cc.rounds(), 1u);
   ASSERT_EQ(inbox[1].size(), 2u);
-  EXPECT_EQ(inbox[1][0].second, 42u);
-  EXPECT_EQ(inbox[0][0].first, 1u);
+  EXPECT_EQ(inbox[1][0].payload[0], 42u);
+  EXPECT_EQ(inbox[0][0].src, 1u);
 }
 
 TEST(CongestedClique, RejectsDuplicatePairMessage) {
   CongestedClique cc(3);
-  EXPECT_THROW(cc.directRound({{0, 1, {1}}, {0, 1, {2}}}), CapacityError);
+  test_kernels::Outboxes out(3);
+  out[0].push_back({1, {1}});
+  out[0].push_back({1, {2}});
+  EXPECT_THROW(test_kernels::scriptedRound(cc.engine(), std::move(out)),
+               CapacityError);
 }
 
-TEST(CongestedClique, RejectsEmptyPayloadAtTheApiEdge) {
-  // Regression: a zero-word Msg used to reach d.payload.front() unchecked.
-  // It must be rejected up front, like an out-of-range node id, before any
-  // engine round runs.
+TEST(CongestedClique, RejectsOversizedPayload) {
+  // A pair carries exactly one word per round.
   CongestedClique cc(4);
-  EXPECT_THROW(cc.directRound({{0, 1, {}}}), std::invalid_argument);
-  EXPECT_THROW(cc.directRound({{0, 1, {7}}, {2, 3, {}}}), std::invalid_argument);
+  test_kernels::Outboxes out(4);
+  out[0].push_back({1, {7, 8}});
+  EXPECT_THROW(test_kernels::scriptedRound(cc.engine(), std::move(out)),
+               CapacityError);
   EXPECT_EQ(cc.rounds(), 0u);
-  // Oversized payloads stay a model violation (one word per pair).
-  EXPECT_THROW(cc.directRound({{0, 1, {7, 8}}}), CapacityError);
 }
 
-TEST(CongestedClique, RejectsOutOfRangeNodes) {
-  CongestedClique cc(3);
-  EXPECT_THROW(cc.directRound({{0, 9, {1}}}), std::invalid_argument);
+TEST(CongestedClique, RejectsZeroNodes) {
   EXPECT_THROW(CongestedClique(0), std::invalid_argument);
 }
 

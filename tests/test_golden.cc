@@ -9,8 +9,10 @@
 // The table was generated while the deleted backends (fork-per-round
 // workers, the coordinator relay, the socket mesh, and the strict barrier)
 // still existed, and every one of them produced it too; it is what those
-// bit-identical reference paths used to guarantee. Regenerate it only for
-// an intended algorithm change, and say why in the commit.
+// bit-identical reference paths used to guarantee. The broadcast rows were
+// generated the same way, in-process and at 4 shards, while
+// treeBroadcastWords still ran on coordinator-built rounds. Regenerate a
+// row only for an intended algorithm change, and say why in the commit.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -25,6 +27,7 @@
 #include "graph/generators.hpp"
 #include "mpc/dist_iteration.hpp"
 #include "mpc/dist_spanner.hpp"
+#include "mpc/primitives.hpp"
 #include "mpc/simulator.hpp"
 #include "pram/pram.hpp"
 #include "runtime/round_engine.hpp"
@@ -313,6 +316,58 @@ const std::vector<Row>& goldenTable() {
        {5, 60, 12, 0xbe7ff803818678f5ull, 0x29f9bdac97ab2c9eull}},
   };
   return rows;
+}
+
+// --- The broadcast rows: treeBroadcastWords on every bench_t8_primitives
+// config (slack 3, payload {1,2,3,4}) and on the two TreeBroadcast unit
+// configs. Value: (rounds, words sent, max round words). ---
+
+struct BroadcastRow {
+  std::string key;
+  MpcConfig cfg;
+  std::vector<Word> payload;
+  std::size_t rounds, words, maxRound;
+};
+
+const std::vector<BroadcastRow>& broadcastTable() {
+  static const std::vector<BroadcastRow> rows = [] {
+    const std::vector<Word> four{1, 2, 3, 4};
+    auto t8 = [&](std::size_t n, double gamma, std::size_t words) {
+      return BroadcastRow{"broadcast/t8/N=" + std::to_string(n) +
+                              "/gamma=" + std::to_string(gamma).substr(0, 4),
+                          MpcConfig::forInput(n, gamma, 3.0), four, 1, words,
+                          words};
+    };
+    return std::vector<BroadcastRow>{
+        t8(4096, 0.55, 52),  t8(4096, 0.7, 52),   t8(4096, 0.85, 40),
+        t8(16384, 0.55, 108), t8(16384, 0.7, 108), t8(16384, 0.85, 48),
+        t8(65536, 0.55, 216), t8(65536, 0.7, 216), t8(65536, 0.85, 60),
+        {"broadcast/machines=16/S=64/payload=3", MpcConfig{16, 64}, {1, 2, 3},
+         1, 45, 45},
+        {"broadcast/machines=27/S=8/payload=4", MpcConfig{27, 8}, four, 3, 104,
+         72},
+    };
+  }();
+  return rows;
+}
+
+TEST(GoldenTable, EverySurvivingBackendReproducesTheBroadcastRows) {
+  for (const Backend& b : survivingBackends())
+    for (const BroadcastRow& row : broadcastTable()) {
+      auto sim = makeSim(row.cfg, b);
+      RoundEngine& eng = sim->engine();
+      EXPECT_EQ(treeBroadcastWords(*sim, row.payload), row.rounds)
+          << row.key << " on " << b.name;
+      EXPECT_EQ(eng.rounds(), row.rounds) << row.key << " on " << b.name;
+      EXPECT_EQ(eng.totalWordsSent(), row.words) << row.key << " on " << b.name;
+      EXPECT_EQ(eng.maxRoundWords(), row.maxRound)
+          << row.key << " on " << b.name;
+      const auto held =
+          eng.fetchKernel(runtime::ensureKernel<BroadcastKernel>(eng));
+      EXPECT_EQ(held, std::vector<std::vector<Word>>(row.cfg.numMachines,
+                                                     row.payload))
+          << row.key << " on " << b.name;
+    }
 }
 
 TEST(GoldenTable, DistSpannersAreCompressive) {

@@ -7,6 +7,7 @@
 #include "graph/builder.hpp"
 #include "graph/distance.hpp"
 #include "graph/generators.hpp"
+#include "probe_kernels.hpp"
 #include "spanner/baswana_sen.hpp"
 #include "util/log.hpp"
 
@@ -32,7 +33,10 @@ TEST(Log, FormatterHandlesArguments) {
 
 TEST(CongestedClique, TrafficAccounting) {
   CongestedClique cc(6);
-  cc.directRound({{0, 1, {9}}, {2, 3, {9}}});
+  test_kernels::Outboxes out(6);
+  out[0].push_back({1, {9}});
+  out[2].push_back({3, {9}});
+  test_kernels::scriptedRound(cc.engine(), std::move(out));
   EXPECT_EQ(cc.totalWords(), 2u);
   cc.lenzenRoute(std::vector<std::size_t>(6, 3), std::vector<std::size_t>(6, 3));
   EXPECT_EQ(cc.totalWords(), 2u + 18u);

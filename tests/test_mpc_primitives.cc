@@ -67,12 +67,20 @@ TEST(DistVector, ThrowsWhenClusterTooSmall) {
   EXPECT_THROW((DistVector<std::uint64_t>(sim, data)), CapacityError);
 }
 
+/// Every machine's copy after a treeBroadcastWords call.
+std::vector<std::vector<Word>> heldPayloads(MpcSimulator& sim) {
+  runtime::RoundEngine& eng = sim.engine();
+  return eng.fetchKernel(runtime::ensureKernel<BroadcastKernel>(eng));
+}
+
 TEST(TreeBroadcast, AllMachinesWithinLogRounds) {
   MpcSimulator sim(MpcConfig{16, 64});
   const std::size_t rounds = treeBroadcastWords(sim, {1, 2, 3});
   // branching = 64/3 = 21 >= 16, so one round suffices.
   EXPECT_EQ(rounds, 1u);
   EXPECT_EQ(sim.rounds(), 1u);
+  EXPECT_EQ(heldPayloads(sim),
+            std::vector<std::vector<Word>>(16, std::vector<Word>{1, 2, 3}));
 }
 
 TEST(TreeBroadcast, LargePayloadNeedsMoreRounds) {
@@ -82,19 +90,8 @@ TEST(TreeBroadcast, LargePayloadNeedsMoreRounds) {
   const std::size_t rounds = treeBroadcastWords(sim, {1, 2, 3, 4});
   EXPECT_EQ(rounds, 3u);
   EXPECT_EQ(sim.rounds(), 3u);
-}
-
-TEST(PrefixCounts, ComputesExclusivePrefix) {
-  MpcSimulator sim(MpcConfig{4, 32});
-  const auto prefix = prefixCounts(sim, {5, 3, 0, 7});
-  EXPECT_EQ(prefix, (std::vector<std::size_t>{0, 5, 8, 8}));
-  EXPECT_EQ(sim.rounds(), 2u);
-}
-
-TEST(PrefixCounts, SingleMachineIsFree) {
-  MpcSimulator sim(MpcConfig{1, 32});
-  EXPECT_EQ(prefixCounts(sim, {9}), (std::vector<std::size_t>{0}));
-  EXPECT_EQ(sim.rounds(), 0u);
+  EXPECT_EQ(heldPayloads(sim),
+            std::vector<std::vector<Word>>(27, std::vector<Word>{1, 2, 3, 4}));
 }
 
 class DistSortTest : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {};

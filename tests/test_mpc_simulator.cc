@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
+
+#include "probe_kernels.hpp"
 
 namespace mpcspan {
 namespace {
@@ -48,13 +51,28 @@ TEST(MpcSimulator, RejectsEmptyConfig) {
   EXPECT_THROW(MpcSimulator(MpcConfig{4, 0}), std::invalid_argument);
 }
 
+/// One scripted round on the simulator's engine, each machine's inbox
+/// flattened to its words in sender order.
+std::vector<std::vector<Word>> flatRound(MpcSimulator& sim,
+                                         test_kernels::Outboxes out) {
+  std::vector<std::vector<Word>> inbox;
+  for (const auto& deliveries :
+       test_kernels::scriptedRound(sim.engine(), std::move(out))) {
+    inbox.emplace_back();
+    for (const runtime::Delivery& d : deliveries)
+      inbox.back().insert(inbox.back().end(), d.payload.begin(),
+                          d.payload.end());
+  }
+  return inbox;
+}
+
 TEST(MpcSimulator, DeliversMessagesAndCountsRounds) {
   MpcSimulator sim(MpcConfig{3, 16});
-  std::vector<std::vector<MpcSimulator::Message>> out(3);
+  test_kernels::Outboxes out(3);
   out[0].push_back({1, {10, 20}});
   out[2].push_back({1, {30}});
   out[1].push_back({0, {40}});
-  const auto inbox = sim.communicate(std::move(out));
+  const auto inbox = flatRound(sim, std::move(out));
   EXPECT_EQ(sim.rounds(), 1u);
   EXPECT_EQ(sim.totalWordsSent(), 4u);
   EXPECT_EQ(inbox[1].size(), 3u);
@@ -64,40 +82,29 @@ TEST(MpcSimulator, DeliversMessagesAndCountsRounds) {
 
 TEST(MpcSimulator, EnforcesSendCapacity) {
   MpcSimulator sim(MpcConfig{2, 4});
-  std::vector<std::vector<MpcSimulator::Message>> out(2);
+  test_kernels::Outboxes out(2);
   out[0].push_back({1, {1, 2, 3, 4, 5}});
-  EXPECT_THROW(sim.communicate(std::move(out)), CapacityError);
+  EXPECT_THROW(flatRound(sim, std::move(out)), CapacityError);
 }
 
 TEST(MpcSimulator, EnforcesReceiveCapacity) {
   MpcSimulator sim(MpcConfig{3, 4});
-  std::vector<std::vector<MpcSimulator::Message>> out(3);
+  test_kernels::Outboxes out(3);
   out[0].push_back({2, {1, 2, 3}});
   out[1].push_back({2, {4, 5, 6}});
-  EXPECT_THROW(sim.communicate(std::move(out)), CapacityError);
-}
-
-TEST(MpcSimulator, RejectsUnknownDestination) {
-  MpcSimulator sim(MpcConfig{2, 8});
-  std::vector<std::vector<MpcSimulator::Message>> out(2);
-  out[0].push_back({5, {1}});
-  EXPECT_THROW(sim.communicate(std::move(out)), std::invalid_argument);
-}
-
-TEST(MpcSimulator, RejectsWrongOutboxCount) {
-  MpcSimulator sim(MpcConfig{2, 8});
-  std::vector<std::vector<MpcSimulator::Message>> out(3);
-  EXPECT_THROW(sim.communicate(std::move(out)), std::invalid_argument);
+  EXPECT_THROW(flatRound(sim, std::move(out)), CapacityError);
 }
 
 TEST(MpcSimulator, TracksPeakTraffic) {
   MpcSimulator sim(MpcConfig{2, 16});
-  std::vector<std::vector<MpcSimulator::Message>> out(2);
+  test_kernels::Outboxes out(2);
   out[0].push_back({1, {1, 2, 3}});
-  sim.communicate(std::move(out));
-  std::vector<std::vector<MpcSimulator::Message>> out2(2);
+  test_kernels::Outboxes out2(2);
   out2[1].push_back({0, {1}});
-  sim.communicate(std::move(out2));
+  const runtime::KernelId k =
+      test_kernels::registerScript(sim.engine(), {out, out2});
+  sim.engine().step(k, {0});
+  sim.engine().step(k, {1});
   EXPECT_EQ(sim.rounds(), 2u);
   EXPECT_EQ(sim.maxRoundWords(), 3u);
 }

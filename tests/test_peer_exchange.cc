@@ -225,10 +225,8 @@ TEST_P(ShardTransport, PeerDeathMidExchangeSurfacesShardErrorForAll) {
     RoundEngine eng(EngineConfig{8, 1, 4, GetParam()},
                     std::make_unique<MpcTopology>(32));
     const KernelId k = registerProbe(eng);
-    // Start the workers on a round that does not reach the fault hook.
-    std::vector<std::vector<Message>> out(8);
-    out[0].push_back({7, {1}});
-    eng.exchange(std::move(out));
+    // Start the workers without a STEP, which would reach the fault hook.
+    eng.fetchKernel(k);
     pids = eng.shardBackend()->workerPids();
     ASSERT_EQ(pids.size(), 4u);
     EXPECT_THROW(eng.step(k), ShardError);
@@ -290,8 +288,8 @@ TEST_P(ShardTransport, BigFramesStreamThroughTinyRings) {
 }
 
 TEST_P(ShardTransport, ExchangeRoundsAndBlocksRideTheBackend) {
-  // The non-kernel surfaces — coordinator-built exchange rounds and
-  // worker-resident blocks — must match the in-process engine too.
+  // A round whose outboxes are fixed up front and the worker-resident
+  // blocks must match the in-process engine too.
   RoundEngine sharded(EngineConfig{6, 1, 3, GetParam()},
                       std::make_unique<MpcTopology>(64));
   RoundEngine ref(EngineConfig{6, 1, 1}, std::make_unique<MpcTopology>(64));
@@ -300,10 +298,10 @@ TEST_P(ShardTransport, ExchangeRoundsAndBlocksRideTheBackend) {
     std::vector<std::vector<Word>> per(6);
     for (std::size_t m = 0; m < 6; ++m) per[m] = {m * 10 + 1, m * 10 + 2};
     const std::uint64_t h = eng->createBlocks(per);
-    std::vector<std::vector<Message>> out(6);
+    test_kernels::Outboxes out(6);
     for (std::size_t m = 0; m < 6; ++m)
       out[m].push_back({(m + 1) % 6, {m, m ^ 7}});
-    inboxes.push_back(eng->exchange(std::move(out)));
+    inboxes.push_back(test_kernels::scriptedRound(*eng, std::move(out)));
     EXPECT_EQ(eng->readBlocks(h), per);
     eng->freeBlocks(h);
   }

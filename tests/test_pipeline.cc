@@ -3,8 +3,9 @@
 // a per-wait timeout forever (tcp mesh); same-host shm rings carry no budget
 // and must wait such a peer out. And the Topology split contract the barrier
 // rests on: validateSources over every shard slice plus validateInbound over
-// the summed inbound words must agree with whole-round validate(). Exchange
-// equivalence and failure modes live in test_peer_exchange.
+// the summed inbound words, and whole-round validate(), must both agree with
+// an oracle of the model rules. Exchange equivalence and failure modes live
+// in test_peer_exchange.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -127,10 +128,12 @@ TEST(DeadlineBudget, SpendsOneBudgetAcrossWaits) {
   EXPECT_TRUE(budget.expired());
 }
 
-// --- The Topology split contract: validateSources over every slice plus
-// validateInbound over the summed inbound words must accept or reject
-// exactly when validate() does, with the same exception type and the same
-// word total. The one STEP barrier validates kernel rounds this way only. ---
+// --- The Topology split contract: validate() and the sharded split
+// (validateSources over every slice plus validateInbound over the summed
+// inbound words) must each accept or reject exactly when the model's rules
+// say so, with the same exception type and the same word total. The
+// reference is an oracle written from the rules themselves, not from any
+// Topology code. ---
 
 enum class Verdict { kOk, kCapacity, kBounds };
 
@@ -141,29 +144,53 @@ struct Outcome {
   friend bool operator==(const Outcome&, const Outcome&) = default;
 };
 
-/// The engine vets destinations before any topology sees a round.
-bool destinationsInRange(std::size_t n,
-                         const std::vector<std::vector<Message>>& outboxes) {
+/// The model rules, per ProbeKernel mode: MPC (0) — every machine sends
+/// and receives at most `cap` words; clique (1) — at most one single-word
+/// message per ordered pair; PRAM (2) — every write is exactly one word.
+/// Any destination outside [0, n) is a bounds error first.
+Outcome oracle(int mode, std::size_t cap, std::size_t n,
+               const std::vector<std::vector<Message>>& outboxes) {
   for (const auto& out : outboxes)
     for (const Message& msg : out)
-      if (msg.dst >= n) return false;
-  return true;
+      if (msg.dst >= n) return {Verdict::kBounds, 0};
+  std::size_t words = 0;
+  std::vector<std::size_t> received(n, 0);
+  for (std::size_t src = 0; src < n; ++src) {
+    std::size_t sent = 0;
+    std::vector<char> pairUsed(n, 0);
+    for (const Message& msg : outboxes[src]) {
+      sent += msg.payload.size();
+      received[msg.dst] += msg.payload.size();
+      if (mode != 0 && msg.payload.size() != 1) return {Verdict::kCapacity, 0};
+      if (mode == 1 && pairUsed[msg.dst]++) return {Verdict::kCapacity, 0};
+    }
+    if (mode == 0 && sent > cap) return {Verdict::kCapacity, 0};
+    words += sent;
+  }
+  for (std::size_t m = 0; mode == 0 && m < n; ++m)
+    if (received[m] > cap) return {Verdict::kCapacity, 0};
+  return {Verdict::kOk, words};
 }
 
-Outcome validateWhole(const Topology& topo, std::size_t n,
-                      const std::vector<std::vector<Message>>& outboxes) {
-  if (!destinationsInRange(n, outboxes)) return {Verdict::kBounds, 0};
+template <class Fn>
+Outcome outcomeOf(Fn&& validateRound) {
   try {
-    return {Verdict::kOk, topo.validate(n, outboxes)};
+    return {Verdict::kOk, validateRound()};
   } catch (const CapacityError&) {
     return {Verdict::kCapacity, 0};
+  } catch (const std::invalid_argument&) {
+    return {Verdict::kBounds, 0};
   }
 }
 
+/// The sharded barrier's composition. Like the workers, it bounds-checks
+/// destinations before any topology half sees them.
 Outcome validateSplit(const Topology& topo, std::size_t n, std::size_t shards,
                       const std::vector<std::vector<Message>>& outboxes) {
-  if (!destinationsInRange(n, outboxes)) return {Verdict::kBounds, 0};
-  try {
+  return outcomeOf([&] {
+    for (const auto& out : outboxes)
+      for (const Message& msg : out)
+        if (msg.dst >= n) throw std::invalid_argument("unknown machine");
     std::size_t words = 0;
     for (std::size_t s = 0; s < shards; ++s) {
       const std::size_t lo = runtime::shard::shardRangeBegin(n, shards, s);
@@ -178,10 +205,8 @@ Outcome validateSplit(const Topology& topo, std::size_t n, std::size_t shards,
         for (const Message& msg : out) received[msg.dst] += msg.payload.size();
       topo.validateInbound(n, received);
     }
-    return {Verdict::kOk, words};
-  } catch (const CapacityError&) {
-    return {Verdict::kCapacity, 0};
-  }
+    return words;
+  });
 }
 
 /// One seeded random round shaped to hit every rule of `mode`'s model:
@@ -208,20 +233,24 @@ std::vector<std::vector<Message>> randomRound(int mode, std::size_t n,
   return out;
 }
 
-TEST(TopologySplit, SourcesPlusInboundMatchWholeValidation) {
+TEST(TopologySplit, ValidateAndSplitMatchTheModelRules) {
+  constexpr std::size_t kCap = 8;
   Rng rng(20210712);
   for (const int mode : {0, 1, 2}) {
     const std::unique_ptr<Topology> topo =
-        mode == 0 ? std::unique_ptr<Topology>(new MpcTopology(8))
+        mode == 0 ? std::unique_ptr<Topology>(new MpcTopology(kCap))
                   : probeTopology(mode);
     std::size_t seen[3] = {0, 0, 0};
     for (int round = 0; round < 600; ++round) {
       const std::size_t n = 2 + rng.next(7);
       const auto outboxes = randomRound(mode, n, rng);
-      const Outcome whole = validateWhole(*topo, n, outboxes);
-      ++seen[static_cast<int>(whole.verdict)];
+      const Outcome expected = oracle(mode, kCap, n, outboxes);
+      ++seen[static_cast<int>(expected.verdict)];
+      ASSERT_EQ(outcomeOf([&] { return topo->validate(n, outboxes); }),
+                expected)
+          << topo->name() << " round " << round << ", validate()";
       for (const std::size_t shards : {std::size_t{1}, std::size_t{2}, n})
-        ASSERT_EQ(validateSplit(*topo, n, shards, outboxes), whole)
+        ASSERT_EQ(validateSplit(*topo, n, shards, outboxes), expected)
             << topo->name() << " round " << round << ", " << shards
             << " shards";
     }

@@ -25,6 +25,9 @@ using runtime::PramTopology;
 using runtime::RoundEngine;
 using runtime::ThreadPool;
 using runtime::Topology;
+using test_kernels::Outboxes;
+using test_kernels::registerScript;
+using test_kernels::scriptedRound;
 
 RoundEngine makeMpcEngine(std::size_t machines, std::size_t capacity,
                           std::size_t threads) {
@@ -80,7 +83,7 @@ TEST(RoundEngine, DeliversInSourceOrder) {
   out[0].push_back({1, {10, 11}});
   out[0].push_back({1, {12}});
   out[2].push_back({1, {20}});
-  const auto inbox = eng.exchange(std::move(out));
+  const auto inbox = scriptedRound(eng, std::move(out));
   ASSERT_EQ(inbox[1].size(), 4u);
   EXPECT_EQ(inbox[1][0].src, 0u);
   EXPECT_EQ(inbox[1][0].payload, (std::vector<Word>{10, 11}));
@@ -96,7 +99,7 @@ TEST(RoundEngine, MpcTopologyEnforcesBudgets) {
   RoundEngine eng = makeMpcEngine(2, 4, 1);
   std::vector<std::vector<Message>> out(2);
   out[0].push_back({1, {1, 2, 3, 4, 5}});
-  EXPECT_THROW(eng.exchange(std::move(out)), CapacityError);
+  EXPECT_THROW(scriptedRound(eng, std::move(out)), CapacityError);
 }
 
 TEST(RoundEngine, CliqueTopologyEnforcesPairLimit) {
@@ -104,10 +107,11 @@ TEST(RoundEngine, CliqueTopologyEnforcesPairLimit) {
   std::vector<std::vector<Message>> twice(3);
   twice[0].push_back({1, {7}});
   twice[0].push_back({1, {8}});
-  EXPECT_THROW(eng.exchange(std::move(twice)), CapacityError);
   std::vector<std::vector<Message>> fat(3);
   fat[0].push_back({1, {7, 8}});
-  EXPECT_THROW(eng.exchange(std::move(fat)), CapacityError);
+  const runtime::KernelId k = registerScript(eng, {twice, fat});
+  EXPECT_THROW(eng.step(k, {0}), CapacityError);
+  EXPECT_THROW(eng.step(k, {1}), CapacityError);
 }
 
 TEST(RoundEngine, PramTopologyResolvesPriorityCrcw) {
@@ -117,7 +121,7 @@ TEST(RoundEngine, PramTopologyResolvesPriorityCrcw) {
   out[3].push_back({0, {33}});
   out[1].push_back({0, {11}});
   out[2].push_back({0, {22}});
-  const auto cells = eng.exchange(std::move(out));
+  const auto cells = scriptedRound(eng, std::move(out));
   // Concurrent writes to cell 0: the lowest writer id wins, deterministically.
   ASSERT_EQ(cells[0].size(), 1u);
   EXPECT_EQ(cells[0][0].src, 1u);
@@ -154,14 +158,16 @@ WorkloadTrace runWorkload(std::size_t threads) {
   RoundEngine eng = makeMpcEngine(p, 4 * p, threads);
   WorkloadTrace trace;
   std::uint64_t h = 42;
-  for (int round = 0; round < 10; ++round) {
-    std::vector<std::vector<Message>> out(p);
+  std::vector<Outboxes> script(10, Outboxes(p));
+  for (Outboxes& out : script)
     for (std::size_t src = 0; src < p; ++src)
       for (std::size_t k = 0; k < 3; ++k) {
         h = h * 6364136223846793005ULL + 1442695040888963407ULL;
         out[src].push_back({(src + 1 + (h >> 33) % (p - 1)) % p, {h, h ^ src}});
       }
-    const auto inbox = eng.exchange(std::move(out));
+  const runtime::KernelId k = registerScript(eng, std::move(script));
+  for (Word round = 0; round < 10; ++round) {
+    const auto inbox = scriptedRound(eng, k, round);
     for (const auto& deliveries : inbox)
       for (const Delivery& d : deliveries) {
         trace.flat.push_back(d.src);

@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <memory>
 #include <mutex>
+#include <utility>
 
 #include "cclique/clique.hpp"
 #include "graph/generators.hpp"
@@ -38,8 +39,12 @@ using runtime::MpcTopology;
 using runtime::PramTopology;
 using runtime::RoundEngine;
 using runtime::Topology;
+using runtime::Transport;
 using runtime::shard::ShardedEngine;
 using runtime::shard::ShardError;
+using test_kernels::Outboxes;
+using test_kernels::registerScript;
+using test_kernels::scriptedRound;
 
 /// Flattened inboxes of every round plus the ledger, for cross-backend
 /// comparison.
@@ -75,8 +80,8 @@ Trace runMpcWorkload(std::size_t threads, std::size_t shards) {
   EXPECT_EQ(eng.numShards(), shards == 0 ? 1u : shards);
   Trace trace;
   std::uint64_t h = 42;
-  for (int round = 0; round < 8; ++round) {
-    std::vector<std::vector<Message>> out(p);
+  std::vector<Outboxes> script(8, Outboxes(p));
+  for (Outboxes& out : script)
     for (std::size_t src = 0; src < p; ++src)
       for (std::size_t k = 0; k < 3; ++k) {
         h = h * 6364136223846793005ULL + 1442695040888963407ULL;
@@ -86,8 +91,9 @@ Trace runMpcWorkload(std::size_t threads, std::size_t shards) {
         else
           out[src].push_back({dst, {h, h ^ src, h >> 7}});
       }
-    recordRound(trace, eng.exchange(std::move(out)));
-  }
+  const KernelId k = registerScript(eng, std::move(script));
+  for (Word round = 0; round < 8; ++round)
+    recordRound(trace, scriptedRound(eng, k, round));
   finishTrace(trace, eng);
   return trace;
 }
@@ -107,15 +113,16 @@ Trace runCliqueWorkload(std::size_t threads, std::size_t shards) {
   RoundEngine eng(EngineConfig{n, threads, shards},
                   std::make_unique<CliqueTopology>());
   Trace trace;
-  for (int round = 1; round <= 6; ++round) {
-    std::vector<std::vector<Message>> out(n);
+  std::vector<Outboxes> script(6, Outboxes(n));
+  for (int round = 1; round <= 6; ++round)
     for (std::size_t src = 0; src < n; ++src)
       for (int j = 0; j < 3; ++j)  // offsets round + {0,4,8}: distinct mod 12
-        out[src].push_back(
+        script[round - 1][src].push_back(
             {(src + static_cast<std::size_t>(round + j * 4)) % n,
              {src * 1000 + static_cast<std::size_t>(round * 10 + j)}});
-    recordRound(trace, eng.exchange(std::move(out)));
-  }
+  const KernelId k = registerScript(eng, std::move(script));
+  for (Word round = 0; round < 6; ++round)
+    recordRound(trace, scriptedRound(eng, k, round));
   finishTrace(trace, eng);
   return trace;
 }
@@ -133,13 +140,14 @@ Trace runPramWorkload(std::size_t threads, std::size_t shards) {
   RoundEngine eng(EngineConfig{n, threads, shards},
                   std::make_unique<PramTopology>());
   Trace trace;
-  for (int round = 0; round < 5; ++round) {
-    std::vector<std::vector<Message>> out(n);
+  std::vector<Outboxes> script(5, Outboxes(n));
+  for (std::size_t round = 0; round < 5; ++round)
     for (std::size_t src = 0; src < n; ++src)
-      out[src].push_back({(src * 7 + static_cast<std::size_t>(round)) % 3,
-                          {src * 100 + static_cast<std::size_t>(round)}});
-    recordRound(trace, eng.exchange(std::move(out)));
-  }
+      script[round][src].push_back(
+          {(src * 7 + round) % 3, {src * 100 + round}});
+  const KernelId k = registerScript(eng, std::move(script));
+  for (Word round = 0; round < 5; ++round)
+    recordRound(trace, scriptedRound(eng, k, round));
   finishTrace(trace, eng);
   return trace;
 }
@@ -168,42 +176,44 @@ TEST(ShardedEngine, StepRunsInWorkerProcesses) {
 
 TEST(ShardedEngine, CapacityViolationAbortsTheRoundLoudly) {
   RoundEngine eng(EngineConfig{4, 1, 2}, std::make_unique<MpcTopology>(2));
-  std::vector<std::vector<Message>> out(4);
+  Outboxes out(4);
   out[3].push_back({0, {1, 2, 3}});  // sender over budget, validated by shard 1
-  EXPECT_THROW(eng.exchange(std::move(out)), CapacityError);
-  // The engine survives an aborted round: the barrier released every worker.
-  std::vector<std::vector<Message>> ok(4);
+  Outboxes ok(4);
   ok[0].push_back({3, {7}});
-  const auto inbox = eng.exchange(std::move(ok));
+  const KernelId k = registerScript(eng, {out, ok});
+  EXPECT_THROW(eng.step(k, {0}), CapacityError);
+  // The engine survives an aborted round: the barrier released every worker.
+  const auto inbox = scriptedRound(eng, k, 1);
   EXPECT_EQ(inbox[3].size(), 1u);
   EXPECT_EQ(eng.rounds(), 1u);  // the aborted round was never charged
 }
 
-TEST(ShardedEngine, UnknownDestinationThrowsInvalidArgument) {
-  RoundEngine eng(EngineConfig{4, 1, 2}, std::make_unique<MpcTopology>(8));
-  std::vector<std::vector<Message>> out(4);
-  out[1].push_back({99, {1}});
-  EXPECT_THROW(eng.exchange(std::move(out)), std::invalid_argument);
-}
-
-TEST(ShardedEngine, UnknownDestinationFromAnotherShardsSource) {
-  // The rogue source belongs to the LAST shard, so every other worker's
-  // validateSlice sees the bad destination among sources it does not own.
-  // Pins the fixed heap overflow: each worker must bounds-check all
-  // sources (and MpcTopology must not index received[] unchecked) rather
-  // than only vetting its own range. The engine must also survive the
-  // aborted round.
-  RoundEngine eng(EngineConfig{8, 1, 4}, std::make_unique<MpcTopology>(8));
-  ASSERT_EQ(eng.numShards(), 4u);
-  std::vector<std::vector<Message>> out(8);
-  out[7].push_back({1u << 20, {1}});
-  EXPECT_THROW(eng.exchange(std::move(out)), std::invalid_argument);
-  std::vector<std::vector<Message>> ok(8);
-  ok[7].push_back({0, {5}});
-  const auto inbox = eng.exchange(std::move(ok));
-  ASSERT_EQ(inbox[0].size(), 1u);
-  EXPECT_EQ(inbox[0][0].payload[0], 5u);
-  EXPECT_EQ(eng.rounds(), 1u);
+TEST(ShardedEngine, UnknownDestinationAbortsTheKernelRound) {
+  // The rogue source is the last machine, so sharded it lives on the last
+  // shard and only that worker's phase-A check can see the destination;
+  // in-process the engine's validation rejects it before any delivery.
+  // Either way the round aborts with std::invalid_argument, uncharged, and
+  // the next good round commits.
+  const std::pair<std::size_t, Transport> configs[] = {
+      {1, Transport::kShmRing}, {4, Transport::kShmRing}, {4, Transport::kTcp}};
+  for (const auto& [shards, transport] : configs) {
+    RoundEngine eng(EngineConfig{8, 1, shards, transport},
+                    std::make_unique<MpcTopology>(8));
+    ASSERT_EQ(eng.numShards(), shards);
+    Outboxes bad(8);
+    bad[7].push_back({1u << 20, {1}});
+    Outboxes ok(8);
+    ok[7].push_back({0, {5}});
+    const KernelId k = registerScript(eng, {ok, bad, ok});
+    eng.step(k, {0});
+    EXPECT_THROW(eng.step(k, {1}), std::invalid_argument) << shards;
+    EXPECT_EQ(eng.rounds(), 1u) << shards;
+    EXPECT_EQ(eng.totalWordsSent(), 1u) << shards;
+    const auto inbox = scriptedRound(eng, k, 2);
+    ASSERT_EQ(inbox[0].size(), 1u) << shards;
+    EXPECT_EQ(inbox[0][0].payload[0], 5u);
+    EXPECT_EQ(eng.rounds(), 2u) << shards;
+  }
 }
 
 TEST(ShardedEngine, ShardCountClampsToMachines) {
@@ -277,11 +287,10 @@ TEST(ResidentWorkers, ForkOncePidsStableAcrossRounds) {
   ASSERT_NE(backend, nullptr);
   EXPECT_FALSE(backend->started());  // lazy: nothing forked yet
 
-  auto oneRound = [&] {
-    std::vector<std::vector<Message>> out(8);
-    for (std::size_t m = 0; m < 8; ++m) out[m].push_back({(m + 3) % 8, {m}});
-    eng.exchange(std::move(out));
-  };
+  Outboxes out(8);
+  for (std::size_t m = 0; m < 8; ++m) out[m].push_back({(m + 3) % 8, {m}});
+  const KernelId k = registerScript(eng, {out});
+  auto oneRound = [&] { eng.step(k, {0}); };
   oneRound();
   const std::vector<pid_t> pids = backend->workerPids();
   ASSERT_EQ(pids.size(), 4u);
@@ -393,9 +402,9 @@ TEST(ResidentWorkers, PostForkRegistrationResolvesViaGlobalRegistry) {
   });
   RoundEngine eng(EngineConfig{8, 1, 4},
                   std::make_unique<MpcTopology>(16));
-  std::vector<std::vector<Message>> out(8);
-  out[0].push_back({5, {11}});
-  eng.exchange(std::move(out));  // forks the workers
+  const KernelId token = eng.registerKernel(
+      "test.token", [] { return std::make_unique<test_kernels::TokenKernel>(); });
+  eng.fetchKernel(token);  // forks the workers without a round
   ASSERT_TRUE(eng.shardBackend()->started());
   const KernelId k = eng.registerKernel("test.counter.global");
   for (int r = 0; r < 3; ++r) eng.step(k);
@@ -413,11 +422,10 @@ TEST(ResidentWorkers, PostForkRegistrationResolvesViaGlobalRegistry) {
 TEST(ResidentWorkers, WorkerDeathBetweenRoundsSurfacesAsShardError) {
   auto eng = std::make_unique<RoundEngine>(EngineConfig{8, 1, 4},
                                            std::make_unique<MpcTopology>(16));
-  auto oneRound = [&] {
-    std::vector<std::vector<Message>> out(8);
-    out[1].push_back({6, {9}});
-    eng->exchange(std::move(out));
-  };
+  Outboxes out(8);
+  out[1].push_back({6, {9}});
+  const KernelId k = registerScript(*eng, {out});
+  auto oneRound = [&] { eng->step(k, {0}); };
   oneRound();
   const std::vector<pid_t> pids = eng->shardBackend()->workerPids();
   ASSERT_EQ(pids.size(), 4u);
@@ -442,9 +450,9 @@ TEST(ResidentWorkers, DestructorReapsIdleWorkers) {
   {
     RoundEngine eng(EngineConfig{6, 1, 3},
                     std::make_unique<MpcTopology>(16));
-    std::vector<std::vector<Message>> out(6);
+    Outboxes out(6);
     out[0].push_back({5, {1}});
-    eng.exchange(std::move(out));
+    scriptedRound(eng, std::move(out));
     pids = eng.shardBackend()->workerPids();
     ASSERT_EQ(pids.size(), 3u);
   }
@@ -475,14 +483,19 @@ TEST(ShardedFacades, DistributedBaswanaSenMatchesHostAcrossShards) {
   EXPECT_EQ(dist.wordsMoved, ref.wordsMoved);
 }
 
-TEST(ShardedFacades, CliqueDirectRoundMatchesAcrossShards) {
+TEST(ShardedFacades, CliqueRoundMatchesAcrossShards) {
   auto run = [](std::size_t shards) {
     CongestedClique cc(9, /*threads=*/1, shards);
-    std::vector<CongestedClique::Msg> msgs;
+    Outboxes out(9);
     for (VertexId v = 0; v < 9; ++v)
       for (VertexId d = 0; d < 9; ++d)
-        if (d != v && (v + d) % 3 == 0) msgs.push_back({v, d, {v * 10 + d}});
-    return cc.directRound(msgs);
+        if (d != v && (v + d) % 3 == 0) out[v].push_back({d, {v * 10 + d}});
+    std::vector<std::vector<std::pair<std::size_t, Word>>> inbox(9);
+    const auto delivered = scriptedRound(cc.engine(), std::move(out));
+    for (std::size_t v = 0; v < 9; ++v)
+      for (const Delivery& d : delivered[v])
+        inbox[v].emplace_back(d.src, d.payload.front());
+    return inbox;
   };
   const auto base = run(1);
   EXPECT_EQ(base, run(3));
