@@ -1,6 +1,5 @@
 #include "runtime/shard/peer_mesh.hpp"
 
-#include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
@@ -12,12 +11,6 @@
 #include <utility>
 
 namespace mpcspan::runtime::shard {
-
-void setNonBlocking(const WireFd& fd) {
-  const int flags = ::fcntl(fd.fd(), F_GETFL, 0);
-  if (flags < 0 || ::fcntl(fd.fd(), F_SETFL, flags | O_NONBLOCK) < 0)
-    throw ShardError(std::string("peer mesh fcntl: ") + std::strerror(errno));
-}
 
 namespace {
 
@@ -120,9 +113,7 @@ std::vector<std::vector<WireFd>> makeMesh(std::size_t count) {
   for (auto& row : mesh) row.resize(count);
   for (std::size_t a = 0; a < count; ++a)
     for (std::size_t b = a + 1; b < count; ++b) {
-      makeSocketPair(mesh[a][b], mesh[b][a]);
-      setNonBlocking(mesh[a][b]);
-      setNonBlocking(mesh[b][a]);
+      makeSocketPair(mesh[a][b], mesh[b][a]);  // nonblocking ends
     }
   return mesh;
 }

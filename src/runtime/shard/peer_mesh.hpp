@@ -27,10 +27,6 @@
 
 namespace mpcspan::runtime::shard {
 
-/// Switches a mesh fd to nonblocking mode (the mode meshExchange requires;
-/// also used on tcp mesh fds after their blocking handshake).
-void setNonBlocking(const WireFd& fd);
-
 /// Creates the full worker mesh: one nonblocking socketpair per unordered
 /// worker pair (count * (count - 1) / 2 pairs). mesh[a][b] is a's end of
 /// the (a, b) pair; the diagonal stays invalid. Must run before the first

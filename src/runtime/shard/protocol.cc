@@ -5,8 +5,6 @@
 
 #include <stdexcept>
 
-#include "runtime/shard/transport.hpp"
-
 namespace mpcspan::runtime::shard {
 
 void rethrow(std::uint8_t kind, const std::string& msg) {
@@ -62,6 +60,28 @@ std::vector<Word> readArgs(WireReader& r) {
   std::vector<Word> args(argc);
   r.words(args.data(), argc);
   return args;
+}
+
+void writeReport(Channel& ch, std::uint8_t kind, const std::string& err,
+                 std::uint64_t words) {
+  WireWriter w;
+  w.u8(kind);
+  if (kind == kOk)
+    w.u64(words);
+  else
+    w.str(err);
+  w.sendFramed(ch);
+}
+
+Report readReport(Channel& ch) {
+  WireReader r = WireReader::recvFramed(ch);
+  Report rep;
+  rep.kind = r.u8();
+  if (rep.kind == kOk)
+    rep.words = r.u64();
+  else
+    rep.err = r.str();
+  return rep;
 }
 
 std::vector<std::vector<Ref>> indexByDst(

@@ -6,9 +6,8 @@
 // Everything here used to live in sharded_engine.cc's anonymous namespace;
 // it moved out when Transport::kTcp made the worker loop reachable from a
 // *different binary* (tools/mpcspan_worker), which must agree with the
-// coordinator on every byte. The frame helpers are templated over the wire
-// type so the same code drives a raw WireFd and a Channel (resident
-// workers, deadline-paced tcp channels).
+// coordinator on every byte. Every frame helper speaks through a Channel
+// (transport.hpp), the one wire type of both transports.
 #pragma once
 
 #include <cstddef>
@@ -16,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "runtime/shard/transport.hpp"
 #include "runtime/shard/wire.hpp"
 #include "runtime/types.hpp"
 #include "util/deadline.hpp"
@@ -70,15 +70,15 @@ struct Report {
 /// Must be called from inside a catch block.
 std::uint8_t classify(std::string& err);
 
-/// Briefly spin-polls a wire for readability before the caller blocks on
+/// Briefly spin-polls a wire for readability before the caller waits on
 /// it. The one-report barrier turns a round into pure hand-offs (reports
 /// up, one verdict frame down); letting each side stay runnable while the
 /// other finishes converts those hand-offs into cheap runqueue rotations
 /// instead of sleep/wake cycles — a woken sleeper preempts its waker, so
-/// blocking doubles the context switches per round. Bounded: an idle
-/// engine still parks in the normal blocking read. A non-null `budget`
+/// sleeping doubles the context switches per round. Bounded: an idle
+/// engine still parks in the channel read's poll. A non-null `budget`
 /// (the round's shared deadline budget) stops the spin early once the
-/// round is out of time, so the expiry surfaces from the blocking read
+/// round is out of time, so the expiry surfaces from the channel read
 /// instead of being hidden behind yields.
 void spinAwaitReadable(int fd, const util::DeadlineBudget* budget = nullptr);
 
@@ -130,29 +130,9 @@ void parseRows(WireReader& r, std::size_t lo, std::size_t hi,
   }
 }
 
-/// Sends a {kind, words | error} report. Wire is WireFd or Channel.
-template <class Wire>
-void writeReport(Wire& fd, std::uint8_t kind, const std::string& err,
-                 std::uint64_t words = 0) {
-  WireWriter w;
-  w.u8(kind);
-  if (kind == kOk)
-    w.u64(words);
-  else
-    w.str(err);
-  w.sendFramed(fd);
-}
-
-template <class Wire>
-Report readReport(Wire& fd) {
-  WireReader r = WireReader::recvFramed(fd);
-  Report rep;
-  rep.kind = r.u8();
-  if (rep.kind == kOk)
-    rep.words = r.u64();
-  else
-    rep.err = r.str();
-  return rep;
-}
+/// Sends a {kind, words | error} report.
+void writeReport(Channel& ch, std::uint8_t kind, const std::string& err,
+                 std::uint64_t words = 0);
+Report readReport(Channel& ch);
 
 }  // namespace mpcspan::runtime::shard

@@ -1,10 +1,7 @@
 #include "runtime/shard/tcp_transport.hpp"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
-#include <netdb.h>
 #include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -15,7 +12,7 @@
 #include <cstring>
 #include <ctime>
 
-#include "runtime/shard/peer_mesh.hpp"
+#include "util/socket.hpp"
 
 namespace mpcspan::runtime::shard {
 
@@ -33,32 +30,12 @@ long envLong(const char* name, long fallback) {
   throw ShardError(what + ": " + std::strerror(errno));
 }
 
-/// TCP_NODELAY (barrier bytes must not sit in Nagle buffers) and
-/// SO_KEEPALIVE (an idle channel to a silently dead remote eventually
-/// errors instead of staying half-open forever).
-void tuneTcpFd(int fd) {
+/// SO_KEEPALIVE: an idle channel to a silently dead remote eventually
+/// errors instead of staying half-open forever. (util/socket already sets
+/// TCP_NODELAY, so barrier bytes never sit in Nagle buffers.)
+void setKeepalive(int fd) {
   int one = 1;
-  (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   (void)::setsockopt(fd, SOL_SOCKET, SO_KEEPALIVE, &one, sizeof(one));
-}
-
-void awaitFd(int fd, short events, int deadlineMs, const char* what) {
-  // The deadline is absolute: an EINTR restart polls only for the time
-  // still remaining, so a signal-heavy process (the serving daemon's
-  // SIGHUP reloads, profilers) cannot extend the wait past deadlineMs.
-  const util::DeadlineBudget budget(deadlineMs);
-  pollfd pfd{fd, events, 0};
-  for (;;) {
-    const int rc = ::poll(&pfd, 1, budget.remainingMs());
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      throwErrno(std::string(what) + " poll");
-    }
-    if (rc == 0)
-      throw ShardError(std::string(what) + " timed out after " +
-                       std::to_string(deadlineMs) + " ms");
-    return;
-  }
 }
 
 }  // namespace
@@ -88,76 +65,38 @@ std::uint64_t makeTcpEpoch() {
 }
 
 TcpListener::TcpListener(std::uint16_t port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) throwErrno("tcp listener socket");
-  fd_.reset(fd);
-  int one = 1;
-  (void)::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_ANY);
-  addr.sin_port = htons(port);
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0)
-    throwErrno("tcp listener bind (port " + std::to_string(port) + ")");
-  if (::listen(fd, SOMAXCONN) != 0) throwErrno("tcp listener listen");
-  socklen_t len = sizeof(addr);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0)
-    throwErrno("tcp listener getsockname");
-  port_ = ntohs(addr.sin_port);
+  std::string err;
+  fd_ = util::listenTcp("0.0.0.0", port, 0, &port_, err);
+  if (!fd_.valid()) throw ShardError("tcp listener " + err);
 }
 
 WireFd TcpListener::accept(int deadlineMs) {
-  awaitFd(fd_.fd(), POLLIN, deadlineMs, "tcp rendezvous accept");
+  const util::DeadlineBudget budget(deadlineMs);
   for (;;) {
-    const int conn = ::accept4(fd_.fd(), nullptr, nullptr, SOCK_CLOEXEC);
-    if (conn < 0) {
-      if (errno == EINTR) continue;
-      throwErrno("tcp rendezvous accept");
+    const util::IoStatus st =
+        util::awaitFd(fd_.fd(), POLLIN, budget, util::IoPacing{});
+    if (st == util::IoStatus::kTimeout)
+      throw ShardError("tcp rendezvous accept timed out after " +
+                       std::to_string(deadlineMs) + " ms");
+    if (st != util::IoStatus::kOk) throwErrno("tcp rendezvous accept poll");
+    WireFd conn = util::acceptOn(fd_.fd());
+    if (conn.valid()) {
+      setKeepalive(conn.fd());
+      return conn;
     }
-    tuneTcpFd(conn);
-    return WireFd(conn);
+    // Readable but nothing to take (the dialer gave up in between): wait on.
+    if (errno != EAGAIN && errno != EWOULDBLOCK && errno != ECONNABORTED)
+      throwErrno("tcp rendezvous accept");
   }
 }
 
 WireFd tcpConnect(const std::string& host, std::uint16_t port,
                   int deadlineMs) {
-  const std::string where = host + ":" + std::to_string(port);
-  addrinfo hints{};
-  hints.ai_family = AF_INET;
-  hints.ai_socktype = SOCK_STREAM;
-  addrinfo* res = nullptr;
-  const int gai =
-      ::getaddrinfo(host.c_str(), std::to_string(port).c_str(), &hints, &res);
-  if (gai != 0 || res == nullptr)
-    throw ShardError("tcp connect to " + where +
-                     ": resolve failed: " + ::gai_strerror(gai));
-  sockaddr_storage addr{};
-  const socklen_t addrLen = static_cast<socklen_t>(res->ai_addrlen);
-  std::memcpy(&addr, res->ai_addr, res->ai_addrlen);
-  ::freeaddrinfo(res);
-
-  const int fd =
-      ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC | SOCK_NONBLOCK, 0);
-  if (fd < 0) throwErrno("tcp connect socket");
-  WireFd owned(fd);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), addrLen) != 0) {
-    if (errno != EINPROGRESS)
-      throwErrno("tcp connect to " + where);
-    awaitFd(fd, POLLOUT, deadlineMs, ("tcp connect to " + where).c_str());
-    int err = 0;
-    socklen_t errLen = sizeof(err);
-    if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &errLen) != 0)
-      throwErrno("tcp connect getsockopt");
-    if (err != 0)
-      throw ShardError("tcp connect to " + where + ": " +
-                       std::strerror(err));
-  }
-  // Back to blocking: Channel decides the pacing from here.
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags < 0 || ::fcntl(fd, F_SETFL, flags & ~O_NONBLOCK) < 0)
-    throwErrno("tcp connect fcntl");
-  tuneTcpFd(fd);
-  return owned;
+  std::string err;
+  WireFd fd = util::dialTcp(host, port, deadlineMs, err);
+  if (!fd.valid()) throw ShardError("tcp connect to " + err);
+  setKeepalive(fd.fd());
+  return fd;
 }
 
 void sendControlHello(Channel& ch, const TcpHello& hello) {
@@ -277,9 +216,7 @@ std::vector<WireFd> formTcpMesh(std::size_t self, std::uint64_t epoch,
     ch.writeAll(&ack, 1);
     peers[from] = ch.release();
   }
-  // meshExchange drives these fds with poll + nonblocking pumps.
-  for (std::size_t t = 0; t < count; ++t)
-    if (peers[t].valid()) setNonBlocking(peers[t]);
+  // Released Channel fds are nonblocking: meshExchange's pumps need that.
   return peers;
 }
 

@@ -24,10 +24,12 @@
 //      against the listen backlog) — each connection opening with a mesh
 //      hello (magic | version | shard | epoch) + one ack byte.
 //
-// Every blocking wait in the rendezvous and in the per-round traffic runs
-// under a poll deadline (MPCSPAN_TCP_TIMEOUT_MS); a refused dial, a
-// half-open peer, or a hello from the wrong epoch surfaces as ShardError,
-// never a hang.
+// Every wait in the rendezvous and in the per-round traffic runs under a
+// deadline (MPCSPAN_TCP_TIMEOUT_MS); a refused dial, a half-open peer, or a
+// hello from the wrong epoch surfaces as ShardError, never a hang. The
+// socket work itself (dial, listen, accept, paced I/O) is util/socket's;
+// this file adds the shard failure model (ShardError), SO_KEEPALIVE, and
+// the handshakes.
 #pragma once
 
 #include <cstddef>
@@ -47,8 +49,8 @@ constexpr std::uint64_t kTcpMagic = 0x314e415053504d4dull;
 /// from an older build are rejected at the handshake.
 constexpr std::uint8_t kTcpVersion = 3;
 
-/// MPCSPAN_TCP_TIMEOUT_MS (default 30000): per-blocking-wait deadline for
-/// every tcp channel.
+/// MPCSPAN_TCP_TIMEOUT_MS (default 30000): the per-transfer deadline of
+/// every tcp channel (and the budget of each mesh exchange).
 int defaultTcpTimeoutMs();
 /// MPCSPAN_TCP_PORT (default 0 = kernel-assigned): the coordinator's
 /// rendezvous port. Remote workers must be pointed at a fixed value.
@@ -61,7 +63,8 @@ bool defaultTcpRemote();
 /// reserved as the remote worker's "attach me" hello value.
 std::uint64_t makeTcpEpoch();
 
-/// Listening IPv4 stream socket (INADDR_ANY); owns and closes the fd.
+/// Listening IPv4 stream socket on 0.0.0.0 (util::listenTcp); owns and
+/// closes the fd.
 class TcpListener {
  public:
   TcpListener() = default;
@@ -76,7 +79,7 @@ class TcpListener {
   void reset() { fd_.reset(); }
 
   /// Accepts one connection within deadlineMs (ShardError on expiry);
-  /// the returned fd has TCP_NODELAY + SO_KEEPALIVE set.
+  /// the returned fd is nonblocking with TCP_NODELAY + SO_KEEPALIVE set.
   WireFd accept(int deadlineMs);
 
  private:
@@ -84,9 +87,9 @@ class TcpListener {
   std::uint16_t port_ = 0;
 };
 
-/// Dials host:port within deadlineMs. A refused, unreachable, or timed-out
-/// connect throws ShardError; the returned fd is blocking with
-/// TCP_NODELAY + SO_KEEPALIVE set.
+/// Dials host:port within deadlineMs (util::dialTcp). A refused,
+/// unreachable, or timed-out connect throws ShardError; the returned fd is
+/// nonblocking with TCP_NODELAY + SO_KEEPALIVE set.
 WireFd tcpConnect(const std::string& host, std::uint16_t port, int deadlineMs);
 
 /// The worker->coordinator control hello (step 2 above).
@@ -115,7 +118,7 @@ std::vector<TcpPeerAddr> readRoster(Channel& ch, std::uint64_t expectedEpoch,
 
 /// Forms shard `self`'s mesh row (step 4): dials roster[t] for t < self,
 /// accepts the rest on meshListener, handshakes every connection against
-/// `epoch`, and returns the fds nonblocking — ready for meshExchange().
+/// `epoch`, and returns the (nonblocking) fds — ready for meshExchange().
 /// peers[self] is left invalid.
 std::vector<WireFd> formTcpMesh(std::size_t self, std::uint64_t epoch,
                                 TcpListener& meshListener,

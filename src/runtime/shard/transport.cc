@@ -1,145 +1,63 @@
 #include "runtime/shard/transport.hpp"
 
-#include <fcntl.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/uio.h>
-
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <string>
 #include <utility>
 
+#include "util/socket.hpp"
+
 namespace mpcspan::runtime::shard {
 
 namespace {
 
-void setBlockingMode(int fd, bool nonblocking) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags < 0 ||
-      ::fcntl(fd, F_SETFL,
-              nonblocking ? (flags | O_NONBLOCK) : (flags & ~O_NONBLOCK)) < 0)
-    throw ShardError(std::string("channel fcntl: ") + std::strerror(errno));
+/// Turns a non-OK transfer status into the shard layer's ShardError.
+void check(util::IoStatus st, const char* dir, int deadlineMs) {
+  switch (st) {
+    case util::IoStatus::kOk:
+      return;
+    case util::IoStatus::kEof:
+      throw ShardError(std::string("shard wire ") + dir +
+                       ": peer closed (worker died?)");
+    case util::IoStatus::kTimeout:
+      throw ShardError("tcp channel timed out after " +
+                       std::to_string(deadlineMs) +
+                       " ms (peer hung or unreachable)");
+    default:
+      throw ShardError(std::string("shard wire ") + dir + ": " +
+                       std::strerror(errno));
+  }
 }
 
 }  // namespace
 
 Channel::Channel(WireFd fd, int deadlineMs)
-    : fd_(std::move(fd)), deadlineMs_(deadlineMs), paced_(deadlineMs >= 0) {
-  // Deadline channels pace nonblocking I/O with poll(); deadline-less ones
-  // keep the fd blocking and reuse WireFd's paths untouched. Pacing is fixed
-  // at construction — setDeadline(-1) on a paced channel means "poll without
-  // expiry", not "go back to blocking I/O".
-  if (fd_.valid() && paced_) setBlockingMode(fd_.fd(), true);
-}
-
-WireFd Channel::release() {
-  if (fd_.valid() && paced_) setBlockingMode(fd_.fd(), false);
-  paced_ = false;
-  return std::move(fd_);
-}
-
-void Channel::awaitReady(short events) {
-  pollfd pfd{fd_.fd(), events, 0};
-  for (;;) {
-    const int rc = ::poll(&pfd, 1, deadlineMs_);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      throw ShardError(std::string("channel poll: ") + std::strerror(errno));
-    }
-    if (rc == 0)
-      throw ShardError("tcp channel timed out after " +
-                       std::to_string(deadlineMs_) +
-                       " ms (peer hung or unreachable)");
-    // POLLERR/POLLHUP fall through to the recv/send call, which reports the
-    // specific error (EOF, ECONNRESET, EPIPE) with its usual message.
-    return;
-  }
+    : fd_(std::move(fd)), deadlineMs_(deadlineMs) {
+  if (fd_.valid() && !util::setNonblocking(fd_.fd()))
+    throw ShardError(std::string("channel fcntl: ") + std::strerror(errno));
 }
 
 void Channel::readAll(void* buf, std::size_t n) {
-  if (!paced_) {
-    fd_.readAll(buf, n);
-    return;
-  }
-  auto* p = static_cast<std::uint8_t*>(buf);
-  while (n > 0) {
-    const ssize_t r = ::recv(fd_.fd(), p, n, 0);
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        awaitReady(POLLIN);
-        continue;
-      }
-      throw ShardError(std::string("shard wire read: ") + std::strerror(errno));
-    }
-    if (r == 0) throw ShardError("shard wire read: peer closed (worker died?)");
-    p += r;
-    n -= static_cast<std::size_t>(r);
-  }
+  check(util::readBytes(fd_.fd(), buf, n, DeadlineBudget(deadlineMs_),
+                        util::IoPacing{}),
+        "read", deadlineMs_);
 }
 
 void Channel::writeAll(const void* buf, std::size_t n) {
-  if (!paced_) {
-    fd_.writeAll(buf, n);
-    return;
-  }
-  const auto* p = static_cast<const std::uint8_t*>(buf);
-  while (n > 0) {
-    const ssize_t w = ::send(fd_.fd(), p, n, MSG_NOSIGNAL);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        awaitReady(POLLOUT);
-        continue;
-      }
-      throw ShardError(std::string("shard wire write: ") +
-                       std::strerror(errno));
-    }
-    p += w;
-    n -= static_cast<std::size_t>(w);
-  }
+  check(util::writeBytes(fd_.fd(), buf, n, DeadlineBudget(deadlineMs_),
+                         util::IoPacing{}),
+        "write", deadlineMs_);
 }
 
 void Channel::writeAll2(const void* hdr, std::size_t nHdr, const void* body,
                         std::size_t nBody) {
-  if (!paced_) {
-    fd_.writeAll2(hdr, nHdr, body, nBody);
-    return;
-  }
-  const auto* hp = static_cast<const std::uint8_t*>(hdr);
-  const auto* bp = static_cast<const std::uint8_t*>(body);
-  while (nHdr + nBody > 0) {
-    iovec iov[2];
-    int cnt = 0;
-    if (nHdr > 0) iov[cnt++] = {const_cast<std::uint8_t*>(hp), nHdr};
-    if (nBody > 0) iov[cnt++] = {const_cast<std::uint8_t*>(bp), nBody};
-    msghdr msg{};
-    msg.msg_iov = iov;
-    msg.msg_iovlen = cnt;
-    const ssize_t w = ::sendmsg(fd_.fd(), &msg, MSG_NOSIGNAL);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        awaitReady(POLLOUT);
-        continue;
-      }
-      throw ShardError(std::string("shard wire write: ") +
-                       std::strerror(errno));
-    }
-    auto adv = static_cast<std::size_t>(w);
-    const std::size_t fromHdr = std::min(adv, nHdr);
-    hp += fromHdr;
-    nHdr -= fromHdr;
-    adv -= fromHdr;
-    bp += adv;
-    nBody -= adv;
-  }
+  check(util::writeBytes2(fd_.fd(), hdr, nHdr, body, nBody,
+                          DeadlineBudget(deadlineMs_), util::IoPacing{}),
+        "write", deadlineMs_);
 }
 
-// The Channel overloads of the frame helpers live here, not in wire.cc, so
-// the wire layer keeps zero knowledge of transports.
+// The frame helpers live here, not in wire.cc, so the wire layer keeps zero
+// knowledge of transports.
 
 void WireWriter::sendFramed(Channel& ch) const {
   const std::uint64_t len = buf_.size();

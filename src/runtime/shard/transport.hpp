@@ -1,25 +1,26 @@
 // The transport seam of the shard layer: a Channel is one end of a
-// coordinator<->worker or worker<->worker stream, whatever created the fd.
+// coordinator<->worker or worker<->worker stream, whatever created the fd —
+// a pre-fork AF_UNIX socketpair (the control channel under the shm ring) or
+// a tcp_transport.hpp rendezvous socket.
 //
-// Two implementations share the class:
-//   - fd-pair:  pre-fork AF_UNIX socketpairs (and the shm transport's
-//     doorbell sockets). No deadline — both ends are children of the same
-//     process, so peer death always surfaces as an EOF/EPIPE cascade.
-//   - tcp:      fds produced by the tcp_transport.hpp rendezvous. A real
-//     network can stall without ever delivering EOF (half-open peers,
-//     black-holed routes), so these channels carry a poll deadline: every
-//     blocking read/write first waits for readiness at most deadlineMs and
-//     throws ShardError on expiry instead of hanging the round.
+// Every Channel has one mode: its fd is nonblocking, and every transfer is
+// paced by util::awaitFd within one DeadlineBudget(deadlineMs) per call; a
+// deadline < 0 means no expiry. The deadline bounds one transfer (one
+// readAll / writeAll / writeAll2 call, so one frame header or one frame
+// body), not one wait: a silent peer expires at the same instant a per-wait
+// timeout would give, and a peer that trickles bytes cannot hold a control
+// read open past it either. An EINTR re-polls only for the time still
+// remaining, so a steady signal source cannot stretch a transfer.
 //
-// With no deadline set, Channel delegates straight to WireFd — the fd stays
-// blocking and the fast paths (gathered writes, full-buffer reads) are
-// byte-for-byte the pre-transport behavior. With a deadline, the fd is
-// switched to nonblocking I/O paced by poll(). The deadline is per blocking
-// wait, not per frame: progress resets the clock, silence expires it.
+// Same-host channels carry no deadline — both ends are children of one
+// process, so peer death always surfaces as an EOF/EPIPE cascade. tcp
+// channels carry MPCSPAN_TCP_TIMEOUT_MS: a real network can stall without
+// ever delivering EOF (half-open peers, black-holed routes).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 
 #include "runtime/shard/wire.hpp"
 #include "util/deadline.hpp"
@@ -27,58 +28,48 @@
 namespace mpcspan::runtime::shard {
 
 /// One shared wall-clock budget for every communication wait of a round.
-///
-/// The Channel deadline below is *per blocking wait*: progress resets the
-/// clock. That is the right contract for a single stream (a peer making
-/// progress is alive), but wrong for a round barrier composed of many
-/// waits — a peer trickling one byte per poll interval would reset the
-/// clock forever and extend the round unbounded past MPCSPAN_TCP_TIMEOUT_MS.
-/// The budget fixes the expiry instant once; trickling spends it instead of
-/// refreshing it. The class itself now lives in util/deadline.hpp (the
-/// serving daemon paces per-request deadlines with the same type); this
-/// alias keeps the shard layer's historical spelling working.
+/// A round barrier is composed of many transfers; the budget fixes the
+/// expiry instant once, so a peer trickling bytes spends it instead of
+/// refreshing it. The class lives in util/deadline.hpp (the serving daemon
+/// paces per-request deadlines with the same type); this alias keeps the
+/// shard layer's spelling.
 using DeadlineBudget = ::mpcspan::util::DeadlineBudget;
 
 class Channel {
  public:
   Channel() = default;
+  /// Takes the fd and switches it to nonblocking mode (ShardError if that
+  /// fails, which only a bogus fd can cause).
   explicit Channel(WireFd fd, int deadlineMs = -1);
 
   bool valid() const { return fd_.valid(); }
   int fd() const { return fd_.fd(); }
   void reset() { fd_.reset(); }
 
-  /// Deadline (ms) applied to each blocking wait; < 0 means wait forever.
-  /// Mutable because one channel alternates between round I/O (bounded) and
-  /// the worker's idle top-of-loop command read (unbounded — an idle engine
-  /// may legitimately not speak for minutes; SO_KEEPALIVE covers a peer
-  /// that died silently in the meantime). A channel constructed without a
-  /// deadline stays a pure WireFd delegate; one constructed *with* a
-  /// deadline keeps its poll-paced nonblocking I/O even while the deadline
-  /// is temporarily -1 (infinite poll, same semantics).
+  /// Deadline (ms) for each transfer; < 0 means no expiry. Mutable because
+  /// one channel alternates between round I/O (bounded) and the worker's
+  /// idle top-of-loop command read (unbounded — an idle engine may
+  /// legitimately not speak for minutes; SO_KEEPALIVE covers a peer that
+  /// died silently in the meantime).
   void setDeadline(int deadlineMs) { deadlineMs_ = deadlineMs; }
   int deadline() const { return deadlineMs_; }
 
-  /// Full-buffer I/O with the same ShardError contract as WireFd; honors
-  /// the deadline when one is set.
+  /// Full-buffer transfers. Throw ShardError on EOF, a socket error, or an
+  /// expired deadline ("tcp channel timed out after N ms ...").
   void readAll(void* buf, std::size_t n);
   void writeAll(const void* buf, std::size_t n);
+  /// Gathered header + body write (one sendmsg when the buffer has room).
   void writeAll2(const void* hdr, std::size_t nHdr, const void* body,
                  std::size_t nBody);
 
-  /// Surrenders the owned fd (restored to blocking mode) — used by the
-  /// rendezvous, which handshakes through a deadline Channel and then hands
-  /// the raw fd to the peer mesh.
-  WireFd release();
+  /// Surrenders the owned fd, still nonblocking — used by the rendezvous,
+  /// which handshakes through a Channel and then hands the raw fd to the
+  /// peer mesh, whose pumps need exactly that mode.
+  WireFd release() { return std::move(fd_); }
 
  private:
-  /// Waits for `events` (POLLIN/POLLOUT) within the deadline; throws
-  /// ShardError("tcp channel timed out...") on expiry.
-  void awaitReady(short events);
-
   WireFd fd_;
   int deadlineMs_ = -1;
-  bool paced_ = false;  // fd is nonblocking, I/O runs through awaitReady
 };
 
 }  // namespace mpcspan::runtime::shard

@@ -1,80 +1,16 @@
 #include "runtime/shard/wire.hpp"
 
 #include <sys/socket.h>
-#include <sys/uio.h>
-#include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <utility>
 
 namespace mpcspan::runtime::shard {
 
-void WireFd::reset(int fd) {
-  if (fd_ >= 0) ::close(fd_);
-  fd_ = fd;
-}
-
-void WireFd::writeAll(const void* buf, std::size_t n) {
-  const auto* p = static_cast<const std::uint8_t*>(buf);
-  while (n > 0) {
-    // MSG_NOSIGNAL: a dead peer must surface as EPIPE (-> ShardError), not
-    // kill the whole process with SIGPIPE.
-    const ssize_t w = ::send(fd_, p, n, MSG_NOSIGNAL);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      throw ShardError(std::string("shard wire write: ") + std::strerror(errno));
-    }
-    p += w;
-    n -= static_cast<std::size_t>(w);
-  }
-}
-
-void WireFd::readAll(void* buf, std::size_t n) {
-  auto* p = static_cast<std::uint8_t*>(buf);
-  while (n > 0) {
-    const ssize_t r = ::recv(fd_, p, n, 0);
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      throw ShardError(std::string("shard wire read: ") + std::strerror(errno));
-    }
-    if (r == 0) throw ShardError("shard wire read: peer closed (worker died?)");
-    p += r;
-    n -= static_cast<std::size_t>(r);
-  }
-}
-
-void WireFd::writeAll2(const void* hdr, std::size_t nHdr, const void* body,
-                       std::size_t nBody) {
-  const auto* hp = static_cast<const std::uint8_t*>(hdr);
-  const auto* bp = static_cast<const std::uint8_t*>(body);
-  while (nHdr + nBody > 0) {
-    iovec iov[2];
-    int cnt = 0;
-    if (nHdr > 0) iov[cnt++] = {const_cast<std::uint8_t*>(hp), nHdr};
-    if (nBody > 0) iov[cnt++] = {const_cast<std::uint8_t*>(bp), nBody};
-    msghdr msg{};
-    msg.msg_iov = iov;
-    msg.msg_iovlen = cnt;
-    const ssize_t w = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      throw ShardError(std::string("shard wire write: ") + std::strerror(errno));
-    }
-    auto adv = static_cast<std::size_t>(w);
-    const std::size_t fromHdr = std::min(adv, nHdr);
-    hp += fromHdr;
-    nHdr -= fromHdr;
-    adv -= fromHdr;
-    bp += adv;
-    nBody -= adv;
-  }
-}
-
 void makeSocketPair(WireFd& parentEnd, WireFd& childEnd) {
   int fds[2];
-  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0)
+  if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0, fds) != 0)
     throw ShardError(std::string("socketpair: ") + std::strerror(errno));
   parentEnd.reset(fds[0]);
   childEnd.reset(fds[1]);
@@ -116,24 +52,6 @@ void WireWriter::idRow(std::uint64_t id, const Word* w, std::size_t n) {
 
 void WireWriter::append(const WireWriter& other) {
   buf_.insert(buf_.end(), other.buf_.begin(), other.buf_.end());
-}
-
-void WireWriter::sendFramed(WireFd& fd) const {
-  const std::uint64_t len = buf_.size();
-  fd.writeAll2(&len, sizeof(len), buf_.data(), buf_.size());
-}
-
-WireReader WireReader::recvFramed(WireFd& fd) {
-  std::uint64_t len = 0;
-  fd.readAll(&len, sizeof(len));
-  if (len > kMaxFrameBytes)
-    throw ShardError("shard wire frame: implausible length (corrupt prefix)");
-  WireReader r;
-  r.buf_.resize(len);
-  if (len > 0) fd.readAll(r.buf_.data(), len);
-  r.data_ = r.buf_.data();
-  r.size_ = r.buf_.size();
-  return r;
 }
 
 WireReader WireReader::fromBytes(std::vector<std::uint8_t> bytes) {

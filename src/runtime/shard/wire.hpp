@@ -1,14 +1,15 @@
-// Byte-level transport between the ShardedEngine coordinator and its shard
-// workers: an owned stream-socket end plus length-framed message helpers.
+// Byte-level framing between the ShardedEngine coordinator and its shard
+// workers: the frame builder and reader, the socketpair factory, and the
+// ShardError every transport failure surfaces as.
 //
 // The framing is deliberately dumb — host-endian u64/u8 fields appended to a
 // flat buffer, sent as one `u64 length + body` frame per protocol phase —
 // because both ends are always the same binary (workers are fork()ed or run
 // the same-build mpcspan_worker; the tcp handshake's version byte pins the
-// latter). Every helper throws ShardError on short reads/writes or peer
-// death; the engine converts that into a loud round failure rather than a
-// hang. WireFd is the raw fd-pair implementation; transport.hpp's Channel
-// wraps it with optional poll deadlines for fds that cross a real network.
+// latter). The bytes move through a Channel (transport.hpp), which paces
+// util/socket's nonblocking I/O and throws ShardError on short reads/writes,
+// peer death, or an expired deadline; the engine converts that into a loud
+// round failure rather than a hang.
 #pragma once
 
 #include <cstddef>
@@ -18,10 +19,11 @@
 #include <vector>
 
 #include "runtime/types.hpp"
+#include "util/socket.hpp"
 
 namespace mpcspan::runtime::shard {
 
-class Channel;  // transport.hpp — deadline-aware wrapper over a WireFd
+class Channel;  // transport.hpp — the deadline-paced owner of a WireFd
 
 /// Transport-layer failure between the coordinator and a shard worker (a
 /// worker died mid-round, a socket broke). Distinct from CapacityError: this
@@ -37,45 +39,12 @@ class ShardError : public std::runtime_error {
 /// as ShardError instead of attempting a zero-filled overcommit allocation.
 constexpr std::uint64_t kMaxFrameBytes = 1ull << 34;  // 16 GiB
 
-/// One end of a shard socketpair; owns and closes the fd.
-class WireFd {
- public:
-  WireFd() = default;
-  explicit WireFd(int fd) : fd_(fd) {}
-  ~WireFd() { reset(); }
+/// The owning socket end (util/socket.hpp). Its I/O goes through Channel
+/// (transport.hpp); the mesh pumps drive the raw fd themselves.
+using util::WireFd;
 
-  WireFd(const WireFd&) = delete;
-  WireFd& operator=(const WireFd&) = delete;
-  WireFd(WireFd&& o) noexcept : fd_(o.fd_) { o.fd_ = -1; }
-  WireFd& operator=(WireFd&& o) noexcept {
-    if (this != &o) {
-      reset();
-      fd_ = o.fd_;
-      o.fd_ = -1;
-    }
-    return *this;
-  }
-
-  bool valid() const { return fd_ >= 0; }
-  int fd() const { return fd_; }
-  void reset(int fd = -1);
-
-  /// Blocking full-buffer send/recv (EINTR-safe, SIGPIPE suppressed).
-  /// Throws ShardError on EOF, peer death, or any socket error.
-  void writeAll(const void* buf, std::size_t n);
-  void readAll(void* buf, std::size_t n);
-
-  /// Gathered full send of two buffers (EINTR-safe, SIGPIPE suppressed):
-  /// one sendmsg covers header + body, so a frame that fits the socket
-  /// buffer costs one syscall instead of two writeAll round trips.
-  void writeAll2(const void* hdr, std::size_t nHdr, const void* body,
-                 std::size_t nBody);
-
- private:
-  int fd_ = -1;
-};
-
-/// Creates a connected AF_UNIX stream socketpair (parent end, child end).
+/// Creates a connected nonblocking AF_UNIX stream socketpair (parent end,
+/// child end) — the coordinator<->worker control pairs and the worker mesh.
 void makeSocketPair(WireFd& parentEnd, WireFd& childEnd);
 
 /// Append-only frame builder.
@@ -107,10 +76,9 @@ class WireWriter {
   std::size_t size() const { return buf_.size(); }
   const std::uint8_t* data() const { return buf_.data(); }
 
-  /// Sends `u64 length + body` as one frame (one gathered syscall).
-  void sendFramed(WireFd& fd) const;
-  /// Same frame over a Channel, honoring its deadline (defined in
-  /// transport.cc — wire.cc stays fd-only).
+  /// Sends `u64 length + body` as one frame (one gathered syscall when the
+  /// socket buffer has room), honoring the channel's deadline. Defined in
+  /// transport.cc: the wire layer keeps no knowledge of transports.
   void sendFramed(Channel& ch) const;
 
  private:
@@ -123,9 +91,9 @@ class WireWriter {
 /// never copies them into a reader first). Same vetting either way.
 class WireReader {
  public:
-  static WireReader recvFramed(WireFd& fd);
-  /// Same frame receive over a Channel, honoring its deadline (defined in
-  /// transport.cc).
+  /// Receives one `u64 length + body` frame, honoring the channel's
+  /// deadline (defined in transport.cc). A length beyond kMaxFrameBytes
+  /// throws ShardError before anything is allocated.
   static WireReader recvFramed(Channel& ch);
   /// Wraps an already-received (or test-crafted) frame body; the mesh
   /// exchange collects peer frames itself and hands the bytes here.

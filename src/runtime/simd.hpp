@@ -1,35 +1,20 @@
-// Vectorized word-array passes for the hot kernel inner loops, enabled by
-// rows living contiguously (arena-backed blocks, flat key scratch).
+// Word-array passes for the hot kernel inner loops, enabled by rows living
+// contiguously (arena-backed blocks, flat key scratch).
 //
-// Everything has a portable scalar form written so the compiler can
-// autovectorize it (flat arrays, no early exits in the steady state), plus
-// a hand-written AVX2 form behind a feature check. Nothing here is
-// compiled unless the build enables AVX2 (`-mavx2` / `-march=...`;
-// `MPCSPAN_NATIVE=ON` in CMake) — baseline builds take the scalar path,
-// so the two paths must stay bit-identical: these are exact integer
-// passes, never reductions with reassociation.
+// Each pass is a portable scalar form written so the compiler can
+// autovectorize it (flat arrays, no early exits in the steady state). They
+// are exact integer passes, never reductions with reassociation, so every
+// build produces the same bits.
 #pragma once
 
 #include <algorithm>
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "runtime/types.hpp"
 
-#if defined(__AVX2__)
-#include <immintrin.h>
-#endif
-
 namespace mpcspan::runtime::simd {
-
-inline constexpr bool kHaveAvx2 =
-#if defined(__AVX2__)
-    true;
-#else
-    false;
-#endif
 
 /// out[i] = base[i * stride + offset] — pulls one word per fixed-width
 /// packed item cell into a flat array (key extraction without unpacking).
@@ -39,107 +24,36 @@ inline void gatherStride(const Word* base, std::size_t offset,
     for (std::size_t i = 0; i < count; ++i) out[i] = base[offset + i];
     return;
   }
-  std::size_t i = 0;
-#if defined(__AVX2__)
-  const auto* b = reinterpret_cast<const long long*>(base + offset);
-  __m256i idx = _mm256_setr_epi64x(0, static_cast<long long>(stride),
-                                   static_cast<long long>(2 * stride),
-                                   static_cast<long long>(3 * stride));
-  const __m256i step = _mm256_set1_epi64x(static_cast<long long>(4 * stride));
-  for (; i + 4 <= count; i += 4) {
-    const __m256i v = _mm256_i64gather_epi64(b, idx, 8);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), v);
-    idx = _mm256_add_epi64(idx, step);
-  }
-#endif
-  for (; i < count; ++i) out[i] = base[i * stride + offset];
+  for (std::size_t i = 0; i < count; ++i) out[i] = base[i * stride + offset];
 }
 
 /// Appends to `starts` the index of every run start in keys[0..n): 0 and
-/// every i with keys[i] != keys[i-1]. The neighbour-compare is the
-/// vectorized part; run indices are u32 (a block never holds 2^32 items —
-/// it fits one machine's memory).
+/// every i with keys[i] != keys[i-1]. Run indices are u32 (a block never
+/// holds 2^32 items — it fits one machine's memory).
 inline void runStarts(const Word* keys, std::size_t n,
                       std::vector<std::uint32_t>& starts) {
   starts.clear();
   if (n == 0) return;
   starts.push_back(0);
-  std::size_t i = 1;
-#if defined(__AVX2__)
-  for (; i + 4 <= n; i += 4) {
-    const __m256i cur =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(keys + i));
-    const __m256i prev =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(keys + i - 1));
-    const __m256i eq = _mm256_cmpeq_epi64(cur, prev);
-    std::uint32_t diff =
-        ~static_cast<std::uint32_t>(_mm256_movemask_pd(_mm256_castsi256_pd(eq))) &
-        0xFu;
-    while (diff) {
-      starts.push_back(static_cast<std::uint32_t>(i) + std::countr_zero(diff));
-      diff &= diff - 1;
-    }
-  }
-#endif
-  for (; i < n; ++i)
+  for (std::size_t i = 1; i < n; ++i)
     if (keys[i] != keys[i - 1]) starts.push_back(static_cast<std::uint32_t>(i));
 }
 
 /// First index in ascending keys[lo..n) with keys[i] > key (unsigned) — the
-/// partition bound of a sorted run. Under AVX2 this is a forward block
-/// scan: bounds are consumed left to right, so each call resumes where the
-/// last bound ended and the whole partition pass touches keys[lo..n) once,
-/// four lanes at a time. The scalar form is a plain binary search — both
-/// return the same index, so builds with and without AVX2 stay
-/// bit-identical.
+/// partition bound of a sorted run.
 inline std::size_t upperBoundFrom(const Word* keys, std::size_t lo,
                                   std::size_t n, Word key) {
-#if defined(__AVX2__)
-  std::size_t i = lo;
-  // Unsigned compare via sign-bit flip (AVX2 only has signed 64-bit >).
-  const __m256i bias = _mm256_set1_epi64x(static_cast<long long>(1ull << 63));
-  const __m256i kv = _mm256_xor_si256(
-      _mm256_set1_epi64x(static_cast<long long>(key)), bias);
-  for (; i + 4 <= n; i += 4) {
-    const __m256i v = _mm256_xor_si256(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(keys + i)), bias);
-    const std::uint32_t gt = static_cast<std::uint32_t>(
-        _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpgt_epi64(v, kv))));
-    if (gt) return i + std::countr_zero(gt);
-  }
-  while (i < n && keys[i] <= key) ++i;
-  return i;
-#else
   return static_cast<std::size_t>(std::upper_bound(keys + lo, keys + n, key) -
                                   keys);
-#endif
 }
 
 /// First index in ascending keys[lo..n) with keys[i] >= key (unsigned) —
 /// the companion bound: together with upperBoundFrom it brackets the
-/// equal-key run around `key`. Same scan/search split as upperBoundFrom.
+/// equal-key run around `key`.
 inline std::size_t lowerBoundFrom(const Word* keys, std::size_t lo,
                                   std::size_t n, Word key) {
-#if defined(__AVX2__)
-  std::size_t i = lo;
-  const __m256i bias = _mm256_set1_epi64x(static_cast<long long>(1ull << 63));
-  const __m256i kv = _mm256_xor_si256(
-      _mm256_set1_epi64x(static_cast<long long>(key)), bias);
-  for (; i + 4 <= n; i += 4) {
-    const __m256i v = _mm256_xor_si256(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(keys + i)), bias);
-    // lanes with keys[i] < key; the first clear lane is the bound.
-    const std::uint32_t lt =
-        static_cast<std::uint32_t>(
-            _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpgt_epi64(kv, v))));
-    if (lt != 0xFu) return i + std::countr_zero(~lt & 0xFu);
-  }
-  while (i < n && keys[i] < key) ++i;
-  return i;
-#else
   return static_cast<std::size_t>(std::lower_bound(keys + lo, keys + n, key) -
                                   keys);
-#endif
 }
 
 }  // namespace mpcspan::runtime::simd

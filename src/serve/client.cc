@@ -30,7 +30,9 @@ int ServeClient::backoffDelayMs(int attempt, const ClientOptions& opts,
 
 void ServeClient::ensureConnected() {
   if (conn_.valid()) return;
-  conn_ = dialTcp(opts_.host, opts_.port, opts_.connectTimeoutMs);
+  std::string err;
+  conn_ = util::dialTcp(opts_.host, opts_.port, opts_.connectTimeoutMs, err);
+  if (!conn_.valid()) throw ServeTransportError("serve dial " + err);
   // Handshake: magic + version up, server identity down. A shed reply can
   // arrive here instead (the server sheds at accept time) — it surfaces as
   // ServeShedError, which the idempotent retry loops treat as "back off".

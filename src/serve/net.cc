@@ -1,21 +1,7 @@
 #include "serve/net.hpp"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netdb.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <signal.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <algorithm>
-#include <cerrno>
-#include <cstring>
-#include <stdexcept>
-
-#include "serve/protocol.hpp"
 
 namespace mpcspan::serve {
 
@@ -25,225 +11,32 @@ void ignoreSigpipe() {
   (void)::sigaction(SIGPIPE, &sa, nullptr);
 }
 
-void setNonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0)
-    throw std::runtime_error(std::string("serve fcntl O_NONBLOCK: ") +
-                             std::strerror(errno));
-}
-
-const char* ioStatusName(IoStatus s) {
-  switch (s) {
-    case IoStatus::kOk: return "ok";
-    case IoStatus::kEof: return "eof";
-    case IoStatus::kStopped: return "stopped";
-    case IoStatus::kTimeout: return "timeout";
-    case IoStatus::kMalformed: return "malformed";
-    case IoStatus::kError: return "error";
-  }
-  return "?";
-}
-
-IoStatus awaitFd(int fd, short events, const util::DeadlineBudget& budget,
-                 const IoPacing& pacing) {
-  for (;;) {
-    if (pacing.stop != nullptr &&
-        pacing.stop->load(std::memory_order_relaxed))
-      return IoStatus::kStopped;
-    int waitMs = pacing.pollSliceMs > 0 ? pacing.pollSliceMs : 200;
-    const int rem = budget.remainingMs();
-    if (rem >= 0) {
-      if (rem == 0) return IoStatus::kTimeout;
-      waitMs = std::min(waitMs, rem);
-    }
-    pollfd pfd{fd, events, 0};
-    const int rc = ::poll(&pfd, 1, waitMs);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      return IoStatus::kError;
-    }
-    // POLLHUP/POLLERR fall through as ready: the read/write that follows
-    // reports the accurate condition (EOF or errno).
-    if (rc > 0) return IoStatus::kOk;
-  }
-}
-
-IoStatus readBytes(int fd, void* buf, std::size_t n,
-                   const util::DeadlineBudget& budget, const IoPacing& pacing) {
-  auto* p = static_cast<std::uint8_t*>(buf);
-  std::size_t done = 0;
-  while (done < n) {
-    const ssize_t rc = ::recv(fd, p + done, n - done, 0);
-    if (rc > 0) {
-      done += static_cast<std::size_t>(rc);
-      continue;
-    }
-    if (rc == 0) return IoStatus::kEof;
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      const IoStatus st = awaitFd(fd, POLLIN, budget, pacing);
-      if (st != IoStatus::kOk) return st;
-      continue;
-    }
-    return IoStatus::kError;
-  }
-  return IoStatus::kOk;
-}
-
-IoStatus writeBytes(int fd, const void* buf, std::size_t n,
-                    const util::DeadlineBudget& budget,
-                    const IoPacing& pacing) {
-  const auto* p = static_cast<const std::uint8_t*>(buf);
-  std::size_t done = 0;
-  while (done < n) {
-    const ssize_t rc = ::send(fd, p + done, n - done, MSG_NOSIGNAL);
-    if (rc > 0) {
-      done += static_cast<std::size_t>(rc);
-      continue;
-    }
-    if (rc == 0) return IoStatus::kError;  // send never returns 0 for n > 0
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      const IoStatus st = awaitFd(fd, POLLOUT, budget, pacing);
-      if (st != IoStatus::kOk) return st;
-      continue;
-    }
-    if (errno == EPIPE || errno == ECONNRESET) return IoStatus::kEof;
-    return IoStatus::kError;
-  }
-  return IoStatus::kOk;
-}
-
 IoStatus readFrame(int fd, std::vector<std::uint8_t>& body,
                    std::uint64_t maxBytes,
                    const util::DeadlineBudget& idleBudget, int frameTimeoutMs,
                    const IoPacing& pacing) {
   // Idle wait: nothing of the frame has arrived yet.
-  const IoStatus ready = awaitFd(fd, POLLIN, idleBudget, pacing);
+  const IoStatus ready = util::awaitFd(fd, POLLIN, idleBudget, pacing);
   if (ready != IoStatus::kOk) return ready;
   // From the first byte on, the whole frame must land within its own
   // budget — a stalled sender is a fault, not idleness.
   const util::DeadlineBudget frameBudget(frameTimeoutMs);
   std::uint64_t len = 0;
-  const IoStatus hdr = readBytes(fd, &len, sizeof(len), frameBudget, pacing);
+  const IoStatus hdr =
+      util::readBytes(fd, &len, sizeof(len), frameBudget, pacing);
   if (hdr != IoStatus::kOk) return hdr;
   if (len == 0 || len > maxBytes) return IoStatus::kMalformed;
   body.resize(len);
-  return readBytes(fd, body.data(), len, frameBudget, pacing);
+  return util::readBytes(fd, body.data(), len, frameBudget, pacing);
 }
 
 IoStatus writeFrame(int fd, const std::uint8_t* body, std::size_t n,
                     int writeTimeoutMs, const IoPacing& pacing) {
   const util::DeadlineBudget budget(writeTimeoutMs);
   const std::uint64_t len = n;
-  const IoStatus hdr = writeBytes(fd, &len, sizeof(len), budget, pacing);
+  const IoStatus hdr = util::writeBytes(fd, &len, sizeof(len), budget, pacing);
   if (hdr != IoStatus::kOk) return hdr;
-  return writeBytes(fd, body, n, budget, pacing);
-}
-
-namespace {
-
-void tuneServeFd(int fd) {
-  int one = 1;
-  (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-}
-
-sockaddr_in resolveV4(const std::string& host, std::uint16_t port,
-                      const char* what) {
-  addrinfo hints{};
-  hints.ai_family = AF_INET;
-  hints.ai_socktype = SOCK_STREAM;
-  addrinfo* res = nullptr;
-  const int gai =
-      ::getaddrinfo(host.c_str(), std::to_string(port).c_str(), &hints, &res);
-  if (gai != 0 || res == nullptr)
-    throw ServeTransportError(std::string(what) + " " + host + ":" +
-                              std::to_string(port) +
-                              ": resolve failed: " + ::gai_strerror(gai));
-  sockaddr_in addr{};
-  std::memcpy(&addr, res->ai_addr,
-              std::min(sizeof(addr), static_cast<std::size_t>(res->ai_addrlen)));
-  ::freeaddrinfo(res);
-  return addr;
-}
-
-}  // namespace
-
-WireFd dialTcp(const std::string& host, std::uint16_t port,
-               int connectTimeoutMs) {
-  const std::string where = host + ":" + std::to_string(port);
-  const sockaddr_in addr = resolveV4(host, port, "serve dial");
-  const int fd =
-      ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC | SOCK_NONBLOCK, 0);
-  if (fd < 0)
-    throw ServeTransportError("serve dial socket: " +
-                              std::string(std::strerror(errno)));
-  WireFd owned(fd);
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    if (errno != EINPROGRESS)
-      throw ServeTransportError("serve dial " + where + ": " +
-                                std::strerror(errno));
-    const util::DeadlineBudget budget(connectTimeoutMs);
-    const IoStatus st = awaitFd(fd, POLLOUT, budget, IoPacing{});
-    if (st != IoStatus::kOk)
-      throw ServeTransportError("serve dial " + where + ": connect " +
-                                ioStatusName(st));
-    int err = 0;
-    socklen_t errLen = sizeof(err);
-    if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &errLen) != 0 || err != 0)
-      throw ServeTransportError("serve dial " + where + ": " +
-                                std::strerror(err != 0 ? err : errno));
-  }
-  tuneServeFd(fd);
-  return owned;
-}
-
-WireFd listenTcp(const std::string& host, std::uint16_t port, int backlog,
-                 std::uint16_t* boundPort) {
-  const int fd =
-      ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC | SOCK_NONBLOCK, 0);
-  if (fd < 0)
-    throw std::runtime_error("serve listen socket: " +
-                             std::string(std::strerror(errno)));
-  WireFd owned(fd);
-  int one = 1;
-  (void)::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  try {
-    addr = resolveV4(host, port, "serve listen");
-  } catch (const ServeTransportError& e) {
-    throw std::runtime_error(e.what());
-  }
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0)
-    throw std::runtime_error("serve listen bind " + host + ":" +
-                             std::to_string(port) + ": " +
-                             std::strerror(errno));
-  if (::listen(fd, backlog > 0 ? backlog : SOMAXCONN) != 0)
-    throw std::runtime_error("serve listen: " +
-                             std::string(std::strerror(errno)));
-  socklen_t len = sizeof(addr);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0)
-    throw std::runtime_error("serve listen getsockname: " +
-                             std::string(std::strerror(errno)));
-  if (boundPort != nullptr) *boundPort = ntohs(addr.sin_port);
-  return owned;
-}
-
-WireFd acceptOn(int listenFd) {
-  for (;;) {
-    const int conn =
-        ::accept4(listenFd, nullptr, nullptr, SOCK_CLOEXEC | SOCK_NONBLOCK);
-    if (conn >= 0) {
-      tuneServeFd(conn);
-      return WireFd(conn);
-    }
-    if (errno == EINTR) continue;
-    // EAGAIN: nothing pending. Anything else (ECONNABORTED, EMFILE burst,
-    // proto errors) is a per-connection transient — report "none" and let
-    // the acceptor loop continue; a daemon must not die in accept().
-    return WireFd();
-  }
+  return util::writeBytes(fd, body, n, budget, pacing);
 }
 
 }  // namespace mpcspan::serve

@@ -1,68 +1,37 @@
-// Nonblocking, EINTR-safe socket plumbing of the serving daemon.
+// Serve-specific socket pieces of the serving daemon: SIGPIPE suppression
+// and the `u64 length + body` frame read/write with the daemon's idle,
+// per-frame and per-write budgets.
 //
-// Everything here is poll-paced: no call ever blocks past its deadline
-// budget, and every wait is sliced (pollSliceMs) against a stop flag so a
-// shutting-down server never waits on a silent peer. Errors are *status
-// codes*, not exceptions — a serving daemon's I/O paths hit EOF, timeouts,
-// and garbage as a matter of course, and each caller decides which of those
-// is a counter bump, an error reply, or a plain connection close. Contrast
-// runtime/shard/wire.hpp, whose blocking helpers throw: there a broken peer
-// aborts the round; here it must never take the daemon down.
+// The socket I/O underneath — the owning fd, the poll wait, the full-buffer
+// read/write, dial/listen/accept — lives in util/socket.hpp, shared with the
+// shard transports. Everything stays poll-paced and status-coded: a serving
+// daemon's I/O paths hit EOF, timeouts, and garbage as a matter of course,
+// and each caller decides which of those is a counter bump, an error reply,
+// or a plain connection close. (The shard layer wraps the same statuses in
+// ShardError instead: there a broken peer aborts the round; here it must
+// never take the daemon down.)
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
-#include "runtime/shard/wire.hpp"
 #include "util/deadline.hpp"
+#include "util/socket.hpp"
 
 namespace mpcspan::serve {
 
-using runtime::shard::WireFd;
+using util::ioStatusName;
+using util::IoPacing;
+using util::IoStatus;
+using util::WireFd;
 
 /// Installs SIG_IGN for SIGPIPE, process-wide and idempotent. A serving
 /// daemon writes to sockets whose peers vanish at will; every such write
 /// must surface as EPIPE on the one affected session, never a signal that
-/// kills the process. (The shard wire already passes MSG_NOSIGNAL per
-/// call; this covers every other write the daemon will ever make.)
+/// kills the process. (util/socket already passes MSG_NOSIGNAL per call;
+/// this covers every other write the daemon will ever make.)
 void ignoreSigpipe();
-
-/// Sets O_NONBLOCK (throws std::runtime_error on fcntl failure — this only
-/// happens on a bogus fd, which is a programming error, not a peer fault).
-void setNonblocking(int fd);
-
-enum class IoStatus {
-  kOk,         // full transfer done
-  kEof,        // peer closed (possibly mid-frame)
-  kStopped,    // the stop flag was raised mid-wait
-  kTimeout,    // the deadline budget ran out
-  kMalformed,  // frame failed vetting (length 0 or > cap)
-  kError,      // socket error (errno-level)
-};
-const char* ioStatusName(IoStatus s);
-
-/// How waits are paced: an optional stop flag checked every pollSliceMs.
-struct IoPacing {
-  const std::atomic<bool>* stop = nullptr;
-  int pollSliceMs = 200;
-};
-
-/// Waits for `events` (POLLIN/POLLOUT) on fd within the budget. POLLHUP /
-/// POLLERR report as kOk — the subsequent read/write surfaces the real
-/// condition (EOF or errno), which is the accurate one.
-IoStatus awaitFd(int fd, short events, const util::DeadlineBudget& budget,
-                 const IoPacing& pacing);
-
-/// Full-buffer nonblocking read/write on a socket fd, poll-paced within
-/// the budget. Partial progress then EOF/timeout reports as such — the
-/// caller treats any non-kOk as "this connection is done".
-IoStatus readBytes(int fd, void* buf, std::size_t n,
-                   const util::DeadlineBudget& budget, const IoPacing& pacing);
-IoStatus writeBytes(int fd, const void* buf, std::size_t n,
-                    const util::DeadlineBudget& budget, const IoPacing& pacing);
 
 /// Receives one `u64 length + body` frame into `body`. The *idle* wait (no
 /// first header byte yet) runs under idleBudget — unbounded for a server
@@ -80,22 +49,5 @@ IoStatus readFrame(int fd, std::vector<std::uint8_t>& body,
 /// reader is dropped, the daemon's thread is not held hostage.
 IoStatus writeFrame(int fd, const std::uint8_t* body, std::size_t n,
                     int writeTimeoutMs, const IoPacing& pacing);
-
-/// Connects to host:port within connectTimeoutMs. The returned fd is
-/// nonblocking + CLOEXEC with TCP_NODELAY set. Throws ServeTransportError
-/// (protocol.hpp) on resolve/connect failure or timeout.
-WireFd dialTcp(const std::string& host, std::uint16_t port,
-               int connectTimeoutMs);
-
-/// Binds + listens on host:port (port 0 = ephemeral; *boundPort receives
-/// the actual one). Nonblocking + CLOEXEC. Throws std::runtime_error on
-/// failure — a daemon that cannot bind must die loudly at startup.
-WireFd listenTcp(const std::string& host, std::uint16_t port, int backlog,
-                 std::uint16_t* boundPort);
-
-/// Accepts one pending connection off a nonblocking listener: a valid
-/// nonblocking + CLOEXEC fd, or an invalid WireFd when none is pending
-/// (EAGAIN) or the handshake-level accept failed transiently.
-WireFd acceptOn(int listenFd);
 
 }  // namespace mpcspan::serve

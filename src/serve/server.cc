@@ -60,7 +60,10 @@ void Server::start() {
   if (started_) return;
   ignoreSigpipe();
   snapshot_.store(loadSnapshot(opts_.artifactPath, 1));
-  listener_ = listenTcp(opts_.host, opts_.port, 0, &port_);
+  std::string err;
+  listener_ = util::listenTcp(opts_.host, opts_.port, 0, &port_, err);
+  // A daemon that cannot bind must die loudly at startup.
+  if (!listener_.valid()) throw std::runtime_error("serve listen " + err);
   int fds[2];
   if (::pipe2(fds, O_CLOEXEC | O_NONBLOCK) != 0)
     throw std::runtime_error(std::string("serve self-pipe: ") +
@@ -214,7 +217,7 @@ void Server::acceptorLoop() {
     // queueing — bounded memory, and the client learns "retry later" now
     // rather than timing out in a line that will never move.
     for (;;) {
-      WireFd conn = acceptOn(listener_.fd());
+      WireFd conn = util::acceptOn(listener_.fd());
       if (!conn.valid()) break;
       bool shed = false;
       {

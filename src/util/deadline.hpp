@@ -12,7 +12,8 @@
 // Grew out of the shard transport's round barrier (PR 8) and generalized
 // here so the serving daemon can use the same budget for per-request
 // deadlines: src/runtime/shard/transport.hpp keeps a compatibility alias,
-// and src/serve/ paces request parsing, reply writes, and the degradation
+// util/socket.hpp paces every socket transfer of both layers with it, and
+// src/serve/ paces request parsing, reply writes, and the degradation
 // ladder (query::TieredOracle::queryBudgeted) off one budget per request.
 //
 // Constructed from a negative total the budget is unbounded (remainingMs()

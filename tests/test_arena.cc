@@ -1,8 +1,7 @@
 // The per-worker Arena allocator, its WordBuf surface, Payload's borrowed
 // (zero-copy) mode, and the simd:: passes that the arena-backed contiguous
-// layout enables. The simd tests exercise whichever path the build compiled
-// (scalar on baseline, AVX2 under -mavx2 / MPCSPAN_NATIVE) against the
-// obviously-correct scalar definition — the two must be bit-identical.
+// layout enables. The simd tests pin each pass against the obviously-correct
+// scalar definition or the std:: algorithm it stands for.
 #include "runtime/arena.hpp"
 
 #include <gtest/gtest.h>
@@ -175,7 +174,7 @@ TEST(Simd, RunStartsMatchesScalarOnAdversarialKeys) {
 }
 
 TEST(Simd, BoundsMatchStdAlgorithmsIncludingUnsignedExtremes) {
-  // Keys spanning the sign bit: the AVX2 path's bias trick must agree with
+  // Keys spanning the sign bit: the bounds must agree with
   // std::upper_bound / lower_bound on unsigned order.
   std::vector<Word> keys{0, 1, 5, 5, 5, 9, 1ull << 62, ~Word{0} - 1,
                          ~Word{0}, ~Word{0}};

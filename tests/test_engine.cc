@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
+#include <utility>
+#include <vector>
 
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
@@ -207,6 +211,50 @@ TEST(Engine, DisconnectedGraphIsHandled) {
   const auto report = verifySpanner(g, r.edges, r.stretchBound);
   EXPECT_TRUE(report.spanning);
   EXPECT_EQ(report.violations, 0u);
+}
+
+/// Samples exactly the roots listed, whatever p says.
+class FixedSample final : public SamplingPolicy {
+ public:
+  explicit FixedSample(std::vector<VertexId> roots) : roots_(std::move(roots)) {}
+  std::vector<char> choose(
+      const std::vector<char>& rootActive, double, std::uint64_t,
+      const std::function<IterPlanStats(const std::vector<char>&)>&,
+      SpannerResult::RepetitionStats&) override {
+    std::vector<char> sampled(rootActive.size(), 0);
+    for (const VertexId r : roots_)
+      if (r < rootActive.size()) sampled[r] = rootActive[r];
+    return sampled;
+  }
+
+ private:
+  std::vector<VertexId> roots_;
+};
+
+TEST(Engine, ContractionKeepsTheLightestParallelSuperEdge) {
+  // Sampling roots 0 and 2 grows clusters {0,1} and {2,3}; contraction
+  // (Step C) must keep only the lightest of the parallel crossing edges
+  // (1,3; w=2) and discard the heavier one (0,2; w=5) — without it,
+  // Phase 2 would add both, one per original endpoint.
+  GraphBuilder b(4);
+  b.addEdge(0, 1, 1.0);
+  b.addEdge(2, 3, 1.0);
+  b.addEdge(0, 2, 5.0);
+  b.addEdge(1, 3, 2.0);
+  const Graph g = b.build();
+  FixedSample policy({0, 2});
+  ClusterEngine::Options opts;
+  opts.policy = &policy;
+  ClusterEngine engine(g, /*k=*/3, opts);
+  EpochSpec epoch;
+  epoch.iterations = 1;
+  epoch.prob = [](std::size_t) { return 0.5; };
+  epoch.contractAfter = true;
+  const SpannerResult r = engine.run({epoch});
+  std::vector<Weight> kept;
+  for (const EdgeId id : r.edges) kept.push_back(g.edge(id).w);
+  std::sort(kept.begin(), kept.end());
+  EXPECT_EQ(kept, (std::vector<Weight>{1.0, 1.0, 2.0}));
 }
 
 }  // namespace

@@ -24,6 +24,7 @@
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "util/deadline.hpp"
+#include "util/socket.hpp"
 
 namespace mpcspan {
 namespace {
@@ -47,6 +48,14 @@ std::string buildTestArtifact(const std::string& name, std::size_t n,
   const query::QueryArtifact a = query::buildArtifact(g, plan);
   query::saveArtifactFile(a, path);
   return path;
+}
+
+/// A raw connection to the daemon, for tests that speak the wire by hand.
+util::WireFd dialRaw(std::uint16_t port) {
+  std::string err;
+  util::WireFd fd = util::dialTcp("127.0.0.1", port, 2000, err);
+  EXPECT_TRUE(fd.valid()) << err;
+  return fd;
 }
 
 const std::string& artifactA() {
@@ -387,7 +396,7 @@ TEST(ServeShed, PastWatermarkConnectionsGetShedReply) {
   // A occupies the only session thread; B fills the queue; C must shed.
   ServeClient a(clientFor(server));
   a.ping();
-  serve::WireFd b = serve::dialTcp("127.0.0.1", server.port(), 2000);
+  serve::WireFd b = dialRaw(server.port());
   // Wait until the acceptor has actually queued B (A can still be served —
   // it was popped off the queue before B arrived).
   for (int i = 0; i < 100 && a.stats().accepted < 2; ++i)
@@ -414,7 +423,7 @@ TEST(ServeSilentClient, ConnectionThatNeverSaysHelloIsDroppedAndCounted) {
   opts.frameTimeoutMs = 200;
   Server server(opts);
   server.start();
-  serve::WireFd silent = serve::dialTcp("127.0.0.1", server.port(), 2000);
+  serve::WireFd silent = dialRaw(server.port());
   // Let the session thread pick the silent connection up first.
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   ServeClient client(clientFor(server));
@@ -430,11 +439,11 @@ TEST(ServeSilentClient, ConnectionThatNeverSaysHelloIsDroppedAndCounted) {
 TEST(ServeMalformed, OversizedFrameGetsErrorReplyAndClose) {
   Server server(testServerOptions(artifactA()));
   server.start();
-  serve::WireFd raw = serve::dialTcp("127.0.0.1", server.port(), 2000);
+  serve::WireFd raw = dialRaw(server.port());
   const serve::IoPacing pacing{};
   // Claim a 2 MiB frame — past the cap, body never sent.
   const std::uint64_t lie = 2ull << 20;
-  ASSERT_EQ(serve::writeBytes(raw.fd(), &lie, sizeof(lie),
+  ASSERT_EQ(util::writeBytes(raw.fd(), &lie, sizeof(lie),
                               util::DeadlineBudget(2000), pacing),
             serve::IoStatus::kOk);
   std::vector<std::uint8_t> reply;
@@ -444,7 +453,7 @@ TEST(ServeMalformed, OversizedFrameGetsErrorReplyAndClose) {
   EXPECT_EQ(reply.at(0), serve::kReError);
   // ... and the server closes: the next read is EOF, not a hang.
   std::uint8_t byte = 0;
-  EXPECT_EQ(serve::readBytes(raw.fd(), &byte, 1, util::DeadlineBudget(4000),
+  EXPECT_EQ(util::readBytes(raw.fd(), &byte, 1, util::DeadlineBudget(4000),
                              pacing),
             serve::IoStatus::kEof);
 
@@ -456,7 +465,7 @@ TEST(ServeMalformed, OversizedFrameGetsErrorReplyAndClose) {
 TEST(ServeMalformed, GarbageFrameGetsErrorReplyAndClose) {
   Server server(testServerOptions(artifactA()));
   server.start();
-  serve::WireFd raw = serve::dialTcp("127.0.0.1", server.port(), 2000);
+  serve::WireFd raw = dialRaw(server.port());
   const serve::IoPacing pacing{};
   // A plausible length with garbage bytes: parses to a hello whose body is
   // truncated, which the codec must reject without crashing.
@@ -470,7 +479,7 @@ TEST(ServeMalformed, GarbageFrameGetsErrorReplyAndClose) {
             serve::IoStatus::kOk);
   EXPECT_EQ(reply.at(0), serve::kReError);
   std::uint8_t byte = 0;
-  EXPECT_EQ(serve::readBytes(raw.fd(), &byte, 1, util::DeadlineBudget(4000),
+  EXPECT_EQ(util::readBytes(raw.fd(), &byte, 1, util::DeadlineBudget(4000),
                              pacing),
             serve::IoStatus::kEof);
 
@@ -484,7 +493,7 @@ TEST(ServeMalformed, GarbageFrameGetsErrorReplyAndClose) {
 TEST(ServeMalformed, WrongMagicHelloRejected) {
   Server server(testServerOptions(artifactA()));
   server.start();
-  serve::WireFd raw = serve::dialTcp("127.0.0.1", server.port(), 2000);
+  serve::WireFd raw = dialRaw(server.port());
   const serve::IoPacing pacing{};
   serve::WireWriter w;
   w.u8(serve::kOpHello);

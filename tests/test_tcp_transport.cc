@@ -1,13 +1,23 @@
 // The tcp rendezvous and its handshakes: every failure mode of a real
 // network — refused dial, accept timeout, a stray client speaking garbage,
 // a worker from another protocol version, a mesh dial from a stale epoch —
-// surfaces as ShardError within the deadline, never a hang. Engine-level
-// tcp behavior lives in the transport suite (test_peer_exchange).
+// surfaces as ShardError within the deadline, never a hang — plus the
+// Channel contract both transports stand on: one nonblocking mode, a
+// deadline that bounds a transfer even under a signal storm, and large
+// frames in both directions at once. Engine-level tcp behavior lives in the
+// transport suite (test_peer_exchange).
 #include "runtime/shard/tcp_transport.hpp"
 
 #include <gtest/gtest.h>
+#include <pthread.h>
+#include <signal.h>
+#include <sys/socket.h>
 
+#include <atomic>
+#include <chrono>
+#include <cstring>
 #include <exception>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -28,6 +38,7 @@ using runtime::shard::tcpConnect;
 using runtime::shard::TcpListener;
 using runtime::shard::TcpPeerAddr;
 using runtime::shard::WireFd;
+using runtime::shard::WireReader;
 using runtime::shard::WireWriter;
 
 // --- Failure modes. Every one must be a ShardError within the deadline. ---
@@ -54,7 +65,7 @@ TEST(TcpTransport, StrayClientGarbageRejectedAtControlHello) {
     try {
       WireFd fd = tcpConnect("127.0.0.1", l.port(), 2000);
       const char junk[32] = "GET / HTTP/1.1\r\n\r\n";
-      fd.writeAll(junk, sizeof junk);
+      (void)::send(fd.fd(), junk, sizeof junk, MSG_NOSIGNAL);
     } catch (...) {
       // The acceptor may slam the door first; either way is a pass.
     }
@@ -112,6 +123,119 @@ TEST(TcpTransport, StaleEpochMeshDialRejectedBothSides) {
   acceptor.join();
   ASSERT_TRUE(acceptErr);
   EXPECT_THROW(std::rethrow_exception(acceptErr), ShardError);
+}
+
+// --- The Channel contract. ---
+
+void ignoreSignal(int) {}
+
+TEST(Channel, SignalStormCannotExtendTheDeadline) {
+  // A steady signal source (a profiler, SIGHUP reloads) interrupts every
+  // poll with EINTR. The read must still expire on its deadline: a restart
+  // waits only for the time left, never the whole deadline again.
+  struct sigaction sa {};
+  struct sigaction old {};
+  sa.sa_handler = ignoreSignal;
+  ::sigemptyset(&sa.sa_mask);
+  sa.sa_flags = 0;  // no SA_RESTART: every signal surfaces as EINTR
+  ASSERT_EQ(::sigaction(SIGUSR1, &sa, &old), 0);
+
+  WireFd ours;
+  WireFd silentPeer;
+  runtime::shard::makeSocketPair(ours, silentPeer);
+  std::promise<pthread_t> readerThread;
+  std::promise<bool> outcome;  // true: the read ended in ShardError
+  std::atomic<bool> release{false};
+  auto reader = std::async(std::launch::async, [&] {
+    readerThread.set_value(::pthread_self());
+    Channel ch(std::move(ours), /*deadlineMs=*/200);
+    std::uint8_t byte = 0;
+    bool threw = false;
+    try {
+      ch.readAll(&byte, 1);
+    } catch (const ShardError&) {
+      threw = true;
+    }
+    outcome.set_value(threw);
+    // Stay alive until the storm has stopped targeting this thread.
+    while (!release.load()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  });
+  const pthread_t target = readerThread.get_future().get();
+  std::atomic<bool> calm{false};
+  std::thread storm([&] {
+    while (!calm.load()) {
+      ::pthread_kill(target, SIGUSR1);
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+  });
+
+  std::future<bool> result = outcome.get_future();
+  const bool inTime =
+      result.wait_for(std::chrono::seconds(2)) == std::future_status::ready;
+  // A read that outlived the bound would hang the test: EOF ends it.
+  if (!inTime) silentPeer.reset();
+  const bool threw = result.get();
+  calm = true;
+  storm.join();
+  release = true;
+  reader.get();
+  ::sigaction(SIGUSR1, &old, nullptr);
+  EXPECT_TRUE(inTime) << "a 200 ms read was still waiting after 2 s";
+  EXPECT_TRUE(threw);
+}
+
+TEST(Channel, NoDeadlineCarriesBigFramesBothWaysAtOnce) {
+  // One 8 MiB frame each way at the same time, far past the socket buffer:
+  // both writers block on a full buffer until the readers drain it, and
+  // both frames arrive intact.
+  constexpr std::size_t kBytes = std::size_t{8} << 20;
+  WireFd endA;
+  WireFd endB;
+  runtime::shard::makeSocketPair(endA, endB);
+  Channel a(std::move(endA));
+  Channel b(std::move(endB));
+  const auto pattern = [](std::uint8_t seed) {
+    std::vector<std::uint8_t> bytes(kBytes);
+    for (std::size_t i = 0; i < kBytes; ++i)
+      bytes[i] = static_cast<std::uint8_t>(i * 131 + seed);
+    WireWriter w;
+    w.bytes(bytes.data(), bytes.size());
+    return w;
+  };
+  const WireWriter toB = pattern(1);
+  const WireWriter toA = pattern(2);
+  auto sendA = std::async(std::launch::async, [&] { toB.sendFramed(a); });
+  auto sendB = std::async(std::launch::async, [&] { toA.sendFramed(b); });
+  auto atB = std::async(std::launch::async,
+                        [&] { return WireReader::recvFramed(b); });
+  WireReader atA = WireReader::recvFramed(a);
+  sendA.get();
+  sendB.get();
+  WireReader fromA = atB.get();
+  ASSERT_EQ(atA.remaining(), kBytes);
+  ASSERT_EQ(fromA.remaining(), kBytes);
+  EXPECT_EQ(std::memcmp(atA.raw(kBytes), toA.data(), kBytes), 0);
+  EXPECT_EQ(std::memcmp(fromA.raw(kBytes), toB.data(), kBytes), 0);
+}
+
+TEST(Channel, PeerClosingMidFrameIsShardError) {
+  WireFd ours;
+  WireFd peer;
+  runtime::shard::makeSocketPair(ours, peer);
+  Channel ch(std::move(ours));
+  // Announce 1 MiB, send 100 bytes of it, and vanish.
+  const std::uint64_t len = std::uint64_t{1} << 20;
+  const std::uint8_t part[100] = {};
+  ASSERT_EQ(::send(peer.fd(), &len, sizeof len, MSG_NOSIGNAL),
+            static_cast<ssize_t>(sizeof len));
+  ASSERT_EQ(::send(peer.fd(), part, sizeof part, MSG_NOSIGNAL),
+            static_cast<ssize_t>(sizeof part));
+  peer.reset();
+  EXPECT_THROW(WireReader::recvFramed(ch), ShardError);
+  // Writing to the vanished peer fails the same way, with no SIGPIPE.
+  WireWriter w;
+  w.u64(7);
+  EXPECT_THROW(w.sendFramed(ch), ShardError);
 }
 
 }  // namespace

@@ -201,7 +201,7 @@ int main(int argc, char** argv) {
       .flag("rounds", "6", "probe kernel rounds to drive (--coordinate mode)")
       .flag("threads", "0", "stepping-pool lanes (0 = MPCSPAN_THREADS)")
       .flag("timeout", "0",
-            "per-blocking-wait deadline in ms (0 = MPCSPAN_TCP_TIMEOUT_MS "
+            "per-transfer deadline in ms (0 = MPCSPAN_TCP_TIMEOUT_MS "
             "default)");
 
   if (!args.parse(argc, argv)) {
