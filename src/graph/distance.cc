@@ -36,24 +36,54 @@ std::vector<Weight> dijkstraBounded(const Graph& g, VertexId src, Weight bound) 
 
 Weight dijkstraPair(const Graph& g, VertexId src, VertexId dst, Weight bound) {
   if (src == dst) return 0;
-  std::vector<Weight> dist(g.numVertices(), kInfDist);
-  MinHeap heap;
-  dist[src] = 0;
-  heap.emplace(0.0, src);
-  while (!heap.empty()) {
+  const std::size_t n = g.numVertices();
+  std::vector<Weight> distF(n, kInfDist), distB(n, kInfDist);
+  std::vector<EdgeId> parentB(n, kNoEdge);  // edge towards dst
+  MinHeap heapF, heapB;
+  distF[src] = 0;
+  heapF.emplace(0.0, src);
+  distB[dst] = 0;
+  heapB.emplace(0.0, dst);
+  // mu: the best src-dst path seen so far, through the meeting edge
+  // meetF -> meetB with meetF labelled forward and meetB backward.
+  Weight mu = kInfDist;
+  VertexId meetF = kNoVertex, meetB = kNoVertex;
+  EdgeId meetEdge = kNoEdge;
+  while (!heapF.empty() && !heapB.empty() &&
+         heapF.top().first + heapB.top().first < mu) {
+    const bool forward = heapF.size() <= heapB.size();
+    MinHeap& heap = forward ? heapF : heapB;
+    std::vector<Weight>& dist = forward ? distF : distB;
+    const std::vector<Weight>& other = forward ? distB : distF;
     const auto [d, v] = heap.top();
     heap.pop();
     if (d > dist[v]) continue;
-    if (v == dst) return d;
     for (const Incidence& inc : g.neighbors(v)) {
       const Weight nd = d + g.edge(inc.edge).w;
-      if (nd < dist[inc.to] && nd <= bound) {
+      const Weight through = nd + other[inc.to];
+      if (through < mu) {
+        mu = through;
+        meetF = forward ? v : inc.to;
+        meetB = forward ? inc.to : v;
+        meetEdge = inc.edge;
+      }
+      if (nd < dist[inc.to] && nd < mu && nd <= bound) {
         dist[inc.to] = nd;
+        if (!forward) parentB[inc.to] = inc.edge;
         heap.emplace(nd, inc.to);
       }
     }
   }
-  return kInfDist;
+  if (meetEdge == kNoEdge) return kInfDist;
+  // Re-sum the meeting path in src -> dst order, the order in which
+  // dijkstra() folds it; mu itself may differ from that in the last ulp.
+  Weight d = distF[meetF] + g.edge(meetEdge).w;
+  for (VertexId y = meetB; y != dst;) {
+    const EdgeId e = parentB[y];
+    d += g.edge(e).w;
+    y = g.opposite(e, y);
+  }
+  return d > bound ? kInfDist : d;
 }
 
 std::vector<std::uint32_t> bfsHops(const Graph& g, VertexId src) {

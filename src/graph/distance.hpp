@@ -19,7 +19,14 @@ std::vector<Weight> dijkstra(const Graph& g, VertexId src);
 /// kInfDist. Used for cheap per-edge stretch certificates.
 std::vector<Weight> dijkstraBounded(const Graph& g, VertexId src, Weight bound);
 
-/// Single-pair Dijkstra with early exit; returns kInfDist if d(src,dst) > bound.
+/// Single-pair distance by bidirectional Dijkstra: the side with the smaller
+/// heap scans next, and the search stops once the two heap tops sum to at
+/// least the best meeting path seen. That path is then re-summed in
+/// src -> dst order, the order dijkstra() adds it up in (the two sides' own
+/// sum can differ in the last ulp), so the answer is bit-identical to
+/// dijkstra(g, src)[dst] whenever no two paths tie to within float rounding;
+/// integer weights sum exactly and never do. Returns kInfDist if
+/// d(src, dst) > bound.
 Weight dijkstraPair(const Graph& g, VertexId src, VertexId dst, Weight bound = kInfDist);
 
 /// BFS hop distances from `src` (treats the graph as unweighted).

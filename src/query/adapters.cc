@@ -34,8 +34,9 @@ Weight ExactDistanceProvider::query(VertexId u, VertexId v) const {
 }
 
 std::size_t ExactDistanceProvider::memoryWords() const {
-  // CSR: 2 incidences per edge (to, edge) + offsets + the edge triples.
-  return 4 * g_->numEdges() + g_->numVertices() + 1 + 2 * g_->numEdges();
+  // CSR: 2 incidences per edge (8 B each), n + 1 offsets (one word each),
+  // and m edges (16 B each).
+  return 4 * g_->numEdges() + g_->numVertices() + 1;
 }
 
 SketchDistanceProvider::SketchDistanceProvider(

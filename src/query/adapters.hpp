@@ -20,7 +20,9 @@
 namespace mpcspan::query {
 
 /// Ground truth: single-pair Dijkstra on the input graph. Stretch 1.
-/// Queries are O(m log n) — this is the fallback tier, not a fast path.
+/// Queries run the bidirectional dijkstraPair: O(m log n) in the worst case,
+/// though each side usually settles only a ball of about half the distance.
+/// This is the slowest tier and the one the others fall back to.
 class ExactDistanceProvider final : public DistanceProvider {
  public:
   explicit ExactDistanceProvider(std::shared_ptr<const Graph> g);

@@ -17,7 +17,7 @@ AuditReport auditEnvelope(const Graph& g, std::span<const QueryPair> pairs,
   for (std::size_t i = 0; i < pairs.size() && report.audited < maxPairs; ++i) {
     const auto [u, v] = pairs[i];
     if (u == v) continue;
-    const Weight exact = dijkstraPair(g, u, v);
+    const Weight exact = dijkstra(g, u)[v];
     if (exact == kInfDist || exact <= 0) continue;
     const double ratio = answers[i] / exact;
     report.maxRatio = std::max(report.maxRatio, ratio);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 
@@ -47,7 +49,104 @@ TEST(Dijkstra, PairQueryMatchesFull) {
   const Graph g = gnmRandom(120, 400, rng, {WeightModel::kUniform, 10.0}, true);
   const auto d = dijkstra(g, 5);
   for (VertexId v : {0u, 10u, 60u, 119u})
-    EXPECT_DOUBLE_EQ(dijkstraPair(g, 5, v), d[v]);
+    EXPECT_EQ(dijkstraPair(g, 5, v), d[v]);
+}
+
+// Every ordered pair answered by the bidirectional search must equal the
+// one-to-all search bit for bit: real weights (rounding), small integer
+// weights (many tied paths), unit weights, and a graph with several
+// components (kInfDist across them).
+void expectAllPairsMatchDijkstra(const Graph& g) {
+  for (VertexId s = 0; s < g.numVertices(); ++s) {
+    const auto row = dijkstra(g, s);
+    for (VertexId t = 0; t < g.numVertices(); ++t)
+      ASSERT_EQ(dijkstraPair(g, s, t), row[t]) << s << "->" << t;
+  }
+}
+
+TEST(Dijkstra, PairMatchesFullBitwiseUniformWeights) {
+  Rng rng(11);
+  expectAllPairsMatchDijkstra(
+      gnmRandom(150, 450, rng, {WeightModel::kUniform, 10.0}, true));
+}
+
+TEST(Dijkstra, PairMatchesFullBitwiseIntegerWeights) {
+  Rng rng(12);
+  expectAllPairsMatchDijkstra(
+      gnmRandom(150, 450, rng, {WeightModel::kInteger, 3.0}, true));
+}
+
+TEST(Dijkstra, PairMatchesFullBitwiseUnitWeights) {
+  Rng rng(13);
+  expectAllPairsMatchDijkstra(gnmRandom(150, 300, rng, {}, true));
+}
+
+TEST(Dijkstra, PairMatchesFullBitwiseDisconnected) {
+  Rng rng(14);
+  const Graph g = gnmRandom(150, 120, rng, {WeightModel::kUniform, 10.0});
+  const auto row = dijkstra(g, 0);
+  ASSERT_TRUE(std::count(row.begin(), row.end(), kInfDist) > 0);
+  expectAllPairsMatchDijkstra(g);
+}
+
+TEST(Dijkstra, PairKeepsSearchingPastTheFirstMeeting) {
+  // The first path the two sides close is s-a-t (12); the shortest is
+  // s-b-c-t (10).
+  enum : VertexId { s, a, t, b, c };
+  GraphBuilder gb(5);
+  gb.addEdge(s, a, 6.0);
+  gb.addEdge(a, t, 6.0);
+  gb.addEdge(s, b, 3.0);
+  gb.addEdge(b, c, 4.0);
+  gb.addEdge(c, t, 3.0);
+  const Graph g = gb.build();
+  EXPECT_EQ(dijkstraPair(g, s, t), 10.0);
+  EXPECT_EQ(dijkstraPair(g, t, s), 10.0);
+  EXPECT_EQ(dijkstraPair(g, a, b), 9.0);
+}
+
+TEST(Dijkstra, PairIgnoresTheFirstVertexSettledByBothSides) {
+  // The hub h (4 from s, 4 from t) is the first vertex both sides settle:
+  // its two leaves keep the heaps level so the sides alternate. The only
+  // shortest path is the direct edge s-t of 6, which h is not on.
+  enum : VertexId { s, leaf1, leaf2, h, t };
+  GraphBuilder gb(5);
+  gb.addEdge(s, h, 4.0);
+  gb.addEdge(s, t, 6.0);
+  gb.addEdge(leaf1, h, 7.0);
+  gb.addEdge(leaf2, h, 7.0);
+  gb.addEdge(h, t, 4.0);
+  const Graph g = gb.build();
+  EXPECT_EQ(dijkstraPair(g, s, t), 6.0);
+  EXPECT_EQ(dijkstraPair(g, t, s), 6.0);
+}
+
+TEST(Dijkstra, PairBoundIsInclusive) {
+  Rng rng(15);
+  const Graph g = gnmRandom(80, 240, rng, {WeightModel::kInteger, 5.0}, true);
+  for (VertexId s = 0; s < g.numVertices(); s += 7) {
+    const auto row = dijkstra(g, s);
+    for (VertexId t = 0; t < g.numVertices(); ++t) {
+      if (t == s) continue;
+      EXPECT_EQ(dijkstraPair(g, s, t, row[t]), row[t]) << s << "->" << t;
+      EXPECT_EQ(dijkstraPair(g, s, t, row[t] - 1), kInfDist) << s << "->" << t;
+    }
+  }
+}
+
+TEST(Dijkstra, PairEdgeCases) {
+  GraphBuilder b(4);
+  b.addEdge(1, 2, 2.0);
+  b.addEdge(2, 3, 2.0);
+  const Graph g = b.build();
+  EXPECT_EQ(dijkstraPair(g, 2, 2), 0.0);
+  EXPECT_EQ(dijkstraPair(g, 2, 2, 0.0), 0.0);
+  EXPECT_EQ(dijkstraPair(g, 0, 0), 0.0);  // isolated, src == dst
+  EXPECT_EQ(dijkstraPair(g, 0, 3), kInfDist);  // isolated src
+  EXPECT_EQ(dijkstraPair(g, 3, 0), kInfDist);  // isolated dst
+  EXPECT_EQ(dijkstraPair(g, 1, 3), 4.0);
+  EXPECT_EQ(dijkstraPair(g, 1, 3, 4.0), 4.0);
+  EXPECT_EQ(dijkstraPair(g, 1, 3, 3.5), kInfDist);
 }
 
 TEST(Dijkstra, PairQueryRespectsBound) {

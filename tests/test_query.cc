@@ -63,6 +63,14 @@ TEST(Adapters, ExactMatchesDijkstraBitwise) {
   }
 }
 
+TEST(Adapters, ExactMemoryWordsCountsTheCsrBytes) {
+  const Graph g = testGraph();
+  const std::size_t m = g.numEdges(), n = g.numVertices();
+  const std::size_t bytes = 2 * m * sizeof(Incidence) + m * sizeof(Edge) +
+                            (n + 1) * sizeof(std::size_t);
+  EXPECT_EQ(ExactDistanceProvider(g).memoryWords() * 8, bytes);
+}
+
 TEST(Adapters, SketchMatchesUnderlyingSketchesBitwise) {
   const Graph g = splitGraph();
   const auto sk = std::make_shared<const DistanceSketches>(

@@ -140,7 +140,7 @@ TEST(QueryBudgeted, UnboundedBudgetAnswersFromStrongestTier) {
     EXPECT_EQ(ans.tier, exactTier);
     EXPECT_FALSE(ans.degraded);
     EXPECT_DOUBLE_EQ(ans.stretch, 1.0);
-    EXPECT_EQ(ans.dist, dijkstraPair(a.graph, u, v));
+    EXPECT_EQ(ans.dist, dijkstra(a.graph, u)[v]);
   }
 }
 
