@@ -7,10 +7,12 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "graph/distance.hpp"
 #include "graph/generators.hpp"
 #include "query/build.hpp"
+#include "util/rng.hpp"
 
 namespace mpcspan {
 namespace {
@@ -161,6 +163,59 @@ TEST(Artifact, CorruptSketchTablesAreRejected) {
     }
   }
   EXPECT_GT(rejected, 0u);  // at least some flips hit validated fields
+}
+
+std::uint64_t hashWords(const std::vector<EdgeId>& ids) {
+  std::uint64_t h = 0x243f6a8885a308d3ull;
+  for (const EdgeId id : ids) h = mix64(h ^ id);
+  return h;
+}
+
+std::uint64_t hashBytes(const std::string& bytes) {
+  std::uint64_t h = 0x243f6a8885a308d3ull;
+  for (const char c : bytes) h = mix64(h ^ static_cast<unsigned char>(c));
+  return h;
+}
+
+// Frozen artifacts: the host and distributed builds of one small graph. A
+// change to the build path must leave every value as it is; regenerate a row
+// only for an intended algorithm change, and say why in the commit.
+struct ArtifactPin {
+  const char* algo;
+  std::uint64_t edgeHash;
+  double spannerStretch;
+  double composedStretch;
+  std::size_t buildRounds;
+  std::size_t wordsMoved;
+  std::uint64_t fileHash;  // 0: not pinned
+};
+
+TEST(Artifact, PinnedBuildsAreUnchanged) {
+  const ArtifactPin pins[] = {
+      {"tradeoff", 0x6b6fd8bcd24a3bbcull, 78, 234, 0, 0, 0x31bd35044401c4b9ull},
+      {"baswana-sen", 0x18360854fd4248d7ull, 7, 21, 0, 0, 0},
+      {"dist-tradeoff", 0x6b6fd8bcd24a3bbcull, 7.620824233395731,
+       22.862472700187194, 42, 11631, 0xc968b676deec4234ull},
+      {"dist-baswana-sen", 0x18360854fd4248d7ull, 7, 21, 34, 11855, 0},
+  };
+  const Graph g = testGraph();
+  for (const ArtifactPin& pin : pins) {
+    query::BuildPlan plan;
+    plan.algo = pin.algo;
+    plan.k = 4;
+    plan.seed = 5;
+    plan.sketchK = 2;
+    plan.cacheSources = 16;
+    const auto a = query::buildArtifact(g, plan);
+    EXPECT_EQ(hashWords(a.spannerEdges), pin.edgeHash) << pin.algo;
+    EXPECT_EQ(a.spannerStretch, pin.spannerStretch) << pin.algo;
+    EXPECT_EQ(a.composedStretch, pin.composedStretch) << pin.algo;
+    EXPECT_EQ(a.buildRounds, pin.buildRounds) << pin.algo;
+    EXPECT_EQ(a.wordsMoved, pin.wordsMoved) << pin.algo;
+    if (pin.fileHash != 0) {
+      EXPECT_EQ(hashBytes(serialized(a)), pin.fileHash) << pin.algo;
+    }
+  }
 }
 
 TEST(Artifact, UnknownAlgoIsRejectedAtBuildTime) {
