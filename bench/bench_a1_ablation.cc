@@ -1,4 +1,4 @@
-// A1 — ablations of the two design choices DESIGN.md calls out:
+// A1 — ablations of two design choices of the cluster-growth engine:
 //
 //  (a) Step B3's strictly-lighter rule: when a super-node joins its closest
 //      sampled cluster with edge e, it must also add the minimum edge to

@@ -1,6 +1,6 @@
 // Shared helpers for the table/figure benchmark binaries. Each binary
-// regenerates one entry of DESIGN.md's per-experiment index and prints a
-// markdown table; EXPERIMENTS.md records the paper-vs-measured comparison.
+// regenerates one of the paper's tables or figures (named in its header
+// comment) and prints it as a markdown table.
 #pragma once
 
 #include <cstdio>

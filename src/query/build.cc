@@ -1,5 +1,6 @@
 #include "query/build.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <stdexcept>
 #include <utility>
@@ -9,81 +10,61 @@
 #include "mpc/dist_spanner.hpp"
 #include "mpc/simulator.hpp"
 #include "spanner/baswana_sen.hpp"
+#include "spanner/cluster_merging.hpp"
+#include "spanner/sqrtk.hpp"
 #include "spanner/tradeoff.hpp"
+#include "spanner/unweighted_fast.hpp"
 
 namespace mpcspan::query {
 
-namespace {
-
-struct SpannerBuild {
-  std::vector<EdgeId> edges;
-  std::string algorithm;
-  std::uint32_t k = 0;
-  std::uint32_t t = 0;
-  double stretch = 0;
-  std::size_t rounds = 0;
-  std::size_t wordsMoved = 0;
-};
-
-SpannerBuild runSpanner(const Graph& g, const BuildPlan& plan) {
-  SpannerBuild out;
-  out.algorithm = plan.algo;
-  out.k = plan.k;
-  if (plan.algo == "tradeoff") {
-    SpannerResult r = buildTradeoffSpanner(g, {plan.k, plan.t, plan.seed});
-    out.edges = std::move(r.edges);
-    out.t = r.t;
-    out.stretch = r.stretchBound;
-  } else if (plan.algo == "baswana-sen") {
-    SpannerResult r = buildBaswanaSen(g, {plan.k, plan.seed});
-    out.edges = std::move(r.edges);
-    out.stretch = r.stretchBound;
-  } else if (plan.algo == "dist-baswana-sen" || plan.algo == "dist-tradeoff") {
+SpannerResult buildSpanner(const Graph& g, const BuildPlan& plan) {
+  const std::string& algo = plan.algo;
+  if (algo == "baswana-sen")
+    return buildBaswanaSen(g, {.k = plan.k, .seed = plan.seed});
+  if (algo == "cluster-merging")
+    return buildClusterMergingSpanner(g, {.k = plan.k, .seed = plan.seed});
+  if (algo == "sqrtk") return buildSqrtKSpanner(g, {.k = plan.k, .seed = plan.seed});
+  if (algo == "tradeoff")
+    return buildTradeoffSpanner(g, {.k = plan.k, .t = plan.t, .seed = plan.seed});
+  if (algo == "unweighted-fast")
+    return buildUnweightedFastSpanner(
+               g, {.k = plan.k, .gamma = plan.gamma, .seed = plan.seed})
+        .spanner;
+  if (algo == "dist-baswana-sen" || algo == "dist-tradeoff") {
     MpcSimulator sim(
         MpcConfig::forInput(8 * std::max<std::size_t>(g.numEdges(), 8),
                             plan.gamma, 3.0),
-        plan.threads, plan.shards);
-    DistSpannerResult r;
-    if (plan.algo == "dist-baswana-sen") {
-      r = buildDistributedBaswanaSen(sim, g, plan.k, plan.seed);
-      out.stretch = 2.0 * plan.k - 1.0;
-    } else {
-      out.t = tradeoffIterations(plan.k, plan.t);
-      r = buildDistributedTradeoff(sim, g, plan.k, plan.t, plan.seed);
-      out.stretch = tradeoffTheoreticalStretch(plan.k, out.t);
-    }
-    out.edges = std::move(r.edges);
-    out.rounds = r.simulatorRounds;
-    out.wordsMoved = r.wordsMoved;
-  } else {
-    throw std::invalid_argument("buildArtifact: unknown algo '" + plan.algo +
-                                "' (want tradeoff | baswana-sen | "
-                                "dist-tradeoff | dist-baswana-sen)");
+        plan.threads, plan.shards, plan.transport);
+    return algo == "dist-tradeoff"
+               ? buildDistributedTradeoff(sim, g, plan.k, plan.t, plan.seed)
+               : buildDistributedBaswanaSen(sim, g, plan.k, plan.seed);
   }
-  if (out.stretch <= 0) out.stretch = 1.0;  // identity spanner (k == 1)
-  return out;
+  throw std::invalid_argument("unknown algo '" + algo + "' (want " +
+                              kSpannerAlgos + ")");
 }
 
-}  // namespace
-
 QueryArtifact buildArtifact(const Graph& g, const BuildPlan& plan) {
-  SpannerBuild sb = runSpanner(g, plan);
-  const Graph h = subgraph(g, sb.edges);
+  SpannerResult r = buildSpanner(g, plan);
+  // dist-tradeoff stamps the theoretical k^s, not its certified bound.
+  const double stretch = r.algorithm == "dist-tradeoff"
+                             ? tradeoffTheoreticalStretch(r.k, r.t)
+                             : r.stretchBound;
+  const Graph h = subgraph(g, r.edges);
   const SketchParams sp{plan.sketchK, plan.sketchSeed};
   DistanceSketches sketches(h, sp);
-  const double composed = sketches.stretchBound() * sb.stretch;
+  const double composed = sketches.stretchBound() * stretch;
   return QueryArtifact{g,
-                       std::move(sb.edges),
-                       std::move(sb.algorithm),
-                       sb.k,
-                       sb.t,
-                       sb.stretch,
+                       std::move(r.edges),
+                       std::move(r.algorithm),
+                       r.k,
+                       r.t,
+                       stretch,
                        sp,
                        composed,
                        std::move(sketches),
                        plan.cacheSources,
-                       sb.rounds,
-                       sb.wordsMoved};
+                       r.simulatorRounds,
+                       r.wordsMoved};
 }
 
 namespace {
@@ -206,7 +187,7 @@ QueryArtifact loadArtifactFile(const std::string& path) {
   return loadArtifact(in);
 }
 
-QueryPlane makeQueryPlane(const QueryArtifact& a, const QueryPlaneOptions& opt) {
+QueryPlane makeQueryPlane(const QueryArtifact& a) {
   QueryPlane plane;
   plane.graph = std::make_shared<const Graph>(a.graph);
   plane.sketches = std::make_shared<const DistanceSketches>(a.sketches);
@@ -227,9 +208,7 @@ QueryPlane makeQueryPlane(const QueryArtifact& a, const QueryPlaneOptions& opt) 
       std::make_shared<SketchDistanceProvider>(plane.sketches, a.composedStretch));
   tiers.push_back(std::make_shared<SpannerOracleProvider>(
       std::shared_ptr<const SpannerDistanceOracle>(plane.oracle),
-      opt.spannerCachedOnly ? SpannerOracleProvider::Mode::kCachedOnly
-                            : SpannerOracleProvider::Mode::kCompute,
-      a.spannerStretch));
+      SpannerOracleProvider::Mode::kCachedOnly, a.spannerStretch));
   tiers.push_back(std::make_shared<ExactDistanceProvider>(plane.graph));
   plane.tiered = std::make_shared<TieredOracle>(std::move(tiers));
   return plane;

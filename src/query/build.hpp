@@ -1,8 +1,10 @@
 // Build once, serve many: the query artifact.
 //
-// buildArtifact runs the full pipeline — spanner construction (host engine
-// or the sharded MPC simulator), Thorup–Zwick sketches on the spanner —
-// and captures everything serving needs in one QueryArtifact. The artifact
+// buildSpanner is the one build path: it maps a BuildPlan's algorithm name
+// to its builder (host ClusterEngine or the sharded MPC simulator) and
+// returns one SpannerResult. buildArtifact runs the full pipeline on top of
+// it — spanner, Thorup–Zwick sketches on the spanner — and captures
+// everything serving needs in one QueryArtifact. The artifact
 // saves to a versioned binary file (BinWriter/BinReader, graph/io.hpp) and
 // loads back without *any* recomputation: sketches are adopted from their
 // serialized tables, the oracle rebuilt from the stored spanner edge ids.
@@ -36,12 +38,20 @@
 #include "graph/graph.hpp"
 #include "query/adapters.hpp"
 #include "query/tiered.hpp"
+#include "runtime/types.hpp"
+#include "spanner/types.hpp"
 
 namespace mpcspan::query {
 
-/// Everything buildArtifact needs to know. `algo` is one of "tradeoff",
-/// "baswana-sen" (host engine), "dist-tradeoff", "dist-baswana-sen"
-/// (sharded MPC simulator; `threads`/`shards`/`gamma` apply).
+/// Every algorithm name buildSpanner accepts.
+inline constexpr const char* kSpannerAlgos =
+    "baswana-sen|cluster-merging|sqrtk|tradeoff|unweighted-fast|"
+    "dist-baswana-sen|dist-tradeoff";
+
+/// Everything a build needs to know. `algo` is one of kSpannerAlgos: the
+/// host engine's algorithms (`gamma` applies to unweighted-fast, which needs
+/// an unweighted graph), or "dist-*" on the sharded MPC simulator
+/// (`threads`/`shards`/`gamma`/`transport` apply).
 struct BuildPlan {
   std::string algo = "tradeoff";
   std::uint32_t k = 8;
@@ -53,7 +63,12 @@ struct BuildPlan {
   std::size_t threads = 0;        // dist-*: simulator stepping threads
   std::size_t shards = 0;         // dist-*: simulator shards
   double gamma = 0.5;             // dist-*: machine memory exponent
+  runtime::Transport transport = runtime::Transport::kShmRing;  // dist-*
 };
+
+/// Builds the spanner `plan` names. A dist-* build provisions its simulator
+/// for ~4x the edge tuples. Throws std::invalid_argument on an unknown algo.
+SpannerResult buildSpanner(const Graph& g, const BuildPlan& plan);
 
 /// The serve-side state: input graph, spanner (edge ids + certified
 /// stretch), sketches built on the spanner, and serving parameters.
@@ -63,7 +78,7 @@ struct QueryArtifact {
   std::string algorithm;
   std::uint32_t k = 0;
   std::uint32_t t = 0;
-  double spannerStretch = 0;  // certified (host) or theoretical (dist-*)
+  double spannerStretch = 0;  // certified (dist-tradeoff: theoretical k^s)
   SketchParams sketchParams;
   double composedStretch = 0;  // sketch stretch * spanner stretch
   DistanceSketches sketches;   // built on the spanner subgraph
@@ -88,17 +103,12 @@ struct QueryPlane {
   std::shared_ptr<TieredOracle> tiered;
 };
 
-struct QueryPlaneOptions {
-  /// Middle tier answers only from resident cache rows (declining
-  /// otherwise) instead of computing on miss. On by default — it is what
-  /// keeps the tier cheap; the exact tier backstops cold pairs.
-  bool spannerCachedOnly = true;
-};
-
-/// Assembles sketch -> spanner -> exact over the artifact's structures.
+/// Assembles sketch -> spanner-cache -> exact over the artifact's
+/// structures. The middle tier answers only from resident cache rows and
+/// declines otherwise: a cold spanner row costs more than the exact tier's
+/// bidirectional Dijkstra, which backstops cold pairs at stretch 1.
 /// Copies the artifact's graph and sketches into shared ownership; the
 /// artifact itself need not outlive the plane.
-QueryPlane makeQueryPlane(const QueryArtifact& a,
-                          const QueryPlaneOptions& opt = {});
+QueryPlane makeQueryPlane(const QueryArtifact& a);
 
 }  // namespace mpcspan::query

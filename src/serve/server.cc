@@ -32,10 +32,8 @@ std::shared_ptr<const Server::Snapshot> Server::loadSnapshot(
   const query::QueryArtifact a = query::loadArtifactFile(path);
   if (a.graph.numVertices() == 0)
     throw std::runtime_error("artifact graph is empty: " + path);
-  query::QueryPlaneOptions planeOpt;
-  planeOpt.spannerCachedOnly = opts_.cachedOnly;
   auto snap = std::make_shared<Snapshot>();
-  snap->plane = query::makeQueryPlane(a, planeOpt);
+  snap->plane = query::makeQueryPlane(a);
   snap->version = version;
   snap->path = path;
   snap->numVertices = a.graph.numVertices();

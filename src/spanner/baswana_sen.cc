@@ -1,5 +1,6 @@
 #include "spanner/baswana_sen.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 
@@ -17,29 +18,26 @@ SpannerResult identitySpanner(const Graph& g, const char* algorithm) {
   return r;
 }
 
+std::vector<EpochSpec> baswanaSenSchedule(std::size_t n, std::uint32_t k) {
+  if (k <= 1) return {};
+  const double p = std::pow(static_cast<double>(std::max<std::size_t>(n, 2)),
+                            -1.0 / static_cast<double>(k));
+  EpochSpec epoch;
+  epoch.iterations = k - 1;
+  epoch.prob = [p](std::size_t) { return p; };
+  epoch.contractAfter = false;
+  return {epoch};
+}
+
 SpannerResult buildBaswanaSen(const Graph& g, const BaswanaSenParams& params) {
   if (params.k <= 1) return identitySpanner(g, "baswana-sen");
 
-  const double p =
-      std::pow(static_cast<double>(std::max<std::size_t>(g.numVertices(), 2)),
-               -1.0 / static_cast<double>(params.k));
-  EpochSpec epoch;
-  epoch.iterations = params.k - 1;
-  epoch.prob = [p](std::size_t) { return p; };
-  epoch.contractAfter = false;
-
-  ClusterEngine::Options opts;
-  opts.seed = params.seed;
-  opts.policy = params.policy;
-  ClusterEngine engine(g, params.k, opts);
-  SpannerResult result = engine.run({epoch});
+  ClusterEngine engine(g, params.k, {.seed = params.seed, .policy = params.policy});
+  // Without contractions the radius recurrence gives r = k-1, and the
+  // schedule certifies the classical 2k-1.
+  SpannerResult result = engine.run(baswanaSenSchedule(g.numVertices(), params.k));
   result.algorithm = "baswana-sen";
   result.t = params.k;
-  // Without contractions the radius recurrence gives r = k-1 exactly, and
-  // the classical analysis certifies stretch 2k-1 (tighter than the generic
-  // engine bound).
-  result.stretchBound =
-      std::min(result.stretchBound, 2.0 * static_cast<double>(params.k) - 1.0);
   return result;
 }
 

@@ -20,6 +20,10 @@ struct BaswanaSenParams {
   SamplingPolicy* policy = nullptr;  // optional override (Congested Clique)
 };
 
+/// The Baswana-Sen schedule: one epoch of k-1 growth iterations at
+/// n^{-1/k}, no contraction. Empty for k <= 1.
+std::vector<EpochSpec> baswanaSenSchedule(std::size_t n, std::uint32_t k);
+
 /// Builds a (2k-1)-spanner. For k == 1 the spanner is the whole graph.
 SpannerResult buildBaswanaSen(const Graph& g, const BaswanaSenParams& params);
 

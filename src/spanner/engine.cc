@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
 #include <unordered_map>
+#include <utility>
 
 #include "util/log.hpp"
 
@@ -44,72 +46,85 @@ std::vector<char> HashCoinPolicy::choose(
 // Engine
 // ---------------------------------------------------------------------------
 
-ClusterEngine::ClusterEngine(const Graph& g, std::uint32_t k, Options opts)
-    : g_(g), k_(k), opts_(opts), defaultPolicy_(opts.seed) {
-  if (k_ == 0) throw std::invalid_argument("ClusterEngine: k must be >= 1");
-  nSuper_ = g_.numVertices();
-  clusterOf_.resize(nSuper_);
-  for (VertexId s = 0; s < nSuper_; ++s) clusterOf_[s] = s;
-  alive_.reserve(g_.numEdges());
-  for (EdgeId id = 0; id < g_.numEdges(); ++id)
-    alive_.push_back(AliveEdge{g_.edge(id).u, g_.edge(id).v, id});
+ScheduleEngine::ScheduleEngine(const Graph& g, std::uint32_t k)
+    : g_(g), nSuper_(g.numVertices()), clusterOf_(nSuper_) {
+  std::iota(clusterOf_.begin(), clusterOf_.end(), 0);
   inSpanner_.assign(g_.numEdges(), 0);
-  result_.k = k_;
+  result_.k = k;
   result_.inputVertices = g_.numVertices();
   result_.inputEdges = g_.numEdges();
 }
 
-std::vector<char> ClusterEngine::activeRoots() const {
+SpannerResult ScheduleEngine::run(const std::vector<EpochSpec>& schedule) {
+  for (std::size_t epochIdx = 0; epochIdx < schedule.size(); ++epochIdx) {
+    const EpochSpec& spec = schedule[epochIdx];
+    std::size_t active = 0;
+    for (const VertexId c : clusterOf_) active += c != kNoVertex;
+    result_.supernodesPerEpoch.push_back(active);
+
+    const double p = std::clamp(spec.prob ? spec.prob(active) : 0.5, 0.0, 1.0);
+    result_.samplingProbs.push_back(p);
+
+    for (std::uint32_t j = 0; j < spec.iterations; ++j) {
+      result_.cost.charge(Prim::kSample);
+      result_.cost.charge(Prim::kFindMin);
+      result_.cost.charge(Prim::kMerge);
+      const std::uint64_t drawKey = (static_cast<std::uint64_t>(epochIdx) << 32) | j;
+      result_.clustersPerIteration.push_back(grow(p, drawKey));
+      ++result_.iterations;
+    }
+    if (spec.contractAfter) {
+      result_.cost.charge(Prim::kContraction);
+      contract();
+    }
+    ++result_.epochs;
+  }
+  result_.cost.charge(Prim::kFindMin);
+  phase2();
+
+  const ScheduleBound bound = certifySchedule(schedule);
+  result_.finalRadius = bound.finalRadius;
+  result_.stretchBound = bound.stretchBound;
+
+  result_.edges.clear();
+  for (EdgeId id = 0; id < inSpanner_.size(); ++id)
+    if (inSpanner_[id]) result_.edges.push_back(id);
+  return std::move(result_);
+}
+
+std::vector<char> ScheduleEngine::activeRoots() const {
   std::vector<char> rootActive(nSuper_, 0);
   for (VertexId s = 0; s < nSuper_; ++s)
     if (clusterOf_[s] != kNoVertex) rootActive[clusterOf_[s]] = 1;
   return rootActive;
 }
 
-SpannerResult ClusterEngine::run(const std::vector<EpochSpec>& schedule) {
-  for (std::size_t epochIdx = 0; epochIdx < schedule.size(); ++epochIdx) {
-    const EpochSpec& spec = schedule[epochIdx];
-    std::size_t active = 0;
-    for (VertexId s = 0; s < nSuper_; ++s)
-      if (clusterOf_[s] != kNoVertex) ++active;
-    result_.supernodesPerEpoch.push_back(active);
-
-    double p = spec.prob ? spec.prob(active) : 0.5;
-    p = std::clamp(p, 0.0, 1.0);
-    result_.samplingProbs.push_back(p);
-
-    for (std::uint32_t j = 0; j < spec.iterations; ++j) {
-      const std::uint64_t drawKey = (static_cast<std::uint64_t>(epochIdx) << 32) | j;
-      runIteration(p, drawKey);
-      ++result_.iterations;
-    }
-    if (spec.contractAfter) contract();
-    ++result_.epochs;
-  }
-  phase2();
-
-  result_.finalRadius = rCur_;
-  // Every discarded edge is spanned within 4r+2 times its weight
-  // (Theorem 5.11 cases), except step-C contraction discards, which chain
-  // through surviving representatives and pick up at most two cluster
-  // traversals per contraction: the 2*sum(r at contraction) correction.
-  result_.stretchBound = 4.0 * rCur_ + 2.0 + 2.0 * contractedRadiusSum_;
-
-  result_.edges.clear();
-  for (EdgeId id = 0; id < inSpanner_.size(); ++id)
-    if (inSpanner_[id]) result_.edges.push_back(id);
-  return result_;
+std::vector<VertexId> ScheduleEngine::contractClusters() {
+  std::vector<VertexId> newId(nSuper_, kNoVertex);
+  std::size_t n2 = 0;
+  for (VertexId s = 0; s < nSuper_; ++s)
+    if (clusterOf_[s] == s) newId[s] = static_cast<VertexId>(n2++);
+  std::vector<VertexId> relabel(nSuper_, kNoVertex);
+  for (VertexId s = 0; s < nSuper_; ++s)
+    if (clusterOf_[s] != kNoVertex) relabel[s] = newId[clusterOf_[s]];
+  nSuper_ = n2;
+  clusterOf_.resize(nSuper_);
+  std::iota(clusterOf_.begin(), clusterOf_.end(), 0);
+  return relabel;
 }
 
-void ClusterEngine::runIteration(double p, std::uint64_t drawKey) {
-  result_.cost.charge(Prim::kSample);
-  result_.cost.charge(Prim::kFindMin);
-  result_.cost.charge(Prim::kMerge);
+ClusterEngine::ClusterEngine(const Graph& g, std::uint32_t k, Options opts)
+    : ScheduleEngine(g, k), opts_(opts), defaultPolicy_(opts.seed) {
+  if (k == 0) throw std::invalid_argument("ClusterEngine: k must be >= 1");
+  alive_.reserve(g_.numEdges());
+  for (EdgeId id = 0; id < g_.numEdges(); ++id)
+    alive_.push_back(AliveEdge{g_.edge(id).u, g_.edge(id).v, id});
+}
 
+std::size_t ClusterEngine::grow(double p, std::uint64_t drawKey) {
   const std::vector<char> rootActive = activeRoots();
   std::size_t numRoots = 0;
   for (char c : rootActive) numRoots += c != 0;
-  result_.clustersPerIteration.push_back(numRoots);
 
   SamplingPolicy* policy = opts_.policy ? opts_.policy : &defaultPolicy_;
   auto dryRun = [this](const std::vector<char>& sampled) {
@@ -118,8 +133,8 @@ void ClusterEngine::runIteration(double p, std::uint64_t drawKey) {
   const std::vector<char> sampled =
       policy->choose(rootActive, p, drawKey, dryRun, result_.repetition);
 
-  Plan plan = computePlan(sampled);
-  applyPlan(plan);
+  applyPlan(computePlan(sampled));
+  return numRoots;
 }
 
 ClusterEngine::Plan ClusterEngine::computePlan(const std::vector<char>& sampled) const {
@@ -255,21 +270,10 @@ void ClusterEngine::applyPlan(const Plan& plan) {
     next.push_back(ae);
   }
   alive_ = std::move(next);
-#ifndef NDEBUG
-  checkInvariant();  // Lemma 5.6
-#endif
-
-  // Lemma 5.8: one growth iteration adds 2*r_super + 1 to the radius.
-  rCur_ += 2.0 * rSuper_ + 1.0;
 }
 
 void ClusterEngine::contract() {
-  result_.cost.charge(Prim::kContraction);
-
-  std::vector<VertexId> newId(nSuper_, kNoVertex);
-  std::size_t n2 = 0;
-  for (VertexId s = 0; s < nSuper_; ++s)
-    if (clusterOf_[s] == s) newId[s] = static_cast<VertexId>(n2++);
+  const std::vector<VertexId> relabel = contractClusters();
 
   // Relabel to cluster roots; keep the min-weight representative per pair
   // (Step C); all other parallel super-edges are silently discarded.
@@ -281,9 +285,9 @@ void ClusterEngine::contract() {
   best.reserve(alive_.size());
   for (std::uint32_t idx = 0; idx < alive_.size(); ++idx) {
     AliveEdge& ae = alive_[idx];
-    assert(clusterOf_[ae.su] != kNoVertex && clusterOf_[ae.sv] != kNoVertex);
-    ae.su = newId[clusterOf_[ae.su]];
-    ae.sv = newId[clusterOf_[ae.sv]];
+    ae.su = relabel[ae.su];
+    ae.sv = relabel[ae.sv];
+    assert(ae.su != kNoVertex && ae.sv != kNoVertex);
     assert(ae.su != ae.sv && "intra-cluster edges must be gone before contraction");
     VertexId a = ae.su, b = ae.sv;
     if (a > b) std::swap(a, b);
@@ -301,18 +305,9 @@ void ClusterEngine::contract() {
   for (std::uint32_t idx = 0; idx < alive_.size(); ++idx)
     if (keep[idx]) next.push_back(alive_[idx]);
   alive_ = std::move(next);
-
-  nSuper_ = n2;
-  clusterOf_.resize(nSuper_);
-  for (VertexId s = 0; s < nSuper_; ++s) clusterOf_[s] = s;
-
-  contractedRadiusSum_ += rCur_;
-  rSuper_ = rCur_;
 }
 
 void ClusterEngine::phase2() {
-  result_.cost.charge(Prim::kFindMin);
-
   // Group alive edges by (original endpoint, opposite cluster); keep the
   // minimum per group, discard everything else.
   struct Best {
@@ -341,11 +336,25 @@ void ClusterEngine::phase2() {
   alive_.clear();
 }
 
-void ClusterEngine::checkInvariant() const {
-  for (const AliveEdge& ae : alive_) {
-    (void)ae;
-    assert(clusterOf_[ae.su] != kNoVertex && clusterOf_[ae.sv] != kNoVertex);
+ScheduleBound certifySchedule(const std::vector<EpochSpec>& schedule) {
+  // Lemma 5.8: a growth iteration adds 2 * rSuper + 1 to the radius, and a
+  // contraction makes the current radius the new super-node radius.
+  double r = 0, rSuper = 0, contractedSum = 0;
+  bool contracted = false;
+  for (const EpochSpec& spec : schedule) {
+    for (std::uint32_t j = 0; j < spec.iterations; ++j) r += 2.0 * rSuper + 1.0;
+    if (!spec.contractAfter) continue;
+    contracted = true;
+    contractedSum += r;
+    rSuper = r;
   }
+  // Without a contraction the schedule is Baswana-Sen growth, whose
+  // classical analysis certifies 2r + 1. Otherwise every discarded edge is
+  // spanned within 4r + 2 times its weight (Theorem 5.11 cases), except
+  // step-C contraction discards, which chain through surviving
+  // representatives and pick up at most two cluster traversals per
+  // contraction: the 2 * sum(r at contraction) correction.
+  return {r, contracted ? 4.0 * r + 2.0 + 2.0 * contractedSum : 2.0 * r + 1.0};
 }
 
 std::vector<EpochSpec> tradeoffSchedule(std::size_t n, std::uint32_t k, std::uint32_t t) {

@@ -9,8 +9,10 @@
 // iteration semantics (all per-super-node decisions are computed against the
 // iteration-start edge set, then applied atomically — the MPC execution
 // order), maintains Lemma 5.6's invariant that every alive edge has both
-// endpoints inside current clusters, tracks the weighted-stretch-radius
-// recurrence of Lemma 5.8 exactly, and finishes with Phase 2.
+// endpoints inside current clusters, and finishes with Phase 2. The
+// schedule walk and the certified stretch (certifySchedule, from the
+// schedule alone) live in ScheduleEngine, which the distributed driver in
+// mpc/dist_spanner.hpp shares.
 //
 // Instantiations:
 //   Baswana–Sen:      1 epoch, k-1 iterations, p = n^{-1/k}, no contraction.
@@ -48,6 +50,15 @@ struct EpochSpec {
   std::function<double(std::size_t activeSupernodes)> prob;
   bool contractAfter = true;
 };
+
+/// What a schedule certifies. The weighted-stretch-radius recurrence of
+/// Lemma 5.8 depends on the schedule alone, so it is replayed here rather
+/// than tracked during a run; this is the one place the stretch rule lives.
+struct ScheduleBound {
+  double finalRadius = 0;   // radius of the final clustering
+  double stretchBound = 1;  // see SpannerResult::stretchBound
+};
+ScheduleBound certifySchedule(const std::vector<EpochSpec>& schedule);
 
 /// Outcome statistics of one iteration plan; consumed by sampling policies.
 struct IterPlanStats {
@@ -87,7 +98,49 @@ class HashCoinPolicy final : public SamplingPolicy {
   std::uint64_t seed_;
 };
 
-class ClusterEngine {
+/// The schedule walk every cluster-growth engine shares: per epoch, the
+/// active super-node count, the sampling probability, the growth
+/// iterations with their hash-coin draw keys and ledger charges, and the
+/// contraction; then phase 2, the certificate (certifySchedule) and the
+/// spanner edges. One seed thus samples the same cluster roots on the host
+/// (ClusterEngine) and on the MPC simulator (mpc/dist_spanner.cc), which
+/// supply the steps.
+class ScheduleEngine {
+ public:
+  virtual ~ScheduleEngine() = default;
+  ScheduleEngine(const ScheduleEngine&) = delete;
+  ScheduleEngine& operator=(const ScheduleEngine&) = delete;
+
+  /// Runs phase 1 (the epoch schedule) followed by phase 2, and returns the
+  /// result. Must be called exactly once.
+  SpannerResult run(const std::vector<EpochSpec>& schedule);
+
+ protected:
+  /// Starts from singleton clusters: every vertex is its own super-node.
+  ScheduleEngine(const Graph& g, std::uint32_t k);
+
+  /// One growth iteration (Steps B1-B6) at probability p with the draw
+  /// `drawKey`; returns the cluster count at its start.
+  virtual std::size_t grow(double p, std::uint64_t drawKey) = 0;
+  /// Step C: contracts the clustering (see contractClusters).
+  virtual void contract() = 0;
+  virtual void phase2() = 0;
+
+  /// Marks the cluster roots of the current clustering.
+  std::vector<char> activeRoots() const;
+  /// Step C's relabeling: the cluster roots, renumbered 0..n2-1 in root
+  /// order, become the new singleton super-nodes. Returns each old
+  /// super-node's new id (kNoVertex for exited ones).
+  std::vector<VertexId> contractClusters();
+
+  const Graph& g_;
+  std::size_t nSuper_ = 0;
+  std::vector<VertexId> clusterOf_;  // super-node -> cluster root (kNoVertex = exited)
+  std::vector<char> inSpanner_;      // per input edge id
+  SpannerResult result_;
+};
+
+class ClusterEngine final : public ScheduleEngine {
  public:
   struct Options {
     std::uint64_t seed = 1;
@@ -102,10 +155,6 @@ class ClusterEngine {
   };
 
   ClusterEngine(const Graph& g, std::uint32_t k, Options opts);
-
-  /// Runs phase 1 (the epoch schedule) followed by phase 2, and returns the
-  /// result. Must be called exactly once.
-  SpannerResult run(const std::vector<EpochSpec>& schedule);
 
  private:
   struct AliveEdge {
@@ -122,31 +171,15 @@ class ClusterEngine {
     IterPlanStats stats;
   };
 
-  void runIteration(double p, std::uint64_t drawKey);
+  std::size_t grow(double p, std::uint64_t drawKey) override;
+  void contract() override;
+  void phase2() override;
   Plan computePlan(const std::vector<char>& sampled) const;
   void applyPlan(const Plan& plan);
-  void removeIntraClusterEdges();
-  void contract();
-  void phase2();
-  std::vector<char> activeRoots() const;
-  void checkInvariant() const;
 
-  const Graph& g_;
-  std::uint32_t k_;
   Options opts_;
   HashCoinPolicy defaultPolicy_;
-
-  std::size_t nSuper_ = 0;
   std::vector<AliveEdge> alive_;
-  std::vector<VertexId> clusterOf_;  // super-node -> cluster root (kNoVertex = exited)
-  std::vector<char> inSpanner_;      // per input edge id
-
-  // Weighted-stretch-radius recurrence (Lemma 5.8).
-  double rSuper_ = 0;          // internal radius of current super-nodes
-  double rCur_ = 0;            // radius of the current clustering
-  double contractedRadiusSum_ = 0;  // sum of r at each contraction (chain bound)
-
-  SpannerResult result_;
 };
 
 /// Builds the epoch schedule of the Section 5 trade-off algorithm.

@@ -33,10 +33,7 @@ SpannerResult buildSqrtKSpanner(const Graph& g, const SqrtKParams& params) {
   };
   second.contractAfter = false;
 
-  ClusterEngine::Options opts;
-  opts.seed = params.seed;
-  opts.policy = params.policy;
-  ClusterEngine engine(g, params.k, opts);
+  ClusterEngine engine(g, params.k, {.seed = params.seed, .policy = params.policy});
   SpannerResult result = engine.run({first, second});
   result.algorithm = "sqrtk";
   result.t = t;

@@ -24,19 +24,8 @@ std::uint32_t tradeoffIterations(std::uint32_t k, std::uint32_t t) {
 
 double tradeoffCertifiedStretch(std::uint32_t k, std::uint32_t t) {
   if (k <= 1) return 1.0;
-  t = tradeoffIterations(k, t);
-  // ClusterEngine's radius bookkeeping, replayed over the schedule alone:
-  // a growth iteration adds 2 * rSuper + 1 (Lemma 5.8), a contraction
-  // records r and makes it the new super-node radius.
-  // The epoch count does not depend on n.
-  const std::size_t epochs = tradeoffSchedule(2, k, t).size();
-  double r = 0, rSuper = 0, contractedSum = 0;
-  for (std::size_t epoch = 0; epoch < epochs; ++epoch) {
-    for (std::uint32_t j = 0; j < t; ++j) r += 2.0 * rSuper + 1.0;
-    contractedSum += r;
-    rSuper = r;
-  }
-  return 4.0 * r + 2.0 + 2.0 * contractedSum;
+  // The epoch count, hence the bound, does not depend on n.
+  return certifySchedule(tradeoffSchedule(2, k, tradeoffIterations(k, t))).stretchBound;
 }
 
 SpannerResult buildTradeoffSpanner(const Graph& g, const TradeoffParams& params) {
@@ -44,10 +33,7 @@ SpannerResult buildTradeoffSpanner(const Graph& g, const TradeoffParams& params)
 
   const std::uint32_t t = tradeoffIterations(params.k, params.t);
 
-  ClusterEngine::Options opts;
-  opts.seed = params.seed;
-  opts.policy = params.policy;
-  ClusterEngine engine(g, params.k, opts);
+  ClusterEngine engine(g, params.k, {.seed = params.seed, .policy = params.policy});
   SpannerResult result = engine.run(tradeoffSchedule(g.numVertices(), params.k, t));
   result.algorithm = "tradeoff";
   result.t = t;

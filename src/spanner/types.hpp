@@ -10,9 +10,9 @@
 
 namespace mpcspan {
 
-/// Output of a spanner construction, together with the execution profile
-/// needed to audit the paper's claims (round ledger, cluster-count decay,
-/// certified stretch bound).
+/// Output of every spanner construction, host or distributed, together with
+/// the execution profile needed to audit the paper's claims (round ledger,
+/// cluster-count decay, certified stretch bound).
 struct SpannerResult {
   /// Ids (into the input graph's edge list) of spanner edges, sorted.
   std::vector<EdgeId> edges;
@@ -53,6 +53,13 @@ struct SpannerResult {
 
   std::size_t inputVertices = 0;
   std::size_t inputEdges = 0;
+
+  /// Distributed builds only (0 / empty on the host): the communication
+  /// rounds the MPC simulator ran, the words it routed in total, and the
+  /// machines and shards it ran on.
+  std::size_t simulatorRounds = 0;
+  std::size_t wordsMoved = 0;
+  std::string simulator;
 
   double sizeRatio(double denomExtra) const;  // |edges| / (n^{1+1/k} * denomExtra)
 };

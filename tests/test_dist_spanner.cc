@@ -1,6 +1,7 @@
-// Bit-exact equivalence: the fully distributed Baswana-Sen (every find-min
-// through real simulated machine rounds) must output the identical spanner
-// to the host-side ClusterEngine under the same seed.
+// Bit-exact equivalence: the fully distributed builds (every find-min
+// through real simulated machine rounds) must output the identical spanner,
+// profile and certified stretch to the host-side ClusterEngine under the
+// same seed.
 #include "mpc/dist_spanner.hpp"
 
 #include <gtest/gtest.h>
@@ -29,7 +30,13 @@ TEST_P(DistSpannerEquivalence, MatchesEngineExactly) {
 
   EXPECT_EQ(dist.edges, engine.edges)
       << "k=" << k << " seed=" << seed << " weighted=" << weighted;
+  // The same schedule, hence the same profile and certificate.
   EXPECT_EQ(dist.iterations, engine.iterations);
+  EXPECT_EQ(dist.epochs, engine.epochs);
+  EXPECT_EQ(dist.stretchBound, engine.stretchBound);
+  EXPECT_EQ(dist.finalRadius, engine.finalRadius);
+  EXPECT_EQ(dist.cost.ledgerString(), engine.cost.ledgerString());
+  EXPECT_EQ(dist.stretchBound, 2.0 * k - 1.0);
   EXPECT_GT(dist.simulatorRounds, 0u);
   // O(1) communication rounds per iteration: 2 kernels' worth of
   // sort+reduce, ~8 rounds each, plus phase 2.
@@ -65,7 +72,16 @@ TEST_P(DistTradeoffEquivalence, MatchesEngineExactlyWithContractions) {
   const SpannerResult engine = buildTradeoffSpanner(g, p);
 
   EXPECT_EQ(dist.edges, engine.edges) << "k=" << k << " t=" << t << " seed=" << seed;
+  // The same schedule, hence the same profile and certificate.
   EXPECT_EQ(dist.iterations, engine.iterations);
+  EXPECT_EQ(dist.epochs, engine.epochs);
+  EXPECT_EQ(dist.stretchBound, engine.stretchBound);
+  EXPECT_EQ(dist.finalRadius, engine.finalRadius);
+  EXPECT_EQ(dist.supernodesPerEpoch, engine.supernodesPerEpoch);
+  EXPECT_EQ(dist.clustersPerIteration, engine.clustersPerIteration);
+  EXPECT_EQ(dist.cost.ledgerString(), engine.cost.ledgerString());
+  EXPECT_EQ(tradeoffCertifiedStretch(k, t), dist.stretchBound);
+  EXPECT_EQ(tradeoffCertifiedStretch(k, t), engine.stretchBound);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -31,16 +31,10 @@
 #include "graph/distance.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
-#include "mpc/dist_spanner.hpp"
 #include "query/audit.hpp"
 #include "query/build.hpp"
 #include "runtime/thread_pool.hpp"
 #include "serve/client.hpp"
-#include "spanner/baswana_sen.hpp"
-#include "spanner/cluster_merging.hpp"
-#include "spanner/sqrtk.hpp"
-#include "spanner/tradeoff.hpp"
-#include "spanner/unweighted_fast.hpp"
 #include "spanner/verify.hpp"
 #include "util/args.hpp"
 
@@ -68,9 +62,7 @@ Graph loadGraphFile(const std::string& path, const std::string& format) {
   throw std::runtime_error("empty input file: " + path);
 }
 
-Graph loadGraph(const ArgParser& args) {
-  if (args.has("input"))
-    return loadGraphFile(args.get("input"), args.get("format"));
+Graph generateGraph(const ArgParser& args) {
   const auto n = static_cast<std::size_t>(args.getInt("n"));
   const double deg = args.getDouble("deg");
   WeightSpec weights;
@@ -93,30 +85,53 @@ Graph loadGraph(const ArgParser& args) {
   throw std::invalid_argument("unknown --family: " + fam);
 }
 
-SpannerResult runAlgorithm(const ArgParser& args, const Graph& g) {
-  const auto k = static_cast<std::uint32_t>(args.getInt("k"));
-  const auto t = static_cast<std::uint32_t>(args.getInt("t"));
-  const auto seed = static_cast<std::uint64_t>(args.getInt("seed"));
-  const std::string algo = args.get("algo");
-  if (algo == "baswana-sen") return buildBaswanaSen(g, {.k = k, .seed = seed});
-  if (algo == "cluster-merging")
-    return buildClusterMergingSpanner(g, {.k = k, .seed = seed});
-  if (algo == "sqrtk") return buildSqrtKSpanner(g, {.k = k, .seed = seed});
-  if (algo == "tradeoff") {
-    TradeoffParams p;
-    p.k = k;
-    p.t = t;
-    p.seed = seed;
-    return buildTradeoffSpanner(g, p);
-  }
-  if (algo == "unweighted-fast") {
-    UnweightedFastParams p;
-    p.k = k;
-    p.gamma = args.getDouble("gamma");
-    p.seed = seed;
-    return buildUnweightedFastSpanner(g, p).spanner;
-  }
-  throw std::invalid_argument("unknown --algo: " + algo);
+Graph loadGraph(const ArgParser& args) {
+  Graph g = args.has("input")
+                ? loadGraphFile(args.get("input"), args.get("format"))
+                : generateGraph(args);
+  std::fprintf(stdout, "graph: n=%zu m=%zu %s\n", g.numVertices(), g.numEdges(),
+               g.isUnweighted() ? "(unweighted)" : "(weighted)");
+  return g;
+}
+
+/// The graph and build flags the main path and build-oracle share.
+ArgParser& addBuildFlags(ArgParser& args) {
+  return args.flag("input", "", "graph file (overrides --family)")
+      .flag("format", "auto", "input format: auto|mpcspan|snap (SNAP/DIMACS)")
+      .flag("family", "gnm",
+            "generator: gnm|barabasi-albert|grid|geometric|cycle|hypercube|complete")
+      .flag("n", "10000", "vertices (generated graphs)")
+      .flag("deg", "12", "target average degree (generated graphs)")
+      .flag("weights", "uniform", "unit|uniform|integer|exponential")
+      .flag("wmax", "100", "max weight for non-unit models")
+      .flag("algo", "tradeoff", query::kSpannerAlgos)
+      .flag("k", "8", "stretch parameter")
+      .flag("t", "0", "trade-off growth iterations (0 = log k)")
+      .flag("gamma", "0.5",
+            "machine-memory exponent (round conversion; unweighted-fast; "
+            "dist-* simulator)")
+      .flag("threads", "0", "stepping-pool lanes (0 = MPCSPAN_THREADS/hardware)")
+      .flag("shards", "0",
+            "simulator worker processes (0 = MPCSPAN_SHARDS, 1 = in-process; "
+            ">1 forks resident workers)")
+      .flag("seed", "1", "random seed");
+}
+
+/// Reads back the build flags of addBuildFlags.
+query::BuildPlan planOf(const ArgParser& args) {
+  query::BuildPlan plan;
+  plan.algo = args.get("algo");
+  plan.k = static_cast<std::uint32_t>(args.getInt("k"));
+  plan.t = static_cast<std::uint32_t>(args.getInt("t"));
+  plan.seed = static_cast<std::uint64_t>(args.getInt("seed"));
+  plan.gamma = args.getDouble("gamma");
+  // Negative counts fall back to the defaults (0 = env var / hardware),
+  // matching the env vars' own garbage handling.
+  plan.threads = static_cast<std::size_t>(
+      std::max<std::int64_t>(0, args.getInt("threads")));
+  plan.shards = static_cast<std::size_t>(
+      std::max<std::int64_t>(0, args.getInt("shards")));
+  return plan;
 }
 
 // ---------------------------------------------------------------------------
@@ -126,25 +141,10 @@ SpannerResult runAlgorithm(const ArgParser& args, const Graph& g) {
 int runBuildOracle(int argc, const char* const* argv) {
   ArgParser args("mpcspan build-oracle",
                  "build a query artifact (spanner + TZ sketches) and save it");
-  args.flag("input", "", "graph file (overrides --family)")
-      .flag("format", "auto", "input format: auto|mpcspan|snap (SNAP/DIMACS)")
-      .flag("family", "gnm",
-            "generator: gnm|barabasi-albert|grid|geometric|cycle|hypercube|complete")
-      .flag("n", "10000", "vertices (generated graphs)")
-      .flag("deg", "12", "target average degree (generated graphs)")
-      .flag("weights", "uniform", "unit|uniform|integer|exponential")
-      .flag("wmax", "100", "max weight for non-unit models")
-      .flag("algo", "tradeoff",
-            "tradeoff|baswana-sen|dist-tradeoff|dist-baswana-sen")
-      .flag("k", "8", "spanner stretch parameter")
-      .flag("t", "0", "trade-off growth iterations (0 = log k)")
-      .flag("gamma", "0.5", "machine-memory exponent (dist-* simulator)")
-      .flag("threads", "0", "simulator stepping-pool lanes (dist-*)")
-      .flag("shards", "0", "simulator worker processes (dist-*)")
+  addBuildFlags(args)
       .flag("sketch-k", "3", "Thorup-Zwick levels (stretch 2k-1 on the spanner)")
       .flag("sketch-seed", "1", "sketch sampling seed")
       .flag("cache", "64", "oracle LRU capacity (rows) when serving")
-      .flag("seed", "1", "spanner random seed")
       .flag("out", "", "artifact output path (required)");
   if (!args.parse(argc, argv)) {
     std::fprintf(stderr, "error: %s\n\n%s", args.error().c_str(), args.usage().c_str());
@@ -158,23 +158,12 @@ int runBuildOracle(int argc, const char* const* argv) {
     if (args.get("out").empty())
       throw std::invalid_argument("build-oracle requires --out <path>");
     const Graph g = loadGraph(args);
-    std::fprintf(stdout, "graph: n=%zu m=%zu %s\n", g.numVertices(), g.numEdges(),
-                 g.isUnweighted() ? "(unweighted)" : "(weighted)");
 
-    query::BuildPlan plan;
-    plan.algo = args.get("algo");
-    plan.k = static_cast<std::uint32_t>(args.getInt("k"));
-    plan.t = static_cast<std::uint32_t>(args.getInt("t"));
-    plan.seed = static_cast<std::uint64_t>(args.getInt("seed"));
+    query::BuildPlan plan = planOf(args);
     plan.sketchK = static_cast<std::uint32_t>(args.getInt("sketch-k"));
     plan.sketchSeed = static_cast<std::uint64_t>(args.getInt("sketch-seed"));
     plan.cacheSources = static_cast<std::size_t>(
         std::max<std::int64_t>(1, args.getInt("cache")));
-    plan.threads = static_cast<std::size_t>(
-        std::max<std::int64_t>(0, args.getInt("threads")));
-    plan.shards = static_cast<std::size_t>(
-        std::max<std::int64_t>(0, args.getInt("shards")));
-    plan.gamma = args.getDouble("gamma");
 
     const auto t0 = std::chrono::steady_clock::now();
     const query::QueryArtifact a = query::buildArtifact(g, plan);
@@ -323,8 +312,6 @@ int runQuery(int argc, const char* const* argv) {
       .flag("seed", "1", "query rng seed")
       .flag("threads", "1", "client threads for the random-query run")
       .flag("warm", "-1", "oracle rows to warm before serving (-1 = cache capacity)")
-      .flag("cached-only", "true",
-            "middle tier answers only from warm cache rows (declines when cold)")
       .flag("audit", "false", "compare a sample of answers against exact Dijkstra")
       .flag("u", "", "single query source (with --v; skips the random run)")
       .flag("v", "", "single query target");
@@ -354,9 +341,7 @@ int runQuery(int argc, const char* const* argv) {
                  a.algorithm.c_str(), a.k, a.sketchParams.k, a.composedStretch);
     if (n == 0) throw std::runtime_error("artifact graph is empty");
 
-    query::QueryPlaneOptions opt;
-    opt.spannerCachedOnly = args.getBool("cached-only");
-    query::QueryPlane plane = query::makeQueryPlane(a, opt);
+    query::QueryPlane plane = query::makeQueryPlane(a);
 
     const auto clientThreads = static_cast<std::size_t>(
         std::max<std::int64_t>(1, args.getInt("threads")));
@@ -460,27 +445,10 @@ int main(int argc, char** argv) {
     return 2;
   }
   ArgParser args("mpcspan", "spanner construction CLI (SPAA 2021 reproduction)");
-  args.flag("input", "", "edge-list file (overrides --family)")
-      .flag("format", "auto", "input format: auto|mpcspan|snap (SNAP/DIMACS)")
-      .flag("family", "gnm", "generator: gnm|barabasi-albert|grid|geometric|cycle|hypercube|complete")
-      .flag("n", "10000", "vertices (generated graphs)")
-      .flag("deg", "12", "target average degree (generated graphs)")
-      .flag("weights", "uniform", "unit|uniform|integer|exponential")
-      .flag("wmax", "100", "max weight for non-unit models")
-      .flag("algo", "tradeoff",
-            "baswana-sen|cluster-merging|sqrtk|tradeoff|unweighted-fast|"
-            "dist-baswana-sen|dist-tradeoff")
-      .flag("k", "8", "stretch parameter")
-      .flag("t", "0", "trade-off growth iterations (0 = log k)")
-      .flag("gamma", "0.5", "machine-memory exponent (round conversion; unweighted-fast)")
-      .flag("threads", "0", "stepping-pool lanes (0 = MPCSPAN_THREADS/hardware)")
-      .flag("shards", "0",
-            "simulator worker processes (0 = MPCSPAN_SHARDS, 1 = in-process; "
-            ">1 forks resident workers)")
+  addBuildFlags(args)
       .flag("transport", "shm",
             "cross-shard section route: shm (shared-memory rings) or tcp "
             "(rendezvous mesh, cross-machine capable)")
-      .flag("seed", "1", "random seed")
       .flag("verify", "false", "audit stretch (sampled) before exiting")
       .flag("out", "", "write the spanner as an edge list to this path");
 
@@ -495,70 +463,16 @@ int main(int argc, char** argv) {
 
   try {
     const Graph g = loadGraph(args);
-    std::fprintf(stdout, "graph: n=%zu m=%zu %s\n", g.numVertices(), g.numEdges(),
-                 g.isUnweighted() ? "(unweighted)" : "(weighted)");
 
-    const std::string algo = args.get("algo");
-    if (algo == "dist-baswana-sen" || algo == "dist-tradeoff") {
-      const auto k = static_cast<std::uint32_t>(args.getInt("k"));
-      const auto t = static_cast<std::uint32_t>(args.getInt("t"));
-      const auto seed = static_cast<std::uint64_t>(args.getInt("seed"));
-      const std::string transportName = args.get("transport");
-      runtime::Transport transport = runtime::Transport::kShmRing;
-      if (transportName == "tcp")
-        transport = runtime::Transport::kTcp;
-      else if (transportName != "shm")
-        throw std::invalid_argument("unknown --transport: " + transportName +
-                                    " (expected shm or tcp)");
-      // Negative counts fall back to the defaults (0 = env var / hardware),
-      // matching the env vars' own garbage handling.
-      MpcSimulator sim(
-          MpcConfig::forInput(8 * g.numEdges(), args.getDouble("gamma"), 3.0),
-          static_cast<std::size_t>(std::max<std::int64_t>(0, args.getInt("threads"))),
-          static_cast<std::size_t>(std::max<std::int64_t>(0, args.getInt("shards"))),
-          transport);
-      std::fprintf(stdout, "simulator: %zu machines x %zu words, %zu shard(s)%s\n",
-                   sim.numMachines(), sim.wordsPerMachine(), sim.numShards(),
-                   sim.numShards() == 1 ? ""
-                   : sim.tcpMeshShards() ? " (resident workers, tcp mesh)"
-                                         : " (resident workers, shm ring)");
-      const DistSpannerResult r =
-          algo == "dist-tradeoff"
-              ? buildDistributedTradeoff(sim, g, k, t, seed)
-              : buildDistributedBaswanaSen(sim, g, k, seed);
-      // dist-tradeoff builds the host engine's edge set over the same
-      // schedule, so it certifies the same bound; dist-baswana-sen is 2k-1.
-      const double bound = algo == "dist-tradeoff"
-                               ? tradeoffCertifiedStretch(k, t)
-                               : 2.0 * k - 1.0;
-      std::fprintf(stdout,
-                   "%s: %zu edges (%.1f%%), k=%u, %zu iterations, "
-                   "%zu simulator rounds, %zu words moved\n",
-                   algo.c_str(), r.edges.size(),
-                   g.numEdges() ? 100.0 * static_cast<double>(r.edges.size()) /
-                                      static_cast<double>(g.numEdges())
-                                : 0.0,
-                   k, r.iterations, r.simulatorRounds, r.wordsMoved);
-      std::fprintf(stdout, "certified stretch <= %.1f\n", bound);
-      if (args.getBool("verify")) {
-        const StretchReport report = verifySpanner(
-            g, r.edges, bound, {.maxEdgeChecks = 4000, .pairSources = 4});
-        std::fprintf(stdout,
-                     "audit: spanning=%s maxEdgeStretch=%.2f maxPairStretch=%.2f "
-                     "violations=%zu\n",
-                     report.spanning ? "yes" : "NO", report.maxEdgeStretch,
-                     report.maxPairStretch, report.violations);
-        if (!report.spanning || report.violations > 0) return 1;
-      }
-      if (args.has("out")) {
-        const Graph h = subgraph(g, r.edges);
-        writeEdgeListFile(h, args.get("out"));
-        std::fprintf(stdout, "spanner written to %s\n", args.get("out").c_str());
-      }
-      return 0;
-    }
+    query::BuildPlan plan = planOf(args);
+    const std::string transport = args.get("transport");
+    if (transport == "tcp")
+      plan.transport = runtime::Transport::kTcp;
+    else if (transport != "shm")
+      throw std::invalid_argument("unknown --transport: " + transport +
+                                  " (expected shm or tcp)");
 
-    const SpannerResult r = runAlgorithm(args, g);
+    const SpannerResult r = query::buildSpanner(g, plan);
     std::fprintf(stdout,
                  "%s: %zu edges (%.1f%%), k=%u, %zu iterations / %zu epochs\n",
                  r.algorithm.c_str(), r.edges.size(),
@@ -567,11 +481,13 @@ int main(int argc, char** argv) {
                            static_cast<double>(g.numEdges())
                      : 0.0,
                  r.k, r.iterations, r.epochs);
-    const double gamma = args.getDouble("gamma");
+    if (!r.simulator.empty())
+      std::fprintf(stdout, "simulator: %s; %zu rounds, %zu words moved\n",
+                   r.simulator.c_str(), r.simulatorRounds, r.wordsMoved);
     std::fprintf(stdout,
                  "rounds: %ld MPC (gamma=%.2f) | %ld near-linear | %ld clique\n",
-                 r.cost.mpcRounds(gamma), gamma, r.cost.nearLinearRounds(),
-                 r.cost.cliqueRounds());
+                 r.cost.mpcRounds(plan.gamma), plan.gamma,
+                 r.cost.nearLinearRounds(), r.cost.cliqueRounds());
     std::fprintf(stdout, "certified stretch <= %.1f; ledger: %s\n", r.stretchBound,
                  r.cost.ledgerString().c_str());
 

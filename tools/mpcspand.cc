@@ -56,8 +56,6 @@ int main(int argc, char** argv) {
             "a cheaper tier with the degraded flag (-1 = unbounded)")
       .flag("frame-timeout-ms", "10000", "budget for a started frame to finish arriving")
       .flag("write-timeout-ms", "10000", "budget for a reply to drain to the client")
-      .flag("cached-only", "true",
-            "middle tier answers only from warm cache rows (declines when cold)")
       .flag("warm", "0", "oracle rows to warm per snapshot load (-1 = cache capacity)");
   if (!args.parse(argc, argv)) {
     std::fprintf(stderr, "error: %s\n\n%s", args.error().c_str(),
@@ -84,7 +82,6 @@ int main(int argc, char** argv) {
     opts.defaultDeadlineMs = static_cast<int>(args.getInt("deadline-ms"));
     opts.frameTimeoutMs = static_cast<int>(args.getInt("frame-timeout-ms"));
     opts.writeTimeoutMs = static_cast<int>(args.getInt("write-timeout-ms"));
-    opts.cachedOnly = args.getBool("cached-only");
     opts.warmRows = args.getInt("warm");
 
     serve::Server server(opts);
