@@ -95,24 +95,26 @@ BENCHMARK(BM_DistSort)->Arg(1 << 12)->Arg(1 << 15);
 /// stepping pool's scaling surface. Lanes follow MPCSPAN_THREADS, shards
 /// MPCSPAN_SHARDS, so the CI job compares 1-lane vs N-lane (and sharded)
 /// wall-clock on the identical deterministic workload. args[0] = spin.
+class SpinKernel final : public runtime::StepKernel {
+ public:
+  static std::string kernelName() { return "bench.spin"; }
+
+  std::vector<runtime::Message> step(const runtime::KernelCtx& ctx) override {
+    // Deterministic local work standing in for a machine's round compute.
+    std::uint64_t h = ctx.machine + 1;
+    for (Word i = 0; i < ctx.args[0]; ++i)
+      h = h * 6364136223846793005ULL + 1442695040888963407ULL;
+    return {{(ctx.machine + 1) % ctx.numMachines, {h}}};
+  }
+};
+
 void BM_EngineStep(benchmark::State& state) {
   using namespace mpcspan::runtime;
-  class SpinKernel final : public StepKernel {
-   public:
-    std::vector<Message> step(const KernelCtx& ctx) override {
-      // Deterministic local work standing in for a machine's round compute.
-      std::uint64_t h = ctx.machine + 1;
-      for (Word i = 0; i < ctx.args[0]; ++i)
-        h = h * 6364136223846793005ULL + 1442695040888963407ULL;
-      return {{(ctx.machine + 1) % ctx.numMachines, {h}}};
-    }
-  };
   const auto machines = static_cast<std::size_t>(state.range(0));
   const auto spin = static_cast<std::size_t>(state.range(1));
   RoundEngine eng(EngineConfig{machines, 0, 0},
                   std::make_unique<MpcTopology>(1u << 20));
-  const KernelId k = eng.registerKernel(
-      "bench.spin", [] { return std::make_unique<SpinKernel>(); });
+  const KernelId k = ensureKernel<SpinKernel>(eng);
   for (auto _ : state) eng.step(k, {spin});
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(machines * spin));
@@ -123,20 +125,22 @@ BENCHMARK(BM_EngineStep)->Args({64, 20000})->Args({256, 5000});
 /// round (4 machines per shard, each sending one single-word message to
 /// m + 1) driven through the resident workers' STEP barrier at a fixed
 /// shard count. arg0 = shards.
+class RingKernel final : public runtime::StepKernel {
+ public:
+  static std::string kernelName() { return "bench.ring"; }
+
+  std::vector<runtime::Message> step(const runtime::KernelCtx& ctx) override {
+    return {{(ctx.machine + 1) % ctx.numMachines, {ctx.machine}}};
+  }
+};
+
 void BM_ShardRoundDispatch(benchmark::State& state) {
   using namespace mpcspan::runtime;
-  class RingKernel final : public StepKernel {
-   public:
-    std::vector<Message> step(const KernelCtx& ctx) override {
-      return {{(ctx.machine + 1) % ctx.numMachines, {ctx.machine}}};
-    }
-  };
   const auto shards = static_cast<std::size_t>(state.range(0));
   const std::size_t machines = 4 * shards;
   RoundEngine eng(EngineConfig{machines, 1, shards},
                   std::make_unique<MpcTopology>(64));
-  const KernelId k = eng.registerKernel(
-      "bench.ring", [] { return std::make_unique<RingKernel>(); });
+  const KernelId k = ensureKernel<RingKernel>(eng);
   for (auto _ : state) eng.step(k);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
@@ -175,21 +179,24 @@ BENCHMARK(BM_IterationRoundDispatch)
 /// tcp axis prices the cross-machine transport against the same-host one.
 /// arg0 = shards (1 = the in-process reference), arg1 = 3 tcp mesh /
 /// 2 shm ring.
+class AllToAllKernel final : public runtime::StepKernel {
+ public:
+  static std::string kernelName() { return "bench.alltoall"; }
+
+  std::vector<runtime::Message> step(const runtime::KernelCtx& ctx) override {
+    const auto words = static_cast<std::size_t>(ctx.args[0]);
+    std::vector<Word> pay(words);
+    for (std::size_t i = 0; i < words; ++i) pay[i] = ctx.machine * 7919 + i;
+    std::vector<runtime::Message> out;
+    out.reserve(ctx.numMachines - 1);
+    for (std::size_t d = 0; d < ctx.numMachines; ++d)
+      if (d != ctx.machine) out.push_back({d, pay});
+    return out;
+  }
+};
+
 void BM_CrossShardExchange(benchmark::State& state) {
   using namespace mpcspan::runtime;
-  class AllToAllKernel final : public StepKernel {
-   public:
-    std::vector<Message> step(const KernelCtx& ctx) override {
-      const auto words = static_cast<std::size_t>(ctx.args[0]);
-      std::vector<Word> pay(words);
-      for (std::size_t i = 0; i < words; ++i) pay[i] = ctx.machine * 7919 + i;
-      std::vector<Message> out;
-      out.reserve(ctx.numMachines - 1);
-      for (std::size_t d = 0; d < ctx.numMachines; ++d)
-        if (d != ctx.machine) out.push_back({d, pay});
-      return out;
-    }
-  };
   const auto shards = static_cast<std::size_t>(state.range(0));
   const Transport transport =
       state.range(1) == 3 ? Transport::kTcp : Transport::kShmRing;
@@ -197,8 +204,7 @@ void BM_CrossShardExchange(benchmark::State& state) {
   const std::size_t payloadWords = 256;
   RoundEngine eng(EngineConfig{machines, 1, shards, transport},
                   std::make_unique<MpcTopology>(machines * payloadWords));
-  const KernelId k = eng.registerKernel(
-      "bench.alltoall", [] { return std::make_unique<AllToAllKernel>(); });
+  const KernelId k = ensureKernel<AllToAllKernel>(eng);
   for (auto _ : state) eng.step(k, {payloadWords});
   state.SetLabel(shards == 1                      ? "in-process"
                  : transport == Transport::kTcp   ? "tcp-loopback"

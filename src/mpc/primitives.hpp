@@ -38,14 +38,6 @@
 
 namespace mpcspan {
 
-namespace detail {
-
-/// Finds or registers kernel K on the engine (now shared runtime machinery;
-/// kept as an alias for the primitive kernels' historical spelling).
-using runtime::ensureKernel;
-
-}  // namespace detail
-
 /// The per-machine item capacity of a DistVector block: machine m holds
 /// items [m * cap, (m+1) * cap) of the logical sequence. One definition,
 /// shared by the data-shipping constructor and every kernel that lays out
@@ -163,7 +155,7 @@ inline std::size_t treeBroadcastWords(MpcSimulator& sim,
     throw CapacityError("treeBroadcastWords: payload exceeds machine memory");
   const std::size_t branch = fanBranch(sim.wordsPerMachine(), payload.size());
   runtime::RoundEngine& eng = sim.engine();
-  const runtime::KernelId k = detail::ensureKernel<BroadcastKernel>(eng);
+  const runtime::KernelId k = runtime::ensureKernel<BroadcastKernel>(eng);
   // Machine 0 reads the payload from its worker-resident block; kernel
   // args reach every machine, so they must not carry it.
   std::vector<std::vector<Word>> staged(p);
@@ -190,7 +182,7 @@ void distSort(DistVector<T>& dv, Cmp cmp) {
   MpcSimulator& sim = dv.sim();
   runtime::RoundEngine& eng = sim.engine();
   const std::size_t p = eng.numMachines();
-  const runtime::KernelId k = detail::ensureKernel<SortKernel<T, Cmp>>(eng);
+  const runtime::KernelId k = runtime::ensureKernel<SortKernel<T, Cmp>>(eng);
   eng.stepLocal(k, {kSortPhaseSortLocal, dv.handle()});  // local, free
   if (p <= 1 || dv.size() <= 1) return;
   // One-level sample sort: every machine must hold the p-1 splitters.
@@ -240,7 +232,7 @@ std::vector<T> segmentedMinSorted(DistVector<T>& dv, KeyOf keyOf, Better better)
   runtime::RoundEngine& eng = sim.engine();
   const std::size_t p = eng.numMachines();
   const runtime::KernelId k =
-      detail::ensureKernel<SegMinKernel<T, KeyOf, Better>>(eng);
+      runtime::ensureKernel<SegMinKernel<T, KeyOf, Better>>(eng);
   eng.stepLocal(k, {kSegPhaseReduce, dv.handle()});  // local, free
 
   if (p > 1) {

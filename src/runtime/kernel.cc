@@ -70,4 +70,15 @@ const KernelFactory* findGlobalKernel(const std::string& name) {
   return it == reg.factories.end() ? nullptr : &it->second;
 }
 
+std::unique_ptr<StepKernel> makeGlobalKernel(const std::string& name) {
+  const KernelFactory* factory = findGlobalKernel(name);
+  if (!factory)
+    throw std::invalid_argument("kernel '" + name +
+                                "' is not globally registered in this process");
+  std::unique_ptr<StepKernel> instance = (*factory)();
+  if (!instance)
+    throw std::runtime_error("kernel '" + name + "': factory returned null");
+  return instance;
+}
+
 }  // namespace mpcspan::runtime

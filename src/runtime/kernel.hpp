@@ -10,12 +10,15 @@
 // lives in the kernel instance or the BlockStore, and anything it wants to
 // communicate moves through returned messages.
 //
-// Identity across processes: a kernel is named. A factory registered on the
-// engine *before its workers fork* crosses into them with the fork
-// snapshot; a kernel registered *after* the fork is resolved inside each
-// worker by name against the process-global registry (populated at static
-// initialization — see GlobalKernelRegistrar), which both sides of the fork
-// share by construction.
+// Identity across processes: a kernel is a name in the process-global
+// registry (populated at static initialization — see GlobalKernelRegistrar),
+// and nothing else. Every process of an engine resolves the same name to
+// the same kernel: a forked shm-ring worker shares the registry with its
+// coordinator by construction, and every tcp worker — forked or attached
+// from another host — receives only the names in its SETUP frame and
+// resolves them against the registry of its own copy of the binary. Blocks
+// travel the same two ways: shm-ring workers inherit their slice of the
+// BlockStore through the fork, tcp workers receive it in SETUP.
 #pragma once
 
 #include <cstddef>
@@ -127,14 +130,6 @@ class StepKernel {
 
 using KernelFactory = std::function<std::unique_ptr<StepKernel>()>;
 
-/// One engine-local registration: the factory is empty when the kernel is
-/// resolved by name against the global registry instead (the only option
-/// once resident workers have forked).
-struct KernelRegistration {
-  std::string name;
-  KernelFactory factory;
-};
-
 /// Bit-set packing for broadcast kernel args: a per-entity flag vector
 /// (sampled clusters, alive edges) travels to the workers as
 /// ceil(n / 64) words instead of n, and the kernels test bits in place.
@@ -155,6 +150,10 @@ inline bool testArgBit(const Word* words, std::size_t numBits, std::size_t i) {
 /// first factory wins; returns false on a duplicate). Thread-safe.
 bool registerGlobalKernel(std::string name, KernelFactory factory);
 const KernelFactory* findGlobalKernel(const std::string& name);
+/// A fresh instance of the globally registered kernel `name`. Throws
+/// std::invalid_argument if no kernel is registered under it, and
+/// std::runtime_error if its factory returns null.
+std::unique_ptr<StepKernel> makeGlobalKernel(const std::string& name);
 
 /// Static-initialization registrar: odr-using globalKernelRegistrar<K>
 /// plants K in the global registry of every process before main — i.e.

@@ -21,8 +21,8 @@ RoundEngine::RoundEngine(EngineConfig cfg, std::unique_ptr<Topology> topology)
 
   // Backend selection (the engine factory): 1 shard keeps the in-process
   // path below; more partitions the machines over resident worker
-  // processes, which fork once (lazily, at the first sharded operation, so
-  // kernels/blocks registered until then cross with the fork snapshot) —
+  // processes, which start once (lazily, at the first sharded operation, so
+  // the kernel names and blocks registered until then provision them) —
   // splitting the configured lane count across the workers. The
   // coordinator keeps its full-width pool_ anyway — sharded rounds bypass
   // it, but consumers run their host-side compute through
@@ -57,41 +57,27 @@ bool RoundEngine::tcpMeshShards() const {
 
 // --- Registered kernels. ---
 
-KernelId RoundEngine::registerKernel(std::string name, KernelFactory factory) {
-  if (name.empty())
-    throw std::invalid_argument("registerKernel: empty kernel name");
+KernelId RoundEngine::registerKernel(std::string name) {
   if (findKernel(name).valid())
     throw std::invalid_argument("registerKernel: name already registered: " +
                                 name);
-  if (!factory && !findGlobalKernel(name))
-    throw std::invalid_argument(
-        "registerKernel: '" + name +
-        "' has no factory and is not globally registered");
+  if (!findGlobalKernel(name))
+    throw std::invalid_argument("registerKernel: '" + name +
+                                "' is not globally registered");
   const KernelId id{kernels_.size()};
-  kernels_.push_back({std::move(name), std::move(factory)});
+  kernels_.push_back(std::move(name));
   kernelInstances_.emplace_back();
   if (shard_ && shard_->started()) {
-    const KernelRegistration& reg = kernels_.back();
-    if (reg.factory && !findGlobalKernel(reg.name)) {
-      const std::string unreachable = reg.name;
-      kernels_.pop_back();
-      kernelInstances_.pop_back();
-      throw std::logic_error(
-          "registerKernel: the resident workers already forked, so the "
-          "factory for '" +
-          unreachable +
-          "' cannot reach them — register it before the engine's first "
-          "sharded operation, or globally (GlobalKernelRegistrar)");
-    }
     try {
-      shard_->registerKernel(id.index, reg.name);  // workers resolve + ack
+      // The workers resolve the name and ack.
+      shard_->announceKernel(id.index, kernels_.back());
     } catch (...) {
       // A worker could not resolve/construct the kernel. Ids are
       // append-only on every side (a partially-successful announcement may
       // have landed in some workers), so keep the dead slot but tombstone
       // its name — a corrected retry registers the same name under a fresh
       // id, and nothing can ever step the dead one.
-      kernels_[id.index].name = "!failed " + kernels_[id.index].name;
+      kernels_[id.index] = "!failed " + kernels_[id.index];
       throw;
     }
   }
@@ -100,7 +86,7 @@ KernelId RoundEngine::registerKernel(std::string name, KernelFactory factory) {
 
 KernelId RoundEngine::findKernel(const std::string& name) const {
   for (std::size_t i = 0; i < kernels_.size(); ++i)
-    if (kernels_[i].name == name) return KernelId{i};
+    if (kernels_[i] == name) return KernelId{i};
   return KernelId{};
 }
 
@@ -108,21 +94,7 @@ StepKernel& RoundEngine::ensureKernelInstance(KernelId kernel) {
   if (kernel.index >= kernels_.size())
     throw std::invalid_argument("RoundEngine: unknown kernel id");
   auto& instance = kernelInstances_[kernel.index];
-  if (!instance) {
-    const KernelRegistration& reg = kernels_[kernel.index];
-    KernelFactory factory = reg.factory;
-    if (!factory) {
-      const KernelFactory* global = findGlobalKernel(reg.name);
-      if (!global)
-        throw std::invalid_argument("RoundEngine: kernel '" + reg.name +
-                                    "' is not globally registered");
-      factory = *global;
-    }
-    instance = factory();
-    if (!instance)
-      throw std::runtime_error("RoundEngine: kernel '" + reg.name +
-                               "': factory returned null");
-  }
+  if (!instance) instance = makeGlobalKernel(kernels_[kernel.index]);
   return *instance;
 }
 
@@ -231,8 +203,8 @@ std::uint64_t RoundEngine::createBlocks(
     shard_->storeBlocks(handle, std::move(perMachine));
     return handle;
   }
-  // In-process, or staged for the fork snapshot (the workers adopt the
-  // store's contents when they start).
+  // In-process, or staged for the workers, which adopt the store's
+  // contents when they start (through the fork or in SETUP).
   store_.create(handle);
   for (std::size_t m = 0; m < numMachines_; ++m)
     store_.block(handle, m) = std::move(perMachine[m]);

@@ -15,10 +15,11 @@
 // (tests/test_golden.cc pins them).
 //
 // Machines step through registered kernels (runtime/kernel.hpp):
-// registerKernel gives the engine a named factory, step(KernelId, args)
-// drives one round, and the kernel instance lives *where the machines
-// live* — inside each resident worker — owning per-machine state (inboxes,
-// BlockStore blocks) across rounds without ever re-shipping it.
+// registerKernel binds a globally registered kernel name to a KernelId,
+// step(KernelId, args) drives one round, and the kernel instance lives
+// *where the machines live* — inside each resident worker — owning
+// per-machine state (inboxes, BlockStore blocks) across rounds without ever
+// re-shipping it.
 //
 // MpcSimulator and CongestedClique are thin model-specific facades over
 // this class; see src/runtime/README.md for the design.
@@ -86,14 +87,12 @@ class RoundEngine {
 
   // --- Registered kernels: the resident step path. ---
 
-  /// Registers a kernel under `name`. With a factory, the registration is
-  /// engine-local: it crosses into the resident workers with their one fork
-  /// snapshot, so it must happen before the engine's first sharded
-  /// operation (afterwards the name must also be globally registered —
-  /// GlobalKernelRegistrar — or this throws). With no factory the name is
-  /// resolved against the global registry on both sides of the fork, any
-  /// time. Names are unique per engine.
-  KernelId registerKernel(std::string name, KernelFactory factory = {});
+  /// Registers the globally registered kernel `name` (GlobalKernelRegistrar;
+  /// ensureKernel<K> is the usual spelling) on this engine, before or after
+  /// the resident workers start: every worker resolves the name against its
+  /// own process-global registry. Throws std::invalid_argument if `name` is
+  /// not globally registered or is already registered on this engine.
+  KernelId registerKernel(std::string name);
   /// The id `name` was registered under, or an invalid id.
   KernelId findKernel(const std::string& name) const;
 
@@ -132,7 +131,8 @@ class RoundEngine {
   /// Ships perMachine[m] to machine m's owner and returns the handle.
   /// Blocks live beside the kernels: in-process in the engine's own store,
   /// sharded inside the resident workers (created before the workers start,
-  /// they simply cross with the fork snapshot).
+  /// they provision them: shm-ring workers inherit them through the fork,
+  /// tcp workers receive them in SETUP).
   std::uint64_t createBlocks(std::vector<std::vector<Word>> perMachine);
   std::vector<std::vector<Word>> readBlocks(std::uint64_t handle);
   void freeBlocks(std::uint64_t handle);
@@ -166,7 +166,7 @@ class RoundEngine {
   /// True once kernel rounds ran on the sharded backend, so the
   /// authoritative inboxes live in the workers.
   bool inboxesResident_ = false;
-  std::vector<KernelRegistration> kernels_;
+  std::vector<std::string> kernels_;  // registered names, by KernelId
   std::vector<std::unique_ptr<StepKernel>> kernelInstances_;  // in-process
   BlockStore store_;  // in-process blocks; pre-start staging when sharded
   std::uint64_t nextBlockHandle_ = 1;
@@ -209,9 +209,10 @@ class BlockLease {
 
 /// Finds or registers kernel K on the engine. odr-using the global
 /// registrar plants K's factory in every process at static initialization,
-/// so a resident worker that forked long before this call can still
-/// construct K by name. K needs a static kernelName() and a default
-/// constructor (the GlobalKernelRegistrar contract).
+/// so every resident worker — forked, or attached from another host running
+/// the same binary — can construct K by name, whenever this call happens.
+/// K needs a static kernelName() and a default constructor (the
+/// GlobalKernelRegistrar contract).
 template <class K>
 KernelId ensureKernel(RoundEngine& eng) {
   (void)&globalKernelRegistrar<K>;

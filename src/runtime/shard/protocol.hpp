@@ -44,10 +44,10 @@ inline constexpr std::uint8_t kOpFetchBlocks = 7;
 inline constexpr std::uint8_t kOpFreeBlocks = 8;
 inline constexpr std::uint8_t kOpFetchInboxes = 9;
 inline constexpr std::uint8_t kOpShutdown = 10;
-// Remote-attach provisioning: the engine state a fork snapshot would have
-// carried (dimensions, topology descriptor, kernel names, blocks),
-// sent to a worker that dialed in over tcp instead of being forked. See
-// worker_loop.hpp.
+// tcp provisioning: the first frame every tcp worker reads after the
+// roster — dimensions, topology descriptor, kernel names, and the shard's
+// block slice. shm-ring workers inherit the same state through the fork.
+// See worker_loop.hpp.
 inline constexpr std::uint8_t kOpSetup = 11;
 
 // Barrier verdicts (1-byte frame bodies). Only kGo commits; any other value

@@ -78,7 +78,7 @@ std::vector<Proc> forkProcs(std::size_t count, const Body& body) {
 ShardedEngine::ShardedEngine(std::size_t numMachines, std::size_t shards,
                              std::size_t threadsPerShard,
                              const Topology* topology,
-                             const std::vector<KernelRegistration>* kernels,
+                             const std::vector<std::string>* kernels,
                              BlockStore* blocks, Transport transport)
     : numMachines_(numMachines),
       shards_(shards),
@@ -144,15 +144,15 @@ void ShardedEngine::start() {
             for (WireFd& end : mesh[j]) end.reset();
         std::vector<WireFd> peers = std::move(mesh[s]);
         Channel ctrl(std::move(fd));
-        runSnapshotWorker(s, ctrl, peers, -1);
+        runShmWorker(s, ctrl, peers);
       });
   workers_.resize(shards_);
   for (std::size_t s = 0; s < shards_; ++s) {
     workers_[s].pid = procs[s].pid;
     workers_[s].fd = Channel(std::move(procs[s].fd));
   }
-  // The snapshot just adopted every block; drop the coordinator copies so a
-  // later fetch can never read a stale one.
+  // The fork just handed every block to the workers; drop the coordinator
+  // copies so a later fetch can never read a stale one.
   if (blocks_) blocks_->clear();
 }
 
@@ -162,10 +162,10 @@ void ShardedEngine::startTcp() {
   TcpListener rendezvous(defaultTcpPort());
   const std::uint64_t epoch = makeTcpEpoch();
 
-  // Local mode: fork one dialing worker per shard. The children carry the
-  // fork snapshot exactly like the socketpair path — only the *wires* are
-  // different. Remote mode forks nothing; every shard must be attached by
-  // `mpcspan_worker --connect host:port --shard k` within the deadline.
+  // Local mode: fork one worker per shard, which attaches exactly as a
+  // remote `mpcspan_worker --connect host:port --shard k` does (the one
+  // attachTcpWorker path) except that it announces the real epoch. Remote
+  // mode forks nothing; every shard must attach within the deadline.
   std::vector<pid_t> pids;
   if (!remote) {
     const std::uint16_t port = rendezvous.port();
@@ -183,7 +183,7 @@ void ShardedEngine::startTcp() {
       if (pid == 0) {
         rendezvous.reset();  // the child dials; it must not hold the listener
         try {
-          tcpWorkerMain(s, port, epoch, deadline);
+          attachTcpWorker("127.0.0.1", port, s, epoch, deadline);
         } catch (...) {
           std::_Exit(3);
         }
@@ -229,12 +229,11 @@ void ShardedEngine::startTcp() {
           remote ? -1 : pids[hello.shard];  // remote: not ours to reap
       workers[hello.shard].fd = std::move(ch);
     }
-    for (std::size_t s = 0; s < shards_; ++s)
+    for (std::size_t s = 0; s < shards_; ++s) {
       sendRoster(workers[s].fd, epoch, roster);
-    if (remote)
-      for (std::size_t s = 0; s < shards_; ++s)
-        sendWorkerSetup(workers[s].fd, numMachines_, shards_, s,
-                        threadsPerShard_, *topology_, kernels_, blocks_);
+      sendWorkerSetup(workers[s].fd, numMachines_, shards_, s,
+                      threadsPerShard_, *topology_, kernels_, blocks_);
+    }
   } catch (...) {
     // Unwind without zombies or hangs: closing the listener and every
     // accepted control channel gives each worker EOF/ECONNREFUSED within
@@ -249,28 +248,13 @@ void ShardedEngine::startTcp() {
     throw;
   }
   workers_ = std::move(workers);
-  // The snapshot (fork or SETUP frame) just adopted every block; drop the
+  // The SETUP frames just handed every block to the workers; drop the
   // coordinator copies so a later fetch can never read a stale one.
   if (blocks_) blocks_->clear();
 }
 
-void ShardedEngine::tcpWorkerMain(std::size_t s, std::uint16_t port,
-                                  std::uint64_t epoch, int deadlineMs) {
-  TcpListener meshListener(0);
-  Channel ctrl(tcpConnect("127.0.0.1", port, deadlineMs), deadlineMs);
-  sendControlHello(ctrl, TcpHello{s, epoch, meshListener.port()});
-  const std::vector<TcpPeerAddr> roster = readRoster(ctrl, epoch, nullptr);
-  if (roster.size() != shards_)
-    throw ShardError("tcp roster: shard count mismatch");
-  std::vector<WireFd> peers =
-      formTcpMesh(s, epoch, meshListener, roster, deadlineMs);
-  meshListener.reset();
-  runSnapshotWorker(s, ctrl, peers, deadlineMs);
-}
-
-void ShardedEngine::runSnapshotWorker(std::size_t s, Channel& ctrl,
-                                      std::vector<WireFd>& peers,
-                                      int meshTimeoutMs) {
+void ShardedEngine::runShmWorker(std::size_t s, Channel& ctrl,
+                                 std::vector<WireFd>& peers) {
   WorkerConfig cfg;
   cfg.numMachines = numMachines_;
   cfg.shards = shards_;
@@ -279,9 +263,6 @@ void ShardedEngine::runSnapshotWorker(std::size_t s, Channel& ctrl,
   cfg.topology = topology_;
   cfg.transport = transport_;
   cfg.shmArena = shmArena_.get();
-  cfg.meshTimeoutMs = meshTimeoutMs;
-  std::vector<KernelRegistration> kernels =
-      kernels_ ? *kernels_ : std::vector<KernelRegistration>{};
   const std::size_t lo = shardBegin(s), hi = shardEnd(s);
   BlockStore store(numMachines_);
   if (blocks_) {
@@ -291,7 +272,8 @@ void ShardedEngine::runSnapshotWorker(std::size_t s, Channel& ctrl,
         store.block(h, m) = blocks_->block(h, m);
     }
   }
-  runResidentWorker(cfg, ctrl, peers, std::move(kernels), store);
+  runResidentWorker(cfg, ctrl, peers,
+                    kernels_ ? *kernels_ : std::vector<std::string>{}, store);
 }
 
 void ShardedEngine::shutdownWorkers() noexcept {
@@ -344,8 +326,8 @@ auto ShardedEngine::guarded(Fn&& io) -> decltype(io()) {
 // Coordinator side.
 // ---------------------------------------------------------------------------
 
-void ShardedEngine::registerKernel(std::size_t id, const std::string& name) {
-  if (!started()) return;  // the fork snapshot will carry the table
+void ShardedEngine::announceKernel(std::size_t id, const std::string& name) {
+  if (!started()) return;  // the provisioning will carry the table
   guarded([&] {
     for (Worker& w : workers_) {
       WireWriter f;

@@ -2,12 +2,13 @@
 //
 // The simulated machines are partitioned into contiguous shards, each owned
 // by a **resident** worker *process* running the work-stealing ThreadPool
-// over its machine range. The workers fork once per engine — lazily, at the
-// first operation that needs them, so every kernel factory and block
-// registered up to that point crosses in the fork snapshot — and then stay
-// alive across rounds, driven by small control frames over the wire:
+// over its machine range. The workers start once per engine — lazily, at
+// the first operation that needs them, provisioned with every kernel name
+// and block registered up to that point (shm-ring workers inherit them
+// through the fork, tcp workers receive them in a SETUP frame) — and then
+// stay alive across rounds, driven by small control frames over the wire:
 //
-//   REGISTER_KERNEL  bind a kernel id to a name/factory (ack'd);
+//   REGISTER_KERNEL  bind a kernel id to a globally registered name (ack'd);
 //   STEP             one kernel round: compute shard-side, exchange the
 //                    cross-shard sections worker to worker, commit into the
 //                    worker-resident inboxes;
@@ -49,6 +50,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "runtime/kernel.hpp"
@@ -63,17 +65,19 @@ class ShmArena;
 
 class ShardedEngine {
  public:
-  /// `topology`, `kernels`, and `blocks` are borrowed from the owning
-  /// RoundEngine; the worker fork snapshots whatever they hold at start()
-  /// time (kernels registered and blocks created before the first sharded
-  /// operation cross for free). `threadsPerShard` is the lane count of each
-  /// worker's local pool (>= 1). `shards` must be in [2, numMachines] — a
-  /// single shard is RoundEngine's in-process path. `transport` picks the
-  /// section route described above; kTcp forks loopback workers by default,
-  /// and MPCSPAN_TCP_REMOTE=1 awaits `mpcspan_worker` attaches instead.
+  /// `topology`, `kernels` (the registered kernel names, by id) and
+  /// `blocks` are borrowed from the owning RoundEngine; whatever they hold
+  /// at start() time provisions the workers — shm-ring workers inherit it
+  /// through the fork, every tcp worker receives it in its SETUP frame.
+  /// `threadsPerShard` is the lane count of each worker's local pool
+  /// (>= 1). `shards` must be in [2, numMachines] — a single shard is
+  /// RoundEngine's in-process path. `transport` picks the section route
+  /// described above; kTcp forks loopback workers by default, and
+  /// MPCSPAN_TCP_REMOTE=1 awaits `mpcspan_worker` attaches instead. Both
+  /// kinds of tcp worker run the same attachTcpWorker.
   ShardedEngine(std::size_t numMachines, std::size_t shards,
                 std::size_t threadsPerShard, const Topology* topology,
-                const std::vector<KernelRegistration>* kernels = nullptr,
+                const std::vector<std::string>* kernels = nullptr,
                 BlockStore* blocks = nullptr,
                 Transport transport = Transport::kShmRing);
 
@@ -88,8 +92,8 @@ class ShardedEngine {
   std::size_t threadsPerShard() const { return threadsPerShard_; }
   /// The cross-shard section route.
   Transport transport() const { return transport_; }
-  /// True once the resident workers have forked (they fork lazily, at the
-  /// first round / kernel / block operation).
+  /// True once the resident workers have started (they start lazily, at
+  /// the first round / kernel / block operation).
   bool started() const { return !workers_.empty(); }
   /// Pids of the live resident workers (empty before start()); stable
   /// across rounds — the acceptance check that forking happens once.
@@ -104,10 +108,10 @@ class ShardedEngine {
   std::size_t shardOf(std::size_t machine) const;
 
   /// Announces an engine-level registration to the running workers; no-op
-  /// before start() (the fork snapshot carries the table). The workers
+  /// before start() (the provisioning carries the table). The workers
   /// resolve `name` against their registries and ack, so an unresolvable
   /// kernel fails loudly here, not mid-round.
-  void registerKernel(std::size_t id, const std::string& name);
+  void announceKernel(std::size_t id, const std::string& name);
 
   /// One resident kernel round (the STEP barrier above). Writes the words
   /// moved to roundWords; deliveries land in the worker-resident inboxes.
@@ -124,7 +128,7 @@ class ShardedEngine {
                                              const std::vector<Word>& args);
 
   /// Worker-owned BlockStore maintenance. Before start() the blocks live in
-  /// the coordinator's store and cross with the fork snapshot; afterwards
+  /// the coordinator's store and provision the workers; afterwards
   /// they move over the wire to the worker owning each machine.
   void storeBlocks(std::uint64_t handle,
                    std::vector<std::vector<Word>> perMachine);
@@ -147,14 +151,10 @@ class ShardedEngine {
   /// not running yet. Throws ShardError if the backend already failed (a
   /// worker died earlier) or the shm arena cannot be mapped.
   void start();
-  /// The kTcp half of start(): listens, forks local workers (unless
-  /// MPCSPAN_TCP_REMOTE=1), collects one control hello per shard, answers
-  /// with the mesh roster (+ SETUP frames for remote attaches).
+  /// The kTcp half of start(): listens, forks local workers that run
+  /// attachTcpWorker (unless MPCSPAN_TCP_REMOTE=1), collects one control
+  /// hello per shard, answers each with the mesh roster and a SETUP frame.
   void startTcp();
-  /// Body of a locally forked kTcp worker: dial the rendezvous, handshake,
-  /// form the mesh, run the command loop.
-  void tcpWorkerMain(std::size_t s, std::uint16_t port, std::uint64_t epoch,
-                     int deadlineMs);
   /// Marks the backend failed, best-effort shuts down and reaps every
   /// worker, and throws ShardError built from `what`.
   [[noreturn]] void fail(const std::string& what);
@@ -163,12 +163,11 @@ class ShardedEngine {
   auto guarded(Fn&& io) -> decltype(io());
   void shutdownWorkers() noexcept;
 
-  /// Runs shard s's command loop (worker_loop.hpp) in the child after
-  /// building its WorkerConfig and the fork-snapshot state (kernel table
-  /// copy, the shard's BlockStore slice). `peers` is this worker's row of
-  /// the doorbell (shm) or tcp mesh.
-  void runSnapshotWorker(std::size_t s, Channel& ctrl,
-                         std::vector<WireFd>& peers, int meshTimeoutMs);
+  /// Runs shard s's command loop (worker_loop.hpp) in a forked shm-ring
+  /// child after building its WorkerConfig and the state it inherited
+  /// (kernel names, the shard's BlockStore slice). `peers` is this worker's
+  /// doorbell row.
+  void runShmWorker(std::size_t s, Channel& ctrl, std::vector<WireFd>& peers);
 
   std::size_t numMachines_;
   std::size_t shards_;
@@ -185,8 +184,8 @@ class ShardedEngine {
   /// The pre-fork shared-memory arena (kShmRing only); inherited by every
   /// worker's address space, coordinator-held for teardown.
   std::unique_ptr<ShmArena> shmArena_;
-  const std::vector<KernelRegistration>* kernels_;  // owner: RoundEngine
-  BlockStore* blocks_;                              // owner: RoundEngine
+  const std::vector<std::string>* kernels_;  // owner: RoundEngine
+  BlockStore* blocks_;                       // owner: RoundEngine
   std::vector<Worker> workers_;
 };
 

@@ -11,7 +11,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <ctime>
+#include <utility>
 
+#include "runtime/shard/worker_loop.hpp"
 #include "util/socket.hpp"
 
 namespace mpcspan::runtime::shard {
@@ -218,6 +220,29 @@ std::vector<WireFd> formTcpMesh(std::size_t self, std::uint64_t epoch,
   }
   // Released Channel fds are nonblocking: meshExchange's pumps need that.
   return peers;
+}
+
+void attachTcpWorker(const std::string& host, std::uint16_t port,
+                     std::size_t shard, std::uint64_t epoch, int timeoutMs) {
+  // Mesh listener first: its port rides in the control hello.
+  TcpListener meshListener(0);
+  Channel ctrl(tcpConnect(host, port, timeoutMs), timeoutMs);
+  sendControlHello(ctrl, {shard, epoch, meshListener.port()});
+  std::uint64_t meshEpoch = 0;
+  const std::vector<TcpPeerAddr> roster = readRoster(ctrl, epoch, &meshEpoch);
+  WorkerSetup setup = readWorkerSetup(ctrl);
+  if (setup.cfg.shard != shard)
+    throw ShardError("tcp worker: coordinator assigned shard " +
+                     std::to_string(setup.cfg.shard) + ", dialed as " +
+                     std::to_string(shard));
+  if (roster.size() != setup.cfg.shards)
+    throw ShardError("tcp worker: roster size mismatch");
+  setup.cfg.meshTimeoutMs = timeoutMs;
+  std::vector<WireFd> peers =
+      formTcpMesh(shard, meshEpoch, meshListener, roster, timeoutMs);
+  meshListener.reset();
+  runResidentWorker(setup.cfg, ctrl, peers, std::move(setup.kernels),
+                    *setup.store);
 }
 
 std::string peerHostOf(int fd) {

@@ -4,7 +4,8 @@
 //
 // Shape of a rendezvous (coordinator = the engine process, one worker per
 // shard; workers are either fork()ed locally or attached remotely by
-// `mpcspan_worker --connect host:port --shard k`):
+// `mpcspan_worker --connect host:port --shard k`, and both run the one
+// worker half of steps 2-4, attachTcpWorker):
 //
 //   1. The coordinator listens on MPCSPAN_TCP_PORT (0 / unset = ephemeral).
 //   2. Each worker opens its own ephemeral *mesh* listener, dials the
@@ -16,9 +17,9 @@
 //      stale/foreign dial the coordinator rejects with ShardError.
 //   3. Once every shard has checked in, the coordinator answers each with a
 //      roster: u64 magic | u8 version | u64 epoch | u64 shards |
-//      shards x (str host + u64 mesh port). Remote attachers additionally
-//      get a SETUP frame (see worker_loop.hpp) carrying the engine state a
-//      fork snapshot would have given them.
+//      shards x (str host + u64 mesh port), then a SETUP frame (see
+//      worker_loop.hpp) carrying the engine's dimensions, topology, kernel
+//      names and the shard's slice of the block store.
 //   4. Workers dial each other to form the full mesh — shard s dials every
 //      t < s and accepts from every t > s (deadlock-free: connects complete
 //      against the listen backlog) — each connection opening with a mesh
@@ -124,6 +125,16 @@ std::vector<WireFd> formTcpMesh(std::size_t self, std::uint64_t epoch,
                                 TcpListener& meshListener,
                                 const std::vector<TcpPeerAddr>& roster,
                                 int deadlineMs);
+
+/// The worker half of a rendezvous, shared by every tcp worker — the
+/// engine's forked loopback children and `mpcspan_worker --connect`: opens
+/// a mesh listener, dials host:port, sends the control hello (the forked
+/// child's inherited epoch, or 0 for a remote attach), reads the roster and
+/// the SETUP frame, forms the mesh, and runs the resident command loop until
+/// SHUTDOWN or coordinator EOF. Throws ShardError on any rendezvous
+/// failure.
+void attachTcpWorker(const std::string& host, std::uint16_t port,
+                     std::size_t shard, std::uint64_t epoch, int timeoutMs);
 
 /// Numeric address of the connected peer ("127.0.0.1" style) — what the
 /// coordinator advertises in the roster as a worker's mesh host.

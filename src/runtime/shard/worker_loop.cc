@@ -1,7 +1,6 @@
 #include "runtime/shard/worker_loop.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -35,8 +34,7 @@ std::size_t shardOfMachine(std::size_t numMachines, std::size_t shards,
 
 void runResidentWorker(const WorkerConfig& cfg, Channel& ctrl,
                        std::vector<WireFd>& peers,
-                       std::vector<KernelRegistration> kernels,
-                       BlockStore& store) {
+                       std::vector<std::string> kernels, BlockStore& store) {
   const std::size_t n = cfg.numMachines;
   const std::size_t s = cfg.shard;
   const std::size_t lo = shardRangeBegin(n, cfg.shards, s);
@@ -50,16 +48,10 @@ void runResidentWorker(const WorkerConfig& cfg, Channel& ctrl,
   // every read *inside* a round keeps the channel's deadline, so a
   // coordinator or peer that hangs mid-round surfaces as ShardError.
   const int roundDeadline = ctrl.deadline();
-  // Test-only fault injection: the named shard exits abnormally right
-  // before its phase-A report, as every peer enters its exchange. Exercised
-  // by test_peer_exchange; never set outside tests.
-  long dieShard = -1;
-  if (const char* env = std::getenv("MPCSPAN_TEST_PEER_DIE_SHARD"))
-    dieShard = std::strtol(env, nullptr, 10);
 
   // Worker-owned state, alive across rounds. The kernel table and block
-  // store arrived with the fork snapshot (or the SETUP frame); everything
-  // later comes over the wire.
+  // store arrived through the fork (shm ring) or in the SETUP frame (tcp);
+  // everything later comes over the wire.
   ThreadPool pool(cfg.threads);
   std::vector<std::unique_ptr<StepKernel>> instances(kernels.size());
 
@@ -92,24 +84,7 @@ void runResidentWorker(const WorkerConfig& cfg, Channel& ctrl,
   auto ensureInstance = [&](std::uint64_t id) -> StepKernel& {
     if (id >= kernels.size())
       throw std::runtime_error("ShardedEngine: unknown kernel id in worker");
-    if (!instances[id]) {
-      const KernelRegistration& reg = kernels[id];
-      KernelFactory factory = reg.factory;
-      if (!factory) {
-        const KernelFactory* global = findGlobalKernel(reg.name);
-        if (!global)
-          throw std::runtime_error(
-              "kernel '" + reg.name +
-              "' is not resolvable in the worker process: register it before "
-              "the engine's first round, or globally (GlobalKernelRegistrar) "
-              "so the fork inherits it");
-        factory = *global;
-      }
-      instances[id] = factory();
-      if (!instances[id])
-        throw std::runtime_error("kernel '" + reg.name +
-                                 "': factory returned null");
-    }
+    if (!instances[id]) instances[id] = makeGlobalKernel(kernels[id]);
     return *instances[id];
   };
 
@@ -154,7 +129,7 @@ void runResidentWorker(const WorkerConfig& cfg, Channel& ctrl,
             // resolved this id, so removing the slot would desync the id
             // tables. A failed slot is inert — the coordinator tombstones
             // the name, so no step can ever reference it.
-            kernels.push_back({name, KernelFactory{}});
+            kernels.push_back(name);
             instances.emplace_back();
             ensureInstance(id);  // construct eagerly: fail at registration
           } catch (...) {
@@ -223,11 +198,6 @@ void runResidentWorker(const WorkerConfig& cfg, Channel& ctrl,
             counts.assign(cfg.shards, 0);
           }
 
-          // Test-only fault: die before the report, as every peer is
-          // entering its exchange — the peers see the death mid-exchange
-          // and the coordinator sees it on the report read, so the round
-          // (not a later one) fails for everyone.
-          if (dieShard == static_cast<long>(s)) std::_Exit(4);
           // The shm rings take the sections before the report goes up: in
           // the steady state every frame is already placed by the time a
           // peer starts draining.
@@ -438,18 +408,14 @@ void runResidentWorker(const WorkerConfig& cfg, Channel& ctrl,
 }
 
 // ---------------------------------------------------------------------------
-// Remote provisioning (kOpSetup): the fork snapshot, serialized.
+// tcp provisioning (kOpSetup).
 // ---------------------------------------------------------------------------
 
 void sendWorkerSetup(Channel& ch, std::size_t numMachines, std::size_t shards,
                      std::size_t shard, std::size_t threads,
                      const Topology& topology,
-                     const std::vector<KernelRegistration>* kernels,
+                     const std::vector<std::string>* kernels,
                      const BlockStore* blocks) {
-  if (topology.wireKind() == Topology::WireKind::kOpaque)
-    throw ShardError(
-        "tcp remote workers need a wire-serializable topology (a custom "
-        "Topology subclass cannot cross machines)");
   const std::size_t lo = shardRangeBegin(numMachines, shards, shard);
   const std::size_t hi = shardRangeEnd(numMachines, shards, shard);
   WireWriter w;
@@ -460,9 +426,9 @@ void sendWorkerSetup(Channel& ch, std::size_t numMachines, std::size_t shards,
   w.u64(threads);
   w.u8(static_cast<std::uint8_t>(topology.wireKind()));
   w.u64(topology.wireParam());
-  const std::size_t kernelCount = kernels ? kernels->size() : 0;
-  w.u64(kernelCount);
-  for (std::size_t k = 0; k < kernelCount; ++k) w.str((*kernels)[k].name);
+  w.u64(kernels ? kernels->size() : 0);
+  if (kernels)
+    for (const std::string& name : *kernels) w.str(name);
   const std::vector<std::uint64_t> handles =
       blocks ? blocks->handles() : std::vector<std::uint64_t>{};
   w.u64(handles.size());
@@ -477,18 +443,20 @@ void sendWorkerSetup(Channel& ch, std::size_t numMachines, std::size_t shards,
   w.sendFramed(ch);
 }
 
-RemoteSetup readWorkerSetup(Channel& ch) {
+WorkerSetup readWorkerSetup(Channel& ch) {
   WireReader r = WireReader::recvFramed(ch);
   if (r.u8() != kOpSetup)
     throw ShardError("tcp setup: expected a SETUP frame (protocol desync)");
-  RemoteSetup setup;
-  setup.cfg.numMachines = r.u64();
-  setup.cfg.shards = r.u64();
-  setup.cfg.shard = r.u64();
-  setup.cfg.threads = r.u64();
-  if (setup.cfg.numMachines == 0 || setup.cfg.shards < 2 ||
-      setup.cfg.shards > setup.cfg.numMachines ||
-      setup.cfg.shard >= setup.cfg.shards || setup.cfg.threads == 0)
+  WorkerSetup setup;
+  WorkerConfig& cfg = setup.cfg;
+  cfg.numMachines = r.u64();
+  cfg.shards = r.u64();
+  cfg.shard = r.u64();
+  cfg.threads = r.u64();
+  if (cfg.numMachines == 0 || cfg.numMachines > kMaxSetupMachines ||
+      cfg.shards < 2 || cfg.shards > cfg.numMachines ||
+      cfg.shard >= cfg.shards || cfg.threads == 0 ||
+      cfg.threads > kMaxSetupThreads)
     throw ShardError("tcp setup: implausible engine dimensions");
   const std::uint8_t topoKind = r.u8();
   const std::uint64_t topoParam = r.u64();
@@ -497,25 +465,29 @@ RemoteSetup readWorkerSetup(Channel& ch) {
   } catch (const std::exception& e) {
     throw ShardError(std::string("tcp setup: ") + e.what());
   }
-  setup.cfg.topology = setup.topology.get();
-  setup.cfg.transport = Transport::kTcp;
+  cfg.topology = setup.topology.get();
+  cfg.transport = Transport::kTcp;
   const std::uint64_t kernelCount = r.u64();
   // A serialized kernel entry is at least its 8-byte name-length prefix.
   if (kernelCount > r.remaining() / sizeof(std::uint64_t))
     throw ShardError("tcp setup: corrupt kernel count");
   setup.kernels.reserve(kernelCount);
   for (std::uint64_t k = 0; k < kernelCount; ++k)
-    setup.kernels.push_back({r.str(), KernelFactory{}});
-  setup.store = std::make_unique<BlockStore>(setup.cfg.numMachines);
-  const std::size_t lo =
-      shardRangeBegin(setup.cfg.numMachines, setup.cfg.shards, setup.cfg.shard);
-  const std::size_t hi =
-      shardRangeEnd(setup.cfg.numMachines, setup.cfg.shards, setup.cfg.shard);
+    setup.kernels.push_back(r.str());
+  const std::size_t n = cfg.numMachines;
+  const std::size_t lo = shardRangeBegin(n, cfg.shards, cfg.shard);
+  const std::size_t hi = shardRangeEnd(n, cfg.shards, cfg.shard);
+  setup.store = std::make_unique<BlockStore>(n);
   const std::uint64_t handleCount = r.u64();
-  if (handleCount > r.remaining() / sizeof(std::uint64_t))
+  // A handle is at least its id plus one length per machine of the slice,
+  // so a garbled count or machine range fails here, before any store
+  // entry is sized by numMachines.
+  if (handleCount > r.remaining() / (sizeof(std::uint64_t) * (1 + hi - lo)))
     throw ShardError("tcp setup: corrupt block handle count");
   for (std::uint64_t i = 0; i < handleCount; ++i) {
     const std::uint64_t h = r.u64();
+    if (setup.store->has(h))
+      throw ShardError("tcp setup: duplicate block handle");
     setup.store->create(h);
     for (std::size_t m = lo; m < hi; ++m) {
       const std::uint64_t len = r.u64();
@@ -526,6 +498,7 @@ RemoteSetup readWorkerSetup(Channel& ch) {
       r.words(block.data(), len);
     }
   }
+  if (!r.atEnd()) throw ShardError("tcp setup: trailing bytes");
   return setup;
 }
 

@@ -1,24 +1,28 @@
-// The resident worker's command loop, extracted from ShardedEngine so it
-// can run in two kinds of process:
+// The resident worker's command loop, extracted from ShardedEngine so that
+// every kind of worker process runs the same one. A worker is provisioned
+// with the engine's dimensions, topology, kernel table and its slice of the
+// block store in one of two ways:
 //
-//   - a fork()ed child of the coordinator (kShmRing, and kTcp's default
-//     local mode): the WorkerConfig is built from the engine's members and
-//     the kernel table / block store arrive with the fork snapshot;
-//   - a *remote* process (`mpcspan_worker --connect host:port --shard k`)
-//     that dialed the tcp rendezvous: the same state arrives in a SETUP
-//     frame (kOpSetup) instead, and kernels resolve by name against the
-//     process-global registry — the only identities that exist across
-//     binaries.
+//   - a shm-ring worker is a fork()ed child of the coordinator and inherits
+//     them through the fork;
+//   - every tcp worker — a forked loopback child and a remote
+//     `mpcspan_worker --connect host:port --shard k` alike — runs
+//     attachTcpWorker (tcp_transport.hpp) and receives them in a SETUP
+//     frame (kOpSetup).
 //
-// Either way the loop speaks the protocol.hpp control frames over `ctrl`
-// and exchanges cross-shard sections over `peers` (shm doorbells or tcp
-// sockets), and its observable behavior (delivery order, validation, error
-// surface) is identical — the transports are bit-identical by construction.
+// Either way the kernel table is names only: a kernel is a name in the
+// process-global registry (runtime/kernel.hpp), which every worker resolves
+// in its own process. The loop speaks the protocol.hpp control frames over
+// `ctrl` and exchanges cross-shard sections over `peers` (shm doorbells or
+// tcp sockets), and its observable behavior (delivery order, validation,
+// error surface) is identical — the transports are bit-identical by
+// construction.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "runtime/kernel.hpp"
@@ -44,7 +48,7 @@ std::size_t shardOfMachine(std::size_t numMachines, std::size_t shards,
 
 /// Everything the command loop needs to know about its place in the engine.
 /// `topology` is borrowed (fork-shared or owned by the caller's
-/// RemoteSetup); `shmArena` is non-null only under kShmRing.
+/// WorkerSetup); `shmArena` is non-null only under kShmRing.
 struct WorkerConfig {
   std::size_t numMachines = 0;
   std::size_t shards = 0;
@@ -64,38 +68,42 @@ struct WorkerConfig {
 /// cleanly; protocol violations and transport corruption throw out as the
 /// caller's exit-status policy dictates). `ctrl` is the coordinator
 /// channel; `peers` is this worker's mesh row (doorbells under kShmRing).
-/// `kernels` and `store` are the snapshot state the loop adopts; `store` is
-/// caller-owned because BlockStore is non-copyable and the remote path
-/// materializes it straight off the wire.
+/// `kernels` (registered names, by kernel id) and `store` are the state the
+/// loop adopts; `store` is caller-owned because BlockStore is non-copyable
+/// and a tcp worker materializes it straight off the wire.
 void runResidentWorker(const WorkerConfig& cfg, Channel& ctrl,
                        std::vector<WireFd>& peers,
-                       std::vector<KernelRegistration> kernels,
-                       BlockStore& store);
+                       std::vector<std::string> kernels, BlockStore& store);
 
-/// Coordinator side of remote provisioning: one kOpSetup frame carrying
-/// what shard `shard`'s fork snapshot would have carried — dimensions, the
-/// topology's wire descriptor, the kernel *names* (factories cannot cross
-/// binaries; the worker resolves them globally), and the shard's slice of
-/// the block store. Throws ShardError if the topology is not
-/// wire-serializable (Topology::WireKind::kOpaque — a custom subclass).
+/// Plausibility caps of a SETUP frame: a machine count or lane count
+/// beyond these can only be a garbled field, and is rejected before
+/// anything is sized by it.
+constexpr std::uint64_t kMaxSetupMachines = 1ull << 24;
+constexpr std::uint64_t kMaxSetupThreads = 1ull << 10;
+
+/// Coordinator side of tcp provisioning: one kOpSetup frame carrying
+/// dimensions, the topology's wire descriptor, the kernel names, and shard
+/// `shard`'s slice of the block store.
 void sendWorkerSetup(Channel& ch, std::size_t numMachines, std::size_t shards,
                      std::size_t shard, std::size_t threads,
                      const Topology& topology,
-                     const std::vector<KernelRegistration>* kernels,
+                     const std::vector<std::string>* kernels,
                      const BlockStore* blocks);
 
 /// What readWorkerSetup materializes from the frame. `cfg.topology` points
 /// at `topology`; move the struct as a unit.
-struct RemoteSetup {
+struct WorkerSetup {
   WorkerConfig cfg;
   std::unique_ptr<Topology> topology;
-  std::vector<KernelRegistration> kernels;  // names only
+  std::vector<std::string> kernels;
   std::unique_ptr<BlockStore> store;
 };
 
-/// Worker side: reads the kOpSetup frame off `ch` and rebuilds the snapshot
-/// state. Every wire-supplied size is vetted; a malformed frame (or a frame
-/// that is not kOpSetup) throws ShardError.
-RemoteSetup readWorkerSetup(Channel& ch);
+/// Worker side: reads the kOpSetup frame off `ch` and rebuilds the
+/// provisioned state. Every wire-supplied size is vetted against the
+/// caps above and the bytes left in the frame before anything is sized by
+/// it; a malformed frame (or a frame that is not kOpSetup) throws
+/// ShardError.
+WorkerSetup readWorkerSetup(Channel& ch);
 
 }  // namespace mpcspan::runtime::shard

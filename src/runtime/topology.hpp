@@ -36,22 +36,19 @@ class Topology {
     kPriorityWrite,  // per destination only the lowest-src write lands
   };
 
-  /// Wire descriptor for transports that must rebuild the topology in a
-  /// process sharing no memory with the coordinator (tcp remote attach).
-  /// kOpaque topologies cannot cross the wire; the tcp SETUP frame rejects
-  /// them with ShardError instead of silently validating nothing.
+  /// Wire descriptor every tcp worker rebuilds the topology from (its
+  /// SETUP frame); every topology must have one.
   enum class WireKind : std::uint8_t {
     kMpc = 0,
     kClique = 1,
     kPram = 2,
-    kOpaque = 255,
   };
 
   virtual ~Topology() = default;
 
   virtual const char* name() const = 0;
 
-  virtual WireKind wireKind() const { return WireKind::kOpaque; }
+  virtual WireKind wireKind() const = 0;
   /// Single scalar parameter riding the wire descriptor (wordsPerMachine
   /// for MpcTopology; unused otherwise).
   virtual std::uint64_t wireParam() const { return 0; }
@@ -147,8 +144,8 @@ class PramTopology final : public Topology {
 };
 
 /// Rebuilds a topology from its wire descriptor (the inverse of
-/// wireKind()/wireParam()); throws std::invalid_argument for kOpaque or an
-/// unknown kind byte.
+/// wireKind()/wireParam()); throws std::invalid_argument for an unknown
+/// kind byte.
 std::unique_ptr<Topology> makeWireTopology(std::uint8_t kind,
                                            std::uint64_t param);
 

@@ -51,7 +51,7 @@ void encodeStats(WireWriter& w, const ServeStats& s) {
   w.u64(s.reloadsOk);
   w.u64(s.reloadsFailed);
   w.u64(s.tiers.size());
-  for (const TierCounters& t : s.tiers) {
+  for (const query::TierStats& t : s.tiers) {
     w.str(t.name);
     w.u64(t.attempts);
     w.u64(t.hits);
@@ -77,7 +77,7 @@ ServeStats decodeStats(WireReader& r) {
   if (count > r.remaining() / (4 * sizeof(std::uint64_t)) + 1)
     throw ShardError("serve stats frame: implausible tier count");
   s.tiers.resize(count);
-  for (TierCounters& t : s.tiers) {
+  for (query::TierStats& t : s.tiers) {
     t.name = r.str();
     t.attempts = r.u64();
     t.hits = r.u64();

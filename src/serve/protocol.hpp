@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "query/tiered.hpp"
 #include "runtime/shard/wire.hpp"
 
 namespace mpcspan::serve {
@@ -101,14 +102,6 @@ struct WireAnswer {
   std::uint64_t snapshotVersion = 0;
 };
 
-/// Per-tier oracle counters as served by STATS.
-struct TierCounters {
-  std::string name;
-  std::uint64_t attempts = 0;
-  std::uint64_t hits = 0;
-  std::uint64_t nanos = 0;
-};
-
 /// Everything the daemon's STATS command reports: snapshot identity, query
 /// totals, the robustness counters (shed/slow/malformed/reload), and the
 /// per-tier oracle breakdown.
@@ -124,7 +117,7 @@ struct ServeStats {
   std::uint64_t malformedFrames = 0;  // frames rejected by the codec
   std::uint64_t reloadsOk = 0;
   std::uint64_t reloadsFailed = 0;  // rejected artifacts (old one kept)
-  std::vector<TierCounters> tiers;
+  std::vector<query::TierStats> tiers;
 };
 
 inline void putF64(WireWriter& w, double v) {

@@ -138,10 +138,7 @@ ServeStats Server::statsSnapshot() const {
   if (snap) {
     s.snapshotVersion = snap->version;
     s.numVertices = snap->numVertices;
-    const query::OracleSnapshot os = snap->plane.tiered->snapshot();
-    s.tiers.reserve(os.tiers.size());
-    for (const query::TierStats& t : os.tiers)
-      s.tiers.push_back({t.name, t.attempts, t.hits, t.nanos});
+    s.tiers = snap->plane.tiered->snapshot().tiers;
   }
   s.accepted = accepted_.load(std::memory_order_relaxed);
   s.activeSessions = activeSessions_.load(std::memory_order_relaxed);

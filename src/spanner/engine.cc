@@ -8,8 +8,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "util/log.hpp"
-
 namespace mpcspan {
 
 // ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 // Kernels shared by the engine, transport, and golden-table tests.
 #pragma once
 
+#include <atomic>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -77,6 +79,8 @@ inline std::unique_ptr<runtime::Topology> probeTopology(int mode) {
 /// machine holding the token forwards token + 1 to its successor.
 class TokenKernel final : public runtime::StepKernel {
  public:
+  static std::string kernelName() { return "test.token"; }
+
   std::vector<runtime::Message> step(const runtime::KernelCtx& ctx) override {
     std::vector<runtime::Message> out;
     if (!ctx.args.empty()) {
@@ -92,28 +96,62 @@ class TokenKernel final : public runtime::StepKernel {
 /// One round's outboxes: outboxes[m] = every message machine m sends.
 using Outboxes = std::vector<std::vector<runtime::Message>>;
 
-/// Replays a fixed per-round outbox table: step returns
-/// script[args[0]][machine]. The table rides the factory, so register it
-/// (registerScript) before the engine's first sharded operation — it
-/// crosses into the workers with the fork snapshot.
+/// Replays a fixed per-round outbox table: step returns round args[0]'s
+/// outbox of ctx.machine. The table is an ordinary worker-resident block —
+/// machine m's block holds m's outbox of every round, each as a message
+/// count followed by (dst, length, payload words) per message — so it
+/// reaches every worker the way any block does. registerScript ships it and
+/// binds the kernel to its handle with one free local phase.
 class ScriptKernel final : public runtime::StepKernel {
  public:
-  explicit ScriptKernel(std::shared_ptr<const std::vector<Outboxes>> script)
-      : script_(std::move(script)) {}
+  static std::string kernelName() { return "test.script"; }
+
+  void local(const runtime::KernelCtx& ctx) override {
+    handle_ = ctx.args.at(0);  // the same value from every machine
+  }
 
   std::vector<runtime::Message> step(const runtime::KernelCtx& ctx) override {
-    return script_->at(ctx.args.at(0)).at(ctx.machine);
+    const runtime::WordBuf& block = ctx.store.block(handle_, ctx.machine);
+    const Word round = ctx.args.at(0);
+    std::size_t pos = 0;
+    for (Word r = 0; pos < block.size(); ++r) {
+      const Word count = block.data()[pos++];
+      std::vector<runtime::Message> out;
+      for (Word i = 0; i < count; ++i) {
+        const std::size_t dst = block.data()[pos];
+        const std::size_t len = block.data()[pos + 1];
+        if (r == round)
+          out.push_back({dst, runtime::Payload(block.data() + pos + 2, len)});
+        pos += 2 + len;
+      }
+      if (r == round) return out;
+    }
+    throw std::out_of_range("ScriptKernel: no such round");
   }
 
  private:
-  std::shared_ptr<const std::vector<Outboxes>> script_;
+  std::atomic<Word> handle_{0};
 };
 
 inline runtime::KernelId registerScript(runtime::RoundEngine& eng,
-                                        std::vector<Outboxes> script) {
-  auto table = std::make_shared<const std::vector<Outboxes>>(std::move(script));
-  return eng.registerKernel(
-      "test.script", [table] { return std::make_unique<ScriptKernel>(table); });
+                                        const std::vector<Outboxes>& script) {
+  std::vector<std::vector<Word>> perMachine(eng.numMachines());
+  for (const Outboxes& round : script) {
+    if (round.size() != eng.numMachines())
+      throw std::invalid_argument("registerScript: one outbox per machine");
+    for (std::size_t m = 0; m < round.size(); ++m) {
+      perMachine[m].push_back(round[m].size());
+      for (const runtime::Message& msg : round[m]) {
+        perMachine[m].push_back(msg.dst);
+        perMachine[m].push_back(msg.payload.size());
+        perMachine[m].insert(perMachine[m].end(), msg.payload.begin(),
+                             msg.payload.end());
+      }
+    }
+  }
+  const runtime::KernelId k = runtime::ensureKernel<ScriptKernel>(eng);
+  eng.stepLocal(k, {eng.createBlocks(std::move(perMachine))});
+  return k;
 }
 
 /// Steps scripted round `round` and returns every machine's inbox.

@@ -272,9 +272,7 @@ Golden runForestWave(const Backend& b) {
 
 Golden runProbe(int mode, const Backend& b) {
   RoundEngine eng(engineConfig(12, b), test_kernels::probeTopology(mode));
-  const KernelId k = eng.registerKernel(
-      test_kernels::ProbeKernel::kernelName(),
-      [] { return std::make_unique<test_kernels::ProbeKernel>(); });
+  const KernelId k = runtime::ensureKernel<test_kernels::ProbeKernel>(eng);
   for (int i = 0; i < 5; ++i) eng.step(k, {static_cast<Word>(mode)});
   eng.stepShuffle(k, {static_cast<Word>(mode)});
   Golden out = ledgerOf(eng);

@@ -1,5 +1,5 @@
-// Remaining corners: the logging facility, clique traffic accounting,
-// oracle behaviour on disconnected inputs, and format edge cases.
+// Remaining corners: clique traffic accounting, oracle behaviour on
+// disconnected inputs, and format edge cases.
 #include <gtest/gtest.h>
 
 #include "apsp/oracle.hpp"
@@ -9,27 +9,9 @@
 #include "graph/generators.hpp"
 #include "probe_kernels.hpp"
 #include "spanner/baswana_sen.hpp"
-#include "util/log.hpp"
 
 namespace mpcspan {
 namespace {
-
-TEST(Log, LevelRoundTrips) {
-  const LogLevel before = logLevel();
-  setLogLevel(LogLevel::kDebug);
-  EXPECT_EQ(logLevel(), LogLevel::kDebug);
-  setLogLevel(LogLevel::kOff);
-  EXPECT_EQ(logLevel(), LogLevel::kOff);
-  // Below-threshold messages are suppressed (smoke: must not crash).
-  MPCSPAN_DEBUG("suppressed %d", 42);
-  setLogLevel(before);
-}
-
-TEST(Log, FormatterHandlesArguments) {
-  const std::string s = detail::formatLog("x=%d y=%s", 7, "ok");
-  EXPECT_EQ(s, "x=7 y=ok");
-  EXPECT_EQ(detail::formatLog("plain"), "plain");
-}
 
 TEST(CongestedClique, TrafficAccounting) {
   CongestedClique cc(6);

@@ -75,16 +75,11 @@ Result observe(RoundEngine& eng, KernelId k) {
   return res;
 }
 
-KernelId registerProbe(RoundEngine& eng) {
-  return eng.registerKernel(ProbeKernel::kernelName(),
-                            [] { return std::make_unique<ProbeKernel>(); });
-}
-
 Result runWorkload(int mode, std::size_t threads, std::size_t shards,
                    Transport transport) {
   RoundEngine eng(EngineConfig{12, threads, shards, transport},
                   probeTopology(mode));
-  const KernelId k = registerProbe(eng);
+  const KernelId k = runtime::ensureKernel<ProbeKernel>(eng);
   for (int i = 0; i < 5; ++i) eng.step(k, {static_cast<Word>(mode)});
   // One free data-placement round rides the same exchange machinery.
   eng.stepShuffle(k, {static_cast<Word>(mode)});
@@ -133,6 +128,8 @@ TEST_P(ShardTransport, BackendReportsTheSelectedTransport) {
 /// abort leaves no trace; args[0] makes machine 5 throw.
 class ThrowerKernel final : public StepKernel {
  public:
+  static std::string kernelName() { return "test.thrower"; }
+
   std::vector<Message> step(const KernelCtx& ctx) override {
     if (!ctx.args.empty() && ctx.machine == 5)
       throw std::runtime_error("boom mid-round");
@@ -158,9 +155,8 @@ TEST_P(ShardTransport, KernelThrowMidRoundAbortsCleanly) {
   RoundEngine ref(EngineConfig{12, 1, 1}, std::make_unique<MpcTopology>(64));
   RoundEngine eng(EngineConfig{12, 1, 4, GetParam()},
                   std::make_unique<MpcTopology>(64));
-  const auto factory = [] { return std::make_unique<ThrowerKernel>(); };
-  const KernelId kr = ref.registerKernel("test.thrower", factory);
-  const KernelId ke = eng.registerKernel("test.thrower", factory);
+  const KernelId kr = runtime::ensureKernel<ThrowerKernel>(ref);
+  const KernelId ke = runtime::ensureKernel<ThrowerKernel>(eng);
   for (int i = 0; i < 2; ++i) {
     ref.step(kr);
     eng.step(ke);
@@ -180,23 +176,26 @@ TEST_P(ShardTransport, KernelThrowMidRoundAbortsCleanly) {
   EXPECT_EQ(observe(eng, ke), observe(ref, kr));
 }
 
+/// With any arg every machine floods machine 0 past its receive budget.
+class Flooder final : public StepKernel {
+ public:
+  static std::string kernelName() { return "test.flooder"; }
+
+  std::vector<Message> step(const KernelCtx& ctx) override {
+    if (!ctx.args.empty())
+      return {{0, {1, 2, 3, 4, 5}}};  // 8 machines x 5 words > cap 16
+    return {{(ctx.machine + 5) % ctx.numMachines, {ctx.machine + 7}}};
+  }
+};
+
 TEST_P(ShardTransport, CapacityAbortKeepsStateAndWorkers) {
   // A receive-budget violation is only visible at the coordinator, over
   // the summed inbound words — after every section already moved. The
   // round must still abort with the in-process error type, consume
   // nothing, and leave the workers usable.
-  class Flooder final : public StepKernel {
-   public:
-    std::vector<Message> step(const KernelCtx& ctx) override {
-      if (!ctx.args.empty())
-        return {{0, {1, 2, 3, 4, 5}}};  // 8 machines x 5 words > cap 16
-      return {{(ctx.machine + 5) % ctx.numMachines, {ctx.machine + 7}}};
-    }
-  };
   RoundEngine eng(EngineConfig{8, 1, 4, GetParam()},
                   std::make_unique<MpcTopology>(16));
-  const KernelId k =
-      eng.registerKernel("test.flooder", [] { return std::make_unique<Flooder>(); });
+  const KernelId k = runtime::ensureKernel<Flooder>(eng);
   eng.step(k);
   const std::size_t wordsBefore = eng.totalWordsSent();
   const auto inboxesBefore = eng.snapshotInboxes();
@@ -214,25 +213,36 @@ TEST_P(ShardTransport, CapacityAbortKeepsStateAndWorkers) {
   EXPECT_EQ(eng.rounds(), 2u);
 }
 
+/// The injected fault: machines 2 and 3 — shard 1 of 8 machines at 4
+/// shards — exit their worker process abnormally mid-step, while every
+/// other shard computes, reports and enters its exchange. Never step it
+/// in-process.
+class PeerDeathKernel final : public StepKernel {
+ public:
+  static std::string kernelName() { return "test.peerdeath"; }
+
+  std::vector<Message> step(const KernelCtx& ctx) override {
+    if (ctx.machine == 2 || ctx.machine == 3) std::_Exit(4);
+    return {{(ctx.machine + 4) % ctx.numMachines, {ctx.machine}}};
+  }
+};
+
 TEST_P(ShardTransport, PeerDeathMidExchangeSurfacesShardErrorForAll) {
-  // The injected fault (MPCSPAN_TEST_PEER_DIE_SHARD, read at worker start)
-  // kills shard 1 right before its report, as every peer enters its
-  // exchange. Every other worker must observe the dead peer, the engine
-  // must fail loudly (not hang), stay failed, and reap every worker.
-  ASSERT_EQ(::setenv("MPCSPAN_TEST_PEER_DIE_SHARD", "1", 1), 0);
+  // Shard 1 dies in its first step, as every peer enters its exchange.
+  // Every other worker must observe the dead peer, the engine must fail
+  // loudly (not hang), stay failed, and reap every worker.
   std::vector<pid_t> pids;
   {
     RoundEngine eng(EngineConfig{8, 1, 4, GetParam()},
                     std::make_unique<MpcTopology>(32));
-    const KernelId k = registerProbe(eng);
-    // Start the workers without a STEP, which would reach the fault hook.
+    const KernelId k = runtime::ensureKernel<PeerDeathKernel>(eng);
+    // Start the workers without a STEP, which would reach the fault.
     eng.fetchKernel(k);
     pids = eng.shardBackend()->workerPids();
     ASSERT_EQ(pids.size(), 4u);
     EXPECT_THROW(eng.step(k), ShardError);
     EXPECT_THROW(eng.step(k), ShardError);  // the backend stays failed
   }
-  ASSERT_EQ(::unsetenv("MPCSPAN_TEST_PEER_DIE_SHARD"), 0);
   expectReaped(pids);
 }
 
@@ -241,6 +251,7 @@ TEST_P(ShardTransport, PeerDeathMidExchangeSurfacesShardErrorForAll) {
 /// segments, so every frame must stream with backpressure.
 class BigFrameKernel final : public StepKernel {
  public:
+  static std::string kernelName() { return "test.bigframe"; }
   static constexpr std::size_t kWords = 200000;  // 1.6 MB of payload
 
   std::vector<Message> step(const KernelCtx& ctx) override {
@@ -275,8 +286,7 @@ TEST_P(ShardTransport, BigFramesStreamThroughTinyRings) {
   auto run = [&](std::size_t shards) {
     RoundEngine eng(EngineConfig{4, 1, shards, GetParam()},
                     std::make_unique<MpcTopology>(BigFrameKernel::kWords));
-    const KernelId k = eng.registerKernel(
-        "test.bigframe", [] { return std::make_unique<BigFrameKernel>(); });
+    const KernelId k = runtime::ensureKernel<BigFrameKernel>(eng);
     eng.step(k);
     eng.step(k);
     return observe(eng, k);

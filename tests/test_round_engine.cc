@@ -132,8 +132,8 @@ TEST(RoundEngine, PramTopologyResolvesPriorityCrcw) {
 
 TEST(RoundEngine, StepRunsMachineCentricRounds) {
   RoundEngine eng = makeMpcEngine(8, 8, 3);
-  const runtime::KernelId k = eng.registerKernel(
-      "test.token", [] { return std::make_unique<test_kernels::TokenKernel>(); });
+  const runtime::KernelId k =
+      runtime::ensureKernel<test_kernels::TokenKernel>(eng);
   eng.step(k, {0});
   for (int r = 0; r < 6; ++r) eng.step(k);
   const auto inboxes = eng.snapshotInboxes();

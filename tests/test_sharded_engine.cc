@@ -164,8 +164,7 @@ TEST(ShardedEngine, StepRunsInWorkerProcesses) {
   // Ring token passing, compute phase executed inside the shard workers.
   RoundEngine eng(EngineConfig{8, 2, 4}, std::make_unique<MpcTopology>(8));
   ASSERT_EQ(eng.numShards(), 4u);
-  const KernelId k = eng.registerKernel(
-      "test.token", [] { return std::make_unique<test_kernels::TokenKernel>(); });
+  const KernelId k = runtime::ensureKernel<test_kernels::TokenKernel>(eng);
   eng.step(k, {0});
   for (int r = 0; r < 6; ++r) eng.step(k);
   const auto inboxes = eng.snapshotInboxes();
@@ -309,9 +308,7 @@ TEST(ResidentWorkers, KernelStatePersistsAndMatchesInProcessBitForBit) {
     RoundEngine eng(EngineConfig{n, threads, shards},
                     pram ? std::unique_ptr<Topology>(new PramTopology())
                          : std::unique_ptr<Topology>(new MpcTopology(16)));
-    const KernelId k = eng.registerKernel(
-        CounterKernel::kernelName(),
-        [] { return std::make_unique<CounterKernel>(); });
+    const KernelId k = runtime::ensureKernel<CounterKernel>(eng);
     for (int r = 0; r < 4; ++r) eng.step(k);
     struct Result {
       std::vector<std::vector<Word>> counters;
@@ -343,9 +340,7 @@ TEST(ResidentWorkers, KernelStatePersistsAndMatchesInProcessBitForBit) {
 TEST(ResidentWorkers, KernelThrowMidRoundAbortsRoundForAllShards) {
   RoundEngine eng(EngineConfig{8, 1, 4},
                   std::make_unique<MpcTopology>(16));
-  const KernelId k = eng.registerKernel(
-      CounterKernel::kernelName(),
-      [] { return std::make_unique<CounterKernel>(); });
+  const KernelId k = runtime::ensureKernel<CounterKernel>(eng);
   eng.step(k);
   EXPECT_EQ(eng.rounds(), 1u);
   const auto inboxesBefore = eng.snapshotInboxes();
@@ -371,21 +366,24 @@ TEST(ResidentWorkers, KernelThrowMidRoundAbortsRoundForAllShards) {
   EXPECT_EQ(eng.rounds(), 2u);
 }
 
+/// With any arg every machine floods machine 0 past its receive budget.
+class Flooder final : public runtime::StepKernel {
+ public:
+  static std::string kernelName() { return "test.flooder"; }
+
+  std::vector<Message> step(const runtime::KernelCtx& ctx) override {
+    if (!ctx.args.empty())
+      return {{0, {1, 2, 3, 4, 5}}};  // 8 machines x 5 words > cap 16
+    return {{0, {1}}};
+  }
+};
+
 TEST(ResidentWorkers, CapacityViolationInKernelRoundKeepsType) {
   // A kernel round that violates the topology must abort with the same
   // loud CapacityError as the in-process engine, workers still alive.
-  class Flooder final : public runtime::StepKernel {
-   public:
-    std::vector<Message> step(const runtime::KernelCtx& ctx) override {
-      if (!ctx.args.empty())
-        return {{0, {1, 2, 3, 4, 5}}};  // 8 machines x 5 words > cap 16
-      return {{0, {1}}};
-    }
-  };
   RoundEngine eng(EngineConfig{8, 1, 4},
                   std::make_unique<MpcTopology>(16));
-  const KernelId k = eng.registerKernel(
-      "test.flooder", [] { return std::make_unique<Flooder>(); });
+  const KernelId k = runtime::ensureKernel<Flooder>(eng);
   EXPECT_THROW(eng.step(k, {1}), CapacityError);
   EXPECT_EQ(eng.rounds(), 0u);
   eng.step(k);  // workers survived the abort
@@ -393,17 +391,16 @@ TEST(ResidentWorkers, CapacityViolationInKernelRoundKeepsType) {
 }
 
 TEST(ResidentWorkers, PostForkRegistrationResolvesViaGlobalRegistry) {
-  // The workers fork at the first round; a kernel registered afterwards can
-  // only reach them by name through the process-global registry (that is
-  // how distSort's kernels appear mid-run, e.g. in the tradeoff
-  // contraction).
+  // The workers fork at the first operation; a kernel registered afterwards
+  // reaches them by name through the process-global registry exactly as one
+  // registered before (that is how distSort's kernels appear mid-run, e.g.
+  // in the tradeoff contraction).
   runtime::registerGlobalKernel("test.counter.global", [] {
     return std::make_unique<CounterKernel>();
   });
   RoundEngine eng(EngineConfig{8, 1, 4},
                   std::make_unique<MpcTopology>(16));
-  const KernelId token = eng.registerKernel(
-      "test.token", [] { return std::make_unique<test_kernels::TokenKernel>(); });
+  const KernelId token = runtime::ensureKernel<test_kernels::TokenKernel>(eng);
   eng.fetchKernel(token);  // forks the workers without a round
   ASSERT_TRUE(eng.shardBackend()->started());
   const KernelId k = eng.registerKernel("test.counter.global");
@@ -412,11 +409,9 @@ TEST(ResidentWorkers, PostForkRegistrationResolvesViaGlobalRegistry) {
   const KernelId rk = ref.registerKernel("test.counter.global");
   for (int r = 0; r < 3; ++r) ref.step(rk);
   EXPECT_EQ(eng.fetchKernel(k), ref.fetchKernel(rk));
-  // An unresolvable post-fork registration fails loudly at registration.
-  EXPECT_THROW(
-      eng.registerKernel("test.unresolvable",
-                         [] { return std::make_unique<CounterKernel>(); }),
-      std::logic_error);
+  // A name missing from the global registry is rejected at registration,
+  // after the fork as before it.
+  EXPECT_THROW(eng.registerKernel("test.unresolvable"), std::invalid_argument);
 }
 
 TEST(ResidentWorkers, WorkerDeathBetweenRoundsSurfacesAsShardError) {

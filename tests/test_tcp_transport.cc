@@ -4,7 +4,9 @@
 // surfaces as ShardError within the deadline, never a hang — plus the
 // Channel contract both transports stand on: one nonblocking mode, a
 // deadline that bounds a transfer even under a signal storm, and large
-// frames in both directions at once. Engine-level tcp behavior lives in the
+// frames in both directions at once — and the SETUP decoder every tcp
+// worker runs on its first frame, which must decode or reject every
+// truncation and single-bit flip. Engine-level tcp behavior lives in the
 // transport suite (test_peer_exchange).
 #include "runtime/shard/tcp_transport.hpp"
 
@@ -20,10 +22,14 @@
 #include <future>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "runtime/kernel.hpp"
 #include "runtime/shard/transport.hpp"
 #include "runtime/shard/wire.hpp"
+#include "runtime/shard/worker_loop.hpp"
+#include "runtime/topology.hpp"
 
 namespace mpcspan {
 namespace {
@@ -40,6 +46,7 @@ using runtime::shard::TcpPeerAddr;
 using runtime::shard::WireFd;
 using runtime::shard::WireReader;
 using runtime::shard::WireWriter;
+using runtime::shard::WorkerSetup;
 
 // --- Failure modes. Every one must be a ShardError within the deadline. ---
 
@@ -236,6 +243,138 @@ TEST(Channel, PeerClosingMidFrameIsShardError) {
   WireWriter w;
   w.u64(7);
   EXPECT_THROW(w.sendFramed(ch), ShardError);
+}
+
+// --- The SETUP decoder. ---
+
+/// The body of a SETUP frame as sendWorkerSetup writes it: shard 1 of 3
+/// over 8 machines (slice [3, 6)), 2 lanes, an MPC topology, two kernel
+/// names, and two block handles with blocks of different lengths.
+std::vector<std::uint8_t> setupBody() {
+  runtime::MpcTopology topo(48);
+  const std::vector<std::string> kernels{"test.alpha", "mpcspan.beta"};
+  runtime::BlockStore store(8);
+  for (const std::uint64_t h : {3u, 9u}) {
+    store.create(h);
+    for (std::size_t m = 0; m < 8; ++m)
+      store.block(h, m) = std::vector<Word>(m % 3, h * 100 + m);
+  }
+  WireFd txEnd;
+  WireFd rxEnd;
+  runtime::shard::makeSocketPair(txEnd, rxEnd);
+  Channel tx(std::move(txEnd));
+  Channel rx(std::move(rxEnd));
+  runtime::shard::sendWorkerSetup(tx, 8, 3, 1, 2, topo, &kernels, &store);
+  WireReader r = WireReader::recvFramed(rx);
+  const std::size_t n = r.remaining();
+  const std::uint8_t* bytes = r.raw(n);
+  return std::vector<std::uint8_t>(bytes, bytes + n);
+}
+
+/// Frames `body` (with its true length) and decodes it the way a tcp
+/// worker does.
+WorkerSetup decodeSetup(const std::vector<std::uint8_t>& body) {
+  WireFd txEnd;
+  WireFd rxEnd;
+  runtime::shard::makeSocketPair(txEnd, rxEnd);
+  Channel tx(std::move(txEnd));
+  Channel rx(std::move(rxEnd));
+  WireWriter w;
+  w.bytes(body.data(), body.size());
+  w.sendFramed(tx);
+  return runtime::shard::readWorkerSetup(rx);
+}
+
+/// `body` with bit `bit` of the u64 field at byte `offset` flipped.
+std::vector<std::uint8_t> flipField(std::vector<std::uint8_t> body,
+                                    std::size_t offset, unsigned bit) {
+  std::uint64_t v = 0;
+  std::memcpy(&v, body.data() + offset, sizeof v);
+  v ^= std::uint64_t{1} << bit;
+  std::memcpy(body.data() + offset, &v, sizeof v);
+  return body;
+}
+
+TEST(WorkerSetup, RoundTripsDimensionsTopologyKernelsAndSlice) {
+  const WorkerSetup setup = decodeSetup(setupBody());
+  EXPECT_EQ(setup.cfg.numMachines, 8u);
+  EXPECT_EQ(setup.cfg.shards, 3u);
+  EXPECT_EQ(setup.cfg.shard, 1u);
+  EXPECT_EQ(setup.cfg.threads, 2u);
+  EXPECT_EQ(setup.cfg.transport, runtime::Transport::kTcp);
+  ASSERT_EQ(setup.cfg.topology, setup.topology.get());
+  EXPECT_EQ(setup.topology->wireKind(), runtime::Topology::WireKind::kMpc);
+  EXPECT_EQ(setup.topology->wireParam(), 48u);
+  EXPECT_EQ(setup.kernels,
+            (std::vector<std::string>{"test.alpha", "mpcspan.beta"}));
+  EXPECT_EQ(setup.store->handles(), (std::vector<std::uint64_t>{3, 9}));
+  for (const std::uint64_t h : {3u, 9u})
+    for (std::size_t m = 0; m < 8; ++m) {
+      // Only the shard's own slice [3, 6) crosses the wire.
+      const std::vector<Word> want =
+          m >= 3 && m < 6 ? std::vector<Word>(m % 3, h * 100 + m)
+                          : std::vector<Word>{};
+      EXPECT_EQ(setup.store->block(h, m).toVector(), want) << h << "/" << m;
+    }
+}
+
+TEST(WorkerSetup, EveryTruncationIsShardError) {
+  const std::vector<std::uint8_t> body = setupBody();
+  for (std::size_t len = 0; len < body.size(); ++len)
+    EXPECT_THROW(decodeSetup(std::vector<std::uint8_t>(
+                     body.begin(), body.begin() + static_cast<long>(len))),
+                 ShardError)
+        << "truncated to " << len << " of " << body.size() << " bytes";
+}
+
+TEST(WorkerSetup, EverySingleBitFlipDecodesOrIsShardError) {
+  const std::vector<std::uint8_t> body = setupBody();
+  std::size_t rejected = 0;
+  for (std::size_t bit = 0; bit < 8 * body.size(); ++bit) {
+    std::vector<std::uint8_t> mutated = body;
+    mutated[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    try {
+      const WorkerSetup setup = decodeSetup(mutated);
+      // What decodes is within the plausibility caps the worker sizes by.
+      EXPECT_LE(setup.cfg.numMachines, runtime::shard::kMaxSetupMachines);
+      EXPECT_LE(setup.cfg.threads, runtime::shard::kMaxSetupThreads);
+      EXPECT_LT(setup.cfg.shard, setup.cfg.shards);
+      EXPECT_LE(setup.cfg.shards, setup.cfg.numMachines);
+    } catch (const ShardError&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "bit " << bit << ": not a ShardError: " << e.what();
+    }
+  }
+  EXPECT_GT(rejected, 0u);
+}
+
+TEST(WorkerSetup, FlippedMachinesOrThreadsRejectedBeforeSizing) {
+  // Byte 0 is the opcode; numMachines is the u64 at byte 1, threads the one
+  // at byte 25. A high bit in either is refused by the dimension caps; a
+  // machine count still under the cap implies a slice the frame's blocks
+  // cannot hold, refused by the handle-count bound. Both checks run before
+  // anything — block store, thread pool — is sized by the field.
+  const std::vector<std::uint8_t> body = setupBody();
+  struct Case {
+    std::size_t offset;
+    unsigned firstBit, endBit;
+    const char* why;
+  };
+  const Case cases[] = {{1, 24, 64, "implausible engine dimensions"},
+                        {1, 4, 24, "corrupt block handle count"},
+                        {25, 10, 64, "implausible engine dimensions"}};
+  for (const Case& c : cases)
+    for (unsigned bit = c.firstBit; bit < c.endBit; ++bit) {
+      try {
+        (void)decodeSetup(flipField(body, c.offset, bit));
+        ADD_FAILURE() << "field at " << c.offset << ", bit " << bit
+                      << " decoded";
+      } catch (const ShardError& e) {
+        EXPECT_NE(std::string(e.what()).find(c.why), std::string::npos)
+            << "field at " << c.offset << ", bit " << bit << ": " << e.what();
+      }
+    }
 }
 
 }  // namespace

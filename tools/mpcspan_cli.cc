@@ -240,7 +240,7 @@ int runQueryConnected(const ArgParser& args) {
                  static_cast<unsigned long long>(s.reloadsFailed));
     std::fprintf(stdout, "\n%-14s %10s %10s %10s\n", "tier", "attempts",
                  "hits", "mean-us");
-    for (const serve::TierCounters& t : s.tiers)
+    for (const query::TierStats& t : s.tiers)
       std::fprintf(stdout, "%-14s %10llu %10llu %10.2f\n", t.name.c_str(),
                    static_cast<unsigned long long>(t.attempts),
                    static_cast<unsigned long long>(t.hits),

@@ -5,20 +5,21 @@
 //
 //   mpcspan_worker --connect host:port --shard k [--timeout ms]
 //     Attaches shard k to a coordinator that is awaiting remote workers
-//     (MPCSPAN_TCP_REMOTE=1): dials the rendezvous port, sends an epoch-0
-//     control hello, receives the roster + SETUP frame, forms the peer
-//     mesh, and runs the resident command loop until SHUTDOWN. Kernels are
-//     resolved by name against this binary's global registry, so the
-//     coordinator and the workers must run the same build (a worker from
-//     another protocol version fails at the hello).
+//     (MPCSPAN_TCP_REMOTE=1) through attachTcpWorker, the same library path
+//     the engine's forked tcp workers run: an epoch-0 control hello, the
+//     roster and the SETUP frame that provisions every tcp worker, the
+//     peer mesh, then the resident command loop until SHUTDOWN. A kernel
+//     is a name in the global registry, resolved against this binary's, so
+//     the coordinator and the workers must run the same build (a worker
+//     from another protocol version fails at the hello).
 //
 //   mpcspan_worker --coordinate S --port P [--machines N] [--rounds R]
 //                  [--threads T] [--timeout ms]
 //     Hosts a sharded MPC run with S shards over the TCP transport and
 //     waits for every shard to attach via --connect. Drives R rounds of a
 //     deterministic probe kernel and prints the fetched state checksum —
-//     the same workload either way the workers are provisioned, so CI can
-//     diff the checksum against a local run.
+//     the same workload however the workers attach (or, with 1 shard, in
+//     process), so CI can diff the checksums of all three runs.
 //
 // Exit status: 0 clean, 1 ShardError (rendezvous failure, peer death,
 // timeout — the failure modes CI's fault-injection smoke greps for),
@@ -29,15 +30,12 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "runtime/kernel.hpp"
 #include "runtime/round_engine.hpp"
 #include "runtime/shard/tcp_transport.hpp"
-#include "runtime/shard/transport.hpp"
 #include "runtime/shard/wire.hpp"
-#include "runtime/shard/worker_loop.hpp"
 #include "runtime/topology.hpp"
 #include "util/args.hpp"
 
@@ -56,9 +54,8 @@ std::uint64_t mix64(std::uint64_t x) {
 
 /// The coordinate-mode workload: every round each machine folds its inbox
 /// into an accumulator and passes a mixed word to its ring successor.
-/// Globally registered so a remote worker (this same binary, different
-/// process) can construct it by name after receiving only the kernel name
-/// in its SETUP frame.
+/// Globally registered, like every kernel, so a tcp worker (this same
+/// binary, any process) constructs it from the name in its SETUP frame.
 class TcpProbeKernel final : public StepKernel {
  public:
   static std::string kernelName() { return "tools.tcpprobe"; }
@@ -107,31 +104,10 @@ int runConnect(const std::string& endpoint, std::size_t shardId,
     return 2;
   }
 
-  // Mesh listener first: its port rides in the control hello.
-  TcpListener meshListener(0);
-  Channel ctrl(tcpConnect(host, static_cast<std::uint16_t>(port), timeoutMs),
-               timeoutMs);
-  sendControlHello(ctrl, {shardId, /*epoch=*/0, meshListener.port()});
-
-  std::uint64_t epoch = 0;
-  const std::vector<TcpPeerAddr> roster =
-      readRoster(ctrl, /*expectedEpoch=*/0, &epoch);
-  RemoteSetup setup = readWorkerSetup(ctrl);
-  if (setup.cfg.shard != shardId)
-    throw ShardError("tcp worker: coordinator assigned shard " +
-                     std::to_string(setup.cfg.shard) + ", dialed as " +
-                     std::to_string(shardId));
-  if (roster.size() != setup.cfg.shards)
-    throw ShardError("tcp worker: roster size mismatch");
-  setup.cfg.meshTimeoutMs = timeoutMs;
-
-  std::vector<WireFd> peers =
-      formTcpMesh(shardId, epoch, meshListener, roster, timeoutMs);
-  meshListener.reset();
-  std::fprintf(stderr, "mpcspan_worker: shard %zu/%zu attached (%zu machines)\n",
-               shardId, setup.cfg.shards, setup.cfg.numMachines);
-  runResidentWorker(setup.cfg, ctrl, peers, std::move(setup.kernels),
-                    *setup.store);
+  std::fprintf(stderr, "mpcspan_worker: attaching shard %zu to %s\n", shardId,
+               endpoint.c_str());
+  attachTcpWorker(host, static_cast<std::uint16_t>(port), shardId,
+                  /*epoch=*/0, timeoutMs);
   return 0;
 }
 
