@@ -147,7 +147,7 @@ void BM_ShardRoundDispatch(benchmark::State& state) {
 BENCHMARK(BM_ShardRoundDispatch)->Arg(4)->Arg(2)->Unit(benchmark::kMicrosecond);
 
 /// One full growth-iteration wave (both find-min supersteps) through the
-/// registered kernels on the resident shm workers at a fixed shard count.
+/// registered kernels on the resident workers at a fixed shard count.
 /// The simulated ledger matches the in-process engine (pinned by
 /// test_golden); this measures the dispatch cost. arg0 = shards.
 void BM_IterationRoundDispatch(benchmark::State& state) {
@@ -173,12 +173,10 @@ BENCHMARK(BM_IterationRoundDispatch)
 /// The transport probe: exchange-heavy kernel rounds (every machine ships
 /// one multi-word payload to every machine outside its own shard,
 /// distSort-phase / clique-label-round shaped traffic) at a fixed shard
-/// count, cross-shard sections routed through the shared-memory rings vs
-/// the tcp loopback mesh. The ledger and contents are identical on both
-/// (pinned by test_peer_exchange); only where the bytes travel differs — the
-/// tcp axis prices the cross-machine transport against the same-host one.
-/// arg0 = shards (1 = the in-process reference), arg1 = 3 tcp mesh /
-/// 2 shm ring.
+/// count, cross-shard sections routed over the tcp loopback mesh. The
+/// ledger and contents match the in-process engine (pinned by
+/// test_peer_exchange); only where the bytes travel differs.
+/// arg0 = shards (1 = the in-process reference).
 class AllToAllKernel final : public runtime::StepKernel {
  public:
   static std::string kernelName() { return "bench.alltoall"; }
@@ -198,17 +196,13 @@ class AllToAllKernel final : public runtime::StepKernel {
 void BM_CrossShardExchange(benchmark::State& state) {
   using namespace mpcspan::runtime;
   const auto shards = static_cast<std::size_t>(state.range(0));
-  const Transport transport =
-      state.range(1) == 3 ? Transport::kTcp : Transport::kShmRing;
   const std::size_t machines = 4 * shards;
   const std::size_t payloadWords = 256;
-  RoundEngine eng(EngineConfig{machines, 1, shards, transport},
+  RoundEngine eng(EngineConfig{machines, 1, shards},
                   std::make_unique<MpcTopology>(machines * payloadWords));
   const KernelId k = ensureKernel<AllToAllKernel>(eng);
   for (auto _ : state) eng.step(k, {payloadWords});
-  state.SetLabel(shards == 1                      ? "in-process"
-                 : transport == Transport::kTcp   ? "tcp-loopback"
-                                                  : "shm-ring");
+  state.SetLabel(shards == 1 ? "in-process" : "tcp-loopback");
   // Cross-shard words moved per round (the traffic whose routing is probed).
   const std::size_t crossWords =
       shards == 1 ? 0 : machines * (machines - 4) * payloadWords;
@@ -217,11 +211,9 @@ void BM_CrossShardExchange(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_CrossShardExchange)
-    ->Args({4, 3})
-    ->Args({4, 2})
-    ->Args({2, 3})
-    ->Args({2, 2})
-    ->Args({1, 2})
+    ->Arg(4)
+    ->Arg(2)
+    ->Arg(1)
     ->Unit(benchmark::kMicrosecond);
 
 /// The arena acceptance probe: BlockStore block churn shaped like the sort

@@ -15,10 +15,9 @@ std::size_t checkedNodes(std::size_t n) {
 }  // namespace
 
 CongestedClique::CongestedClique(std::size_t n, std::size_t threads,
-                                 std::size_t shards,
-                                 runtime::Transport transport)
+                                 std::size_t shards)
     : n_(checkedNodes(n)),
-      engine_(runtime::EngineConfig{n, threads, shards, transport},
+      engine_(runtime::EngineConfig{n, threads, shards},
               std::make_unique<runtime::CliqueTopology>()) {}
 
 void CongestedClique::lenzenRoute(const std::vector<std::size_t>& sendPerNode,

@@ -23,14 +23,11 @@ namespace mpcspan {
 
 class CongestedClique {
  public:
-  /// `threads` is forwarded to the round engine's stepping pool, `shards`
-  /// to its multi-process backend, and `transport` routes that backend's
-  /// cross-shard sections (shm ring or tcp mesh; see
-  /// runtime::EngineConfig).
+  /// `threads` is forwarded to the round engine's stepping pool and
+  /// `shards` to its multi-process backend (resident workers on the tcp
+  /// mesh; see runtime::EngineConfig).
   explicit CongestedClique(std::size_t n, std::size_t threads = 0,
-                           std::size_t shards = 0,
-                           runtime::Transport transport =
-                               runtime::Transport::kShmRing);
+                           std::size_t shards = 0);
 
   std::size_t numNodes() const { return n_; }
   std::size_t numShards() const { return engine_.numShards(); }

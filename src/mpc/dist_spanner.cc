@@ -184,9 +184,7 @@ std::string describe(const MpcSimulator& sim) {
   return std::to_string(sim.numMachines()) + " machines x " +
          std::to_string(sim.wordsPerMachine()) + " words, " +
          std::to_string(sim.numShards()) + " shard(s)" +
-         (sim.numShards() == 1 ? ""
-          : sim.tcpMeshShards() ? " (resident workers, tcp mesh)"
-                                : " (resident workers, shm ring)");
+         (sim.numShards() == 1 ? "" : " (resident workers, tcp mesh)");
 }
 
 SpannerResult runDistSchedule(MpcSimulator& sim, const Graph& g,

@@ -57,10 +57,9 @@ MpcConfig MpcConfig::forInput(std::size_t inputWords, double gamma, double slack
 }
 
 MpcSimulator::MpcSimulator(MpcConfig cfg, std::size_t threads,
-                           std::size_t shards, runtime::Transport transport)
+                           std::size_t shards)
     : cfg_(cfg),
-      engine_(runtime::EngineConfig{cfg.numMachines, threads, shards,
-                                    transport},
+      engine_(runtime::EngineConfig{cfg.numMachines, threads, shards},
               makeMpcTopology(cfg)) {}
 
 }  // namespace mpcspan

@@ -31,22 +31,15 @@ struct MpcConfig {
 
 class MpcSimulator {
  public:
-  /// `threads` is forwarded to the round engine's stepping pool, `shards`
-  /// to its multi-process backend, and `transport` routes that backend's
-  /// cross-shard sections (shm ring or tcp mesh; see
-  /// runtime::EngineConfig). Results are bit-identical for every thread,
-  /// shard, and transport choice.
+  /// `threads` is forwarded to the round engine's stepping pool and
+  /// `shards` to its multi-process backend (resident workers on the tcp
+  /// mesh; see runtime::EngineConfig). Results are bit-identical for every
+  /// thread and shard count.
   explicit MpcSimulator(MpcConfig cfg, std::size_t threads = 0,
-                        std::size_t shards = 0,
-                        runtime::Transport transport =
-                            runtime::Transport::kShmRing);
+                        std::size_t shards = 0);
 
   std::size_t numMachines() const { return cfg_.numMachines; }
   std::size_t numShards() const { return engine_.numShards(); }
-  /// True when sharded rounds move sections through shared-memory rings.
-  bool shmRingShards() const { return engine_.shmRingShards(); }
-  /// True when sharded rounds move sections over the tcp mesh.
-  bool tcpMeshShards() const { return engine_.tcpMeshShards(); }
   std::size_t wordsPerMachine() const { return cfg_.wordsPerMachine; }
 
   std::size_t rounds() const { return engine_.rounds(); }

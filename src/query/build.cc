@@ -34,7 +34,7 @@ SpannerResult buildSpanner(const Graph& g, const BuildPlan& plan) {
     MpcSimulator sim(
         MpcConfig::forInput(8 * std::max<std::size_t>(g.numEdges(), 8),
                             plan.gamma, 3.0),
-        plan.threads, plan.shards, plan.transport);
+        plan.threads, plan.shards);
     return algo == "dist-tradeoff"
                ? buildDistributedTradeoff(sim, g, plan.k, plan.t, plan.seed)
                : buildDistributedBaswanaSen(sim, g, plan.k, plan.seed);

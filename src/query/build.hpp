@@ -51,7 +51,7 @@ inline constexpr const char* kSpannerAlgos =
 /// Everything a build needs to know. `algo` is one of kSpannerAlgos: the
 /// host engine's algorithms (`gamma` applies to unweighted-fast, which needs
 /// an unweighted graph), or "dist-*" on the sharded MPC simulator
-/// (`threads`/`shards`/`gamma`/`transport` apply).
+/// (`threads`/`shards`/`gamma` apply).
 struct BuildPlan {
   std::string algo = "tradeoff";
   std::uint32_t k = 8;
@@ -63,7 +63,6 @@ struct BuildPlan {
   std::size_t threads = 0;        // dist-*: simulator stepping threads
   std::size_t shards = 0;         // dist-*: simulator shards
   double gamma = 0.5;             // dist-*: machine memory exponent
-  runtime::Transport transport = runtime::Transport::kShmRing;  // dist-*
 };
 
 /// Builds the spanner `plan` names. A dist-* build provisions its simulator

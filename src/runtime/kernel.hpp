@@ -13,12 +13,10 @@
 // Identity across processes: a kernel is a name in the process-global
 // registry (populated at static initialization — see GlobalKernelRegistrar),
 // and nothing else. Every process of an engine resolves the same name to
-// the same kernel: a forked shm-ring worker shares the registry with its
-// coordinator by construction, and every tcp worker — forked or attached
-// from another host — receives only the names in its SETUP frame and
-// resolves them against the registry of its own copy of the binary. Blocks
-// travel the same two ways: shm-ring workers inherit their slice of the
-// BlockStore through the fork, tcp workers receive it in SETUP.
+// the same kernel: every worker — forked or attached from another host —
+// receives only the names in its SETUP frame and resolves them against the
+// registry of its own copy of the binary. Blocks travel the same way: each
+// worker receives its slice of the BlockStore in SETUP.
 #pragma once
 
 #include <cstddef>

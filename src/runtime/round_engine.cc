@@ -36,8 +36,7 @@ RoundEngine::RoundEngine(EngineConfig cfg, std::unique_ptr<Topology> topology)
     const std::size_t perShard =
         std::max<std::size_t>(1, pool_.numThreads() / shards);
     shard_ = std::make_unique<shard::ShardedEngine>(
-        numMachines_, shards, perShard, topology_.get(), &kernels_, &store_,
-        cfg.transport);
+        numMachines_, shards, perShard, topology_.get(), &kernels_, &store_);
   }
 }
 
@@ -45,14 +44,6 @@ RoundEngine::~RoundEngine() = default;
 
 std::size_t RoundEngine::numShards() const {
   return shard_ ? shard_->numShards() : 1;
-}
-
-bool RoundEngine::shmRingShards() const {
-  return shard_ && shard_->transport() == Transport::kShmRing;
-}
-
-bool RoundEngine::tcpMeshShards() const {
-  return shard_ && shard_->transport() == Transport::kTcp;
 }
 
 // --- Registered kernels. ---

@@ -6,8 +6,9 @@
 // thread pool that steps machines in parallel *within* a round, and the
 // round/traffic ledger. With EngineConfig::shards > 1 (or MPCSPAN_SHARDS)
 // the machines are partitioned over worker processes instead — resident
-// ones that fork once per engine and are driven by control frames (see
-// runtime/shard/sharded_engine.hpp) — behind this same interface. Message
+// ones that start once per engine, join a tcp mesh, and are driven by
+// control frames (see runtime/shard/sharded_engine.hpp) — behind this same
+// interface. Message
 // delivery is deterministic: every inbox holds its deliveries in (source
 // id, send position) order regardless of the thread or shard count, so
 // 1-thread, N-thread, 1-shard, and N-shard runs of the same workload are
@@ -49,13 +50,9 @@ struct EngineConfig {
   /// in-process (the single-node special case); 0 selects the default
   /// (MPCSPAN_SHARDS env var, else 1). Clamped to numMachines. Sharded or
   /// not, the same workload is bit-identical — rounds, ledger, contents.
+  /// The workers are forked loopback processes, or remote ones attached
+  /// with MPCSPAN_TCP_REMOTE=1 + `mpcspan_worker --connect`.
   std::size_t shards = 0;
-  /// Where cross-shard sections travel: kShmRing (shared-memory rings
-  /// between forked same-host workers) or kTcp (a mesh formed by
-  /// rendezvous through an ephemeral listener instead of fd inheritance,
-  /// so its workers may also be remote processes — MPCSPAN_TCP_REMOTE=1 +
-  /// mpcspan_worker --connect). Irrelevant in-process.
-  Transport transport = Transport::kShmRing;
 };
 
 class RoundEngine {
@@ -66,10 +63,6 @@ class RoundEngine {
   std::size_t numMachines() const { return numMachines_; }
   /// Worker processes executing the rounds (1 = in-process).
   std::size_t numShards() const;
-  /// True when sharded rounds move sections through shared-memory rings.
-  bool shmRingShards() const;
-  /// True when sharded rounds move sections over the tcp mesh.
-  bool tcpMeshShards() const;
   /// The multi-process backend, null when in-process (introspection: worker
   /// pids, shard ranges).
   const shard::ShardedEngine* shardBackend() const { return shard_.get(); }
@@ -131,8 +124,7 @@ class RoundEngine {
   /// Ships perMachine[m] to machine m's owner and returns the handle.
   /// Blocks live beside the kernels: in-process in the engine's own store,
   /// sharded inside the resident workers (created before the workers start,
-  /// they provision them: shm-ring workers inherit them through the fork,
-  /// tcp workers receive them in SETUP).
+  /// they provision them through the SETUP frames).
   std::uint64_t createBlocks(std::vector<std::vector<Word>> perMachine);
   std::vector<std::vector<Word>> readBlocks(std::uint64_t handle);
   void freeBlocks(std::uint64_t handle);

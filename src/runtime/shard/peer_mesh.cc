@@ -108,16 +108,6 @@ void pumpRecv(WireFd& fd, PeerIn& in) {
 
 }  // namespace
 
-std::vector<std::vector<WireFd>> makeMesh(std::size_t count) {
-  std::vector<std::vector<WireFd>> mesh(count);
-  for (auto& row : mesh) row.resize(count);
-  for (std::size_t a = 0; a < count; ++a)
-    for (std::size_t b = a + 1; b < count; ++b) {
-      makeSocketPair(mesh[a][b], mesh[b][a]);  // nonblocking ends
-    }
-  return mesh;
-}
-
 std::vector<WireReader> meshExchange(std::vector<WireFd>& peers,
                                      std::size_t self,
                                      const std::vector<std::uint64_t>& counts,

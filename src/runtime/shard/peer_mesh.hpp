@@ -1,19 +1,15 @@
-// Worker-to-worker mesh pieces shared by both shard transports.
+// The worker-to-worker data path of a round.
 //
-//   - makeMesh: one nonblocking AF_UNIX socketpair per worker pair, created
-//     by the coordinator *before the first fork* so each worker inherits
-//     exactly its own row. Under the shm transport these sockets only ring
-//     doorbells (shm_ring.hpp); no payload byte crosses them.
-//   - meshExchange: the tcp mesh's data path — every worker ships its
-//     cross-shard sections straight to the destination workers; the
-//     coordinator never relays a payload byte, it only arbitrates the round
-//     barrier, so per-round coordinator traffic is O(shards).
-//   - mergeSectionRows: the one section decoder both transports feed.
+//   - meshExchange: every worker ships its cross-shard sections straight to
+//     the destination workers over its mesh row (the connections
+//     formTcpMesh opened); the coordinator never relays a payload byte, it
+//     only arbitrates the round barrier, so per-round coordinator traffic
+//     is O(shards).
+//   - mergeSectionRows: the one section decoder the receivers run.
 //
-// The section row format ((src, dst, len, words) per row, rows in (src asc,
-// send-position asc) order within a section) is the same on both
-// transports, and receivers merge sections in ascending source shard order
-// — so shm and tcp rounds are bit-identical by construction.
+// A section is (src, dst, len, words) rows in (src asc, send-position asc)
+// order, and receivers merge sections in ascending source shard order — so
+// sharded rounds are bit-identical to in-process ones by construction.
 #pragma once
 
 #include <cstddef>
@@ -27,13 +23,6 @@
 
 namespace mpcspan::runtime::shard {
 
-/// Creates the full worker mesh: one nonblocking socketpair per unordered
-/// worker pair (count * (count - 1) / 2 pairs). mesh[a][b] is a's end of
-/// the (a, b) pair; the diagonal stays invalid. Must run before the first
-/// worker fork; worker s keeps row s and closes every other row's fds, the
-/// coordinator closes the whole matrix once all workers forked.
-std::vector<std::vector<WireFd>> makeMesh(std::size_t count);
-
 /// Full-duplex one-frame-each exchange over a worker's mesh row: sends
 /// peer t the frame `u64 bodyLen | u64 counts[t] | sections[t] row bytes`
 /// and receives exactly one such frame from every peer, multiplexed with
@@ -45,10 +34,10 @@ std::vector<std::vector<WireFd>> makeMesh(std::size_t count);
 /// coordinator turns the dropped verdict into ShardError for everyone.
 /// `budget` bounds the *whole* exchange (ShardError once it expires, no
 /// matter how the waits were sliced — a trickling peer spends the budget
-/// rather than resetting a per-wait timer). Same-host meshes pass null /
-/// an unbounded budget (peer death always surfaces as an fd event there);
-/// tcp meshes pass the round's shared budget, seeded from their channel
-/// deadline, so a half-open or throttled remote cannot hang the round.
+/// rather than resetting a per-wait timer). The resident workers pass the
+/// round's shared budget, seeded from their channel deadline, so a
+/// half-open or throttled remote cannot hang the round; null means
+/// unbounded.
 std::vector<WireReader> meshExchange(std::vector<WireFd>& peers,
                                      std::size_t self,
                                      const std::vector<std::uint64_t>& counts,

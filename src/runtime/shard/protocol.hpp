@@ -3,11 +3,9 @@
 // opcodes, barrier verdicts, error-kind tags, and the frame helpers both
 // sides use to speak them.
 //
-// Everything here used to live in sharded_engine.cc's anonymous namespace;
-// it moved out when Transport::kTcp made the worker loop reachable from a
-// *different binary* (tools/mpcspan_worker), which must agree with the
-// coordinator on every byte. Every frame helper speaks through a Channel
-// (transport.hpp), the one wire type of both transports.
+// The worker loop is reachable from a *different binary*
+// (tools/mpcspan_worker), which must agree with the coordinator on every
+// byte. Every frame helper speaks through a Channel (transport.hpp).
 #pragma once
 
 #include <cstddef>
@@ -44,10 +42,9 @@ inline constexpr std::uint8_t kOpFetchBlocks = 7;
 inline constexpr std::uint8_t kOpFreeBlocks = 8;
 inline constexpr std::uint8_t kOpFetchInboxes = 9;
 inline constexpr std::uint8_t kOpShutdown = 10;
-// tcp provisioning: the first frame every tcp worker reads after the
-// roster — dimensions, topology descriptor, kernel names, and the shard's
-// block slice. shm-ring workers inherit the same state through the fork.
-// See worker_loop.hpp.
+// Provisioning: the first frame every worker reads after the roster —
+// dimensions, topology descriptor, kernel names, and the shard's block
+// slice. See worker_loop.hpp.
 inline constexpr std::uint8_t kOpSetup = 11;
 
 // Barrier verdicts (1-byte frame bodies). Only kGo commits; any other value

@@ -9,82 +9,21 @@
 #include <string>
 #include <utility>
 
-#include "runtime/shard/peer_mesh.hpp"
 #include "runtime/shard/protocol.hpp"
-#include "runtime/shard/shm_ring.hpp"
 #include "runtime/shard/tcp_transport.hpp"
 #include "runtime/shard/worker_loop.hpp"
 
 namespace mpcspan::runtime::shard {
 
-namespace {
-
-struct Proc {
-  pid_t pid = -1;
-  WireFd fd;  // coordinator end of the socketpair
-};
-
-/// Forks one process per index; `body(i, fd)` runs in the child, which then
-/// exits without unwinding (no destructors, no atexit — the child shares
-/// the parent's stdio buffers and thread-owning objects by fork).
-template <class Body>
-std::vector<Proc> forkProcs(std::size_t count, const Body& body) {
-  std::vector<WireFd> parentEnds(count);
-  std::vector<WireFd> childEnds(count);
-  for (std::size_t s = 0; s < count; ++s)
-    makeSocketPair(parentEnds[s], childEnds[s]);
-
-  std::vector<Proc> procs(count);
-  for (std::size_t s = 0; s < count; ++s) {
-    const pid_t pid = ::fork();
-    if (pid < 0) {
-      // Abort: close our ends (children see EOF and exit) and reap what was
-      // already forked.
-      for (std::size_t j = 0; j < s; ++j) {
-        procs[j].fd.reset();
-        int st = 0;
-        while (::waitpid(procs[j].pid, &st, 0) < 0 && errno == EINTR) {
-        }
-      }
-      throw ShardError("ShardedEngine: fork failed");
-    }
-    if (pid == 0) {
-      // Worker: keep only this shard's child end. All pairs were created
-      // before the first fork, so every sibling end is inherited and must
-      // be dropped for EOF detection to work.
-      for (std::size_t j = 0; j < count; ++j) {
-        parentEnds[j].reset();
-        if (j != s) childEnds[j].reset();
-      }
-      try {
-        body(s, childEnds[s]);
-      } catch (...) {
-        // Wire failure mid-protocol or an unhandled internal error. Exit
-        // abnormally; the coordinator reads it as a crash.
-        std::_Exit(3);
-      }
-      std::_Exit(0);
-    }
-    procs[s].pid = pid;
-    procs[s].fd = std::move(parentEnds[s]);
-  }
-  // Coordinator: drop the child ends so a worker's death is visible as EOF.
-  for (std::size_t s = 0; s < count; ++s) childEnds[s].reset();
-  return procs;
-}
-
-}  // namespace
-
 ShardedEngine::ShardedEngine(std::size_t numMachines, std::size_t shards,
                              std::size_t threadsPerShard,
                              const Topology* topology,
                              const std::vector<std::string>* kernels,
-                             BlockStore* blocks, Transport transport)
+                             BlockStore* blocks)
     : numMachines_(numMachines),
       shards_(shards),
       threadsPerShard_(threadsPerShard == 0 ? 1 : threadsPerShard),
       topology_(topology),
-      transport_(transport),
       kernels_(kernels),
       blocks_(blocks) {
   if (numMachines_ == 0)
@@ -125,41 +64,11 @@ void ShardedEngine::start() {
     throw ShardError(
         "ShardedEngine: shard backend is down (a worker died earlier)");
   if (started()) return;
-  if (transport_ == Transport::kTcp) {
-    startTcp();
-    return;
-  }
-  // The shared arena and the doorbell mesh must exist before the first fork
-  // so every worker inherits the one mapping and its own mesh row. Worker s
-  // keeps row s and drops every other row's fds (both ends of foreign
-  // pairs), so a dead peer reads as EOF, never as a silently-held open
-  // socket. The coordinator closes the whole matrix when this frame
-  // unwinds — it never touches a ring or doorbell byte.
-  shmArena_ = std::make_unique<ShmArena>(shards_);
-  std::vector<std::vector<WireFd>> mesh = makeMesh(shards_);
-  std::vector<Proc> procs =
-      forkProcs(shards_, [this, &mesh](std::size_t s, WireFd& fd) {
-        for (std::size_t j = 0; j < shards_; ++j)
-          if (j != s)
-            for (WireFd& end : mesh[j]) end.reset();
-        std::vector<WireFd> peers = std::move(mesh[s]);
-        Channel ctrl(std::move(fd));
-        runShmWorker(s, ctrl, peers);
-      });
-  workers_.resize(shards_);
-  for (std::size_t s = 0; s < shards_; ++s) {
-    workers_[s].pid = procs[s].pid;
-    workers_[s].fd = Channel(std::move(procs[s].fd));
-  }
-  // The fork just handed every block to the workers; drop the coordinator
-  // copies so a later fetch can never read a stale one.
-  if (blocks_) blocks_->clear();
-}
-
-void ShardedEngine::startTcp() {
   const int deadline = defaultTcpTimeoutMs();
   const bool remote = defaultTcpRemote();
-  TcpListener rendezvous(defaultTcpPort());
+  // Forked workers dial over loopback, so only remote mode listens beyond
+  // this host.
+  TcpListener rendezvous(defaultTcpPort(), /*loopbackOnly=*/!remote);
   const std::uint64_t epoch = makeTcpEpoch();
 
   // Local mode: fork one worker per shard, which attaches exactly as a
@@ -253,29 +162,6 @@ void ShardedEngine::startTcp() {
   if (blocks_) blocks_->clear();
 }
 
-void ShardedEngine::runShmWorker(std::size_t s, Channel& ctrl,
-                                 std::vector<WireFd>& peers) {
-  WorkerConfig cfg;
-  cfg.numMachines = numMachines_;
-  cfg.shards = shards_;
-  cfg.shard = s;
-  cfg.threads = threadsPerShard_;
-  cfg.topology = topology_;
-  cfg.transport = transport_;
-  cfg.shmArena = shmArena_.get();
-  const std::size_t lo = shardBegin(s), hi = shardEnd(s);
-  BlockStore store(numMachines_);
-  if (blocks_) {
-    for (const std::uint64_t h : blocks_->handles()) {
-      store.create(h);
-      for (std::size_t m = lo; m < hi; ++m)
-        store.block(h, m) = blocks_->block(h, m);
-    }
-  }
-  runResidentWorker(cfg, ctrl, peers,
-                    kernels_ ? *kernels_ : std::vector<std::string>{}, store);
-}
-
 void ShardedEngine::shutdownWorkers() noexcept {
   if (workers_.empty()) return;
   // Best-effort polite SHUTDOWN (only meaningful when the workers sit at the
@@ -326,16 +212,11 @@ auto ShardedEngine::guarded(Fn&& io) -> decltype(io()) {
 // Coordinator side.
 // ---------------------------------------------------------------------------
 
-void ShardedEngine::announceKernel(std::size_t id, const std::string& name) {
-  if (!started()) return;  // the provisioning will carry the table
+void ShardedEngine::requestAll(
+    const std::function<WireWriter(std::size_t)>& frameFor) {
   guarded([&] {
-    for (Worker& w : workers_) {
-      WireWriter f;
-      f.u8(kOpRegisterKernel);
-      f.u64(id);
-      f.str(name);
-      f.sendFramed(w.fd);
-    }
+    for (std::size_t s = 0; s < shards_; ++s)
+      frameFor(s).sendFramed(workers_[s].fd);
     std::uint8_t kind = kOk;
     std::string err;
     for (Worker& w : workers_) {
@@ -346,6 +227,47 @@ void ShardedEngine::announceKernel(std::size_t id, const std::string& name) {
       }
     }
     if (kind != kOk) rethrow(kind, err);
+  });
+}
+
+std::vector<std::vector<Word>> ShardedEngine::fetchPerMachine(
+    const WireWriter& request) {
+  return guarded([&] {
+    for (Worker& w : workers_) request.sendFramed(w.fd);
+    std::vector<std::vector<Word>> out(numMachines_);
+    std::uint8_t kind = kOk;
+    std::string err;
+    for (std::size_t s = 0; s < shards_; ++s) {
+      WireReader r = WireReader::recvFramed(workers_[s].fd);
+      const std::uint8_t k = r.u8();
+      if (k != kOk) {
+        if (kind == kOk) {
+          kind = k;
+          err = r.str();
+        }
+        continue;
+      }
+      for (std::size_t m = shardBegin(s); m < shardEnd(s); ++m) {
+        const std::uint64_t len = r.u64();
+        if (len > r.remaining() / sizeof(Word))
+          throw ShardError("shard wire frame: corrupt block length");
+        out[m].resize(len);
+        r.words(out[m].data(), len);
+      }
+    }
+    if (kind != kOk) rethrow(kind, err);
+    return out;
+  });
+}
+
+void ShardedEngine::announceKernel(std::size_t id, const std::string& name) {
+  if (!started()) return;  // the provisioning will carry the table
+  requestAll([&](std::size_t) {
+    WireWriter f;
+    f.u8(kOpRegisterKernel);
+    f.u64(id);
+    f.str(name);
+    return f;
   });
 }
 
@@ -429,137 +351,56 @@ void ShardedEngine::stepKernel(std::size_t id, const std::vector<Word>& args,
 
 void ShardedEngine::localKernel(std::size_t id, const std::vector<Word>& args) {
   start();
-  guarded([&] {
-    for (Worker& w : workers_) {
-      WireWriter f;
-      f.u8(kOpLocal);
-      f.u64(id);
-      writeArgs(f, args);
-      f.sendFramed(w.fd);
-    }
-    std::uint8_t kind = kOk;
-    std::string err;
-    for (Worker& w : workers_) {
-      const Report rep = readReport(w.fd);
-      if (rep.kind != kOk && kind == kOk) {
-        kind = rep.kind;
-        err = rep.err;
-      }
-    }
-    if (kind != kOk) rethrow(kind, err);
+  requestAll([&](std::size_t) {
+    WireWriter f;
+    f.u8(kOpLocal);
+    f.u64(id);
+    writeArgs(f, args);
+    return f;
   });
 }
 
 std::vector<std::vector<Word>> ShardedEngine::fetchKernel(
     std::size_t id, const std::vector<Word>& args) {
   start();
-  return guarded([&] {
-    for (Worker& w : workers_) {
-      WireWriter f;
-      f.u8(kOpFetchKernel);
-      f.u64(id);
-      writeArgs(f, args);
-      f.sendFramed(w.fd);
-    }
-    std::vector<std::vector<Word>> out(numMachines_);
-    std::uint8_t kind = kOk;
-    std::string err;
-    for (std::size_t s = 0; s < shards_; ++s) {
-      WireReader r = WireReader::recvFramed(workers_[s].fd);
-      const std::uint8_t k = r.u8();
-      if (k != kOk) {
-        if (kind == kOk) {
-          kind = k;
-          err = r.str();
-        }
-        continue;
-      }
-      for (std::size_t m = shardBegin(s); m < shardEnd(s); ++m) {
-        const std::uint64_t len = r.u64();
-        if (len > r.remaining() / sizeof(Word))
-          throw ShardError("shard wire frame: corrupt block length");
-        out[m].resize(len);
-        r.words(out[m].data(), len);
-      }
-    }
-    if (kind != kOk) rethrow(kind, err);
-    return out;
-  });
+  WireWriter f;
+  f.u8(kOpFetchKernel);
+  f.u64(id);
+  writeArgs(f, args);
+  return fetchPerMachine(f);
 }
 
 void ShardedEngine::storeBlocks(std::uint64_t handle,
                                 std::vector<std::vector<Word>> perMachine) {
   start();
-  guarded([&] {
-    for (std::size_t s = 0; s < shards_; ++s) {
-      WireWriter f;
-      f.u8(kOpStoreBlocks);
-      f.u64(handle);
-      for (std::size_t m = shardBegin(s); m < shardEnd(s); ++m) {
-        f.u64(perMachine[m].size());
-        f.words(perMachine[m].data(), perMachine[m].size());
-      }
-      f.sendFramed(workers_[s].fd);
+  requestAll([&](std::size_t s) {
+    WireWriter f;
+    f.u8(kOpStoreBlocks);
+    f.u64(handle);
+    for (std::size_t m = shardBegin(s); m < shardEnd(s); ++m) {
+      f.u64(perMachine[m].size());
+      f.words(perMachine[m].data(), perMachine[m].size());
     }
-    std::uint8_t kind = kOk;
-    std::string err;
-    for (Worker& w : workers_) {
-      const Report rep = readReport(w.fd);
-      if (rep.kind != kOk && kind == kOk) {
-        kind = rep.kind;
-        err = rep.err;
-      }
-    }
-    if (kind != kOk) rethrow(kind, err);
+    return f;
   });
 }
 
 std::vector<std::vector<Word>> ShardedEngine::fetchBlocks(
     std::uint64_t handle) {
   start();
-  return guarded([&] {
-    for (Worker& w : workers_) {
-      WireWriter f;
-      f.u8(kOpFetchBlocks);
-      f.u64(handle);
-      f.sendFramed(w.fd);
-    }
-    std::vector<std::vector<Word>> out(numMachines_);
-    std::uint8_t kind = kOk;
-    std::string err;
-    for (std::size_t s = 0; s < shards_; ++s) {
-      WireReader r = WireReader::recvFramed(workers_[s].fd);
-      const std::uint8_t k = r.u8();
-      if (k != kOk) {
-        if (kind == kOk) {
-          kind = k;
-          err = r.str();
-        }
-        continue;
-      }
-      for (std::size_t m = shardBegin(s); m < shardEnd(s); ++m) {
-        const std::uint64_t len = r.u64();
-        if (len > r.remaining() / sizeof(Word))
-          throw ShardError("shard wire frame: corrupt block length");
-        out[m].resize(len);
-        r.words(out[m].data(), len);
-      }
-    }
-    if (kind != kOk) rethrow(kind, err);
-    return out;
-  });
+  WireWriter f;
+  f.u8(kOpFetchBlocks);
+  f.u64(handle);
+  return fetchPerMachine(f);
 }
 
 void ShardedEngine::freeBlocks(std::uint64_t handle) {
   start();
-  guarded([&] {
-    for (Worker& w : workers_) {
-      WireWriter f;
-      f.u8(kOpFreeBlocks);
-      f.u64(handle);
-      f.sendFramed(w.fd);
-    }
-    for (Worker& w : workers_) (void)readReport(w.fd);
+  requestAll([&](std::size_t) {
+    WireWriter f;
+    f.u8(kOpFreeBlocks);
+    f.u64(handle);
+    return f;
   });
 }
 

@@ -3,10 +3,12 @@
 // The simulated machines are partitioned into contiguous shards, each owned
 // by a **resident** worker *process* running the work-stealing ThreadPool
 // over its machine range. The workers start once per engine — lazily, at
-// the first operation that needs them, provisioned with every kernel name
-// and block registered up to that point (shm-ring workers inherit them
-// through the fork, tcp workers receive them in a SETUP frame) — and then
-// stay alive across rounds, driven by small control frames over the wire:
+// the first operation that needs them — through a tcp rendezvous
+// (tcp_transport.hpp): each one, forked by this engine or attached from
+// another host by `mpcspan_worker --connect`, runs attachTcpWorker and is
+// provisioned by one SETUP frame with every kernel name and block
+// registered up to that point. They then stay alive across rounds, driven
+// by small control frames over the wire:
 //
 //   REGISTER_KERNEL  bind a kernel id to a globally registered name (ack'd);
 //   STEP             one kernel round: compute shard-side, exchange the
@@ -17,10 +19,8 @@
 //   STORE/FETCH/FREE worker-owned BlockStore maintenance (DistVector);
 //   SHUTDOWN         clean exit; the destructor sends it and reaps.
 //
-// Cross-shard sections travel over one of two transports: shared-memory
-// rings between same-host workers (Transport::kShmRing; socketpairs only
-// ring doorbells) or a tcp mesh formed by rendezvous (Transport::kTcp; the
-// workers may live on other machines). Both run the same STEP barrier:
+// Cross-shard sections travel over the tcp mesh the rendezvous forms (one
+// connection per worker pair), under one STEP barrier:
 //   phase A  every worker runs kernel->step over its machines, buckets the
 //            *cross-shard* messages into per-peer sections (own-destined
 //            ones never leave), validates its own sources
@@ -49,7 +49,7 @@
 #include <sys/types.h>
 
 #include <cstddef>
-#include <memory>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -61,25 +61,20 @@
 
 namespace mpcspan::runtime::shard {
 
-class ShmArena;
-
 class ShardedEngine {
  public:
   /// `topology`, `kernels` (the registered kernel names, by id) and
   /// `blocks` are borrowed from the owning RoundEngine; whatever they hold
-  /// at start() time provisions the workers — shm-ring workers inherit it
-  /// through the fork, every tcp worker receives it in its SETUP frame.
+  /// at start() time provisions the workers through their SETUP frames.
   /// `threadsPerShard` is the lane count of each worker's local pool
   /// (>= 1). `shards` must be in [2, numMachines] — a single shard is
-  /// RoundEngine's in-process path. `transport` picks the section route
-  /// described above; kTcp forks loopback workers by default, and
-  /// MPCSPAN_TCP_REMOTE=1 awaits `mpcspan_worker` attaches instead. Both
-  /// kinds of tcp worker run the same attachTcpWorker.
+  /// RoundEngine's in-process path. The engine forks one loopback worker
+  /// per shard by default; MPCSPAN_TCP_REMOTE=1 awaits `mpcspan_worker`
+  /// attaches instead. Both kinds run the same attachTcpWorker.
   ShardedEngine(std::size_t numMachines, std::size_t shards,
                 std::size_t threadsPerShard, const Topology* topology,
                 const std::vector<std::string>* kernels = nullptr,
-                BlockStore* blocks = nullptr,
-                Transport transport = Transport::kShmRing);
+                BlockStore* blocks = nullptr);
 
   /// Sends SHUTDOWN to every resident worker and reaps it (EINTR-safe);
   /// never throws, never leaks a zombie.
@@ -90,8 +85,6 @@ class ShardedEngine {
 
   std::size_t numShards() const { return shards_; }
   std::size_t threadsPerShard() const { return threadsPerShard_; }
-  /// The cross-shard section route.
-  Transport transport() const { return transport_; }
   /// True once the resident workers have started (they start lazily, at
   /// the first round / kernel / block operation).
   bool started() const { return !workers_.empty(); }
@@ -143,18 +136,17 @@ class ShardedEngine {
 
  private:
   struct Worker {
-    pid_t pid = -1;  // -1 for remote tcp workers (not ours to reap)
-    Channel fd;      // coordinator end: socketpair, or the tcp control dial
+    pid_t pid = -1;  // -1 for remote workers (not ours to reap)
+    Channel fd;      // coordinator end of the worker's tcp control dial
   };
 
-  /// Forks (or, for kTcp, rendezvouses) the resident workers if they are
-  /// not running yet. Throws ShardError if the backend already failed (a
-  /// worker died earlier) or the shm arena cannot be mapped.
+  /// Starts the resident workers if they are not running yet: listens,
+  /// forks local workers that run attachTcpWorker (unless
+  /// MPCSPAN_TCP_REMOTE=1), collects one control hello per shard, and
+  /// answers each with the mesh roster and a SETUP frame. Throws ShardError
+  /// if the backend already failed (a worker died earlier) or the
+  /// rendezvous fails.
   void start();
-  /// The kTcp half of start(): listens, forks local workers that run
-  /// attachTcpWorker (unless MPCSPAN_TCP_REMOTE=1), collects one control
-  /// hello per shard, answers each with the mesh roster and a SETUP frame.
-  void startTcp();
   /// Marks the backend failed, best-effort shuts down and reaps every
   /// worker, and throws ShardError built from `what`.
   [[noreturn]] void fail(const std::string& what);
@@ -162,18 +154,17 @@ class ShardedEngine {
   template <typename Fn>
   auto guarded(Fn&& io) -> decltype(io());
   void shutdownWorkers() noexcept;
-
-  /// Runs shard s's command loop (worker_loop.hpp) in a forked shm-ring
-  /// child after building its WorkerConfig and the state it inherited
-  /// (kernel names, the shard's BlockStore slice). `peers` is this worker's
-  /// doorbell row.
-  void runShmWorker(std::size_t s, Channel& ctrl, std::vector<WireFd>& peers);
+  /// Sends `frameFor(s)` to every worker s, then reads one {kind, error}
+  /// report from each and rethrows the first error in shard order.
+  void requestAll(const std::function<WireWriter(std::size_t)>& frameFor);
+  /// Sends `request` to every worker and gathers the per-machine blocks
+  /// each answers for its range; rethrows the first error in shard order.
+  std::vector<std::vector<Word>> fetchPerMachine(const WireWriter& request);
 
   std::size_t numMachines_;
   std::size_t shards_;
   std::size_t threadsPerShard_;
   const Topology* topology_;
-  Transport transport_;
   /// Round epoch of the STEP conversation, incremented per attempt (aborts
   /// included) in lockstep with every worker's own counter; stamped into
   /// each kOpStep frame and echoed through reports/verdicts so a desynced
@@ -181,9 +172,6 @@ class ShardedEngine {
   /// round r+1's state.
   std::uint64_t stepEpoch_ = 0;
   bool failed_ = false;
-  /// The pre-fork shared-memory arena (kShmRing only); inherited by every
-  /// worker's address space, coordinator-held for teardown.
-  std::unique_ptr<ShmArena> shmArena_;
   const std::vector<std::string>* kernels_;  // owner: RoundEngine
   BlockStore* blocks_;                       // owner: RoundEngine
   std::vector<Worker> workers_;

@@ -66,9 +66,17 @@ std::uint64_t makeTcpEpoch() {
   return e;
 }
 
-TcpListener::TcpListener(std::uint16_t port) {
+bool isLoopbackHost(const std::string& host) {
+  if (host == "localhost") return true;
+  in_addr addr{};
+  return ::inet_pton(AF_INET, host.c_str(), &addr) == 1 &&
+         (ntohl(addr.s_addr) >> 24) == 127;
+}
+
+TcpListener::TcpListener(std::uint16_t port, bool loopbackOnly) {
   std::string err;
-  fd_ = util::listenTcp("0.0.0.0", port, 0, &port_, err);
+  fd_ = util::listenTcp(loopbackOnly ? "127.0.0.1" : "0.0.0.0", port, 0,
+                        &port_, err);
   if (!fd_.valid()) throw ShardError("tcp listener " + err);
 }
 
@@ -224,8 +232,9 @@ std::vector<WireFd> formTcpMesh(std::size_t self, std::uint64_t epoch,
 
 void attachTcpWorker(const std::string& host, std::uint16_t port,
                      std::size_t shard, std::uint64_t epoch, int timeoutMs) {
-  // Mesh listener first: its port rides in the control hello.
-  TcpListener meshListener(0);
+  // Mesh listener first: its port rides in the control hello. A worker that
+  // reached its coordinator over loopback has only same-host peers.
+  TcpListener meshListener(0, isLoopbackHost(host));
   Channel ctrl(tcpConnect(host, port, timeoutMs), timeoutMs);
   sendControlHello(ctrl, {shard, epoch, meshListener.port()});
   std::uint64_t meshEpoch = 0;

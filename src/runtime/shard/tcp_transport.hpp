@@ -1,15 +1,17 @@
-// TCP rendezvous for the sharded engine: the connector half of the
-// Transport::kTcp path, replacing pre-fork fd inheritance so shards can live
-// on other machines.
+// TCP rendezvous for the sharded engine: how every shard worker is started
+// and wired into the mesh, so shards can live on other machines.
 //
 // Shape of a rendezvous (coordinator = the engine process, one worker per
 // shard; workers are either fork()ed locally or attached remotely by
 // `mpcspan_worker --connect host:port --shard k`, and both run the one
 // worker half of steps 2-4, attachTcpWorker):
 //
-//   1. The coordinator listens on MPCSPAN_TCP_PORT (0 / unset = ephemeral).
-//   2. Each worker opens its own ephemeral *mesh* listener, dials the
-//      coordinator, and sends a control hello:
+//   1. The coordinator listens on MPCSPAN_TCP_PORT (0 / unset = ephemeral):
+//      on 127.0.0.1 when it forks its own workers, on every interface when
+//      MPCSPAN_TCP_REMOTE=1 awaits remote attaches.
+//   2. Each worker opens its own ephemeral *mesh* listener (on 127.0.0.1
+//      when it dialed the coordinator over loopback, on every interface
+//      otherwise), dials the coordinator, and sends a control hello:
 //        u64 magic "MPCSPAN1" | u8 version | u64 shard | u64 epoch |
 //        u64 mesh-listener port
 //      epoch 0 means "attach me" (remote workers cannot know the epoch);
@@ -64,16 +66,21 @@ bool defaultTcpRemote();
 /// reserved as the remote worker's "attach me" hello value.
 std::uint64_t makeTcpEpoch();
 
-/// Listening IPv4 stream socket on 0.0.0.0 (util::listenTcp); owns and
-/// closes the fd.
+/// True for a numeric 127.0.0.0/8 address or "localhost": a peer reached
+/// at such a host runs on this machine.
+bool isLoopbackHost(const std::string& host);
+
+/// Listening IPv4 stream socket (util::listenTcp); owns and closes the fd.
 class TcpListener {
  public:
   TcpListener() = default;
-  /// Binds and listens; port 0 asks the kernel for an ephemeral port
-  /// (read back via port()). Throws ShardError on failure.
-  explicit TcpListener(std::uint16_t port);
+  /// Binds and listens on 127.0.0.1 when `loopbackOnly` (every dialer runs
+  /// on this host), else on 0.0.0.0; port 0 asks the kernel for an
+  /// ephemeral port (read back via port()). Throws ShardError on failure.
+  TcpListener(std::uint16_t port, bool loopbackOnly);
 
   bool valid() const { return fd_.valid(); }
+  int fd() const { return fd_.fd(); }
   std::uint16_t port() const { return port_; }
   /// Closes the listener (also used by forked workers to drop the
   /// coordinator listener they inherited).
@@ -126,13 +133,13 @@ std::vector<WireFd> formTcpMesh(std::size_t self, std::uint64_t epoch,
                                 const std::vector<TcpPeerAddr>& roster,
                                 int deadlineMs);
 
-/// The worker half of a rendezvous, shared by every tcp worker — the
-/// engine's forked loopback children and `mpcspan_worker --connect`: opens
-/// a mesh listener, dials host:port, sends the control hello (the forked
-/// child's inherited epoch, or 0 for a remote attach), reads the roster and
-/// the SETUP frame, forms the mesh, and runs the resident command loop until
-/// SHUTDOWN or coordinator EOF. Throws ShardError on any rendezvous
-/// failure.
+/// The worker half of a rendezvous, shared by every worker — the engine's
+/// forked loopback children and `mpcspan_worker --connect`: opens a mesh
+/// listener (loopback-only when `host` is), dials host:port, sends the
+/// control hello (the forked child's inherited epoch, or 0 for a remote
+/// attach), reads the roster and the SETUP frame, forms the mesh, and runs
+/// the resident command loop until SHUTDOWN or coordinator EOF. Throws
+/// ShardError on any rendezvous failure.
 void attachTcpWorker(const std::string& host, std::uint16_t port,
                      std::size_t shard, std::uint64_t epoch, int timeoutMs);
 

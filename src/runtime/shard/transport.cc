@@ -72,8 +72,6 @@ WireReader WireReader::recvFramed(Channel& ch) {
   WireReader r;
   r.buf_.resize(len);
   if (len > 0) ch.readAll(r.buf_.data(), len);
-  r.data_ = r.buf_.data();
-  r.size_ = r.buf_.size();
   return r;
 }
 

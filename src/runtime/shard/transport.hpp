@@ -1,7 +1,6 @@
-// The transport seam of the shard layer: a Channel is one end of a
-// coordinator<->worker or worker<->worker stream, whatever created the fd —
-// a pre-fork AF_UNIX socketpair (the control channel under the shm ring) or
-// a tcp_transport.hpp rendezvous socket.
+// The stream type of the shard layer: a Channel is one end of a
+// coordinator<->worker or worker<->worker stream — a tcp_transport.hpp
+// rendezvous socket (or, in tests, a makeSocketPair end).
 //
 // Every Channel has one mode: its fd is nonblocking, and every transfer is
 // paced by util::awaitFd within one DeadlineBudget(deadlineMs) per call; a
@@ -12,10 +11,9 @@
 // read open past it either. An EINTR re-polls only for the time still
 // remaining, so a steady signal source cannot stretch a transfer.
 //
-// Same-host channels carry no deadline — both ends are children of one
-// process, so peer death always surfaces as an EOF/EPIPE cascade. tcp
-// channels carry MPCSPAN_TCP_TIMEOUT_MS: a real network can stall without
-// ever delivering EOF (half-open peers, black-holed routes).
+// The rendezvous gives every channel MPCSPAN_TCP_TIMEOUT_MS: a real network
+// can stall without ever delivering EOF (half-open peers, black-holed
+// routes).
 #pragma once
 
 #include <cstddef>

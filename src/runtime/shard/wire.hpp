@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "runtime/types.hpp"
@@ -44,7 +45,8 @@ constexpr std::uint64_t kMaxFrameBytes = 1ull << 34;  // 16 GiB
 using util::WireFd;
 
 /// Creates a connected nonblocking AF_UNIX stream socketpair (parent end,
-/// child end) — the coordinator<->worker control pairs and the worker mesh.
+/// child end): two Channel or mesh ends within one host, without a
+/// rendezvous.
 void makeSocketPair(WireFd& parentEnd, WireFd& childEnd);
 
 /// Append-only frame builder.
@@ -61,17 +63,10 @@ class WireWriter {
   /// row format of the cross-shard sections — appended with two bulk
   /// inserts instead of four per-field ones (the resident hot path).
   void row(std::uint64_t a, std::uint64_t b, const Word* w, std::size_t n);
-  /// One (id, payload-length) header pair plus the payload words (the
-  /// two-field row of own-outbox / delivery sections).
-  void idRow(std::uint64_t id, const Word* w, std::size_t n);
 
   /// Appends another writer's buffer verbatim (used to concatenate
   /// per-destination fragments built in parallel).
   void append(const WireWriter& other);
-
-  /// Pre-sizes the buffer for a frame whose byte length is known (or
-  /// bounded) upfront, so the hot row loops never reallocate mid-build.
-  void reserve(std::size_t bytes) { buf_.reserve(bytes); }
 
   std::size_t size() const { return buf_.size(); }
   const std::uint8_t* data() const { return buf_.data(); }
@@ -85,10 +80,7 @@ class WireWriter {
   std::vector<std::uint8_t> buf_;
 };
 
-/// Cursor over one received frame. Either owns its bytes (recvFramed /
-/// fromBytes) or is a non-owning view over bytes someone else owns
-/// (view — the shm ring hands out frames in place, so the merge path
-/// never copies them into a reader first). Same vetting either way.
+/// Cursor over one received frame, owning its bytes.
 class WireReader {
  public:
   /// Receives one `u64 length + body` frame, honoring the channel's
@@ -98,17 +90,15 @@ class WireReader {
   /// Wraps an already-received (or test-crafted) frame body; the mesh
   /// exchange collects peer frames itself and hands the bytes here.
   static WireReader fromBytes(std::vector<std::uint8_t> bytes);
-  /// Non-owning view: the caller guarantees [p, p + n) outlives every read
-  /// (the shm exchange keeps the ring span reserved until the merge is
-  /// done — see ShmArena::releaseInbound).
-  static WireReader view(const std::uint8_t* p, std::size_t n);
 
   WireReader() = default;
   WireReader(const WireReader&) = delete;
   WireReader& operator=(const WireReader&) = delete;
-  WireReader(WireReader&& o) noexcept { moveFrom(o); }
+  WireReader(WireReader&& o) noexcept
+      : buf_(std::move(o.buf_)), pos_(std::exchange(o.pos_, 0)) {}
   WireReader& operator=(WireReader&& o) noexcept {
-    if (this != &o) moveFrom(o);
+    buf_ = std::move(o.buf_);
+    pos_ = std::exchange(o.pos_, 0);
     return *this;
   }
 
@@ -121,32 +111,19 @@ class WireReader {
   /// into the frame buffer (valid while this reader lives) — copy-free
   /// re-scattering.
   const std::uint8_t* raw(std::size_t n);
-  bool atEnd() const { return pos_ == size_; }
+  bool atEnd() const { return pos_ == buf_.size(); }
   /// Unread bytes left in the frame — lets callers sanity-check a
   /// wire-supplied element count before sizing containers by it.
-  std::size_t remaining() const { return size_ - pos_; }
+  std::size_t remaining() const { return buf_.size() - pos_; }
   /// Cursor save/restore for two-pass parses (vet + count, rewind, fill).
   std::size_t pos() const { return pos_; }
   void seek(std::size_t pos);
 
  private:
   void need(std::size_t n) const;
-  void moveFrom(WireReader& o) noexcept {
-    buf_ = std::move(o.buf_);
-    view_ = o.view_;
-    data_ = view_ ? o.data_ : buf_.data();
-    size_ = o.size_;
-    pos_ = o.pos_;
-    o.data_ = nullptr;
-    o.size_ = o.pos_ = 0;
-    o.view_ = false;
-  }
 
-  std::vector<std::uint8_t> buf_;   // backing storage (owned mode only)
-  const std::uint8_t* data_ = nullptr;
-  std::size_t size_ = 0;
+  std::vector<std::uint8_t> buf_;
   std::size_t pos_ = 0;
-  bool view_ = false;
 };
 
 }  // namespace mpcspan::runtime::shard

@@ -8,7 +8,6 @@
 #include "runtime/arena.hpp"
 #include "runtime/shard/peer_mesh.hpp"
 #include "runtime/shard/protocol.hpp"
-#include "runtime/shard/shm_ring.hpp"
 #include "runtime/thread_pool.hpp"
 
 namespace mpcspan::runtime::shard {
@@ -42,7 +41,6 @@ void runResidentWorker(const WorkerConfig& cfg, Channel& ctrl,
   const std::size_t local = hi - lo;
   const bool priorityWrite =
       cfg.topology->mode() == Topology::Mode::kPriorityWrite;
-  const bool shmMode = cfg.transport == Transport::kShmRing;
   // The intra-round deadline. The idle top-of-loop command read is
   // unbounded (an idle engine may legitimately not speak for minutes) but
   // every read *inside* a round keeps the channel's deadline, so a
@@ -50,8 +48,7 @@ void runResidentWorker(const WorkerConfig& cfg, Channel& ctrl,
   const int roundDeadline = ctrl.deadline();
 
   // Worker-owned state, alive across rounds. The kernel table and block
-  // store arrived through the fork (shm ring) or in the SETUP frame (tcp);
-  // everything later comes over the wire.
+  // store arrived in the SETUP frame; everything later comes over the wire.
   ThreadPool pool(cfg.threads);
   std::vector<std::unique_ptr<StepKernel>> instances(kernels.size());
 
@@ -107,7 +104,6 @@ void runResidentWorker(const WorkerConfig& cfg, Channel& ctrl,
 
   try {
     for (;;) {
-      if (shmMode) spinAwaitReadable(ctrl.fd());
       ctrl.setDeadline(-1);  // idle wait: unbounded by design
       WireReader cmd = WireReader::recvFramed(ctrl);  // EOF -> ShardError
       ctrl.setDeadline(roundDeadline);
@@ -198,12 +194,6 @@ void runResidentWorker(const WorkerConfig& cfg, Channel& ctrl,
             counts.assign(cfg.shards, 0);
           }
 
-          // The shm rings take the sections before the report goes up: in
-          // the steady state every frame is already placed by the time a
-          // peer starts draining.
-          ShmSendState shmSend;
-          if (shmMode)
-            shmSend = beginShmSend(*cfg.shmArena, s, counts, sections, peers);
           {
             WireWriter r;
             r.u8(kind);
@@ -226,8 +216,7 @@ void runResidentWorker(const WorkerConfig& cfg, Channel& ctrl,
           // spend it; a trickling peer drains it instead of resetting it.
           DeadlineBudget budget(cfg.meshTimeoutMs);
           std::vector<WireReader> frames =
-              shmMode ? finishShmExchange(*cfg.shmArena, peers, s, shmSend)
-                      : meshExchange(peers, s, counts, sections, &budget);
+              meshExchange(peers, s, counts, sections, &budget);
           if (kind == kOk) {
             std::vector<std::vector<Message>> projected(n);
             for (std::size_t i = 0; i < local; ++i)
@@ -254,10 +243,6 @@ void runResidentWorker(const WorkerConfig& cfg, Channel& ctrl,
                 indexByDst(projected, lo, hi, priorityWrite && !freePlacement),
                 projected);
           }
-          // The merge copied every inbound row out of the rings (ring bytes
-          // -> arena runs, the one copy on the whole path); the rings are
-          // left empty for the next round's pre-write.
-          if (shmMode) cfg.shmArena->releaseInbound(s);
 
           spinAwaitReadable(ctrl.fd(), &budget);
           WireReader v = WireReader::recvFramed(ctrl);
@@ -408,7 +393,7 @@ void runResidentWorker(const WorkerConfig& cfg, Channel& ctrl,
 }
 
 // ---------------------------------------------------------------------------
-// tcp provisioning (kOpSetup).
+// Provisioning (kOpSetup).
 // ---------------------------------------------------------------------------
 
 void sendWorkerSetup(Channel& ch, std::size_t numMachines, std::size_t shards,
@@ -466,7 +451,6 @@ WorkerSetup readWorkerSetup(Channel& ch) {
     throw ShardError(std::string("tcp setup: ") + e.what());
   }
   cfg.topology = setup.topology.get();
-  cfg.transport = Transport::kTcp;
   const std::uint64_t kernelCount = r.u64();
   // A serialized kernel entry is at least its 8-byte name-length prefix.
   if (kernelCount > r.remaining() / sizeof(std::uint64_t))

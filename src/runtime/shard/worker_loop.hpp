@@ -1,22 +1,16 @@
 // The resident worker's command loop, extracted from ShardedEngine so that
-// every kind of worker process runs the same one. A worker is provisioned
-// with the engine's dimensions, topology, kernel table and its slice of the
-// block store in one of two ways:
+// every worker process runs the same one. Every worker — a loopback child
+// the engine forked and a remote `mpcspan_worker --connect host:port
+// --shard k` alike — runs attachTcpWorker (tcp_transport.hpp) and is
+// provisioned by one SETUP frame (kOpSetup): the engine's dimensions,
+// topology, kernel table and its slice of the block store.
 //
-//   - a shm-ring worker is a fork()ed child of the coordinator and inherits
-//     them through the fork;
-//   - every tcp worker — a forked loopback child and a remote
-//     `mpcspan_worker --connect host:port --shard k` alike — runs
-//     attachTcpWorker (tcp_transport.hpp) and receives them in a SETUP
-//     frame (kOpSetup).
-//
-// Either way the kernel table is names only: a kernel is a name in the
-// process-global registry (runtime/kernel.hpp), which every worker resolves
-// in its own process. The loop speaks the protocol.hpp control frames over
-// `ctrl` and exchanges cross-shard sections over `peers` (shm doorbells or
-// tcp sockets), and its observable behavior (delivery order, validation,
-// error surface) is identical — the transports are bit-identical by
-// construction.
+// The kernel table is names only: a kernel is a name in the process-global
+// registry (runtime/kernel.hpp), which every worker resolves in its own
+// process. The loop speaks the protocol.hpp control frames over `ctrl` and
+// exchanges cross-shard sections with its peers over the tcp mesh; its
+// observable behavior (delivery order, validation, error surface) matches
+// the in-process engine bit for bit.
 #pragma once
 
 #include <cstddef>
@@ -32,8 +26,6 @@
 
 namespace mpcspan::runtime::shard {
 
-class ShmArena;
-
 /// The balanced contiguous machine split shared by the coordinator and the
 /// workers (the one definition — the coordinator's per-shard frames and the
 /// workers' bucketing and range checks must never drift apart).
@@ -47,30 +39,27 @@ std::size_t shardOfMachine(std::size_t numMachines, std::size_t shards,
                            std::size_t machine);
 
 /// Everything the command loop needs to know about its place in the engine.
-/// `topology` is borrowed (fork-shared or owned by the caller's
-/// WorkerSetup); `shmArena` is non-null only under kShmRing.
+/// `topology` is borrowed (owned by the caller's WorkerSetup).
 struct WorkerConfig {
   std::size_t numMachines = 0;
   std::size_t shards = 0;
   std::size_t shard = 0;
   std::size_t threads = 1;
   const Topology* topology = nullptr;
-  Transport transport = Transport::kShmRing;
-  ShmArena* shmArena = nullptr;
   /// Total communication budget of one round's peer-exchange waits (ms;
-  /// < 0 = unbounded). Same-host meshes pass -1; tcp passes its channel
-  /// deadline. Seeded into one DeadlineBudget per round — shared across
-  /// every wait, so a trickling peer spends it rather than resetting it.
+  /// < 0 = unbounded); attachTcpWorker passes its channel deadline. Seeded
+  /// into one DeadlineBudget per round — shared across every wait, so a
+  /// trickling peer spends it rather than resetting it.
   int meshTimeoutMs = -1;
 };
 
 /// Runs the resident command loop until SHUTDOWN or wire EOF (both return
 /// cleanly; protocol violations and transport corruption throw out as the
 /// caller's exit-status policy dictates). `ctrl` is the coordinator
-/// channel; `peers` is this worker's mesh row (doorbells under kShmRing).
-/// `kernels` (registered names, by kernel id) and `store` are the state the
-/// loop adopts; `store` is caller-owned because BlockStore is non-copyable
-/// and a tcp worker materializes it straight off the wire.
+/// channel; `peers` is this worker's mesh row. `kernels` (registered names,
+/// by kernel id) and `store` are the state the loop adopts; `store` is
+/// caller-owned because BlockStore is non-copyable and a worker
+/// materializes it straight off the wire.
 void runResidentWorker(const WorkerConfig& cfg, Channel& ctrl,
                        std::vector<WireFd>& peers,
                        std::vector<std::string> kernels, BlockStore& store);
@@ -81,7 +70,7 @@ void runResidentWorker(const WorkerConfig& cfg, Channel& ctrl,
 constexpr std::uint64_t kMaxSetupMachines = 1ull << 24;
 constexpr std::uint64_t kMaxSetupThreads = 1ull << 10;
 
-/// Coordinator side of tcp provisioning: one kOpSetup frame carrying
+/// Coordinator side of provisioning: one kOpSetup frame carrying
 /// dimensions, the topology's wire descriptor, the kernel names, and shard
 /// `shard`'s slice of the block store.
 void sendWorkerSetup(Channel& ch, std::size_t numMachines, std::size_t shards,

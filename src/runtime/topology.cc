@@ -93,7 +93,11 @@ std::size_t PramTopology::validateSources(
 
 std::unique_ptr<Topology> makeWireTopology(std::uint8_t kind,
                                            std::uint64_t param) {
-  switch (static_cast<Topology::WireKind>(kind)) {
+  const auto wireKind = static_cast<Topology::WireKind>(kind);
+  if (wireKind != Topology::WireKind::kMpc && param != 0)
+    throw std::invalid_argument(
+        "makeWireTopology: nonzero parameter for a parameterless topology");
+  switch (wireKind) {
     case Topology::WireKind::kMpc:
       return std::make_unique<MpcTopology>(static_cast<std::size_t>(param));
     case Topology::WireKind::kClique:

@@ -145,7 +145,8 @@ class PramTopology final : public Topology {
 
 /// Rebuilds a topology from its wire descriptor (the inverse of
 /// wireKind()/wireParam()); throws std::invalid_argument for an unknown
-/// kind byte.
+/// kind byte or a nonzero parameter on a kind that takes none, so every
+/// accepted descriptor re-encodes to the same bytes.
 std::unique_ptr<Topology> makeWireTopology(std::uint8_t kind,
                                            std::uint64_t param);
 

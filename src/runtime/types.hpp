@@ -30,16 +30,6 @@ class CapacityError : public std::runtime_error {
 
 namespace runtime {
 
-/// Transport of cross-shard traffic (EngineConfig::transport). kShmRing is
-/// same-host (the arena and doorbell sockets are inherited across fork);
-/// kTcp rendezvouses over loopback or a real network and is the only
-/// transport that can attach workers from other machines
-/// (tools/mpcspan_worker).
-enum class Transport : int {
-  kShmRing = 2,  ///< shared-memory rings; socketpairs carry doorbells
-  kTcp = 3,      ///< TCP mesh formed by rendezvous (cross-machine capable)
-};
-
 /// Message payload with a single-word fast path. Most traffic in the clique
 /// label rounds and the PRAM write rounds is exactly one word; storing it
 /// inline avoids a heap allocation per message (the constant-factor

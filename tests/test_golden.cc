@@ -1,14 +1,14 @@
 // The golden table: frozen ledgers and checksums of the runtime's reference
 // workloads, one row per (algorithm or wave, graph, k, seed). Every
 // surviving backend configuration — in-process at 1 and N threads, and the
-// shm ring and tcp mesh at 2 and 4 shards x 1 and 2 threads — must
-// reproduce every row exactly: rounds, words sent, max round words, the
-// spanner-edge (or wave-output) hash, and the final inbox / kernel-state
-// checksum.
+// tcp mesh at 2 and 4 shards x 1 and 2 threads — must reproduce every row
+// exactly: rounds, words sent, max round words, the spanner-edge (or
+// wave-output) hash, and the final inbox / kernel-state checksum.
 //
 // The table was generated while the deleted backends (fork-per-round
-// workers, the coordinator relay, the socket mesh, and the strict barrier)
-// still existed, and every one of them produced it too; it is what those
+// workers, the coordinator relay, the socket mesh, the strict barrier, and
+// the shared-memory ring) still existed, and every one of them produced it
+// too; it is what those
 // bit-identical reference paths used to guarantee. The broadcast rows were
 // generated the same way, in-process and at 4 shards, while
 // treeBroadcastWords still ran on coordinator-built rounds. Regenerate a
@@ -42,7 +42,6 @@ using runtime::EngineConfig;
 using runtime::KernelId;
 using runtime::PramTopology;
 using runtime::RoundEngine;
-using runtime::Transport;
 
 // --- Backend configurations. ---
 
@@ -50,36 +49,28 @@ struct Backend {
   std::string name;
   std::size_t threads = 1;
   std::size_t shards = 1;
-  Transport transport = Transport::kShmRing;
 };
 
 std::vector<Backend> survivingBackends() {
   std::vector<Backend> out{{"inproc/1t", 1, 1}, {"inproc/4t", 4, 1}};
-  for (const Transport transport : {Transport::kShmRing, Transport::kTcp})
-    for (const std::size_t shards : {2u, 4u})
-      for (const std::size_t threads : {1u, 2u})
-        out.push_back({std::string(transport == Transport::kTcp ? "tcp" : "shm") +
-                           "/" + std::to_string(shards) + "s/" +
-                           std::to_string(threads) + "t",
-                       threads, shards, transport});
+  for (const std::size_t shards : {2u, 4u})
+    for (const std::size_t threads : {1u, 2u})
+      out.push_back({"tcp/" + std::to_string(shards) + "s/" +
+                         std::to_string(threads) + "t",
+                     threads, shards});
   return out;
 }
 
 EngineConfig engineConfig(std::size_t numMachines, const Backend& b) {
-  EngineConfig cfg;
-  cfg.numMachines = numMachines;
-  cfg.threads = b.threads;
-  cfg.shards = b.shards;
-  cfg.transport = b.transport;
-  return cfg;
+  return EngineConfig{numMachines, b.threads, b.shards};
 }
 
 std::unique_ptr<MpcSimulator> makeSim(MpcConfig cfg, const Backend& b) {
-  return std::make_unique<MpcSimulator>(cfg, b.threads, b.shards, b.transport);
+  return std::make_unique<MpcSimulator>(cfg, b.threads, b.shards);
 }
 
 std::unique_ptr<CongestedClique> makeClique(std::size_t n, const Backend& b) {
-  return std::make_unique<CongestedClique>(n, b.threads, b.shards, b.transport);
+  return std::make_unique<CongestedClique>(n, b.threads, b.shards);
 }
 
 // --- Checksums. ---

@@ -1,13 +1,12 @@
-// Cross-shard exchange over the two shard transports — shared-memory rings
-// between same-host workers and the tcp mesh formed by rendezvous — under
-// one parameterized suite: kernel rounds over either transport must be
-// bit-identical to the in-process engine (rounds, ledger, kernel state,
-// resident inbox contents) on all three topologies at 2 and 4 shards x 1
-// and 2 threads, and every failure mode — a kernel throw mid-round, a
-// capacity abort, a peer dying mid-exchange, 1.6 MB frames through 4 KiB
-// rings — must behave the same on both. Also here: the section/wire
-// decoders both transports feed. The barrier's own contracts (round
-// budget, Topology split validation) live in test_pipeline.
+// Cross-shard exchange over the tcp mesh the resident workers form at
+// rendezvous: kernel rounds must be bit-identical to the in-process engine
+// (rounds, ledger, kernel state, resident inbox contents) on all three
+// topologies at 2 and 4 shards x 1 and 2 threads, and every failure mode —
+// a kernel throw mid-round, a capacity abort, a peer dying mid-exchange,
+// 1.6 MB frames streaming through the socket buffers — must surface the
+// in-process error or a loud ShardError. Also here: the section/wire
+// decoders the mesh feeds. The barrier's own contracts (round budget,
+// Topology split validation) live in test_pipeline.
 #include <gtest/gtest.h>
 
 #include <sys/types.h>
@@ -43,9 +42,9 @@ using runtime::MpcTopology;
 using runtime::PramTopology;
 using runtime::RoundEngine;
 using runtime::StepKernel;
-using runtime::Transport;
 using runtime::shard::mergeSectionRows;
 using runtime::shard::ShardError;
+using runtime::shard::WireFd;
 using runtime::shard::WireReader;
 using runtime::shard::WireWriter;
 using test_kernels::ProbeKernel;
@@ -75,10 +74,8 @@ Result observe(RoundEngine& eng, KernelId k) {
   return res;
 }
 
-Result runWorkload(int mode, std::size_t threads, std::size_t shards,
-                   Transport transport) {
-  RoundEngine eng(EngineConfig{12, threads, shards, transport},
-                  probeTopology(mode));
+Result runWorkload(int mode, std::size_t threads, std::size_t shards) {
+  RoundEngine eng(EngineConfig{12, threads, shards}, probeTopology(mode));
   const KernelId k = runtime::ensureKernel<ProbeKernel>(eng);
   for (int i = 0; i < 5; ++i) eng.step(k, {static_cast<Word>(mode)});
   // One free data-placement round rides the same exchange machinery.
@@ -95,33 +92,16 @@ void expectReaped(const std::vector<pid_t>& pids) {
   }
 }
 
-class ShardTransport : public ::testing::TestWithParam<Transport> {};
-
-INSTANTIATE_TEST_SUITE_P(
-    Both, ShardTransport, ::testing::Values(Transport::kShmRing, Transport::kTcp),
-    [](const ::testing::TestParamInfo<Transport>& info) {
-      return std::string(info.param == Transport::kTcp ? "tcp" : "shm");
-    });
-
-TEST_P(ShardTransport, BitIdenticalToInProcessOnAllTopologies) {
+TEST(TcpMesh, BitIdenticalToInProcessOnAllTopologies) {
   for (const int mode : {0, 1, 2}) {
-    const Result base = runWorkload(mode, 1, 1, GetParam());
+    const Result base = runWorkload(mode, 1, 1);
     EXPECT_EQ(base.rounds, 5u) << "mode " << mode;
     for (const std::size_t shards : {2u, 4u})
       for (const std::size_t threads : {1u, 2u})
-        EXPECT_EQ(base, runWorkload(mode, threads, shards, GetParam()))
+        EXPECT_EQ(base, runWorkload(mode, threads, shards))
             << "mode " << mode << ", " << shards << " shards x " << threads
             << " threads";
   }
-}
-
-TEST_P(ShardTransport, BackendReportsTheSelectedTransport) {
-  RoundEngine eng(EngineConfig{8, 1, 2, GetParam()},
-                  std::make_unique<MpcTopology>(16));
-  EXPECT_EQ(eng.numShards(), 2u);
-  EXPECT_EQ(eng.shmRingShards(), GetParam() == Transport::kShmRing);
-  EXPECT_EQ(eng.tcpMeshShards(), GetParam() == Transport::kTcp);
-  EXPECT_EQ(eng.shardBackend()->transport(), GetParam());
 }
 
 /// Emissions are a pure function of the inbox, so a correctly discarded
@@ -147,14 +127,13 @@ class ThrowerKernel final : public StepKernel {
   }
 };
 
-TEST_P(ShardTransport, KernelThrowMidRoundAbortsCleanly) {
+TEST(TcpMesh, KernelThrowMidRoundAbortsCleanly) {
   // The abort lands while the workers have already exchanged and staged the
   // round into their back buffers. Discarding it must leave the resident
   // inboxes, ledger, and worker processes exactly as before the round — and
   // the rounds after the abort must match an engine that never tried it.
   RoundEngine ref(EngineConfig{12, 1, 1}, std::make_unique<MpcTopology>(64));
-  RoundEngine eng(EngineConfig{12, 1, 4, GetParam()},
-                  std::make_unique<MpcTopology>(64));
+  RoundEngine eng(EngineConfig{12, 1, 4}, std::make_unique<MpcTopology>(64));
   const KernelId kr = runtime::ensureKernel<ThrowerKernel>(ref);
   const KernelId ke = runtime::ensureKernel<ThrowerKernel>(eng);
   for (int i = 0; i < 2; ++i) {
@@ -188,13 +167,12 @@ class Flooder final : public StepKernel {
   }
 };
 
-TEST_P(ShardTransport, CapacityAbortKeepsStateAndWorkers) {
+TEST(TcpMesh, CapacityAbortKeepsStateAndWorkers) {
   // A receive-budget violation is only visible at the coordinator, over
   // the summed inbound words — after every section already moved. The
   // round must still abort with the in-process error type, consume
   // nothing, and leave the workers usable.
-  RoundEngine eng(EngineConfig{8, 1, 4, GetParam()},
-                  std::make_unique<MpcTopology>(16));
+  RoundEngine eng(EngineConfig{8, 1, 4}, std::make_unique<MpcTopology>(16));
   const KernelId k = runtime::ensureKernel<Flooder>(eng);
   eng.step(k);
   const std::size_t wordsBefore = eng.totalWordsSent();
@@ -227,14 +205,13 @@ class PeerDeathKernel final : public StepKernel {
   }
 };
 
-TEST_P(ShardTransport, PeerDeathMidExchangeSurfacesShardErrorForAll) {
+TEST(TcpMesh, PeerDeathMidExchangeSurfacesShardErrorForAll) {
   // Shard 1 dies in its first step, as every peer enters its exchange.
   // Every other worker must observe the dead peer, the engine must fail
   // loudly (not hang), stay failed, and reap every worker.
   std::vector<pid_t> pids;
   {
-    RoundEngine eng(EngineConfig{8, 1, 4, GetParam()},
-                    std::make_unique<MpcTopology>(32));
+    RoundEngine eng(EngineConfig{8, 1, 4}, std::make_unique<MpcTopology>(32));
     const KernelId k = runtime::ensureKernel<PeerDeathKernel>(eng);
     // Start the workers without a STEP, which would reach the fault.
     eng.fetchKernel(k);
@@ -246,9 +223,9 @@ TEST_P(ShardTransport, PeerDeathMidExchangeSurfacesShardErrorForAll) {
   expectReaped(pids);
 }
 
-/// Emits one ~1.6 MB payload per machine per round — hundreds of ring
-/// lengths under MPCSPAN_SHM_RING_BYTES=4096 and thousands of loopback
-/// segments, so every frame must stream with backpressure.
+/// Emits one ~1.6 MB payload per machine per round — thousands of loopback
+/// segments, far beyond any socket buffer, so every frame must stream with
+/// backpressure.
 class BigFrameKernel final : public StepKernel {
  public:
   static std::string kernelName() { return "test.bigframe"; }
@@ -281,10 +258,9 @@ class BigFrameKernel final : public StepKernel {
   std::vector<Word> seen_;
 };
 
-TEST_P(ShardTransport, BigFramesStreamThroughTinyRings) {
-  ASSERT_EQ(::setenv("MPCSPAN_SHM_RING_BYTES", "4096", 1), 0);
+TEST(TcpMesh, BigFramesStreamThroughTheMesh) {
   auto run = [&](std::size_t shards) {
-    RoundEngine eng(EngineConfig{4, 1, shards, GetParam()},
+    RoundEngine eng(EngineConfig{4, 1, shards},
                     std::make_unique<MpcTopology>(BigFrameKernel::kWords));
     const KernelId k = runtime::ensureKernel<BigFrameKernel>(eng);
     eng.step(k);
@@ -294,14 +270,12 @@ TEST_P(ShardTransport, BigFramesStreamThroughTinyRings) {
   const Result base = run(1);
   for (const std::size_t shards : {2u, 4u})
     EXPECT_EQ(base, run(shards)) << shards << " shards, 1.6 MB frames";
-  ASSERT_EQ(::unsetenv("MPCSPAN_SHM_RING_BYTES"), 0);
 }
 
-TEST_P(ShardTransport, ExchangeRoundsAndBlocksRideTheBackend) {
+TEST(TcpMesh, ExchangeRoundsAndBlocksRideTheBackend) {
   // A round whose outboxes are fixed up front and the worker-resident
   // blocks must match the in-process engine too.
-  RoundEngine sharded(EngineConfig{6, 1, 3, GetParam()},
-                      std::make_unique<MpcTopology>(64));
+  RoundEngine sharded(EngineConfig{6, 1, 3}, std::make_unique<MpcTopology>(64));
   RoundEngine ref(EngineConfig{6, 1, 1}, std::make_unique<MpcTopology>(64));
   std::vector<std::vector<std::vector<Delivery>>> inboxes;
   for (RoundEngine* eng : {&sharded, &ref}) {
@@ -327,7 +301,7 @@ TEST_P(ShardTransport, ExchangeRoundsAndBlocksRideTheBackend) {
   EXPECT_EQ(sharded.totalWordsSent(), ref.totalWordsSent());
 }
 
-// --- The section decoder both transports feed: corrupt frames are rejected
+// --- The section decoder the mesh feeds: corrupt frames are rejected
 // before any row lands, without integer overflow. ---
 
 WireReader toReader(const WireWriter& w) {
@@ -441,7 +415,13 @@ TEST(PeerMesh, LargeFrameFullDuplexExchangeCompletes) {
   // (a naive blocking send-then-recv schedule deadlocks here).
   constexpr std::size_t kWorkers = 3;
   constexpr std::size_t kWords = 200000;
-  auto mesh = runtime::shard::makeMesh(kWorkers);
+  // mesh[a][b] is a's end of the (a, b) socketpair; the diagonal stays
+  // invalid.
+  std::vector<std::vector<WireFd>> mesh(kWorkers);
+  for (auto& row : mesh) row.resize(kWorkers);
+  for (std::size_t a = 0; a < kWorkers; ++a)
+    for (std::size_t b = a + 1; b < kWorkers; ++b)
+      runtime::shard::makeSocketPair(mesh[a][b], mesh[b][a]);
   std::vector<std::thread> threads;
   std::vector<std::exception_ptr> errors(kWorkers);
   std::vector<std::vector<std::vector<Message>>> received(

@@ -1,7 +1,7 @@
 // The one pipelined STEP barrier's own contracts. Every round's waits draw
 // down one shared DeadlineBudget, so a peer that trickles bytes cannot reset
-// a per-wait timeout forever (tcp mesh); same-host shm rings carry no budget
-// and must wait such a peer out. And the Topology split contract the barrier
+// a per-wait timeout forever, while an unbudgeted exchange waits such a peer
+// out. And the Topology split contract the barrier
 // rests on: validateSources over every shard slice plus validateInbound over
 // the summed inbound words, and whole-round validate(), must both agree with
 // an oracle of the model rules. Exchange equivalence and failure modes live
@@ -19,7 +19,6 @@
 
 #include "runtime/round_engine.hpp"
 #include "runtime/shard/peer_mesh.hpp"
-#include "runtime/shard/shm_ring.hpp"
 #include "runtime/shard/transport.hpp"
 #include "runtime/shard/wire.hpp"
 #include "runtime/shard/worker_loop.hpp"
@@ -33,82 +32,57 @@ namespace {
 using runtime::Message;
 using runtime::MpcTopology;
 using runtime::Topology;
-using runtime::Transport;
 using runtime::shard::DeadlineBudget;
 using runtime::shard::ShardError;
+using runtime::shard::WireFd;
 using runtime::shard::WireReader;
 using runtime::shard::WireWriter;
 using test_kernels::probeTopology;
 
-class ShardTransport : public ::testing::TestWithParam<Transport> {};
-
-INSTANTIATE_TEST_SUITE_P(
-    Both, ShardTransport, ::testing::Values(Transport::kShmRing, Transport::kTcp),
-    [](const ::testing::TestParamInfo<Transport>& info) {
-      return std::string(info.param == Transport::kTcp ? "tcp" : "shm");
-    });
-
 /// A valid empty section frame (u64 bodyLen = 8, u64 rowCount = 0,
-/// little-endian), the unit both trickle tests dribble out.
+/// little-endian), the unit the trickling peer dribbles out.
 constexpr std::uint8_t kEmptyFrame[16] = {8, 0, 0, 0, 0, 0, 0, 0,
                                           0, 0, 0, 0, 0, 0, 0, 0};
 
-TEST_P(ShardTransport, TricklingPeerIsBoundedOrCompletes) {
+TEST(PeerMesh, TricklingPeerIsBoundedOrCompletes) {
+  // A peer that keeps the connection alive but trickles one byte every
+  // 50 ms makes progress on every poll wait — a per-wait timeout would
+  // reset forever. The shared round budget must fail the exchange once the
+  // *total* wait crosses it, while the same trickle without a budget still
+  // completes.
   const std::vector<std::uint64_t> counts(2, 0);
   const std::vector<WireWriter> sections(2);
-  if (GetParam() == Transport::kTcp) {
-    // The tcp mesh's data path: a peer that keeps the connection alive but
-    // trickles one byte every 50 ms makes progress on every poll wait — a
-    // per-wait timeout would reset forever. The shared round budget must
-    // fail the exchange once the *total* wait crosses it, while the same
-    // trickle without a budget still completes.
-    const auto trickle = [](const runtime::shard::WireFd& fd) {
-      for (const std::uint8_t byte : kEmptyFrame) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-        ASSERT_EQ(::send(fd.fd(), &byte, 1, MSG_NOSIGNAL), 1);
-      }
-    };
-    {
-      auto mesh = runtime::shard::makeMesh(2);
-      std::thread peer([&] { trickle(mesh[1][0]); });
-      const DeadlineBudget budget(250);
-      EXPECT_THROW(runtime::shard::meshExchange(mesh[0], 0, counts, sections,
-                                                &budget),
-                   ShardError);
-      peer.join();
+  const auto trickle = [](const WireFd& fd) {
+    for (const std::uint8_t byte : kEmptyFrame) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      ASSERT_EQ(::send(fd.fd(), &byte, 1, MSG_NOSIGNAL), 1);
     }
-    auto mesh = runtime::shard::makeMesh(2);
-    std::thread peer([&] { trickle(mesh[1][0]); });
-    std::vector<WireReader> frames =
-        runtime::shard::meshExchange(mesh[0], 0, counts, sections);
+  };
+  // Worker 0's mesh row: row[1] is its end of the pair with peer 1.
+  const auto meshRow = [](WireFd& peerEnd) {
+    std::vector<WireFd> row(2);
+    runtime::shard::makeSocketPair(row[1], peerEnd);
+    return row;
+  };
+  {
+    WireFd peerEnd;
+    std::vector<WireFd> row = meshRow(peerEnd);
+    std::thread peer([&] { trickle(peerEnd); });
+    const DeadlineBudget budget(250);
+    EXPECT_THROW(
+        runtime::shard::meshExchange(row, 0, counts, sections, &budget),
+        ShardError);
     peer.join();
-    ASSERT_EQ(frames.size(), 2u);
-    EXPECT_EQ(frames[1].u64(), 0u);  // the trickled frame, intact
-    return;
   }
-  // The shm ring: same-host workers carry no round budget (a dead peer
-  // always surfaces as doorbell EOF), so a peer that publishes its frame
-  // one byte at a time, ringing the doorbell after each, must simply be
-  // waited out and parsed intact.
-  runtime::shard::ShmArena arena(2, 4096);
-  auto mesh = runtime::shard::makeMesh(2);
-  std::thread peer([&] {
-    runtime::shard::RingHdr& h = arena.hdr(1, 0);
-    for (std::size_t i = 0; i < sizeof kEmptyFrame; ++i) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-      arena.data(1, 0)[i] = kEmptyFrame[i];
-      h.produced.store(i + 1, std::memory_order_release);
-      const std::uint8_t bell = 1;
-      ASSERT_EQ(::send(mesh[1][0].fd(), &bell, 1, MSG_NOSIGNAL), 1);
-    }
-  });
+  WireFd peerEnd;
+  std::vector<WireFd> row = meshRow(peerEnd);
+  std::thread peer([&] { trickle(peerEnd); });
   std::vector<WireReader> frames =
-      runtime::shard::shmExchange(arena, mesh[0], 0, counts, sections);
+      runtime::shard::meshExchange(row, 0, counts, sections);
   peer.join();
   ASSERT_EQ(frames.size(), 2u);
-  EXPECT_EQ(frames[1].u64(), 0u);
+  EXPECT_EQ(frames[1].u64(), 0u);  // the trickled frame, intact
   EXPECT_TRUE(frames[1].atEnd());
-  arena.releaseInbound(0);
 }
 
 TEST(DeadlineBudget, SpendsOneBudgetAcrossWaits) {

@@ -39,7 +39,6 @@ using runtime::MpcTopology;
 using runtime::PramTopology;
 using runtime::RoundEngine;
 using runtime::Topology;
-using runtime::Transport;
 using runtime::shard::ShardedEngine;
 using runtime::shard::ShardError;
 using test_kernels::Outboxes;
@@ -193,10 +192,8 @@ TEST(ShardedEngine, UnknownDestinationAbortsTheKernelRound) {
   // in-process the engine's validation rejects it before any delivery.
   // Either way the round aborts with std::invalid_argument, uncharged, and
   // the next good round commits.
-  const std::pair<std::size_t, Transport> configs[] = {
-      {1, Transport::kShmRing}, {4, Transport::kShmRing}, {4, Transport::kTcp}};
-  for (const auto& [shards, transport] : configs) {
-    RoundEngine eng(EngineConfig{8, 1, shards, transport},
+  for (const std::size_t shards : {1u, 4u}) {
+    RoundEngine eng(EngineConfig{8, 1, shards},
                     std::make_unique<MpcTopology>(8));
     ASSERT_EQ(eng.numShards(), shards);
     Outboxes bad(8);

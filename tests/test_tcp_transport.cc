@@ -1,20 +1,24 @@
 // The tcp rendezvous and its handshakes: every failure mode of a real
 // network — refused dial, accept timeout, a stray client speaking garbage,
 // a worker from another protocol version, a mesh dial from a stale epoch —
-// surfaces as ShardError within the deadline, never a hang — plus the
-// Channel contract both transports stand on: one nonblocking mode, a
-// deadline that bounds a transfer even under a signal storm, and large
-// frames in both directions at once — and the SETUP decoder every tcp
-// worker runs on its first frame, which must decode or reject every
-// truncation and single-bit flip. Engine-level tcp behavior lives in the
-// transport suite (test_peer_exchange).
+// surfaces as ShardError within the deadline, never a hang; listeners that
+// only same-host peers dial bind loopback only — plus the Channel contract
+// every shard stream stands on: one nonblocking mode, a deadline that
+// bounds a transfer even under a signal storm, and large frames in both
+// directions at once — and the SETUP decoder every worker runs on its first
+// frame, which must decode or reject every truncation, single-bit flip and
+// splice of two frames. Engine-level mesh behavior lives in
+// test_peer_exchange.
 #include "runtime/shard/tcp_transport.hpp"
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
 #include <pthread.h>
 #include <signal.h>
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -35,7 +39,9 @@ namespace mpcspan {
 namespace {
 
 using runtime::shard::Channel;
+using runtime::shard::attachTcpWorker;
 using runtime::shard::formTcpMesh;
+using runtime::shard::isLoopbackHost;
 using runtime::shard::kTcpMagic;
 using runtime::shard::kTcpVersion;
 using runtime::shard::readControlHello;
@@ -55,19 +61,19 @@ TEST(TcpTransport, RefusedDialThrowsShardError) {
   // listener, and dial it: connection refused, immediately.
   std::uint16_t deadPort = 0;
   {
-    TcpListener l(0);
+    TcpListener l(0, /*loopbackOnly=*/true);
     deadPort = l.port();
   }
   EXPECT_THROW(tcpConnect("127.0.0.1", deadPort, 2000), ShardError);
 }
 
 TEST(TcpTransport, AcceptDeadlineExpiresAsShardError) {
-  TcpListener l(0);
+  TcpListener l(0, /*loopbackOnly=*/true);
   EXPECT_THROW(l.accept(/*deadlineMs=*/50), ShardError);
 }
 
 TEST(TcpTransport, StrayClientGarbageRejectedAtControlHello) {
-  TcpListener l(0);
+  TcpListener l(0, /*loopbackOnly=*/true);
   std::thread stray([&] {
     try {
       WireFd fd = tcpConnect("127.0.0.1", l.port(), 2000);
@@ -86,7 +92,7 @@ TEST(TcpTransport, OlderProtocolVersionRejectedAtControlHello) {
   // A worker from a build with another frame layout announces its version
   // in the hello; the coordinator must refuse it before any SETUP or STEP
   // frame is exchanged.
-  TcpListener l(0);
+  TcpListener l(0, /*loopbackOnly=*/true);
   std::thread stale([&] {
     try {
       Channel ch(tcpConnect("127.0.0.1", l.port(), 2000), 2000);
@@ -112,8 +118,8 @@ TEST(TcpTransport, StaleEpochMeshDialRejectedBothSides) {
   // ack never arrives — must fail its own handshake rather than hang.
   constexpr std::uint64_t kGoodEpoch = 0x1234;
   constexpr std::uint64_t kBadEpoch = 0x9999;
-  TcpListener mesh0(0);
-  TcpListener mesh1(0);
+  TcpListener mesh0(0, /*loopbackOnly=*/true);
+  TcpListener mesh1(0, /*loopbackOnly=*/true);
   std::vector<TcpPeerAddr> roster{{"127.0.0.1", mesh0.port()},
                                   {"127.0.0.1", mesh1.port()}};
 
@@ -130,6 +136,74 @@ TEST(TcpTransport, StaleEpochMeshDialRejectedBothSides) {
   acceptor.join();
   ASSERT_TRUE(acceptErr);
   EXPECT_THROW(std::rethrow_exception(acceptErr), ShardError);
+}
+
+// --- Bind addresses. ---
+
+/// The IPv4 address and port a socket is bound to, read back with
+/// getsockname; port 0 if `fd` is not a bound IPv4 socket.
+std::pair<std::string, std::uint16_t> boundAddress(int fd) {
+  sockaddr_in addr{};
+  socklen_t len = sizeof(addr);
+  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0 ||
+      addr.sin_family != AF_INET)
+    return {std::string(), 0};
+  char buf[INET_ADDRSTRLEN] = {0};
+  ::inet_ntop(AF_INET, &addr.sin_addr, buf, sizeof(buf));
+  return {std::string(buf), ntohs(addr.sin_port)};
+}
+
+TEST(TcpTransport, ListenersBindLoopbackUnlessAPeerIsRemote) {
+  // A coordinator that forks its own workers listens on 127.0.0.1 only, so
+  // no other host can dial into its rendezvous; a coordinator awaiting
+  // remote attaches listens on every interface.
+  TcpListener local(0, /*loopbackOnly=*/true);
+  EXPECT_EQ(boundAddress(local.fd()),
+            std::make_pair(std::string("127.0.0.1"), local.port()));
+  TcpListener anyHost(0, /*loopbackOnly=*/false);
+  EXPECT_EQ(boundAddress(anyHost.fd()),
+            std::make_pair(std::string("0.0.0.0"), anyHost.port()));
+  for (const char* host : {"127.0.0.1", "127.8.9.10", "localhost"})
+    EXPECT_TRUE(isLoopbackHost(host)) << host;
+  for (const char* host :
+       {"0.0.0.0", "10.0.0.7", "192.168.1.127", "128.0.0.1", "", "example.org"})
+    EXPECT_FALSE(isLoopbackHost(host)) << host;
+}
+
+TEST(TcpTransport, WorkerThatDialedLoopbackListensOnLoopback) {
+  // A worker — a forked one, or `mpcspan_worker --connect 127.0.0.1:P` —
+  // that reached its coordinator over loopback has only same-host peers, so
+  // the mesh listener it announces must be bound to 127.0.0.1. This test
+  // plays the coordinator: it reads the hello, finds the announced mesh
+  // listener among this process's fds, then hangs up.
+  TcpListener coordinator(0, /*loopbackOnly=*/true);
+  std::exception_ptr workerErr;
+  std::thread worker([&] {
+    try {
+      attachTcpWorker("127.0.0.1", coordinator.port(), /*shard=*/0,
+                      /*epoch=*/0, /*timeoutMs=*/4000);
+    } catch (...) {
+      workerErr = std::current_exception();
+    }
+  });
+  {
+    Channel ch(coordinator.accept(4000), 4000);
+    const std::uint16_t meshPort = readControlHello(ch).meshPort;
+    std::vector<std::string> listeners;
+    for (int fd = 0; fd < 1024; ++fd) {
+      int listening = 0;
+      socklen_t len = sizeof(listening);
+      if (::getsockopt(fd, SOL_SOCKET, SO_ACCEPTCONN, &listening, &len) != 0 ||
+          listening == 0)
+        continue;
+      const auto [host, port] = boundAddress(fd);
+      if (port == meshPort) listeners.push_back(host);
+    }
+    EXPECT_EQ(listeners, std::vector<std::string>{"127.0.0.1"});
+  }  // hang up: the worker's roster read fails
+  worker.join();
+  ASSERT_TRUE(workerErr);
+  EXPECT_THROW(std::rethrow_exception(workerErr), ShardError);
 }
 
 // --- The Channel contract. ---
@@ -247,9 +321,29 @@ TEST(Channel, PeerClosingMidFrameIsShardError) {
 
 // --- The SETUP decoder. ---
 
-/// The body of a SETUP frame as sendWorkerSetup writes it: shard 1 of 3
-/// over 8 machines (slice [3, 6)), 2 lanes, an MPC topology, two kernel
-/// names, and two block handles with blocks of different lengths.
+/// The body of the SETUP frame sendWorkerSetup writes for these arguments.
+std::vector<std::uint8_t> encodeSetup(std::size_t numMachines,
+                                      std::size_t shards, std::size_t shard,
+                                      std::size_t threads,
+                                      const runtime::Topology& topo,
+                                      const std::vector<std::string>& kernels,
+                                      const runtime::BlockStore& store) {
+  WireFd txEnd;
+  WireFd rxEnd;
+  runtime::shard::makeSocketPair(txEnd, rxEnd);
+  Channel tx(std::move(txEnd));
+  Channel rx(std::move(rxEnd));
+  runtime::shard::sendWorkerSetup(tx, numMachines, shards, shard, threads,
+                                  topo, &kernels, &store);
+  WireReader r = WireReader::recvFramed(rx);
+  const std::size_t n = r.remaining();
+  const std::uint8_t* bytes = r.raw(n);
+  return std::vector<std::uint8_t>(bytes, bytes + n);
+}
+
+/// A SETUP body: shard 1 of 3 over 8 machines (slice [3, 6)), 2 lanes, an
+/// MPC topology, two kernel names, and two block handles with blocks of
+/// different lengths.
 std::vector<std::uint8_t> setupBody() {
   runtime::MpcTopology topo(48);
   const std::vector<std::string> kernels{"test.alpha", "mpcspan.beta"};
@@ -259,16 +353,22 @@ std::vector<std::uint8_t> setupBody() {
     for (std::size_t m = 0; m < 8; ++m)
       store.block(h, m) = std::vector<Word>(m % 3, h * 100 + m);
   }
-  WireFd txEnd;
-  WireFd rxEnd;
-  runtime::shard::makeSocketPair(txEnd, rxEnd);
-  Channel tx(std::move(txEnd));
-  Channel rx(std::move(rxEnd));
-  runtime::shard::sendWorkerSetup(tx, 8, 3, 1, 2, topo, &kernels, &store);
-  WireReader r = WireReader::recvFramed(rx);
-  const std::size_t n = r.remaining();
-  const std::uint8_t* bytes = r.raw(n);
-  return std::vector<std::uint8_t>(bytes, bytes + n);
+  return encodeSetup(8, 3, 1, 2, topo, kernels, store);
+}
+
+/// A SETUP body with other dimensions throughout: shard 2 of 4 over 12
+/// machines (slice [6, 9)), 1 lane, a clique topology, one kernel name, and
+/// three block handles.
+std::vector<std::uint8_t> otherSetupBody() {
+  runtime::CliqueTopology topo;
+  const std::vector<std::string> kernels{"mpcspan.gamma.longer.name"};
+  runtime::BlockStore store(12);
+  for (const std::uint64_t h : {1u, 4u, 7u}) {
+    store.create(h);
+    for (std::size_t m = 0; m < 12; ++m)
+      store.block(h, m) = std::vector<Word>((m + h) % 4, h ^ (m << 8));
+  }
+  return encodeSetup(12, 4, 2, 1, topo, kernels, store);
 }
 
 /// Frames `body` (with its true length) and decodes it the way a tcp
@@ -301,7 +401,6 @@ TEST(WorkerSetup, RoundTripsDimensionsTopologyKernelsAndSlice) {
   EXPECT_EQ(setup.cfg.shards, 3u);
   EXPECT_EQ(setup.cfg.shard, 1u);
   EXPECT_EQ(setup.cfg.threads, 2u);
-  EXPECT_EQ(setup.cfg.transport, runtime::Transport::kTcp);
   ASSERT_EQ(setup.cfg.topology, setup.topology.get());
   EXPECT_EQ(setup.topology->wireKind(), runtime::Topology::WireKind::kMpc);
   EXPECT_EQ(setup.topology->wireParam(), 48u);
@@ -346,6 +445,51 @@ TEST(WorkerSetup, EverySingleBitFlipDecodesOrIsShardError) {
       ADD_FAILURE() << "bit " << bit << ": not a ShardError: " << e.what();
     }
   }
+  EXPECT_GT(rejected, 0u);
+}
+
+TEST(WorkerSetup, EverySpliceDecodesOrIsShardError) {
+  // The head of one valid frame joined to the tail of another, at every cut
+  // point and in both orders. A splice either decodes to a setup that
+  // re-encodes to exactly its bytes (the decoder accepts only canonical
+  // frames) or is rejected as ShardError — and nothing it decodes is sized
+  // beyond the caps or the bytes the frame carried.
+  const std::vector<std::uint8_t> a = setupBody();
+  const std::vector<std::uint8_t> b = otherSetupBody();
+  std::size_t decoded = 0;
+  std::size_t rejected = 0;
+  for (const auto& [head, tail] : {std::pair{&a, &b}, std::pair{&b, &a}})
+    for (std::size_t cut = 0; cut <= std::max(head->size(), tail->size());
+         ++cut) {
+      std::vector<std::uint8_t> spliced(
+          head->begin(),
+          head->begin() + static_cast<long>(std::min(cut, head->size())));
+      if (cut < tail->size())
+        spliced.insert(spliced.end(),
+                       tail->begin() + static_cast<long>(cut), tail->end());
+      try {
+        const WorkerSetup setup = decodeSetup(spliced);
+        const runtime::shard::WorkerConfig& cfg = setup.cfg;
+        EXPECT_LE(cfg.numMachines, runtime::shard::kMaxSetupMachines);
+        EXPECT_LE(cfg.threads, runtime::shard::kMaxSetupThreads);
+        std::size_t words = 0;
+        for (const std::uint64_t h : setup.store->handles())
+          for (std::size_t m = 0; m < cfg.numMachines; ++m)
+            words += setup.store->block(h, m).size();
+        EXPECT_LE(words * sizeof(Word), spliced.size()) << "cut " << cut;
+        EXPECT_EQ(encodeSetup(cfg.numMachines, cfg.shards, cfg.shard,
+                              cfg.threads, *setup.topology, setup.kernels,
+                              *setup.store),
+                  spliced)
+            << "cut " << cut << " decoded but does not re-encode to its bytes";
+        ++decoded;
+      } catch (const ShardError&) {
+        ++rejected;
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "cut " << cut << ": not a ShardError: " << e.what();
+      }
+    }
+  EXPECT_GT(decoded, 0u);
   EXPECT_GT(rejected, 0u);
 }
 

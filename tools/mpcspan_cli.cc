@@ -16,8 +16,9 @@
 //
 // The dist-* algorithms run end-to-end on the word-accurate MPC machine
 // simulator; --threads sets the stepping-pool lanes and --shards the worker
-// processes of the sharded runtime backend (0 = MPCSPAN_THREADS /
-// MPCSPAN_SHARDS env defaults).
+// processes of the sharded runtime backend, resident workers exchanging
+// over a loopback tcp mesh (0 = MPCSPAN_THREADS / MPCSPAN_SHARDS env
+// defaults).
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -113,7 +114,7 @@ ArgParser& addBuildFlags(ArgParser& args) {
       .flag("threads", "0", "stepping-pool lanes (0 = MPCSPAN_THREADS/hardware)")
       .flag("shards", "0",
             "simulator worker processes (0 = MPCSPAN_SHARDS, 1 = in-process; "
-            ">1 forks resident workers)")
+            ">1 forks resident workers on a loopback tcp mesh)")
       .flag("seed", "1", "random seed");
 }
 
@@ -446,9 +447,6 @@ int main(int argc, char** argv) {
   }
   ArgParser args("mpcspan", "spanner construction CLI (SPAA 2021 reproduction)");
   addBuildFlags(args)
-      .flag("transport", "shm",
-            "cross-shard section route: shm (shared-memory rings) or tcp "
-            "(rendezvous mesh, cross-machine capable)")
       .flag("verify", "false", "audit stretch (sampled) before exiting")
       .flag("out", "", "write the spanner as an edge list to this path");
 
@@ -464,14 +462,7 @@ int main(int argc, char** argv) {
   try {
     const Graph g = loadGraph(args);
 
-    query::BuildPlan plan = planOf(args);
-    const std::string transport = args.get("transport");
-    if (transport == "tcp")
-      plan.transport = runtime::Transport::kTcp;
-    else if (transport != "shm")
-      throw std::invalid_argument("unknown --transport: " + transport +
-                                  " (expected shm or tcp)");
-
+    const query::BuildPlan plan = planOf(args);
     const SpannerResult r = query::buildSpanner(g, plan);
     std::fprintf(stdout,
                  "%s: %zu edges (%.1f%%), k=%u, %zu iterations / %zu epochs\n",

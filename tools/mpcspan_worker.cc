@@ -1,4 +1,4 @@
-// mpcspan_worker — standalone shard process for the TCP transport.
+// mpcspan_worker — standalone shard worker and rendezvous coordinator.
 //
 // Two modes, both ends of the same rendezvous (see
 // src/runtime/shard/tcp_transport.hpp):
@@ -6,8 +6,8 @@
 //   mpcspan_worker --connect host:port --shard k [--timeout ms]
 //     Attaches shard k to a coordinator that is awaiting remote workers
 //     (MPCSPAN_TCP_REMOTE=1) through attachTcpWorker, the same library path
-//     the engine's forked tcp workers run: an epoch-0 control hello, the
-//     roster and the SETUP frame that provisions every tcp worker, the
+//     the engine's forked workers run: an epoch-0 control hello, the
+//     roster and the SETUP frame that provisions every worker, the tcp
 //     peer mesh, then the resident command loop until SHUTDOWN. A kernel
 //     is a name in the global registry, resolved against this binary's, so
 //     the coordinator and the workers must run the same build (a worker
@@ -15,8 +15,8 @@
 //
 //   mpcspan_worker --coordinate S --port P [--machines N] [--rounds R]
 //                  [--threads T] [--timeout ms]
-//     Hosts a sharded MPC run with S shards over the TCP transport and
-//     waits for every shard to attach via --connect. Drives R rounds of a
+//     Hosts a sharded MPC run with S shards and waits for every shard to
+//     attach via --connect. Drives R rounds of a
 //     deterministic probe kernel and prints the fetched state checksum —
 //     the same workload however the workers attach (or, with 1 shard, in
 //     process), so CI can diff the checksums of all three runs.
@@ -54,8 +54,8 @@ std::uint64_t mix64(std::uint64_t x) {
 
 /// The coordinate-mode workload: every round each machine folds its inbox
 /// into an accumulator and passes a mixed word to its ring successor.
-/// Globally registered, like every kernel, so a tcp worker (this same
-/// binary, any process) constructs it from the name in its SETUP frame.
+/// Globally registered, like every kernel, so a worker (this same binary,
+/// any process) constructs it from the name in its SETUP frame.
 class TcpProbeKernel final : public StepKernel {
  public:
   static std::string kernelName() { return "tools.tcpprobe"; }
@@ -122,8 +122,8 @@ int runCoordinate(std::size_t shards, std::uint16_t port,
   }
   // The engine reads the rendezvous knobs from the environment; pin them to
   // the flag values so the lazily-started backend sees exactly this setup.
-  // --local runs the identical workload with fork()ed tcp workers instead
-  // of awaited attaches, so CI can diff the two checksums.
+  // --local runs the identical workload with fork()ed loopback workers
+  // instead of awaited attaches, so CI can diff the two checksums.
   ::setenv("MPCSPAN_TCP_REMOTE", local ? "0" : "1", 1);
   ::setenv("MPCSPAN_TCP_PORT", std::to_string(port).c_str(), 1);
   if (timeoutMs > 0)
@@ -133,7 +133,6 @@ int runCoordinate(std::size_t shards, std::uint16_t port,
   cfg.numMachines = machines;
   cfg.threads = threads;
   cfg.shards = shards;
-  cfg.transport = Transport::kTcp;
   RoundEngine eng(cfg, std::make_unique<MpcTopology>(/*wordsPerMachine=*/256));
   const KernelId probe = ensureKernel<TcpProbeKernel>(eng);
 
@@ -162,7 +161,7 @@ int runCoordinate(std::size_t shards, std::uint16_t port,
 
 int main(int argc, char** argv) {
   ArgParser args("mpcspan_worker",
-                 "TCP shard worker / rendezvous coordinator (see "
+                 "shard worker / tcp rendezvous coordinator (see "
                  "src/runtime/shard/tcp_transport.hpp)");
   args.flag("connect", "", "coordinator rendezvous endpoint host:port")
       .flag("shard", "0", "shard id to attach as (--connect mode)")
@@ -171,7 +170,7 @@ int main(int argc, char** argv) {
             "worker mode)")
       .flag("port", "0", "rendezvous port to listen on (--coordinate mode)")
       .flag("local", "false",
-            "--coordinate with fork()ed local tcp workers instead of remote "
+            "--coordinate with fork()ed loopback workers instead of remote "
             "attaches (checksum reference)")
       .flag("machines", "8", "simulated machines (--coordinate mode)")
       .flag("rounds", "6", "probe kernel rounds to drive (--coordinate mode)")
