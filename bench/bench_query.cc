@@ -1,9 +1,8 @@
 // Query-path benchmark: per-tier latency and end-to-end tiered throughput.
 //
 // Builds one artifact (tradeoff spanner + TZ sketches), assembles the
-// canonical serving stack (sketch -> spanner-cache -> exact), then measures:
-//   - per-tier p50/p99 query latency, each tier driven directly with a
-//     workload it can answer (the spanner tier from warmed sources),
+// canonical serving stack (sketch -> exact), then measures:
+//   - per-tier p50/p99 query latency, each tier driven directly,
 //   - tiered qps + latency percentiles at 1 thread and at the default pool
 //     width, concurrent clients hammering one TieredOracle.
 //
@@ -15,6 +14,7 @@
 
 #include "bench/bench_common.hpp"
 #include "query/build.hpp"
+#include "runtime/thread_pool.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -35,7 +35,7 @@ std::vector<double> sampleLatencies(const query::DistanceProvider& p,
   double sink = 0;  // defeat dead-code elimination
   for (const auto& [u, v] : pairs) {
     const auto t0 = Clock::now();
-    sink += p.tryQuery(u, v);
+    sink += p.query(u, v);
     us.push_back(usSince(t0));
   }
   if (sink == 42.5) std::printf("!");
@@ -65,38 +65,21 @@ int main() {
   plan.algo = "tradeoff";
   plan.k = 6;
   plan.sketchK = 3;
-  plan.cacheSources = 256;
   const query::QueryArtifact a = query::buildArtifact(g, plan);
   std::printf("artifact: n=%zu m=%zu, spanner %zu edges, sketch %zu entries\n",
               n, m, a.spannerEdges.size(), a.sketches.totalBunchEntries());
 
   query::QueryPlane plane = query::makeQueryPlane(a);
 
-  // Warm the oracle from a small source pool so the spanner-cache tier has
-  // resident rows to answer from.
-  runtime::ThreadPool pool;
-  std::vector<VertexId> warmPool;
-  Rng wrng(99);
-  for (std::size_t i = 0; i < 128; ++i)
-    warmPool.push_back(static_cast<VertexId>(wrng.next(n)));
-  plane.oracle->warm(warmPool, pool);
-
-  // --- Per-tier latency, each tier driven with answerable load. ---
+  // --- Per-tier latency, each tier driven directly. ---
   struct TierRun {
     const char* label;
     const query::DistanceProvider* provider;
     std::vector<query::QueryPair> pairs;
   };
-  // Spanner tier: sources from the warm pool, so cached rows answer.
-  std::vector<query::QueryPair> warmPairs;
-  Rng prng(5);
-  for (std::size_t i = 0; i < 20000; ++i)
-    warmPairs.push_back({warmPool[prng.next(warmPool.size())],
-                         static_cast<VertexId>(prng.next(n))});
   std::vector<TierRun> runs;
   runs.push_back({"sketch", &plane.tiered->tier(0), randomPairs(20000, n, 11)});
-  runs.push_back({"spanner-cache", &plane.tiered->tier(1), std::move(warmPairs)});
-  runs.push_back({"exact", &plane.tiered->tier(2), randomPairs(300, n, 13)});
+  runs.push_back({"exact", &plane.tiered->tier(1), randomPairs(300, n, 13)});
 
   std::printf("\n%-14s %8s %10s %10s\n", "tier", "queries", "p50-us", "p99-us");
   for (std::size_t i = 0; i < runs.size(); ++i) {

@@ -7,6 +7,7 @@
 #include "apsp/apsp_mpc.hpp"
 #include "bench/bench_common.hpp"
 #include "graph/distance.hpp"
+#include "runtime/thread_pool.hpp"
 #include "util/stats.hpp"
 
 using namespace mpcspan;
@@ -15,23 +16,25 @@ using namespace mpcspan::bench;
 namespace {
 
 // Mean/max approximation ratio over all pairs from a few sources. The
-// oracle side runs its Dijkstras in parallel (warm), as every machine of
-// the model computes locally at once.
-std::pair<double, double> auditApprox(const Graph& g, MpcApspResult& r,
+// oracle's Dijkstras run in parallel, as every machine of the model
+// computes locally at once.
+std::pair<double, double> auditApprox(const Graph& g, const MpcApspResult& r,
                                       std::size_t sources) {
-  std::vector<double> ratios;
   Rng rng(99);
   std::vector<VertexId> srcs;
   for (std::size_t s = 0; s < sources; ++s)
     srcs.push_back(static_cast<VertexId>(rng.next(g.numVertices())));
+  std::vector<std::vector<Weight>> approxRows(srcs.size());
   runtime::ThreadPool pool;
-  r.oracle.warm(srcs, pool);
-  for (const VertexId src : srcs) {
-    const auto exact = dijkstra(g, src);
-    const auto approxRow = r.oracle.distancesFrom(src);
-    const auto& approx = *approxRow;
+  pool.parallelFor(srcs.size(), [&](std::size_t i) {
+    approxRows[i] = r.oracle.distancesFrom(srcs[i]);
+  });
+  std::vector<double> ratios;
+  for (std::size_t i = 0; i < srcs.size(); ++i) {
+    const auto exact = dijkstra(g, srcs[i]);
+    const auto& approx = approxRows[i];
     for (VertexId v = 0; v < g.numVertices(); ++v)
-      if (v != src && exact[v] != kInfDist && exact[v] > 0)
+      if (v != srcs[i] && exact[v] != kInfDist && exact[v] > 0)
         ratios.push_back(approx[v] / exact[v]);
   }
   const Summary s = summarize(ratios);
@@ -54,7 +57,7 @@ int main() {
       MpcApspParams p;
       p.t = t;
       p.seed = 21;
-      MpcApspResult r = runMpcApsp(g, p);
+      const MpcApspResult r = runMpcApsp(g, p);
       const auto [mean, mx] = auditApprox(g, r, /*sources=*/4);
       table.addRow({Table::num(n), Table::num(g.numEdges()),
                     Table::num(int(r.tUsed)), Table::num(int(r.kUsed)),

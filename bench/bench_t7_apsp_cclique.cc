@@ -26,7 +26,7 @@ int main() {
     double worst = 1.0;
     for (VertexId src : {VertexId(0), VertexId(n / 2)}) {
       const auto exact = dijkstra(g, src);
-      const auto approx = r.distancesFrom(g, src);
+      const auto approx = r.oracle.distancesFrom(src);
       for (VertexId v = 0; v < g.numVertices(); ++v)
         if (v != src && exact[v] != kInfDist && exact[v] > 0)
           worst = std::max(worst, approx[v] / exact[v]);
@@ -34,9 +34,9 @@ int main() {
     table.addRow({Table::num(n), Table::num(g.numEdges()), Table::num(int(r.kUsed)),
                   Table::num(int(r.tUsed)), Table::num(r.spannerRounds),
                   Table::num(r.collectRounds), Table::num(r.totalRounds),
-                  Table::num(r.spanner.edges.size()),
-                  Table::num(double(r.spanner.edges.size()) / double(n), 2),
-                  Table::num(r.spanner.repetition.iterationsWithRetry),
+                  Table::num(r.oracle.spanner().edges.size()),
+                  Table::num(double(r.oracle.spanner().edges.size()) / double(n), 2),
+                  Table::num(r.oracle.spanner().repetition.iterationsWithRetry),
                   Table::num(worst, 2)});
   }
 
@@ -49,7 +49,7 @@ int main() {
   std::vector<double> sizes;
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     const CcApspResult r = runCcApsp(g, {.seed = seed});
-    sizes.push_back(double(r.spanner.edges.size()));
+    sizes.push_back(double(r.oracle.spanner().edges.size()));
   }
   const Summary s = summarize(sizes);
   std::printf("\nw.h.p. size across 10 seeds (n=%zu): min=%.0f p50=%.0f max=%.0f "

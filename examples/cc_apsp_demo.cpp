@@ -11,6 +11,7 @@
 #include <cstdlib>
 
 #include "cclique/apsp_cc.hpp"
+#include "cclique/clique.hpp"
 #include "graph/distance.hpp"
 #include "graph/generators.hpp"
 
@@ -27,11 +28,11 @@ int main(int argc, char** argv) {
   const CcApspResult r = runCcApsp(g, {.seed = 9});
   std::printf("spanner: k=%u t=%u -> %zu edges; %ld construction rounds "
               "(incl. 2/iteration repetition overhead), %ld collection rounds\n",
-              r.kUsed, r.tUsed, r.spanner.edges.size(), r.spannerRounds,
+              r.kUsed, r.tUsed, r.oracle.spanner().edges.size(), r.spannerRounds,
               r.collectRounds);
   std::printf("total: %ld clique rounds; retried iterations: %ld of %zu\n",
-              r.totalRounds, r.spanner.repetition.iterationsWithRetry,
-              r.spanner.iterations);
+              r.totalRounds, r.oracle.spanner().repetition.iterationsWithRetry,
+              r.oracle.spanner().iterations);
 
   // The naive alternative: every node learns the whole graph.
   CongestedClique naive(n);
@@ -40,7 +41,7 @@ int main(int argc, char** argv) {
               static_cast<double>(naiveRounds) / static_cast<double>(r.totalRounds));
 
   // Sample a query from node 0's local table.
-  const auto approx = r.distancesFrom(g, 0);
+  const auto approx = r.oracle.distancesFrom(0);
   const auto exact = dijkstra(g, 0);
   double worst = 1.0;
   for (VertexId v = 1; v < g.numVertices(); v += 131)

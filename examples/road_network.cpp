@@ -41,8 +41,7 @@ int main(int argc, char** argv) {
   for (int q = 0; q < 5; ++q) {
     const auto src = static_cast<VertexId>(qrng.next(g.numVertices()));
     const auto exact = dijkstra(g, src);
-    const auto approxRow = r.oracle.distancesFrom(src);
-    const auto& approx = *approxRow;
+    const auto approx = r.oracle.distancesFrom(src);
     for (VertexId v = 0; v < g.numVertices(); v += 97)
       if (v != src && exact[v] != kInfDist && exact[v] > 0)
         ratios.push_back(approx[v] / exact[v]);

@@ -31,8 +31,7 @@ MpcApspResult runMpcApsp(const Graph& g, const MpcApspParams& params) {
   const bool fits = 2 * spanner.edges.size() <= memWords;
 
   MpcApspResult out{
-      SpannerDistanceOracle(g, std::move(spanner),
-                            /*cacheSources=*/std::max<std::size_t>(64, 4)),
+      SpannerDistanceOracle(g, std::move(spanner)),
       kUsed,
       tUsed,
       rounds,

@@ -1,54 +1,19 @@
 #include "apsp/oracle.hpp"
 
-#include <unordered_set>
-
 #include "graph/connectivity.hpp"
 #include "graph/distance.hpp"
 
 namespace mpcspan {
 
-SpannerDistanceOracle::SpannerDistanceOracle(const Graph& g, SpannerResult spanner,
-                                             std::size_t cacheSources)
-    : spanner_(std::move(spanner)),
-      h_(subgraph(g, spanner_.edges)),
-      cache_(cacheSources) {}
+SpannerDistanceOracle::SpannerDistanceOracle(const Graph& g, SpannerResult spanner)
+    : spanner_(std::move(spanner)), h_(subgraph(g, spanner_.edges)) {}
 
-std::size_t SpannerDistanceOracle::warm(const std::vector<VertexId>& sources,
-                                        runtime::ThreadPool& pool) {
-  std::vector<VertexId> missing;
-  missing.reserve(sources.size());
-  std::unordered_set<VertexId> seen;
-  for (VertexId s : sources)
-    if (seen.insert(s).second && !cache_.contains(s)) missing.push_back(s);
-  // Never compute more than the cache retains: sources past the capacity
-  // are dropped (and reported via the return value) rather than churning
-  // rows warmed moments ago out of the LRU.
-  if (missing.size() > cache_.capacity()) missing.resize(cache_.capacity());
-  if (missing.empty()) return 0;
-  std::vector<std::vector<Weight>> dist(missing.size());
-  pool.parallelFor(missing.size(),
-                   [&](std::size_t i) { dist[i] = dijkstra(h_, missing[i]); });
-  // Insertion order follows `sources`, independent of the thread count.
-  for (std::size_t i = 0; i < missing.size(); ++i)
-    cache_.insertOrGet(missing[i],
-                       std::make_shared<const std::vector<Weight>>(
-                           std::move(dist[i])));
-  return missing.size();
-}
-
-SpannerDistanceOracle::DistRow SpannerDistanceOracle::distancesFrom(
-    VertexId src) const {
-  return cache_.getOrCompute(src, [&] { return dijkstra(h_, src); });
-}
-
-SpannerDistanceOracle::DistRow SpannerDistanceOracle::cachedDistancesFrom(
-    VertexId src) const {
-  return cache_.get(src);
+std::vector<Weight> SpannerDistanceOracle::distancesFrom(VertexId src) const {
+  return dijkstra(h_, src);
 }
 
 Weight SpannerDistanceOracle::query(VertexId u, VertexId v) const {
-  if (u == v) return 0;
-  return (*distancesFrom(u))[v];
+  return dijkstraPair(h_, u, v);
 }
 
 }  // namespace mpcspan

@@ -1,69 +1,37 @@
-// SpannerDistanceOracle — the local half of the Section 7 APSP application:
-// once the near-linear-size spanner sits on one machine, that machine
-// answers any distance query by Dijkstra on the spanner.
+// SpannerDistanceOracle — the local half of the Section 7 (MPC) and Section 8
+// (Congested Clique) APSP applications: once the near-linear-size spanner H
+// sits on one machine, that machine answers any distance query by Dijkstra
+// on H.
 //
-// The per-source result rows live in a sharded, bounded LRU cache
-// (util/lru_cache.hpp), so the oracle is a *concurrent* serving structure:
-// query()/distancesFrom() are const and safe to call from any number of
-// threads, including while warm() is filling the cache from another thread.
-// Rows are handed out as shared_ptr — eviction never invalidates a row a
-// caller still holds.
+// The oracle is immutable after construction, so query()/distancesFrom()
+// are const and safe to call from any number of threads.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "runtime/thread_pool.hpp"
 #include "spanner/types.hpp"
-#include "util/lru_cache.hpp"
 
 namespace mpcspan {
 
 class SpannerDistanceOracle {
  public:
-  /// One cached row: all spanner distances from a source.
-  using DistRow = std::shared_ptr<const std::vector<Weight>>;
-
   /// Takes the host graph (for vertex count / ids) and the spanner to
-  /// answer from. `cacheSources` bounds the number of cached Dijkstra runs.
-  SpannerDistanceOracle(const Graph& g, SpannerResult spanner,
-                        std::size_t cacheSources = 64);
+  /// answer from.
+  SpannerDistanceOracle(const Graph& g, SpannerResult spanner);
 
   const SpannerResult& spanner() const { return spanner_; }
   const Graph& spannerGraph() const { return h_; }
 
-  /// Upper bound on d_G(u,v): the spanner distance. kInfDist if
-  /// disconnected. Thread-safe; computes (and caches) the source row on a
-  /// cache miss.
+  /// Upper bound on d_G(u,v): the spanner distance d_H(u,v), by one
+  /// bidirectional dijkstraPair on H (bit-identical to
+  /// distancesFrom(u)[v] up to float ties, see graph/distance.hpp).
+  /// kInfDist if disconnected.
   Weight query(VertexId u, VertexId v) const;
 
-  /// All approximate distances from src. Computes and caches on miss;
-  /// the returned row stays valid after eviction. Thread-safe.
-  DistRow distancesFrom(VertexId src) const;
-
-  /// Cache-only probe: the row for src if resident (promoted to MRU),
-  /// nullptr otherwise — never runs a Dijkstra. This is the "answer only
-  /// from warm cache" mode the tiered query plane uses to keep its middle
-  /// tier O(1). Thread-safe.
-  DistRow cachedDistancesFrom(VertexId src) const;
-
-  /// Fills the cache for `sources` with one Dijkstra per source, run in
-  /// parallel on `pool` — the "every node computes locally at once" step of
-  /// the APSP applications. At most cacheCapacity() distinct uncached
-  /// sources are warmed (the cache never computes more than it can retain);
-  /// the rest fall back to lazy computation in distancesFrom. Returns the
-  /// number of rows actually computed and inserted by this call. Safe to
-  /// run while other threads query.
-  std::size_t warm(const std::vector<VertexId>& sources,
-                   runtime::ThreadPool& pool);
-
-  std::size_t cacheCapacity() const { return cache_.capacity(); }
-  /// Resident row count (O(shards); locks each cache shard).
-  std::size_t cachedRows() const { return cache_.size(); }
-  std::uint64_t cacheHits() const { return cache_.hits(); }
-  std::uint64_t cacheMisses() const { return cache_.misses(); }
+  /// All spanner distances from src: one Dijkstra on H.
+  std::vector<Weight> distancesFrom(VertexId src) const;
 
   /// Memory footprint of the spanner in words (2 per edge), the quantity
   /// that must fit one machine in the near-linear regime.
@@ -72,7 +40,6 @@ class SpannerDistanceOracle {
  private:
   SpannerResult spanner_;
   Graph h_;
-  mutable ShardedLruCache<VertexId, std::vector<Weight>> cache_;
 };
 
 }  // namespace mpcspan

@@ -2,12 +2,12 @@
 // Clique. Build the Theorem 8.1 spanner with k = ceil(log2 n) and
 // t = O(log log n), let every node learn the whole spanner via Lenzen
 // routing (ceil(2|E_S|/(n-1)) + O(1) rounds — 2 words per edge), then each
-// node runs Dijkstra locally.
+// node runs Dijkstra locally: the same SpannerDistanceOracle the MPC
+// application (apsp/apsp_mpc.hpp) answers from.
 #pragma once
 
-#include "cclique/clique.hpp"
+#include "apsp/oracle.hpp"
 #include "graph/graph.hpp"
-#include "spanner/types.hpp"
 
 namespace mpcspan {
 
@@ -21,17 +21,15 @@ struct CcApspParams {
 };
 
 struct CcApspResult {
-  SpannerResult spanner;
+  /// The collected spanner; distancesFrom(src) is exactly what every clique
+  /// node computes locally.
+  SpannerDistanceOracle oracle;
   long spannerRounds = 0;   // clique rounds of the construction
   long collectRounds = 0;   // Lenzen collection of the spanner
   long totalRounds = 0;
   std::uint32_t kUsed = 0;
   std::uint32_t tUsed = 0;
   double approxBound = 0;   // the spanner's certified stretch bound
-
-  /// Approximate distances from `src` (Dijkstra on the collected spanner,
-  /// exactly what every clique node computes locally).
-  std::vector<Weight> distancesFrom(const Graph& g, VertexId src) const;
 };
 
 CcApspResult runCcApsp(const Graph& g, const CcApspParams& params);

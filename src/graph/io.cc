@@ -1,5 +1,6 @@
 #include "graph/io.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <fstream>
@@ -258,25 +259,33 @@ std::string BinReader::str(std::uint64_t maxLen) {
   return s;
 }
 
-std::vector<std::uint32_t> BinReader::u32Vec(std::uint64_t maxCount) {
+namespace {
+// Elements a reader sizes a container for ahead of the bytes that fill it.
+constexpr std::uint64_t kGrowChunk = 1u << 16;
+}  // namespace
+
+template <typename T>
+std::vector<T> BinReader::vec(std::uint64_t maxCount) {
   const std::uint64_t c = count(maxCount);
-  std::vector<std::uint32_t> xs(static_cast<std::size_t>(c));
-  for (auto& x : xs) x = u32();
+  std::vector<T> xs;
+  while (xs.size() < c) {
+    const std::size_t at = xs.size();
+    xs.resize(at + static_cast<std::size_t>(std::min(kGrowChunk, c - at)));
+    bytes(xs.data() + at, (xs.size() - at) * sizeof(T));
+  }
   return xs;
+}
+
+std::vector<std::uint32_t> BinReader::u32Vec(std::uint64_t maxCount) {
+  return vec<std::uint32_t>(maxCount);
 }
 
 std::vector<std::uint64_t> BinReader::u64Vec(std::uint64_t maxCount) {
-  const std::uint64_t c = count(maxCount);
-  std::vector<std::uint64_t> xs(static_cast<std::size_t>(c));
-  for (auto& x : xs) x = u64();
-  return xs;
+  return vec<std::uint64_t>(maxCount);
 }
 
 std::vector<double> BinReader::f64Vec(std::uint64_t maxCount) {
-  const std::uint64_t c = count(maxCount);
-  std::vector<double> xs(static_cast<std::size_t>(c));
-  for (auto& x : xs) x = f64();
-  return xs;
+  return vec<double>(maxCount);
 }
 
 void BinReader::expectEof() {
@@ -309,28 +318,32 @@ void writeGraphBinary(const Graph& g, std::ostream& out) {
   }
 }
 
-Graph readGraphBinary(std::istream& in) {
+Graph readGraphBinary(std::istream& in, std::uint64_t maxVertices) {
   BinReader r(in, "binary graph");
   if (r.u32() != kGraphMagic) r.fail("bad magic (not an mpcspan binary graph)");
   const std::uint32_t version = r.u32();
   if (version != kGraphVersion)
     r.fail("unsupported version " + std::to_string(version));
-  const std::uint64_t n = r.count();
+  const std::uint64_t n = r.count(std::min(maxVertices, BinReader::kMaxCount));
   const std::uint64_t m = r.count();
   std::vector<Edge> edges;
-  edges.reserve(static_cast<std::size_t>(m));
+  edges.reserve(static_cast<std::size_t>(std::min(m, kGrowChunk)));
   for (std::uint64_t i = 0; i < m; ++i) {
     Edge e;
     e.u = r.u32();
     e.v = r.u32();
     e.w = r.f64();
     if (e.u >= n || e.v >= n) r.fail("edge endpoint out of range");
+    if (e.u >= e.v || (!edges.empty() && (e.u < edges.back().u ||
+                                           (e.u == edges.back().u &&
+                                            e.v <= edges.back().v))))
+      r.fail("edge list not canonical (want u < v, (u, v) strictly increasing)");
     if (!(e.w > 0.0) || !std::isfinite(e.w))
       r.fail("edge weight must be positive and finite");
     edges.push_back(e);
   }
-  // graphFromEdges re-canonicalizes; a Graph's own edges are already
-  // canonical, so ids round-trip unchanged.
+  // The edges are canonical, so graphFromEdges keeps them (and their ids)
+  // exactly as read.
   return graphFromEdges(static_cast<std::size_t>(n), edges);
 }
 

@@ -40,10 +40,11 @@ Graph readSnapDimacs(std::istream& in);
 Graph readSnapDimacsFile(const std::string& path);
 
 /// Little-endian binary serialization primitives with explicit bounds
-/// checks: every read validates the stream state and every count is capped
-/// before sizing a container, so truncated or corrupt inputs surface as
-/// std::runtime_error instead of huge allocations or partially valid
-/// objects.
+/// checks: every read validates the stream state, every count is capped,
+/// and a container grows only as its bytes actually arrive (at most one
+/// 64Ki-element chunk ahead of them), so truncated or corrupt inputs
+/// surface as std::runtime_error instead of huge allocations or partially
+/// valid objects.
 class BinWriter {
  public:
   explicit BinWriter(std::ostream& out) : out_(out) {}
@@ -82,14 +83,21 @@ class BinReader {
 
  private:
   void bytes(void* dst, std::size_t len);
+  template <typename T>
+  std::vector<T> vec(std::uint64_t maxCount);
 
   std::istream& in_;
   const char* what_;
 };
 
 /// Binary graph: "MPGB" magic, format version, n, m, canonical (u, v, w)
-/// edge triples. Round-trips a Graph exactly (edge ids included).
+/// edge triples. Round-trips a Graph exactly (edge ids included). The
+/// reader rejects an edge list that is not canonical (u < v, (u, v)
+/// strictly increasing), so whatever loads re-saves to the same bytes. The
+/// CSR is sized by n, which the section's own bytes do not bound; a
+/// container format that does bound it passes `maxVertices`.
 void writeGraphBinary(const Graph& g, std::ostream& out);
-Graph readGraphBinary(std::istream& in);
+Graph readGraphBinary(std::istream& in,
+                      std::uint64_t maxVertices = BinReader::kMaxCount);
 
 }  // namespace mpcspan

@@ -54,34 +54,4 @@ Weight SketchDistanceProvider::query(VertexId u, VertexId v) const {
   return sk_->query(u, v);
 }
 
-SpannerOracleProvider::SpannerOracleProvider(
-    std::shared_ptr<const SpannerDistanceOracle> oracle, Mode mode,
-    double stretchOverride)
-    : oracle_(std::move(oracle)), mode_(mode), stretch_(stretchOverride) {
-  requireNonNull(oracle_, "SpannerOracleProvider");
-  if (stretch_ <= 0) stretch_ = oracle_->spanner().stretchBound;
-  if (stretch_ <= 0) stretch_ = 1.0;  // identity spanner at k == 1
-}
-
-SpannerOracleProvider::SpannerOracleProvider(
-    const SpannerDistanceOracle& oracle, Mode mode, double stretchOverride)
-    : SpannerOracleProvider(unowned(oracle), mode, stretchOverride) {}
-
-Weight SpannerOracleProvider::query(VertexId u, VertexId v) const {
-  return oracle_->query(u, v);
-}
-
-Weight SpannerOracleProvider::tryQuery(VertexId u, VertexId v) const {
-  if (mode_ == Mode::kCompute) return oracle_->query(u, v);
-  if (u == v) return 0;
-  const auto row = oracle_->cachedDistancesFrom(u);
-  if (!row) return kNoAnswer;
-  return (*row)[v];
-}
-
-std::size_t SpannerOracleProvider::memoryWords() const {
-  return oracle_->spannerWords() +
-         oracle_->cachedRows() * oracle_->spannerGraph().numVertices();
-}
-
 }  // namespace mpcspan::query

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -71,6 +72,19 @@ namespace {
 constexpr std::uint32_t kArtifactMagic = 0x4151504du;  // "MPQA" little-endian
 constexpr std::uint32_t kArtifactVersion = 1;
 constexpr std::uint64_t kMaxSketchK = 4096;  // plausibility cap on levels
+
+/// Bytes between the read position and the end of `in`; unbounded when
+/// the stream cannot seek.
+std::uint64_t bytesLeft(std::istream& in) {
+  constexpr std::uint64_t kUnbounded = std::numeric_limits<std::uint64_t>::max();
+  const std::istream::pos_type at = in.tellg();
+  if (at < 0) return kUnbounded;
+  in.seekg(0, std::ios::end);
+  const std::istream::pos_type end = in.tellg();
+  in.seekg(at);
+  if (end < at || !in) return kUnbounded;
+  return static_cast<std::uint64_t>(end - at);
+}
 }  // namespace
 
 void saveArtifact(const QueryArtifact& a, std::ostream& out) {
@@ -113,7 +127,11 @@ QueryArtifact loadArtifact(std::istream& in) {
   if (version != kArtifactVersion)
     r.fail("unsupported version " + std::to_string(version));
 
-  Graph graph = readGraphBinary(in);
+  // A valid artifact holds at least 32 bytes per vertex after this point
+  // (the sketch tables' k+1 >= 2 rows each of n f64 pivot distances and n
+  // u32 pivots, and n+1 u64 bunch offsets), so the graph's CSR is never
+  // sized by a vertex count the stream cannot back.
+  Graph graph = readGraphBinary(in, bytesLeft(in) / 32);
   const std::size_t m = graph.numEdges();
 
   std::string algorithm = r.str(256);
@@ -192,23 +210,9 @@ QueryPlane makeQueryPlane(const QueryArtifact& a) {
   plane.graph = std::make_shared<const Graph>(a.graph);
   plane.sketches = std::make_shared<const DistanceSketches>(a.sketches);
 
-  SpannerResult sr;
-  sr.edges = a.spannerEdges;
-  sr.algorithm = a.algorithm;
-  sr.k = a.k;
-  sr.t = a.t;
-  sr.stretchBound = a.spannerStretch;
-  sr.inputVertices = a.graph.numVertices();
-  sr.inputEdges = a.graph.numEdges();
-  plane.oracle = std::make_shared<SpannerDistanceOracle>(
-      *plane.graph, std::move(sr), a.cacheSources);
-
   std::vector<std::shared_ptr<const DistanceProvider>> tiers;
   tiers.push_back(
       std::make_shared<SketchDistanceProvider>(plane.sketches, a.composedStretch));
-  tiers.push_back(std::make_shared<SpannerOracleProvider>(
-      std::shared_ptr<const SpannerDistanceOracle>(plane.oracle),
-      SpannerOracleProvider::Mode::kCachedOnly, a.spannerStretch));
   tiers.push_back(std::make_shared<ExactDistanceProvider>(plane.graph));
   plane.tiered = std::make_shared<TieredOracle>(std::move(tiers));
   return plane;

@@ -7,13 +7,11 @@
 // everything serving needs in one QueryArtifact. The artifact
 // saves to a versioned binary file (BinWriter/BinReader, graph/io.hpp) and
 // loads back without *any* recomputation: sketches are adopted from their
-// serialized tables, the oracle rebuilt from the stored spanner edge ids.
-// An artifact built by the distributed sharded pipeline is served
-// identically to a host-built one.
+// serialized tables. An artifact built by the distributed sharded pipeline
+// is served identically to a host-built one.
 //
 // makeQueryPlane assembles the serving stack from a loaded (or
-// freshly built) artifact: sketch -> spanner-cache -> exact, wired into a
-// TieredOracle.
+// freshly built) artifact: sketch -> exact, wired into a TieredOracle.
 //
 // File layout (little-endian; all counts bounds-checked on load, any
 // truncation or corruption throws std::runtime_error before any partially
@@ -24,7 +22,8 @@
 //                       edge-id vec (validated < m)
 //   sketch section      params (k u32, seed u64), composed stretch f64,
 //                       SketchTables (validated by the adopting ctor)
-//   serving section     cacheSources u64, buildRounds u64, wordsMoved u64
+//   serving section     cacheSources u64 (unread, see BuildPlan), buildRounds
+//                       u64, wordsMoved u64
 //   EOF                 (trailing bytes are an error)
 #pragma once
 
@@ -33,7 +32,6 @@
 #include <string>
 #include <vector>
 
-#include "apsp/oracle.hpp"
 #include "apsp/sketches.hpp"
 #include "graph/graph.hpp"
 #include "query/adapters.hpp"
@@ -59,7 +57,10 @@ struct BuildPlan {
   std::uint64_t seed = 1;
   std::uint32_t sketchK = 3;
   std::uint64_t sketchSeed = 1;
-  std::size_t cacheSources = 64;  // oracle LRU capacity when serving
+  // Unread. It still rides in the MPQA serving section (and e2ebench
+  // passes it through) so that the artifact format and its version stay as
+  // they are; it goes with the next artifact version.
+  std::size_t cacheSources = 64;
   std::size_t threads = 0;        // dist-*: simulator stepping threads
   std::size_t shards = 0;         // dist-*: simulator shards
   double gamma = 0.5;             // dist-*: machine memory exponent
@@ -81,7 +82,7 @@ struct QueryArtifact {
   SketchParams sketchParams;
   double composedStretch = 0;  // sketch stretch * spanner stretch
   DistanceSketches sketches;   // built on the spanner subgraph
-  std::size_t cacheSources = 64;
+  std::size_t cacheSources = 64;  // unread; see BuildPlan::cacheSources
   std::size_t buildRounds = 0;  // dist-*: simulator communication rounds
   std::size_t wordsMoved = 0;   // dist-*: total words routed
 };
@@ -94,20 +95,17 @@ void saveArtifactFile(const QueryArtifact& a, const std::string& path);
 QueryArtifact loadArtifactFile(const std::string& path);
 
 /// The assembled serving stack. Owns all backing structures; `tiered` is
-/// the entry point. `oracle` is exposed so callers can warm its cache.
+/// the entry point.
 struct QueryPlane {
   std::shared_ptr<const Graph> graph;
   std::shared_ptr<const DistanceSketches> sketches;
-  std::shared_ptr<SpannerDistanceOracle> oracle;
   std::shared_ptr<TieredOracle> tiered;
 };
 
-/// Assembles sketch -> spanner-cache -> exact over the artifact's
-/// structures. The middle tier answers only from resident cache rows and
-/// declines otherwise: a cold spanner row costs more than the exact tier's
-/// bidirectional Dijkstra, which backstops cold pairs at stretch 1.
-/// Copies the artifact's graph and sketches into shared ownership; the
-/// artifact itself need not outlive the plane.
+/// Assembles sketch -> exact over the artifact's structures: the sketch
+/// floor at the composed stretch, then bidirectional Dijkstra on the input
+/// graph at stretch 1. Copies the artifact's graph and sketches into shared
+/// ownership; the artifact itself need not outlive the plane.
 QueryPlane makeQueryPlane(const QueryArtifact& a);
 
 }  // namespace mpcspan::query

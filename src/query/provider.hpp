@@ -6,17 +6,10 @@
 //  - query(u, v) returns an estimate d with d(u,v) <= d <= stretchBound() *
 //    d(u,v) for connected pairs, kInfDist for disconnected pairs, and 0 for
 //    u == v.
+//  - query() always answers; a provider cannot decline a pair.
 //  - All query methods are const and thread-safe: any number of threads may
-//    call them concurrently, including concurrently with provider-specific
-//    mutation entry points that declare themselves concurrent-safe (e.g.
-//    SpannerDistanceOracle::warm). Implementations achieve this with
-//    immutable state or internal synchronization — callers never lock.
-//  - tryQuery(u, v) additionally may *decline*: it returns kNoAnswer when
-//    this provider cannot answer the pair cheaply (e.g. a cache-only tier
-//    whose row is cold). query() never declines.
-//
-// kInfDist is an answer ("disconnected"), kNoAnswer is the absence of one;
-// composite providers (TieredOracle) rely on the distinction.
+//    call them concurrently. Implementations achieve this with immutable
+//    state or internal synchronization — callers never lock.
 #pragma once
 
 #include <cstdint>
@@ -29,28 +22,20 @@
 
 namespace mpcspan::query {
 
-/// Sentinel returned by tryQuery when a provider declines to answer.
-/// Distances are always >= 0, so -1 is unambiguous.
-inline constexpr Weight kNoAnswer = -1.0;
-
 using QueryPair = std::pair<VertexId, VertexId>;
 
 class DistanceProvider {
  public:
   virtual ~DistanceProvider() = default;
 
-  /// Short stable identifier ("exact", "sketch", "spanner-cache", ...).
+  /// Short stable identifier ("exact", "sketch", ...).
   virtual std::string name() const = 0;
 
   /// Vertex count of the universe this provider answers over.
   virtual std::size_t numVertices() const = 0;
 
-  /// Distance estimate per the contract above. Never returns kNoAnswer.
+  /// Distance estimate per the contract above.
   virtual Weight query(VertexId u, VertexId v) const = 0;
-
-  /// Like query(), but may return kNoAnswer to decline the pair. The
-  /// default never declines.
-  virtual Weight tryQuery(VertexId u, VertexId v) const { return query(u, v); }
 
   /// query() for each pairs[i] into out[i]. out.size() must equal
   /// pairs.size(). The default loops over query(); implementations may

@@ -23,13 +23,12 @@ std::size_t TieredOracle::numVertices() const {
   return tiers_.front()->numVertices();
 }
 
-Weight TieredOracle::timedTryQuery(std::size_t i, VertexId u,
-                                   VertexId v) const {
+Weight TieredOracle::timedQuery(std::size_t i, VertexId u, VertexId v) const {
   using Clock = std::chrono::steady_clock;
   Counters& c = counters_[i];
   c.attempts.fetch_add(1, std::memory_order_relaxed);
   const auto t0 = Clock::now();
-  const Weight w = tiers_[i]->tryQuery(u, v);
+  const Weight w = tiers_[i]->query(u, v);
   const auto dt = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - t0)
           .count());
@@ -47,52 +46,41 @@ std::uint64_t TieredOracle::meanTierNanos(std::size_t i) const {
 Weight TieredOracle::query(VertexId u, VertexId v) const {
   queries_.fetch_add(1, std::memory_order_relaxed);
   const std::size_t last = tiers_.size() - 1;
-  for (std::size_t i = 0; i <= last; ++i) {
-    const Weight w = timedTryQuery(i, u, v);
-    // Accept unless declined, or "infinite" from a non-final tier (whose
-    // approximation may simply not reach the pair).
-    if (w != kNoAnswer && (i == last || w != kInfDist)) {
+  for (std::size_t i = 0;; ++i) {
+    const Weight w = timedQuery(i, u, v);
+    // "Infinite" from a non-final tier falls through: its approximation
+    // may simply not reach the pair.
+    if (i == last || w != kInfDist) {
       counters_[i].hits.fetch_add(1, std::memory_order_relaxed);
       return w;
     }
   }
-  // Every tier declined (possible only when the last tier's tryQuery can
-  // decline); report disconnected.
-  return kInfDist;
 }
 
 BudgetedAnswer TieredOracle::queryBudgeted(
     VertexId u, VertexId v, const util::DeadlineBudget& budget) const {
   queries_.fetch_add(1, std::memory_order_relaxed);
   const std::size_t last = tiers_.size() - 1;
-  // Two passes: the budgeted walk, then — only if every admitted tier
-  // declined — a walk that ignores the budget (availability beats the
-  // deadline; unreachable with the canonical sketch floor).
-  for (const bool enforceBudget : {true, false}) {
-    bool skipped = false;
-    for (std::size_t i = last + 1; i-- > 0;) {
-      if (enforceBudget && i > 0 && budget.bounded()) {
-        const std::int64_t rem = budget.remainingNanos();
-        if (rem == 0 ||
-            meanTierNanos(i) > static_cast<std::uint64_t>(rem)) {
-          skipped = true;
-          continue;
-        }
+  bool skipped = false;
+  // Tier 0 is never skipped and always accepted, so the walk returns there
+  // at the latest.
+  for (std::size_t i = last;; --i) {
+    if (i > 0 && budget.bounded()) {
+      const std::int64_t rem = budget.remainingNanos();
+      if (rem == 0 || meanTierNanos(i) > static_cast<std::uint64_t>(rem)) {
+        skipped = true;
+        continue;
       }
-      const Weight w = timedTryQuery(i, u, v);
-      if (w == kNoAnswer) continue;
-      // kInfDist is authoritative from the strongest tier, and from the
-      // floor when nothing below remains to try; a mid-ladder "infinite"
-      // falls through to a cheaper tier (mirror of query()'s rule).
-      if (w == kInfDist && i != last && i != 0) continue;
-      counters_[i].hits.fetch_add(1, std::memory_order_relaxed);
-      const bool degraded = skipped;
-      if (degraded) degraded_.fetch_add(1, std::memory_order_relaxed);
-      return {w, static_cast<int>(i), degraded, tiers_[i]->stretchBound()};
     }
-    if (!skipped) break;  // a full walk already ran; nothing to retry
+    const Weight w = timedQuery(i, u, v);
+    // kInfDist is authoritative from the strongest tier, and from the floor
+    // when nothing below remains to try; a mid-ladder "infinite" falls
+    // through to a cheaper tier (mirror of query()'s rule).
+    if (w == kInfDist && i != last && i != 0) continue;
+    counters_[i].hits.fetch_add(1, std::memory_order_relaxed);
+    if (skipped) degraded_.fetch_add(1, std::memory_order_relaxed);
+    return {w, static_cast<int>(i), skipped, tiers_[i]->stretchBound()};
   }
-  return {kInfDist, -1, false, stretchBound()};
 }
 
 double TieredOracle::stretchBound() const {

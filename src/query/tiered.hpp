@@ -1,15 +1,13 @@
 // TieredOracle: a DistanceProvider composed of cheaper-to-costlier tiers.
 //
-// query(u, v) walks the tiers in order, calling tryQuery on each. A tier's
-// answer is accepted when it is not kNoAnswer and — for every tier but the
-// last — not kInfDist: a non-final tier saying "infinite" may just mean its
-// approximation can't see the connection (e.g. an eviction-cold cache), so
+// query(u, v) walks the tiers in order. A tier's answer is accepted unless
+// it is kInfDist from a tier before the last: a non-final tier saying
+// "infinite" may just mean its approximation cannot see the connection, so
 // the pair falls through to a stronger tier. The final tier's answer is
 // returned as-is (its kInfDist is authoritative: disconnected).
 //
 // The canonical stack (makeQueryPlane in build.hpp):
-//   sketch (O(k) lookup)  ->  spanner-cache (O(1), declines when cold)
-//     ->  exact (Dijkstra fallback).
+//   sketch (O(k) lookup, the floor)  ->  exact (Dijkstra).
 //
 // Per-tier attempt/hit/latency counters are relaxed atomics — query() is
 // const and thread-safe whenever every tier is (the provider contract).
@@ -30,7 +28,7 @@ struct TierStats {
   std::string name;
   std::uint64_t attempts = 0;
   std::uint64_t hits = 0;     // answers accepted from this tier
-  std::uint64_t nanos = 0;    // total time spent in this tier's tryQuery
+  std::uint64_t nanos = 0;    // total time spent in this tier's query
 };
 
 /// One coherent aggregate of every TieredOracle counter — what the serving
@@ -49,7 +47,7 @@ struct OracleSnapshot {
 /// stretch bound it guarantees.
 struct BudgetedAnswer {
   Weight dist = kInfDist;
-  int tier = -1;           // index into tier(); -1 = every tier declined
+  int tier = 0;            // index into tier()
   bool degraded = false;   // a more accurate tier was skipped for budget
   double stretch = 1.0;    // stretchBound() of the answering tier
 };
@@ -76,21 +74,18 @@ class TieredOracle final : public DistanceProvider {
   /// the ladder *costliest/most-accurate first* (maximize answer quality)
   /// and lets the budget prune it: a tier above the floor is entered only
   /// when the budget's remaining time covers that tier's observed mean
-  /// tryQuery latency (counter-derived; a tier with no samples yet is
-  /// always admitted — its first call seeds the estimate). Tier 0, the
-  /// cheapest, is the degradation floor and is never skipped.
+  /// query latency (counter-derived; a tier with no samples yet is always
+  /// admitted — its first call seeds the estimate). Tier 0, the cheapest,
+  /// is the degradation floor and is never skipped, so the walk always
+  /// answers.
   ///
-  /// Acceptance mirrors query(): kNoAnswer falls down the ladder, and
-  /// kInfDist is authoritative only from the strongest tier (or from the
-  /// floor, when nothing below remains to try). The answer is flagged
-  /// `degraded` when a more accurate tier was skipped for budget — the
-  /// caller gets the answering tier's certified stretchBound() alongside,
-  /// so a degraded reply is a weaker certificate, not a guess.
-  ///
-  /// If every admitted tier declines (impossible in the canonical stack —
-  /// the sketch floor always answers), the walk retries once ignoring the
-  /// budget: availability beats the deadline. An unbounded budget makes
-  /// this exactly "strongest tier answers".
+  /// Acceptance mirrors query(): kInfDist is authoritative only from the
+  /// strongest tier (or from the floor, when nothing below remains to try).
+  /// The answer is flagged `degraded` when a more accurate tier was skipped
+  /// for budget — the caller gets the answering tier's certified
+  /// stretchBound() alongside, so a degraded reply is a weaker certificate,
+  /// not a guess. An unbounded budget makes this exactly "strongest tier
+  /// answers".
   ///
   /// Thread-safe under the same contract as query().
   BudgetedAnswer queryBudgeted(VertexId u, VertexId v,
@@ -112,9 +107,9 @@ class TieredOracle final : public DistanceProvider {
     std::atomic<std::uint64_t> nanos{0};
   };
 
-  /// tryQuery on tier i with attempt/latency accounting (hit not counted).
-  Weight timedTryQuery(std::size_t i, VertexId u, VertexId v) const;
-  /// Observed mean tryQuery nanos of tier i; 0 until the first sample.
+  /// query on tier i with attempt/latency accounting (hit not counted).
+  Weight timedQuery(std::size_t i, VertexId u, VertexId v) const;
+  /// Observed mean query nanos of tier i; 0 until the first sample.
   std::uint64_t meanTierNanos(std::size_t i) const;
 
   std::vector<std::shared_ptr<const DistanceProvider>> tiers_;

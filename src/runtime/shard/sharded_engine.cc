@@ -15,6 +15,15 @@
 
 namespace mpcspan::runtime::shard {
 
+namespace {
+/// Closes every fd above stderr (in a freshly forked child).
+void closeInheritedFds() {
+  if (::close_range(3, ~0u, 0) == 0) return;
+  const long maxFd = ::sysconf(_SC_OPEN_MAX);
+  for (int fd = 3; fd < (maxFd > 0 ? maxFd : 1024); ++fd) ::close(fd);
+}
+}  // namespace
+
 ShardedEngine::ShardedEngine(std::size_t numMachines, std::size_t shards,
                              std::size_t threadsPerShard,
                              const Topology* topology,
@@ -90,7 +99,12 @@ void ShardedEngine::start() {
         throw ShardError("ShardedEngine: fork failed");
       }
       if (pid == 0) {
-        rendezvous.reset();  // the child dials; it must not hold the listener
+        // The child needs no inherited fd: it dials the coordinator and gets
+        // everything else from SETUP. Holding the parent's fds (the listener,
+        // earlier engines' control channels) would keep those peers from
+        // ever seeing EOF — an earlier engine's idle worker would then
+        // outlive that engine's failure until this one dies.
+        closeInheritedFds();
         try {
           attachTcpWorker("127.0.0.1", port, s, epoch, deadline);
         } catch (...) {

@@ -11,9 +11,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "runtime/thread_pool.hpp"
-#include "util/rng.hpp"
-
 namespace mpcspan::serve {
 
 using runtime::shard::ShardError;
@@ -38,19 +35,6 @@ std::shared_ptr<const Server::Snapshot> Server::loadSnapshot(
   snap->path = path;
   snap->numVertices = a.graph.numVertices();
   snap->composedStretch = a.composedStretch;
-  if (opts_.warmRows != 0) {
-    const std::int64_t warmN =
-        opts_.warmRows < 0
-            ? static_cast<std::int64_t>(snap->plane.oracle->cacheCapacity())
-            : opts_.warmRows;
-    Rng rng(0x9e3779b97f4a7c15ull ^ version);
-    std::vector<VertexId> sources;
-    sources.reserve(static_cast<std::size_t>(warmN));
-    for (std::int64_t i = 0; i < warmN; ++i)
-      sources.push_back(static_cast<VertexId>(rng.next(snap->numVertices)));
-    runtime::ThreadPool pool(2);
-    snap->plane.oracle->warm(sources, pool);
-  }
   return snap;
 }
 

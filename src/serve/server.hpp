@@ -51,8 +51,6 @@ struct ServerOptions {
   int writeTimeoutMs = 10000;
   /// Stop-flag check granularity of every blocking wait.
   int pollSliceMs = 200;
-  /// Oracle rows to warm on each snapshot load (0 = none, -1 = capacity).
-  std::int64_t warmRows = 0;
 };
 
 class Server {

@@ -23,15 +23,20 @@ TEST(Oracle, QueriesMatchSpannerDijkstra) {
   EXPECT_DOUBLE_EQ(oracle.query(7, 7), 0.0);
 }
 
-TEST(Oracle, CachedAndUncachedAgree) {
+TEST(Oracle, PairQueriesAreBitIdenticalToSourceRows) {
+  // query() runs the bidirectional pair search on H, distancesFrom() a
+  // one-to-all Dijkstra on H; integer weights rule out float ties, so the
+  // two agree bit for bit on every pair.
   Rng rng(2);
-  const Graph g = gnmRandom(150, 600, rng, {WeightModel::kUniform, 5.0}, true);
+  const Graph g = gnmRandom(150, 600, rng, {WeightModel::kInteger, 20.0}, true);
   auto spanner = buildBaswanaSen(g, {.k = 2, .seed = 2});
-  SpannerDistanceOracle oracle(g, std::move(spanner), /*cacheSources=*/2);
-  const double d1 = oracle.query(0, 10);
-  oracle.query(1, 10);
-  oracle.query(2, 10);  // evicts
-  EXPECT_DOUBLE_EQ(oracle.query(0, 10), d1);
+  const SpannerDistanceOracle oracle(g, std::move(spanner));
+  for (VertexId u = 0; u < g.numVertices(); u += 13) {
+    const std::vector<Weight> row = oracle.distancesFrom(u);
+    EXPECT_EQ(row, dijkstra(oracle.spannerGraph(), u));
+    for (VertexId v = 0; v < g.numVertices(); ++v)
+      EXPECT_EQ(oracle.query(u, v), row[v]) << u << "," << v;
+  }
 }
 
 TEST(Oracle, SpannerWordsIsTwiceEdges) {
@@ -61,8 +66,7 @@ TEST(MpcApsp, ApproximationWithinCertifiedBound) {
   const Graph g = gnmRandom(500, 4000, rng, {WeightModel::kUniform, 20.0}, true);
   auto r = runMpcApsp(g, {.seed = 2});
   const auto exact = dijkstra(g, 42);
-  const auto approxRow = r.oracle.distancesFrom(42);
-  const auto& approx = *approxRow;
+  const auto approx = r.oracle.distancesFrom(42);
   double worst = 1.0;
   for (VertexId v = 0; v < g.numVertices(); ++v) {
     if (v == 42 || exact[v] == kInfDist || exact[v] == 0) continue;

@@ -1,9 +1,14 @@
 // Query artifacts: build-once/serve-many round trips, and corruption
-// resistance — truncated or bit-flipped artifacts must fail with a clean
+// resistance — truncated, bit-flipped or spliced artifacts must either load
+// to an artifact that re-saves to exactly their bytes or fail with a clean
 // std::runtime_error, never a partially valid object or a huge allocation.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <cstdlib>
+#include <new>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -13,6 +18,29 @@
 #include "graph/generators.hpp"
 #include "query/build.hpp"
 #include "util/rng.hpp"
+
+namespace mpcspan {
+namespace {
+
+// While nonzero, any single allocation above this many bytes throws
+// std::bad_alloc instead of happening (see operator new below).
+std::atomic<std::size_t> gAllocCap{0};
+
+}  // namespace
+}  // namespace mpcspan
+
+// Kept out of line so the compiler does not pair an inlined malloc/free
+// with new/delete expressions (-Wmismatched-new-delete).
+[[gnu::noinline]] void* operator new(std::size_t n) {
+  const std::size_t cap = mpcspan::gAllocCap.load(std::memory_order_relaxed);
+  if (cap != 0 && n > cap) throw std::bad_alloc();
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace mpcspan {
 namespace {
@@ -163,6 +191,114 @@ TEST(Artifact, CorruptSketchTablesAreRejected) {
     }
   }
   EXPECT_GT(rejected, 0u);  // at least some flips hit validated fields
+}
+
+/// What loading `bytes` did: re-saved to the same bytes, rejected with
+/// std::runtime_error, or something that must never happen.
+enum class Outcome { kIdentical, kRejected, kResavedDifferently, kOversized, kOther };
+
+/// Loads `bytes` with every single allocation capped at a 64Ki-element
+/// chunk's head start plus a few times the input (a decoder sizes nothing
+/// by a length field the bytes do not back), then re-saves what loaded.
+Outcome loadAndResave(const std::string& bytes, std::string* why) {
+  std::istringstream in(bytes, std::ios::binary);
+  std::optional<query::QueryArtifact> loaded;
+  gAllocCap.store(4 * bytes.size() + (1u << 20));
+  try {
+    loaded.emplace(query::loadArtifact(in));
+  } catch (const std::runtime_error&) {
+    gAllocCap.store(0);
+    return Outcome::kRejected;
+  } catch (const std::bad_alloc&) {
+    gAllocCap.store(0);
+    return Outcome::kOversized;
+  } catch (const std::exception& e) {
+    gAllocCap.store(0);
+    *why = e.what();
+    return Outcome::kOther;
+  }
+  gAllocCap.store(0);
+  return serialized(*loaded) == bytes ? Outcome::kIdentical
+                                      : Outcome::kResavedDifferently;
+}
+
+/// Tallies mutant outcomes; anything but identical/rejected is a failure.
+struct MutantTally {
+  std::size_t identical = 0, rejected = 0;
+
+  void add(const std::string& mutant, const std::string& label) {
+    std::string why;
+    switch (loadAndResave(mutant, &why)) {
+      case Outcome::kIdentical: ++identical; break;
+      case Outcome::kRejected: ++rejected; break;
+      case Outcome::kResavedDifferently:
+        ADD_FAILURE() << label << ": loaded but does not re-save to its bytes";
+        break;
+      case Outcome::kOversized:
+        ADD_FAILURE() << label << ": oversized allocation while loading";
+        break;
+      case Outcome::kOther:
+        ADD_FAILURE() << label << ": not a std::runtime_error: " << why;
+        break;
+    }
+  }
+};
+
+TEST(ArtifactMutation, SeededBitFlipsReloadIdenticallyOrAreRejected) {
+  const std::string bytes = serialized(buildSmall());
+  Rng rng(2024);
+  MutantTally tally;
+  for (int i = 0; i < 3000; ++i) {
+    std::string mutant = bytes;
+    const std::uint64_t flips = 1 + rng.next(4);
+    for (std::uint64_t f = 0; f < flips; ++f) {
+      const std::uint64_t bit = rng.next(8 * bytes.size());
+      mutant[bit / 8] = static_cast<char>(mutant[bit / 8] ^ (1 << (bit % 8)));
+    }
+    tally.add(mutant, "bit-flip mutant " + std::to_string(i));
+  }
+  EXPECT_GT(tally.identical, 0u);  // e.g. a flip in a weight mantissa
+  EXPECT_GT(tally.rejected, 0u);
+}
+
+TEST(ArtifactMutation, SplicesReloadIdenticallyOrAreRejected) {
+  // The head of one saved artifact joined to the tail of another: at the
+  // same offset in both (sections line up until their lengths differ), at
+  // independent offsets, and within one artifact (a region dropped or
+  // repeated). The second artifact shares the graph but not the spanner or
+  // the sketches.
+  const std::string a = serialized(buildSmall("baswana-sen"));
+  const std::string b = serialized(buildSmall("tradeoff"));
+  Rng rng(77);
+  MutantTally tally;
+  const std::pair<const std::string*, const std::string*> orders[] = {
+      {&a, &b}, {&b, &a}, {&a, &a}};
+  for (const auto& [head, tail] : orders)
+    for (int i = 0; i < 600; ++i) {
+      const std::size_t cut = rng.next(head->size() + 1);
+      const std::size_t resume =
+          i % 2 == 0 ? std::min(cut, tail->size()) : rng.next(tail->size() + 1);
+      tally.add(head->substr(0, cut) + tail->substr(resume),
+                "splice at " + std::to_string(cut) + "/" + std::to_string(resume));
+    }
+  EXPECT_GT(tally.identical, 0u);
+  EXPECT_GT(tally.rejected, 0u);
+}
+
+TEST(ArtifactMutation, FlippedGraphCountsAreRejectedBeforeSizing) {
+  // The graph section's n and m sit at bytes 16 and 24 (after the MPQA and
+  // MPGB magic/version words). A high bit in either is a length no byte of
+  // the artifact backs: rejected, with nothing sized by it.
+  const std::string bytes = serialized(buildSmall());
+  for (const std::size_t offset : {16u, 24u})
+    for (unsigned bit = 12; bit < 64; ++bit) {
+      std::string mutant = bytes;
+      mutant[offset + bit / 8] =
+          static_cast<char>(mutant[offset + bit / 8] ^ (1 << (bit % 8)));
+      std::string why;
+      EXPECT_EQ(loadAndResave(mutant, &why), Outcome::kRejected)
+          << "field at " << offset << ", bit " << bit << " " << why;
+    }
 }
 
 std::uint64_t hashWords(const std::vector<EdgeId>& ids) {

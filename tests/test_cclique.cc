@@ -125,7 +125,7 @@ TEST(CcApsp, ApproximationRespectsBound) {
   Rng rng(5);
   const Graph g = gnmRandom(300, 1800, rng, {WeightModel::kUniform, 10.0}, true);
   const auto r = runCcApsp(g, {.seed = 2});
-  const auto approx = r.distancesFrom(g, 0);
+  const auto approx = r.oracle.distancesFrom(0);
   const auto exact = dijkstra(g, 0);
   for (VertexId v = 0; v < g.numVertices(); ++v) {
     if (exact[v] == kInfDist) {
@@ -144,7 +144,7 @@ TEST(CcApsp, CollectRoundsMatchSpannerSize) {
   const Graph g = gnmRandom(256, 1024, rng, {WeightModel::kUniform, 3.0}, true);
   const auto r = runCcApsp(g, {.seed = 3});
   const long expected =
-      1 + static_cast<long>((2 * r.spanner.edges.size() + 254) / 255);
+      1 + static_cast<long>((2 * r.oracle.spanner().edges.size() + 254) / 255);
   EXPECT_EQ(r.collectRounds, expected);
 }
 

@@ -12,9 +12,12 @@
 #include <sys/wait.h>
 #include <signal.h>
 
+#include <chrono>
 #include <cstdlib>
+#include <future>
 #include <memory>
 #include <mutex>
+#include <thread>
 #include <utility>
 
 #include "cclique/clique.hpp"
@@ -434,6 +437,52 @@ TEST(ResidentWorkers, WorkerDeathBetweenRoundsSurfacesAsShardError) {
     int st = 0;
     EXPECT_EQ(::waitpid(pid, &st, WNOHANG), -1);
     EXPECT_EQ(errno, ECHILD);
+  }
+}
+
+TEST(ResidentWorkers, WorkerDeathFailsPromptlyWithALaterEngineAlive) {
+  // Engine B forks its workers after engine A's are up, so without care B's
+  // workers would hold copies of A's control sockets. A fetch (unlike a
+  // round, which drags every worker into the failed exchange) leaves A's
+  // surviving worker idle at its command read; once one of A's workers is
+  // dead, that survivor would then never see EOF, and A's failing fetch
+  // would block in waitpid until B died. The fetch runs on its own thread
+  // so a regression fails here instead of hanging the suite.
+  auto makeEngine = [] {
+    return std::make_unique<RoundEngine>(EngineConfig{8, 1, 2},
+                                         std::make_unique<MpcTopology>(16));
+  };
+  auto a = makeEngine();
+  auto b = makeEngine();
+  const KernelId ka = runtime::ensureKernel<CounterKernel>(*a);
+  const KernelId kb = runtime::ensureKernel<CounterKernel>(*b);
+  a->step(ka);
+  b->step(kb);
+  const std::vector<pid_t> aPids = a->shardBackend()->workerPids();
+  ASSERT_EQ(aPids.size(), 2u);
+  ASSERT_EQ(::kill(aPids[1], SIGKILL), 0);
+
+  std::promise<bool> threw;
+  std::future<bool> done = threw.get_future();
+  std::thread op([&] {
+    try {
+      (void)a->fetchKernel(ka);
+      threw.set_value(false);
+    } catch (const ShardError&) {
+      threw.set_value(true);
+    } catch (...) {
+      threw.set_value(false);
+    }
+  });
+  const bool prompt =
+      done.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  EXPECT_TRUE(prompt) << "engine A's failing fetch blocked while engine B lived";
+  if (!prompt) b.reset();  // B's workers exit, which unblocks A
+  op.join();
+  EXPECT_TRUE(done.get()) << "expected ShardError from engine A";
+  if (b) {
+    b->step(kb);  // B is untouched by A's failure
+    EXPECT_EQ(b->rounds(), 2u);
   }
 }
 

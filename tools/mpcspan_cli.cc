@@ -145,7 +145,6 @@ int runBuildOracle(int argc, const char* const* argv) {
   addBuildFlags(args)
       .flag("sketch-k", "3", "Thorup-Zwick levels (stretch 2k-1 on the spanner)")
       .flag("sketch-seed", "1", "sketch sampling seed")
-      .flag("cache", "64", "oracle LRU capacity (rows) when serving")
       .flag("out", "", "artifact output path (required)");
   if (!args.parse(argc, argv)) {
     std::fprintf(stderr, "error: %s\n\n%s", args.error().c_str(), args.usage().c_str());
@@ -163,8 +162,6 @@ int runBuildOracle(int argc, const char* const* argv) {
     query::BuildPlan plan = planOf(args);
     plan.sketchK = static_cast<std::uint32_t>(args.getInt("sketch-k"));
     plan.sketchSeed = static_cast<std::uint64_t>(args.getInt("sketch-seed"));
-    plan.cacheSources = static_cast<std::size_t>(
-        std::max<std::int64_t>(1, args.getInt("cache")));
 
     const auto t0 = std::chrono::steady_clock::now();
     const query::QueryArtifact a = query::buildArtifact(g, plan);
@@ -312,7 +309,6 @@ int runQuery(int argc, const char* const* argv) {
       .flag("queries", "10000", "random query count")
       .flag("seed", "1", "query rng seed")
       .flag("threads", "1", "client threads for the random-query run")
-      .flag("warm", "-1", "oracle rows to warm before serving (-1 = cache capacity)")
       .flag("audit", "false", "compare a sample of answers against exact Dijkstra")
       .flag("u", "", "single query source (with --v; skips the random run)")
       .flag("v", "", "single query target");
@@ -347,19 +343,6 @@ int runQuery(int argc, const char* const* argv) {
     const auto clientThreads = static_cast<std::size_t>(
         std::max<std::int64_t>(1, args.getInt("threads")));
     runtime::ThreadPool pool(clientThreads);
-
-    std::int64_t warmN = args.getInt("warm");
-    if (warmN < 0) warmN = static_cast<std::int64_t>(plane.oracle->cacheCapacity());
-    if (warmN > 0) {
-      Rng wrng(static_cast<std::uint64_t>(args.getInt("seed")) ^ 0x9e3779b97f4a7c15ull);
-      std::vector<VertexId> sources;
-      sources.reserve(static_cast<std::size_t>(warmN));
-      for (std::int64_t i = 0; i < warmN; ++i)
-        sources.push_back(static_cast<VertexId>(wrng.next(n)));
-      const std::size_t warmed = plane.oracle->warm(sources, pool);
-      std::fprintf(stdout, "warmed %zu oracle rows (capacity %zu)\n", warmed,
-                   plane.oracle->cacheCapacity());
-    }
 
     if (args.has("u") || args.has("v")) {
       if (!(args.has("u") && args.has("v")))

@@ -55,8 +55,7 @@ int main(int argc, char** argv) {
             "default per-query deadline budget; queries past it answer from "
             "a cheaper tier with the degraded flag (-1 = unbounded)")
       .flag("frame-timeout-ms", "10000", "budget for a started frame to finish arriving")
-      .flag("write-timeout-ms", "10000", "budget for a reply to drain to the client")
-      .flag("warm", "0", "oracle rows to warm per snapshot load (-1 = cache capacity)");
+      .flag("write-timeout-ms", "10000", "budget for a reply to drain to the client");
   if (!args.parse(argc, argv)) {
     std::fprintf(stderr, "error: %s\n\n%s", args.error().c_str(),
                  args.usage().c_str());
@@ -82,7 +81,6 @@ int main(int argc, char** argv) {
     opts.defaultDeadlineMs = static_cast<int>(args.getInt("deadline-ms"));
     opts.frameTimeoutMs = static_cast<int>(args.getInt("frame-timeout-ms"));
     opts.writeTimeoutMs = static_cast<int>(args.getInt("write-timeout-ms"));
-    opts.warmRows = args.getInt("warm");
 
     serve::Server server(opts);
     server.start();  // installs the process-wide SIGPIPE ignore
