@@ -205,10 +205,11 @@ QueryArtifact loadArtifactFile(const std::string& path) {
   return loadArtifact(in);
 }
 
-QueryPlane makeQueryPlane(const QueryArtifact& a) {
+QueryPlane makeQueryPlane(QueryArtifact a) {
   QueryPlane plane;
-  plane.graph = std::make_shared<const Graph>(a.graph);
-  plane.sketches = std::make_shared<const DistanceSketches>(a.sketches);
+  plane.graph = std::make_shared<const Graph>(std::move(a.graph));
+  plane.sketches =
+      std::make_shared<const DistanceSketches>(std::move(a.sketches));
 
   std::vector<std::shared_ptr<const DistanceProvider>> tiers;
   tiers.push_back(

@@ -104,8 +104,9 @@ struct QueryPlane {
 
 /// Assembles sketch -> exact over the artifact's structures: the sketch
 /// floor at the composed stretch, then bidirectional Dijkstra on the input
-/// graph at stretch 1. Copies the artifact's graph and sketches into shared
-/// ownership; the artifact itself need not outlive the plane.
-QueryPlane makeQueryPlane(const QueryArtifact& a);
+/// graph at stretch 1. Takes the artifact's graph and sketches into shared
+/// ownership: move an artifact in that is not needed afterwards, and the
+/// tables are never copied (an lvalue argument is copied first).
+QueryPlane makeQueryPlane(QueryArtifact a);
 
 }  // namespace mpcspan::query

@@ -6,6 +6,21 @@
 
 namespace mpcspan::query {
 
+namespace {
+
+// The admission estimate of a tier above the floor (see queryBudgeted).
+// Each run moves it 1/8 of the way to the new sample: one p99 outlier of
+// the exact tier (about 3x its mean) lifts it by a quarter of the mean at
+// most, while a real change in latency shows within about 8 runs. Each
+// skip for budget shrinks it by 1/64, so an estimate r times the budget is
+// re-probed after about 64 ln r skips: a tier seeded by one slow first
+// sample (1.35x the budget, seen at a 1 ms deadline) is back within ~20
+// queries, and one that stays 10x too slow still runs on only ~2% of them.
+constexpr unsigned kSampleShift = 3;  // weight 1/8 per run
+constexpr unsigned kSkipShift = 6;    // decay 1/64 per skip
+
+}  // namespace
+
 TieredOracle::TieredOracle(
     std::vector<std::shared_ptr<const DistanceProvider>> tiers)
     : tiers_(std::move(tiers)), counters_(tiers_.size()) {
@@ -33,14 +48,25 @@ Weight TieredOracle::timedQuery(std::size_t i, VertexId u, VertexId v) const {
       std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - t0)
           .count());
   c.nanos.fetch_add(dt, std::memory_order_relaxed);
+  // The floor is never skipped, so its hot path keeps no estimate.
+  if (i > 0) {
+    std::uint64_t cur = c.estimate.load(std::memory_order_relaxed);
+    std::uint64_t next = 0;
+    do {
+      next = cur == 0 ? std::max<std::uint64_t>(dt, 1)
+                      : cur - (cur >> kSampleShift) + (dt >> kSampleShift);
+    } while (!c.estimate.compare_exchange_weak(cur, next,
+                                               std::memory_order_relaxed));
+  }
   return w;
 }
 
-std::uint64_t TieredOracle::meanTierNanos(std::size_t i) const {
-  const std::uint64_t attempts =
-      counters_[i].attempts.load(std::memory_order_relaxed);
-  if (attempts == 0) return 0;
-  return counters_[i].nanos.load(std::memory_order_relaxed) / attempts;
+void TieredOracle::decayEstimate(std::size_t i) const {
+  std::atomic<std::uint64_t>& est = counters_[i].estimate;
+  std::uint64_t cur = est.load(std::memory_order_relaxed);
+  while (!est.compare_exchange_weak(cur, cur - (cur >> kSkipShift),
+                                    std::memory_order_relaxed)) {
+  }
 }
 
 Weight TieredOracle::query(VertexId u, VertexId v) const {
@@ -67,7 +93,15 @@ BudgetedAnswer TieredOracle::queryBudgeted(
   for (std::size_t i = last;; --i) {
     if (i > 0 && budget.bounded()) {
       const std::int64_t rem = budget.remainingNanos();
-      if (rem == 0 || meanTierNanos(i) > static_cast<std::uint64_t>(rem)) {
+      if (rem == 0) {
+        skipped = true;
+        continue;
+      }
+      if (counters_[i].estimate.load(std::memory_order_relaxed) >
+          static_cast<std::uint64_t>(rem)) {
+        // Only a skip by estimate decays it: a spent budget (deadline 0)
+        // says nothing about the tier and stays off its cache line.
+        decayEstimate(i);
         skipped = true;
         continue;
       }
@@ -119,6 +153,7 @@ void TieredOracle::resetStats() {
     c.attempts.store(0, std::memory_order_relaxed);
     c.hits.store(0, std::memory_order_relaxed);
     c.nanos.store(0, std::memory_order_relaxed);
+    c.estimate.store(0, std::memory_order_relaxed);
   }
   queries_.store(0, std::memory_order_relaxed);
   degraded_.store(0, std::memory_order_relaxed);

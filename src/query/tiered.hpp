@@ -73,11 +73,16 @@ class TieredOracle final : public DistanceProvider {
   /// point. Where query() walks cheapest-first (minimize work), this walks
   /// the ladder *costliest/most-accurate first* (maximize answer quality)
   /// and lets the budget prune it: a tier above the floor is entered only
-  /// when the budget's remaining time covers that tier's observed mean
-  /// query latency (counter-derived; a tier with no samples yet is always
-  /// admitted — its first call seeds the estimate). Tier 0, the cheapest,
-  /// is the degradation floor and is never skipped, so the walk always
-  /// answers.
+  /// when the budget's remaining time covers that tier's latency estimate
+  /// (a tier with no samples yet is always admitted — its first call seeds
+  /// the estimate). The estimate is an exponentially weighted mean of the
+  /// tier's runs that also decays on every skip for budget, so a tier
+  /// whose estimate one slow sample inflated is re-probed and recovers
+  /// instead of being locked out; one that stays slow is re-probed only
+  /// rarely (constants and their reasons in tiered.cc). A spent budget
+  /// (deadline 0) skips every tier above the floor without touching the
+  /// estimates. Tier 0, the cheapest, is the degradation floor and is
+  /// never skipped, so the walk always answers.
   ///
   /// Acceptance mirrors query(): kInfDist is authoritative only from the
   /// strongest tier (or from the floor, when nothing below remains to try).
@@ -97,7 +102,8 @@ class TieredOracle final : public DistanceProvider {
   /// Everything at once: per-tier counters plus the query/degraded totals.
   OracleSnapshot snapshot() const;
   /// Zeroes every counter stats()/snapshot() report, including the
-  /// query/degraded totals (relaxed stores; safe against live queries).
+  /// query/degraded totals, and forgets the admission estimates (relaxed
+  /// stores; safe against live queries).
   void resetStats();
 
  private:
@@ -105,12 +111,14 @@ class TieredOracle final : public DistanceProvider {
     std::atomic<std::uint64_t> attempts{0};
     std::atomic<std::uint64_t> hits{0};
     std::atomic<std::uint64_t> nanos{0};
+    std::atomic<std::uint64_t> estimate{0};  // admission ns; 0 = no sample
   };
 
-  /// query on tier i with attempt/latency accounting (hit not counted).
+  /// query on tier i with attempt/latency accounting (hit not counted);
+  /// above the floor, the sample also moves the tier's estimate.
   Weight timedQuery(std::size_t i, VertexId u, VertexId v) const;
-  /// Observed mean query nanos of tier i; 0 until the first sample.
-  std::uint64_t meanTierNanos(std::size_t i) const;
+  /// One skip for budget: shrinks tier i's estimate by 1/64.
+  void decayEstimate(std::size_t i) const;
 
   std::vector<std::shared_ptr<const DistanceProvider>> tiers_;
   // Sized once at construction; atomics are immovable so the vector is

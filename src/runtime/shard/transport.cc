@@ -69,10 +69,9 @@ WireReader WireReader::recvFramed(Channel& ch) {
   ch.readAll(&len, sizeof(len));
   if (len > kMaxFrameBytes)
     throw ShardError("shard wire frame: implausible length (corrupt prefix)");
-  WireReader r;
-  r.buf_.resize(len);
-  if (len > 0) ch.readAll(r.buf_.data(), len);
-  return r;
+  std::vector<std::uint8_t> body(len);
+  if (len > 0) ch.readAll(body.data(), len);
+  return fromBytes(std::move(body));
 }
 
 }  // namespace mpcspan::runtime::shard

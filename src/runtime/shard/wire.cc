@@ -50,29 +50,38 @@ void WireWriter::append(const WireWriter& other) {
 WireReader WireReader::fromBytes(std::vector<std::uint8_t> bytes) {
   WireReader r;
   r.buf_ = std::move(bytes);
+  r.data_ = r.buf_.data();
+  r.size_ = r.buf_.size();
+  return r;
+}
+
+WireReader WireReader::view(std::span<const std::uint8_t> bytes) {
+  WireReader r;
+  r.data_ = bytes.data();
+  r.size_ = bytes.size();
   return r;
 }
 
 void WireReader::seek(std::size_t pos) {
-  if (pos > buf_.size()) throw ShardError("shard wire frame: seek past end");
+  if (pos > size_) throw ShardError("shard wire frame: seek past end");
   pos_ = pos;
 }
 
 void WireReader::need(std::size_t n) const {
-  // pos_ <= buf_.size() always holds, so the subtraction cannot wrap;
-  // `pos_ + n` could, for a corrupted wire-supplied length.
-  if (n > buf_.size() - pos_) throw ShardError("shard wire frame: truncated");
+  // pos_ <= size_ always holds, so the subtraction cannot wrap; `pos_ + n`
+  // could, for a corrupted wire-supplied length.
+  if (n > size_ - pos_) throw ShardError("shard wire frame: truncated");
 }
 
 std::uint8_t WireReader::u8() {
   need(1);
-  return buf_[pos_++];
+  return data_[pos_++];
 }
 
 std::uint64_t WireReader::u64() {
   need(sizeof(std::uint64_t));
   std::uint64_t v;
-  std::memcpy(&v, buf_.data() + pos_, sizeof(v));
+  std::memcpy(&v, data_ + pos_, sizeof(v));
   pos_ += sizeof(v);
   return v;
 }
@@ -80,14 +89,14 @@ std::uint64_t WireReader::u64() {
 std::string WireReader::str() {
   const std::uint64_t n = u64();
   need(n);
-  std::string s(reinterpret_cast<const char*>(buf_.data() + pos_), n);
+  std::string s(reinterpret_cast<const char*>(data_ + pos_), n);
   pos_ += n;
   return s;
 }
 
 const std::uint8_t* WireReader::raw(std::size_t n) {
   need(n);
-  const std::uint8_t* p = buf_.data() + pos_;
+  const std::uint8_t* p = data_ + pos_;
   pos_ += n;
   return p;
 }
@@ -99,7 +108,7 @@ void WireReader::words(Word* out, std::size_t n) {
   // Reject before multiplying: n comes off the wire, n * sizeof(Word) wraps.
   if (n > remaining() / sizeof(Word))
     throw ShardError("shard wire frame: truncated");
-  std::memcpy(out, buf_.data() + pos_, n * sizeof(Word));
+  std::memcpy(out, data_ + pos_, n * sizeof(Word));
   pos_ += n * sizeof(Word);
 }
 

@@ -14,6 +14,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -80,7 +81,7 @@ class WireWriter {
   std::vector<std::uint8_t> buf_;
 };
 
-/// Cursor over one received frame, owning its bytes.
+/// Cursor over one received frame, owning its bytes or viewing them.
 class WireReader {
  public:
   /// Receives one `u64 length + body` frame, honoring the channel's
@@ -90,14 +91,23 @@ class WireReader {
   /// Wraps an already-received (or test-crafted) frame body; the mesh
   /// exchange collects peer frames itself and hands the bytes here.
   static WireReader fromBytes(std::vector<std::uint8_t> bytes);
+  /// Reads a frame body in place, without copying it: the bytes must
+  /// outlive the reader (the serve layer's per-connection receive buffer).
+  static WireReader view(std::span<const std::uint8_t> bytes);
 
   WireReader() = default;
   WireReader(const WireReader&) = delete;
   WireReader& operator=(const WireReader&) = delete;
+  // A moved vector keeps its heap buffer, so data_ stays valid.
   WireReader(WireReader&& o) noexcept
-      : buf_(std::move(o.buf_)), pos_(std::exchange(o.pos_, 0)) {}
+      : buf_(std::move(o.buf_)),
+        data_(std::exchange(o.data_, nullptr)),
+        size_(std::exchange(o.size_, 0)),
+        pos_(std::exchange(o.pos_, 0)) {}
   WireReader& operator=(WireReader&& o) noexcept {
     buf_ = std::move(o.buf_);
+    data_ = std::exchange(o.data_, nullptr);
+    size_ = std::exchange(o.size_, 0);
     pos_ = std::exchange(o.pos_, 0);
     return *this;
   }
@@ -111,10 +121,10 @@ class WireReader {
   /// into the frame buffer (valid while this reader lives) — copy-free
   /// re-scattering.
   const std::uint8_t* raw(std::size_t n);
-  bool atEnd() const { return pos_ == buf_.size(); }
+  bool atEnd() const { return pos_ == size_; }
   /// Unread bytes left in the frame — lets callers sanity-check a
   /// wire-supplied element count before sizing containers by it.
-  std::size_t remaining() const { return buf_.size() - pos_; }
+  std::size_t remaining() const { return size_ - pos_; }
   /// Cursor save/restore for two-pass parses (vet + count, rewind, fill).
   std::size_t pos() const { return pos_; }
   void seek(std::size_t pos);
@@ -122,7 +132,9 @@ class WireReader {
  private:
   void need(std::size_t n) const;
 
-  std::vector<std::uint8_t> buf_;
+  std::vector<std::uint8_t> buf_;  // owned bytes; empty for a view
+  const std::uint8_t* data_ = nullptr;  // the frame: buf_ or the viewed bytes
+  std::size_t size_ = 0;
   std::size_t pos_ = 0;
 };
 

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <span>
 #include <thread>
-#include <vector>
 
 namespace mpcspan::serve {
 
@@ -14,6 +14,7 @@ ServeClient::ServeClient(ClientOptions opts)
 
 void ServeClient::close() {
   conn_.reset();
+  in_.clear();  // bytes of the old connection never parse as the next one's
   hello_.reset();
 }
 
@@ -38,8 +39,7 @@ void ServeClient::ensureConnected() {
   // ServeShedError, which the idempotent retry loops treat as "back off".
   WireWriter w;
   w.u8(kOpHello);
-  w.u64(kServeMagic);
-  w.u8(kServeVersion);
+  encodeHelloRequest(w, HelloRequest{});
   const IoPacing pacing{};
   IoStatus st = writeFrame(conn_.fd(), w.data(), w.size(),
                            opts_.requestTimeoutMs, pacing);
@@ -48,25 +48,25 @@ void ServeClient::ensureConnected() {
     throw ServeTransportError(std::string("serve hello write: ") +
                               ioStatusName(st));
   }
-  std::vector<std::uint8_t> body;
+  std::span<const std::uint8_t> body;
   const util::DeadlineBudget idle(opts_.requestTimeoutMs);
-  st = readFrame(conn_.fd(), body, kMaxServeFrameBytes, idle,
+  st = readFrame(conn_.fd(), in_, body, kMaxServeFrameBytes, idle,
                  opts_.requestTimeoutMs, pacing);
   if (st != IoStatus::kOk) {
     close();
     throw ServeTransportError(std::string("serve hello reply: ") +
                               ioStatusName(st));
   }
-  WireReader r = WireReader::fromBytes(std::move(body));
+  WireReader r = WireReader::view(body);
   try {
     const std::uint8_t re = r.u8();
     if (re == kReShed) {
-      const std::string msg = r.str();
+      const std::string msg = decodeText(r);
       close();
       throw ServeShedError(msg);
     }
     if (re == kReError) {
-      const std::string msg = r.str();
+      const std::string msg = decodeText(r);
       close();
       throw ServeRemoteError(msg);
     }
@@ -93,24 +93,24 @@ WireReader ServeClient::requestOnce(const WireWriter& req,
     throw ServeTransportError(std::string("serve request write: ") +
                               ioStatusName(st));
   }
-  std::vector<std::uint8_t> body;
+  std::span<const std::uint8_t> body;
   const util::DeadlineBudget idle(opts_.requestTimeoutMs);
-  st = readFrame(conn_.fd(), body, kMaxServeFrameBytes, idle,
+  st = readFrame(conn_.fd(), in_, body, kMaxServeFrameBytes, idle,
                  opts_.requestTimeoutMs, pacing);
   if (st != IoStatus::kOk) {
     close();
     throw ServeTransportError(std::string("serve reply read: ") +
                               ioStatusName(st));
   }
-  WireReader r = WireReader::fromBytes(std::move(body));
+  WireReader r = WireReader::view(body);
   try {
     const std::uint8_t re = r.u8();
     if (re == kReShed) {
-      const std::string msg = r.str();
+      const std::string msg = decodeText(r);
       close();
       throw ServeShedError(msg);
     }
-    if (re == kReError) throw ServeRemoteError(r.str());
+    if (re == kReError) throw ServeRemoteError(decodeText(r));
     if (re != expectRe) {
       close();
       throw ServeTransportError("serve reply: unexpected opcode");
@@ -142,9 +142,7 @@ WireAnswer ServeClient::query(VertexId u, VertexId v,
                               std::uint64_t deadlineMs) {
   WireWriter w;
   w.u8(kOpQuery);
-  w.u64(u);
-  w.u64(v);
-  w.u64(deadlineMs);
+  encodeQuery(w, {u, v, deadlineMs});
   WireReader r = requestIdempotent(w, kReAnswer);
   try {
     return decodeAnswer(r);
@@ -177,7 +175,7 @@ void ServeClient::ping() {
 std::uint64_t ServeClient::reload(const std::string& path) {
   WireWriter w;
   w.u8(kOpReload);
-  w.str(path);
+  encodeText(w, path);
   // Single attempt by design: the first try may have landed server-side,
   // and reload is not idempotent (each success bumps the version).
   WireReader r = requestOnce(w, kReOk);

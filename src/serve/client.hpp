@@ -58,7 +58,8 @@ class ServeClient {
   /// Handshake info of the current connection (connects if needed).
   HelloInfo serverInfo();
 
-  /// Drops the connection; the next request redials.
+  /// Drops the connection and any reply bytes still buffered from it; the
+  /// next request redials.
   void close();
 
   /// Backoff before retry `attempt` (0-based): min(maxMs, base << attempt)
@@ -70,13 +71,15 @@ class ServeClient {
  private:
   void ensureConnected();
   /// One attempt of one request frame: send, read reply, vet the reply
-  /// opcode. Throws the typed ServeError hierarchy.
+  /// opcode. Throws the typed ServeError hierarchy. The returned reader
+  /// views the reply inside in_: decode it before the next request.
   WireReader requestOnce(const WireWriter& req, std::uint8_t expectRe);
   /// Retry loop around requestOnce for idempotent requests.
   WireReader requestIdempotent(const WireWriter& req, std::uint8_t expectRe);
 
   ClientOptions opts_;
   WireFd conn_;
+  RecvBuffer in_;  // conn_'s receive side; cleared with it in close()
   std::optional<HelloInfo> hello_;
   Rng rng_;
 };

@@ -6,6 +6,51 @@ namespace mpcspan::serve {
 
 using runtime::shard::ShardError;
 
+namespace {
+
+/// A decoder's last step: the body must end where its encoder stopped.
+void expectEnd(const WireReader& r) {
+  if (!r.atEnd()) throw ShardError("serve frame: trailing bytes");
+}
+
+}  // namespace
+
+void encodeHelloRequest(WireWriter& w, const HelloRequest& h) {
+  w.u64(h.magic);
+  w.u8(h.version);
+}
+
+HelloRequest decodeHelloRequest(WireReader& r) {
+  HelloRequest h;
+  h.magic = r.u64();
+  h.version = r.u8();
+  expectEnd(r);
+  return h;
+}
+
+void encodeQuery(WireWriter& w, const QueryRequest& q) {
+  w.u64(q.u);
+  w.u64(q.v);
+  w.u64(q.deadlineMs);
+}
+
+QueryRequest decodeQuery(WireReader& r) {
+  QueryRequest q;
+  q.u = r.u64();
+  q.v = r.u64();
+  q.deadlineMs = r.u64();
+  expectEnd(r);
+  return q;
+}
+
+void encodeText(WireWriter& w, const std::string& s) { w.str(s); }
+
+std::string decodeText(WireReader& r) {
+  std::string s = r.str();
+  expectEnd(r);
+  return s;
+}
+
 void encodeHelloInfo(WireWriter& w, const HelloInfo& h) {
   w.u64(h.snapshotVersion);
   w.u64(h.numVertices);
@@ -17,6 +62,7 @@ HelloInfo decodeHelloInfo(WireReader& r) {
   h.snapshotVersion = r.u64();
   h.numVertices = r.u64();
   h.composedStretch = getF64(r);
+  expectEnd(r);
   return h;
 }
 
@@ -32,9 +78,12 @@ WireAnswer decodeAnswer(WireReader& r) {
   WireAnswer a;
   a.dist = getF64(r);
   a.tier = static_cast<std::int64_t>(r.u64());
-  a.degraded = r.u8() != 0;
+  const std::uint8_t degraded = r.u8();
+  if (degraded > 1) throw ShardError("serve answer frame: bad degraded flag");
+  a.degraded = degraded == 1;
   a.stretch = getF64(r);
   a.snapshotVersion = r.u64();
+  expectEnd(r);
   return a;
 }
 
@@ -83,6 +132,7 @@ ServeStats decodeStats(WireReader& r) {
     t.hits = r.u64();
     t.nanos = r.u64();
   }
+  expectEnd(r);
   return s;
 }
 

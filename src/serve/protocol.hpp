@@ -84,6 +84,19 @@ inline constexpr std::uint8_t kReOk = 0x84;
 inline constexpr std::uint8_t kReError = 0x85;
 inline constexpr std::uint8_t kReShed = 0x86;
 
+/// A client's opening request: who it is and which protocol it speaks.
+struct HelloRequest {
+  std::uint64_t magic = kServeMagic;
+  std::uint8_t version = kServeVersion;
+};
+
+/// One distance query as sent.
+struct QueryRequest {
+  std::uint64_t u = 0;
+  std::uint64_t v = 0;
+  std::uint64_t deadlineMs = kDeadlineDefault;
+};
+
 /// What the server tells a client at handshake.
 struct HelloInfo {
   std::uint64_t snapshotVersion = 0;  // bumps on every successful reload
@@ -126,7 +139,20 @@ inline void putF64(WireWriter& w, double v) {
 inline double getF64(WireReader& r) { return std::bit_cast<double>(r.u64()); }
 
 // Body encoders/decoders (the opcode byte is written/consumed by the
-// caller; decoders throw ShardError via WireReader on truncation).
+// caller). Each decoder consumes the rest of the frame and accepts only
+// what its encoder writes: a truncated body, trailing bytes or an
+// out-of-range flag byte throw ShardError, so every frame that decodes
+// re-encodes to the same bytes.
+void encodeHelloRequest(WireWriter& w, const HelloRequest& h);
+HelloRequest decodeHelloRequest(WireReader& r);
+
+void encodeQuery(WireWriter& w, const QueryRequest& q);
+QueryRequest decodeQuery(WireReader& r);
+
+/// The one-string body of kReError, kReShed and kOpReload.
+void encodeText(WireWriter& w, const std::string& s);
+std::string decodeText(WireReader& r);
+
 void encodeHelloInfo(WireWriter& w, const HelloInfo& h);
 HelloInfo decodeHelloInfo(WireReader& r);
 

@@ -26,15 +26,16 @@ Server::~Server() { stop(); }
 
 std::shared_ptr<const Server::Snapshot> Server::loadSnapshot(
     const std::string& path, std::uint64_t version) const {
-  const query::QueryArtifact a = query::loadArtifactFile(path);
+  query::QueryArtifact a = query::loadArtifactFile(path);
   if (a.graph.numVertices() == 0)
     throw std::runtime_error("artifact graph is empty: " + path);
   auto snap = std::make_shared<Snapshot>();
-  snap->plane = query::makeQueryPlane(a);
   snap->version = version;
   snap->path = path;
   snap->numVertices = a.graph.numVertices();
   snap->composedStretch = a.composedStretch;
+  // Last: the plane takes the graph and sketch tables over without a copy.
+  snap->plane = query::makeQueryPlane(std::move(a));
   return snap;
 }
 
@@ -212,7 +213,7 @@ void Server::acceptorLoop() {
         shedQueueFull_.fetch_add(1, std::memory_order_relaxed);
         WireWriter w;
         w.u8(kReShed);
-        w.str("server overloaded: accept queue full, retry with backoff");
+        encodeText(w, "server overloaded: accept queue full, retry with backoff");
         // Best effort: one write attempt, no waiting on the shed client.
         (void)writeFrame(conn.fd(), w.data(), w.size(), 0,
                          IoPacing{&stopping_, 1});
@@ -271,12 +272,13 @@ void Server::serveConnection(WireFd conn) {
   // After HELLO a quiet client may sit connected.
   const util::DeadlineBudget hello(opts_.frameTimeoutMs);
   const util::DeadlineBudget idle;
-  std::vector<std::uint8_t> body;
+  RecvBuffer in;
+  std::span<const std::uint8_t> body;
   bool helloDone = false;
   for (;;) {
     const IoStatus st =
-        readFrame(conn.fd(), body, kMaxServeFrameBytes, helloDone ? idle : hello,
-                  opts_.frameTimeoutMs, pacing);
+        readFrame(conn.fd(), in, body, kMaxServeFrameBytes,
+                  helloDone ? idle : hello, opts_.frameTimeoutMs, pacing);
     if (st == IoStatus::kOk) {
       if (!dispatch(conn, body, helloDone)) break;
       continue;
@@ -304,13 +306,13 @@ bool Server::sendReply(WireFd& conn, const WireWriter& w) {
 bool Server::sendError(WireFd& conn, const std::string& msg) {
   WireWriter w;
   w.u8(kReError);
-  w.str(msg);
+  encodeText(w, msg);
   return sendReply(conn, w);
 }
 
-bool Server::dispatch(WireFd& conn, const std::vector<std::uint8_t>& body,
+bool Server::dispatch(WireFd& conn, std::span<const std::uint8_t> body,
                       bool& helloDone) {
-  WireReader r = WireReader::fromBytes(std::vector<std::uint8_t>(body));
+  WireReader r = WireReader::view(body);
   try {
     const std::uint8_t op = r.u8();
     if (!helloDone && op != kOpHello) {
@@ -319,14 +321,13 @@ bool Server::dispatch(WireFd& conn, const std::vector<std::uint8_t>& body,
     }
     switch (op) {
       case kOpHello: {
-        const std::uint64_t magic = r.u64();
-        const std::uint8_t version = r.u8();
-        if (magic != kServeMagic) {
+        const HelloRequest hello = decodeHelloRequest(r);
+        if (hello.magic != kServeMagic) {
           sendError(conn, "bad magic (not an mpcspand client)");
           return false;
         }
-        if (version != kServeVersion) {
-          sendError(conn, "protocol version " + std::to_string(version) +
+        if (hello.version != kServeVersion) {
+          sendError(conn, "protocol version " + std::to_string(hello.version) +
                               " != " + std::to_string(kServeVersion));
           return false;
         }
@@ -339,9 +340,7 @@ bool Server::dispatch(WireFd& conn, const std::vector<std::uint8_t>& body,
         return sendReply(conn, w);
       }
       case kOpQuery: {
-        const std::uint64_t u = r.u64();
-        const std::uint64_t v = r.u64();
-        const std::uint64_t deadlineMs = r.u64();
+        const auto [u, v, deadlineMs] = decodeQuery(r);
         // Queries pin the snapshot they started with; a concurrent reload
         // swaps the pointer but cannot pull this one out from under us.
         const auto snap = snapshot_.load();
@@ -373,7 +372,7 @@ bool Server::dispatch(WireFd& conn, const std::vector<std::uint8_t>& body,
         return sendReply(conn, w);
       }
       case kOpReload: {
-        const std::string path = r.str();
+        const std::string path = decodeText(r);
         std::string err;
         if (!reload(path, &err))
           return sendError(conn, "reload rejected: " + err);

@@ -26,6 +26,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -105,9 +106,9 @@ class Server {
   void sessionLoop();
   void reloaderLoop();
   void serveConnection(WireFd conn);
-  /// Dispatches one parsed request frame; returns false to close the
-  /// session. Throws nothing — codec faults are handled inside.
-  bool dispatch(WireFd& conn, const std::vector<std::uint8_t>& body,
+  /// Dispatches one request frame body, decoded in place; returns false to
+  /// close the session. Throws nothing — codec faults are handled inside.
+  bool dispatch(WireFd& conn, std::span<const std::uint8_t> body,
                 bool& helloDone);
   bool sendReply(WireFd& conn, const WireWriter& w);
   bool sendError(WireFd& conn, const std::string& msg);

@@ -65,12 +65,19 @@ IoStatus awaitFd(int fd, short events, const DeadlineBudget& budget,
 
 IoStatus readBytes(int fd, void* buf, std::size_t n,
                    const DeadlineBudget& budget, const IoPacing& pacing) {
+  std::size_t got = 0;
+  return readAtLeast(fd, buf, n, n, got, budget, pacing);
+}
+
+IoStatus readAtLeast(int fd, void* buf, std::size_t min, std::size_t max,
+                     std::size_t& got, const DeadlineBudget& budget,
+                     const IoPacing& pacing) {
   auto* p = static_cast<std::uint8_t*>(buf);
-  std::size_t done = 0;
-  while (done < n) {
-    const ssize_t rc = ::recv(fd, p + done, n - done, 0);
+  got = 0;
+  while (got < min) {
+    const ssize_t rc = ::recv(fd, p + got, max - got, 0);
     if (rc > 0) {
-      done += static_cast<std::size_t>(rc);
+      got += static_cast<std::size_t>(rc);
       continue;
     }
     if (rc == 0) return IoStatus::kEof;

@@ -1,7 +1,7 @@
 // Socket plumbing shared by the shard transports (runtime/shard) and the
-// serving daemon (serve/): one owning fd type, one poll wait, one
-// full-buffer read, one full-buffer write, one gathered write, and one
-// dial / listen / accept path.
+// serving daemon (serve/): one owning fd type, one poll wait, one recv loop
+// (full-buffer or at-least-n), one full-buffer write, one gathered write,
+// and one dial / listen / accept path.
 //
 // Every transfer is nonblocking and poll-paced within a DeadlineBudget: no
 // call waits past its budget, and an EINTR re-polls only for the time still
@@ -84,6 +84,13 @@ IoStatus awaitFd(int fd, short events, const DeadlineBudget& budget,
 /// SIGPIPE (MSG_NOSIGNAL).
 IoStatus readBytes(int fd, void* buf, std::size_t n,
                    const DeadlineBudget& budget, const IoPacing& pacing);
+/// Buffered form of readBytes: reads until at least `min` bytes have
+/// arrived, letting each recv take up to `max` (min <= max) — whatever the
+/// kernel already holds past `min` comes along in the same syscall. `got`
+/// receives the byte count, partial progress included.
+IoStatus readAtLeast(int fd, void* buf, std::size_t min, std::size_t max,
+                     std::size_t& got, const DeadlineBudget& budget,
+                     const IoPacing& pacing);
 IoStatus writeBytes(int fd, const void* buf, std::size_t n,
                     const DeadlineBudget& budget, const IoPacing& pacing);
 

@@ -1,10 +1,12 @@
 // The query plane: adapter bit-equality against the wrapped structures,
-// TieredOracle fall-through semantics and counters, and concurrent queries
-// over the full stack (run under TSan in CI).
+// TieredOracle fall-through semantics, counters and budget admission, and
+// concurrent queries over the full stack (run under TSan in CI).
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <functional>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -174,6 +176,93 @@ TEST(TieredOracle, ValidatesConstruction) {
   EXPECT_THROW(TieredOracle({std::make_shared<FakeProvider>("a", 1.0, 4),
                              std::make_shared<FakeProvider>("b", 1.0, 5)}),
                std::invalid_argument);
+}
+
+// --- Budget admission: a skipped tier's estimate recovers. ---
+
+/// A tier whose latency the test scripts: call i sleeps delayOf(i).
+class DelayedProvider final : public DistanceProvider {
+ public:
+  explicit DelayedProvider(
+      std::function<std::chrono::microseconds(int)> delayOf)
+      : delayOf_(std::move(delayOf)) {}
+  std::string name() const override { return "delayed"; }
+  std::size_t numVertices() const override { return 4; }
+  Weight query(VertexId, VertexId) const override {
+    const auto d = delayOf_(calls.fetch_add(1));
+    if (d.count() > 0) std::this_thread::sleep_for(d);
+    return 1.0;
+  }
+  double stretchBound() const override { return 1.0; }
+  std::size_t memoryWords() const override { return 1; }
+
+  mutable std::atomic<int> calls{0};
+
+ private:
+  std::function<std::chrono::microseconds(int)> delayOf_;
+};
+
+TEST(TieredOracle, SlowFirstSampleDoesNotLockATierOut) {
+  // One 20 ms first run, then instant answers, under a 5 ms budget: the
+  // slow sample makes the next queries skip the tier, but each skip decays
+  // its estimate (by 1/64), so the tier is back after about 64 ln 4 = 89
+  // skips and, once its fast runs have pulled the estimate down, stays in.
+  auto slowOnce = std::make_shared<DelayedProvider>([](int call) {
+    return std::chrono::microseconds(call == 0 ? 20000 : 0);
+  });
+  TieredOracle t({std::make_shared<FakeProvider>("floor", 9.0), slowOnce});
+  ASSERT_FALSE(t.queryBudgeted(0, 1, util::DeadlineBudget(5)).degraded);
+  int readmittedAt = -1;
+  int degradedAfter = 0;
+  for (int q = 1; q <= 600; ++q) {
+    const query::BudgetedAnswer a = t.queryBudgeted(0, 1, util::DeadlineBudget(5));
+    if (readmittedAt < 0) {
+      if (!a.degraded) readmittedAt = q;
+    } else if (a.degraded) {
+      ++degradedAfter;
+    }
+  }
+  ASSERT_GT(readmittedAt, 1);  // the slow sample did lock it out for a while
+  // A sleep that overshoots 20 ms only adds 64 ln(overshoot) skips.
+  EXPECT_LE(readmittedAt, 300);
+  EXPECT_EQ(degradedAfter, 0);
+}
+
+TEST(TieredOracle, PersistentlySlowTierStaysSkipped) {
+  // Every run takes 10 ms against a 2 ms budget: the tier is re-probed now
+  // and then (that is what lets a recovered tier back in) but skipped for
+  // almost every query.
+  auto slow = std::make_shared<DelayedProvider>(
+      [](int) { return std::chrono::microseconds(10000); });
+  TieredOracle t({std::make_shared<FakeProvider>("floor", 9.0), slow});
+  constexpr int kQueries = 600;
+  int degraded = 0;
+  for (int q = 0; q < kQueries; ++q)
+    degraded += t.queryBudgeted(0, 1, util::DeadlineBudget(2)).degraded;
+  EXPECT_GE(degraded, kQueries * 9 / 10);
+  EXPECT_LT(slow->calls.load(), kQueries / 10);
+  EXPECT_GT(slow->calls.load(), 1);  // re-probed, not locked out for good
+}
+
+TEST(TieredOracle, SpentAndUnboundedBudgetsIgnoreTheEstimate) {
+  // Deadline 0 always answers from the floor without running the tier, and
+  // an unbounded budget always runs it, whatever its estimate says.
+  auto slow = std::make_shared<DelayedProvider>(
+      [](int) { return std::chrono::microseconds(2000); });
+  TieredOracle t({std::make_shared<FakeProvider>("floor", 9.0), slow});
+  for (int q = 0; q < 50; ++q) {
+    const query::BudgetedAnswer a = t.queryBudgeted(0, 1, util::DeadlineBudget(0));
+    EXPECT_TRUE(a.degraded);
+    EXPECT_EQ(a.tier, 0);
+  }
+  EXPECT_EQ(slow->calls.load(), 0);
+  for (int q = 0; q < 5; ++q) {
+    const query::BudgetedAnswer a = t.queryBudgeted(0, 1, util::DeadlineBudget());
+    EXPECT_FALSE(a.degraded);
+    EXPECT_EQ(a.tier, 1);
+  }
+  EXPECT_EQ(slow->calls.load(), 5);
+  EXPECT_EQ(t.snapshot().degraded, 50u);
 }
 
 TEST(TieredOracle, DisconnectedPairFallsToExactInfinity) {

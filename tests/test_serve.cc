@@ -12,6 +12,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -434,6 +435,39 @@ TEST(ServeSilentClient, ConnectionThatNeverSaysHelloIsDroppedAndCounted) {
   server.stop();
 }
 
+TEST(ServeSlowClient, StalledHalfFrameAfterHelloIsDroppedAndCounted) {
+  // After HELLO a client may idle, but a frame it starts must finish within
+  // frameTimeoutMs: half a QUERY frame, then silence, is a slow-client drop.
+  ServerOptions opts = testServerOptions(artifactA());
+  opts.frameTimeoutMs = 200;
+  Server server(opts);
+  server.start();
+  serve::WireFd raw = dialRaw(server.port());
+  const serve::IoPacing pacing{};
+  serve::WireWriter hello;
+  hello.u8(serve::kOpHello);
+  serve::encodeHelloRequest(hello, {});
+  ASSERT_EQ(serve::writeFrame(raw.fd(), hello.data(), hello.size(), 2000, pacing),
+            serve::IoStatus::kOk);
+  serve::RecvBuffer in;
+  std::span<const std::uint8_t> reply;
+  ASSERT_EQ(serve::readFrame(raw.fd(), in, reply, serve::kMaxServeFrameBytes,
+                             util::DeadlineBudget(4000), 2000, pacing),
+            serve::IoStatus::kOk);
+  ASSERT_EQ(reply[0], serve::kReHello);
+  const std::uint8_t half[10] = {25, 0, 0, 0, 0, 0, 0, 0, serve::kOpQuery, 1};
+  ASSERT_EQ(util::writeBytes(raw.fd(), half, sizeof(half),
+                             util::DeadlineBudget(2000), pacing),
+            serve::IoStatus::kOk);
+  // The server drops the session: EOF, long before the 4 s read budget.
+  EXPECT_EQ(serve::readFrame(raw.fd(), in, reply, serve::kMaxServeFrameBytes,
+                             util::DeadlineBudget(4000), 4000, pacing),
+            serve::IoStatus::kEof);
+  ServeClient probe(clientFor(server));
+  EXPECT_GE(probe.stats().slowClientDrops, 1u);
+  server.stop();
+}
+
 // --- Malformed input -------------------------------------------------------
 
 TEST(ServeMalformed, OversizedFrameGetsErrorReplyAndClose) {
@@ -446,11 +480,14 @@ TEST(ServeMalformed, OversizedFrameGetsErrorReplyAndClose) {
   ASSERT_EQ(util::writeBytes(raw.fd(), &lie, sizeof(lie),
                               util::DeadlineBudget(2000), pacing),
             serve::IoStatus::kOk);
-  std::vector<std::uint8_t> reply;
-  ASSERT_EQ(serve::readFrame(raw.fd(), reply, serve::kMaxServeFrameBytes,
+  serve::RecvBuffer in;
+  std::span<const std::uint8_t> reply;
+  ASSERT_EQ(serve::readFrame(raw.fd(), in, reply, serve::kMaxServeFrameBytes,
                              util::DeadlineBudget(4000), 2000, pacing),
             serve::IoStatus::kOk);
-  EXPECT_EQ(reply.at(0), serve::kReError);
+  ASSERT_FALSE(reply.empty());
+  EXPECT_EQ(reply[0], serve::kReError);
+  EXPECT_EQ(in.pending(), 0u);
   // ... and the server closes: the next read is EOF, not a hang.
   std::uint8_t byte = 0;
   EXPECT_EQ(util::readBytes(raw.fd(), &byte, 1, util::DeadlineBudget(4000),
@@ -473,11 +510,14 @@ TEST(ServeMalformed, GarbageFrameGetsErrorReplyAndClose) {
   ASSERT_EQ(serve::writeFrame(raw.fd(), junk.data(), junk.size(), 2000,
                               pacing),
             serve::IoStatus::kOk);
-  std::vector<std::uint8_t> reply;
-  ASSERT_EQ(serve::readFrame(raw.fd(), reply, serve::kMaxServeFrameBytes,
+  serve::RecvBuffer in;
+  std::span<const std::uint8_t> reply;
+  ASSERT_EQ(serve::readFrame(raw.fd(), in, reply, serve::kMaxServeFrameBytes,
                              util::DeadlineBudget(4000), 2000, pacing),
             serve::IoStatus::kOk);
-  EXPECT_EQ(reply.at(0), serve::kReError);
+  ASSERT_FALSE(reply.empty());
+  EXPECT_EQ(reply[0], serve::kReError);
+  EXPECT_EQ(in.pending(), 0u);
   std::uint8_t byte = 0;
   EXPECT_EQ(util::readBytes(raw.fd(), &byte, 1, util::DeadlineBudget(4000),
                              pacing),
@@ -501,11 +541,14 @@ TEST(ServeMalformed, WrongMagicHelloRejected) {
   w.u8(serve::kServeVersion);
   ASSERT_EQ(serve::writeFrame(raw.fd(), w.data(), w.size(), 2000, pacing),
             serve::IoStatus::kOk);
-  std::vector<std::uint8_t> reply;
-  ASSERT_EQ(serve::readFrame(raw.fd(), reply, serve::kMaxServeFrameBytes,
+  serve::RecvBuffer in;
+  std::span<const std::uint8_t> reply;
+  ASSERT_EQ(serve::readFrame(raw.fd(), in, reply, serve::kMaxServeFrameBytes,
                              util::DeadlineBudget(4000), 2000, pacing),
             serve::IoStatus::kOk);
-  EXPECT_EQ(reply.at(0), serve::kReError);
+  ASSERT_FALSE(reply.empty());
+  EXPECT_EQ(reply[0], serve::kReError);
+  EXPECT_EQ(in.pending(), 0u);
   server.stop();
 }
 

@@ -329,8 +329,9 @@ int runQuery(int argc, const char* const* argv) {
     }
     if (args.get("artifact").empty())
       throw std::invalid_argument("query requires --artifact <path>");
-    const query::QueryArtifact a = query::loadArtifactFile(args.get("artifact"));
+    query::QueryArtifact a = query::loadArtifactFile(args.get("artifact"));
     const std::size_t n = a.graph.numVertices();
+    const double composedStretch = a.composedStretch;
     std::fprintf(stdout,
                  "loaded artifact: n=%zu m=%zu, spanner %zu edges (%s, k=%u), "
                  "sketch k=%u, composed stretch <= %.1f\n",
@@ -338,7 +339,9 @@ int runQuery(int argc, const char* const* argv) {
                  a.algorithm.c_str(), a.k, a.sketchParams.k, a.composedStretch);
     if (n == 0) throw std::runtime_error("artifact graph is empty");
 
-    query::QueryPlane plane = query::makeQueryPlane(a);
+    // The plane takes the graph over; read it back through plane.graph.
+    query::QueryPlane plane = query::makeQueryPlane(std::move(a));
+    const Graph& g = *plane.graph;
 
     const auto clientThreads = static_cast<std::size_t>(
         std::max<std::int64_t>(1, args.getInt("threads")));
@@ -352,7 +355,7 @@ int runQuery(int argc, const char* const* argv) {
       if (u >= n || v >= n)
         throw std::invalid_argument("--u/--v out of range [0, n)");
       const Weight est = plane.tiered->query(u, v);
-      const Weight exact = dijkstraPair(a.graph, u, v);
+      const Weight exact = dijkstraPair(g, u, v);
       std::fprintf(stdout, "d(%u, %u) <= %.6g (exact %.6g)\n", u, v, est, exact);
       return 0;
     }
@@ -397,12 +400,12 @@ int runQuery(int argc, const char* const* argv) {
 
     if (args.getBool("audit")) {
       const query::AuditReport report =
-          query::auditEnvelope(a.graph, pairs, answers, a.composedStretch);
+          query::auditEnvelope(g, pairs, answers, composedStretch);
       for (const query::AuditViolation& bad : report.violations)
         std::fprintf(stdout,
                      "audit violation: u=%u v=%u got=%.9g exact=%.9g "
                      "(envelope [1, %.3f])\n",
-                     bad.u, bad.v, bad.got, bad.exact, a.composedStretch);
+                     bad.u, bad.v, bad.got, bad.exact, composedStretch);
       std::fprintf(stdout,
                    "audit: %zu pairs, mean ratio %.3f, max %.3f, violations %zu\n",
                    report.audited, report.meanRatio, report.maxRatio,
