@@ -191,13 +191,6 @@ Weight DistanceSketches::query(VertexId u, VertexId v) const {
   }
 }
 
-std::size_t DistanceSketches::memoryWords() const {
-  // One word per stored scalar: pivot distance + pivot id per (level,
-  // vertex), the bunch offset array, and the two flat bunch arrays.
-  return 2 * (static_cast<std::size_t>(k_) + 1) * n_ + (n_ + 1) +
-         2 * bunchW_.size();
-}
-
 SpannerSketches buildSketchesOnSpanner(const Graph& g, const SpannerResult& spanner,
                                        const SketchParams& params) {
   const Graph h = subgraph(g, spanner.edges);

@@ -74,9 +74,6 @@ class DistanceSketches {
   /// Sum of bunch sizes (the sketch storage; expected O(k n^{1+1/k})).
   std::size_t totalBunchEntries() const { return bunchW_.size(); }
 
-  /// Resident size in 8-byte words (pivot tables + flat bunch arrays).
-  std::size_t memoryWords() const;
-
   /// Edge relaxations performed during preprocessing (the [DN19] cost that
   /// spanners shrink).
   std::size_t preprocessingRelaxations() const { return relaxations_; }

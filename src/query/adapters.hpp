@@ -4,10 +4,8 @@
 // bit-identical to calling the wrapped structure directly (tested in
 // tests/test_query.cc).
 //
-// Adapters hold shared_ptr<const T> so a provider can outlive (or share)
-// its backing structure; the aliasing-constructor overloads wrap a
-// caller-owned reference without taking ownership (caller must keep it
-// alive).
+// Adapters hold shared_ptr<const T>, so a provider shares ownership of its
+// backing structure and can outlive the code that built it.
 #pragma once
 
 #include <memory>
@@ -25,34 +23,28 @@ namespace mpcspan::query {
 class ExactDistanceProvider final : public DistanceProvider {
  public:
   explicit ExactDistanceProvider(std::shared_ptr<const Graph> g);
-  /// Non-owning: caller keeps `g` alive for the provider's lifetime.
-  explicit ExactDistanceProvider(const Graph& g);
 
   std::string name() const override { return "exact"; }
   std::size_t numVertices() const override { return g_->numVertices(); }
   Weight query(VertexId u, VertexId v) const override;
   double stretchBound() const override { return 1.0; }
-  std::size_t memoryWords() const override;
 
  private:
   std::shared_ptr<const Graph> g_;
 };
 
-/// Thorup–Zwick sketches: O(k) lookups per query, stretch 2k-1 relative to
-/// the graph the sketches were built on. When that graph is itself a
-/// spanner, pass the composed bound via `stretchOverride`.
+/// Thorup–Zwick sketches: O(k) lookups per query. `stretch` is the bound
+/// the provider certifies: the sketches' own 2k-1 when they were built on
+/// the input graph, the composed bound when they were built on a spanner.
 class SketchDistanceProvider final : public DistanceProvider {
  public:
-  explicit SketchDistanceProvider(std::shared_ptr<const DistanceSketches> sk,
-                                  double stretchOverride = 0);
-  explicit SketchDistanceProvider(const DistanceSketches& sk,
-                                  double stretchOverride = 0);
+  SketchDistanceProvider(std::shared_ptr<const DistanceSketches> sk,
+                         double stretch);
 
   std::string name() const override { return "sketch"; }
   std::size_t numVertices() const override { return sk_->numVertices(); }
   Weight query(VertexId u, VertexId v) const override;
   double stretchBound() const override { return stretch_; }
-  std::size_t memoryWords() const override { return sk_->memoryWords(); }
 
  private:
   std::shared_ptr<const DistanceSketches> sk_;

@@ -211,11 +211,9 @@ QueryPlane makeQueryPlane(QueryArtifact a) {
   plane.sketches =
       std::make_shared<const DistanceSketches>(std::move(a.sketches));
 
-  std::vector<std::shared_ptr<const DistanceProvider>> tiers;
-  tiers.push_back(
-      std::make_shared<SketchDistanceProvider>(plane.sketches, a.composedStretch));
-  tiers.push_back(std::make_shared<ExactDistanceProvider>(plane.graph));
-  plane.tiered = std::make_shared<TieredOracle>(std::move(tiers));
+  plane.tiered = std::make_shared<TieredOracle>(
+      std::make_shared<SketchDistanceProvider>(plane.sketches, a.composedStretch),
+      std::make_shared<ExactDistanceProvider>(plane.graph));
   return plane;
 }
 

@@ -11,7 +11,8 @@
 // is served identically to a host-built one.
 //
 // makeQueryPlane assembles the serving stack from a loaded (or
-// freshly built) artifact: sketch -> exact, wired into a TieredOracle.
+// freshly built) artifact: the sketch floor and exact, the two rungs of a
+// TieredOracle.
 //
 // File layout (little-endian; all counts bounds-checked on load, any
 // truncation or corruption throws std::runtime_error before any partially
@@ -102,8 +103,8 @@ struct QueryPlane {
   std::shared_ptr<TieredOracle> tiered;
 };
 
-/// Assembles sketch -> exact over the artifact's structures: the sketch
-/// floor at the composed stretch, then bidirectional Dijkstra on the input
+/// Assembles the two rungs over the artifact's structures: the sketch
+/// floor at the composed stretch and bidirectional Dijkstra on the input
 /// graph at stretch 1. Takes the artifact's graph and sketches into shared
 /// ownership: move an artifact in that is not needed afterwards, and the
 /// tables are never copied (an lvalue argument is copied first).

@@ -7,13 +7,12 @@
 //    d(u,v) for connected pairs, kInfDist for disconnected pairs, and 0 for
 //    u == v.
 //  - query() always answers; a provider cannot decline a pair.
-//  - All query methods are const and thread-safe: any number of threads may
-//    call them concurrently. Implementations achieve this with immutable
-//    state or internal synchronization — callers never lock.
+//  - query() is const and thread-safe: any number of threads may call it
+//    concurrently. Implementations achieve this with immutable state or
+//    internal synchronization — callers never lock.
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <utility>
 
@@ -37,17 +36,8 @@ class DistanceProvider {
   /// Distance estimate per the contract above.
   virtual Weight query(VertexId u, VertexId v) const = 0;
 
-  /// query() for each pairs[i] into out[i]. out.size() must equal
-  /// pairs.size(). The default loops over query(); implementations may
-  /// batch for locality.
-  virtual void queryBatch(std::span<const QueryPair> pairs,
-                          std::span<Weight> out) const;
-
   /// Certified multiplicative stretch: query(u,v) <= stretchBound()*d(u,v).
   virtual double stretchBound() const = 0;
-
-  /// Resident size in 8-byte words.
-  virtual std::size_t memoryWords() const = 0;
 };
 
 }  // namespace mpcspan::query

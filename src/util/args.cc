@@ -88,4 +88,22 @@ std::string ArgParser::usage() const {
   return out;
 }
 
+std::uint16_t parsePort(const std::string& text, bool dial) {
+  const bool digits =
+      !text.empty() && text.size() <= 5 &&
+      text.find_first_not_of("0123456789") == std::string::npos;
+  const long port = digits ? std::strtol(text.c_str(), nullptr, 10) : -1;
+  if (port < (dial ? 1 : 0) || port > 65535)
+    throw std::invalid_argument("bad port '" + text + "' (want " +
+                                (dial ? "1" : "0") + "..65535)");
+  return static_cast<std::uint16_t>(port);
+}
+
+std::pair<std::string, std::uint16_t> parseEndpoint(const std::string& text) {
+  const std::size_t colon = text.rfind(':');
+  if (colon == std::string::npos || colon == 0)
+    throw std::invalid_argument("want host:port, got '" + text + "'");
+  return {text.substr(0, colon), parsePort(text.substr(colon + 1), /*dial=*/true)};
+}
+
 }  // namespace mpcspan

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace mpcspan {
@@ -45,5 +46,15 @@ class ArgParser {
   bool helpRequested_ = false;
   std::string error_;
 };
+
+/// Parses a TCP port given on the command line: decimal digits only, at
+/// most 65535. A port to listen on may be 0 (ephemeral); a port to `dial`
+/// must be at least 1. Anything else throws std::invalid_argument, which
+/// every tool reports as a usage error (exit 2).
+std::uint16_t parsePort(const std::string& text, bool dial);
+
+/// Splits "host:port" at the last ':' into a non-empty host and a port to
+/// dial (parsePort). Throws std::invalid_argument otherwise.
+std::pair<std::string, std::uint16_t> parseEndpoint(const std::string& text);
 
 }  // namespace mpcspan

@@ -88,5 +88,31 @@ TEST(Args, UnregisteredGetThrows) {
   EXPECT_THROW(p.get("nope"), std::invalid_argument);
 }
 
+TEST(Args, PortRangeDependsOnListenOrDial) {
+  EXPECT_EQ(parsePort("0", /*dial=*/false), 0);
+  EXPECT_EQ(parsePort("65535", /*dial=*/false), 65535);
+  EXPECT_EQ(parsePort("7021", /*dial=*/true), 7021);
+  EXPECT_EQ(parsePort("1", /*dial=*/true), 1);
+  EXPECT_THROW(parsePort("0", /*dial=*/true), std::invalid_argument);
+}
+
+TEST(Args, PortRejectsOutOfRangeAndJunk) {
+  // A narrowing cast would turn 70000 into 4464 and -1 into 65535.
+  for (const char* bad : {"70000", "65536", "-1", "+5", "", " 80", "80x", "0x50",
+                          "123456", "99999999999999999999"})
+    for (const bool dial : {false, true})
+      EXPECT_THROW(parsePort(bad, dial), std::invalid_argument) << bad;
+}
+
+TEST(Args, EndpointSplitsAtTheLastColon) {
+  const auto [host, port] = parseEndpoint("127.0.0.1:7021");
+  EXPECT_EQ(host, "127.0.0.1");
+  EXPECT_EQ(port, 7021);
+  EXPECT_EQ(parseEndpoint("::1:80").first, "::1");
+  for (const char* bad : {"127.0.0.1", ":7021", "host:", "host:0",
+                          "127.0.0.1:70000", "127.0.0.1:-1"})
+    EXPECT_THROW(parseEndpoint(bad), std::invalid_argument) << bad;
+}
+
 }  // namespace
 }  // namespace mpcspan

@@ -17,6 +17,7 @@
 #include "graph/distance.hpp"
 #include "graph/generators.hpp"
 #include "query/build.hpp"
+#include "util/deadline.hpp"
 #include "util/rng.hpp"
 
 namespace mpcspan {
@@ -98,7 +99,9 @@ TEST(Artifact, ReloadedPlaneServesWithoutRebuild) {
   for (int i = 0; i < 200; ++i) {
     const auto u = static_cast<VertexId>(rng.next(a.graph.numVertices()));
     const auto v = static_cast<VertexId>(rng.next(a.graph.numVertices()));
-    EXPECT_EQ(planeB.tiered->query(u, v), planeA.tiered->query(u, v));
+    const util::DeadlineBudget atFloor(0);
+    EXPECT_EQ(planeB.tiered->queryBudgeted(u, v, atFloor).dist,
+              planeA.tiered->queryBudgeted(u, v, atFloor).dist);
   }
 }
 
@@ -117,7 +120,8 @@ TEST(Artifact, DistributedBuildRoundTrips) {
   EXPECT_EQ(b.wordsMoved, a.wordsMoved);
   EXPECT_EQ(b.spannerEdges, a.spannerEdges);
   const auto plane = query::makeQueryPlane(b);
-  const Weight est = plane.tiered->query(0, 7);
+  const Weight est =
+      plane.tiered->queryBudgeted(0, 7, util::DeadlineBudget(0)).dist;
   const Weight exact = dijkstraPair(b.graph, 0, 7);
   EXPECT_GE(est, exact - 1e-12);
   EXPECT_LE(est, b.composedStretch * exact + 1e-9);

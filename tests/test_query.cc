@@ -1,6 +1,7 @@
 // The query plane: adapter bit-equality against the wrapped structures,
-// TieredOracle fall-through semantics, counters and budget admission, and
-// concurrent queries over the full stack (run under TSan in CI).
+// the two-rung walk (counters, budget admission, the floor's authoritative
+// infinity), and concurrent queries over the full stack (run under TSan in
+// CI).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,6 +14,7 @@
 
 #include "apsp/sketches.hpp"
 #include "graph/builder.hpp"
+#include "graph/connectivity.hpp"
 #include "graph/distance.hpp"
 #include "graph/generators.hpp"
 #include "query/adapters.hpp"
@@ -49,7 +51,7 @@ Graph splitGraph() {
 
 TEST(Adapters, ExactMatchesDijkstraBitwise) {
   const Graph g = splitGraph();
-  ExactDistanceProvider p(g);
+  ExactDistanceProvider p(std::make_shared<const Graph>(g));
   EXPECT_EQ(p.numVertices(), g.numVertices());
   EXPECT_EQ(p.stretchBound(), 1.0);
   for (VertexId u = 0; u < g.numVertices(); ++u) {
@@ -59,19 +61,11 @@ TEST(Adapters, ExactMatchesDijkstraBitwise) {
   }
 }
 
-TEST(Adapters, ExactMemoryWordsCountsTheCsrBytes) {
-  const Graph g = testGraph();
-  const std::size_t m = g.numEdges(), n = g.numVertices();
-  const std::size_t bytes = 2 * m * sizeof(Incidence) + m * sizeof(Edge) +
-                            (n + 1) * sizeof(std::size_t);
-  EXPECT_EQ(ExactDistanceProvider(g).memoryWords() * 8, bytes);
-}
-
 TEST(Adapters, SketchMatchesUnderlyingSketchesBitwise) {
   const Graph g = splitGraph();
   const auto sk = std::make_shared<const DistanceSketches>(
       g, SketchParams{.k = 2, .seed = 5});
-  SketchDistanceProvider p(sk);
+  SketchDistanceProvider p(sk, sk->stretchBound());
   EXPECT_EQ(p.stretchBound(), sk->stretchBound());
   for (VertexId u = 0; u < g.numVertices(); ++u)
     for (VertexId v = 0; v < g.numVertices(); ++v)
@@ -82,28 +76,16 @@ TEST(Adapters, SketchSweepOnRandomGraph) {
   const Graph g = testGraph();
   const auto sk = std::make_shared<const DistanceSketches>(
       g, SketchParams{.k = 3, .seed = 7});
-  SketchDistanceProvider p(sk, /*stretchOverride=*/12.5);
+  SketchDistanceProvider p(sk, /*stretch=*/12.5);
   EXPECT_EQ(p.stretchBound(), 12.5);
   for (VertexId u = 0; u < g.numVertices(); u += 7)
     for (VertexId v = 0; v < g.numVertices(); ++v)
       EXPECT_EQ(p.query(u, v), sk->query(u, v));
 }
 
-TEST(Adapters, QueryBatchMatchesQuery) {
-  const Graph g = splitGraph();
-  ExactDistanceProvider p(g);
-  std::vector<query::QueryPair> pairs = {{0, 3}, {0, 7}, {4, 7}, {2, 2}};
-  std::vector<Weight> out(pairs.size());
-  p.queryBatch(pairs, out);
-  for (std::size_t i = 0; i < pairs.size(); ++i)
-    EXPECT_EQ(out[i], p.query(pairs[i].first, pairs[i].second));
-  std::vector<Weight> tooSmall(2);
-  EXPECT_THROW(p.queryBatch(pairs, tooSmall), std::invalid_argument);
-}
-
 // --- TieredOracle semantics. ---
 
-/// Scripted provider for pinning tier fall-through behaviour.
+/// Scripted provider for pinning the walk's behaviour.
 class FakeProvider final : public DistanceProvider {
  public:
   FakeProvider(std::string name, Weight answer, std::size_t n = 4)
@@ -115,7 +97,6 @@ class FakeProvider final : public DistanceProvider {
     return answer_;
   }
   double stretchBound() const override { return 2.0; }
-  std::size_t memoryWords() const override { return 10; }
 
   mutable std::atomic<int> calls{0};
 
@@ -125,56 +106,49 @@ class FakeProvider final : public DistanceProvider {
   std::size_t n_;
 };
 
-TEST(TieredOracle, FirstAnsweringTierWins) {
-  auto a = std::make_shared<FakeProvider>("a", 5.0);
-  auto b = std::make_shared<FakeProvider>("b", 1.0);
-  TieredOracle t({a, b});
-  EXPECT_EQ(t.query(0, 1), 5.0);
-  EXPECT_EQ(a->calls.load(), 1);
-  EXPECT_EQ(b->calls.load(), 0);
-}
-
-TEST(TieredOracle, NonFinalInfinityFallsThrough) {
-  auto inf = std::make_shared<FakeProvider>("inf", kInfDist);
-  auto answers = std::make_shared<FakeProvider>("answers", 7.0);
-  TieredOracle t({inf, answers});
-  EXPECT_EQ(t.query(0, 1), 7.0);
-  EXPECT_EQ(inf->calls.load(), 1);
-  EXPECT_EQ(answers->calls.load(), 1);
-}
-
 TEST(TieredOracle, FinalTierInfinityIsAuthoritative) {
+  auto floor = std::make_shared<FakeProvider>("floor", 5.0);
   auto inf = std::make_shared<FakeProvider>("inf", kInfDist);
-  TieredOracle t({std::make_shared<FakeProvider>("floor", kInfDist), inf});
-  EXPECT_EQ(t.query(0, 1), kInfDist);
-  const auto stats = t.stats();
-  EXPECT_EQ(stats[0].hits, 0u);  // fell through
-  EXPECT_EQ(stats[1].hits, 1u);  // accepted, not fallen through
+  TieredOracle t(floor, inf);
+  const query::BudgetedAnswer a = t.queryBudgeted(0, 1, util::DeadlineBudget());
+  EXPECT_EQ(a.dist, kInfDist);
+  EXPECT_EQ(a.tier, 1);
+  EXPECT_EQ(floor->calls.load(), 0);  // nothing falls through to the floor
+  const query::OracleSnapshot snap = t.snapshot();
+  EXPECT_EQ(snap.tiers[0].hits, 0u);
+  EXPECT_EQ(snap.tiers[1].hits, 1u);
 }
 
 TEST(TieredOracle, CountersAddUp) {
-  auto a = std::make_shared<FakeProvider>("a", kInfDist);
+  auto a = std::make_shared<FakeProvider>("a", 9.0);
   auto b = std::make_shared<FakeProvider>("b", 3.0);
-  TieredOracle t({a, b});
-  for (int i = 0; i < 10; ++i) t.query(0, 1);
-  auto stats = t.stats();
-  EXPECT_EQ(stats[0].attempts, 10u);
-  EXPECT_EQ(stats[0].hits, 0u);
-  EXPECT_EQ(stats[1].attempts, 10u);
-  EXPECT_EQ(stats[1].hits, 10u);
+  TieredOracle t(a, b);
+  for (int i = 0; i < 10; ++i) t.queryBudgeted(0, 1, util::DeadlineBudget());
+  for (int i = 0; i < 4; ++i) t.queryBudgeted(0, 1, util::DeadlineBudget(0));
+  query::OracleSnapshot snap = t.snapshot();
+  EXPECT_EQ(snap.tiers[0].name, "a");
+  EXPECT_EQ(snap.tiers[0].attempts, 4u);
+  EXPECT_EQ(snap.tiers[0].hits, 4u);
+  EXPECT_EQ(snap.tiers[1].name, "b");
+  EXPECT_EQ(snap.tiers[1].attempts, 10u);
+  EXPECT_EQ(snap.tiers[1].hits, 10u);
+  EXPECT_EQ(snap.queries, 14u);
+  EXPECT_EQ(snap.degraded, 4u);
   t.resetStats();
-  stats = t.stats();
-  EXPECT_EQ(stats[0].attempts, 0u);
-  EXPECT_EQ(stats[1].hits, 0u);
+  snap = t.snapshot();
+  EXPECT_EQ(snap.tiers[0].attempts, 0u);
+  EXPECT_EQ(snap.tiers[1].hits, 0u);
+  EXPECT_EQ(snap.queries, 0u);
+  EXPECT_EQ(snap.degraded, 0u);
 }
 
 TEST(TieredOracle, ValidatesConstruction) {
-  EXPECT_THROW(TieredOracle({}), std::invalid_argument);
-  EXPECT_THROW(
-      TieredOracle({std::make_shared<FakeProvider>("a", 1.0, 4), nullptr}),
-      std::invalid_argument);
-  EXPECT_THROW(TieredOracle({std::make_shared<FakeProvider>("a", 1.0, 4),
-                             std::make_shared<FakeProvider>("b", 1.0, 5)}),
+  EXPECT_THROW(TieredOracle(std::make_shared<FakeProvider>("a", 1.0, 4), nullptr),
+               std::invalid_argument);
+  EXPECT_THROW(TieredOracle(nullptr, std::make_shared<FakeProvider>("a", 1.0, 4)),
+               std::invalid_argument);
+  EXPECT_THROW(TieredOracle(std::make_shared<FakeProvider>("a", 1.0, 4),
+                            std::make_shared<FakeProvider>("b", 1.0, 5)),
                std::invalid_argument);
 }
 
@@ -194,7 +168,6 @@ class DelayedProvider final : public DistanceProvider {
     return 1.0;
   }
   double stretchBound() const override { return 1.0; }
-  std::size_t memoryWords() const override { return 1; }
 
   mutable std::atomic<int> calls{0};
 
@@ -210,7 +183,7 @@ TEST(TieredOracle, SlowFirstSampleDoesNotLockATierOut) {
   auto slowOnce = std::make_shared<DelayedProvider>([](int call) {
     return std::chrono::microseconds(call == 0 ? 20000 : 0);
   });
-  TieredOracle t({std::make_shared<FakeProvider>("floor", 9.0), slowOnce});
+  TieredOracle t(std::make_shared<FakeProvider>("floor", 9.0), slowOnce);
   ASSERT_FALSE(t.queryBudgeted(0, 1, util::DeadlineBudget(5)).degraded);
   int readmittedAt = -1;
   int degradedAfter = 0;
@@ -234,7 +207,7 @@ TEST(TieredOracle, PersistentlySlowTierStaysSkipped) {
   // almost every query.
   auto slow = std::make_shared<DelayedProvider>(
       [](int) { return std::chrono::microseconds(10000); });
-  TieredOracle t({std::make_shared<FakeProvider>("floor", 9.0), slow});
+  TieredOracle t(std::make_shared<FakeProvider>("floor", 9.0), slow);
   constexpr int kQueries = 600;
   int degraded = 0;
   for (int q = 0; q < kQueries; ++q)
@@ -249,7 +222,7 @@ TEST(TieredOracle, SpentAndUnboundedBudgetsIgnoreTheEstimate) {
   // an unbounded budget always runs it, whatever its estimate says.
   auto slow = std::make_shared<DelayedProvider>(
       [](int) { return std::chrono::microseconds(2000); });
-  TieredOracle t({std::make_shared<FakeProvider>("floor", 9.0), slow});
+  TieredOracle t(std::make_shared<FakeProvider>("floor", 9.0), slow);
   for (int q = 0; q < 50; ++q) {
     const query::BudgetedAnswer a = t.queryBudgeted(0, 1, util::DeadlineBudget(0));
     EXPECT_TRUE(a.degraded);
@@ -265,36 +238,80 @@ TEST(TieredOracle, SpentAndUnboundedBudgetsIgnoreTheEstimate) {
   EXPECT_EQ(t.snapshot().degraded, 50u);
 }
 
-TEST(TieredOracle, DisconnectedPairFallsToExactInfinity) {
-  const Graph g = splitGraph();
-  query::BuildPlan plan;
-  plan.algo = "baswana-sen";
-  plan.k = 2;
-  plan.sketchK = 2;
-  const auto artifact = query::buildArtifact(g, plan);
-  const auto plane = query::makeQueryPlane(artifact);
-  // 0 and 4 are in different components: sketches return inf (non-final ->
-  // fall through), exact answers inf.
-  EXPECT_EQ(plane.tiered->query(0, 4), kInfDist);
-  const auto stats = plane.tiered->stats();
-  EXPECT_EQ(stats.back().hits, 1u);
-  // Connected pair: answered exactly-or-stretched, never below the true
-  // distance, and the attempts column sums to queries so far per tier.
-  const Weight est = plane.tiered->query(0, 3);
-  const Weight exact = dijkstraPair(g, 0, 3);
-  EXPECT_GE(est, exact - 1e-12);
-  EXPECT_LE(est, artifact.composedStretch * exact + 1e-9);
-  EXPECT_EQ(plane.tiered->stats()[0].attempts, 2u);
+// --- The floor's kInfDist is authoritative: it means "disconnected". ---
+
+/// A seeded forest-like graph of many tiny components (1-6 vertices each):
+/// a random spanning tree per component plus one extra edge in the larger
+/// ones, uniform weights in [1, 50].
+Graph tinyComponents(std::size_t components, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::size_t> sizes(components);
+  std::size_t n = 0;
+  for (std::size_t& s : sizes) n += s = 1 + rng.next(6);
+  GraphBuilder b(n);
+  const auto weight = [&] { return rng.uniform(1.0, 50.0); };
+  std::size_t first = 0;
+  for (const std::size_t s : sizes) {
+    for (std::size_t i = 1; i < s; ++i)
+      b.addEdge(static_cast<VertexId>(first + i),
+                static_cast<VertexId>(first + rng.next(i)), weight());
+    if (s >= 4)
+      b.addEdge(static_cast<VertexId>(first),
+                static_cast<VertexId>(first + s - 1), weight());
+    first += s;
+  }
+  return b.build();
+}
+
+TEST(TieredOracle, FloorInfinityMeansDisconnected) {
+  // At deadline 0 the sketch floor answers every pair: kInfDist exactly
+  // for the cross-component pairs and a finite answer inside the composed
+  // envelope otherwise, so a floor infinity never needs exact to confirm
+  // it. An unbounded budget answers from exact, kInfDist included.
+  for (const std::uint32_t sketchK : {2u, 3u})
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      const Graph g = tinyComponents(60, seed);
+      query::BuildPlan plan;
+      plan.algo = "baswana-sen";
+      plan.k = 2;
+      plan.sketchK = sketchK;
+      plan.sketchSeed = seed;
+      const auto artifact = query::buildArtifact(g, plan);
+      const auto plane = query::makeQueryPlane(artifact);
+      const std::vector<VertexId> comp = componentLabels(g);
+      const std::size_t n = g.numVertices();
+      std::size_t crossPairs = 0;
+      for (VertexId u = 0; u < n; ++u) {
+        const std::vector<Weight> row = dijkstra(g, u);
+        for (VertexId v = 0; v < n; ++v) {
+          const Weight floor =
+              plane.tiered->queryBudgeted(u, v, util::DeadlineBudget(0)).dist;
+          const Weight exact =
+              plane.tiered->queryBudgeted(u, v, util::DeadlineBudget()).dist;
+          ASSERT_EQ(exact, row[v]) << u << "," << v;
+          if (comp[u] != comp[v]) {
+            ++crossPairs;
+            ASSERT_EQ(floor, kInfDist) << u << "," << v;
+            continue;
+          }
+          ASSERT_NE(floor, kInfDist) << "k=" << sketchK << " seed=" << seed
+                                     << " pair " << u << "," << v;
+          EXPECT_GE(floor, row[v] - 1e-9);
+          EXPECT_LE(floor, artifact.composedStretch * row[v] + 1e-9);
+        }
+      }
+      EXPECT_GT(crossPairs, n * n / 2);
+    }
 }
 
 // --- Concurrency: many threads on one plane, every tier in play. ---
 
 TEST(QueryPlane, ConcurrentQueriesMatchTheQuiescentReference) {
-  // Four threads replay one workload through query() (the sketch floor
-  // answers) and through queryBudgeted at an unbounded budget (exact
-  // answers) and at budget 0 (the floor again, degraded). Tiers are
-  // immutable, so every concurrent answer must be bit-identical to the
-  // single-threaded reference, and the relaxed counters must add up.
+  // Four threads replay one workload through queryBudgeted at an unbounded
+  // budget (exact answers) and at budget 0 (the floor answers, degraded).
+  // Tiers are immutable, so every concurrent answer must be bit-identical
+  // to the single-threaded reference, and the relaxed counters must add
+  // up.
   const Graph g = testGraph(120, 480, 9);
   query::BuildPlan plan;
   plan.algo = "baswana-sen";
@@ -304,7 +321,7 @@ TEST(QueryPlane, ConcurrentQueriesMatchTheQuiescentReference) {
   const auto plane = query::makeQueryPlane(artifact);
   const std::size_t n = g.numVertices();
 
-  const ExactDistanceProvider exact(g);
+  const ExactDistanceProvider exact(std::make_shared<const Graph>(g));
   std::vector<query::QueryPair> pairs;
   std::vector<Weight> floorRef, exactRef;
   Rng rng(21);
@@ -312,7 +329,8 @@ TEST(QueryPlane, ConcurrentQueriesMatchTheQuiescentReference) {
     const auto u = static_cast<VertexId>(rng.next(n));
     const auto v = static_cast<VertexId>(rng.next(n));
     pairs.push_back({u, v});
-    floorRef.push_back(plane.tiered->query(u, v));
+    floorRef.push_back(
+        plane.tiered->queryBudgeted(u, v, util::DeadlineBudget(0)).dist);
     exactRef.push_back(exact.query(u, v));
   }
   plane.tiered->resetStats();
@@ -328,8 +346,7 @@ TEST(QueryPlane, ConcurrentQueriesMatchTheQuiescentReference) {
               plane.tiered->queryBudgeted(u, v, util::DeadlineBudget());
           const query::BudgetedAnswer atFloor =
               plane.tiered->queryBudgeted(u, v, util::DeadlineBudget(0));
-          if (plane.tiered->query(u, v) != floorRef[i] ||
-              best.dist != exactRef[i] || best.tier != 1 || best.degraded ||
+          if (best.dist != exactRef[i] || best.tier != 1 || best.degraded ||
               atFloor.dist != floorRef[i] || atFloor.tier != 0 ||
               !atFloor.degraded)
             mismatches.fetch_add(1);
@@ -338,13 +355,13 @@ TEST(QueryPlane, ConcurrentQueriesMatchTheQuiescentReference) {
   for (auto& th : threads) th.join();
 
   EXPECT_EQ(mismatches.load(), 0);
-  // 4 threads x 3 reps x 100 pairs, each run three ways.
+  // 4 threads x 3 reps x 100 pairs, each run both ways.
   const query::OracleSnapshot snap = plane.tiered->snapshot();
   const std::uint64_t each = 4u * 3u * 100u;
-  EXPECT_EQ(snap.queries, 3 * each);
+  EXPECT_EQ(snap.queries, 2 * each);
   EXPECT_EQ(snap.degraded, each);
-  EXPECT_EQ(snap.tiers[0].attempts, 2 * each);
-  EXPECT_EQ(snap.tiers[0].hits, 2 * each);
+  EXPECT_EQ(snap.tiers[0].attempts, each);
+  EXPECT_EQ(snap.tiers[0].hits, each);
   EXPECT_EQ(snap.tiers[1].attempts, each);
   EXPECT_EQ(snap.tiers[1].hits, each);
 }

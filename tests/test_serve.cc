@@ -131,14 +131,13 @@ TEST(DeadlineBudget, BoundedCountsDown) {
 TEST(QueryBudgeted, UnboundedBudgetAnswersFromStrongestTier) {
   const query::QueryArtifact a = query::loadArtifactFile(artifactA());
   const query::QueryPlane plane = query::makeQueryPlane(a);
-  const int exactTier = static_cast<int>(plane.tiered->numTiers()) - 1;
   Rng rng(11);
   for (int i = 0; i < 50; ++i) {
     const auto u = static_cast<VertexId>(rng.next(a.graph.numVertices()));
     const auto v = static_cast<VertexId>(rng.next(a.graph.numVertices()));
     const query::BudgetedAnswer ans =
         plane.tiered->queryBudgeted(u, v, util::DeadlineBudget());
-    EXPECT_EQ(ans.tier, exactTier);
+    EXPECT_EQ(ans.tier, 1);
     EXPECT_FALSE(ans.degraded);
     EXPECT_DOUBLE_EQ(ans.stretch, 1.0);
     EXPECT_EQ(ans.dist, dijkstra(a.graph, u)[v]);
@@ -168,13 +167,15 @@ TEST(QueryBudgeted, SnapshotCountsQueriesAndDegradations) {
   const query::QueryArtifact a = query::loadArtifactFile(artifactA());
   const query::QueryPlane plane = query::makeQueryPlane(a);
   plane.tiered->resetStats();
-  (void)plane.tiered->query(1, 2);
+  (void)plane.tiered->queryBudgeted(1, 2, util::DeadlineBudget(0));
   (void)plane.tiered->queryBudgeted(3, 4, util::DeadlineBudget());
   (void)plane.tiered->queryBudgeted(5, 6, util::DeadlineBudget(0));
   const query::OracleSnapshot snap = plane.tiered->snapshot();
   EXPECT_EQ(snap.queries, 3u);
-  EXPECT_EQ(snap.degraded, 1u);
-  EXPECT_EQ(snap.tiers.size(), plane.tiered->numTiers());
+  EXPECT_EQ(snap.degraded, 2u);
+  ASSERT_EQ(snap.tiers.size(), 2u);
+  EXPECT_EQ(snap.tiers[0].name, "sketch");
+  EXPECT_EQ(snap.tiers[1].name, "exact");
   plane.tiered->resetStats();
   const query::OracleSnapshot clean = plane.tiered->snapshot();
   EXPECT_EQ(clean.queries, 0u);
@@ -194,7 +195,10 @@ TEST(AuditEnvelope, CleanAnswersPassAndViolationsAreNamed) {
          static_cast<VertexId>(rng.next(a.graph.numVertices()))};
   std::vector<Weight> answers(pairs.size());
   for (std::size_t i = 0; i < pairs.size(); ++i)
-    answers[i] = plane.tiered->query(pairs[i].first, pairs[i].second);
+    answers[i] = plane.tiered
+                     ->queryBudgeted(pairs[i].first, pairs[i].second,
+                                     util::DeadlineBudget(0))
+                     .dist;
 
   const query::AuditReport good =
       query::auditEnvelope(a.graph, pairs, answers, a.composedStretch);

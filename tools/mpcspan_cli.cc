@@ -20,12 +20,19 @@
 // over a loopback tcp mesh (0 = MPCSPAN_THREADS / MPCSPAN_SHARDS env
 // defaults).
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <exception>
 #include <fstream>
+#include <functional>
+#include <limits>
+#include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "graph/connectivity.hpp"
@@ -34,10 +41,10 @@
 #include "graph/io.hpp"
 #include "query/audit.hpp"
 #include "query/build.hpp"
-#include "runtime/thread_pool.hpp"
 #include "serve/client.hpp"
 #include "spanner/verify.hpp"
 #include "util/args.hpp"
+#include "util/deadline.hpp"
 
 using namespace mpcspan;
 
@@ -195,102 +202,117 @@ int runBuildOracle(int argc, const char* const* argv) {
 }
 
 // ---------------------------------------------------------------------------
-// query: reload an artifact and serve distance queries from it (no rebuild).
+// query: answer distance queries from a saved artifact (no rebuild), in
+// this process or over the wire from a running mpcspand (--connect). Both
+// modes answer through one Ask and print through one path.
 
-// --connect: the same subcommand as a network client of mpcspand. Keeps
-// the local flags' meaning; --audit stays local-only (it needs the graph).
-int runQueryConnected(const ArgParser& args) {
-  const std::string where = args.get("connect");
-  const auto colon = where.rfind(':');
-  if (colon == std::string::npos || colon + 1 >= where.size())
-    throw std::invalid_argument("--connect wants host:port, got '" + where +
-                                "'");
-  serve::ClientOptions copt;
-  copt.host = where.substr(0, colon);
-  copt.port = static_cast<std::uint16_t>(
-      std::stoul(where.substr(colon + 1)));
-  copt.seed = static_cast<std::uint64_t>(args.getInt("seed"));
-  serve::ServeClient client(copt);
+/// Answers (u, v) on client thread `thread`; over --connect every thread
+/// has its own ServeClient. A local answer carries snapshotVersion 0 (a
+/// daemon counts its snapshots from 1).
+using Ask = std::function<serve::WireAnswer(std::size_t thread, VertexId u,
+                                            VertexId v)>;
 
+void printAnswer(VertexId u, VertexId v, const serve::WireAnswer& a) {
+  std::fprintf(stdout, "d(%u, %u) <= %.6g (tier %lld, stretch <= %.1f%s", u, v,
+               a.dist, static_cast<long long>(a.tier), a.stretch,
+               a.degraded ? ", degraded" : "");
+  if (a.snapshotVersion)
+    std::fprintf(stdout, ", snapshot v%llu",
+                 static_cast<unsigned long long>(a.snapshotVersion));
+  std::fputs(")\n", stdout);
+}
+
+void printTiers(const std::vector<query::TierStats>& tiers) {
+  std::fprintf(stdout, "\n%-14s %10s %10s %10s\n", "tier", "attempts",
+               "hits", "mean-us");
+  for (const query::TierStats& t : tiers)
+    std::fprintf(stdout, "%-14s %10llu %10llu %10.2f\n", t.name.c_str(),
+                 static_cast<unsigned long long>(t.attempts),
+                 static_cast<unsigned long long>(t.hits),
+                 t.attempts ? static_cast<double>(t.nanos) / 1e3 /
+                                  static_cast<double>(t.attempts)
+                            : 0.0);
+}
+
+struct RandomRun {
+  std::size_t degraded = 0;
+  double seconds = 0;
+  // Kept only when asked for (--audit): pairs[i] was answered answers[i].
+  std::vector<query::QueryPair> pairs;
+  std::vector<Weight> answers;
+};
+
+/// The random-query run: `q` uniform pairs over [0, n) split over `threads`
+/// client threads. Thread t takes queries t, t + threads, ... from its own
+/// stream seeded `seed + t`, so one thread replays the single-threaded
+/// stream. An error on any thread is rethrown once all have stopped.
+RandomRun runRandomQueries(std::size_t q, std::size_t n, std::size_t threads,
+                           std::uint64_t seed, const Ask& ask, bool keep) {
+  RandomRun run;
+  if (keep) {
+    run.pairs.resize(q);
+    run.answers.resize(q);
+  }
+  std::atomic<std::size_t> degraded{0};
+  std::vector<std::exception_ptr> errors(threads);
+  std::vector<std::thread> clients;
+  const auto t0 = std::chrono::steady_clock::now();
+  for (std::size_t t = 0; t < threads; ++t)
+    clients.emplace_back([&, t] {
+      try {
+        Rng rng(seed + t);
+        std::size_t mine = 0;
+        for (std::size_t i = t; i < q; i += threads) {
+          const auto u = static_cast<VertexId>(rng.next(n));
+          const auto v = static_cast<VertexId>(rng.next(n));
+          const serve::WireAnswer a = ask(t, u, v);
+          if (a.degraded) ++mine;
+          if (keep) {
+            run.pairs[i] = {u, v};
+            run.answers[i] = a.dist;
+          }
+        }
+        degraded += mine;
+      } catch (...) {
+        errors[t] = std::current_exception();
+      }
+    });
+  for (std::thread& c : clients) c.join();
+  run.seconds = std::chrono::duration<double>(
+                    std::chrono::steady_clock::now() - t0)
+                    .count();
+  for (const std::exception_ptr& e : errors)
+    if (e) std::rethrow_exception(e);
+  run.degraded = degraded;
+  return run;
+}
+
+/// --connect's daemon commands: --reload and --stats.
+void runDaemonCommand(const ArgParser& args, serve::ServeClient& client) {
   if (!args.get("reload").empty()) {
     const std::uint64_t version = client.reload(args.get("reload"));
     std::fprintf(stdout, "reloaded: snapshot v%llu now serving\n",
                  static_cast<unsigned long long>(version));
-    return 0;
+    return;
   }
-  if (args.getBool("stats")) {
-    const serve::ServeStats s = client.stats();
-    std::fprintf(stdout,
-                 "snapshot v%llu, n=%llu\n"
-                 "accepted %llu, active %llu, queries %llu (degraded %llu)\n"
-                 "shed %llu, slow-drops %llu, malformed %llu, reloads ok %llu "
-                 "failed %llu\n",
-                 static_cast<unsigned long long>(s.snapshotVersion),
-                 static_cast<unsigned long long>(s.numVertices),
-                 static_cast<unsigned long long>(s.accepted),
-                 static_cast<unsigned long long>(s.activeSessions),
-                 static_cast<unsigned long long>(s.queries),
-                 static_cast<unsigned long long>(s.degraded),
-                 static_cast<unsigned long long>(s.shedQueueFull),
-                 static_cast<unsigned long long>(s.slowClientDrops),
-                 static_cast<unsigned long long>(s.malformedFrames),
-                 static_cast<unsigned long long>(s.reloadsOk),
-                 static_cast<unsigned long long>(s.reloadsFailed));
-    std::fprintf(stdout, "\n%-14s %10s %10s %10s\n", "tier", "attempts",
-                 "hits", "mean-us");
-    for (const query::TierStats& t : s.tiers)
-      std::fprintf(stdout, "%-14s %10llu %10llu %10.2f\n", t.name.c_str(),
-                   static_cast<unsigned long long>(t.attempts),
-                   static_cast<unsigned long long>(t.hits),
-                   t.attempts ? static_cast<double>(t.nanos) / 1e3 /
-                                    static_cast<double>(t.attempts)
-                              : 0.0);
-    return 0;
-  }
-
-  const std::int64_t deadlineArg = args.getInt("deadline-ms");
-  const std::uint64_t deadlineMs =
-      deadlineArg < 0 ? serve::kDeadlineDefault
-                      : static_cast<std::uint64_t>(deadlineArg);
-
-  if (args.has("u") || args.has("v")) {
-    if (!(args.has("u") && args.has("v")))
-      throw std::invalid_argument("--u and --v must be given together");
-    const auto u = static_cast<VertexId>(args.getInt("u"));
-    const auto v = static_cast<VertexId>(args.getInt("v"));
-    const serve::WireAnswer ans = client.query(u, v, deadlineMs);
-    std::fprintf(stdout,
-                 "d(%u, %u) <= %.6g (tier %lld, stretch <= %.1f%s, "
-                 "snapshot v%llu)\n",
-                 u, v, ans.dist, static_cast<long long>(ans.tier),
-                 ans.stretch, ans.degraded ? ", degraded" : "",
-                 static_cast<unsigned long long>(ans.snapshotVersion));
-    return 0;
-  }
-
-  const serve::HelloInfo info = client.serverInfo();
-  if (info.numVertices == 0) throw std::runtime_error("server graph is empty");
-  const auto q = static_cast<std::size_t>(
-      std::max<std::int64_t>(1, args.getInt("queries")));
-  Rng qrng(static_cast<std::uint64_t>(args.getInt("seed")));
-  std::size_t degraded = 0;
-  const auto t0 = std::chrono::steady_clock::now();
-  for (std::size_t i = 0; i < q; ++i) {
-    const auto u = static_cast<VertexId>(qrng.next(info.numVertices));
-    const auto v = static_cast<VertexId>(qrng.next(info.numVertices));
-    const serve::WireAnswer ans = client.query(u, v, deadlineMs);
-    if (ans.degraded) ++degraded;
-  }
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  const serve::ServeStats s = client.stats();
   std::fprintf(stdout,
-               "served %zu remote queries in %.3f s (%.0f qps), "
-               "%zu degraded (%.1f%%)\n",
-               q, elapsed, elapsed > 0 ? static_cast<double>(q) / elapsed : 0.0,
-               degraded, 100.0 * static_cast<double>(degraded) /
-                             static_cast<double>(q));
-  return 0;
+               "snapshot v%llu, n=%llu\n"
+               "accepted %llu, active %llu, queries %llu (degraded %llu)\n"
+               "shed %llu, slow-drops %llu, malformed %llu, reloads ok %llu "
+               "failed %llu\n",
+               static_cast<unsigned long long>(s.snapshotVersion),
+               static_cast<unsigned long long>(s.numVertices),
+               static_cast<unsigned long long>(s.accepted),
+               static_cast<unsigned long long>(s.activeSessions),
+               static_cast<unsigned long long>(s.queries),
+               static_cast<unsigned long long>(s.degraded),
+               static_cast<unsigned long long>(s.shedQueueFull),
+               static_cast<unsigned long long>(s.slowClientDrops),
+               static_cast<unsigned long long>(s.malformedFrames),
+               static_cast<unsigned long long>(s.reloadsOk),
+               static_cast<unsigned long long>(s.reloadsFailed));
+  printTiers(s.tiers);
 }
 
 int runQuery(int argc, const char* const* argv) {
@@ -301,14 +323,17 @@ int runQuery(int argc, const char* const* argv) {
             "host:port of a running mpcspand; queries go over the wire "
             "instead of a locally loaded artifact")
       .flag("deadline-ms", "-1",
-            "per-query deadline budget sent with --connect queries "
-            "(-1 = server default)")
+            "per-query deadline budget: -1 = unbounded, so exact answers "
+            "(over --connect: the daemon's default), 0 = the sketch floor "
+            "answers")
       .flag("stats", "false", "with --connect: print daemon counters and exit")
       .flag("reload", "",
             "with --connect: ask the daemon to hot-swap to this artifact path")
       .flag("queries", "10000", "random query count")
-      .flag("seed", "1", "query rng seed")
-      .flag("threads", "1", "client threads for the random-query run")
+      .flag("seed", "1", "query rng seed (client thread t draws from seed + t)")
+      .flag("threads", "1",
+            "client threads for the random-query run (over --connect, one "
+            "connection each)")
       .flag("audit", "false", "compare a sample of answers against exact Dijkstra")
       .flag("u", "", "single query source (with --v; skips the random run)")
       .flag("v", "", "single query target");
@@ -321,86 +346,95 @@ int runQuery(int argc, const char* const* argv) {
     return 0;
   }
   try {
-    if (!args.get("connect").empty()) {
-      if (args.getBool("audit"))
-        throw std::invalid_argument(
-            "--audit needs the graph and is local-only; drop --connect");
-      return runQueryConnected(args);
-    }
-    if (args.get("artifact").empty())
+    const std::string connect = args.get("connect");
+    const bool audit = args.getBool("audit");
+    if (!connect.empty() && audit)
+      throw std::invalid_argument(
+          "--audit needs the graph and is local-only; drop --connect");
+    if (connect.empty() && args.get("artifact").empty())
       throw std::invalid_argument("query requires --artifact <path>");
-    query::QueryArtifact a = query::loadArtifactFile(args.get("artifact"));
-    const std::size_t n = a.graph.numVertices();
-    const double composedStretch = a.composedStretch;
-    std::fprintf(stdout,
-                 "loaded artifact: n=%zu m=%zu, spanner %zu edges (%s, k=%u), "
-                 "sketch k=%u, composed stretch <= %.1f\n",
-                 n, a.graph.numEdges(), a.spannerEdges.size(),
-                 a.algorithm.c_str(), a.k, a.sketchParams.k, a.composedStretch);
-    if (n == 0) throw std::runtime_error("artifact graph is empty");
+    if (args.has("u") != args.has("v"))
+      throw std::invalid_argument("--u and --v must be given together");
 
-    // The plane takes the graph over; read it back through plane.graph.
-    query::QueryPlane plane = query::makeQueryPlane(std::move(a));
-    const Graph& g = *plane.graph;
+    const auto q = static_cast<std::size_t>(
+        std::max<std::int64_t>(1, args.getInt("queries")));
+    const std::size_t threads = std::min<std::size_t>(
+        q, static_cast<std::size_t>(
+               std::max<std::int64_t>(1, args.getInt("threads"))));
+    const auto seed = static_cast<std::uint64_t>(args.getInt("seed"));
+    const std::int64_t deadlineMs = args.getInt("deadline-ms");
 
-    const auto clientThreads = static_cast<std::size_t>(
-        std::max<std::int64_t>(1, args.getInt("threads")));
-    runtime::ThreadPool pool(clientThreads);
+    std::size_t n = 0;
+    double composedStretch = 0;
+    std::optional<query::QueryPlane> plane;
+    std::vector<std::unique_ptr<serve::ServeClient>> clients;
+    Ask ask;
+    if (!connect.empty()) {
+      const auto [host, port] = parseEndpoint(connect);
+      for (std::size_t t = 0; t < threads; ++t) {
+        serve::ClientOptions copt;
+        copt.host = host;
+        copt.port = port;
+        copt.seed = seed + t;
+        clients.push_back(std::make_unique<serve::ServeClient>(copt));
+      }
+      if (!args.get("reload").empty() || args.getBool("stats")) {
+        runDaemonCommand(args, *clients[0]);
+        return 0;
+      }
+      const std::uint64_t wireDeadline =
+          deadlineMs < 0 ? serve::kDeadlineDefault
+                         : static_cast<std::uint64_t>(deadlineMs);
+      ask = [&clients, wireDeadline](std::size_t t, VertexId u, VertexId v) {
+        return clients[t]->query(u, v, wireDeadline);
+      };
+      n = clients[0]->serverInfo().numVertices;
+    } else {
+      query::QueryArtifact a = query::loadArtifactFile(args.get("artifact"));
+      n = a.graph.numVertices();
+      composedStretch = a.composedStretch;
+      std::fprintf(stdout,
+                   "loaded artifact: n=%zu m=%zu, spanner %zu edges (%s, k=%u), "
+                   "sketch k=%u, composed stretch <= %.1f\n",
+                   n, a.graph.numEdges(), a.spannerEdges.size(),
+                   a.algorithm.c_str(), a.k, a.sketchParams.k, a.composedStretch);
+      // The plane takes the graph over; read it back through plane->graph.
+      plane.emplace(query::makeQueryPlane(std::move(a)));
+      const int budgetMs =
+          deadlineMs < 0 ? -1
+                         : static_cast<int>(std::min<std::int64_t>(
+                               deadlineMs, std::numeric_limits<int>::max()));
+      ask = [&plane, budgetMs](std::size_t, VertexId u, VertexId v) {
+        const query::BudgetedAnswer a = plane->tiered->queryBudgeted(
+            u, v, util::DeadlineBudget(budgetMs));
+        return serve::WireAnswer{a.dist, a.tier, a.degraded, a.stretch, 0};
+      };
+    }
+    if (n == 0) throw std::runtime_error("the served graph is empty");
 
-    if (args.has("u") || args.has("v")) {
-      if (!(args.has("u") && args.has("v")))
-        throw std::invalid_argument("--u and --v must be given together");
+    if (args.has("u")) {
       const auto u = static_cast<VertexId>(args.getInt("u"));
       const auto v = static_cast<VertexId>(args.getInt("v"));
       if (u >= n || v >= n)
         throw std::invalid_argument("--u/--v out of range [0, n)");
-      const Weight est = plane.tiered->query(u, v);
-      const Weight exact = dijkstraPair(g, u, v);
-      std::fprintf(stdout, "d(%u, %u) <= %.6g (exact %.6g)\n", u, v, est, exact);
+      printAnswer(u, v, ask(0, u, v));
       return 0;
     }
 
-    const auto q = static_cast<std::size_t>(
-        std::max<std::int64_t>(1, args.getInt("queries")));
-    Rng qrng(static_cast<std::uint64_t>(args.getInt("seed")));
-    std::vector<query::QueryPair> pairs(q);
-    for (auto& p : pairs)
-      p = {static_cast<VertexId>(qrng.next(n)),
-           static_cast<VertexId>(qrng.next(n))};
-    std::vector<Weight> answers(q);
-
-    const auto t0 = std::chrono::steady_clock::now();
-    pool.parallelFor(q, [&](std::size_t i) {
-      answers[i] = plane.tiered->query(pairs[i].first, pairs[i].second);
-    });
-    const double elapsed =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-
-    std::fprintf(stdout, "\n%-14s %10s %10s %6s %9s\n", "tier", "attempts",
-                 "hits", "hit%", "mean-us");
-    for (const query::TierStats& s : plane.tiered->stats()) {
-      const double hitPct =
-          s.attempts ? 100.0 * static_cast<double>(s.hits) /
-                           static_cast<double>(s.attempts)
-                     : 0.0;
-      const double meanUs =
-          s.attempts ? static_cast<double>(s.nanos) / 1e3 /
-                           static_cast<double>(s.attempts)
-                     : 0.0;
-      std::fprintf(stdout, "%-14s %10llu %10llu %5.1f%% %9.2f\n", s.name.c_str(),
-                   static_cast<unsigned long long>(s.attempts),
-                   static_cast<unsigned long long>(s.hits), hitPct, meanUs);
-    }
+    const RandomRun run = runRandomQueries(q, n, threads, seed, ask, audit);
+    if (plane) printTiers(plane->tiered->snapshot().tiers);
     std::fprintf(stdout,
-                 "\nserved %zu queries in %.3f s (%.0f qps, %zu client threads)\n",
-                 q, elapsed,
-                 elapsed > 0 ? static_cast<double>(q) / elapsed : 0.0,
-                 clientThreads);
+                 "%sserved %zu %squeries in %.3f s (%.0f qps, %zu client "
+                 "threads), %zu degraded (%.1f%%)\n",
+                 plane ? "\n" : "", q, plane ? "" : "remote ", run.seconds,
+                 run.seconds > 0 ? static_cast<double>(q) / run.seconds : 0.0,
+                 threads, run.degraded,
+                 100.0 * static_cast<double>(run.degraded) /
+                     static_cast<double>(q));
 
-    if (args.getBool("audit")) {
-      const query::AuditReport report =
-          query::auditEnvelope(g, pairs, answers, composedStretch);
+    if (audit) {
+      const query::AuditReport report = query::auditEnvelope(
+          *plane->graph, run.pairs, run.answers, composedStretch);
       for (const query::AuditViolation& bad : report.violations)
         std::fprintf(stdout,
                      "audit violation: u=%u v=%u got=%.9g exact=%.9g "

@@ -89,25 +89,10 @@ class TcpProbeKernel final : public StepKernel {
 
 int runConnect(const std::string& endpoint, std::size_t shardId,
                int timeoutMs) {
-  const std::size_t colon = endpoint.rfind(':');
-  if (colon == std::string::npos || colon == 0 ||
-      colon + 1 == endpoint.size()) {
-    std::fprintf(stderr, "error: --connect expects host:port, got '%s'\n",
-                 endpoint.c_str());
-    return 2;
-  }
-  const std::string host = endpoint.substr(0, colon);
-  const long port = std::strtol(endpoint.c_str() + colon + 1, nullptr, 10);
-  if (port <= 0 || port > 65535) {
-    std::fprintf(stderr, "error: bad port in --connect '%s'\n",
-                 endpoint.c_str());
-    return 2;
-  }
-
+  const auto [host, port] = parseEndpoint(endpoint);
   std::fprintf(stderr, "mpcspan_worker: attaching shard %zu to %s\n", shardId,
                endpoint.c_str());
-  attachTcpWorker(host, static_cast<std::uint16_t>(port), shardId,
-                  /*epoch=*/0, timeoutMs);
+  attachTcpWorker(host, port, shardId, /*epoch=*/0, timeoutMs);
   return 0;
 }
 
@@ -196,7 +181,7 @@ int main(int argc, char** argv) {
     const auto shards = static_cast<std::size_t>(args.getInt("coordinate"));
     if (shards > 0)
       return runCoordinate(shards,
-                           static_cast<std::uint16_t>(args.getInt("port")),
+                           parsePort(args.get("port"), /*dial=*/false),
                            static_cast<std::size_t>(args.getInt("machines")),
                            static_cast<std::size_t>(args.getInt("rounds")),
                            static_cast<std::size_t>(args.getInt("threads")),

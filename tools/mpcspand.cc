@@ -12,6 +12,10 @@
 //   kill -HUP $!    # reload g.mpqa in place
 //   kill $!         # clean shutdown, exit 0
 //
+// Exit status: 0 clean shutdown, 1 fatal (the artifact would not load, the
+// port would not bind), 2 usage error (an unknown flag, no --artifact, a
+// --port outside 0..65535).
+//
 // Signal handling is self-pipe only: the handlers write one byte ('T'
 // terminate, 'H' reload) to the server's nonblocking signal fd and do
 // nothing else — every async-signal-safety question ends there.
@@ -20,6 +24,7 @@
 
 #include <cstdio>
 #include <exception>
+#include <stdexcept>
 
 #include "serve/server.hpp"
 #include "util/args.hpp"
@@ -73,7 +78,7 @@ int main(int argc, char** argv) {
     serve::ServerOptions opts;
     opts.artifactPath = args.get("artifact");
     opts.host = args.get("host");
-    opts.port = static_cast<std::uint16_t>(args.getInt("port"));
+    opts.port = parsePort(args.get("port"), /*dial=*/false);
     opts.sessionThreads = static_cast<std::size_t>(
         std::max<std::int64_t>(1, args.getInt("threads")));
     opts.queueCapacity = static_cast<std::size_t>(
@@ -106,6 +111,9 @@ int main(int argc, char** argv) {
     gSignalFd = -1;
     server.stop();
     std::fprintf(stdout, "mpcspand: clean shutdown\n");
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "mpcspand: fatal: %s\n", e.what());
     return 1;
