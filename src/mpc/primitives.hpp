@@ -39,9 +39,7 @@
 namespace mpcspan {
 
 /// The per-machine item capacity of a DistVector block: machine m holds
-/// items [m * cap, (m+1) * cap) of the logical sequence. One definition,
-/// shared by the data-shipping constructor and every kernel that lays out
-/// blocks worker-side for DistVector::adopt.
+/// items [m * cap, (m+1) * cap) of the logical sequence.
 template <typename T>
 std::size_t distVectorCapItems(const MpcSimulator& sim) {
   return std::max<std::size_t>(1,
@@ -76,18 +74,6 @@ class DistVector {
       blocks[m] = packItems(data.data() + begin, take);
     });
     handle_ = sim.engine().createBlocks(std::move(blocks));
-  }
-
-  /// Adopts blocks that a kernel already laid out worker-side (the growth
-  /// iteration's filter/scatter chain builds its second-superstep input
-  /// this way — the items never round-trip through the coordinator). The
-  /// caller guarantees the blocks follow this class's layout: machine m
-  /// holds items [m * cap, (m+1) * cap) of the logical sequence for the
-  /// same cap the data-shipping constructor computes. Ownership of the
-  /// handle transfers: the vector frees it on destruction.
-  static DistVector adopt(MpcSimulator& sim, std::uint64_t handle,
-                          std::size_t size) {
-    return DistVector(sim, handle, size);
   }
 
   ~DistVector() {
@@ -134,9 +120,6 @@ class DistVector {
   }
 
  private:
-  DistVector(MpcSimulator& sim, std::uint64_t handle, std::size_t size)
-      : sim_(&sim), machines_(sim.numMachines()), size_(size), handle_(handle) {}
-
   MpcSimulator* sim_;
   std::size_t machines_;
   std::size_t size_;

@@ -51,7 +51,6 @@ constexpr Word kSegPhaseReduce = 1;    // local: per-key reduce of the block
 constexpr Word kSegPhaseBoundary = 2;  // round: first/last records -> 0
 constexpr Word kSegPhaseFix = 3;       // round: machine 0 resolves runs
 constexpr Word kSegPhaseApply = 4;     // local: apply fix-ups
-constexpr Word kSegPhaseEmit = 5;      // local: pack reduced_ into block args[1]
 
 namespace detail {
 
@@ -372,15 +371,6 @@ class SegMinKernel final : public runtime::StepKernel {
       case kSegPhaseApply:
         apply(ctx);
         break;
-      case kSegPhaseEmit: {
-        // Hand the reduced sequence to another kernel as a worker-resident
-        // block (the growth iteration chains it into its second superstep
-        // without a coordinator round trip).
-        const std::vector<T>& red = reduced_[ctx.machine];
-        ctx.store.block(ctx.args.at(1), ctx.machine) =
-            packItems(red.data(), red.size());
-        break;
-      }
       default:
         throw std::invalid_argument("SegMinKernel: unknown local phase");
     }

@@ -99,47 +99,21 @@ void RoundEngine::step(KernelId kernel, std::vector<Word> args) {
     inboxesResident_ = true;
     return;
   }
-  deliver(runKernelWave(kernel, args), /*charged=*/true);
-}
-
-std::vector<std::vector<Message>> RoundEngine::runKernelWave(
-    KernelId kernel, const std::vector<Word>& args) {
   StepKernel& ker = ensureKernelInstance(kernel);
   std::vector<std::vector<Message>> outboxes(numMachines_);
   pool_.parallelFor(numMachines_, [&](std::size_t m) {
     outboxes[m] = ker.step(
         KernelCtx{m, numMachines_, inboxes_[m], args, store_});
   });
-  return outboxes;
+  deliver(std::move(outboxes));
 }
 
-void RoundEngine::stepShuffle(KernelId kernel, std::vector<Word> args) {
-  if (kernel.index >= kernels_.size())
-    throw std::invalid_argument("RoundEngine: unknown kernel id");
-  if (shard_) {
-    std::size_t ignoredWords = 0;
-    shard_->stepKernel(kernel.index, args, ignoredWords, /*freePlacement=*/true);
-    inboxesResident_ = true;
-    return;
-  }
-  deliver(runKernelWave(kernel, args), /*charged=*/false);
-}
-
-void RoundEngine::deliver(std::vector<std::vector<Message>> outboxes,
-                          bool charged) {
+void RoundEngine::deliver(std::vector<std::vector<Message>> outboxes) {
   // Everything is checked before anything moves, so a rejected round
   // leaves the inboxes and the ledger untouched.
-  std::size_t roundWords = 0;
-  if (charged) {
-    roundWords = topology_->validate(numMachines_, outboxes);
-  } else {
-    for (const std::vector<Message>& outbox : outboxes)
-      for (const Message& msg : outbox)
-        if (msg.dst >= numMachines_)
-          throw std::invalid_argument("RoundEngine: message to unknown machine");
-  }
+  const std::size_t roundWords = topology_->validate(numMachines_, outboxes);
   const bool priorityWrite =
-      charged && topology_->mode() == Topology::Mode::kPriorityWrite;
+      topology_->mode() == Topology::Mode::kPriorityWrite;
   const std::vector<std::vector<shard::Ref>> byDst =
       shard::indexByDst(outboxes, 0, numMachines_, priorityWrite);
 
@@ -154,7 +128,7 @@ void RoundEngine::deliver(std::vector<std::vector<Message>> outboxes,
           {ref.src, std::move(outboxes[ref.src][ref.pos].payload)});
   });
   inboxes_ = std::move(inbox);
-  if (charged) ledger_.noteRound(roundWords);
+  ledger_.noteRound(roundWords);
 }
 
 void RoundEngine::stepLocal(KernelId kernel, std::vector<Word> args) {

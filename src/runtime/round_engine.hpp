@@ -101,16 +101,6 @@ class RoundEngine {
   /// validation — aborts the round for all shards: ledger and inboxes
   /// untouched, engine and workers still usable.
   void step(KernelId kernel, std::vector<Word> args = {});
-  /// A free data-placement round: the kernel steps every machine and the
-  /// messages are delivered (all of them, (src, send-position) order) into
-  /// the resident inboxes, but nothing is validated against the topology
-  /// and the ledger is never charged. This is the worker-to-worker
-  /// equivalent of host-side data management (createBlocks/readBlocks are
-  /// free for the same reason): re-laying out worker-owned state between
-  /// simulated supersteps without shipping it through the coordinator.
-  /// Never use it for algorithmic communication — that must go through
-  /// step(), where the model's limits are enforced.
-  void stepShuffle(KernelId kernel, std::vector<Word> args = {});
   /// A free local phase: kernel.local on every machine, no round, no
   /// messages, no ledger (the "local computation is free" half of the MPC
   /// model).
@@ -140,15 +130,9 @@ class RoundEngine {
 
  private:
   StepKernel& ensureKernelInstance(KernelId kernel);
-  /// In-process kernel compute wave: kernel.step on every machine on the
-  /// pool (step's and stepShuffle's shared half).
-  std::vector<std::vector<Message>> runKernelWave(KernelId kernel,
-                                                  const std::vector<Word>& args);
-  /// In-process delivery into inboxes_ in (src, send-position) order, the
-  /// half step and stepShuffle share. `charged` (step) validates the round
-  /// first, applies priority-write, and charges the ledger; stepShuffle's
-  /// free placement only bounds-checks destinations and delivers all.
-  void deliver(std::vector<std::vector<Message>> outboxes, bool charged);
+  /// In-process delivery into inboxes_ in (src, send-position) order: the
+  /// round is validated first, priority-write applied, the ledger charged.
+  void deliver(std::vector<std::vector<Message>> outboxes);
 
   std::size_t numMachines_;
   std::unique_ptr<Topology> topology_;
@@ -170,8 +154,7 @@ class RoundEngine {
 /// worker-resident blocks across several phases: the blocks are freed on
 /// scope exit — including a thrown, aborted round, which by contract leaves
 /// the engine usable, so a driver that retries must not accumulate dead
-/// blocks in the workers — unless release() hands ownership elsewhere
-/// (e.g. DistVector::adopt).
+/// blocks in the workers.
 class BlockLease {
  public:
   BlockLease(RoundEngine& eng, std::uint64_t handle)
@@ -189,10 +172,6 @@ class BlockLease {
   }
 
   std::uint64_t handle() const { return handle_; }
-  std::uint64_t release() {
-    eng_ = nullptr;
-    return handle_;
-  }
 
  private:
   RoundEngine* eng_;

@@ -196,17 +196,23 @@ void mergeSectionRows(WireReader& r, std::uint64_t count, std::size_t srcLo,
     throw ShardError("shard wire frame: corrupt row count");
   const std::size_t mark = r.pos();
   std::vector<std::uint32_t> perSrc(srcHi - srcLo, 0);
+  std::uint64_t prevSrc = srcLo;
   for (std::uint64_t i = 0; i < count; ++i) {
     const std::uint64_t src = r.u64();
     const std::uint64_t dst = r.u64();
     const std::uint64_t len = r.u64();
     if (src < srcLo || src >= srcHi || dst < dstLo || dst >= dstHi)
       throw ShardError("shard wire frame: row out of range");
+    // Senders scan their machines ascending, so rows arrive src-sorted.
+    if (src < prevSrc) throw ShardError("shard wire frame: rows out of order");
+    prevSrc = src;
     if (len > r.remaining() / sizeof(Word))
       throw ShardError("shard wire frame: corrupt payload length");
     (void)r.raw(len * sizeof(Word));  // skip the payload; need() re-vets
     ++perSrc[src - srcLo];
   }
+  // A count that undercounts the rows would otherwise drop the tail.
+  if (!r.atEnd()) throw ShardError("shard wire frame: trailing bytes");
   r.seek(mark);
   for (std::size_t src = srcLo; src < srcHi; ++src)
     if (perSrc[src - srcLo] > 0)

@@ -44,13 +44,15 @@ std::vector<WireReader> meshExchange(std::vector<WireFd>& peers,
                                      const std::vector<WireWriter>& sections,
                                      const DeadlineBudget* budget = nullptr);
 
-/// Merges `count` section rows (src, dst, len, words) into the projected
-/// round view: pass 1 vets every header (src in [srcLo, srcHi), dst in
-/// [dstLo, dstHi), len against the bytes actually remaining — all before
-/// any multiplication that could wrap) and counts rows per source; pass 2
-/// rewinds and fills the exactly-reserved vectors. A corrupt frame throws
-/// ShardError before any row is consumed; projected[] is only touched once
-/// the whole section has been vetted.
+/// Merges `count` section rows (src, dst, len, words) — the rest of the
+/// frame — into the projected round view: pass 1 vets every header (src in
+/// [srcLo, srcHi) and never descending, dst in [dstLo, dstHi), len against
+/// the bytes actually remaining — all before any multiplication that could
+/// wrap), counts rows per source, and requires the rows to end the frame;
+/// pass 2 rewinds and fills the exactly-reserved vectors. A corrupt frame
+/// throws ShardError before any row is consumed; projected[] is only
+/// touched once the whole section has been vetted, and every section that
+/// merges re-encodes to its own bytes.
 ///
 /// With a non-null `arena`, multi-word payloads are copied once from the
 /// frame into arena runs and delivered as Payload::borrowed — no per-row

@@ -286,7 +286,7 @@ void ShardedEngine::announceKernel(std::size_t id, const std::string& name) {
 }
 
 void ShardedEngine::stepKernel(std::size_t id, const std::vector<Word>& args,
-                               std::size_t& roundWords, bool freePlacement) {
+                               std::size_t& roundWords) {
   start();
   // One epoch per STEP attempt, aborts included; the workers advance their
   // own counters in lockstep, so both sides can vet every frame of the
@@ -299,7 +299,6 @@ void ShardedEngine::stepKernel(std::size_t id, const std::vector<Word>& args,
       f.u8(kOpStep);
       f.u64(epoch);
       f.u64(id);
-      f.u8(freePlacement ? 1 : 0);
       writeArgs(f, args);
       f.sendFramed(w.fd);
     }
@@ -312,7 +311,7 @@ void ShardedEngine::stepKernel(std::size_t id, const std::vector<Word>& args,
     // commit/abort frame. Reports and verdicts echo the epoch so a desynced
     // stream fails loudly instead of committing round r against round
     // r+1's state.
-    const bool wantSums = !freePlacement && topology_->needsInboundSums();
+    const bool wantSums = topology_->needsInboundSums();
     std::vector<std::uint64_t> received(wantSums ? numMachines_ : 0, 0);
     std::vector<Report> reports(shards_);
     for (std::size_t s = 0; s < shards_; ++s) {

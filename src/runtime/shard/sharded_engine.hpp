@@ -108,12 +108,8 @@ class ShardedEngine {
 
   /// One resident kernel round (the STEP barrier above). Writes the words
   /// moved to roundWords; deliveries land in the worker-resident inboxes.
-  /// With `freePlacement` the round is a data-placement shuffle
-  /// (RoundEngine::stepShuffle): same barrier and delivery order, but no
-  /// topology validation, deliver-all even under priority-write, and
-  /// roundWords stays 0 — the caller must not charge the ledger.
   void stepKernel(std::size_t id, const std::vector<Word>& args,
-                  std::size_t& roundWords, bool freePlacement = false);
+                  std::size_t& roundWords);
 
   /// Free kernel phases (LOCAL / FETCH): no round, no ledger.
   void localKernel(std::size_t id, const std::vector<Word>& args);

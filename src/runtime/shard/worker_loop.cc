@@ -143,10 +143,6 @@ void runResidentWorker(const WorkerConfig& cfg, Channel& ctrl,
                 "stream)");
           ++stepEpoch;
           const std::uint64_t kid = cmd.u64();
-          // Data-placement shuffles reuse the whole STEP barrier; the flag
-          // only disables validation and the priority-write drop (free
-          // movement is deliver-all and never charged).
-          const bool freePlacement = cmd.u8() != 0;
           const std::vector<Word> args = readArgs(cmd);
 
           // Phase A: run the kernel over this shard's machines, keep the
@@ -165,8 +161,7 @@ void runResidentWorker(const WorkerConfig& cfg, Channel& ctrl,
           std::vector<std::vector<Message>> own(local);
           std::vector<WireWriter> sections(cfg.shards);
           std::vector<std::uint64_t> counts(cfg.shards, 0);
-          const bool wantSums =
-              !freePlacement && cfg.topology->needsInboundSums();
+          const bool wantSums = cfg.topology->needsInboundSums();
           std::vector<std::uint64_t> recvWords(wantSums ? n : 0, 0);
           try {
             StepKernel& ker = ensureInstance(kid);
@@ -186,8 +181,7 @@ void runResidentWorker(const WorkerConfig& cfg, Channel& ctrl,
                                 msg.payload.size());
                 ++counts[t];
               }
-            if (!freePlacement)
-              words = cfg.topology->validateSources(n, own, lo);
+            words = cfg.topology->validateSources(n, own, lo);
           } catch (...) {
             kind = classify(err);
             sections.assign(cfg.shards, WireWriter());
@@ -240,7 +234,7 @@ void runResidentWorker(const WorkerConfig& cfg, Channel& ctrl,
               throw ShardError(std::string("section merge: ") + e.what());
             }
             installDeliveries(
-                indexByDst(projected, lo, hi, priorityWrite && !freePlacement),
+                indexByDst(projected, lo, hi, priorityWrite),
                 projected);
           }
 

@@ -5,29 +5,55 @@
 // a kernel throw mid-round, a capacity abort, a peer dying mid-exchange,
 // 1.6 MB frames streaming through the socket buffers — must surface the
 // in-process error or a loud ShardError. Also here: the section/wire
-// decoders the mesh feeds. The barrier's own contracts (round budget,
-// Topology split validation) live in test_pipeline.
+// decoders the mesh feeds, under seeded mutation. The barrier's own
+// contracts (round budget, Topology split validation) live in
+// test_pipeline.
 #include <gtest/gtest.h>
 
 #include <sys/types.h>
 #include <sys/wait.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <mutex>
+#include <new>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "runtime/arena.hpp"
 #include "runtime/round_engine.hpp"
 #include "runtime/shard/peer_mesh.hpp"
 #include "runtime/shard/sharded_engine.hpp"
 #include "runtime/shard/wire.hpp"
 #include "runtime/shard/worker_loop.hpp"
 #include "runtime/topology.hpp"
+#include "util/rng.hpp"
 #include "probe_kernels.hpp"
+
+namespace {
+
+// While nonzero, any single allocation on this thread above this many bytes
+// throws std::bad_alloc instead of happening (see operator new below). Per
+// thread, so engine threads and forked workers never see it.
+thread_local std::size_t tAllocCap = 0;
+
+}  // namespace
+
+// Kept out of line so the compiler does not pair an inlined malloc/free
+// with new/delete expressions (-Wmismatched-new-delete).
+[[gnu::noinline]] void* operator new(std::size_t n) {
+  if (tAllocCap != 0 && n > tAllocCap) throw std::bad_alloc();
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace mpcspan {
 namespace {
@@ -78,8 +104,6 @@ Result runWorkload(int mode, std::size_t threads, std::size_t shards) {
   RoundEngine eng(EngineConfig{12, threads, shards}, probeTopology(mode));
   const KernelId k = runtime::ensureKernel<ProbeKernel>(eng);
   for (int i = 0; i < 5; ++i) eng.step(k, {static_cast<Word>(mode)});
-  // One free data-placement round rides the same exchange machinery.
-  eng.stepShuffle(k, {static_cast<Word>(mode)});
   return observe(eng, k);
 }
 
@@ -381,6 +405,142 @@ TEST(PeerSectionParse, ValidSectionMergesInRowOrder) {
   ASSERT_EQ(projected[3].size(), 1u);
   EXPECT_EQ(projected[3][0].dst, 5u);
   EXPECT_TRUE(r.atEnd());
+}
+
+// --- The section decoder under seeded mutation: every bit-flipped,
+// truncated or spliced frame body is rejected with ShardError before any
+// row lands, or merges rows that re-encode to exactly its bytes — with no
+// allocation sized by a field the bytes do not back. ---
+
+using Bytes = std::vector<std::uint8_t>;
+
+/// Valid frame bodies as a receiving worker reads them (u64 row count, then
+/// WireWriter::row rows) from sources [0, 4) into machines [4, 8): empty,
+/// one inline word, and src-sorted runs with empty and multi-word payloads.
+std::vector<Bytes> sampleSections() {
+  struct Row {
+    Word src, dst;
+    std::vector<Word> payload;
+  };
+  const std::vector<std::vector<Row>> shapes{
+      {},
+      {{0, 4, {7}}},
+      {{1, 6, {10, 11, 12}}, {1, 4, {20}}, {3, 5, {}}},
+      {{0, 7, {1, 2}}, {2, 4, {~Word{0}}}, {2, 4, {4, 5, 6, 7}}, {3, 7, {8}}},
+  };
+  std::vector<Bytes> out;
+  for (const std::vector<Row>& rows : shapes) {
+    WireWriter w;
+    w.u64(rows.size());
+    for (const Row& r : rows)
+      w.row(r.src, r.dst, r.payload.data(), r.payload.size());
+    out.emplace_back(w.data(), w.data() + w.size());
+  }
+  return out;
+}
+
+/// Caps every allocation on this thread while in scope.
+struct AllocCap {
+  explicit AllocCap(std::size_t bytes) { tAllocCap = bytes; }
+  ~AllocCap() { tAllocCap = 0; }
+};
+
+/// Decodes `bytes` the way the worker loop does, with a capped allocator
+/// (a few times the frame, plus one arena chunk). Returns true if the rows
+/// merged; fails the test unless the frame either re-encodes to its own
+/// bytes or is rejected with ShardError and projected[] untouched.
+bool decodeSection(const Bytes& bytes, runtime::Arena* arena,
+                   const std::string& label) {
+  std::vector<std::vector<Message>> projected(8);
+  WireReader r = WireReader::fromBytes(bytes);
+  if (arena != nullptr) arena->reset();
+  try {
+    const AllocCap cap(4 * bytes.size() + (std::size_t{1} << 17));
+    const std::uint64_t count = r.u64();
+    mergeSectionRows(r, count, 0, 4, 4, 8, projected, arena);
+  } catch (const ShardError&) {
+    for (const auto& rows : projected)
+      EXPECT_TRUE(rows.empty()) << label << ": rows landed before the throw";
+    return false;
+  } catch (const std::bad_alloc&) {
+    ADD_FAILURE() << label << ": allocation past the frame's size";
+    return false;
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << label << ": not a ShardError: " << e.what();
+    return false;
+  }
+  std::uint64_t rows = 0;
+  for (const auto& msgs : projected) rows += msgs.size();
+  WireWriter w;
+  w.u64(rows);
+  for (std::size_t src = 0; src < projected.size(); ++src)
+    for (const Message& m : projected[src])
+      w.row(src, m.dst, m.payload.data(), m.payload.size());
+  EXPECT_EQ(Bytes(w.data(), w.data() + w.size()), bytes)
+      << label << ": merged but does not re-encode to its bytes";
+  return true;
+}
+
+TEST(PeerSectionParse, ValidSectionsReencodeByteIdentically) {
+  runtime::Arena arena;
+  for (const Bytes& b : sampleSections()) {
+    EXPECT_TRUE(decodeSection(b, nullptr, "valid"));
+    EXPECT_TRUE(decodeSection(b, &arena, "valid (arena)"));
+  }
+}
+
+TEST(PeerSectionParse, TruncationsAndSplicesAtEveryCutReencodeOrReject) {
+  const std::vector<Bytes> sections = sampleSections();
+  runtime::Arena arena;
+  std::size_t merged = 0, mutants = 0;
+  for (std::size_t a = 0; a < sections.size(); ++a) {
+    const Bytes& sa = sections[a];
+    for (std::size_t cut = 0; cut < sa.size(); ++cut) {
+      // A strict prefix always leaves the count above the rows it holds.
+      const Bytes head(sa.begin(), sa.begin() + static_cast<std::ptrdiff_t>(cut));
+      EXPECT_FALSE(decodeSection(head, cut % 2 ? &arena : nullptr,
+                                 "truncation " + std::to_string(a) + "@" +
+                                     std::to_string(cut)));
+    }
+    for (std::size_t b = 0; b < sections.size(); ++b) {
+      const Bytes& sb = sections[b];
+      for (std::size_t cut = 0; cut <= std::max(sa.size(), sb.size()); ++cut) {
+        Bytes m(sa.begin(), sa.begin() + static_cast<std::ptrdiff_t>(
+                                             std::min(cut, sa.size())));
+        if (cut < sb.size())
+          m.insert(m.end(), sb.begin() + static_cast<std::ptrdiff_t>(cut),
+                   sb.end());
+        merged += decodeSection(m, ++mutants % 2 ? &arena : nullptr,
+                                "splice " + std::to_string(a) + "+" +
+                                    std::to_string(b) + "@" +
+                                    std::to_string(cut));
+      }
+    }
+  }
+  // Splicing a section onto itself reproduces it at every cut.
+  EXPECT_GT(merged, 0u);
+  EXPECT_LT(merged, mutants);
+}
+
+TEST(PeerSectionParse, SeededBitFlipsReencodeOrReject) {
+  const std::vector<Bytes> sections = sampleSections();
+  runtime::Arena arena;
+  Rng rng(20261018);
+  std::size_t merged = 0, rejected = 0;
+  for (int i = 0; i < 20000; ++i) {
+    Bytes m = sections[rng.next(sections.size())];
+    const std::uint64_t flips = 1 + rng.next(3);
+    for (std::uint64_t f = 0; f < flips; ++f)
+      m[rng.next(m.size())] ^= static_cast<std::uint8_t>(1u << rng.next(8));
+    if (decodeSection(m, i % 2 ? &arena : nullptr,
+                      "mutant " + std::to_string(i)))
+      ++merged;
+    else
+      ++rejected;
+  }
+  // Both outcomes occur: flipped payload bits merge, broken headers throw.
+  EXPECT_GT(merged, 1000u);
+  EXPECT_GT(rejected, 1000u);
 }
 
 TEST(WireReader, WireSuppliedSizesCannotOverflow) {

@@ -47,9 +47,9 @@ struct WaveTrace {
 };
 
 /// Three growth iterations with evolving cluster state on one simulator —
-/// the kernel instances (sort splitters, segmented-min reductions, the
-/// filter/scatter chain) must carry their per-machine state across
-/// iterations identically on every backend.
+/// the kernel instances (sort splitters, segmented-min reductions) must
+/// carry their per-machine state across iterations identically on every
+/// backend.
 WaveTrace runGrowthWave(std::size_t threads, std::size_t shards,
                         std::vector<pid_t>* pidsOut = nullptr) {
   Rng rng(99);
