@@ -5,7 +5,6 @@
 // sweeps).
 #include <benchmark/benchmark.h>
 
-#include <memory>
 #include <numeric>
 #include <string>
 #include <unordered_map>
@@ -113,7 +112,7 @@ void BM_EngineStep(benchmark::State& state) {
   const auto machines = static_cast<std::size_t>(state.range(0));
   const auto spin = static_cast<std::size_t>(state.range(1));
   RoundEngine eng(EngineConfig{machines, 0, 0},
-                  std::make_unique<MpcTopology>(1u << 20));
+                  MpcTopology(1u << 20));
   const KernelId k = ensureKernel<SpinKernel>(eng);
   for (auto _ : state) eng.step(k, {spin});
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -139,7 +138,7 @@ void BM_ShardRoundDispatch(benchmark::State& state) {
   const auto shards = static_cast<std::size_t>(state.range(0));
   const std::size_t machines = 4 * shards;
   RoundEngine eng(EngineConfig{machines, 1, shards},
-                  std::make_unique<MpcTopology>(64));
+                  MpcTopology(64));
   const KernelId k = ensureKernel<RingKernel>(eng);
   for (auto _ : state) eng.step(k);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
@@ -172,7 +171,7 @@ BENCHMARK(BM_IterationRoundDispatch)
 
 /// The transport probe: exchange-heavy kernel rounds (every machine ships
 /// one multi-word payload to every machine outside its own shard,
-/// distSort-phase / clique-label-round shaped traffic) at a fixed shard
+/// distSort-phase shaped traffic) at a fixed shard
 /// count, cross-shard sections routed over the tcp loopback mesh. The
 /// ledger and contents match the in-process engine (pinned by
 /// test_peer_exchange); only where the bytes travel differs.
@@ -199,7 +198,7 @@ void BM_CrossShardExchange(benchmark::State& state) {
   const std::size_t machines = 4 * shards;
   const std::size_t payloadWords = 256;
   RoundEngine eng(EngineConfig{machines, 1, shards},
-                  std::make_unique<MpcTopology>(machines * payloadWords));
+                  MpcTopology(machines * payloadWords));
   const KernelId k = ensureKernel<AllToAllKernel>(eng);
   for (auto _ : state) eng.step(k, {payloadWords});
   state.SetLabel(shards == 1 ? "in-process" : "tcp-loopback");

@@ -11,7 +11,6 @@
 #include <cstdlib>
 
 #include "cclique/apsp_cc.hpp"
-#include "cclique/clique.hpp"
 #include "graph/distance.hpp"
 #include "graph/generators.hpp"
 
@@ -35,8 +34,7 @@ int main(int argc, char** argv) {
               r.oracle.spanner().iterations);
 
   // The naive alternative: every node learns the whole graph.
-  CongestedClique naive(n);
-  const std::size_t naiveRounds = naive.collectToAll(2 * g.numEdges());
+  const std::size_t naiveRounds = cliqueCollectRounds(n, 2 * g.numEdges());
   std::printf("naive collect-everything: %zu rounds (%.1fx more)\n", naiveRounds,
               static_cast<double>(naiveRounds) / static_cast<double>(r.totalRounds));
 

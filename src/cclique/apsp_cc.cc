@@ -2,11 +2,18 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
-#include "cclique/clique.hpp"
 #include "cclique/spanner_cc.hpp"
 
 namespace mpcspan {
+
+std::size_t cliqueCollectRounds(std::size_t n, std::size_t words) {
+  if (n == 0)
+    throw std::invalid_argument("cliqueCollectRounds: n must be positive");
+  const std::size_t perRound = n > 1 ? n - 1 : 1;
+  return 1 + (words + perRound - 1) / perRound;
+}
 
 CcApspResult runCcApsp(const Graph& g, const CcApspParams& params) {
   const std::size_t n = std::max<std::size_t>(g.numVertices(), 2);
@@ -30,10 +37,8 @@ CcApspResult runCcApsp(const Graph& g, const CcApspParams& params) {
 
   // Collection: every node learns the spanner (2 words per edge) at n-1
   // incoming words per round.
-  CongestedClique clique(g.numVertices() == 0 ? 1 : g.numVertices(),
-                         params.threads);
-  const auto collectRounds =
-      static_cast<long>(clique.collectToAll(2 * spanner.edges.size()));
+  const auto collectRounds = static_cast<long>(cliqueCollectRounds(
+      std::max<std::size_t>(g.numVertices(), 1), 2 * spanner.edges.size()));
   return CcApspResult{SpannerDistanceOracle(g, std::move(spanner)),
                       spannerRounds,
                       collectRounds,

@@ -94,10 +94,11 @@ class BinReader {
 /// edge triples. Round-trips a Graph exactly (edge ids included). The
 /// reader rejects an edge list that is not canonical (u < v, (u, v)
 /// strictly increasing), so whatever loads re-saves to the same bytes. The
-/// CSR is sized by n, which the section's own bytes do not bound; a
-/// container format that does bound it passes `maxVertices`.
+/// CSR is sized by n, which the section's own bytes do not bound, so the
+/// caller must: an n above `maxVertices` (the vertex count the enclosing
+/// container can back, e.g. the MPQA reader's bytes-left bound) is rejected
+/// before anything is sized by it.
 void writeGraphBinary(const Graph& g, std::ostream& out);
-Graph readGraphBinary(std::istream& in,
-                      std::uint64_t maxVertices = BinReader::kMaxCount);
+Graph readGraphBinary(std::istream& in, std::uint64_t maxVertices);
 
 }  // namespace mpcspan

@@ -11,11 +11,11 @@
 // real tuples moving through machines with enforced memory limits.
 //
 // The record types and the deterministic reduction live in
-// spanner/growth_kernel.hpp, shared with the host reference and the
-// Congested Clique kernel (cclique/iteration_cc.hpp); the equivalence tests
-// (tests/test_dist_iteration.cc) check that all substrates reproduce the
-// same decisions bit-for-bit, which is the library's evidence that the
-// charged O(1/gamma)-round supersteps are implementable exactly as claimed.
+// spanner/growth_kernel.hpp, shared with the host reference; the
+// equivalence tests (tests/test_dist_iteration.cc) check that the MPC
+// kernel reproduces the reference's decisions bit-for-bit, which is the
+// library's evidence that the charged O(1/gamma)-round supersteps are
+// implementable exactly as claimed.
 #pragma once
 
 #include <cstdint>

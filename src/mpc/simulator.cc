@@ -2,17 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <stdexcept>
 
 namespace mpcspan {
 
 namespace {
 
-std::unique_ptr<runtime::Topology> makeMpcTopology(const MpcConfig& cfg) {
+runtime::MpcTopology makeMpcTopology(const MpcConfig& cfg) {
   if (cfg.numMachines == 0 || cfg.wordsPerMachine == 0)
     throw std::invalid_argument("MpcSimulator: empty configuration");
-  return std::make_unique<runtime::MpcTopology>(cfg.wordsPerMachine);
+  return runtime::MpcTopology(cfg.wordsPerMachine);
 }
 
 }  // namespace

@@ -1,74 +1,12 @@
 #include "pram/pram.hpp"
 
 #include <cmath>
-#include <mutex>
+#include <algorithm>
 #include <numeric>
 #include <stdexcept>
 #include <utility>
 
 namespace mpcspan {
-
-namespace {
-
-/// The CRCW leader-pointer memory as a registered kernel: one cell per
-/// machine, owned where the machine lives (inside the resident shard
-/// workers when the engine is sharded). A merge round broadcasts only the
-/// (smaller-set leader, new leader) descriptor; each member cell recognizes
-/// itself (cell == lb) and performs the single-word priority-CRCW write into
-/// its own cell — the same messages, delivery order, and ledger as the
-/// legacy coordinator-built round that enumerated the members host-side.
-class LeaderPointerKernel final : public runtime::StepKernel {
- public:
-  static std::string kernelName() { return "mpcspan.pram.leaderforest"; }
-
-  std::vector<runtime::Message> step(const runtime::KernelCtx& ctx) override {
-    if (ctx.args.at(0) != kLeaderPhaseWrite)
-      throw std::invalid_argument("LeaderPointerKernel: unknown step phase");
-    ensureState(ctx);
-    const Word lb = ctx.args.at(1);
-    const Word la = ctx.args.at(2);
-    if (cell_[ctx.machine] != lb) return {};
-    return {{ctx.machine, {la}}};
-  }
-
-  void local(const runtime::KernelCtx& ctx) override {
-    ensureState(ctx);
-    switch (ctx.args.at(0)) {
-      case kLeaderPhaseInit:
-        cell_[ctx.machine] = ctx.machine;
-        break;
-      case kLeaderPhaseAbsorb: {
-        if (ctx.inbox.empty()) break;  // no write landed on this cell
-        const runtime::Delivery& d = ctx.inbox.front();
-        if (d.payload.empty())
-          throw std::invalid_argument(
-              "LeaderForest: empty delivery in CRCW write round");
-        cell_[ctx.machine] = d.payload.front();
-        break;
-      }
-      default:
-        throw std::invalid_argument("LeaderPointerKernel: unknown local phase");
-    }
-  }
-
-  std::vector<Word> fetch(const runtime::KernelCtx& ctx) override {
-    ensureState(ctx);
-    return {cell_[ctx.machine]};
-  }
-
- private:
-  void ensureState(const runtime::KernelCtx& ctx) {
-    std::call_once(sized_, [&] {
-      cell_.resize(ctx.numMachines);
-      for (std::size_t m = 0; m < cell_.size(); ++m) cell_[m] = m;
-    });
-  }
-
-  std::once_flag sized_;
-  std::vector<Word> cell_;  // per machine: its current leader pointer
-};
-
-}  // namespace
 
 int logStar(double n) {
   int count = 0;
@@ -98,39 +36,16 @@ LeaderForest::LeaderForest(std::size_t n)
   for (std::uint32_t v = 0; v < n; ++v) members_[v] = {v};
 }
 
-void LeaderForest::attachEngine(runtime::RoundEngine* engine) {
-  if (engine && engine->numMachines() < leader_.size())
-    throw std::invalid_argument(
-        "LeaderForest: engine needs one memory cell per element");
-  engine_ = engine;
-  kernel_ = runtime::KernelId{};
-  if (!engine_) return;
-  kernel_ = runtime::ensureKernel<LeaderPointerKernel>(*engine_);
-  // Reset the cells so the kernel mirrors this (fresh) forest even when the
-  // engine's kernel instance outlived an earlier attachment.
-  engine_->stepLocal(kernel_, {kLeaderPhaseInit});
-}
-
 bool LeaderForest::merge(std::uint32_t a, std::uint32_t b) {
-  // Raw ids index leader_ host-side and the machine/cell range engine-side;
-  // both are bounded by the forest size (attachEngine guarantees the engine
-  // has at least that many cells), so reject anything larger with a typed
-  // error instead of reading — or addressing a write — out of bounds.
+  // Raw ids index leader_, so reject anything past the forest with a typed
+  // error instead of reading out of bounds.
   if (a >= leader_.size() || b >= leader_.size())
     throw std::out_of_range("LeaderForest: element id out of range");
   std::uint32_t la = leader_[a];
   std::uint32_t lb = leader_[b];
   if (la == lb) return false;
   if (members_[la].size() < members_[lb].size()) std::swap(la, lb);
-  // Redirect every member of the smaller set in one parallel step. With an
-  // engine attached the redirection is a real CRCW write round executed by
-  // the leader-pointer kernel: only the (lb, la) descriptor is broadcast,
-  // each member cell emits its own single-word write, and a free local
-  // phase absorbs the delivered value into the cell.
-  if (engine_) {
-    engine_->step(kernel_, {kLeaderPhaseWrite, lb, la});
-    engine_->stepLocal(kernel_, {kLeaderPhaseAbsorb});
-  }
+  // Redirect every member of the smaller set in one parallel step.
   for (std::uint32_t v : members_[lb]) leader_[v] = la;
   work_ += static_cast<long>(members_[lb].size());
   depth_ += 1;

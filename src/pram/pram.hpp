@@ -7,16 +7,16 @@
 // and all members point at it, so merging redirects the smaller side's
 // pointers in one parallel step.
 //
-// This module provides (a) the depth/work conversion for any SpannerResult
-// and (b) LeaderForest, a concrete leader-pointer structure with the
-// depth/work accounting of the O(1)-depth merge.
+// The PRAM is accounted, not simulated: this module provides (a) the
+// depth/work conversion for any SpannerResult and (b) LeaderForest, a host
+// leader-pointer structure with the depth/work accounting of the O(1)-depth
+// merge.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <stdexcept>
 #include <vector>
 
-#include "runtime/round_engine.hpp"
 #include "spanner/types.hpp"
 
 namespace mpcspan {
@@ -34,14 +34,6 @@ struct PramCost {
 /// (every primitive touches each alive edge O(1) times) plus the output.
 PramCost pramCostOf(const SpannerResult& result, std::size_t n, std::size_t m);
 
-/// Phase tags (args[0]) of the "mpcspan.pram.leaderforest" kernel that owns
-/// the leader-pointer cells engine-side (see LeaderForest::attachEngine).
-/// Part of the public contract so tests and diagnostics can drive the
-/// kernel directly.
-inline constexpr Word kLeaderPhaseInit = 1;    // local: cell points at itself
-inline constexpr Word kLeaderPhaseWrite = 2;   // round: {phase, lb, la}
-inline constexpr Word kLeaderPhaseAbsorb = 3;  // local: adopt delivered write
-
 /// Leader-pointer cluster structure: the PRAM merge primitive.
 /// Each element points at its set's leader; merge(a, b) redirects every
 /// pointer of the smaller set in one parallel step (O(1) depth with
@@ -50,29 +42,6 @@ inline constexpr Word kLeaderPhaseAbsorb = 3;  // local: adopt delivered write
 class LeaderForest {
  public:
   explicit LeaderForest(std::size_t n);
-
-  /// Executes each merge's pointer redirection as one real priority-CRCW
-  /// write round on `engine` (not owned; must use a PramTopology with at
-  /// least n cells — fewer throws std::invalid_argument): the leader-pointer
-  /// cells live in a registered kernel *where the machines live* (inside the
-  /// resident shard workers when the engine is sharded), each member cell
-  /// recognizes the merge descriptor broadcast in the round's args and
-  /// writes the new leader into itself — merge() ships only the
-  /// (smaller-set leader, new leader) pair, never one coordinator-built
-  /// message per member. The engine's ledger then equals the depth/work
-  /// counters: rounds == depthCharged(), words == workCharged(). A sharded
-  /// engine (EngineConfig::shards > 1) works unchanged — the write rounds
-  /// are bit-identical by the engine's cross-shard determinism guarantee.
-  ///
-  /// Attaching registers (or resets) the engine's leader-pointer kernel and
-  /// initializes every cell to itself, so the kernel cells always mirror a
-  /// fresh forest: attach before any merge, and attach at most one live
-  /// forest per engine at a time (the kernel is engine-global state).
-  /// Observe the simulated cells with fetchKernel(kernelId()) — one word
-  /// per cell.
-  void attachEngine(runtime::RoundEngine* engine);
-  /// The engine-side kernel the cells live in (invalid when detached).
-  runtime::KernelId kernelId() const { return kernel_; }
 
   std::uint32_t leader(std::uint32_t x) const { return leader_[x]; }
   bool sameSet(std::uint32_t a, std::uint32_t b) const {
@@ -85,10 +54,7 @@ class LeaderForest {
 
   /// Merges the sets of a and b (smaller into larger); returns false if
   /// already joined. Charges 1 depth and |smaller| work. Throws
-  /// std::out_of_range when a or b is not an element of the forest (with an
-  /// engine attached that would otherwise index cells outside the machine
-  /// range), and std::invalid_argument when the engine delivers a stripped
-  /// (zero-word) write.
+  /// std::out_of_range when a or b is not an element of the forest.
   bool merge(std::uint32_t a, std::uint32_t b);
 
   /// Accounting of all merges so far.
@@ -99,8 +65,6 @@ class LeaderForest {
   std::vector<std::uint32_t> leader_;
   std::vector<std::vector<std::uint32_t>> members_;
   std::size_t numSets_;
-  runtime::RoundEngine* engine_ = nullptr;
-  runtime::KernelId kernel_;
   long depth_ = 0;
   long work_ = 0;
 };

@@ -1,6 +1,6 @@
 // Item <-> machine-word packing shared by registered kernels and their
-// drivers across all substrates (MPC sort/growth kernels, the clique
-// growth kernel). Items must be trivially copyable;
+// drivers (the MPC sort and growth kernels). Items must be trivially
+// copyable;
 // an item occupies wordsPerItem<T>() whole words, so concatenating packed
 // payloads and unpacking the concatenation is the same as unpacking each
 // payload — the property the flat inbox views rely on.

@@ -9,14 +9,13 @@
 
 namespace mpcspan::runtime {
 
-RoundEngine::RoundEngine(EngineConfig cfg, std::unique_ptr<Topology> topology)
+RoundEngine::RoundEngine(EngineConfig cfg, MpcTopology topology)
     : numMachines_(cfg.numMachines),
-      topology_(std::move(topology)),
+      topology_(topology),
       pool_(cfg.threads),
       store_(cfg.numMachines) {
   if (numMachines_ == 0)
     throw std::invalid_argument("RoundEngine: numMachines must be positive");
-  if (!topology_) throw std::invalid_argument("RoundEngine: null topology");
   inboxes_.resize(numMachines_);
 
   // Backend selection (the engine factory): 1 shard keeps the in-process
@@ -36,7 +35,7 @@ RoundEngine::RoundEngine(EngineConfig cfg, std::unique_ptr<Topology> topology)
     const std::size_t perShard =
         std::max<std::size_t>(1, pool_.numThreads() / shards);
     shard_ = std::make_unique<shard::ShardedEngine>(
-        numMachines_, shards, perShard, topology_.get(), &kernels_, &store_);
+        numMachines_, shards, perShard, topology_, &kernels_, &store_);
   }
 }
 
@@ -111,11 +110,9 @@ void RoundEngine::step(KernelId kernel, std::vector<Word> args) {
 void RoundEngine::deliver(std::vector<std::vector<Message>> outboxes) {
   // Everything is checked before anything moves, so a rejected round
   // leaves the inboxes and the ledger untouched.
-  const std::size_t roundWords = topology_->validate(numMachines_, outboxes);
-  const bool priorityWrite =
-      topology_->mode() == Topology::Mode::kPriorityWrite;
+  const std::size_t roundWords = topology_.validate(numMachines_, outboxes);
   const std::vector<std::vector<shard::Ref>> byDst =
-      shard::indexByDst(outboxes, 0, numMachines_, priorityWrite);
+      shard::indexByDst(outboxes, 0, numMachines_);
 
   // Materialize in parallel: each destination is owned by exactly one loop
   // index and every message has one destination, so the payload moves are

@@ -1,14 +1,13 @@
-// RoundEngine — the unified round-synchronous runtime behind the MPC,
-// Congested Clique, and PRAM substrates.
+// RoundEngine — the round-synchronous runtime that simulates the MPC model.
 //
-// The engine owns a set of simulated machines, a Topology transport policy
-// (what a legal round looks like in the chosen model), a work-stealing
-// thread pool that steps machines in parallel *within* a round, and the
-// round/traffic ledger. With EngineConfig::shards > 1 (or MPCSPAN_SHARDS)
-// the machines are partitioned over worker processes instead — resident
-// ones that start once per engine, join a tcp mesh, and are driven by
-// control frames (see runtime/shard/sharded_engine.hpp) — behind this same
-// interface. Message
+// The engine owns a set of simulated machines, the MpcTopology that says
+// what a legal round is (per-machine send and receive budgets), a
+// work-stealing thread pool that steps machines in parallel *within* a
+// round, and the round/traffic ledger. With EngineConfig::shards > 1 (or
+// MPCSPAN_SHARDS) the machines are partitioned over worker processes
+// instead — resident ones that start once per engine, join a tcp mesh, and
+// are driven by control frames (see runtime/shard/sharded_engine.hpp) —
+// behind this same interface. Message
 // delivery is deterministic: every inbox holds its deliveries in (source
 // id, send position) order regardless of the thread or shard count, so
 // 1-thread, N-thread, 1-shard, and N-shard runs of the same workload are
@@ -22,8 +21,9 @@
 // per-machine state (inboxes, BlockStore blocks) across rounds without ever
 // re-shipping it.
 //
-// MpcSimulator and CongestedClique are thin model-specific facades over
-// this class; see src/runtime/README.md for the design.
+// MpcSimulator is the model-specific facade over this class; the Congested
+// Clique and PRAM costs are formulas, not engine rounds. See
+// src/runtime/README.md for the design.
 #pragma once
 
 #include <functional>
@@ -57,7 +57,7 @@ struct EngineConfig {
 
 class RoundEngine {
  public:
-  RoundEngine(EngineConfig cfg, std::unique_ptr<Topology> topology);
+  RoundEngine(EngineConfig cfg, MpcTopology topology);
   ~RoundEngine();
 
   std::size_t numMachines() const { return numMachines_; }
@@ -66,17 +66,16 @@ class RoundEngine {
   /// The multi-process backend, null when in-process (introspection: worker
   /// pids, shard ranges).
   const shard::ShardedEngine* shardBackend() const { return shard_.get(); }
-  const Topology& topology() const { return *topology_; }
+  const MpcTopology& topology() const { return topology_; }
   ThreadPool& pool() { return pool_; }
 
   std::size_t rounds() const { return ledger_.rounds; }
   std::size_t totalWordsSent() const { return ledger_.wordsSent; }
   std::size_t maxRoundWords() const { return ledger_.maxRoundWords; }
 
-  /// Charges rounds / traffic whose execution is proven rather than
-  /// simulated message-by-message (e.g. Lenzen routing, spanner collection).
+  /// Charges rounds whose execution is proven rather than simulated
+  /// message-by-message.
   void chargeRounds(std::size_t n) { ledger_.rounds += n; }
-  void chargeTraffic(std::size_t words) { ledger_.wordsSent += words; }
 
   // --- Registered kernels: the resident step path. ---
 
@@ -94,8 +93,7 @@ class RoundEngine {
   /// its resident worker), the outboxes are validated against the topology
   /// (an unknown destination throws std::invalid_argument, a model
   /// violation CapacityError), and the deliveries land in the machines'
-  /// resident inboxes in (src, send-position) order — only the first per
-  /// destination under Topology::Mode::kPriorityWrite. Sharded, the inboxes
+  /// resident inboxes in (src, send-position) order. Sharded, the inboxes
   /// stay worker-owned (use snapshotInboxes() or fetchKernel() to observe
   /// state). `args` is broadcast to every machine. A throw — kernel or
   /// validation — aborts the round for all shards: ledger and inboxes
@@ -131,11 +129,11 @@ class RoundEngine {
  private:
   StepKernel& ensureKernelInstance(KernelId kernel);
   /// In-process delivery into inboxes_ in (src, send-position) order: the
-  /// round is validated first, priority-write applied, the ledger charged.
+  /// round is validated first, then the ledger charged.
   void deliver(std::vector<std::vector<Message>> outboxes);
 
   std::size_t numMachines_;
-  std::unique_ptr<Topology> topology_;
+  MpcTopology topology_;
   ThreadPool pool_;
   Accounting ledger_;
   std::vector<std::vector<Delivery>> inboxes_;  // in-process only

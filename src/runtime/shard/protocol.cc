@@ -86,16 +86,14 @@ Report readReport(Channel& ch) {
 
 std::vector<std::vector<Ref>> indexByDst(
     const std::vector<std::vector<Message>>& projected, std::size_t lo,
-    std::size_t hi, bool priorityWrite) {
+    std::size_t hi) {
   std::vector<std::vector<Ref>> byDst(hi - lo);
   for (std::size_t src = 0; src < projected.size(); ++src) {
     const auto& outbox = projected[src];
     for (std::size_t pos = 0; pos < outbox.size(); ++pos) {
       const std::size_t d = outbox[pos].dst;
       if (d < lo || d >= hi) continue;
-      auto& refs = byDst[d - lo];
-      if (priorityWrite && !refs.empty()) continue;
-      refs.push_back(
+      byDst[d - lo].push_back(
           {static_cast<std::uint32_t>(src), static_cast<std::uint32_t>(pos)});
     }
   }

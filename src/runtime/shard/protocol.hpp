@@ -93,11 +93,10 @@ struct Ref {
 /// Index pass over a projected view: per local destination d in [lo, hi),
 /// the refs of its deliveries in (src, pos) order — which *is* the
 /// in-process delivery order, because projection preserves each source's
-/// send-position order and the scan walks sources ascending. Under
-/// priority-write only the first ref per destination is kept.
+/// send-position order and the scan walks sources ascending.
 std::vector<std::vector<Ref>> indexByDst(
     const std::vector<std::vector<Message>>& projected, std::size_t lo,
-    std::size_t hi, bool priorityWrite);
+    std::size_t hi);
 
 /// Parses one shard's per-machine section of a frame into rows[m] for m in
 /// [lo, hi): a u64 count, then (u64 id, u64 len, len words) per row; Row is

@@ -26,7 +26,7 @@ void closeInheritedFds() {
 
 ShardedEngine::ShardedEngine(std::size_t numMachines, std::size_t shards,
                              std::size_t threadsPerShard,
-                             const Topology* topology,
+                             MpcTopology topology,
                              const std::vector<std::string>* kernels,
                              BlockStore* blocks)
     : numMachines_(numMachines),
@@ -40,7 +40,6 @@ ShardedEngine::ShardedEngine(std::size_t numMachines, std::size_t shards,
   if (shards_ < 2 || shards_ > numMachines_)
     throw std::invalid_argument(
         "ShardedEngine: shards must be in [2, numMachines]");
-  if (!topology_) throw std::invalid_argument("ShardedEngine: null topology");
 }
 
 ShardedEngine::~ShardedEngine() { shutdownWorkers(); }
@@ -155,7 +154,7 @@ void ShardedEngine::start() {
     for (std::size_t s = 0; s < shards_; ++s) {
       sendRoster(workers[s].fd, epoch, roster);
       sendWorkerSetup(workers[s].fd, numMachines_, shards_, s,
-                      threadsPerShard_, *topology_, kernels_, blocks_);
+                      threadsPerShard_, topology_, kernels_, blocks_);
     }
   } catch (...) {
     // Unwind without zombies or hangs: closing the listener and every
@@ -305,14 +304,12 @@ void ShardedEngine::stepKernel(std::size_t id, const std::vector<Word>& args,
 
     // The one barrier: workers validate their own sources at phase A and
     // ship their sections before the verdict exists; each report carries
-    // the source verdict plus (for topologies with inbound budgets) this
-    // worker's per-destination word sums. The coordinator totals the sums,
+    // the source verdict plus this worker's per-destination word sums. The coordinator totals the sums,
     // runs the receiver-side validation, and broadcasts the one
     // commit/abort frame. Reports and verdicts echo the epoch so a desynced
     // stream fails loudly instead of committing round r against round
     // r+1's state.
-    const bool wantSums = topology_->needsInboundSums();
-    std::vector<std::uint64_t> received(wantSums ? numMachines_ : 0, 0);
+    std::vector<std::uint64_t> received(numMachines_, 0);
     std::vector<Report> reports(shards_);
     for (std::size_t s = 0; s < shards_; ++s) {
       spinAwaitReadable(workers_[s].fd.fd());
@@ -323,9 +320,7 @@ void ShardedEngine::stepKernel(std::size_t id, const std::vector<Word>& args,
                          std::to_string(s) + " desynced)");
       if (reports[s].kind == kOk) {
         reports[s].words = r.u64();
-        if (wantSums)
-          for (std::size_t m = 0; m < numMachines_; ++m)
-            received[m] += r.u64();
+        for (std::size_t m = 0; m < numMachines_; ++m) received[m] += r.u64();
       } else {
         reports[s].err = r.str();
       }
@@ -338,9 +333,9 @@ void ShardedEngine::stepKernel(std::size_t id, const std::vector<Word>& args,
       }
     std::uint8_t inKind = kOk;
     std::string inErr;
-    if (firstErr == reports.size() && wantSums) {
+    if (firstErr == reports.size()) {
       try {
-        topology_->validateInbound(numMachines_, received);
+        topology_.validateInbound(received);
       } catch (...) {
         inKind = classify(inErr);
       }

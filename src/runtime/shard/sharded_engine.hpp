@@ -24,7 +24,7 @@
 //   phase A  every worker runs kernel->step over its machines, buckets the
 //            *cross-shard* messages into per-peer sections (own-destined
 //            ones never leave), validates its own sources
-//            (Topology::validateSources), and reports {verdict, epoch,
+//            (MpcTopology::validateSources), and reports {verdict, epoch,
 //            words, per-destination inbound word sums} — no payload goes
 //            up the coordinator wire;
 //   exchange right after its report, each worker ships its sections to the
@@ -32,7 +32,7 @@
 //            source-shard order, into *back-buffer* inboxes — before the
 //            verdict exists;
 //   verdict  the coordinator totals the inbound sums
-//            (Topology::validateInbound) and broadcasts one epoch-tagged
+//            (MpcTopology::validateInbound) and broadcasts one epoch-tagged
 //            go/abort frame. Go flips every worker's buffers; abort (a
 //            kernel throw, a capacity violation anywhere) discards the back
 //            buffers, so resident state, the ledger, and the workers are
@@ -63,16 +63,17 @@ namespace mpcspan::runtime::shard {
 
 class ShardedEngine {
  public:
-  /// `topology`, `kernels` (the registered kernel names, by id) and
-  /// `blocks` are borrowed from the owning RoundEngine; whatever they hold
-  /// at start() time provisions the workers through their SETUP frames.
+  /// `kernels` (the registered kernel names, by id) and `blocks` are
+  /// borrowed from the owning RoundEngine; whatever they hold at start()
+  /// time provisions the workers through their SETUP frames, together with
+  /// `topology`.
   /// `threadsPerShard` is the lane count of each worker's local pool
   /// (>= 1). `shards` must be in [2, numMachines] — a single shard is
   /// RoundEngine's in-process path. The engine forks one loopback worker
   /// per shard by default; MPCSPAN_TCP_REMOTE=1 awaits `mpcspan_worker`
   /// attaches instead. Both kinds run the same attachTcpWorker.
   ShardedEngine(std::size_t numMachines, std::size_t shards,
-                std::size_t threadsPerShard, const Topology* topology,
+                std::size_t threadsPerShard, MpcTopology topology,
                 const std::vector<std::string>* kernels = nullptr,
                 BlockStore* blocks = nullptr);
 
@@ -160,7 +161,7 @@ class ShardedEngine {
   std::size_t numMachines_;
   std::size_t shards_;
   std::size_t threadsPerShard_;
-  const Topology* topology_;
+  MpcTopology topology_;
   /// Round epoch of the STEP conversation, incremented per attempt (aborts
   /// included) in lockstep with every worker's own counter; stamped into
   /// each kOpStep frame and echoed through reports/verdicts so a desynced

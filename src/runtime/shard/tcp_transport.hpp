@@ -50,7 +50,7 @@ namespace mpcspan::runtime::shard {
 constexpr std::uint64_t kTcpMagic = 0x314e415053504d4dull;
 /// Bumped whenever a control or mesh frame changes shape; remote workers
 /// from an older build are rejected at the handshake.
-constexpr std::uint8_t kTcpVersion = 4;
+constexpr std::uint8_t kTcpVersion = 5;
 
 /// MPCSPAN_TCP_TIMEOUT_MS (default 30000): the per-transfer deadline of
 /// every tcp channel (and the budget of each mesh exchange).

@@ -39,8 +39,6 @@ void runResidentWorker(const WorkerConfig& cfg, Channel& ctrl,
   const std::size_t lo = shardRangeBegin(n, cfg.shards, s);
   const std::size_t hi = shardRangeEnd(n, cfg.shards, s);
   const std::size_t local = hi - lo;
-  const bool priorityWrite =
-      cfg.topology->mode() == Topology::Mode::kPriorityWrite;
   // The intra-round deadline. The idle top-of-loop command read is
   // unbounded (an idle engine may legitimately not speak for minutes) but
   // every read *inside* a round keeps the channel's deadline, so a
@@ -161,8 +159,7 @@ void runResidentWorker(const WorkerConfig& cfg, Channel& ctrl,
           std::vector<std::vector<Message>> own(local);
           std::vector<WireWriter> sections(cfg.shards);
           std::vector<std::uint64_t> counts(cfg.shards, 0);
-          const bool wantSums = cfg.topology->needsInboundSums();
-          std::vector<std::uint64_t> recvWords(wantSums ? n : 0, 0);
+          std::vector<std::uint64_t> recvWords(n, 0);
           try {
             StepKernel& ker = ensureInstance(kid);
             pool.parallelFor(local, [&](std::size_t i) {
@@ -174,14 +171,14 @@ void runResidentWorker(const WorkerConfig& cfg, Channel& ctrl,
                 if (msg.dst >= n)
                   throw std::invalid_argument(
                       "RoundEngine: message to unknown machine");
-                if (wantSums) recvWords[msg.dst] += msg.payload.size();
+                recvWords[msg.dst] += msg.payload.size();
                 if (msg.dst >= lo && msg.dst < hi) continue;
                 const std::size_t t = shardOfMachine(n, cfg.shards, msg.dst);
                 sections[t].row(lo + i, msg.dst, msg.payload.data(),
                                 msg.payload.size());
                 ++counts[t];
               }
-            words = cfg.topology->validateSources(n, own, lo);
+            words = cfg.topology.validateSources(own, lo);
           } catch (...) {
             kind = classify(err);
             sections.assign(cfg.shards, WireWriter());
@@ -233,9 +230,7 @@ void runResidentWorker(const WorkerConfig& cfg, Channel& ctrl,
               // only be transport corruption — fail the backend.
               throw ShardError(std::string("section merge: ") + e.what());
             }
-            installDeliveries(
-                indexByDst(projected, lo, hi, priorityWrite),
-                projected);
+            installDeliveries(indexByDst(projected, lo, hi), projected);
           }
 
           spinAwaitReadable(ctrl.fd(), &budget);
@@ -392,7 +387,7 @@ void runResidentWorker(const WorkerConfig& cfg, Channel& ctrl,
 
 void sendWorkerSetup(Channel& ch, std::size_t numMachines, std::size_t shards,
                      std::size_t shard, std::size_t threads,
-                     const Topology& topology,
+                     const MpcTopology& topology,
                      const std::vector<std::string>* kernels,
                      const BlockStore* blocks) {
   const std::size_t lo = shardRangeBegin(numMachines, shards, shard);
@@ -403,8 +398,7 @@ void sendWorkerSetup(Channel& ch, std::size_t numMachines, std::size_t shards,
   w.u64(shards);
   w.u64(shard);
   w.u64(threads);
-  w.u8(static_cast<std::uint8_t>(topology.wireKind()));
-  w.u64(topology.wireParam());
+  w.u64(topology.wordsPerMachine());
   w.u64(kernels ? kernels->size() : 0);
   if (kernels)
     for (const std::string& name : *kernels) w.str(name);
@@ -437,14 +431,7 @@ WorkerSetup readWorkerSetup(Channel& ch) {
       cfg.shard >= cfg.shards || cfg.threads == 0 ||
       cfg.threads > kMaxSetupThreads)
     throw ShardError("tcp setup: implausible engine dimensions");
-  const std::uint8_t topoKind = r.u8();
-  const std::uint64_t topoParam = r.u64();
-  try {
-    setup.topology = makeWireTopology(topoKind, topoParam);
-  } catch (const std::exception& e) {
-    throw ShardError(std::string("tcp setup: ") + e.what());
-  }
-  cfg.topology = setup.topology.get();
+  cfg.topology = MpcTopology(r.u64());
   const std::uint64_t kernelCount = r.u64();
   // A serialized kernel entry is at least its 8-byte name-length prefix.
   if (kernelCount > r.remaining() / sizeof(std::uint64_t))

@@ -2,8 +2,8 @@
 // every worker process runs the same one. Every worker — a loopback child
 // the engine forked and a remote `mpcspan_worker --connect host:port
 // --shard k` alike — runs attachTcpWorker (tcp_transport.hpp) and is
-// provisioned by one SETUP frame (kOpSetup): the engine's dimensions,
-// topology, kernel table and its slice of the block store.
+// provisioned by one SETUP frame (kOpSetup): the engine's dimensions, the
+// MPC word budget, the kernel table and its slice of the block store.
 //
 // The kernel table is names only: a kernel is a name in the process-global
 // registry (runtime/kernel.hpp), which every worker resolves in its own
@@ -39,13 +39,12 @@ std::size_t shardOfMachine(std::size_t numMachines, std::size_t shards,
                            std::size_t machine);
 
 /// Everything the command loop needs to know about its place in the engine.
-/// `topology` is borrowed (owned by the caller's WorkerSetup).
 struct WorkerConfig {
   std::size_t numMachines = 0;
   std::size_t shards = 0;
   std::size_t shard = 0;
   std::size_t threads = 1;
-  const Topology* topology = nullptr;
+  MpcTopology topology{0};
   /// Total communication budget of one round's peer-exchange waits (ms;
   /// < 0 = unbounded); attachTcpWorker passes its channel deadline. Seeded
   /// into one DeadlineBudget per round — shared across every wait, so a
@@ -71,19 +70,17 @@ constexpr std::uint64_t kMaxSetupMachines = 1ull << 24;
 constexpr std::uint64_t kMaxSetupThreads = 1ull << 10;
 
 /// Coordinator side of provisioning: one kOpSetup frame carrying
-/// dimensions, the topology's wire descriptor, the kernel names, and shard
+/// dimensions, the topology's wordsPerMachine, the kernel names, and shard
 /// `shard`'s slice of the block store.
 void sendWorkerSetup(Channel& ch, std::size_t numMachines, std::size_t shards,
                      std::size_t shard, std::size_t threads,
-                     const Topology& topology,
+                     const MpcTopology& topology,
                      const std::vector<std::string>* kernels,
                      const BlockStore* blocks);
 
-/// What readWorkerSetup materializes from the frame. `cfg.topology` points
-/// at `topology`; move the struct as a unit.
+/// What readWorkerSetup materializes from the frame.
 struct WorkerSetup {
   WorkerConfig cfg;
-  std::unique_ptr<Topology> topology;
   std::vector<std::string> kernels;
   std::unique_ptr<BlockStore> store;
 };

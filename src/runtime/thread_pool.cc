@@ -18,8 +18,8 @@ ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) threads = defaultThreads();
   lanes_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) lanes_.push_back(std::make_unique<Lane>());
-  // Workers spawn lazily on the first parallel job: accounting-only
-  // substrate facades construct pools they never exercise.
+  // Workers spawn lazily on the first parallel job: a sharded engine's
+  // coordinator pool may never be exercised.
 }
 
 void ThreadPool::ensureWorkers() {

@@ -1,11 +1,10 @@
 // Shared vocabulary of the round-engine runtime: the machine word, the
 // capacity-violation error, message/delivery records, and the round/traffic
-// ledger. Every substrate facade (MPC, Congested Clique, PRAM) speaks these
-// types; nothing here depends on a particular model.
+// ledger.
 //
 // `Word` and `CapacityError` live directly in namespace mpcspan — they are
-// the library-wide currency (formerly defined in mpc/simulator.hpp, which
-// forced cclique to include the MPC header just for them).
+// the currency of the MPC layer above the engine too (mpc/simulator.hpp,
+// mpc/primitives.hpp).
 #pragma once
 
 #include <algorithm>
@@ -30,10 +29,9 @@ class CapacityError : public std::runtime_error {
 
 namespace runtime {
 
-/// Message payload with a single-word fast path. Most traffic in the clique
-/// label rounds and the PRAM write rounds is exactly one word; storing it
-/// inline avoids a heap allocation per message (the constant-factor
-/// regression the flat pre-runtime delivery did not have). Longer payloads
+/// Message payload with a single-word fast path: a one-word message (a
+/// broadcast word, a token, a count) is stored inline, with no heap
+/// allocation per message. Longer payloads
 /// spill to a heap vector — or, for merged cross-shard rows, *borrow* words
 /// that a per-worker delivery arena owns (see Payload::borrowed), so the
 /// resident inbox stops paying one vector per row per round.
@@ -164,7 +162,7 @@ struct Delivery {
   Payload payload;
 };
 
-/// Round/traffic ledger shared by all substrates.
+/// The round/traffic ledger of one engine.
 struct Accounting {
   std::size_t rounds = 0;
   std::size_t wordsSent = 0;

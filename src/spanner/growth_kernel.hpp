@@ -1,13 +1,12 @@
 // Substrate-neutral pieces of one spanner growth iteration (Section 6 /
 // Lemma 6.1): the record types of the two find-minimum supersteps, the
 // host-side candidate sweep, and the deterministic group-min/join reduction
-// that every substrate kernel shares.
+// that both iteration kernels share.
 //
-// Three kernels consume this module and must produce bit-identical
-// decisions on the same input:
+// Two kernels consume this module and must produce bit-identical decisions
+// on the same input:
 //   - referenceIterationKernel (host, mpc/dist_iteration.hpp),
-//   - distIterationKernel      (MPC RoundEngine, real sample sorts),
-//   - cliqueIterationKernel    (clique RoundEngine, real label round).
+//   - distIterationKernel      (MPC RoundEngine, real sample sorts).
 // The shared reduction (weight, then edge id tie-break) is what makes that
 // equivalence well-defined.
 #pragma once

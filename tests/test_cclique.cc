@@ -1,70 +1,27 @@
-#include "cclique/clique.hpp"
+#include "cclique/apsp_cc.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "cclique/apsp_cc.hpp"
 #include "cclique/spanner_cc.hpp"
 #include "graph/distance.hpp"
 #include "graph/generators.hpp"
-#include "probe_kernels.hpp"
 #include "spanner/verify.hpp"
 
 namespace mpcspan {
 namespace {
 
-TEST(CongestedClique, RoundDeliversAndCounts) {
-  CongestedClique cc(4);
-  test_kernels::Outboxes out(4);
-  out[0].push_back({1, {42}});
-  out[2].push_back({1, {43}});
-  out[1].push_back({0, {44}});
-  const auto inbox = test_kernels::scriptedRound(cc.engine(), std::move(out));
-  EXPECT_EQ(cc.rounds(), 1u);
-  ASSERT_EQ(inbox[1].size(), 2u);
-  EXPECT_EQ(inbox[1][0].payload[0], 42u);
-  EXPECT_EQ(inbox[0][0].src, 1u);
+TEST(CliqueCollectRounds, RejectsZeroNodes) {
+  EXPECT_THROW(cliqueCollectRounds(0, 10), std::invalid_argument);
 }
 
-TEST(CongestedClique, RejectsDuplicatePairMessage) {
-  CongestedClique cc(3);
-  test_kernels::Outboxes out(3);
-  out[0].push_back({1, {1}});
-  out[0].push_back({1, {2}});
-  EXPECT_THROW(test_kernels::scriptedRound(cc.engine(), std::move(out)),
-               CapacityError);
-}
-
-TEST(CongestedClique, RejectsOversizedPayload) {
-  // A pair carries exactly one word per round.
-  CongestedClique cc(4);
-  test_kernels::Outboxes out(4);
-  out[0].push_back({1, {7, 8}});
-  EXPECT_THROW(test_kernels::scriptedRound(cc.engine(), std::move(out)),
-               CapacityError);
-  EXPECT_EQ(cc.rounds(), 0u);
-}
-
-TEST(CongestedClique, RejectsZeroNodes) {
-  EXPECT_THROW(CongestedClique(0), std::invalid_argument);
-}
-
-TEST(CongestedClique, LenzenRouteValidatesAndCharges) {
-  CongestedClique cc(8);
-  std::vector<std::size_t> send(8, 5), recv(8, 5);
-  cc.lenzenRoute(send, recv);
-  EXPECT_EQ(cc.rounds(), 2u);
-  send[0] = 9;  // > n
-  EXPECT_THROW(cc.lenzenRoute(send, recv), CapacityError);
-}
-
-TEST(CongestedClique, CollectToAllRoundFormula) {
-  CongestedClique cc(11);
+TEST(CliqueCollectRounds, RoundFormula) {
   // 100 words at 10 words/round -> 10 rounds + 1 spread round.
-  EXPECT_EQ(cc.collectToAll(100), 11u);
-  CongestedClique cc2(101);
-  EXPECT_EQ(cc2.collectToAll(100), 2u);
+  EXPECT_EQ(cliqueCollectRounds(11, 100), 11u);
+  EXPECT_EQ(cliqueCollectRounds(101, 100), 2u);
+  // A single node receives one word per round.
+  EXPECT_EQ(cliqueCollectRounds(1, 3), 4u);
 }
 
 TEST(RepetitionPolicy, AcceptsTypicalDrawQuickly) {
@@ -137,6 +94,23 @@ TEST(CcApsp, ApproximationRespectsBound) {
       EXPECT_LE(approx[v] / exact[v], r.approxBound + 1e-6);
     }
   }
+}
+
+TEST(CcApsp, RoundsArePinned) {
+  // Frozen clique round counts of one seeded build. Every clique round is
+  // accounted by formula (buildCcSpanner's ledger, cliqueCollectRounds),
+  // so a change to either formula or to the Theorem 8.1 construction shows
+  // up here.
+  Rng rng(7);
+  const Graph g = gnmRandom(1000, 8000, rng, {WeightModel::kUniform, 50.0}, true);
+  const auto r = runCcApsp(g, {.seed = 11});
+  EXPECT_EQ(r.kUsed, 10u);
+  EXPECT_EQ(r.tUsed, 4u);
+  EXPECT_EQ(r.oracle.spanner().edges.size(), 4638u);
+  EXPECT_EQ(r.spannerRounds, 43);
+  EXPECT_EQ(r.collectRounds, 11);
+  EXPECT_EQ(r.totalRounds, 54);
+  EXPECT_EQ(r.oracle.spanner().cost.cliqueRounds(), 43);
 }
 
 TEST(CcApsp, CollectRoundsMatchSpannerSize) {

@@ -1,16 +1,13 @@
-// Cross-substrate equivalence of the spanner growth-iteration kernel: the
-// host reference (ClusterEngine's decision procedure), the MPC RoundEngine
-// kernel (real tuples through capacity-enforced rounds), and the Congested
-// Clique RoundEngine kernel (real label round + Lenzen-accounted
-// aggregation) must produce bit-identical group minima and join decisions —
-// the library's evidence that "same algorithm, different model" is exact.
+// Equivalence of the spanner growth-iteration kernels: the host reference
+// (ClusterEngine's decision procedure) and the MPC RoundEngine kernel (real
+// tuples through capacity-enforced rounds) must produce bit-identical group
+// minima and join decisions.
 #include "mpc/dist_iteration.hpp"
 
 #include <gtest/gtest.h>
 
 #include <numeric>
 
-#include "cclique/iteration_cc.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "spanner/engine.hpp"
@@ -27,7 +24,7 @@ std::vector<VertexId> identity(std::size_t n) {
 class DistIterationEquivalence
     : public ::testing::TestWithParam<std::tuple<std::uint64_t, double>> {};
 
-TEST_P(DistIterationEquivalence, HostMpcAndCliqueSubstratesAgree) {
+TEST_P(DistIterationEquivalence, HostAndMpcSubstratesAgree) {
   const auto [seed, p] = GetParam();
   Rng rng(seed);
   const Graph g = gnmRandom(600, 3600, rng, {WeightModel::kUniform, 20.0}, true);
@@ -49,16 +46,6 @@ TEST_P(DistIterationEquivalence, HostMpcAndCliqueSubstratesAgree) {
   // Two sorts + two segmented mins, each O(1) rounds.
   EXPECT_LE(dist.roundsUsed, 16u);
   EXPECT_GT(dist.roundsUsed, 0u);
-
-  // Clique substrate: real label round + accounted aggregation. Join
-  // decisions must be bit-identical to both other substrates.
-  CongestedClique cc(g.numVertices());
-  const DistIterationResult clique =
-      cliqueIterationKernel(cc, g, superOf, clusterOf, sampled);
-  EXPECT_EQ(clique.groupMins, ref.groupMins);
-  EXPECT_EQ(clique.joins, ref.joins);
-  EXPECT_GT(clique.roundsUsed, 0u);
-  EXPECT_GT(cc.totalWords(), 0u);
 }
 
 TEST(DistIteration, MpcKernelIsThreadCountInvariant) {
@@ -112,14 +99,6 @@ TEST(DistIteration, MidRunClusteringWithExitsAndSupernodes) {
       referenceIterationKernel(g, superOf, clusterOf, sampled);
   EXPECT_EQ(dist.groupMins, ref.groupMins);
   EXPECT_EQ(dist.joins, ref.joins);
-
-  // The clique substrate agrees on the mid-run state too (supernodes,
-  // exits, multi-super clusters).
-  CongestedClique cc(g.numVertices());
-  const DistIterationResult clique =
-      cliqueIterationKernel(cc, g, superOf, clusterOf, sampled);
-  EXPECT_EQ(clique.groupMins, ref.groupMins);
-  EXPECT_EQ(clique.joins, ref.joins);
 }
 
 TEST(DistIteration, NoSampledClustersMeansNoJoins) {
@@ -143,9 +122,8 @@ TEST(DistIteration, AllSampledMeansNoCandidates) {
 }
 
 TEST(DistIteration, ParallelEdgesAgreeAcrossSubstrates) {
-  // GraphBuilder stages duplicate (u,v) pairs verbatim; the clique label
-  // round must deduplicate per ordered pair while still producing one
-  // candidate per edge id, like the other substrates.
+  // GraphBuilder stages duplicate (u,v) pairs verbatim; every parallel
+  // edge is its own candidate, and the lighter one wins its group.
   GraphBuilder b(4);
   b.addEdge(0, 1, 5.0);
   b.addEdge(0, 1, 3.0);  // parallel, lighter
@@ -158,12 +136,8 @@ TEST(DistIteration, ParallelEdgesAgreeAcrossSubstrates) {
   const auto ref = referenceIterationKernel(g, identity(4), identity(4), sampled);
   MpcSimulator sim(MpcConfig::forInput(64, 0.6, 3.0));
   const auto dist = distIterationKernel(sim, g, identity(4), identity(4), sampled);
-  CongestedClique cc(4);
-  const auto clique = cliqueIterationKernel(cc, g, identity(4), identity(4), sampled);
   EXPECT_EQ(dist.groupMins, ref.groupMins);
   EXPECT_EQ(dist.joins, ref.joins);
-  EXPECT_EQ(clique.groupMins, ref.groupMins);
-  EXPECT_EQ(clique.joins, ref.joins);
   // The lighter parallel edge wins its group.
   ASSERT_FALSE(ref.groupMins.empty());
   EXPECT_EQ(ref.groupMins[0].w, 3.0);

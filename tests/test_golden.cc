@@ -11,11 +11,15 @@
 // too; it is what those
 // bit-identical reference paths used to guarantee. The broadcast rows were
 // generated the same way, in-process and at 4 shards, while
-// treeBroadcastWords still ran on coordinator-built rounds. The three probe
-// rows were regenerated when the engine's free shuffle round was deleted:
-// the probe ended with one, and every surviving backend agreed on the new
-// hashes (rounds and words did not change). Regenerate a row only for an
-// intended algorithm change, and say why in the commit.
+// treeBroadcastWords still ran on coordinator-built rounds. The probe row
+// was regenerated when the engine's free shuffle round was deleted: the
+// probe ended with one, and every surviving backend agreed on the new
+// hashes (rounds and words did not change). Four rows left the table with
+// the engine's Congested Clique and PRAM models — clique-label-wave,
+// leader-forest, probe/clique and probe/pram — because the engine now
+// simulates only MPC and those costs are formulas; no surviving row
+// changed. Regenerate a row only for an intended algorithm change, and say
+// why in the commit.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -25,14 +29,11 @@
 #include <string>
 #include <vector>
 
-#include "cclique/clique.hpp"
-#include "cclique/iteration_cc.hpp"
 #include "graph/generators.hpp"
 #include "mpc/dist_iteration.hpp"
 #include "mpc/dist_spanner.hpp"
 #include "mpc/primitives.hpp"
 #include "mpc/simulator.hpp"
-#include "pram/pram.hpp"
 #include "runtime/round_engine.hpp"
 #include "spanner/engine.hpp"
 #include "probe_kernels.hpp"
@@ -43,7 +44,6 @@ namespace {
 using runtime::Delivery;
 using runtime::EngineConfig;
 using runtime::KernelId;
-using runtime::PramTopology;
 using runtime::RoundEngine;
 
 // --- Backend configurations. ---
@@ -70,10 +70,6 @@ EngineConfig engineConfig(std::size_t numMachines, const Backend& b) {
 
 std::unique_ptr<MpcSimulator> makeSim(MpcConfig cfg, const Backend& b) {
   return std::make_unique<MpcSimulator>(cfg, b.threads, b.shards);
-}
-
-std::unique_ptr<CongestedClique> makeClique(std::size_t n, const Backend& b) {
-  return std::make_unique<CongestedClique>(n, b.threads, b.shards);
 }
 
 // --- Checksums. ---
@@ -191,7 +187,7 @@ Golden runDist(bool tradeoff, const Backend& b, double* keptFrac = nullptr) {
   return out;
 }
 
-// --- Rows: the three compute waves (test_wave_kernels workloads). ---
+// --- Row: the growth compute wave (the test_wave_kernels workload). ---
 
 Golden runGrowthWave(const Backend& b) {
   Rng rng(99);
@@ -219,55 +215,12 @@ Golden runGrowthWave(const Backend& b) {
   return out;
 }
 
-Golden runCliqueWave(const Backend& b) {
-  Rng rng(7);
-  const Graph g = gnmRandom(60, 260, rng, {WeightModel::kUniform, 9.0}, true);
-  const std::size_t n = g.numVertices();
-  std::vector<char> alive(g.numEdges(), 1);
-  for (EdgeId id = 0; id < g.numEdges(); id += 5) alive[id] = 0;
-  auto cc = makeClique(n, b);
-  Hasher hs;
-  for (int iter = 0; iter < 3; ++iter) {
-    const std::vector<char> sampled = HashCoinPolicy::draw(
-        std::vector<char>(n, 1), 0.4, /*seed=*/7, /*drawKey=*/iter + 1);
-    const DistIterationResult res = cliqueIterationKernel(
-        *cc, g, identity(n), identity(n), sampled, &alive);
-    hashIteration(hs, res);
-  }
-  Golden out = ledgerOf(cc->engine());
-  out.edgeHash = hs.h;
-  out.stateHash = inboxHash(cc->engine().snapshotInboxes());
-  return out;
-}
+// --- Row: the transport probe kernel. ---
 
-Golden runForestWave(const Backend& b) {
-  const std::size_t n = 32;
-  RoundEngine eng(engineConfig(n, b), std::make_unique<PramTopology>());
-  LeaderForest lf(n);
-  lf.attachEngine(&eng);
-  std::uint64_t h = 11;
-  for (int i = 0; i < 60; ++i) {
-    h = h * 6364136223846793005ULL + 1442695040888963407ULL;
-    const auto a = static_cast<std::uint32_t>((h >> 33) % n);
-    h = h * 6364136223846793005ULL + 1442695040888963407ULL;
-    const auto c = static_cast<std::uint32_t>((h >> 33) % n);
-    lf.merge(a, c);
-  }
-  Golden out = ledgerOf(eng);
-  Hasher hs;
-  for (std::uint32_t v = 0; v < n; ++v) hs.add(lf.leader(v));
-  out.edgeHash = hs.h;
-  out.stateHash = rowsHash(eng.fetchKernel(lf.kernelId())) ^
-                  inboxHash(eng.snapshotInboxes());
-  return out;
-}
-
-// --- Rows: the transport probe kernel on all three topologies. ---
-
-Golden runProbe(int mode, const Backend& b) {
-  RoundEngine eng(engineConfig(12, b), test_kernels::probeTopology(mode));
+Golden runProbe(const Backend& b) {
+  RoundEngine eng(engineConfig(12, b), test_kernels::probeTopology());
   const KernelId k = runtime::ensureKernel<test_kernels::ProbeKernel>(eng);
-  for (int i = 0; i < 5; ++i) eng.step(k, {static_cast<Word>(mode)});
+  for (int i = 0; i < 5; ++i) eng.step(k);
   Golden out = ledgerOf(eng);
   out.edgeHash = rowsHash(eng.fetchKernel(k));
   out.stateHash = inboxHash(eng.snapshotInboxes());
@@ -292,19 +245,8 @@ const std::vector<Row>& goldenTable() {
        {44, 528842, 93474, 0x3fc493272fefb72dull, 0x08150b23fe6f0195ull}},
       {"growth-wave/gnm(300,1500,seed=99)/iters=3/seed=99", runGrowthWave,
        {30, 30074, 7509, 0x4e03fc9433cfc14dull, 0xd196e1e45159fea1ull}},
-      {"clique-label-wave/gnm(60,260,seed=7)/iters=3/seed=7", runCliqueWave,
-       {9, 4524, 512, 0x1afdc7ff8445de64ull, 0xb21d8584e5f25b47ull}},
-      {"leader-forest/n=32/merges=60/seed=11", runForestWave,
-       {30, 39, 6, 0x95533c7b93810422ull, 0xf08847f1ad8c1287ull}},
-      {"probe/mpc/n=12/cap=64/rounds=5",
-       [](const Backend& b) { return runProbe(0, b); },
+      {"probe/mpc/n=12/cap=64/rounds=5", runProbe,
        {5, 300, 60, 0xbd882e657eac2736ull, 0x3fc3129764189645ull}},
-      {"probe/clique/n=12/rounds=5",
-       [](const Backend& b) { return runProbe(1, b); },
-       {5, 60, 12, 0xfb573edfa202cf9eull, 0x61f011e95703a8abull}},
-      {"probe/pram/n=12/rounds=5",
-       [](const Backend& b) { return runProbe(2, b); },
-       {5, 60, 12, 0xd85ca4f540c5223eull, 0x69c96c10d2d0bb90ull}},
   };
   return rows;
 }

@@ -2,9 +2,32 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <cstring>
+#include <new>
 #include <sstream>
 
 #include "graph/generators.hpp"
+
+namespace {
+
+// While nonzero, any single allocation on this thread above this many bytes
+// throws std::bad_alloc instead of happening (see operator new below).
+thread_local std::size_t tAllocCap = 0;
+
+}  // namespace
+
+// Kept out of line so the compiler does not pair an inlined malloc/free
+// with new/delete expressions (-Wmismatched-new-delete).
+[[gnu::noinline]] void* operator new(std::size_t n) {
+  if (tAllocCap != 0 && n > tAllocCap) throw std::bad_alloc();
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace mpcspan {
 namespace {
@@ -140,7 +163,7 @@ TEST(BinaryGraph, RoundTripIsExact) {
   std::ostringstream out(std::ios::binary);
   writeGraphBinary(g, out);
   std::istringstream in(out.str(), std::ios::binary);
-  const Graph back = readGraphBinary(in);
+  const Graph back = readGraphBinary(in, g.numVertices());
   ASSERT_EQ(back.numVertices(), g.numVertices());
   // Edge ids round-trip exactly: same edges, same order, bit-equal weights.
   EXPECT_EQ(back.edges(), g.edges());
@@ -155,12 +178,56 @@ TEST(BinaryGraph, TruncationAndCorruptionAreRejected) {
   for (std::size_t len : {std::size_t{0}, std::size_t{3}, std::size_t{10},
                           bytes.size() / 2, bytes.size() - 1}) {
     std::istringstream in(bytes.substr(0, len), std::ios::binary);
-    EXPECT_THROW(readGraphBinary(in), std::runtime_error) << "len=" << len;
+    EXPECT_THROW(readGraphBinary(in, g.numVertices()), std::runtime_error)
+        << "len=" << len;
   }
   std::string bad = bytes;
   bad[0] = 'Z';  // magic
   std::istringstream in(bad, std::ios::binary);
-  EXPECT_THROW(readGraphBinary(in), std::runtime_error);
+  EXPECT_THROW(readGraphBinary(in, g.numVertices()), std::runtime_error);
+}
+
+TEST(BinaryGraph, VertexCountAboveTheBoundThrowsBeforeAllocating) {
+  Rng rng(7);
+  const Graph g = gnmRandom(20, 40, rng, {WeightModel::kUniform, 9.0});
+  std::ostringstream out(std::ios::binary);
+  writeGraphBinary(g, out);
+  const std::string bytes = out.str();
+  // n is the u64 after the u32 magic and the u32 version. A flipped high
+  // bit claims 2^29 + 20 vertices: under the format's global count cap, so
+  // only the caller's bound stands between it and a CSR that size.
+  std::string flipped = bytes;
+  std::uint64_t n = 0;
+  std::memcpy(&n, flipped.data() + 8, sizeof n);
+  ASSERT_EQ(n, g.numVertices());
+  n |= std::uint64_t{1} << 29;
+  std::memcpy(flipped.data() + 8, &n, sizeof n);
+  struct Case {
+    const std::string* image;
+    std::uint64_t bound;
+  };
+  for (const auto& [image, bound] :
+       {Case{&bytes, g.numVertices() - 1}, Case{&flipped, bytes.size() / 32}}) {
+    std::istringstream in(*image, std::ios::binary);
+    tAllocCap = 4096;  // the error message may allocate; a CSR may not
+    try {
+      (void)readGraphBinary(in, bound);
+      tAllocCap = 0;
+      ADD_FAILURE() << "n above the bound " << bound << " decoded";
+    } catch (const std::runtime_error& e) {
+      tAllocCap = 0;
+      EXPECT_NE(std::string(e.what()).find("implausible count"),
+                std::string::npos)
+          << e.what();
+    } catch (const std::bad_alloc&) {
+      tAllocCap = 0;
+      ADD_FAILURE() << "sized an allocation by n above the bound " << bound;
+    }
+  }
+  // The true n is within its own bound.
+  std::istringstream in(bytes, std::ios::binary);
+  EXPECT_EQ(readGraphBinary(in, g.numVertices()).numVertices(),
+            g.numVertices());
 }
 
 }  // namespace

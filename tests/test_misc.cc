@@ -1,30 +1,15 @@
-// Remaining corners: clique traffic accounting, oracle behaviour on
-// disconnected inputs, and format edge cases.
+// Remaining corners: oracle behaviour on disconnected inputs, and format
+// edge cases.
 #include <gtest/gtest.h>
 
 #include "apsp/oracle.hpp"
-#include "cclique/clique.hpp"
 #include "graph/builder.hpp"
 #include "graph/distance.hpp"
 #include "graph/generators.hpp"
-#include "probe_kernels.hpp"
 #include "spanner/baswana_sen.hpp"
 
 namespace mpcspan {
 namespace {
-
-TEST(CongestedClique, TrafficAccounting) {
-  CongestedClique cc(6);
-  test_kernels::Outboxes out(6);
-  out[0].push_back({1, {9}});
-  out[2].push_back({3, {9}});
-  test_kernels::scriptedRound(cc.engine(), std::move(out));
-  EXPECT_EQ(cc.totalWords(), 2u);
-  cc.lenzenRoute(std::vector<std::size_t>(6, 3), std::vector<std::size_t>(6, 3));
-  EXPECT_EQ(cc.totalWords(), 2u + 18u);
-  cc.broadcastRound();
-  EXPECT_EQ(cc.rounds(), 1u + 2u + 1u);
-}
 
 TEST(Oracle, DisconnectedQueriesAreInfinite) {
   GraphBuilder b(6);

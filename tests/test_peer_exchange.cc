@@ -1,12 +1,12 @@
 // Cross-shard exchange over the tcp mesh the resident workers form at
 // rendezvous: kernel rounds must be bit-identical to the in-process engine
-// (rounds, ledger, kernel state, resident inbox contents) on all three
-// topologies at 2 and 4 shards x 1 and 2 threads, and every failure mode —
+// (rounds, ledger, kernel state, resident inbox contents) at 2 and 4
+// shards x 1 and 2 threads, and every failure mode —
 // a kernel throw mid-round, a capacity abort, a peer dying mid-exchange,
 // 1.6 MB frames streaming through the socket buffers — must surface the
 // in-process error or a loud ShardError. Also here: the section/wire
 // decoders the mesh feeds, under seeded mutation. The barrier's own
-// contracts (round budget, Topology split validation) live in
+// contracts (round budget, MpcTopology split validation) live in
 // test_pipeline.
 #include <gtest/gtest.h>
 
@@ -58,14 +58,12 @@ thread_local std::size_t tAllocCap = 0;
 namespace mpcspan {
 namespace {
 
-using runtime::CliqueTopology;
 using runtime::Delivery;
 using runtime::EngineConfig;
 using runtime::KernelCtx;
 using runtime::KernelId;
 using runtime::Message;
 using runtime::MpcTopology;
-using runtime::PramTopology;
 using runtime::RoundEngine;
 using runtime::StepKernel;
 using runtime::shard::mergeSectionRows;
@@ -100,10 +98,10 @@ Result observe(RoundEngine& eng, KernelId k) {
   return res;
 }
 
-Result runWorkload(int mode, std::size_t threads, std::size_t shards) {
-  RoundEngine eng(EngineConfig{12, threads, shards}, probeTopology(mode));
+Result runWorkload(std::size_t threads, std::size_t shards) {
+  RoundEngine eng(EngineConfig{12, threads, shards}, probeTopology());
   const KernelId k = runtime::ensureKernel<ProbeKernel>(eng);
-  for (int i = 0; i < 5; ++i) eng.step(k, {static_cast<Word>(mode)});
+  for (int i = 0; i < 5; ++i) eng.step(k);
   return observe(eng, k);
 }
 
@@ -117,15 +115,12 @@ void expectReaped(const std::vector<pid_t>& pids) {
 }
 
 TEST(TcpMesh, BitIdenticalToInProcessOnAllTopologies) {
-  for (const int mode : {0, 1, 2}) {
-    const Result base = runWorkload(mode, 1, 1);
-    EXPECT_EQ(base.rounds, 5u) << "mode " << mode;
-    for (const std::size_t shards : {2u, 4u})
-      for (const std::size_t threads : {1u, 2u})
-        EXPECT_EQ(base, runWorkload(mode, threads, shards))
-            << "mode " << mode << ", " << shards << " shards x " << threads
-            << " threads";
-  }
+  const Result base = runWorkload(1, 1);
+  EXPECT_EQ(base.rounds, 5u);
+  for (const std::size_t shards : {2u, 4u})
+    for (const std::size_t threads : {1u, 2u})
+      EXPECT_EQ(base, runWorkload(threads, shards))
+          << shards << " shards x " << threads << " threads";
 }
 
 /// Emissions are a pure function of the inbox, so a correctly discarded
@@ -156,8 +151,8 @@ TEST(TcpMesh, KernelThrowMidRoundAbortsCleanly) {
   // round into their back buffers. Discarding it must leave the resident
   // inboxes, ledger, and worker processes exactly as before the round — and
   // the rounds after the abort must match an engine that never tried it.
-  RoundEngine ref(EngineConfig{12, 1, 1}, std::make_unique<MpcTopology>(64));
-  RoundEngine eng(EngineConfig{12, 1, 4}, std::make_unique<MpcTopology>(64));
+  RoundEngine ref(EngineConfig{12, 1, 1}, MpcTopology(64));
+  RoundEngine eng(EngineConfig{12, 1, 4}, MpcTopology(64));
   const KernelId kr = runtime::ensureKernel<ThrowerKernel>(ref);
   const KernelId ke = runtime::ensureKernel<ThrowerKernel>(eng);
   for (int i = 0; i < 2; ++i) {
@@ -196,7 +191,7 @@ TEST(TcpMesh, CapacityAbortKeepsStateAndWorkers) {
   // the summed inbound words — after every section already moved. The
   // round must still abort with the in-process error type, consume
   // nothing, and leave the workers usable.
-  RoundEngine eng(EngineConfig{8, 1, 4}, std::make_unique<MpcTopology>(16));
+  RoundEngine eng(EngineConfig{8, 1, 4}, MpcTopology(16));
   const KernelId k = runtime::ensureKernel<Flooder>(eng);
   eng.step(k);
   const std::size_t wordsBefore = eng.totalWordsSent();
@@ -235,7 +230,7 @@ TEST(TcpMesh, PeerDeathMidExchangeSurfacesShardErrorForAll) {
   // loudly (not hang), stay failed, and reap every worker.
   std::vector<pid_t> pids;
   {
-    RoundEngine eng(EngineConfig{8, 1, 4}, std::make_unique<MpcTopology>(32));
+    RoundEngine eng(EngineConfig{8, 1, 4}, MpcTopology(32));
     const KernelId k = runtime::ensureKernel<PeerDeathKernel>(eng);
     // Start the workers without a STEP, which would reach the fault.
     eng.fetchKernel(k);
@@ -285,7 +280,7 @@ class BigFrameKernel final : public StepKernel {
 TEST(TcpMesh, BigFramesStreamThroughTheMesh) {
   auto run = [&](std::size_t shards) {
     RoundEngine eng(EngineConfig{4, 1, shards},
-                    std::make_unique<MpcTopology>(BigFrameKernel::kWords));
+                    MpcTopology(BigFrameKernel::kWords));
     const KernelId k = runtime::ensureKernel<BigFrameKernel>(eng);
     eng.step(k);
     eng.step(k);
@@ -299,8 +294,8 @@ TEST(TcpMesh, BigFramesStreamThroughTheMesh) {
 TEST(TcpMesh, ExchangeRoundsAndBlocksRideTheBackend) {
   // A round whose outboxes are fixed up front and the worker-resident
   // blocks must match the in-process engine too.
-  RoundEngine sharded(EngineConfig{6, 1, 3}, std::make_unique<MpcTopology>(64));
-  RoundEngine ref(EngineConfig{6, 1, 1}, std::make_unique<MpcTopology>(64));
+  RoundEngine sharded(EngineConfig{6, 1, 3}, MpcTopology(64));
+  RoundEngine ref(EngineConfig{6, 1, 1}, MpcTopology(64));
   std::vector<std::vector<std::vector<Delivery>>> inboxes;
   for (RoundEngine* eng : {&sharded, &ref}) {
     std::vector<std::vector<Word>> per(6);

@@ -1,10 +1,10 @@
 // The one pipelined STEP barrier's own contracts. Every round's waits draw
 // down one shared DeadlineBudget, so a peer that trickles bytes cannot reset
 // a per-wait timeout forever, while an unbudgeted exchange waits such a peer
-// out. And the Topology split contract the barrier
+// out. And the MpcTopology split contract the barrier
 // rests on: validateSources over every shard slice plus validateInbound over
 // the summed inbound words, and whole-round validate(), must both agree with
-// an oracle of the model rules. Exchange equivalence and failure modes live
+// an oracle of the model's rules. Exchange equivalence and failure modes live
 // in test_peer_exchange.
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -24,20 +23,17 @@
 #include "runtime/shard/worker_loop.hpp"
 #include "runtime/topology.hpp"
 #include "util/rng.hpp"
-#include "probe_kernels.hpp"
 
 namespace mpcspan {
 namespace {
 
 using runtime::Message;
 using runtime::MpcTopology;
-using runtime::Topology;
 using runtime::shard::DeadlineBudget;
 using runtime::shard::ShardError;
 using runtime::shard::WireFd;
 using runtime::shard::WireReader;
 using runtime::shard::WireWriter;
-using test_kernels::probeTopology;
 
 /// A valid empty section frame (u64 bodyLen = 8, u64 rowCount = 0,
 /// little-endian), the unit the trickling peer dribbles out.
@@ -102,12 +98,12 @@ TEST(DeadlineBudget, SpendsOneBudgetAcrossWaits) {
   EXPECT_TRUE(budget.expired());
 }
 
-// --- The Topology split contract: validate() and the sharded split
+// --- The MpcTopology split contract: validate() and the sharded split
 // (validateSources over every slice plus validateInbound over the summed
 // inbound words) must each accept or reject exactly when the model's rules
 // say so, with the same exception type and the same word total. The
 // reference is an oracle written from the rules themselves, not from any
-// Topology code. ---
+// MpcTopology code. ---
 
 enum class Verdict { kOk, kCapacity, kBounds };
 
@@ -118,11 +114,9 @@ struct Outcome {
   friend bool operator==(const Outcome&, const Outcome&) = default;
 };
 
-/// The model rules, per ProbeKernel mode: MPC (0) — every machine sends
-/// and receives at most `cap` words; clique (1) — at most one single-word
-/// message per ordered pair; PRAM (2) — every write is exactly one word.
+/// The MPC rules: every machine sends and receives at most `cap` words.
 /// Any destination outside [0, n) is a bounds error first.
-Outcome oracle(int mode, std::size_t cap, std::size_t n,
+Outcome oracle(std::size_t cap, std::size_t n,
                const std::vector<std::vector<Message>>& outboxes) {
   for (const auto& out : outboxes)
     for (const Message& msg : out)
@@ -131,17 +125,14 @@ Outcome oracle(int mode, std::size_t cap, std::size_t n,
   std::vector<std::size_t> received(n, 0);
   for (std::size_t src = 0; src < n; ++src) {
     std::size_t sent = 0;
-    std::vector<char> pairUsed(n, 0);
     for (const Message& msg : outboxes[src]) {
       sent += msg.payload.size();
       received[msg.dst] += msg.payload.size();
-      if (mode != 0 && msg.payload.size() != 1) return {Verdict::kCapacity, 0};
-      if (mode == 1 && pairUsed[msg.dst]++) return {Verdict::kCapacity, 0};
     }
-    if (mode == 0 && sent > cap) return {Verdict::kCapacity, 0};
+    if (sent > cap) return {Verdict::kCapacity, 0};
     words += sent;
   }
-  for (std::size_t m = 0; mode == 0 && m < n; ++m)
+  for (std::size_t m = 0; m < n; ++m)
     if (received[m] > cap) return {Verdict::kCapacity, 0};
   return {Verdict::kOk, words};
 }
@@ -159,7 +150,7 @@ Outcome outcomeOf(Fn&& validateRound) {
 
 /// The sharded barrier's composition. Like the workers, it bounds-checks
 /// destinations before any topology half sees them.
-Outcome validateSplit(const Topology& topo, std::size_t n, std::size_t shards,
+Outcome validateSplit(const MpcTopology& topo, std::size_t n, std::size_t shards,
                       const std::vector<std::vector<Message>>& outboxes) {
   return outcomeOf([&] {
     for (const auto& out : outboxes)
@@ -171,34 +162,26 @@ Outcome validateSplit(const Topology& topo, std::size_t n, std::size_t shards,
       const std::size_t hi = runtime::shard::shardRangeEnd(n, shards, s);
       const std::vector<std::vector<Message>> slice(outboxes.begin() + lo,
                                                     outboxes.begin() + hi);
-      words += topo.validateSources(n, slice, lo);
+      words += topo.validateSources(slice, lo);
     }
-    if (topo.needsInboundSums()) {
-      std::vector<std::uint64_t> received(n, 0);
-      for (const auto& out : outboxes)
-        for (const Message& msg : out) received[msg.dst] += msg.payload.size();
-      topo.validateInbound(n, received);
-    }
+    std::vector<std::uint64_t> received(n, 0);
+    for (const auto& out : outboxes)
+      for (const Message& msg : out) received[msg.dst] += msg.payload.size();
+    topo.validateInbound(received);
     return words;
   });
 }
 
-/// One seeded random round shaped to hit every rule of `mode`'s model:
-/// over-budget sends and receives (MPC), duplicate pairs and multi-word
-/// payloads (clique, PRAM), and the odd out-of-range destination.
-std::vector<std::vector<Message>> randomRound(int mode, std::size_t n,
-                                              Rng& rng) {
+/// One seeded random round shaped to hit every MPC rule: over-budget sends
+/// and receives, and the odd out-of-range destination.
+std::vector<std::vector<Message>> randomRound(std::size_t n, Rng& rng) {
   std::vector<std::vector<Message>> out(n);
   for (std::size_t src = 0; src < n; ++src) {
-    const std::size_t count = rng.next(mode == 0 ? 5 : 4);
+    const std::size_t count = rng.next(5);
     for (std::size_t i = 0; i < count; ++i) {
       std::size_t dst = rng.next(n);
       if (rng.next(40) == 0) dst = n + rng.next(3);
-      std::size_t len = 1;
-      if (mode == 0)
-        len = rng.next(5);
-      else if (rng.next(12) == 0)
-        len = 2 + rng.next(2);
+      const std::size_t len = rng.next(5);
       std::vector<Word> pay(len);
       for (Word& w : pay) w = rng.next(1000);
       out[src].push_back({dst, std::move(pay)});
@@ -210,29 +193,23 @@ std::vector<std::vector<Message>> randomRound(int mode, std::size_t n,
 TEST(TopologySplit, ValidateAndSplitMatchTheModelRules) {
   constexpr std::size_t kCap = 8;
   Rng rng(20210712);
-  for (const int mode : {0, 1, 2}) {
-    const std::unique_ptr<Topology> topo =
-        mode == 0 ? std::unique_ptr<Topology>(new MpcTopology(kCap))
-                  : probeTopology(mode);
-    std::size_t seen[3] = {0, 0, 0};
-    for (int round = 0; round < 600; ++round) {
-      const std::size_t n = 2 + rng.next(7);
-      const auto outboxes = randomRound(mode, n, rng);
-      const Outcome expected = oracle(mode, kCap, n, outboxes);
-      ++seen[static_cast<int>(expected.verdict)];
-      ASSERT_EQ(outcomeOf([&] { return topo->validate(n, outboxes); }),
-                expected)
-          << topo->name() << " round " << round << ", validate()";
-      for (const std::size_t shards : {std::size_t{1}, std::size_t{2}, n})
-        ASSERT_EQ(validateSplit(*topo, n, shards, outboxes), expected)
-            << topo->name() << " round " << round << ", " << shards
-            << " shards";
-    }
-    // The rounds must exercise acceptance and both rejection kinds.
-    EXPECT_GT(seen[0], 0u) << topo->name();
-    EXPECT_GT(seen[1], 0u) << topo->name();
-    EXPECT_GT(seen[2], 0u) << topo->name();
+  const MpcTopology topo(kCap);
+  std::size_t seen[3] = {0, 0, 0};
+  for (int round = 0; round < 600; ++round) {
+    const std::size_t n = 2 + rng.next(7);
+    const auto outboxes = randomRound(n, rng);
+    const Outcome expected = oracle(kCap, n, outboxes);
+    ++seen[static_cast<int>(expected.verdict)];
+    ASSERT_EQ(outcomeOf([&] { return topo.validate(n, outboxes); }), expected)
+        << "round " << round << ", validate()";
+    for (const std::size_t shards : {std::size_t{1}, std::size_t{2}, n})
+      ASSERT_EQ(validateSplit(topo, n, shards, outboxes), expected)
+          << "round " << round << ", " << shards << " shards";
   }
+  // The rounds must exercise acceptance and both rejection kinds.
+  EXPECT_GT(seen[0], 0u);
+  EXPECT_GT(seen[1], 0u);
+  EXPECT_GT(seen[2], 0u);
 }
 
 }  // namespace

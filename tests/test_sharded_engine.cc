@@ -1,9 +1,9 @@
 // The sharded multi-process RoundEngine backend: cross-shard equivalence
 // (1-shard, N-shard, 1-thread, N-thread runs of one workload are
-// bit-identical — rounds, traffic ledger, delivery contents — on all three
-// topologies), the resident-worker protocol (fork once, pid stability,
+// bit-identical — rounds, traffic ledger, delivery contents), the
+// resident-worker protocol (fork once, pid stability,
 // kernel-owned state, worker-lifecycle failure modes), the round barrier's
-// failure modes, and the facades running sharded end-to-end.
+// failure modes, and MpcSimulator running sharded end-to-end.
 #include "runtime/shard/sharded_engine.hpp"
 
 #include <gtest/gtest.h>
@@ -20,11 +20,9 @@
 #include <thread>
 #include <utility>
 
-#include "cclique/clique.hpp"
 #include "graph/generators.hpp"
 #include "mpc/dist_spanner.hpp"
 #include "mpc/simulator.hpp"
-#include "pram/pram.hpp"
 #include "runtime/kernel.hpp"
 #include "runtime/round_engine.hpp"
 #include "spanner/baswana_sen.hpp"
@@ -33,15 +31,12 @@
 namespace mpcspan {
 namespace {
 
-using runtime::CliqueTopology;
 using runtime::Delivery;
 using runtime::EngineConfig;
 using runtime::KernelId;
 using runtime::Message;
 using runtime::MpcTopology;
-using runtime::PramTopology;
 using runtime::RoundEngine;
-using runtime::Topology;
 using runtime::shard::ShardedEngine;
 using runtime::shard::ShardError;
 using test_kernels::Outboxes;
@@ -78,7 +73,7 @@ void finishTrace(Trace& trace, RoundEngine& eng) {
 Trace runMpcWorkload(std::size_t threads, std::size_t shards) {
   const std::size_t p = 16;
   RoundEngine eng(EngineConfig{p, threads, shards},
-                  std::make_unique<MpcTopology>(6 * p));
+                  MpcTopology(6 * p));
   EXPECT_EQ(eng.numShards(), shards == 0 ? 1u : shards);
   Trace trace;
   std::uint64_t h = 42;
@@ -109,62 +104,9 @@ TEST(ShardedEngine, MpcWorkloadBitIdenticalAcrossShardsAndThreads) {
   EXPECT_EQ(base, runMpcWorkload(3, 2)) << "3 threads x 2 shards";
 }
 
-/// Clique workload: every node sends one word to a few distinct peers.
-Trace runCliqueWorkload(std::size_t threads, std::size_t shards) {
-  const std::size_t n = 12;
-  RoundEngine eng(EngineConfig{n, threads, shards},
-                  std::make_unique<CliqueTopology>());
-  Trace trace;
-  std::vector<Outboxes> script(6, Outboxes(n));
-  for (int round = 1; round <= 6; ++round)
-    for (std::size_t src = 0; src < n; ++src)
-      for (int j = 0; j < 3; ++j)  // offsets round + {0,4,8}: distinct mod 12
-        script[round - 1][src].push_back(
-            {(src + static_cast<std::size_t>(round + j * 4)) % n,
-             {src * 1000 + static_cast<std::size_t>(round * 10 + j)}});
-  const KernelId k = registerScript(eng, std::move(script));
-  for (Word round = 0; round < 6; ++round)
-    recordRound(trace, scriptedRound(eng, k, round));
-  finishTrace(trace, eng);
-  return trace;
-}
-
-TEST(ShardedEngine, CliqueWorkloadBitIdenticalAcrossShards) {
-  const Trace base = runCliqueWorkload(1, 1);
-  for (std::size_t shards : {2u, 4u})
-    EXPECT_EQ(base, runCliqueWorkload(2, shards)) << shards << " shards";
-}
-
-/// PRAM workload: concurrent single-word writes; Priority-CRCW resolution
-/// (lowest writer id) must be identical shard-count independent.
-Trace runPramWorkload(std::size_t threads, std::size_t shards) {
-  const std::size_t n = 10;
-  RoundEngine eng(EngineConfig{n, threads, shards},
-                  std::make_unique<PramTopology>());
-  Trace trace;
-  std::vector<Outboxes> script(5, Outboxes(n));
-  for (std::size_t round = 0; round < 5; ++round)
-    for (std::size_t src = 0; src < n; ++src)
-      script[round][src].push_back(
-          {(src * 7 + round) % 3, {src * 100 + round}});
-  const KernelId k = registerScript(eng, std::move(script));
-  for (Word round = 0; round < 5; ++round)
-    recordRound(trace, scriptedRound(eng, k, round));
-  finishTrace(trace, eng);
-  return trace;
-}
-
-TEST(ShardedEngine, PramPriorityWritesBitIdenticalAcrossShards) {
-  const Trace base = runPramWorkload(1, 1);
-  // All attempted writes count as work even though only one lands per cell.
-  EXPECT_EQ(base.words, 5u * 10u);
-  for (std::size_t shards : {2u, 4u, 5u})
-    EXPECT_EQ(base, runPramWorkload(2, shards)) << shards << " shards";
-}
-
 TEST(ShardedEngine, StepRunsInWorkerProcesses) {
   // Ring token passing, compute phase executed inside the shard workers.
-  RoundEngine eng(EngineConfig{8, 2, 4}, std::make_unique<MpcTopology>(8));
+  RoundEngine eng(EngineConfig{8, 2, 4}, MpcTopology(8));
   ASSERT_EQ(eng.numShards(), 4u);
   const KernelId k = runtime::ensureKernel<test_kernels::TokenKernel>(eng);
   eng.step(k, {0});
@@ -176,7 +118,7 @@ TEST(ShardedEngine, StepRunsInWorkerProcesses) {
 }
 
 TEST(ShardedEngine, CapacityViolationAbortsTheRoundLoudly) {
-  RoundEngine eng(EngineConfig{4, 1, 2}, std::make_unique<MpcTopology>(2));
+  RoundEngine eng(EngineConfig{4, 1, 2}, MpcTopology(2));
   Outboxes out(4);
   out[3].push_back({0, {1, 2, 3}});  // sender over budget, validated by shard 1
   Outboxes ok(4);
@@ -197,7 +139,7 @@ TEST(ShardedEngine, UnknownDestinationAbortsTheKernelRound) {
   // the next good round commits.
   for (const std::size_t shards : {1u, 4u}) {
     RoundEngine eng(EngineConfig{8, 1, shards},
-                    std::make_unique<MpcTopology>(8));
+                    MpcTopology(8));
     ASSERT_EQ(eng.numShards(), shards);
     Outboxes bad(8);
     bad[7].push_back({1u << 20, {1}});
@@ -216,33 +158,33 @@ TEST(ShardedEngine, UnknownDestinationAbortsTheKernelRound) {
 }
 
 TEST(ShardedEngine, ShardCountClampsToMachines) {
-  RoundEngine eng(EngineConfig{3, 1, 64}, std::make_unique<MpcTopology>(8));
+  RoundEngine eng(EngineConfig{3, 1, 64}, MpcTopology(8));
   EXPECT_EQ(eng.numShards(), 3u);
 }
 
 TEST(ShardedEngine, EnvVarSelectsDefaultShardCount) {
   ASSERT_EQ(::setenv("MPCSPAN_SHARDS", "2", 1), 0);
   {
-    RoundEngine eng(EngineConfig{8, 1, 0}, std::make_unique<MpcTopology>(8));
+    RoundEngine eng(EngineConfig{8, 1, 0}, MpcTopology(8));
     EXPECT_EQ(eng.numShards(), 2u);
   }
   ASSERT_EQ(::unsetenv("MPCSPAN_SHARDS"), 0);
   {
-    RoundEngine eng(EngineConfig{8, 1, 0}, std::make_unique<MpcTopology>(8));
+    RoundEngine eng(EngineConfig{8, 1, 0}, MpcTopology(8));
     EXPECT_EQ(eng.numShards(), 1u);
   }
 }
 
 TEST(ShardedEngine, PartitionIsBalancedAndContiguous) {
   MpcTopology topo(8);
-  ShardedEngine se(10, 4, 1, &topo);
+  ShardedEngine se(10, 4, 1, topo);
   EXPECT_EQ(se.shardBegin(0), 0u);
   EXPECT_EQ(se.shardEnd(0), 3u);
   EXPECT_EQ(se.shardEnd(1), 6u);
   EXPECT_EQ(se.shardEnd(2), 8u);
   EXPECT_EQ(se.shardEnd(3), 10u);
-  EXPECT_THROW(ShardedEngine(10, 1, 1, &topo), std::invalid_argument);
-  EXPECT_THROW(ShardedEngine(10, 11, 1, &topo), std::invalid_argument);
+  EXPECT_THROW(ShardedEngine(10, 1, 1, topo), std::invalid_argument);
+  EXPECT_THROW(ShardedEngine(10, 11, 1, topo), std::invalid_argument);
 }
 
 // --- Resident workers: fork-once lifetime, kernel-owned state, failure
@@ -281,7 +223,7 @@ class CounterKernel final : public runtime::StepKernel {
 
 TEST(ResidentWorkers, ForkOncePidsStableAcrossRounds) {
   RoundEngine eng(EngineConfig{8, 1, 4},
-                  std::make_unique<MpcTopology>(16));
+                  MpcTopology(16));
   const auto* backend = eng.shardBackend();
   ASSERT_NE(backend, nullptr);
   EXPECT_FALSE(backend->started());  // lazy: nothing forked yet
@@ -301,13 +243,10 @@ TEST(ResidentWorkers, ForkOncePidsStableAcrossRounds) {
 TEST(ResidentWorkers, KernelStatePersistsAndMatchesInProcessBitForBit) {
   // Same kernel workload on the in-process engine and on 2/4-shard resident
   // engines: after >= 3 rounds the kernel-owned counters and the resident
-  // inboxes must agree bit for bit, on a deliver-all and a priority-write
-  // topology.
-  auto run = [](std::size_t threads, std::size_t shards, bool pram) {
+  // inboxes must agree bit for bit.
+  auto run = [](std::size_t threads, std::size_t shards) {
     const std::size_t n = 8;
-    RoundEngine eng(EngineConfig{n, threads, shards},
-                    pram ? std::unique_ptr<Topology>(new PramTopology())
-                         : std::unique_ptr<Topology>(new MpcTopology(16)));
+    RoundEngine eng(EngineConfig{n, threads, shards}, MpcTopology(16));
     const KernelId k = runtime::ensureKernel<CounterKernel>(eng);
     for (int r = 0; r < 4; ++r) eng.step(k);
     struct Result {
@@ -329,17 +268,15 @@ TEST(ResidentWorkers, KernelStatePersistsAndMatchesInProcessBitForBit) {
     res.maxRound = eng.maxRoundWords();
     return res;
   };
-  for (const bool pram : {false, true}) {
-    const auto base = run(1, 1, pram);
-    EXPECT_EQ(base.rounds, 4u);
-    EXPECT_EQ(base, run(1, 2, pram)) << "2 shards, pram=" << pram;
-    EXPECT_EQ(base, run(2, 4, pram)) << "4 shards, pram=" << pram;
-  }
+  const auto base = run(1, 1);
+  EXPECT_EQ(base.rounds, 4u);
+  EXPECT_EQ(base, run(1, 2)) << "2 shards";
+  EXPECT_EQ(base, run(2, 4)) << "4 shards";
 }
 
 TEST(ResidentWorkers, KernelThrowMidRoundAbortsRoundForAllShards) {
   RoundEngine eng(EngineConfig{8, 1, 4},
-                  std::make_unique<MpcTopology>(16));
+                  MpcTopology(16));
   const KernelId k = runtime::ensureKernel<CounterKernel>(eng);
   eng.step(k);
   EXPECT_EQ(eng.rounds(), 1u);
@@ -382,7 +319,7 @@ TEST(ResidentWorkers, CapacityViolationInKernelRoundKeepsType) {
   // A kernel round that violates the topology must abort with the same
   // loud CapacityError as the in-process engine, workers still alive.
   RoundEngine eng(EngineConfig{8, 1, 4},
-                  std::make_unique<MpcTopology>(16));
+                  MpcTopology(16));
   const KernelId k = runtime::ensureKernel<Flooder>(eng);
   EXPECT_THROW(eng.step(k, {1}), CapacityError);
   EXPECT_EQ(eng.rounds(), 0u);
@@ -399,13 +336,13 @@ TEST(ResidentWorkers, PostForkRegistrationResolvesViaGlobalRegistry) {
     return std::make_unique<CounterKernel>();
   });
   RoundEngine eng(EngineConfig{8, 1, 4},
-                  std::make_unique<MpcTopology>(16));
+                  MpcTopology(16));
   const KernelId token = runtime::ensureKernel<test_kernels::TokenKernel>(eng);
   eng.fetchKernel(token);  // forks the workers without a round
   ASSERT_TRUE(eng.shardBackend()->started());
   const KernelId k = eng.registerKernel("test.counter.global");
   for (int r = 0; r < 3; ++r) eng.step(k);
-  RoundEngine ref(EngineConfig{8, 1, 1}, std::make_unique<MpcTopology>(16));
+  RoundEngine ref(EngineConfig{8, 1, 1}, MpcTopology(16));
   const KernelId rk = ref.registerKernel("test.counter.global");
   for (int r = 0; r < 3; ++r) ref.step(rk);
   EXPECT_EQ(eng.fetchKernel(k), ref.fetchKernel(rk));
@@ -416,7 +353,7 @@ TEST(ResidentWorkers, PostForkRegistrationResolvesViaGlobalRegistry) {
 
 TEST(ResidentWorkers, WorkerDeathBetweenRoundsSurfacesAsShardError) {
   auto eng = std::make_unique<RoundEngine>(EngineConfig{8, 1, 4},
-                                           std::make_unique<MpcTopology>(16));
+                                           MpcTopology(16));
   Outboxes out(8);
   out[1].push_back({6, {9}});
   const KernelId k = registerScript(*eng, {out});
@@ -450,7 +387,7 @@ TEST(ResidentWorkers, WorkerDeathFailsPromptlyWithALaterEngineAlive) {
   // so a regression fails here instead of hanging the suite.
   auto makeEngine = [] {
     return std::make_unique<RoundEngine>(EngineConfig{8, 1, 2},
-                                         std::make_unique<MpcTopology>(16));
+                                         MpcTopology(16));
   };
   auto a = makeEngine();
   auto b = makeEngine();
@@ -490,7 +427,7 @@ TEST(ResidentWorkers, DestructorReapsIdleWorkers) {
   std::vector<pid_t> pids;
   {
     RoundEngine eng(EngineConfig{6, 1, 3},
-                    std::make_unique<MpcTopology>(16));
+                    MpcTopology(16));
     Outboxes out(6);
     out[0].push_back({5, {1}});
     scriptedRound(eng, std::move(out));
@@ -522,46 +459,6 @@ TEST(ShardedFacades, DistributedBaswanaSenMatchesHostAcrossShards) {
   EXPECT_EQ(dist.edges, ref.edges);
   EXPECT_EQ(dist.simulatorRounds, ref.simulatorRounds);
   EXPECT_EQ(dist.wordsMoved, ref.wordsMoved);
-}
-
-TEST(ShardedFacades, CliqueRoundMatchesAcrossShards) {
-  auto run = [](std::size_t shards) {
-    CongestedClique cc(9, /*threads=*/1, shards);
-    Outboxes out(9);
-    for (VertexId v = 0; v < 9; ++v)
-      for (VertexId d = 0; d < 9; ++d)
-        if (d != v && (v + d) % 3 == 0) out[v].push_back({d, {v * 10 + d}});
-    std::vector<std::vector<std::pair<std::size_t, Word>>> inbox(9);
-    const auto delivered = scriptedRound(cc.engine(), std::move(out));
-    for (std::size_t v = 0; v < 9; ++v)
-      for (const Delivery& d : delivered[v])
-        inbox[v].emplace_back(d.src, d.payload.front());
-    return inbox;
-  };
-  const auto base = run(1);
-  EXPECT_EQ(base, run(3));
-  EXPECT_EQ(base, run(9));
-}
-
-TEST(ShardedFacades, LeaderForestOnShardedPramEngineMatchesHost) {
-  const std::size_t n = 48;
-  LeaderForest plain(n);
-  LeaderForest backed(n);
-  RoundEngine eng(EngineConfig{n, 2, 4}, std::make_unique<PramTopology>());
-  backed.attachEngine(&eng);
-  std::uint64_t h = 7;
-  for (int i = 0; i < 120; ++i) {
-    h = h * 6364136223846793005ULL + 1442695040888963407ULL;
-    const auto a = static_cast<std::uint32_t>((h >> 33) % n);
-    h = h * 6364136223846793005ULL + 1442695040888963407ULL;
-    const auto b = static_cast<std::uint32_t>((h >> 33) % n);
-    EXPECT_EQ(plain.merge(a, b), backed.merge(a, b));
-  }
-  for (std::uint32_t v = 0; v < n; ++v)
-    EXPECT_EQ(plain.leader(v), backed.leader(v));
-  EXPECT_EQ(eng.rounds(), static_cast<std::size_t>(backed.depthCharged()));
-  EXPECT_EQ(eng.totalWordsSent(),
-            static_cast<std::size_t>(backed.workCharged()));
 }
 
 }  // namespace

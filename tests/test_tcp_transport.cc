@@ -325,7 +325,7 @@ TEST(Channel, PeerClosingMidFrameIsShardError) {
 std::vector<std::uint8_t> encodeSetup(std::size_t numMachines,
                                       std::size_t shards, std::size_t shard,
                                       std::size_t threads,
-                                      const runtime::Topology& topo,
+                                      const runtime::MpcTopology& topo,
                                       const std::vector<std::string>& kernels,
                                       const runtime::BlockStore& store) {
   WireFd txEnd;
@@ -357,10 +357,10 @@ std::vector<std::uint8_t> setupBody() {
 }
 
 /// A SETUP body with other dimensions throughout: shard 2 of 4 over 12
-/// machines (slice [6, 9)), 1 lane, a clique topology, one kernel name, and
-/// three block handles.
+/// machines (slice [6, 9)), 1 lane, another word budget S, one kernel name,
+/// and three block handles.
 std::vector<std::uint8_t> otherSetupBody() {
-  runtime::CliqueTopology topo;
+  runtime::MpcTopology topo(20000);
   const std::vector<std::string> kernels{"mpcspan.gamma.longer.name"};
   runtime::BlockStore store(12);
   for (const std::uint64_t h : {1u, 4u, 7u}) {
@@ -401,9 +401,7 @@ TEST(WorkerSetup, RoundTripsDimensionsTopologyKernelsAndSlice) {
   EXPECT_EQ(setup.cfg.shards, 3u);
   EXPECT_EQ(setup.cfg.shard, 1u);
   EXPECT_EQ(setup.cfg.threads, 2u);
-  ASSERT_EQ(setup.cfg.topology, setup.topology.get());
-  EXPECT_EQ(setup.topology->wireKind(), runtime::Topology::WireKind::kMpc);
-  EXPECT_EQ(setup.topology->wireParam(), 48u);
+  EXPECT_EQ(setup.cfg.topology.wordsPerMachine(), 48u);
   EXPECT_EQ(setup.kernels,
             (std::vector<std::string>{"test.alpha", "mpcspan.beta"}));
   EXPECT_EQ(setup.store->handles(), (std::vector<std::uint64_t>{3, 9}));
@@ -478,7 +476,7 @@ TEST(WorkerSetup, EverySpliceDecodesOrIsShardError) {
             words += setup.store->block(h, m).size();
         EXPECT_LE(words * sizeof(Word), spliced.size()) << "cut " << cut;
         EXPECT_EQ(encodeSetup(cfg.numMachines, cfg.shards, cfg.shard,
-                              cfg.threads, *setup.topology, setup.kernels,
+                              cfg.threads, cfg.topology, setup.kernels,
                               *setup.store),
                   spliced)
             << "cut " << cut << " decoded but does not re-encode to its bytes";

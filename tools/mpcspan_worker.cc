@@ -27,7 +27,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -118,7 +117,7 @@ int runCoordinate(std::size_t shards, std::uint16_t port,
   cfg.numMachines = machines;
   cfg.threads = threads;
   cfg.shards = shards;
-  RoundEngine eng(cfg, std::make_unique<MpcTopology>(/*wordsPerMachine=*/256));
+  RoundEngine eng(cfg, MpcTopology(/*wordsPerMachine=*/256));
   const KernelId probe = ensureKernel<TcpProbeKernel>(eng);
 
   if (local)
