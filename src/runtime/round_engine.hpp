@@ -66,7 +66,6 @@ class RoundEngine {
   /// The multi-process backend, null when in-process (introspection: worker
   /// pids, shard ranges).
   const shard::ShardedEngine* shardBackend() const { return shard_.get(); }
-  const MpcTopology& topology() const { return topology_; }
   ThreadPool& pool() { return pool_; }
 
   std::size_t rounds() const { return ledger_.rounds; }

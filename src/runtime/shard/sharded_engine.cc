@@ -304,9 +304,9 @@ void ShardedEngine::stepKernel(std::size_t id, const std::vector<Word>& args,
 
     // The one barrier: workers validate their own sources at phase A and
     // ship their sections before the verdict exists; each report carries
-    // the source verdict plus this worker's per-destination word sums. The coordinator totals the sums,
-    // runs the receiver-side validation, and broadcasts the one
-    // commit/abort frame. Reports and verdicts echo the epoch so a desynced
+    // the source verdict plus this worker's per-destination word sums. The
+    // coordinator totals the sums, runs the receiver-side validation, and
+    // broadcasts the one commit/abort frame. Reports and verdicts echo the epoch so a desynced
     // stream fails loudly instead of committing round r against round
     // r+1's state.
     std::vector<std::uint64_t> received(numMachines_, 0);

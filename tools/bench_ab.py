@@ -126,11 +126,6 @@ def render_pairs(runs, spec):
     return "\n".join(lines)
 
 
-def load_run(directory, workload):
-    """The metrics of the one result file run.py left in `directory`."""
-    return bench_diff.load(directory)[workload]
-
-
 def git(*args, cwd=None):
     return subprocess.run(["git", *args], cwd=cwd, check=True, text=True,
                           capture_output=True).stdout.strip()
@@ -202,7 +197,7 @@ def main():
             for side in order:
                 dest = scratch / "results" / f"{side}-{i}"
                 gates[side] += run_once(trees[side], args, dest)
-                runs[side].append(load_run(dest, args.workload))
+                runs[side].append(bench_diff.load(dest)[args.workload])
             print(f"bench_ab: pair {i + 1}/{args.pairs} done", file=sys.stderr)
     finally:
         for side in SIDES:

@@ -73,7 +73,7 @@ class CannedResultsTest(unittest.TestCase):
         for i, metrics in enumerate(values):
             d = root / f"{side}-{i}"
             write_result(d, "build_inproc", metrics)
-            runs.append(bench_ab.load_run(d, "build_inproc"))
+            runs.append(bench_diff.load(d)["build_inproc"])
         return runs
 
     def test_table_has_one_verdict_per_metric(self):
