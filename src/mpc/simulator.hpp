@@ -46,11 +46,6 @@ class MpcSimulator {
   std::size_t totalWordsSent() const { return engine_.totalWordsSent(); }
   std::size_t maxRoundWords() const { return engine_.maxRoundWords(); }
 
-  /// Charges `n` rounds without moving data (used when a primitive's round
-  /// structure is simulated at a coarser granularity, e.g. local sorting
-  /// phases that occupy a round boundary).
-  void chargeRounds(std::size_t n) { engine_.chargeRounds(n); }
-
   /// The underlying substrate; consumers use its pool for deterministic
   /// parallel local phases (sorting, packing) between rounds.
   runtime::RoundEngine& engine() { return engine_; }

@@ -72,10 +72,6 @@ class RoundEngine {
   std::size_t totalWordsSent() const { return ledger_.wordsSent; }
   std::size_t maxRoundWords() const { return ledger_.maxRoundWords; }
 
-  /// Charges rounds whose execution is proven rather than simulated
-  /// message-by-message.
-  void chargeRounds(std::size_t n) { ledger_.rounds += n; }
-
   // --- Registered kernels: the resident step path. ---
 
   /// Registers the globally registered kernel `name` (GlobalKernelRegistrar;

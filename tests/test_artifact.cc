@@ -4,9 +4,7 @@
 // std::runtime_error, never a partially valid object or a huge allocation.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <new>
 #include <optional>
 #include <sstream>
@@ -19,29 +17,7 @@
 #include "query/build.hpp"
 #include "util/deadline.hpp"
 #include "util/rng.hpp"
-
-namespace mpcspan {
-namespace {
-
-// While nonzero, any single allocation above this many bytes throws
-// std::bad_alloc instead of happening (see operator new below).
-std::atomic<std::size_t> gAllocCap{0};
-
-}  // namespace
-}  // namespace mpcspan
-
-// Kept out of line so the compiler does not pair an inlined malloc/free
-// with new/delete expressions (-Wmismatched-new-delete).
-[[gnu::noinline]] void* operator new(std::size_t n) {
-  const std::size_t cap = mpcspan::gAllocCap.load(std::memory_order_relaxed);
-  if (cap != 0 && n > cap) throw std::bad_alloc();
-  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
-  throw std::bad_alloc();
-}
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
-  std::free(p);
-}
+#include "alloc_cap.hpp"
 
 namespace mpcspan {
 namespace {
@@ -207,21 +183,17 @@ enum class Outcome { kIdentical, kRejected, kResavedDifferently, kOversized, kOt
 Outcome loadAndResave(const std::string& bytes, std::string* why) {
   std::istringstream in(bytes, std::ios::binary);
   std::optional<query::QueryArtifact> loaded;
-  gAllocCap.store(4 * bytes.size() + (1u << 20));
   try {
+    const test_alloc::AllocCap cap(4 * bytes.size() + (1u << 20));
     loaded.emplace(query::loadArtifact(in));
   } catch (const std::runtime_error&) {
-    gAllocCap.store(0);
     return Outcome::kRejected;
   } catch (const std::bad_alloc&) {
-    gAllocCap.store(0);
     return Outcome::kOversized;
   } catch (const std::exception& e) {
-    gAllocCap.store(0);
     *why = e.what();
     return Outcome::kOther;
   }
-  gAllocCap.store(0);
   return serialized(*loaded) == bytes ? Outcome::kIdentical
                                       : Outcome::kResavedDifferently;
 }

@@ -2,32 +2,12 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <cstring>
 #include <new>
 #include <sstream>
 
+#include "alloc_cap.hpp"
 #include "graph/generators.hpp"
-
-namespace {
-
-// While nonzero, any single allocation on this thread above this many bytes
-// throws std::bad_alloc instead of happening (see operator new below).
-thread_local std::size_t tAllocCap = 0;
-
-}  // namespace
-
-// Kept out of line so the compiler does not pair an inlined malloc/free
-// with new/delete expressions (-Wmismatched-new-delete).
-[[gnu::noinline]] void* operator new(std::size_t n) {
-  if (tAllocCap != 0 && n > tAllocCap) throw std::bad_alloc();
-  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
-  throw std::bad_alloc();
-}
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
-  std::free(p);
-}
 
 namespace mpcspan {
 namespace {
@@ -209,18 +189,18 @@ TEST(BinaryGraph, VertexCountAboveTheBoundThrowsBeforeAllocating) {
   for (const auto& [image, bound] :
        {Case{&bytes, g.numVertices() - 1}, Case{&flipped, bytes.size() / 32}}) {
     std::istringstream in(*image, std::ios::binary);
-    tAllocCap = 4096;  // the error message may allocate; a CSR may not
     try {
-      (void)readGraphBinary(in, bound);
-      tAllocCap = 0;
+      {
+        // The error message may allocate; a CSR may not.
+        const test_alloc::AllocCap cap(4096);
+        (void)readGraphBinary(in, bound);
+      }
       ADD_FAILURE() << "n above the bound " << bound << " decoded";
     } catch (const std::runtime_error& e) {
-      tAllocCap = 0;
       EXPECT_NE(std::string(e.what()).find("implausible count"),
                 std::string::npos)
           << e.what();
     } catch (const std::bad_alloc&) {
-      tAllocCap = 0;
       ADD_FAILURE() << "sized an allocation by n above the bound " << bound;
     }
   }

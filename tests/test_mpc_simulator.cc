@@ -109,11 +109,5 @@ TEST(MpcSimulator, TracksPeakTraffic) {
   EXPECT_EQ(sim.maxRoundWords(), 3u);
 }
 
-TEST(MpcSimulator, ChargeRoundsAccumulates) {
-  MpcSimulator sim(MpcConfig{1, 8});
-  sim.chargeRounds(5);
-  EXPECT_EQ(sim.rounds(), 5u);
-}
-
 }  // namespace
 }  // namespace mpcspan

@@ -15,7 +15,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <mutex>
@@ -32,28 +31,8 @@
 #include "runtime/shard/worker_loop.hpp"
 #include "runtime/topology.hpp"
 #include "util/rng.hpp"
+#include "alloc_cap.hpp"
 #include "probe_kernels.hpp"
-
-namespace {
-
-// While nonzero, any single allocation on this thread above this many bytes
-// throws std::bad_alloc instead of happening (see operator new below). Per
-// thread, so engine threads and forked workers never see it.
-thread_local std::size_t tAllocCap = 0;
-
-}  // namespace
-
-// Kept out of line so the compiler does not pair an inlined malloc/free
-// with new/delete expressions (-Wmismatched-new-delete).
-[[gnu::noinline]] void* operator new(std::size_t n) {
-  if (tAllocCap != 0 && n > tAllocCap) throw std::bad_alloc();
-  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
-  throw std::bad_alloc();
-}
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
-  std::free(p);
-}
 
 namespace mpcspan {
 namespace {
@@ -434,12 +413,6 @@ std::vector<Bytes> sampleSections() {
   return out;
 }
 
-/// Caps every allocation on this thread while in scope.
-struct AllocCap {
-  explicit AllocCap(std::size_t bytes) { tAllocCap = bytes; }
-  ~AllocCap() { tAllocCap = 0; }
-};
-
 /// Decodes `bytes` the way the worker loop does, with a capped allocator
 /// (a few times the frame, plus one arena chunk). Returns true if the rows
 /// merged; fails the test unless the frame either re-encodes to its own
@@ -450,7 +423,7 @@ bool decodeSection(const Bytes& bytes, runtime::Arena* arena,
   WireReader r = WireReader::fromBytes(bytes);
   if (arena != nullptr) arena->reset();
   try {
-    const AllocCap cap(4 * bytes.size() + (std::size_t{1} << 17));
+    const test_alloc::AllocCap cap(4 * bytes.size() + (std::size_t{1} << 17));
     const std::uint64_t count = r.u64();
     mergeSectionRows(r, count, 0, 4, 4, 8, projected, arena);
   } catch (const ShardError&) {

@@ -156,13 +156,5 @@ TEST(RoundEngine, ThreadCountDoesNotChangeAnything) {
   EXPECT_EQ(one.words, 10u * 16u * 3u * 2u);
 }
 
-TEST(RoundEngine, ChargedCostsJoinTheLedger) {
-  RoundEngine eng = makeMpcEngine(2, 8, 1);
-  eng.chargeRounds(5);
-  EXPECT_EQ(eng.rounds(), 5u);
-  EXPECT_EQ(eng.totalWordsSent(), 0u);
-  EXPECT_EQ(eng.maxRoundWords(), 0u);  // nothing simulated yet
-}
-
 }  // namespace
 }  // namespace mpcspan

@@ -4,17 +4,19 @@
     python3 tools/bench_ab.py OLD_REV NEW_REV --workload W --pairs N [--seconds S]
 
 Checks out OLD_REV and NEW_REV with `git worktree add` under a scratch
-directory (local only), builds each one's e2ebench program once, then runs
-`e2ebench/run.py --workload W --seed SEED --seconds S --trace 0` N times on
-each side in ABBA order (old first in even pairs, new first in odd ones).
-For every end-to-end metric that BENCHMARK.json declares it prints every
-run's value and a markdown table: both medians, both interquartile ranges
-(IQR), new/old, the pairs the new side won, and one verdict:
+directory (local only), then runs `e2ebench/run.py --workload W --seed 7
+--seconds S --trace 0` N times on each side in ABBA order (old first in even
+pairs, new first in odd ones); each side's first run builds its program.
+S defaults to BENCHMARK.json's run_seconds. For every end-to-end metric that
+BENCHMARK.json declares it prints every run's value and a markdown table:
+both medians, both interquartile ranges (IQR), new/old, the pairs the new
+side won, and one verdict:
 
     better        new wins at least nine tenths of the pairs (ties count for
                   neither) and the medians differ by more than the old IQR;
     unresolved    either side's IQR exceeds the metric's bound (relative to
-                  its median), unless every new run beats every old run;
+                  its median), unless every new run beats every old run or
+                  every new run loses to every old run;
     worse         the new median is worse than the old by more than the bound;
     within bound  anything else.
 
@@ -26,6 +28,7 @@ and the BENCHMARK.json spec are read with tools/bench_diff.py's loader.
 """
 
 import argparse
+import json
 import math
 import os
 import shutil
@@ -39,6 +42,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 import bench_diff  # noqa: E402
 
 SIDES = ("old", "new")
+SEED = 7
 
 
 def quartiles(values):
@@ -66,8 +70,9 @@ def verdict_of(old, new, better, bound):
         return "better", wins
     spread = max((oq3 - oq1) / omed if omed else 0.0,
                  (nq3 - nq1) / nmed if nmed else 0.0)
-    every_new_beats_every_old = all(beats(n, o, better) for n in new for o in old)
-    if spread > bound and not every_new_beats_every_old:
+    separated = (all(beats(n, o, better) for n in new for o in old)
+                 or all(beats(o, n, better) for n in new for o in old))
+    if spread > bound and not separated:
         return "unresolved", wins
     if omed and bench_diff.worse_by(omed, nmed, better) > bound:
         return "worse", wins
@@ -132,24 +137,11 @@ def git(*args, cwd=None):
 
 
 def tree_env():
-    """The environment of every build and run: without CARGO_TARGET_DIR, so
-    each worktree keeps its own .bench_build/, and without the MPCSPAN_*
-    engine knobs, which run.py also strips from its program."""
+    """The environment of every run: without CARGO_TARGET_DIR, so each
+    worktree keeps its own .bench_build/, and without the MPCSPAN_* engine
+    knobs, which run.py also strips from its program."""
     return {k: v for k, v in os.environ.items()
             if k != "CARGO_TARGET_DIR" and not k.startswith("MPCSPAN_")}
-
-
-def build(tree, log):
-    """Builds the e2e program the way e2ebench/run.py does, so each run's own
-    build step finds the tree up to date."""
-    bdir = tree / ".bench_build" / "e2ebench"
-    jobs = str(max(1, min(4, os.cpu_count() or 1)))
-    for cmd in (["cmake", "-S", str(tree / "e2ebench"), "-B", str(bdir),
-                 "-DCMAKE_BUILD_TYPE=RelWithDebInfo"],
-                ["cmake", "--build", str(bdir), "--target", "e2e", "-j", jobs]):
-        if subprocess.call(cmd, cwd=tree, env=tree_env(), stdout=log,
-                           stderr=subprocess.STDOUT) != 0:
-            sys.exit(f"bench_ab: build failed in {tree} (log: {log.name})")
 
 
 def run_once(tree, args, dest):
@@ -157,9 +149,9 @@ def run_once(tree, args, dest):
     Returns whether every gate passed."""
     rc = subprocess.call(
         [sys.executable, "e2ebench/run.py", "--workload", args.workload,
-         "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"],
+         "--seed", str(SEED), "--seconds", str(args.seconds), "--trace", "0"],
         cwd=tree, env=tree_env(), stdout=subprocess.DEVNULL)
-    name = f"result-{args.workload}-{args.seed}-trace0.json"
+    name = f"result-{args.workload}-{SEED}-trace0.json"
     src = tree / ".bench_out" / name
     if not src.is_file():
         sys.exit(f"bench_ab: {tree.name} run left no {name} (exit code {rc})")
@@ -174,8 +166,8 @@ def main():
     ap.add_argument("new_rev")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, required=True)
-    ap.add_argument("--seconds", type=float, default=8)
-    ap.add_argument("--seed", type=int, default=7)
+    ap.add_argument("--seconds", type=float, default=json.loads(
+        (bench_diff.ROOT / "BENCHMARK.json").read_text())["run_seconds"])
     args = ap.parse_args()
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
@@ -190,8 +182,6 @@ def main():
     try:
         for side in SIDES:
             git("worktree", "add", "--detach", str(trees[side]), shas[side], cwd=repo)
-            with open(scratch / f"build-{side}.log", "w") as log:
-                build(trees[side], log)
         for i in range(args.pairs):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             for side in order:
@@ -209,7 +199,7 @@ def main():
 
     rows = compare(runs, bench_diff.end_to_end_spec())
     print(f"`{args.workload}`: {args.pairs} ABBA pairs, --seconds {args.seconds:g}, "
-          f"seed {args.seed}; old {shas['old'][:10]}, new {shas['new'][:10]}; "
+          f"seed {SEED}; old {shas['old'][:10]}, new {shas['new'][:10]}; "
           f"gates passed on {gates['old']}/{args.pairs} old and "
           f"{gates['new']}/{args.pairs} new runs\n")
     print(render(rows))

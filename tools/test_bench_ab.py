@@ -60,6 +60,12 @@ class VerdictTest(unittest.TestCase):
         new = [30.0, 35.0, 39.0]
         self.assertNotEqual(bench_ab.verdict_of(old, new, "lower", 0.1)[0], "unresolved")
 
+    def test_wide_spread_is_worse_when_every_new_run_loses_to_every_old(self):
+        old = [40.0, 50.0, 60.0]
+        new = [70.0, 85.0, 100.0]
+        self.assertEqual(bench_ab.verdict_of(old, new, "lower", 0.1), ("worse", 0))
+        self.assertEqual(bench_ab.verdict_of(new, old, "higher", 0.1), ("worse", 0))
+
     def test_identical_runs_are_within_bound(self):
         self.assertEqual(bench_ab.verdict_of([1.0] * 3, [1.0] * 3, "higher", 0.01),
                          ("within bound", 0))
