@@ -6,9 +6,9 @@
 // The sweep runs end-to-end through distIterationKernel (every find-minimum
 // of every iteration moves real tuples through capacity-enforced simulator
 // rounds via buildDistributedTradeoff), so the timed path IS the
-// distributed path; the host ClusterEngine run is kept only as the
-// per-edge-work reference. Lanes/shards follow MPCSPAN_THREADS /
-// MPCSPAN_SHARDS.
+// distributed path; the same ClusterEngine on the host substrate is timed
+// alongside as the per-edge-work comparison (and must give the same edges).
+// Lanes/shards follow MPCSPAN_THREADS / MPCSPAN_SHARDS.
 #include <chrono>
 #include <cmath>
 

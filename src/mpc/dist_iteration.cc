@@ -8,30 +8,15 @@ namespace {
 
 // Stateless comparator objects: every sort and segmented-min phase runs as a
 // registered kernel, so the orderings cross into the shard workers by type
-// and are default-constructed there (see mpc/primitives.hpp).
-struct CandByKey {
-  // Primary order is packed word 0 (CandTuple::key), ascending — lets the
-  // sort kernels run flat key passes (detail::PackedKeyWord).
-  static constexpr std::size_t kPackedKeyWord = 0;
-  bool operator()(const CandTuple& a, const CandTuple& b) const {
-    if (a.key != b.key) return a.key < b.key;
-    return betterCand(a, b);
-  }
-};
-struct CandKey {
-  std::uint64_t operator()(const CandTuple& c) const { return c.key; }
-};
+// and are default-constructed there (see mpc/primitives.hpp). The first
+// superstep's (CandByKey, CandKey, CandBetter) live in
+// spanner/growth_kernel.hpp, shared with the host.
 struct CandVertex {  // v only
   std::uint64_t operator()(const CandTuple& c) const { return c.key >> 32; }
 };
 struct CandByVertex {
   bool operator()(const CandTuple& a, const CandTuple& b) const {
     if (CandVertex{}(a) != CandVertex{}(b)) return CandVertex{}(a) < CandVertex{}(b);
-    return betterCand(a, b);
-  }
-};
-struct CandBetter {
-  bool operator()(const CandTuple& a, const CandTuple& b) const {
     return betterCand(a, b);
   }
 };

@@ -10,12 +10,14 @@
 // Both are realized as distSort by key followed by segmentedMinSorted, i.e.
 // real tuples moving through machines with enforced memory limits.
 //
-// The record types and the deterministic reduction live in
-// spanner/growth_kernel.hpp, shared with the host reference; the
-// equivalence tests (tests/test_dist_iteration.cc) check that the MPC
-// kernel reproduces the reference's decisions bit-for-bit, which is the
-// library's evidence that the charged O(1/gamma)-round supersteps are
-// implementable exactly as claimed.
+// These are the two find-minimum calls of ClusterEngine (spanner/engine.hpp):
+// distIterationKernel on the MPC substrate, referenceIterationKernel on the
+// host. The record types, the candidate sweep and the host reduction live in
+// spanner/growth_kernel.hpp; the equivalence tests
+// (tests/test_dist_iteration.cc) check that the MPC kernel reproduces the
+// host engine's find-minimum bit-for-bit, which is the library's evidence
+// that the charged O(1/gamma)-round supersteps are implementable exactly as
+// claimed.
 #pragma once
 
 #include <cstdint>
@@ -41,8 +43,8 @@ DistIterationResult distIterationKernel(MpcSimulator& sim, const Graph& g,
                                         const std::vector<char>& sampled,
                                         const std::vector<char>* alive = nullptr);
 
-/// Host-side reference implementation (same tie-breaking); used by tests
-/// and by callers that only need the values, not the simulation.
+/// The host substrate's find-minimum (same tie-breaking, no pool, no
+/// rounds): buildCandidates + reduceCandidates. Safe to call concurrently.
 DistIterationResult referenceIterationKernel(const Graph& g,
                                              const std::vector<VertexId>& superOf,
                                              const std::vector<VertexId>& clusterOf,

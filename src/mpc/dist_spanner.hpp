@@ -1,19 +1,20 @@
 // End-to-end distributed spanners on the MPC machine simulator.
 //
-// Every find-minimum of every iteration (and of phase 2) runs through
-// distIterationKernel — i.e., real tuples, real sample sorts, real
-// capacity-enforced message rounds — while the cheap label bookkeeping
-// (cluster pointers, alive flags) is applied host-side, standing in for the
-// Lemma 6.1 sort-based relabeling whose rounds are charged explicitly.
+// The builders run ClusterEngine (spanner/engine.hpp) with the simulator as
+// its substrate: every find-minimum of every iteration (and of phase 2)
+// runs through distIterationKernel — i.e., real tuples, real sample sorts,
+// real capacity-enforced message rounds — and so does each contraction's
+// lightest-edge-per-super-node-pair dedup. The cheap label bookkeeping
+// (cluster pointers, alive flags) is applied by the coordinator, standing in
+// for the Lemma 6.1 sort-based relabeling whose rounds are charged
+// explicitly.
 //
-// Both builds run one driver loop over the host algorithm's own epoch
-// schedule (baswanaSenSchedule, tradeoffSchedule), draw with the same
-// scheduleDrawKey hash-coins, and take their certified stretch from the same
-// certifySchedule replay as the ClusterEngine. So the distributed execution
-// produces the *identical* spanner and profile, edge for edge. That
-// equivalence (tested in tests/test_dist_spanner.cc) is the repository's
-// strongest evidence that the engine's round ledger corresponds to a real
-// constant-round-per-iteration MPC execution.
+// The schedule (baswanaSenSchedule, tradeoffSchedule), the hash-coin draws,
+// the Step B3/B4 decisions and the certificate are the host build's own
+// code, so the distributed execution produces the *identical* spanner and
+// profile, edge for edge. That equivalence (tests/test_dist_spanner.cc) is
+// the repository's evidence that the engine's round ledger corresponds to a
+// real constant-round-per-iteration MPC execution.
 #pragma once
 
 #include <cstdint>
@@ -38,8 +39,7 @@ SpannerResult buildDistributedBaswanaSen(MpcSimulator& sim, const Graph& g,
 /// Distributed Section-5 trade-off spanner *including contractions* (each
 /// contraction's min-edge-per-super-node-pair dedup also runs through a
 /// distributed sort + segmented min). Identical output to
-/// buildTradeoffSpanner(g, {k, t, seed}): super-node renumbering and every
-/// tie-break match the engine's.
+/// buildTradeoffSpanner(g, {k, t, seed}).
 SpannerResult buildDistributedTradeoff(MpcSimulator& sim, const Graph& g,
                                        std::uint32_t k, std::uint32_t t,
                                        std::uint64_t seed);

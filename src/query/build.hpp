@@ -1,7 +1,7 @@
 // Build once, serve many: the query artifact.
 //
 // buildSpanner is the one build path: it maps a BuildPlan's algorithm name
-// to its builder (host ClusterEngine or the sharded MPC simulator) and
+// to its builder (ClusterEngine on the host or on the MPC simulator) and
 // returns one SpannerResult. buildArtifact runs the full pipeline on top of
 // it — spanner, Thorup–Zwick sketches on the spanner — and captures
 // everything serving needs in one QueryArtifact. The artifact

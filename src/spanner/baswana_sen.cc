@@ -32,7 +32,7 @@ std::vector<EpochSpec> baswanaSenSchedule(std::size_t n, std::uint32_t k) {
 SpannerResult buildBaswanaSen(const Graph& g, const BaswanaSenParams& params) {
   if (params.k <= 1) return identitySpanner(g, "baswana-sen");
 
-  ClusterEngine engine(g, params.k, {.seed = params.seed, .policy = params.policy});
+  ClusterEngine engine(g, params.k, {.seed = params.seed});
   // Without contractions the radius recurrence gives r = k-1, and the
   // schedule certifies the classical 2k-1.
   SpannerResult result = engine.run(baswanaSenSchedule(g.numVertices(), params.k));

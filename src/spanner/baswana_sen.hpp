@@ -17,7 +17,6 @@ namespace mpcspan {
 struct BaswanaSenParams {
   std::uint32_t k = 4;
   std::uint64_t seed = 1;
-  SamplingPolicy* policy = nullptr;  // optional override (Congested Clique)
 };
 
 /// The Baswana-Sen schedule: one epoch of k-1 growth iterations at

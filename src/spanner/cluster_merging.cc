@@ -11,7 +11,7 @@ SpannerResult buildClusterMergingSpanner(const Graph& g,
   // epochs, "cluster-vertex" growth on the quotient graph *is* whole-cluster
   // merging (each super-node is the previous epoch's contracted cluster),
   // and the probabilities n^{-2^{i-1}/k} match (t+1)^{i-1} = 2^{i-1}.
-  ClusterEngine engine(g, params.k, {.seed = params.seed, .policy = params.policy});
+  ClusterEngine engine(g, params.k, {.seed = params.seed});
   SpannerResult result = engine.run(tradeoffSchedule(g.numVertices(), params.k, 1));
   result.algorithm = "cluster-merging";
   result.t = 1;

@@ -15,7 +15,6 @@ namespace mpcspan {
 struct ClusterMergingParams {
   std::uint32_t k = 8;
   std::uint64_t seed = 1;
-  SamplingPolicy* policy = nullptr;
 };
 
 SpannerResult buildClusterMergingSpanner(const Graph& g,

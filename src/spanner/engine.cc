@@ -6,7 +6,11 @@
 #include <numeric>
 #include <stdexcept>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
+
+#include "mpc/dist_iteration.hpp"
+#include "mpc/primitives.hpp"
 
 namespace mpcspan {
 
@@ -44,16 +48,50 @@ std::vector<char> HashCoinPolicy::choose(
 // Engine
 // ---------------------------------------------------------------------------
 
-ScheduleEngine::ScheduleEngine(const Graph& g, std::uint32_t k)
-    : g_(g), nSuper_(g.numVertices()), clusterOf_(nSuper_) {
+namespace {
+
+using JoinMap = std::unordered_map<VertexId, ClosestSampled>;
+
+JoinMap joinsOf(const DistIterationResult& mins) {
+  JoinMap joins;
+  joins.reserve(mins.joins.size());
+  for (const ClosestSampled& cs : mins.joins) joins.emplace(cs.v, cs);
+  return joins;
+}
+
+/// Steps B3/B4: whether group `gm`'s minimum edge joins the spanner (and
+/// the group's edges are discarded), given the join decisions.
+bool addsGroup(const GroupMinEdge& gm, const JoinMap& joins, bool strictLighterRule) {
+  const auto it = joins.find(gm.v);
+  if (it == joins.end()) return true;  // Step B4: no sampled neighbour at all
+  if (gm.cluster == it->second.cluster) return true;  // Step B3: the joined cluster
+  // Step B3, strictly-lighter rule (see Options::strictLighterRule).
+  return strictLighterRule && gm.w < it->second.w;
+}
+
+/// Fixed chunk of the alive-flag sweeps: depends only on the edge count.
+constexpr std::size_t kSweepChunk = 8192;
+
+}  // namespace
+
+ClusterEngine::ClusterEngine(const Graph& g, std::uint32_t k, Options opts)
+    : g_(g),
+      opts_(opts),
+      defaultPolicy_(opts.seed),
+      pool_(opts.sim ? &opts.sim->engine().pool() : nullptr),
+      superOf_(g.numVertices()),
+      clusterOf_(g.numVertices()),
+      alive_(g.numEdges(), 1),
+      inSpanner_(g.numEdges(), 0) {
+  if (k == 0) throw std::invalid_argument("ClusterEngine: k must be >= 1");
+  std::iota(superOf_.begin(), superOf_.end(), 0);
   std::iota(clusterOf_.begin(), clusterOf_.end(), 0);
-  inSpanner_.assign(g_.numEdges(), 0);
   result_.k = k;
   result_.inputVertices = g_.numVertices();
   result_.inputEdges = g_.numEdges();
 }
 
-SpannerResult ScheduleEngine::run(const std::vector<EpochSpec>& schedule) {
+SpannerResult ClusterEngine::run(const std::vector<EpochSpec>& schedule) {
   for (std::size_t epochIdx = 0; epochIdx < schedule.size(); ++epochIdx) {
     const EpochSpec& spec = schedule[epochIdx];
     std::size_t active = 0;
@@ -90,248 +128,160 @@ SpannerResult ScheduleEngine::run(const std::vector<EpochSpec>& schedule) {
   return std::move(result_);
 }
 
-std::vector<char> ScheduleEngine::activeRoots() const {
-  std::vector<char> rootActive(nSuper_, 0);
-  for (VertexId s = 0; s < nSuper_; ++s)
-    if (clusterOf_[s] != kNoVertex) rootActive[clusterOf_[s]] = 1;
-  return rootActive;
+DistIterationResult ClusterEngine::findMin(const std::vector<VertexId>& superOf,
+                                           const std::vector<VertexId>& clusterOf,
+                                           const std::vector<char>& sampled,
+                                           MpcSimulator* sim) const {
+  return sim ? distIterationKernel(*sim, g_, superOf, clusterOf, sampled, &alive_)
+             : referenceIterationKernel(g_, superOf, clusterOf, sampled, &alive_);
 }
 
-std::vector<VertexId> ScheduleEngine::contractClusters() {
-  std::vector<VertexId> newId(nSuper_, kNoVertex);
-  std::size_t n2 = 0;
-  for (VertexId s = 0; s < nSuper_; ++s)
-    if (clusterOf_[s] == s) newId[s] = static_cast<VertexId>(n2++);
-  std::vector<VertexId> relabel(nSuper_, kNoVertex);
-  for (VertexId s = 0; s < nSuper_; ++s)
-    if (clusterOf_[s] != kNoVertex) relabel[s] = newId[clusterOf_[s]];
-  nSuper_ = n2;
-  clusterOf_.resize(nSuper_);
-  std::iota(clusterOf_.begin(), clusterOf_.end(), 0);
-  return relabel;
+IterPlanStats ClusterEngine::dryRun(const std::vector<char>& sampled) const {
+  IterPlanStats stats;
+  for (char c : sampled) stats.sampledClusters += c != 0;
+  for (VertexId s = 0; s < clusterOf_.size(); ++s) {
+    if (clusterOf_[s] == kNoVertex) continue;
+    ++stats.activeSupernodes;
+    if (clusterOf_[s] == s) ++stats.totalClusters;
+  }
+  const DistIterationResult mins = findMin(superOf_, clusterOf_, sampled, nullptr);
+  const JoinMap joins = joinsOf(mins);
+  std::vector<EdgeId> adds;
+  for (const GroupMinEdge& gm : mins.groupMins)
+    if (!inSpanner_[gm.id] && addsGroup(gm, joins, opts_.strictLighterRule))
+      adds.push_back(gm.id);
+  std::sort(adds.begin(), adds.end());
+  stats.edgesAdded = static_cast<std::size_t>(
+      std::unique(adds.begin(), adds.end()) - adds.begin());
+  return stats;
 }
 
-ClusterEngine::ClusterEngine(const Graph& g, std::uint32_t k, Options opts)
-    : ScheduleEngine(g, k), opts_(opts), defaultPolicy_(opts.seed) {
-  if (k == 0) throw std::invalid_argument("ClusterEngine: k must be >= 1");
-  alive_.reserve(g_.numEdges());
-  for (EdgeId id = 0; id < g_.numEdges(); ++id)
-    alive_.push_back(AliveEdge{g_.edge(id).u, g_.edge(id).v, id});
+void ClusterEngine::forEdgeChunks(
+    const std::function<void(std::size_t, std::size_t)>& fn) {
+  if (pool_)
+    pool_->parallelForChunks(g_.numEdges(), kSweepChunk, fn);
+  else
+    fn(0, g_.numEdges());
 }
 
 std::size_t ClusterEngine::grow(double p, std::uint64_t drawKey) {
-  const std::vector<char> rootActive = activeRoots();
-  std::size_t numRoots = 0;
-  for (char c : rootActive) numRoots += c != 0;
+  std::vector<char> rootActive(clusterOf_.size(), 0);
+  for (VertexId s = 0; s < clusterOf_.size(); ++s)
+    if (clusterOf_[s] != kNoVertex) rootActive[clusterOf_[s]] = 1;
 
   SamplingPolicy* policy = opts_.policy ? opts_.policy : &defaultPolicy_;
-  auto dryRun = [this](const std::vector<char>& sampled) {
-    return computePlan(sampled).stats;
-  };
-  const std::vector<char> sampled =
-      policy->choose(rootActive, p, drawKey, dryRun, result_.repetition);
+  const std::vector<char> sampled = policy->choose(
+      rootActive, p, drawKey,
+      [this](const std::vector<char>& s) { return dryRun(s); },
+      result_.repetition);
 
-  applyPlan(computePlan(sampled));
-  return numRoots;
-}
-
-ClusterEngine::Plan ClusterEngine::computePlan(const std::vector<char>& sampled) const {
-  Plan plan;
-  for (char c : sampled) plan.stats.sampledClusters += c != 0;
-  for (VertexId s = 0; s < nSuper_; ++s) {
-    if (clusterOf_[s] == kNoVertex) continue;
-    ++plan.stats.activeSupernodes;
-    if (clusterOf_[s] == s) ++plan.stats.totalClusters;
+  // Steps B3/B4: every added group's minimum edge joins the spanner and the
+  // group's edges are discarded.
+  const DistIterationResult mins = findMin(superOf_, clusterOf_, sampled, opts_.sim);
+  const JoinMap joins = joinsOf(mins);
+  std::unordered_set<std::uint64_t> discard;
+  discard.reserve(mins.groupMins.size());
+  for (const GroupMinEdge& gm : mins.groupMins) {
+    if (!addsGroup(gm, joins, opts_.strictLighterRule)) continue;
+    inSpanner_[gm.id] = 1;
+    discard.insert(packGroupKey(gm.v, gm.cluster));
   }
 
-  // Candidate records: for every super-node v whose cluster is unsampled,
-  // one entry per incident alive edge, keyed by the neighbouring cluster.
-  struct Cand {
-    VertexId v;
-    VertexId cluster;  // cluster root of the far endpoint
-    Weight w;
-    EdgeId id;
-    std::uint32_t aliveIdx;
-  };
-  std::vector<Cand> cands;
-  cands.reserve(alive_.size());
-  auto isProcessing = [&](VertexId s) {
+  auto processing = [&](VertexId s) {
     return clusterOf_[s] != kNoVertex && !sampled[clusterOf_[s]];
   };
-  for (std::uint32_t idx = 0; idx < alive_.size(); ++idx) {
-    const AliveEdge& ae = alive_[idx];
-    const Weight w = g_.edge(ae.id).w;
-    if (isProcessing(ae.su))
-      cands.push_back(Cand{ae.su, clusterOf_[ae.sv], w, ae.id, idx});
-    if (isProcessing(ae.sv))
-      cands.push_back(Cand{ae.sv, clusterOf_[ae.su], w, ae.id, idx});
-  }
-  std::sort(cands.begin(), cands.end(), [](const Cand& a, const Cand& b) {
-    if (a.v != b.v) return a.v < b.v;
-    if (a.cluster != b.cluster) return a.cluster < b.cluster;
-    if (a.w != b.w) return a.w < b.w;
-    return a.id < b.id;
+  // Step B5. Each edge id writes only its own alive flag, and the discard
+  // set is read-only here, so the result is schedule-independent.
+  forEdgeChunks([&](std::size_t begin, std::size_t end) {
+    for (EdgeId id = static_cast<EdgeId>(begin); id < end; ++id) {
+      if (!alive_[id]) continue;
+      const Edge& e = g_.edge(id);
+      const VertexId su = superOf_[e.u];
+      const VertexId sv = superOf_[e.v];
+      const bool deadU =
+          processing(su) && discard.count(packGroupKey(su, clusterOf_[sv])) > 0;
+      const bool deadV =
+          processing(sv) && discard.count(packGroupKey(sv, clusterOf_[su])) > 0;
+      if (deadU || deadV) alive_[id] = 0;
+    }
   });
 
-  // Track super-nodes that have *no* alive edges: they exit silently, which
-  // the candidate sweep below cannot see. Collect them first.
-  std::vector<char> hasEdge(nSuper_, 0);
-  for (const Cand& c : cands) hasEdge[c.v] = 1;
-  for (VertexId v = 0; v < nSuper_; ++v)
-    if (isProcessing(v) && !hasEdge[v]) plan.exits.push_back(v);
-
-  std::size_t i = 0;
-  while (i < cands.size()) {
-    const VertexId v = cands[i].v;
-    const std::size_t vBegin = i;
-    while (i < cands.size() && cands[i].v == v) ++i;
-    const std::size_t vEnd = i;
-
-    // First sweep: the closest sampled neighbour N(v) (min weight, ties by
-    // edge id — the group is sorted, so the first edge of a sampled
-    // cluster's sub-group is that cluster's minimum).
-    Weight bestW = 0;
-    EdgeId bestId = kNoEdge;
-    VertexId bestCluster = kNoVertex;
-    for (std::size_t a = vBegin; a < vEnd;) {
-      const VertexId c = cands[a].cluster;
-      const Cand& minCand = cands[a];  // sub-group min by (w, id)
-      while (a < vEnd && cands[a].cluster == c) ++a;
-      if (!sampled[c]) continue;
-      if (bestId == kNoEdge || minCand.w < bestW ||
-          (minCand.w == bestW && minCand.id < bestId)) {
-        bestW = minCand.w;
-        bestId = minCand.id;
-        bestCluster = c;
-      }
-    }
-
-    // Second sweep: per-cluster actions.
-    for (std::size_t a = vBegin; a < vEnd;) {
-      const VertexId c = cands[a].cluster;
-      const std::size_t gBegin = a;
-      while (a < vEnd && cands[a].cluster == c) ++a;
-      const Cand& minCand = cands[gBegin];
-      bool addAndDiscard;
-      if (bestId == kNoEdge) {
-        addAndDiscard = true;  // Step B4: no sampled neighbour at all
-      } else if (c == bestCluster) {
-        addAndDiscard = true;  // Step B3: the joined cluster's group
-      } else {
-        // Step B3, strictly-lighter rule (see Options::strictLighterRule).
-        addAndDiscard = opts_.strictLighterRule && minCand.w < bestW;
-      }
-      if (addAndDiscard) {
-        plan.spannerAdds.push_back(minCand.id);
-        for (std::size_t x = gBegin; x < a; ++x)
-          plan.deadAliveIdx.push_back(cands[x].aliveIdx);
-      }
-    }
-
-    if (bestId == kNoEdge)
-      plan.exits.push_back(v);
-    else
-      plan.joins.emplace_back(v, bestCluster);
+  // Unsampled super-nodes join N(v), or exit when they have none.
+  std::vector<VertexId> next = clusterOf_;
+  for (VertexId s = 0; s < clusterOf_.size(); ++s) {
+    if (!processing(s)) continue;
+    const auto it = joins.find(s);
+    next[s] = it != joins.end() ? it->second.cluster : kNoVertex;
   }
-
-  // Unique added edges for the policy statistics.
-  {
-    std::vector<EdgeId> adds = plan.spannerAdds;
-    std::sort(adds.begin(), adds.end());
-    adds.erase(std::unique(adds.begin(), adds.end()), adds.end());
-    std::size_t newAdds = 0;
-    for (EdgeId id : adds) newAdds += inSpanner_[id] ? 0 : 1;
-    plan.stats.edgesAdded = newAdds;
-  }
-  return plan;
-}
-
-void ClusterEngine::applyPlan(const Plan& plan) {
-  for (const auto& [v, root] : plan.joins) clusterOf_[v] = root;
-  for (VertexId v : plan.exits) clusterOf_[v] = kNoVertex;
-  for (EdgeId id : plan.spannerAdds) inSpanner_[id] = 1;
-
-  std::vector<char> dead(alive_.size(), 0);
-  for (std::uint32_t idx : plan.deadAliveIdx) dead[idx] = 1;
+  clusterOf_ = std::move(next);
 
   // Step B6: drop intra-cluster edges of the new clustering.
-  std::vector<AliveEdge> next;
-  next.reserve(alive_.size());
-  for (std::uint32_t idx = 0; idx < alive_.size(); ++idx) {
-    if (dead[idx]) continue;
-    const AliveEdge& ae = alive_[idx];
-    const VertexId cu = clusterOf_[ae.su];
-    const VertexId cv = clusterOf_[ae.sv];
-    assert(cu != kNoVertex && cv != kNoVertex &&
-           "Lemma 5.6 invariant: alive edges have clustered endpoints");
-    if (cu == cv) continue;
-    next.push_back(ae);
-  }
-  alive_ = std::move(next);
+  forEdgeChunks([&](std::size_t begin, std::size_t end) {
+    for (EdgeId id = static_cast<EdgeId>(begin); id < end; ++id) {
+      if (!alive_[id]) continue;
+      const Edge& e = g_.edge(id);
+      const VertexId cu = clusterOf_[superOf_[e.u]];
+      const VertexId cv = clusterOf_[superOf_[e.v]];
+      assert(cu != kNoVertex && cv != kNoVertex &&
+             "Lemma 5.6 invariant: alive edges have clustered endpoints");
+      if (cu == cv) alive_[id] = 0;
+    }
+  });
+  return static_cast<std::size_t>(
+      std::count(rootActive.begin(), rootActive.end(), 1));
 }
 
 void ClusterEngine::contract() {
-  const std::vector<VertexId> relabel = contractClusters();
-
-  // Relabel to cluster roots; keep the min-weight representative per pair
-  // (Step C); all other parallel super-edges are silently discarded.
-  struct Best {
-    Weight w;
-    std::uint32_t aliveIdx;
-  };
-  std::unordered_map<std::uint64_t, Best> best;
-  best.reserve(alive_.size());
-  for (std::uint32_t idx = 0; idx < alive_.size(); ++idx) {
-    AliveEdge& ae = alive_[idx];
-    ae.su = relabel[ae.su];
-    ae.sv = relabel[ae.sv];
-    assert(ae.su != kNoVertex && ae.sv != kNoVertex);
-    assert(ae.su != ae.sv && "intra-cluster edges must be gone before contraction");
-    VertexId a = ae.su, b = ae.sv;
-    if (a > b) std::swap(a, b);
-    const std::uint64_t key = (static_cast<std::uint64_t>(a) << 32) | b;
-    const Weight w = g_.edge(ae.id).w;
-    auto [it, inserted] = best.try_emplace(key, Best{w, idx});
-    if (!inserted && (w < it->second.w ||
-                      (w == it->second.w && ae.id < alive_[it->second.aliveIdx].id)))
-      it->second = Best{w, idx};
+  std::vector<VertexId> newId(clusterOf_.size(), kNoVertex);
+  std::size_t n2 = 0;
+  for (VertexId s = 0; s < clusterOf_.size(); ++s)
+    if (clusterOf_[s] == s) newId[s] = static_cast<VertexId>(n2++);
+  for (VertexId& s : superOf_) {
+    if (s == kNoVertex) continue;
+    const VertexId root = clusterOf_[s];
+    s = root == kNoVertex ? kNoVertex : newId[root];
   }
-  std::vector<char> keep(alive_.size(), 0);
-  for (const auto& [key, b] : best) keep[b.aliveIdx] = 1;
-  std::vector<AliveEdge> next;
-  next.reserve(best.size());
-  for (std::uint32_t idx = 0; idx < alive_.size(); ++idx)
-    if (keep[idx]) next.push_back(alive_[idx]);
-  alive_ = std::move(next);
+  clusterOf_.resize(n2);
+  std::iota(clusterOf_.begin(), clusterOf_.end(), 0);
+
+  // Keep the lightest edge per super-node pair (the tuple key), ties by edge
+  // id; all other parallel super-edges are discarded.
+  std::vector<CandTuple> tuples;
+  for (EdgeId id = 0; id < g_.numEdges(); ++id) {
+    if (!alive_[id]) continue;
+    const Edge& e = g_.edge(id);
+    VertexId a = superOf_[e.u];
+    VertexId b = superOf_[e.v];
+    assert(a != kNoVertex && b != kNoVertex && a != b &&
+           "intra-cluster edges must be gone before contraction");
+    if (a > b) std::swap(a, b);
+    tuples.push_back({packGroupKey(a, b), e.w, id});
+  }
+  std::fill(alive_.begin(), alive_.end(), 0);
+  if (opts_.sim) {
+    DistVector<CandTuple> dv(*opts_.sim, tuples);
+    distSort(dv, CandByKey{});
+    for (const CandTuple& t : segmentedMinSorted(dv, CandKey{}, CandBetter{}))
+      alive_[t.id] = 1;
+  } else {
+    std::sort(tuples.begin(), tuples.end(), CandByKey{});
+    for (std::size_t i = 0; i < tuples.size(); ++i)
+      if (i == 0 || tuples[i].key != tuples[i - 1].key) alive_[tuples[i].id] = 1;
+  }
 }
 
 void ClusterEngine::phase2() {
-  // Group alive edges by (original endpoint, opposite cluster); keep the
-  // minimum per group, discard everything else.
-  struct Best {
-    Weight w;
-    EdgeId id;
-  };
-  std::unordered_map<std::uint64_t, Best> best;
-  best.reserve(2 * alive_.size());
-  auto update = [&](VertexId origV, VertexId cluster, Weight w, EdgeId id) {
-    const std::uint64_t key =
-        (static_cast<std::uint64_t>(origV) << 32) | cluster;
-    auto [it, inserted] = best.try_emplace(key, Best{w, id});
-    if (!inserted &&
-        (w < it->second.w || (w == it->second.w && id < it->second.id)))
-      it->second = Best{w, id};
-  };
-  for (const AliveEdge& ae : alive_) {
-    const Edge& e = g_.edge(ae.id);
-    const VertexId cu = clusterOf_[ae.su];
-    const VertexId cv = clusterOf_[ae.sv];
-    assert(cu != kNoVertex && cv != kNoVertex);
-    update(e.u, cv, e.w, ae.id);
-    update(e.v, cu, e.w, ae.id);
-  }
-  for (const auto& [key, b] : best) inSpanner_[b.id] = 1;
-  alive_.clear();
+  // Every vertex is its own super-node and nothing is sampled, so every
+  // group minimum per (vertex, neighbouring cluster) joins the spanner.
+  const std::size_t n = g_.numVertices();
+  std::vector<VertexId> identity(n);
+  std::iota(identity.begin(), identity.end(), 0);
+  std::vector<VertexId> clusterOfVertex(n, kNoVertex);
+  for (VertexId v = 0; v < n; ++v)
+    if (superOf_[v] != kNoVertex) clusterOfVertex[v] = clusterOf_[superOf_[v]];
+  const DistIterationResult mins =
+      findMin(identity, clusterOfVertex, std::vector<char>(n, 0), opts_.sim);
+  for (const GroupMinEdge& gm : mins.groupMins) inSpanner_[gm.id] = 1;
 }
 
 ScheduleBound certifySchedule(const std::vector<EpochSpec>& schedule) {

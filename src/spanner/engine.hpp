@@ -1,6 +1,6 @@
-// ClusterEngine — the shared cluster-growth machinery behind all of the
-// paper's spanner constructions (Sections 3, 4, 5 and the Baswana–Sen
-// baseline they generalize).
+// ClusterEngine — the one cluster-growth engine behind all of the paper's
+// spanner constructions (Sections 3, 4, 5 and the Baswana–Sen baseline they
+// generalize), on two substrates.
 //
 // Every algorithm is an *epoch schedule*: epoch i runs `iterations`
 // rounds of cluster-vertex growth at sampling probability p_i on the current
@@ -10,9 +10,15 @@
 // iteration-start edge set, then applied atomically — the MPC execution
 // order), maintains Lemma 5.6's invariant that every alive edge has both
 // endpoints inside current clusters, and finishes with Phase 2. The
-// schedule walk and the certified stretch (certifySchedule, from the
-// schedule alone) live in ScheduleEngine, which the distributed driver in
-// mpc/dist_spanner.hpp shares.
+// certified stretch comes from the schedule alone (certifySchedule).
+//
+// Lemma 6.1 turns each step into find-minimum supersteps. The substrate
+// runs them: the host (referenceIterationKernel, a sort and two scans) or
+// the MPC simulator (distIterationKernel, real tuples through
+// capacity-enforced rounds; mpc/dist_spanner.hpp). So is the contraction's
+// lightest-edge-per-super-node-pair dedup. Everything else — sampling, the
+// Step B3/B4 decisions, the alive-flag sweeps, relabeling, phase 2 — is the
+// same code on both, and both return the same spanner, edge for edge.
 //
 // Instantiations:
 //   Baswana–Sen:      1 epoch, k-1 iterations, p = n^{-1/k}, no contraction.
@@ -31,14 +37,17 @@
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "graph/graph.hpp"
+#include "runtime/thread_pool.hpp"
+#include "spanner/growth_kernel.hpp"
 #include "spanner/types.hpp"
 #include "util/rng.hpp"
 
 namespace mpcspan {
+
+class MpcSimulator;
 
 /// One epoch of the schedule.
 struct EpochSpec {
@@ -98,49 +107,14 @@ class HashCoinPolicy final : public SamplingPolicy {
   std::uint64_t seed_;
 };
 
-/// The schedule walk every cluster-growth engine shares: per epoch, the
-/// active super-node count, the sampling probability, the growth
-/// iterations with their hash-coin draw keys and ledger charges, and the
-/// contraction; then phase 2, the certificate (certifySchedule) and the
-/// spanner edges. One seed thus samples the same cluster roots on the host
-/// (ClusterEngine) and on the MPC simulator (mpc/dist_spanner.cc), which
-/// supply the steps.
-class ScheduleEngine {
- public:
-  virtual ~ScheduleEngine() = default;
-  ScheduleEngine(const ScheduleEngine&) = delete;
-  ScheduleEngine& operator=(const ScheduleEngine&) = delete;
-
-  /// Runs phase 1 (the epoch schedule) followed by phase 2, and returns the
-  /// result. Must be called exactly once.
-  SpannerResult run(const std::vector<EpochSpec>& schedule);
-
- protected:
-  /// Starts from singleton clusters: every vertex is its own super-node.
-  ScheduleEngine(const Graph& g, std::uint32_t k);
-
-  /// One growth iteration (Steps B1-B6) at probability p with the draw
-  /// `drawKey`; returns the cluster count at its start.
-  virtual std::size_t grow(double p, std::uint64_t drawKey) = 0;
-  /// Step C: contracts the clustering (see contractClusters).
-  virtual void contract() = 0;
-  virtual void phase2() = 0;
-
-  /// Marks the cluster roots of the current clustering.
-  std::vector<char> activeRoots() const;
-  /// Step C's relabeling: the cluster roots, renumbered 0..n2-1 in root
-  /// order, become the new singleton super-nodes. Returns each old
-  /// super-node's new id (kNoVertex for exited ones).
-  std::vector<VertexId> contractClusters();
-
-  const Graph& g_;
-  std::size_t nSuper_ = 0;
-  std::vector<VertexId> clusterOf_;  // super-node -> cluster root (kNoVertex = exited)
-  std::vector<char> inSpanner_;      // per input edge id
-  SpannerResult result_;
-};
-
-class ClusterEngine final : public ScheduleEngine {
+/// The cluster-growth engine. One growth iteration (grow: Steps B1-B6), one
+/// contraction (contract: Step C) and one phase 2, written over the
+/// super-node map, the clustering and per-edge alive flags. The substrate
+/// is the only thing that varies: Options::sim null runs the find-minimum
+/// supersteps and the contraction's pair dedup on the host; a simulator
+/// runs them as real MPC rounds (mpc/dist_spanner.hpp). Both give the same
+/// decisions, hence the same spanner, profile and ledger.
+class ClusterEngine {
  public:
   struct Options {
     std::uint64_t seed = 1;
@@ -152,34 +126,56 @@ class ClusterEngine final : public ScheduleEngine {
     /// weighted graphs; disabling it (bench_a1_ablation) voids the
     /// certified stretch bound for weighted inputs.
     bool strictLighterRule = true;
+    /// The MPC substrate of the find-minimum supersteps and the pair dedup
+    /// (not owned); null runs them on the host. The simulator also lends
+    /// its lanes to the alive-flag sweeps.
+    MpcSimulator* sim = nullptr;
   };
 
+  /// Starts from singleton clusters: every vertex is its own super-node.
   ClusterEngine(const Graph& g, std::uint32_t k, Options opts);
+  ClusterEngine(const ClusterEngine&) = delete;
+  ClusterEngine& operator=(const ClusterEngine&) = delete;
+
+  /// Runs phase 1 (the epoch schedule: per epoch the active super-node
+  /// count, the sampling probability, the growth iterations with their
+  /// hash-coin draw keys and ledger charges, and the contraction) followed
+  /// by phase 2, the certificate (certifySchedule) and the spanner edges.
+  /// Must be called exactly once.
+  SpannerResult run(const std::vector<EpochSpec>& schedule);
 
  private:
-  struct AliveEdge {
-    VertexId su;  // current super-node containing g.edge(id).u
-    VertexId sv;  // current super-node containing g.edge(id).v
-    EdgeId id;
-  };
+  /// One growth iteration at probability p with the draw `drawKey`;
+  /// returns the cluster count at its start.
+  std::size_t grow(double p, std::uint64_t drawKey);
+  /// Step C: the cluster roots, renumbered 0..n2-1 in root order, become
+  /// the new singleton super-nodes; the lightest edge per super-node pair
+  /// stays alive.
+  void contract();
+  /// Keeps the lightest alive edge per (vertex, neighbouring cluster).
+  void phase2();
+  /// The two find-minimum supersteps (Lemma 6.1) over the alive edges, on
+  /// `sim` or, when null, on the host.
+  DistIterationResult findMin(const std::vector<VertexId>& superOf,
+                              const std::vector<VertexId>& clusterOf,
+                              const std::vector<char>& sampled,
+                              MpcSimulator* sim) const;
+  /// The statistics of the iteration a sampling would run, without running
+  /// it: on the host and without a pool, since a policy may call it from
+  /// its own pool's lanes.
+  IterPlanStats dryRun(const std::vector<char>& sampled) const;
+  /// fn(begin, end) over chunks of the edge ids, on the substrate's lanes.
+  void forEdgeChunks(const std::function<void(std::size_t, std::size_t)>& fn);
 
-  struct Plan {
-    std::vector<std::pair<VertexId, VertexId>> joins;  // (super-node, new root)
-    std::vector<VertexId> exits;
-    std::vector<EdgeId> spannerAdds;
-    std::vector<std::uint32_t> deadAliveIdx;  // indices into alive_
-    IterPlanStats stats;
-  };
-
-  std::size_t grow(double p, std::uint64_t drawKey) override;
-  void contract() override;
-  void phase2() override;
-  Plan computePlan(const std::vector<char>& sampled) const;
-  void applyPlan(const Plan& plan);
-
+  const Graph& g_;
   Options opts_;
   HashCoinPolicy defaultPolicy_;
-  std::vector<AliveEdge> alive_;
+  runtime::ThreadPool* pool_;        // null on the host
+  std::vector<VertexId> superOf_;    // vertex -> super-node (kNoVertex = exited)
+  std::vector<VertexId> clusterOf_;  // super-node -> cluster root (kNoVertex = exited)
+  std::vector<char> alive_;          // per input edge id
+  std::vector<char> inSpanner_;      // per input edge id
+  SpannerResult result_;
 };
 
 /// Builds the epoch schedule of the Section 5 trade-off algorithm.

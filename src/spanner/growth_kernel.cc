@@ -1,7 +1,6 @@
 #include "spanner/growth_kernel.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 
 namespace mpcspan {
 
@@ -60,40 +59,30 @@ std::vector<CandTuple> buildCandidates(const Graph& g,
   return cands;
 }
 
-DistIterationResult reduceCandidates(const std::vector<CandTuple>& cands,
+DistIterationResult reduceCandidates(std::vector<CandTuple> cands,
                                      const std::vector<char>& sampled) {
   DistIterationResult out;
+  std::sort(cands.begin(), cands.end(), CandByKey{});
 
-  std::unordered_map<std::uint64_t, CandTuple> groupBest;
-  groupBest.reserve(cands.size());
-  for (const CandTuple& c : cands) {
-    auto [it, inserted] = groupBest.try_emplace(c.key, c);
-    if (!inserted && betterCand(c, it->second)) it->second = c;
-  }
-  out.groupMins.reserve(groupBest.size());
-  for (const auto& [key, c] : groupBest)
-    out.groupMins.push_back(GroupMinEdge{static_cast<VertexId>(key >> 32),
-                                         static_cast<VertexId>(key & 0xffffffffu),
+  // (1) The first candidate of every key is its group's minimum.
+  for (std::size_t i = 0; i < cands.size(); ++i) {
+    const CandTuple& c = cands[i];
+    if (i > 0 && cands[i - 1].key == c.key) continue;
+    out.groupMins.push_back(GroupMinEdge{static_cast<VertexId>(c.key >> 32),
+                                         static_cast<VertexId>(c.key & 0xffffffffu),
                                          c.w, c.id});
-  std::sort(out.groupMins.begin(), out.groupMins.end(),
-            [](const GroupMinEdge& a, const GroupMinEdge& b) {
-              if (a.v != b.v) return a.v < b.v;
-              return a.cluster < b.cluster;
-            });
+  }
 
-  std::unordered_map<VertexId, ClosestSampled> joinBest;
+  // (2) Per v, the lightest group minimum of a sampled cluster.
   for (const GroupMinEdge& gm : out.groupMins) {
     if (!sampled[gm.cluster]) continue;
     const ClosestSampled cs{gm.v, gm.cluster, gm.w, gm.id};
-    auto [it, inserted] = joinBest.try_emplace(gm.v, cs);
-    if (!inserted &&
-        (cs.w < it->second.w || (cs.w == it->second.w && cs.id < it->second.id)))
-      it->second = cs;
+    if (out.joins.empty() || out.joins.back().v != gm.v)
+      out.joins.push_back(cs);
+    else if (cs.w < out.joins.back().w ||
+             (cs.w == out.joins.back().w && cs.id < out.joins.back().id))
+      out.joins.back() = cs;
   }
-  out.joins.reserve(joinBest.size());
-  for (const auto& [v, cs] : joinBest) out.joins.push_back(cs);
-  std::sort(out.joins.begin(), out.joins.end(),
-            [](const ClosestSampled& a, const ClosestSampled& b) { return a.v < b.v; });
   return out;
 }
 

@@ -1,14 +1,14 @@
 // Substrate-neutral pieces of one spanner growth iteration (Section 6 /
 // Lemma 6.1): the record types of the two find-minimum supersteps, the
-// host-side candidate sweep, and the deterministic group-min/join reduction
-// that both iteration kernels share.
+// candidate sweep, and the host's find-minimum (reduceCandidates).
 //
-// Two kernels consume this module and must produce bit-identical decisions
-// on the same input:
-//   - referenceIterationKernel (host, mpc/dist_iteration.hpp),
-//   - distIterationKernel      (MPC RoundEngine, real sample sorts).
-// The shared reduction (weight, then edge id tie-break) is what makes that
-// equivalence well-defined.
+// ClusterEngine (spanner/engine.hpp) runs the supersteps on one of two
+// substrates, which must produce bit-identical decisions on the same input:
+//   - the host:  referenceIterationKernel = buildCandidates + reduceCandidates,
+//   - MPC:       distIterationKernel (mpc/dist_iteration.hpp), the same
+//                candidates through real sample sorts and segmented minima.
+// Both order candidates by CandByKey (key, then weight, then edge id), which
+// is what makes that equivalence well-defined.
 #pragma once
 
 #include <cstdint>
@@ -63,6 +63,28 @@ inline bool betterCand(const CandTuple& a, const CandTuple& b) {
   return a.w < b.w || (a.w == b.w && a.id < b.id);
 }
 
+// The orderings of a group-by-key minimum over candidate tuples: the first
+// superstep, and the contraction's lightest edge per super-node pair. They
+// are stateless, so they cross into the shard workers by type (see
+// mpc/primitives.hpp).
+struct CandByKey {
+  // Primary order is packed word 0 (CandTuple::key), ascending — lets the
+  // sort kernels run flat key passes (detail::PackedKeyWord).
+  static constexpr std::size_t kPackedKeyWord = 0;
+  bool operator()(const CandTuple& a, const CandTuple& b) const {
+    if (a.key != b.key) return a.key < b.key;
+    return betterCand(a, b);
+  }
+};
+struct CandKey {
+  std::uint64_t operator()(const CandTuple& c) const { return c.key; }
+};
+struct CandBetter {
+  bool operator()(const CandTuple& a, const CandTuple& b) const {
+    return betterCand(a, b);
+  }
+};
+
 /// Candidate edges: one per (processing super-node, incident alive edge).
 /// The label joins (attaching superOf/clusterOf to edge tuples) are the
 /// sort-based "Clustering" superstep of Lemma 6.1, charged separately by
@@ -77,10 +99,11 @@ std::vector<CandTuple> buildCandidates(const Graph& g,
                                        const std::vector<char>* alive = nullptr,
                                        runtime::ThreadPool* pool = nullptr);
 
-/// Deterministic reduction of raw candidates into per-(v, cluster) group
-/// minima and per-v closest sampled clusters, with (weight, edge id)
-/// tie-breaking. roundsUsed is left 0 — substrate kernels fill it in.
-DistIterationResult reduceCandidates(const std::vector<CandTuple>& cands,
+/// The host's find-minimum: reduces raw candidates into per-(v, cluster)
+/// group minima and per-v closest sampled clusters, with (weight, edge id)
+/// tie-breaking — one sort by (key, w, id), then a first-per-key scan and a
+/// per-v scan. roundsUsed is left 0.
+DistIterationResult reduceCandidates(std::vector<CandTuple> cands,
                                      const std::vector<char>& sampled);
 
 }  // namespace mpcspan

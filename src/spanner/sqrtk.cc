@@ -1,19 +1,18 @@
 #include "spanner/sqrtk.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "spanner/baswana_sen.hpp"
 
 namespace mpcspan {
 
-SpannerResult buildSqrtKSpanner(const Graph& g, const SqrtKParams& params) {
-  if (params.k <= 1) return identitySpanner(g, "sqrtk");
-
+std::vector<EpochSpec> sqrtKSchedule(std::size_t n, std::uint32_t k) {
+  if (k <= 1) return {};
   const auto t = static_cast<std::uint32_t>(
-      std::max(1.0, std::ceil(std::sqrt(static_cast<double>(params.k)))));
-  const double p1 =
-      std::pow(static_cast<double>(std::max<std::size_t>(g.numVertices(), 2)),
-               -1.0 / static_cast<double>(params.k));
+      std::max(1.0, std::ceil(std::sqrt(static_cast<double>(k)))));
+  const double p1 = std::pow(static_cast<double>(std::max<std::size_t>(n, 2)),
+                             -1.0 / static_cast<double>(k));
 
   // Epoch 1: t iterations of [BS07] at n^{-1/k}, then contract (the
   // super-graph G-hat of Section 3).
@@ -32,11 +31,16 @@ SpannerResult buildSqrtKSpanner(const Graph& g, const SqrtKParams& params) {
                     -1.0 / static_cast<double>(t));
   };
   second.contractAfter = false;
+  return {first, second};
+}
 
-  ClusterEngine engine(g, params.k, {.seed = params.seed, .policy = params.policy});
-  SpannerResult result = engine.run({first, second});
+SpannerResult buildSqrtKSpanner(const Graph& g, const SqrtKParams& params) {
+  if (params.k <= 1) return identitySpanner(g, "sqrtk");
+  const std::vector<EpochSpec> schedule = sqrtKSchedule(g.numVertices(), params.k);
+  ClusterEngine engine(g, params.k, {.seed = params.seed});
+  SpannerResult result = engine.run(schedule);
   result.algorithm = "sqrtk";
-  result.t = t;
+  result.t = schedule.front().iterations;
   return result;
 }
 

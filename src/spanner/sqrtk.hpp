@@ -20,8 +20,12 @@ namespace mpcspan {
 struct SqrtKParams {
   std::uint32_t k = 9;
   std::uint64_t seed = 1;
-  SamplingPolicy* policy = nullptr;
 };
+
+/// The Section 3 schedule: t = ceil(sqrt k) iterations at n^{-1/k} and a
+/// contraction, then t-1 iterations at n-hat^{-1/t}, where n-hat is the
+/// contracted size. Empty for k <= 1.
+std::vector<EpochSpec> sqrtKSchedule(std::size_t n, std::uint32_t k);
 
 SpannerResult buildSqrtKSpanner(const Graph& g, const SqrtKParams& params);
 

@@ -1,7 +1,7 @@
-// Equivalence of the spanner growth-iteration kernels: the host reference
-// (ClusterEngine's decision procedure) and the MPC RoundEngine kernel (real
-// tuples through capacity-enforced rounds) must produce bit-identical group
-// minima and join decisions.
+// Equivalence of the spanner growth-iteration kernels: ClusterEngine's two
+// find-minimum substrates — the host's (referenceIterationKernel) and the
+// MPC RoundEngine kernel (real tuples through capacity-enforced rounds) —
+// must produce bit-identical group minima and join decisions.
 #include "mpc/dist_iteration.hpp"
 
 #include <gtest/gtest.h>
@@ -33,7 +33,7 @@ TEST_P(DistIterationEquivalence, HostAndMpcSubstratesAgree) {
   const std::vector<char> sampled =
       HashCoinPolicy::draw(std::vector<char>(g.numVertices(), 1), p, seed, 1);
 
-  // Host reference (the ClusterEngine decision procedure).
+  // The host engine's find-minimum.
   const DistIterationResult ref =
       referenceIterationKernel(g, superOf, clusterOf, sampled);
 

@@ -1,6 +1,6 @@
-// Bit-exact equivalence: the fully distributed builds (every find-min
+// Bit-exact equivalence: ClusterEngine on the MPC substrate (every find-min
 // through real simulated machine rounds) must output the identical spanner,
-// profile and certified stretch to the host-side ClusterEngine under the
+// profile and certified stretch to the same engine on the host under the
 // same seed.
 #include "mpc/dist_spanner.hpp"
 
@@ -8,6 +8,8 @@
 
 #include "graph/generators.hpp"
 #include "spanner/baswana_sen.hpp"
+#include "spanner/cluster_merging.hpp"
+#include "spanner/sqrtk.hpp"
 #include "spanner/tradeoff.hpp"
 #include "spanner/verify.hpp"
 
@@ -92,6 +94,62 @@ INSTANTIATE_TEST_SUITE_P(
       return "k" + std::to_string(std::get<0>(info.param)) + "_t" +
              std::to_string(std::get<1>(info.param)) + "_s" +
              std::to_string(std::get<2>(info.param));
+    });
+
+// The one engine on both substrates, for the schedules and the ablation no
+// dist builder runs: sqrtk (its second probability is re-derived from the
+// contracted size), cluster-merging, and strictLighterRule off.
+class SubstrateEquivalence
+    : public ::testing::TestWithParam<std::tuple<const char*, std::uint64_t, bool>> {};
+
+TEST_P(SubstrateEquivalence, HostAndMpcBuildTheSameSpanner) {
+  const auto [schedule, seed, strict] = GetParam();
+  Rng rng(seed * 13 + 5);
+  const Graph g = gnmRandom(400, 2400, rng, {WeightModel::kExponential, 40.0}, true);
+  const std::uint32_t k = 9;
+  const std::string name = schedule;
+  const std::vector<EpochSpec> epochs =
+      name == "sqrtk"             ? sqrtKSchedule(g.numVertices(), k)
+      : name == "cluster-merging" ? tradeoffSchedule(g.numVertices(), k, 1)
+                                  : tradeoffSchedule(g.numVertices(), k, 2);
+
+  const SpannerResult host =
+      ClusterEngine(g, k, {.seed = seed, .strictLighterRule = strict}).run(epochs);
+  MpcSimulator sim(MpcConfig::forInput(8 * g.numEdges(), 0.6, 3.0));
+  const SpannerResult dist =
+      ClusterEngine(g, k, {.seed = seed, .strictLighterRule = strict, .sim = &sim})
+          .run(epochs);
+
+  EXPECT_EQ(dist.edges, host.edges);
+  EXPECT_EQ(dist.iterations, host.iterations);
+  EXPECT_EQ(dist.epochs, host.epochs);
+  EXPECT_EQ(dist.supernodesPerEpoch, host.supernodesPerEpoch);
+  EXPECT_EQ(dist.clustersPerIteration, host.clustersPerIteration);
+  EXPECT_EQ(dist.samplingProbs, host.samplingProbs);
+  EXPECT_EQ(dist.repetition.totalDraws, host.repetition.totalDraws);
+  EXPECT_EQ(dist.finalRadius, host.finalRadius);
+  EXPECT_EQ(dist.stretchBound, host.stretchBound);
+  EXPECT_EQ(dist.cost.ledgerString(), host.cost.ledgerString());
+  EXPECT_GT(sim.rounds(), 0u);
+  if (strict && name == "sqrtk") {
+    EXPECT_EQ(host.edges, buildSqrtKSpanner(g, {.k = k, .seed = seed}).edges);
+  }
+  if (strict && name == "cluster-merging") {
+    EXPECT_EQ(host.edges, buildClusterMergingSpanner(g, {.k = k, .seed = seed}).edges);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grid, SubstrateEquivalence,
+    ::testing::Combine(::testing::Values("sqrtk", "cluster-merging", "tradeoff-t2"),
+                       ::testing::Values<std::uint64_t>(2, 9),
+                       ::testing::Bool()),
+    [](const auto& info) {
+      std::string name = std::get<0>(info.param);
+      for (char& c : name)
+        if (c == '-') c = '_';
+      return name + "_s" + std::to_string(std::get<1>(info.param)) +
+             (std::get<2>(info.param) ? "_strict" : "_ablated");
     });
 
 TEST(DistSpanner, KOneReturnsAllEdges) {

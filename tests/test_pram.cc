@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <stdexcept>
-
 #include "graph/generators.hpp"
 #include "spanner/tradeoff.hpp"
 
@@ -45,61 +43,6 @@ TEST(PramCost, DepthBeatsBaswanaSenShape) {
       pramCostOf(buildTradeoffSpanner(g, fast), g.numVertices(), g.numEdges());
   // t=1 runs ceil(log2 64) = 6 iterations; [BS07] would run 63.
   EXPECT_LT(fastCost.depth, 64 * logStar(400.0));
-}
-
-TEST(LeaderForest, MergeSemantics) {
-  LeaderForest lf(6);
-  EXPECT_EQ(lf.numSets(), 6u);
-  EXPECT_TRUE(lf.merge(0, 1));
-  EXPECT_FALSE(lf.merge(1, 0));
-  EXPECT_TRUE(lf.sameSet(0, 1));
-  EXPECT_FALSE(lf.sameSet(0, 2));
-  EXPECT_TRUE(lf.merge(2, 3));
-  EXPECT_TRUE(lf.merge(0, 2));
-  EXPECT_TRUE(lf.sameSet(1, 3));
-  EXPECT_EQ(lf.numSets(), 3u);
-  EXPECT_EQ(lf.setSize(1), 4u);
-}
-
-TEST(LeaderForest, QueriesAreSinglePointerReads) {
-  LeaderForest lf(8);
-  lf.merge(0, 1);
-  lf.merge(2, 3);
-  lf.merge(0, 2);
-  // Every member points directly at the leader (no chains to chase).
-  const std::uint32_t l = lf.leader(0);
-  for (std::uint32_t v : {0u, 1u, 2u, 3u}) EXPECT_EQ(lf.leader(v), l);
-}
-
-TEST(LeaderForest, DepthIsOnePerMergeWorkIsSmallerSide) {
-  LeaderForest lf(8);
-  lf.merge(0, 1);  // work 1
-  lf.merge(2, 3);  // work 1
-  lf.merge(0, 2);  // sizes 2+2 -> work 2
-  lf.merge(0, 4);  // sizes 4+1 -> work 1
-  EXPECT_EQ(lf.depthCharged(), 4);
-  EXPECT_EQ(lf.workCharged(), 5);
-}
-
-TEST(LeaderForest, MergeRejectsOutOfRangeElementIds) {
-  // An id past the forest has to fail typed instead of reading out of
-  // bounds.
-  LeaderForest plain(4);
-  EXPECT_THROW(plain.merge(0, 4), std::out_of_range);
-  EXPECT_THROW(plain.merge(7, 1), std::out_of_range);
-  EXPECT_EQ(plain.numSets(), 4u);  // the rejected merges changed nothing
-  EXPECT_EQ(plain.depthCharged(), 0);
-}
-
-TEST(LeaderForest, UnionBySizeBoundsTotalWork) {
-  // Classic bound: total merge work is O(n log n).
-  const std::size_t n = 1024;
-  LeaderForest lf(n);
-  for (std::size_t span = 1; span < n; span *= 2)
-    for (std::size_t i = 0; i + span < n; i += 2 * span)
-      lf.merge(static_cast<std::uint32_t>(i), static_cast<std::uint32_t>(i + span));
-  EXPECT_EQ(lf.numSets(), 1u);
-  EXPECT_LE(lf.workCharged(), static_cast<long>(n) * 10);
 }
 
 }  // namespace
