@@ -3,11 +3,13 @@
 // ledger untouched while the work (edges touched) grows linearly — the
 // defining property of an MPC algorithm in the strongly sublinear regime.
 //
-// The sweep runs end-to-end through distIterationKernel (every find-minimum
-// of every iteration moves real tuples through capacity-enforced simulator
-// rounds via buildDistributedTradeoff), so the timed path IS the
-// distributed path; the same ClusterEngine on the host substrate is timed
-// alongside as the per-edge-work comparison (and must give the same edges).
+// The sweep runs end-to-end through buildDistributedTradeoff: every
+// find-minimum of every iteration moves real tuples through capacity-enforced
+// simulator rounds (one find-minimum, findMinimum in mpc/dist_iteration.hpp:
+// superstep 1 sorts and reduces, superstep 2 reduces its sorted output with
+// no sort), so the timed path IS the distributed path. The same ClusterEngine
+// on the host substrate is timed alongside as the per-edge-work comparison;
+// it must give the same edges, and the bench exits 1 when it does not.
 // Lanes/shards follow MPCSPAN_THREADS / MPCSPAN_SHARDS.
 #include <chrono>
 #include <cmath>
@@ -54,8 +56,10 @@ int main() {
     const auto hostStart = std::chrono::steady_clock::now();
     const SpannerResult host = buildTradeoffSpanner(g, p);
     const double hostMs = msSince(hostStart);
-    if (dist.edges != host.edges)
-      std::printf("# WARNING: distributed/host spanner mismatch at n=%zu\n", n);
+    if (dist.edges != host.edges) {
+      std::fprintf(stderr, "ERROR: distributed/host spanner mismatch at n=%zu\n", n);
+      return 1;
+    }
 
     table.addRow({Table::num(n), Table::num(g.numEdges()),
                   Table::num(dist.iterations), Table::num(dist.simulatorRounds),

@@ -2,9 +2,11 @@
 //
 // The builders run ClusterEngine (spanner/engine.hpp) with the simulator as
 // its substrate: every find-minimum of every iteration (and of phase 2)
-// runs through distIterationKernel — i.e., real tuples, real sample sorts,
-// real capacity-enforced message rounds — and so does each contraction's
-// lightest-edge-per-super-node-pair dedup. The cheap label bookkeeping
+// runs through the one findMinimum (mpc/dist_iteration.hpp) — real tuples,
+// real capacity-enforced message rounds: a sample sort and a segmented min
+// for superstep 1, and a segmented min with no sort for superstep 2, whose
+// input is superstep 1's key-sorted output. Each contraction's
+// lightest-edge-per-super-node-pair dedup is superstep 1's lightestPerKey. The cheap label bookkeeping
 // (cluster pointers, alive flags) is applied by the coordinator, standing in
 // for the Lemma 6.1 sort-based relabeling whose rounds are charged
 // explicitly.
@@ -38,7 +40,7 @@ SpannerResult buildDistributedBaswanaSen(MpcSimulator& sim, const Graph& g,
 
 /// Distributed Section-5 trade-off spanner *including contractions* (each
 /// contraction's min-edge-per-super-node-pair dedup also runs through a
-/// distributed sort + segmented min). Identical output to
+/// distributed sort + segmented min, lightestPerKey). Identical output to
 /// buildTradeoffSpanner(g, {k, t, seed}).
 SpannerResult buildDistributedTradeoff(MpcSimulator& sim, const Graph& g,
                                        std::uint32_t k, std::uint32_t t,

@@ -10,7 +10,6 @@
 #include <utility>
 
 #include "mpc/dist_iteration.hpp"
-#include "mpc/primitives.hpp"
 
 namespace mpcspan {
 
@@ -69,9 +68,6 @@ bool addsGroup(const GroupMinEdge& gm, const JoinMap& joins, bool strictLighterR
   return strictLighterRule && gm.w < it->second.w;
 }
 
-/// Fixed chunk of the alive-flag sweeps: depends only on the edge count.
-constexpr std::size_t kSweepChunk = 8192;
-
 }  // namespace
 
 ClusterEngine::ClusterEngine(const Graph& g, std::uint32_t k, Options opts)
@@ -128,14 +124,6 @@ SpannerResult ClusterEngine::run(const std::vector<EpochSpec>& schedule) {
   return std::move(result_);
 }
 
-DistIterationResult ClusterEngine::findMin(const std::vector<VertexId>& superOf,
-                                           const std::vector<VertexId>& clusterOf,
-                                           const std::vector<char>& sampled,
-                                           MpcSimulator* sim) const {
-  return sim ? distIterationKernel(*sim, g_, superOf, clusterOf, sampled, &alive_)
-             : referenceIterationKernel(g_, superOf, clusterOf, sampled, &alive_);
-}
-
 IterPlanStats ClusterEngine::dryRun(const std::vector<char>& sampled) const {
   IterPlanStats stats;
   for (char c : sampled) stats.sampledClusters += c != 0;
@@ -144,7 +132,8 @@ IterPlanStats ClusterEngine::dryRun(const std::vector<char>& sampled) const {
     ++stats.activeSupernodes;
     if (clusterOf_[s] == s) ++stats.totalClusters;
   }
-  const DistIterationResult mins = findMin(superOf_, clusterOf_, sampled, nullptr);
+  const DistIterationResult mins =
+      findMinimum(nullptr, g_, superOf_, clusterOf_, sampled, &alive_);
   const JoinMap joins = joinsOf(mins);
   std::vector<EdgeId> adds;
   for (const GroupMinEdge& gm : mins.groupMins)
@@ -159,7 +148,7 @@ IterPlanStats ClusterEngine::dryRun(const std::vector<char>& sampled) const {
 void ClusterEngine::forEdgeChunks(
     const std::function<void(std::size_t, std::size_t)>& fn) {
   if (pool_)
-    pool_->parallelForChunks(g_.numEdges(), kSweepChunk, fn);
+    pool_->parallelForChunks(g_.numEdges(), kEdgeChunk, fn);
   else
     fn(0, g_.numEdges());
 }
@@ -177,7 +166,8 @@ std::size_t ClusterEngine::grow(double p, std::uint64_t drawKey) {
 
   // Steps B3/B4: every added group's minimum edge joins the spanner and the
   // group's edges are discarded.
-  const DistIterationResult mins = findMin(superOf_, clusterOf_, sampled, opts_.sim);
+  const DistIterationResult mins =
+      findMinimum(opts_.sim, g_, superOf_, clusterOf_, sampled, &alive_);
   const JoinMap joins = joinsOf(mins);
   std::unordered_set<std::uint64_t> discard;
   discard.reserve(mins.groupMins.size());
@@ -258,16 +248,8 @@ void ClusterEngine::contract() {
     tuples.push_back({packGroupKey(a, b), e.w, id});
   }
   std::fill(alive_.begin(), alive_.end(), 0);
-  if (opts_.sim) {
-    DistVector<CandTuple> dv(*opts_.sim, tuples);
-    distSort(dv, CandByKey{});
-    for (const CandTuple& t : segmentedMinSorted(dv, CandKey{}, CandBetter{}))
-      alive_[t.id] = 1;
-  } else {
-    std::sort(tuples.begin(), tuples.end(), CandByKey{});
-    for (std::size_t i = 0; i < tuples.size(); ++i)
-      if (i == 0 || tuples[i].key != tuples[i - 1].key) alive_[tuples[i].id] = 1;
-  }
+  for (const CandTuple& t : lightestPerKey(std::move(tuples), opts_.sim))
+    alive_[t.id] = 1;
 }
 
 void ClusterEngine::phase2() {
@@ -279,8 +261,8 @@ void ClusterEngine::phase2() {
   std::vector<VertexId> clusterOfVertex(n, kNoVertex);
   for (VertexId v = 0; v < n; ++v)
     if (superOf_[v] != kNoVertex) clusterOfVertex[v] = clusterOf_[superOf_[v]];
-  const DistIterationResult mins =
-      findMin(identity, clusterOfVertex, std::vector<char>(n, 0), opts_.sim);
+  const DistIterationResult mins = findMinimum(
+      opts_.sim, g_, identity, clusterOfVertex, std::vector<char>(n, 0), &alive_);
   for (const GroupMinEdge& gm : mins.groupMins) inSpanner_[gm.id] = 1;
 }
 

@@ -12,13 +12,15 @@
 // endpoints inside current clusters, and finishes with Phase 2. The
 // certified stretch comes from the schedule alone (certifySchedule).
 //
-// Lemma 6.1 turns each step into find-minimum supersteps. The substrate
-// runs them: the host (referenceIterationKernel, a sort and two scans) or
-// the MPC simulator (distIterationKernel, real tuples through
-// capacity-enforced rounds; mpc/dist_spanner.hpp). So is the contraction's
-// lightest-edge-per-super-node-pair dedup. Everything else — sampling, the
-// Step B3/B4 decisions, the alive-flag sweeps, relabeling, phase 2 — is the
-// same code on both, and both return the same spanner, edge for edge.
+// Lemma 6.1 turns each step into find-minimum supersteps. One function runs
+// them on either substrate (findMinimum, mpc/dist_iteration.hpp): on the
+// host (a sort and two scans) or on the MPC simulator (real tuples through
+// capacity-enforced rounds; mpc/dist_spanner.hpp). Superstep 1 sorts by
+// (super-node, cluster); superstep 2 reads that order and needs no sort.
+// The contraction's lightest-edge-per-super-node-pair dedup is superstep 1's
+// lightestPerKey. Everything else — sampling, the Step B3/B4 decisions, the
+// alive-flag sweeps, relabeling, phase 2 — is the same code on both, and
+// both return the same spanner, edge for edge.
 //
 // Instantiations:
 //   Baswana–Sen:      1 epoch, k-1 iterations, p = n^{-1/k}, no contraction.
@@ -41,7 +43,6 @@
 
 #include "graph/graph.hpp"
 #include "runtime/thread_pool.hpp"
-#include "spanner/growth_kernel.hpp"
 #include "spanner/types.hpp"
 #include "util/rng.hpp"
 
@@ -154,12 +155,6 @@ class ClusterEngine {
   void contract();
   /// Keeps the lightest alive edge per (vertex, neighbouring cluster).
   void phase2();
-  /// The two find-minimum supersteps (Lemma 6.1) over the alive edges, on
-  /// `sim` or, when null, on the host.
-  DistIterationResult findMin(const std::vector<VertexId>& superOf,
-                              const std::vector<VertexId>& clusterOf,
-                              const std::vector<char>& sampled,
-                              MpcSimulator* sim) const;
   /// The statistics of the iteration a sampling would run, without running
   /// it: on the host and without a pool, since a policy may call it from
   /// its own pool's lanes.

@@ -1,16 +1,6 @@
 #include "spanner/growth_kernel.hpp"
 
-#include <algorithm>
-
 namespace mpcspan {
-
-namespace {
-
-/// Fixed-size edge chunk for the parallel candidate sweep: depends only on
-/// the edge count, never the thread count.
-constexpr std::size_t kCandChunk = 8192;
-
-}  // namespace
 
 std::vector<CandTuple> buildCandidates(const Graph& g,
                                        const std::vector<VertexId>& superOf,
@@ -37,17 +27,17 @@ std::vector<CandTuple> buildCandidates(const Graph& g,
   };
 
   const std::size_t m = g.numEdges();
-  if (!pool || pool->numThreads() <= 1 || m <= kCandChunk) {
+  if (!pool || pool->numThreads() <= 1 || m <= kEdgeChunk) {
     std::vector<CandTuple> cands;
     cands.reserve(2 * m);
     sweep(0, static_cast<EdgeId>(m), cands);
     return cands;
   }
 
-  const std::size_t numChunks = (m + kCandChunk - 1) / kCandChunk;
+  const std::size_t numChunks = (m + kEdgeChunk - 1) / kEdgeChunk;
   std::vector<std::vector<CandTuple>> parts(numChunks);
-  pool->parallelForChunks(m, kCandChunk, [&](std::size_t begin, std::size_t end) {
-    auto& out = parts[begin / kCandChunk];
+  pool->parallelForChunks(m, kEdgeChunk, [&](std::size_t begin, std::size_t end) {
+    auto& out = parts[begin / kEdgeChunk];
     out.reserve(2 * (end - begin));
     sweep(static_cast<EdgeId>(begin), static_cast<EdgeId>(end), out);
   });
@@ -57,33 +47,6 @@ std::vector<CandTuple> buildCandidates(const Graph& g,
   cands.reserve(total);
   for (const auto& part : parts) cands.insert(cands.end(), part.begin(), part.end());
   return cands;
-}
-
-DistIterationResult reduceCandidates(std::vector<CandTuple> cands,
-                                     const std::vector<char>& sampled) {
-  DistIterationResult out;
-  std::sort(cands.begin(), cands.end(), CandByKey{});
-
-  // (1) The first candidate of every key is its group's minimum.
-  for (std::size_t i = 0; i < cands.size(); ++i) {
-    const CandTuple& c = cands[i];
-    if (i > 0 && cands[i - 1].key == c.key) continue;
-    out.groupMins.push_back(GroupMinEdge{static_cast<VertexId>(c.key >> 32),
-                                         static_cast<VertexId>(c.key & 0xffffffffu),
-                                         c.w, c.id});
-  }
-
-  // (2) Per v, the lightest group minimum of a sampled cluster.
-  for (const GroupMinEdge& gm : out.groupMins) {
-    if (!sampled[gm.cluster]) continue;
-    const ClosestSampled cs{gm.v, gm.cluster, gm.w, gm.id};
-    if (out.joins.empty() || out.joins.back().v != gm.v)
-      out.joins.push_back(cs);
-    else if (cs.w < out.joins.back().w ||
-             (cs.w == out.joins.back().w && cs.id < out.joins.back().id))
-      out.joins.back() = cs;
-  }
-  return out;
 }
 
 }  // namespace mpcspan

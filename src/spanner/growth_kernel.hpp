@@ -1,14 +1,14 @@
 // Substrate-neutral pieces of one spanner growth iteration (Section 6 /
-// Lemma 6.1): the record types of the two find-minimum supersteps, the
-// candidate sweep, and the host's find-minimum (reduceCandidates).
+// Lemma 6.1): the record types of the two find-minimum supersteps, their
+// orderings, and the candidate sweep.
 //
-// ClusterEngine (spanner/engine.hpp) runs the supersteps on one of two
-// substrates, which must produce bit-identical decisions on the same input:
-//   - the host:  referenceIterationKernel = buildCandidates + reduceCandidates,
-//   - MPC:       distIterationKernel (mpc/dist_iteration.hpp), the same
-//                candidates through real sample sorts and segmented minima.
-// Both order candidates by CandByKey (key, then weight, then edge id), which
-// is what makes that equivalence well-defined.
+// findMinimum (mpc/dist_iteration.hpp) is the one find-minimum, written
+// over an MpcSimulator* that is null on the host: superstep 1 sorts the
+// candidates by CandByKey (key, then weight, then edge id) and keeps the
+// first per key; superstep 2 takes the lightest sampled group minimum per
+// super-node from that key-sorted output, with no second sort. The same
+// order on both substrates is what makes their bit-identical decisions
+// well-defined.
 #pragma once
 
 #include <cstdint>
@@ -85,6 +85,11 @@ struct CandBetter {
   }
 };
 
+/// Fixed-size edge chunk of the parallel edge sweeps (the candidate sweep
+/// and ClusterEngine's alive-flag sweeps): it depends only on the edge
+/// count, never the thread count.
+constexpr std::size_t kEdgeChunk = 8192;
+
 /// Candidate edges: one per (processing super-node, incident alive edge).
 /// The label joins (attaching superOf/clusterOf to edge tuples) are the
 /// sort-based "Clustering" superstep of Lemma 6.1, charged separately by
@@ -98,12 +103,5 @@ std::vector<CandTuple> buildCandidates(const Graph& g,
                                        const std::vector<char>& sampled,
                                        const std::vector<char>* alive = nullptr,
                                        runtime::ThreadPool* pool = nullptr);
-
-/// The host's find-minimum: reduces raw candidates into per-(v, cluster)
-/// group minima and per-v closest sampled clusters, with (weight, edge id)
-/// tie-breaking — one sort by (key, w, id), then a first-per-key scan and a
-/// per-v scan. roundsUsed is left 0.
-DistIterationResult reduceCandidates(std::vector<CandTuple> cands,
-                                     const std::vector<char>& sampled);
 
 }  // namespace mpcspan

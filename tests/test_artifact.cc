@@ -291,7 +291,11 @@ std::uint64_t hashBytes(const std::string& bytes) {
 
 // Frozen artifacts: the host and distributed builds of one small graph. A
 // change to the build path must leave every value as it is; regenerate a row
-// only for an intended algorithm change, and say why in the commit.
+// only for an intended algorithm change, and say why in the commit. The two
+// dist rows' rounds and words (and dist-tradeoff's file hash, which stores
+// them) were regenerated when the growth find-minimum's second superstep
+// lost its redundant sort: its input is already in vertex order. Their edge
+// hashes and stretches did not change.
 struct ArtifactPin {
   const char* algo;
   std::uint64_t edgeHash;
@@ -307,8 +311,8 @@ TEST(Artifact, PinnedBuildsAreUnchanged) {
       {"tradeoff", 0x6b6fd8bcd24a3bbcull, 78, 234, 0, 0, 0x31bd35044401c4b9ull},
       {"baswana-sen", 0x18360854fd4248d7ull, 7, 21, 0, 0, 0},
       {"dist-tradeoff", 0x6b6fd8bcd24a3bbcull, 7.620824233395731,
-       22.862472700187194, 42, 11631, 0xc968b676deec4234ull},
-      {"dist-baswana-sen", 0x18360854fd4248d7ull, 7, 21, 34, 11855, 0},
+       22.862472700187194, 36, 8710, 0x20d12bd0cc42cf11ull},
+      {"dist-baswana-sen", 0x18360854fd4248d7ull, 7, 21, 25, 8144, 0},
   };
   const Graph g = testGraph();
   for (const ArtifactPin& pin : pins) {

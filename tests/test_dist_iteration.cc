@@ -1,7 +1,7 @@
-// Equivalence of the spanner growth-iteration kernels: ClusterEngine's two
-// find-minimum substrates — the host's (referenceIterationKernel) and the
-// MPC RoundEngine kernel (real tuples through capacity-enforced rounds) —
-// must produce bit-identical group minima and join decisions.
+// Equivalence of the spanner growth iteration's find-minimum on its two
+// substrates: findMinimum on the host (sim null) and on the MPC RoundEngine
+// (real tuples through capacity-enforced rounds) must produce bit-identical
+// group minima and join decisions.
 #include "mpc/dist_iteration.hpp"
 
 #include <gtest/gtest.h>
@@ -33,19 +33,27 @@ TEST_P(DistIterationEquivalence, HostAndMpcSubstratesAgree) {
   const std::vector<char> sampled =
       HashCoinPolicy::draw(std::vector<char>(g.numVertices(), 1), p, seed, 1);
 
-  // The host engine's find-minimum.
+  // The host substrate.
   const DistIterationResult ref =
-      referenceIterationKernel(g, superOf, clusterOf, sampled);
+      findMinimum(nullptr, g, superOf, clusterOf, sampled);
 
   // MPC substrate: real sample sorts and segmented minima.
-  MpcSimulator sim(MpcConfig::forInput(4 * g.numEdges(), 0.6, 3.0));
+  const MpcConfig cfg = MpcConfig::forInput(4 * g.numEdges(), 0.6, 3.0);
+  MpcSimulator sim(cfg);
+  ASSERT_GT(sim.numMachines(), 1u);
   const DistIterationResult dist =
       distIterationKernel(sim, g, superOf, clusterOf, sampled);
   EXPECT_EQ(dist.groupMins, ref.groupMins);
   EXPECT_EQ(dist.joins, ref.joins);
-  // Two sorts + two segmented mins, each O(1) rounds.
-  EXPECT_LE(dist.roundsUsed, 16u);
-  EXPECT_GT(dist.roundsUsed, 0u);
+  EXPECT_EQ(ref.roundsUsed, 0u);
+
+  // Superstep 1 is lightestPerKey (a sort and a segmented min). Superstep 2
+  // reads its key-sorted output, so it adds only the segmented min's
+  // boundary and fix rounds: no sort.
+  MpcSimulator fresh(cfg);
+  (void)lightestPerKey(buildCandidates(g, superOf, clusterOf, sampled), &fresh);
+  EXPECT_GT(fresh.rounds(), 0u);
+  EXPECT_EQ(dist.roundsUsed, fresh.rounds() + 2);
 }
 
 TEST(DistIteration, MpcKernelIsThreadCountInvariant) {
@@ -96,7 +104,7 @@ TEST(DistIteration, MidRunClusteringWithExitsAndSupernodes) {
   const DistIterationResult dist =
       distIterationKernel(sim, g, superOf, clusterOf, sampled);
   const DistIterationResult ref =
-      referenceIterationKernel(g, superOf, clusterOf, sampled);
+      findMinimum(nullptr, g, superOf, clusterOf, sampled);
   EXPECT_EQ(dist.groupMins, ref.groupMins);
   EXPECT_EQ(dist.joins, ref.joins);
 }
@@ -133,7 +141,7 @@ TEST(DistIteration, ParallelEdgesAgreeAcrossSubstrates) {
   const Graph g = b.build();
   const std::vector<char> sampled{0, 1, 0, 1};
 
-  const auto ref = referenceIterationKernel(g, identity(4), identity(4), sampled);
+  const auto ref = findMinimum(nullptr, g, identity(4), identity(4), sampled);
   MpcSimulator sim(MpcConfig::forInput(64, 0.6, 3.0));
   const auto dist = distIterationKernel(sim, g, identity(4), identity(4), sampled);
   EXPECT_EQ(dist.groupMins, ref.groupMins);

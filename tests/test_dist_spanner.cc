@@ -185,5 +185,21 @@ TEST(DistSpanner, RoundsScaleWithKNotN) {
   EXPECT_LE(rl.simulatorRounds, rs.simulatorRounds + 8);
 }
 
+TEST(DistSpanner, TradeoffRoundsAreConstantOverA64xWeakScalingSweep) {
+  // Theorem 1.1's headline on bench_f5_weak_scaling's sweep: at fixed k, t
+  // and gamma the simulator runs the same number of rounds at every n.
+  std::vector<std::size_t> rounds;
+  for (const std::size_t n : {1024u, 4096u, 16384u, 65536u}) {
+    Rng rng(n + 9);
+    const Graph g =
+        gnmRandom(n, 8 * n, rng, {WeightModel::kUniform, 100.0}, true);
+    MpcSimulator sim(MpcConfig::forInput(8 * g.numEdges(), 0.6, 3.0));
+    rounds.push_back(buildDistributedTradeoff(sim, g, 8, 2, 91).simulatorRounds);
+  }
+  EXPECT_EQ(rounds, std::vector<std::size_t>(rounds.size(), rounds.front()))
+      << "rounds at n = 1024, 4096, 16384, 65536: " << rounds[0] << ", "
+      << rounds[1] << ", " << rounds[2] << ", " << rounds[3];
+}
+
 }  // namespace
 }  // namespace mpcspan
