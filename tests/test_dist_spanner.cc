@@ -40,8 +40,8 @@ TEST_P(DistSpannerEquivalence, MatchesEngineExactly) {
   EXPECT_EQ(dist.cost.ledgerString(), engine.cost.ledgerString());
   EXPECT_EQ(dist.stretchBound, 2.0 * k - 1.0);
   EXPECT_GT(dist.simulatorRounds, 0u);
-  // O(1) communication rounds per iteration: 2 kernels' worth of
-  // sort+reduce, ~8 rounds each, plus phase 2.
+  // O(1) communication rounds per iteration: one sort+reduce and one
+  // reduce, each O(1) rounds, plus phase 2.
   EXPECT_LE(dist.simulatorRounds, 16u * (k + 1));
 }
 
