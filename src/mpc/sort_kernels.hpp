@@ -24,11 +24,9 @@
 
 #include <algorithm>
 #include <cstring>
-#include <functional>
 #include <mutex>
 #include <stdexcept>
 #include <string>
-#include <type_traits>
 #include <typeinfo>
 #include <vector>
 
@@ -75,26 +73,6 @@ T itemAt(const Words& block, std::size_t pos) {
   std::memcpy(&item, block.data() + pos * wordsPerItem<T>(), sizeof(T));
   return item;
 }
-
-/// Opt-in comparator contract: `static constexpr std::size_t
-/// kPackedKeyWord` on a comparator promises that it orders items
-/// *primarily* by that unsigned word of the packed cell, ascending (key
-/// ties may be broken arbitrarily). Kernels then run flat key passes
-/// (runtime/simd.hpp) over the packed block instead of per-item memcpy
-/// probes, falling back to the full comparator only inside equal-key
-/// runs. std::less<> over single-word unsigned items makes the same
-/// promise by definition.
-template <typename T, typename Cmp, typename = void>
-struct PackedKeyWord {
-  static constexpr bool kAvailable =
-      std::is_same_v<T, Word> && std::is_same_v<Cmp, std::less<>>;
-  static constexpr std::size_t value = 0;
-};
-template <typename T, typename Cmp>
-struct PackedKeyWord<T, Cmp, std::void_t<decltype(Cmp::kPackedKeyWord)>> {
-  static constexpr bool kAvailable = true;
-  static constexpr std::size_t value = Cmp::kPackedKeyWord;
-};
 
 }  // namespace detail
 
@@ -262,19 +240,7 @@ class SortKernel final : public runtime::StepKernel {
     const std::size_t count = block.size() / wpi;
     // The block is sorted and packed in fixed-width cells, so each run is a
     // contiguous word slice: find the boundaries in place and ship the
-    // slices without an unpack/repack round trip. When the comparator
-    // exposes its packed key word, the keys come out in one vectorized
-    // gather and each bound is a flat-array scan; the full comparator is
-    // only consulted inside the splitter's equal-key run (it may break key
-    // ties). Both paths compute the same upper bound.
-    constexpr bool kFlatKeys = detail::PackedKeyWord<T, Cmp>::kAvailable;
-    std::vector<Word> keys;
-    if constexpr (kFlatKeys) {
-      keys.resize(count);
-      runtime::simd::gatherStride(block.data(),
-                                  detail::PackedKeyWord<T, Cmp>::value, wpi,
-                                  count, keys.data());
-    }
+    // slices without an unpack/repack round trip.
     std::vector<runtime::Message> out;
     std::size_t begin = 0;
     for (std::size_t j = 0; j <= splitters.size(); ++j) {
@@ -284,13 +250,6 @@ class SortKernel final : public runtime::StepKernel {
       } else {
         // upper_bound: first index whose item compares after splitters[j].
         std::size_t lo = begin, hi = count;
-        if constexpr (kFlatKeys) {
-          Word cell[wpi] = {};
-          std::memcpy(cell, &splitters[j], sizeof(T));
-          const Word sk = cell[detail::PackedKeyWord<T, Cmp>::value];
-          lo = runtime::simd::lowerBoundFrom(keys.data(), begin, count, sk);
-          hi = runtime::simd::upperBoundFrom(keys.data(), lo, count, sk);
-        }
         while (lo < hi) {
           const std::size_t mid = lo + (hi - lo) / 2;
           if (cmp_(splitters[j], detail::itemAt<T>(block, mid)))

@@ -2,11 +2,11 @@
 // round-engine runtime.
 //
 // A closure cannot cross a process boundary, so machines step through
-// *registered* kernels: the engine constructs one kernel instance per
-// worker process (or one in-process instance when shards == 1), and that
-// instance **owns** its per-machine state across rounds — per-machine
-// inboxes and blocks stay resident where they are used and are never
-// re-shipped through the coordinator. Anything a kernel wants to persist
+// *registered* kernels: every MachineSlice (runtime/machine_slice.hpp) —
+// the in-process engine's one, or one per worker process — constructs one
+// kernel instance, and that instance **owns** its per-machine state across
+// rounds — per-machine inboxes and blocks stay resident where they are used
+// and are never re-shipped through the coordinator. Anything a kernel wants to persist
 // lives in the kernel instance or the BlockStore, and anything it wants to
 // communicate moves through returned messages.
 //
@@ -79,9 +79,6 @@ class BlockStore {
   /// Live handles in ascending order (snapshot adoption at worker fork).
   std::vector<std::uint64_t> handles() const;
 
-  /// Words of arena memory backing all blocks (diagnostics / benches).
-  std::size_t arenaReservedWords() const { return arena_.reservedWords(); }
-
  private:
   std::size_t numMachines_;
   Arena arena_;  // declared before slots_: blocks must die first
@@ -127,22 +124,6 @@ class StepKernel {
 };
 
 using KernelFactory = std::function<std::unique_ptr<StepKernel>()>;
-
-/// Bit-set packing for broadcast kernel args: a per-entity flag vector
-/// (sampled clusters, alive edges) travels to the workers as
-/// ceil(n / 64) words instead of n, and the kernels test bits in place.
-inline std::vector<Word> packArgBits(const std::vector<char>& flags) {
-  std::vector<Word> words((flags.size() + 63) / 64, 0);
-  for (std::size_t i = 0; i < flags.size(); ++i)
-    if (flags[i]) words[i >> 6] |= Word{1} << (i & 63);
-  return words;
-}
-
-/// Tests bit i of a packArgBits vector; out-of-range reads as unset (a
-/// kernel must never index past the words the coordinator shipped).
-inline bool testArgBit(const Word* words, std::size_t numBits, std::size_t i) {
-  return i < numBits && ((words[i >> 6] >> (i & 63)) & 1) != 0;
-}
 
 /// Process-global kernel registry. Registration is idempotent per name (the
 /// first factory wins; returns false on a duplicate). Thread-safe.

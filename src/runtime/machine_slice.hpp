@@ -1,0 +1,95 @@
+// MachineSlice — the one executor of an MPC round, over machines [lo, hi).
+//
+// The MPC model ([KSV10/GSZ11/BKS13], mpc/simulator.hpp) has one kind of
+// round: every machine computes on its inbox, then sends and receives at
+// most S words. The in-process RoundEngine is one slice over [0, n); each
+// resident shard worker (shard/worker_loop.hpp) is one slice over its
+// shard's range, plus the section exchange, the merge and the verdict. Both
+// backends run these kernel loops, checks and delivery pass, so they agree
+// by construction. A round is step(), then the receive budget
+// (MpcTopology::validateInbound over every slice's summed inbound words),
+// then install() and commit(), or abort().
+#pragma once
+
+#include <cstddef>
+#include <cstdint>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "runtime/arena.hpp"
+#include "runtime/kernel.hpp"
+#include "runtime/thread_pool.hpp"
+#include "runtime/topology.hpp"
+#include "runtime/types.hpp"
+
+namespace mpcspan::runtime {
+
+/// A slice's share of one round.
+struct SliceRound {
+  /// outboxes[i] = every message machine lo + i sends, in send order.
+  std::vector<std::vector<Message>> outboxes;
+  /// inbound[m] = words the slice sends to machine m (every m of the engine).
+  std::vector<std::uint64_t> inbound;
+  std::size_t words = 0;  // words the slice sends
+};
+
+class MachineSlice {
+ public:
+  /// `pool` and `store` must outlive the slice.
+  MachineSlice(std::size_t numMachines, std::size_t lo, std::size_t hi,
+               MpcTopology topology, ThreadPool& pool, BlockStore& store);
+
+  std::size_t numKernels() const { return names_.size(); }
+  /// Builds the globally registered kernel `name` under the next id. The id
+  /// stays taken when construction throws (ids are append-only on every
+  /// side); using it rebuilds, and fails again.
+  void addKernel(std::string name);
+
+  /// Steps every machine of the range. A destination outside the engine
+  /// throws std::invalid_argument, checked before any send budget
+  /// (CapacityError). Neither inbox buffer is touched.
+  SliceRound step(std::size_t kernel, const std::vector<Word>& args);
+  /// Moves the deliveries to this range out of projected[src] (every source
+  /// of the engine) into the back inbox buffer, in (src, send-position)
+  /// order.
+  void install(std::vector<std::vector<Message>> projected);
+  /// Where rows merged for the next install may borrow their words
+  /// (Payload::borrowed); reset with its inbox buffer.
+  Arena& backArena() { return arenas_[1 - cur_]; }
+  /// The installed round becomes the resident inboxes, and the round it
+  /// replaces is cleared at once, so one round stays alive between rounds.
+  void commit();
+  /// Discards the installed round.
+  void abort();
+
+  /// Free phases: kernel.local / kernel.fetch on every machine of the range.
+  void local(std::size_t kernel, const std::vector<Word>& args);
+  std::vector<std::vector<Word>> fetch(std::size_t kernel,
+                                       const std::vector<Word>& args);
+
+  /// The resident inboxes; [i] is machine lo + i's.
+  const std::vector<std::vector<Delivery>>& inboxes() const {
+    return inboxes_[cur_];
+  }
+
+ private:
+  StepKernel& kernel(std::size_t id);
+  KernelCtx ctx(std::size_t i, const std::vector<Word>& args) {
+    return KernelCtx{lo_ + i, numMachines_, inboxes_[cur_][i], args, store_};
+  }
+  void clear(std::size_t buffer);
+
+  std::size_t numMachines_, lo_, hi_;
+  MpcTopology topology_;
+  ThreadPool& pool_;
+  BlockStore& store_;
+  std::vector<std::string> names_;  // by kernel id
+  std::vector<std::unique_ptr<StepKernel>> kernels_;
+  // Readers see buffer cur_; a round is installed into the other one.
+  Arena arenas_[2];
+  std::vector<std::vector<Delivery>> inboxes_[2];
+  std::size_t cur_ = 0;
+};
+
+}  // namespace mpcspan::runtime

@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "runtime/shard/protocol.hpp"
 #include "runtime/shard/sharded_engine.hpp"
 
 namespace mpcspan::runtime {
@@ -16,13 +15,12 @@ RoundEngine::RoundEngine(EngineConfig cfg, MpcTopology topology)
       store_(cfg.numMachines) {
   if (numMachines_ == 0)
     throw std::invalid_argument("RoundEngine: numMachines must be positive");
-  inboxes_.resize(numMachines_);
 
-  // Backend selection (the engine factory): 1 shard keeps the in-process
-  // path below; more partitions the machines over resident worker
-  // processes, which start once (lazily, at the first sharded operation, so
-  // the kernel names and blocks registered until then provision them) —
-  // splitting the configured lane count across the workers. The
+  // Backend selection (the engine factory): 1 shard runs every machine in
+  // one in-process MachineSlice; more partitions the machines over resident
+  // worker processes, which start once (lazily, at the first sharded
+  // operation, so the kernel names and blocks registered until then
+  // provision them) — splitting the configured lane count across them. The
   // coordinator keeps its full-width pool_ anyway — sharded rounds bypass
   // it, but consumers run their host-side compute through
   // pool()/parallelFor() between rounds, and ThreadPool spawns its lanes
@@ -36,6 +34,9 @@ RoundEngine::RoundEngine(EngineConfig cfg, MpcTopology topology)
         std::max<std::size_t>(1, pool_.numThreads() / shards);
     shard_ = std::make_unique<shard::ShardedEngine>(
         numMachines_, shards, perShard, topology_, &kernels_, &store_);
+  } else {
+    slice_ = std::make_unique<MachineSlice>(numMachines_, 0, numMachines_,
+                                            topology_, pool_, store_);
   }
 }
 
@@ -56,20 +57,19 @@ KernelId RoundEngine::registerKernel(std::string name) {
                                 "' is not globally registered");
   const KernelId id{kernels_.size()};
   kernels_.push_back(std::move(name));
-  kernelInstances_.emplace_back();
-  if (shard_ && shard_->started()) {
-    try {
-      // The workers resolve the name and ack.
+  try {
+    // The slice builds its instance; started workers resolve the name and
+    // ack (the SETUP frames carry names registered before the start).
+    if (slice_)
+      slice_->addKernel(kernels_.back());
+    else
       shard_->announceKernel(id.index, kernels_.back());
-    } catch (...) {
-      // A worker could not resolve/construct the kernel. Ids are
-      // append-only on every side (a partially-successful announcement may
-      // have landed in some workers), so keep the dead slot but tombstone
-      // its name — a corrected retry registers the same name under a fresh
-      // id, and nothing can ever step the dead one.
-      kernels_[id.index] = "!failed " + kernels_[id.index];
-      throw;
-    }
+  } catch (...) {
+    // Ids are append-only on every side (the instance may exist in some
+    // workers), so the dead slot stays but its name is tombstoned: a retry
+    // registers the name under a fresh id, and nothing steps the dead one.
+    kernels_[id.index] = "!failed " + kernels_[id.index];
+    throw;
   }
   return id;
 }
@@ -80,78 +80,41 @@ KernelId RoundEngine::findKernel(const std::string& name) const {
   return KernelId{};
 }
 
-StepKernel& RoundEngine::ensureKernelInstance(KernelId kernel) {
-  if (kernel.index >= kernels_.size())
-    throw std::invalid_argument("RoundEngine: unknown kernel id");
-  auto& instance = kernelInstances_[kernel.index];
-  if (!instance) instance = makeGlobalKernel(kernels_[kernel.index]);
-  return *instance;
-}
-
 void RoundEngine::step(KernelId kernel, std::vector<Word> args) {
-  if (kernel.index >= kernels_.size())
-    throw std::invalid_argument("RoundEngine: unknown kernel id");
+  checkKernel(kernel);
+  std::size_t roundWords = 0;
   if (shard_) {
-    std::size_t roundWords = 0;
     shard_->stepKernel(kernel.index, args, roundWords);
-    ledger_.noteRound(roundWords);
-    inboxesResident_ = true;
-    return;
+  } else {
+    // Everything is checked before anything moves, so a rejected round
+    // leaves the inboxes and the ledger untouched.
+    SliceRound round = slice_->step(kernel.index, args);
+    topology_.validateInbound(round.inbound);
+    slice_->install(std::move(round.outboxes));
+    slice_->commit();
+    roundWords = round.words;
   }
-  StepKernel& ker = ensureKernelInstance(kernel);
-  std::vector<std::vector<Message>> outboxes(numMachines_);
-  pool_.parallelFor(numMachines_, [&](std::size_t m) {
-    outboxes[m] = ker.step(
-        KernelCtx{m, numMachines_, inboxes_[m], args, store_});
-  });
-  deliver(std::move(outboxes));
-}
-
-void RoundEngine::deliver(std::vector<std::vector<Message>> outboxes) {
-  // Everything is checked before anything moves, so a rejected round
-  // leaves the inboxes and the ledger untouched.
-  const std::size_t roundWords = topology_.validate(numMachines_, outboxes);
-  const std::vector<std::vector<shard::Ref>> byDst =
-      shard::indexByDst(outboxes, 0, numMachines_);
-
-  // Materialize in parallel: each destination is owned by exactly one loop
-  // index and every message has one destination, so the payload moves are
-  // disjoint — delivery order is fixed by the index pass, not the schedule.
-  std::vector<std::vector<Delivery>> inbox(numMachines_);
-  pool_.parallelFor(numMachines_, [&](std::size_t d) {
-    inbox[d].reserve(byDst[d].size());
-    for (const shard::Ref& ref : byDst[d])
-      inbox[d].push_back(
-          {ref.src, std::move(outboxes[ref.src][ref.pos].payload)});
-  });
-  inboxes_ = std::move(inbox);
   ledger_.noteRound(roundWords);
 }
 
 void RoundEngine::stepLocal(KernelId kernel, std::vector<Word> args) {
-  if (kernel.index >= kernels_.size())
-    throw std::invalid_argument("RoundEngine: unknown kernel id");
-  if (shard_) {
+  checkKernel(kernel);
+  if (shard_)
     shard_->localKernel(kernel.index, args);
-    return;
-  }
-  StepKernel& ker = ensureKernelInstance(kernel);
-  pool_.parallelFor(numMachines_, [&](std::size_t m) {
-    ker.local(KernelCtx{m, numMachines_, inboxes_[m], args, store_});
-  });
+  else
+    slice_->local(kernel.index, args);
 }
 
 std::vector<std::vector<Word>> RoundEngine::fetchKernel(
     KernelId kernel, std::vector<Word> args) {
+  checkKernel(kernel);
+  if (shard_) return shard_->fetchKernel(kernel.index, args);
+  return slice_->fetch(kernel.index, args);
+}
+
+void RoundEngine::checkKernel(KernelId kernel) const {
   if (kernel.index >= kernels_.size())
     throw std::invalid_argument("RoundEngine: unknown kernel id");
-  if (shard_) return shard_->fetchKernel(kernel.index, args);
-  StepKernel& ker = ensureKernelInstance(kernel);
-  std::vector<std::vector<Word>> out(numMachines_);
-  pool_.parallelFor(numMachines_, [&](std::size_t m) {
-    out[m] = ker.fetch(KernelCtx{m, numMachines_, inboxes_[m], args, store_});
-  });
-  return out;
 }
 
 // --- Worker-owned blocks. ---
@@ -191,12 +154,10 @@ void RoundEngine::freeBlocks(std::uint64_t handle) {
 }
 
 std::vector<std::vector<Delivery>> RoundEngine::snapshotInboxes() {
-  // inboxesResident_ implies the authoritative copy lives (lived) in the
-  // resident workers — fetch it, and if the backend has since failed let
-  // the ShardError surface rather than passing off the stale coordinator
-  // copy as valid.
-  if (inboxesResident_) return shard_->fetchInboxes();
-  return inboxes_;
+  // Sharded, the inboxes live in the workers; a failed backend surfaces as
+  // ShardError.
+  if (shard_) return shard_->fetchInboxes();
+  return slice_->inboxes();
 }
 
 }  // namespace mpcspan::runtime

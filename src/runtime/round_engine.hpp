@@ -1,28 +1,28 @@
 // RoundEngine — the round-synchronous runtime that simulates the MPC model.
 //
-// The engine owns a set of simulated machines, the MpcTopology that says
-// what a legal round is (per-machine send and receive budgets), a
-// work-stealing thread pool that steps machines in parallel *within* a
-// round, and the round/traffic ledger. With EngineConfig::shards > 1 (or
-// MPCSPAN_SHARDS) the machines are partitioned over worker processes
-// instead — resident ones that start once per engine, join a tcp mesh, and
-// are driven by control frames (see runtime/shard/sharded_engine.hpp) —
-// behind this same interface. Message
-// delivery is deterministic: every inbox holds its deliveries in (source
-// id, send position) order regardless of the thread or shard count, so
-// 1-thread, N-thread, 1-shard, and N-shard runs of the same workload are
-// bit-identical — rounds, traffic totals, and message contents
-// (tests/test_golden.cc pins them).
+// The engine owns the simulated machines, the MpcTopology that says what a
+// legal round is (per-machine send and receive budgets), a work-stealing
+// thread pool, and the round/traffic ledger. Rounds run on one of two
+// backends behind this interface:
+//   - in-process (shards == 1): one MachineSlice over every machine
+//     (runtime/machine_slice.hpp) steps them on the pool;
+//   - sharded (EngineConfig::shards > 1, or MPCSPAN_SHARDS): resident worker
+//     processes, each running the same MachineSlice over its machine range,
+//     joined by a tcp mesh and driven by control frames
+//     (runtime/shard/sharded_engine.hpp).
+// Delivery is deterministic: every inbox holds its deliveries in (source
+// id, send position) order whatever the thread or shard count, so 1-thread,
+// N-thread, 1-shard and N-shard runs of a workload are bit-identical —
+// rounds, traffic totals and message contents (tests/test_golden.cc pins
+// them).
 //
 // Machines step through registered kernels (runtime/kernel.hpp):
-// registerKernel binds a globally registered kernel name to a KernelId,
-// step(KernelId, args) drives one round, and the kernel instance lives
-// *where the machines live* — inside each resident worker — owning
-// per-machine state (inboxes, BlockStore blocks) across rounds without ever
-// re-shipping it.
+// registerKernel binds a globally registered kernel name to a KernelId and
+// builds its instance where the machines live, and step(KernelId, args)
+// drives one round. The instance owns per-machine state across rounds
+// (inboxes, BlockStore blocks) without ever re-shipping it.
 //
-// MpcSimulator is the model-specific facade over this class; the Congested
-// Clique and PRAM costs are formulas, not engine rounds. See
+// MpcSimulator is the model-specific facade over this class. See
 // src/runtime/README.md for the design.
 #pragma once
 
@@ -31,6 +31,7 @@
 #include <string>
 
 #include "runtime/kernel.hpp"
+#include "runtime/machine_slice.hpp"
 #include "runtime/thread_pool.hpp"
 #include "runtime/topology.hpp"
 #include "runtime/types.hpp"
@@ -78,14 +79,18 @@ class RoundEngine {
   /// ensureKernel<K> is the usual spelling) on this engine, before or after
   /// the resident workers start: every worker resolves the name against its
   /// own process-global registry. Throws std::invalid_argument if `name` is
-  /// not globally registered or is already registered on this engine.
+  /// not globally registered or is already registered on this engine. The
+  /// instance is built here (in every worker, once they run), so a kernel
+  /// that cannot be constructed throws here, and findKernel no longer finds
+  /// its name. Registered before the workers start, it is built when they
+  /// start and fails at its first use.
   KernelId registerKernel(std::string name);
   /// The id `name` was registered under, or an invalid id.
   KernelId findKernel(const std::string& name) const;
 
   /// One synchronous round — the only kind the ledger charges: the kernel
-  /// steps every machine where that machine lives (in-process, or inside
-  /// its resident worker), the outboxes are validated against the topology
+  /// steps every machine where that machine lives (the engine's or its
+  /// worker's MachineSlice), the outboxes are validated against the topology
   /// (an unknown destination throws std::invalid_argument, a model
   /// violation CapacityError), and the deliveries land in the machines'
   /// resident inboxes in (src, send-position) order. Sharded, the inboxes
@@ -122,24 +127,19 @@ class RoundEngine {
   }
 
  private:
-  StepKernel& ensureKernelInstance(KernelId kernel);
-  /// In-process delivery into inboxes_ in (src, send-position) order: the
-  /// round is validated first, then the ledger charged.
-  void deliver(std::vector<std::vector<Message>> outboxes);
+  /// Throws std::invalid_argument unless `kernel` was registered here.
+  void checkKernel(KernelId kernel) const;
 
   std::size_t numMachines_;
   MpcTopology topology_;
   ThreadPool pool_;
   Accounting ledger_;
-  std::vector<std::vector<Delivery>> inboxes_;  // in-process only
-  /// True once kernel rounds ran on the sharded backend, so the
-  /// authoritative inboxes live in the workers.
-  bool inboxesResident_ = false;
   std::vector<std::string> kernels_;  // registered names, by KernelId
-  std::vector<std::unique_ptr<StepKernel>> kernelInstances_;  // in-process
   BlockStore store_;  // in-process blocks; pre-start staging when sharded
   std::uint64_t nextBlockHandle_ = 1;
-  /// Multi-process backend; null when shards resolve to 1 (in-process).
+  /// Exactly one of the two backends: every machine in one in-process
+  /// slice, or the resident workers (shards resolve to more than 1).
+  std::unique_ptr<MachineSlice> slice_;
   std::unique_ptr<shard::ShardedEngine> shard_;
 };
 

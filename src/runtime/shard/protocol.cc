@@ -7,6 +7,19 @@
 
 namespace mpcspan::runtime::shard {
 
+std::size_t failedReport(const std::vector<Report>& reports) {
+  const auto rank = [](std::uint8_t k) -> std::size_t {
+    return k == kOk ? 3 : k == kCapacityKind ? 2 : k == kBoundsKind ? 1 : 0;
+  };
+  std::size_t pick = reports.size();
+  for (std::size_t s = 0, best = 3; s < reports.size(); ++s)
+    if (rank(reports[s].kind) < best) {
+      best = rank(reports[s].kind);
+      pick = s;
+    }
+  return pick;
+}
+
 void rethrow(std::uint8_t kind, const std::string& msg) {
   switch (kind) {
     case kCapacityKind:
@@ -82,22 +95,6 @@ Report readReport(Channel& ch) {
   else
     rep.err = r.str();
   return rep;
-}
-
-std::vector<std::vector<Ref>> indexByDst(
-    const std::vector<std::vector<Message>>& projected, std::size_t lo,
-    std::size_t hi) {
-  std::vector<std::vector<Ref>> byDst(hi - lo);
-  for (std::size_t src = 0; src < projected.size(); ++src) {
-    const auto& outbox = projected[src];
-    for (std::size_t pos = 0; pos < outbox.size(); ++pos) {
-      const std::size_t d = outbox[pos].dst;
-      if (d < lo || d >= hi) continue;
-      byDst[d - lo].push_back(
-          {static_cast<std::uint32_t>(src), static_cast<std::uint32_t>(pos)});
-    }
-  }
-  return byDst;
 }
 
 }  // namespace mpcspan::runtime::shard

@@ -60,6 +60,11 @@ struct Report {
   std::string err;
 };
 
+/// The report whose error a failed STEP surfaces (reports.size() if none):
+/// a kernel throw before a bounds error before a budget error, as one
+/// slice checks them in-process, then the first in shard order.
+std::size_t failedReport(const std::vector<Report>& reports);
+
 /// Re-throws a reported error coordinator-side with its original type.
 [[noreturn]] void rethrow(std::uint8_t kind, const std::string& msg);
 
@@ -82,21 +87,6 @@ void spinAwaitReadable(int fd, const util::DeadlineBudget* budget = nullptr);
 /// Broadcast kernel args on the wire: u64 count + words.
 void writeArgs(WireWriter& w, const std::vector<Word>& args);
 std::vector<Word> readArgs(WireReader& r);
-
-/// Reference to one message of a projected round view, in global delivery
-/// order (source id, send position).
-struct Ref {
-  std::uint32_t src;
-  std::uint32_t pos;
-};
-
-/// Index pass over a projected view: per local destination d in [lo, hi),
-/// the refs of its deliveries in (src, pos) order — which *is* the
-/// in-process delivery order, because projection preserves each source's
-/// send-position order and the scan walks sources ascending.
-std::vector<std::vector<Ref>> indexByDst(
-    const std::vector<std::vector<Message>>& projected, std::size_t lo,
-    std::size_t hi);
 
 /// Parses one shard's per-machine section of a frame into rows[m] for m in
 /// [lo, hi): a u64 count, then (u64 id, u64 len, len words) per row; Row is

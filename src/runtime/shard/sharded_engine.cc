@@ -9,6 +9,8 @@
 #include <string>
 #include <utility>
 
+#include "runtime/env.hpp"
+#include "runtime/thread_pool.hpp"
 #include "runtime/shard/protocol.hpp"
 #include "runtime/shard/tcp_transport.hpp"
 #include "runtime/shard/worker_loop.hpp"
@@ -48,16 +50,8 @@ std::size_t ShardedEngine::shardBegin(std::size_t s) const {
   return shardRangeBegin(numMachines_, shards_, s);
 }
 
-std::size_t ShardedEngine::shardOf(std::size_t machine) const {
-  return shardOfMachine(numMachines_, shards_, machine);
-}
-
 std::size_t ShardedEngine::defaultShards() {
-  if (const char* env = std::getenv("MPCSPAN_SHARDS")) {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v >= 1) return static_cast<std::size_t>(v);
-  }
-  return 1;
+  return envNumber("MPCSPAN_SHARDS", 1, kMaxThreads, 1);
 }
 
 std::vector<pid_t> ShardedEngine::workerPids() const {
@@ -325,22 +319,17 @@ void ShardedEngine::stepKernel(std::size_t id, const std::vector<Word>& args,
         reports[s].err = r.str();
       }
     }
-    std::size_t firstErr = reports.size();
-    for (std::size_t s = 0; s < reports.size(); ++s)
-      if (reports[s].kind != kOk) {
-        firstErr = s;
-        break;
-      }
+    const std::size_t failed = failedReport(reports);
     std::uint8_t inKind = kOk;
     std::string inErr;
-    if (firstErr == reports.size()) {
+    if (failed == reports.size()) {
       try {
         topology_.validateInbound(received);
       } catch (...) {
         inKind = classify(inErr);
       }
     }
-    const bool ok = firstErr == reports.size() && inKind == kOk;
+    const bool ok = failed == reports.size() && inKind == kOk;
     for (Worker& w : workers_) {
       WireWriter f;
       f.u8(ok ? kGo : kAbort);
@@ -348,8 +337,8 @@ void ShardedEngine::stepKernel(std::size_t id, const std::vector<Word>& args,
       f.sendFramed(w.fd);
     }
     if (!ok) {
-      if (firstErr != reports.size())
-        rethrow(reports[firstErr].kind, reports[firstErr].err);
+      if (failed != reports.size())
+        rethrow(reports[failed].kind, reports[failed].err);
       rethrow(inKind, inErr);
     }
     roundWords = 0;

@@ -20,30 +20,16 @@
 //   SHUTDOWN         clean exit; the destructor sends it and reaps.
 //
 // Cross-shard sections travel over the tcp mesh the rendezvous forms (one
-// connection per worker pair), under one STEP barrier:
-//   phase A  every worker runs kernel->step over its machines, buckets the
-//            *cross-shard* messages into per-peer sections (own-destined
-//            ones never leave), validates its own sources
-//            (MpcTopology::validateSources), and reports {verdict, epoch,
-//            words, per-destination inbound word sums} — no payload goes
-//            up the coordinator wire;
-//   exchange right after its report, each worker ships its sections to the
-//            destination workers and merges the inbound ones, in ascending
-//            source-shard order, into *back-buffer* inboxes — before the
-//            verdict exists;
-//   verdict  the coordinator totals the inbound sums
-//            (MpcTopology::validateInbound) and broadcasts one epoch-tagged
-//            go/abort frame. Go flips every worker's buffers; abort (a
-//            kernel throw, a capacity violation anywhere) discards the back
-//            buffers, so resident state, the ledger, and the workers are
-//            untouched and the coordinator rethrows the loud error.
-//
-// The coordinator therefore only arbitrates the barrier: its per-round
-// traffic is O(shards) bytes regardless of the payload volume.
-//
-// Delivery order is fixed by that serial merge rule — never by process or
-// thread scheduling — so 1-shard, N-shard, 1-thread, N-thread runs of one
-// workload stay bit-identical: same rounds, same ledger, same contents.
+// connection per worker pair) under one STEP barrier, drawn in
+// src/runtime/README.md: every worker steps its MachineSlice and reports
+// its verdict and per-destination inbound word sums (no payload goes up
+// the coordinator wire), ships its sections and installs the merged round
+// into back buffers; the coordinator checks the summed receive budgets and
+// broadcasts one epoch-tagged go/abort frame. An abort leaves resident
+// state, the ledger and the workers untouched, and the coordinator rethrows
+// the loud error. Delivery order is fixed by the serial merge rule, never
+// by scheduling, so 1-shard, N-shard, 1-thread and N-thread runs of one
+// workload stay bit-identical.
 #pragma once
 
 #include <sys/types.h>
@@ -93,13 +79,10 @@ class ShardedEngine {
   /// across rounds — the acceptance check that forking happens once.
   std::vector<pid_t> workerPids() const;
 
-  /// Machine range [shardBegin(s), shardEnd(s)) owned by shard s, and the
-  /// inverse map (the one definition of the balanced contiguous split —
-  /// the coordinator's per-shard frames and the workers' range checks must
-  /// never drift apart).
+  /// Machine range [shardBegin(s), shardEnd(s)) owned by shard s
+  /// (shardRangeBegin, the one definition of the split).
   std::size_t shardBegin(std::size_t s) const;
   std::size_t shardEnd(std::size_t s) const { return shardBegin(s + 1); }
-  std::size_t shardOf(std::size_t machine) const;
 
   /// Announces an engine-level registration to the running workers; no-op
   /// before start() (the provisioning carries the table). The workers
@@ -128,7 +111,8 @@ class ShardedEngine {
   /// Ships every worker's resident inboxes back (free; diagnostics).
   std::vector<std::vector<Delivery>> fetchInboxes();
 
-  /// The MPCSPAN_SHARDS env var (clamped to >= 1), else 1.
+  /// The MPCSPAN_SHARDS env var, else 1. A value that is not a whole
+  /// number in [1, kMaxThreads] throws std::invalid_argument.
   static std::size_t defaultShards();
 
  private:

@@ -8,25 +8,18 @@
 
 #include <atomic>
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <ctime>
+#include <limits>
 #include <utility>
 
+#include "runtime/env.hpp"
 #include "runtime/shard/worker_loop.hpp"
 #include "util/socket.hpp"
 
 namespace mpcspan::runtime::shard {
 
 namespace {
-
-long envLong(const char* name, long fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  char* end = nullptr;
-  const long parsed = std::strtol(v, &end, 10);
-  return (end != nullptr && *end == '\0') ? parsed : fallback;
-}
 
 [[noreturn]] void throwErrno(const std::string& what) {
   throw ShardError(what + ": " + std::strerror(errno));
@@ -43,16 +36,15 @@ void setKeepalive(int fd) {
 }  // namespace
 
 int defaultTcpTimeoutMs() {
-  const long ms = envLong("MPCSPAN_TCP_TIMEOUT_MS", 30000);
-  return ms > 0 ? static_cast<int>(ms) : 30000;
+  return static_cast<int>(envNumber("MPCSPAN_TCP_TIMEOUT_MS", 1,
+                                    std::numeric_limits<int>::max(), 30000));
 }
 
 std::uint16_t defaultTcpPort() {
-  const long p = envLong("MPCSPAN_TCP_PORT", 0);
-  return (p > 0 && p <= 65535) ? static_cast<std::uint16_t>(p) : 0;
+  return static_cast<std::uint16_t>(envNumber("MPCSPAN_TCP_PORT", 0, 65535, 0));
 }
 
-bool defaultTcpRemote() { return envLong("MPCSPAN_TCP_REMOTE", 0) == 1; }
+bool defaultTcpRemote() { return envNumber("MPCSPAN_TCP_REMOTE", 0, 1, 0) == 1; }
 
 std::uint64_t makeTcpEpoch() {
   static std::atomic<std::uint64_t> counter{0};

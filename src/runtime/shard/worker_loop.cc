@@ -5,7 +5,7 @@
 #include <string>
 #include <utility>
 
-#include "runtime/arena.hpp"
+#include "runtime/machine_slice.hpp"
 #include "runtime/shard/peer_mesh.hpp"
 #include "runtime/shard/protocol.hpp"
 #include "runtime/thread_pool.hpp"
@@ -45,60 +45,22 @@ void runResidentWorker(const WorkerConfig& cfg, Channel& ctrl,
   // coordinator or peer that hangs mid-round surfaces as ShardError.
   const int roundDeadline = ctrl.deadline();
 
-  // Worker-owned state, alive across rounds. The kernel table and block
-  // store arrived in the SETUP frame; everything later comes over the wire.
+  // Worker-owned state, alive across rounds: the kernel table and block
+  // store arrived in the SETUP frame, everything later comes over the wire.
   ThreadPool pool(cfg.threads);
-  std::vector<std::unique_ptr<StepKernel>> instances(kernels.size());
-
-  // Double-buffered delivery arenas: the merged cross-shard payloads of
-  // round N live (Payload::borrowed) in deliveryArena[curArena] while the
-  // resident inboxes reference them; round N + 1 merges into the *other*
-  // arena after resetting it, so round N - 1's runs are freed wholesale
-  // with no per-payload bookkeeping. Own-shard messages (kernel-produced)
-  // stay heap/inline — only inbound rows are arena-backed. An aborted
-  // round never flips, so its half-filled arena is simply reset again.
-  Arena deliveryArena[2];
-  std::size_t curArena = 0;
-
-  // Double-buffered resident inboxes, flipped in lockstep with the arenas:
-  // every reader (kernel phases, fetches) sees inboxBuf[curInbox], while a
-  // round's deliveries are installed into the *back* buffer before the
-  // verdict exists and only a commit flips them live. A speculative install
-  // touches nothing a reader (or an abort) can see, so discarding it after
-  // an abort is just "don't flip".
-  std::vector<std::vector<Delivery>> inboxBuf[2];
-  inboxBuf[0].resize(local);
-  inboxBuf[1].resize(local);
-  std::size_t curInbox = 0;
+  MachineSlice slice(n, lo, hi, cfg.topology, pool, store);
+  for (std::string& name : kernels) {
+    try {
+      slice.addKernel(std::move(name));
+    } catch (...) {
+      // The slot stays; the first operation on it reports the failure.
+    }
+  }
 
   // This worker's STEP epoch, advanced once per kOpStep attempt (aborts
   // included) in lockstep with the coordinator's counter; every frame of
   // the barrier conversation is vetted against it.
   std::uint64_t stepEpoch = 0;
-
-  auto ensureInstance = [&](std::uint64_t id) -> StepKernel& {
-    if (id >= kernels.size())
-      throw std::runtime_error("ShardedEngine: unknown kernel id in worker");
-    if (!instances[id]) instances[id] = makeGlobalKernel(kernels[id]);
-    return *instances[id];
-  };
-
-  // Stages the deliveries of a projected round view into the *back* inbox
-  // buffer, in (src, pos) order; the caller flips curInbox (and curArena)
-  // to commit, or leaves them put to discard.
-  auto installDeliveries =
-      [&](const std::vector<std::vector<Ref>>& byDst,
-          std::vector<std::vector<Message>>& projected) {
-        std::vector<std::vector<Delivery>>& next = inboxBuf[1 - curInbox];
-        next.assign(local, std::vector<Delivery>());
-        pool.parallelFor(local, [&](std::size_t i) {
-          const auto& refs = byDst[i];
-          next[i].reserve(refs.size());
-          for (const Ref& ref : refs)
-            next[i].push_back(
-                {ref.src, std::move(projected[ref.src][ref.pos].payload)});
-        });
-      };
 
   try {
     for (;;) {
@@ -116,16 +78,14 @@ void runResidentWorker(const WorkerConfig& cfg, Channel& ctrl,
           std::uint8_t kind = kOk;
           std::string err;
           try {
-            if (id != kernels.size())
+            if (id != slice.numKernels())
               throw std::runtime_error(
                   "ShardedEngine: kernel id out of order in worker");
             // Append-only, even on failure: another worker may have
             // resolved this id, so removing the slot would desync the id
             // tables. A failed slot is inert — the coordinator tombstones
             // the name, so no step can ever reference it.
-            kernels.push_back(name);
-            instances.emplace_back();
-            ensureInstance(id);  // construct eagerly: fail at registration
+            slice.addKernel(name);
           } catch (...) {
             kind = classify(err);
           }
@@ -143,42 +103,26 @@ void runResidentWorker(const WorkerConfig& cfg, Channel& ctrl,
           const std::uint64_t kid = cmd.u64();
           const std::vector<Word> args = readArgs(cmd);
 
-          // Phase A: run the kernel over this shard's machines, keep the
-          // messages, and bucket every cross-shard one straight into its
-          // destination shard's section in one pass over the outboxes
-          // (rows land in (src asc, send-position asc) order because the
-          // scan walks machines ascending). This is the local validation
-          // gate: a kernel throw, a rogue destination, or a source-side
-          // capacity violation is reported before the verdict, and the
-          // report also carries this worker's contribution to every
-          // machine's inbound words so the coordinator can run the
-          // receiver-side validation.
+          // Phase A, the local gate: step the slice (a kernel throw, a rogue
+          // destination or an over-budget sender is reported before the
+          // verdict, along with this worker's inbound word sums), then
+          // bucket every cross-shard message into its destination shard's
+          // section, in (src asc, send-position asc) order.
           std::uint8_t kind = kOk;
           std::string err;
-          std::uint64_t words = 0;
-          std::vector<std::vector<Message>> own(local);
+          SliceRound round;
           std::vector<WireWriter> sections(cfg.shards);
           std::vector<std::uint64_t> counts(cfg.shards, 0);
-          std::vector<std::uint64_t> recvWords(n, 0);
           try {
-            StepKernel& ker = ensureInstance(kid);
-            pool.parallelFor(local, [&](std::size_t i) {
-              own[i] = ker.step(
-                  KernelCtx{lo + i, n, inboxBuf[curInbox][i], args, store});
-            });
+            round = slice.step(kid, args);
             for (std::size_t i = 0; i < local; ++i)
-              for (const Message& msg : own[i]) {
-                if (msg.dst >= n)
-                  throw std::invalid_argument(
-                      "RoundEngine: message to unknown machine");
-                recvWords[msg.dst] += msg.payload.size();
+              for (const Message& msg : round.outboxes[i]) {
                 if (msg.dst >= lo && msg.dst < hi) continue;
                 const std::size_t t = shardOfMachine(n, cfg.shards, msg.dst);
                 sections[t].row(lo + i, msg.dst, msg.payload.data(),
                                 msg.payload.size());
                 ++counts[t];
               }
-            words = cfg.topology.validateSources(own, lo);
           } catch (...) {
             kind = classify(err);
             sections.assign(cfg.shards, WireWriter());
@@ -190,8 +134,8 @@ void runResidentWorker(const WorkerConfig& cfg, Channel& ctrl,
             r.u8(kind);
             r.u64(epoch);
             if (kind == kOk) {
-              r.u64(words);
-              for (const std::uint64_t w : recvWords) r.u64(w);
+              r.u64(round.words);
+              for (const std::uint64_t w : round.inbound) r.u64(w);
             } else {
               r.str(err);
             }
@@ -211,9 +155,7 @@ void runResidentWorker(const WorkerConfig& cfg, Channel& ctrl,
           if (kind == kOk) {
             std::vector<std::vector<Message>> projected(n);
             for (std::size_t i = 0; i < local; ++i)
-              projected[lo + i] = std::move(own[i]);
-            Arena& mergeArena = deliveryArena[1 - curArena];
-            mergeArena.reset();
+              projected[lo + i] = std::move(round.outboxes[i]);
             try {
               for (std::size_t t = 0; t < cfg.shards; ++t) {
                 if (t == s) continue;
@@ -221,7 +163,7 @@ void runResidentWorker(const WorkerConfig& cfg, Channel& ctrl,
                 mergeSectionRows(frames[t], count,
                                  shardRangeBegin(n, cfg.shards, t),
                                  shardRangeEnd(n, cfg.shards, t), lo, hi,
-                                 projected, &mergeArena);
+                                 projected, &slice.backArena());
               }
             } catch (const ShardError&) {
               throw;
@@ -230,7 +172,7 @@ void runResidentWorker(const WorkerConfig& cfg, Channel& ctrl,
               // only be transport corruption — fail the backend.
               throw ShardError(std::string("section merge: ") + e.what());
             }
-            installDeliveries(indexByDst(projected, lo, hi), projected);
+            slice.install(std::move(projected));
           }
 
           spinAwaitReadable(ctrl.fd(), &budget);
@@ -238,20 +180,13 @@ void runResidentWorker(const WorkerConfig& cfg, Channel& ctrl,
           // Read the verdict byte unconditionally — error rounds must still
           // consume it, or the epoch parse shifts by one byte.
           const std::uint8_t verdict = v.u8();
-          const bool commit = kind == kOk && verdict == kGo;
           if (v.u64() != epoch)
             throw ShardError(
                 "step barrier: verdict epoch mismatch (desynced stream)");
-          if (commit) {
-            // The arena flip keeps this round's borrowed payloads alive
-            // until the round after next resets their buffer.
-            curArena = 1 - curArena;
-            curInbox = 1 - curInbox;
-          } else {
-            // Abort discards all speculative state: the back buffers are
-            // cleared, the front buffers were never touched.
-            inboxBuf[1 - curInbox].assign(local, std::vector<Delivery>());
-          }
+          if (kind == kOk && verdict == kGo)
+            slice.commit();
+          else
+            slice.abort();
           break;
         }
 
@@ -261,11 +196,7 @@ void runResidentWorker(const WorkerConfig& cfg, Channel& ctrl,
           std::uint8_t kind = kOk;
           std::string err;
           try {
-            StepKernel& ker = ensureInstance(kid);
-            pool.parallelFor(local, [&](std::size_t i) {
-              ker.local(
-                  KernelCtx{lo + i, n, inboxBuf[curInbox][i], args, store});
-            });
+            slice.local(kid, args);
           } catch (...) {
             kind = classify(err);
           }
@@ -278,13 +209,9 @@ void runResidentWorker(const WorkerConfig& cfg, Channel& ctrl,
           const std::vector<Word> args = readArgs(cmd);
           std::uint8_t kind = kOk;
           std::string err;
-          std::vector<std::vector<Word>> out(local);
+          std::vector<std::vector<Word>> out;
           try {
-            StepKernel& ker = ensureInstance(kid);
-            pool.parallelFor(local, [&](std::size_t i) {
-              out[i] = ker.fetch(
-                  KernelCtx{lo + i, n, inboxBuf[curInbox][i], args, store});
-            });
+            out = slice.fetch(kid, args);
           } catch (...) {
             kind = classify(err);
           }
@@ -358,7 +285,7 @@ void runResidentWorker(const WorkerConfig& cfg, Channel& ctrl,
 
         case kOpFetchInboxes: {
           WireWriter w;
-          for (const std::vector<Delivery>& inbox : inboxBuf[curInbox]) {
+          for (const std::vector<Delivery>& inbox : slice.inboxes()) {
             w.u64(inbox.size());
             for (const Delivery& d : inbox) {
               w.u64(d.src);
@@ -429,7 +356,7 @@ WorkerSetup readWorkerSetup(Channel& ch) {
   if (cfg.numMachines == 0 || cfg.numMachines > kMaxSetupMachines ||
       cfg.shards < 2 || cfg.shards > cfg.numMachines ||
       cfg.shard >= cfg.shards || cfg.threads == 0 ||
-      cfg.threads > kMaxSetupThreads)
+      cfg.threads > kMaxThreads)
     throw ShardError("tcp setup: implausible engine dimensions");
   cfg.topology = MpcTopology(r.u64());
   const std::uint64_t kernelCount = r.u64();

@@ -8,9 +8,10 @@
 // The kernel table is names only: a kernel is a name in the process-global
 // registry (runtime/kernel.hpp), which every worker resolves in its own
 // process. The loop speaks the protocol.hpp control frames over `ctrl` and
-// exchanges cross-shard sections with its peers over the tcp mesh; its
-// observable behavior (delivery order, validation, error surface) matches
-// the in-process engine bit for bit.
+// exchanges cross-shard sections with its peers over the tcp mesh. Its
+// rounds run on a MachineSlice over the shard's range — the executor the
+// in-process engine runs over every machine — so kernel steps, checks and
+// delivery order match the in-process engine bit for bit by construction.
 #pragma once
 
 #include <cstddef>
@@ -63,11 +64,10 @@ void runResidentWorker(const WorkerConfig& cfg, Channel& ctrl,
                        std::vector<WireFd>& peers,
                        std::vector<std::string> kernels, BlockStore& store);
 
-/// Plausibility caps of a SETUP frame: a machine count or lane count
-/// beyond these can only be a garbled field, and is rejected before
-/// anything is sized by it.
+/// Plausibility caps of a SETUP frame: a machine count beyond this, or a
+/// lane count beyond kMaxThreads (thread_pool.hpp), can only be a garbled
+/// field, and is rejected before anything is sized by it.
 constexpr std::uint64_t kMaxSetupMachines = 1ull << 24;
-constexpr std::uint64_t kMaxSetupThreads = 1ull << 10;
 
 /// Coordinator side of provisioning: one kOpSetup frame carrying
 /// dimensions, the topology's wordsPerMachine, the kernel names, and shard

@@ -1,17 +1,14 @@
 #include "runtime/thread_pool.hpp"
 
 #include <algorithm>
-#include <cstdlib>
+
+#include "runtime/env.hpp"
 
 namespace mpcspan::runtime {
 
 std::size_t ThreadPool::defaultThreads() {
-  if (const char* env = std::getenv("MPCSPAN_THREADS")) {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v >= 1) return static_cast<std::size_t>(v);
-  }
   const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
+  return envNumber("MPCSPAN_THREADS", 1, kMaxThreads, hw == 0 ? 1 : hw);
 }
 
 ThreadPool::ThreadPool(std::size_t threads) {

@@ -23,6 +23,11 @@
 
 namespace mpcspan::runtime {
 
+/// The most lanes one pool may be given by MPCSPAN_THREADS, and by a shard
+/// worker's SETUP frame; also the most worker processes MPCSPAN_SHARDS may
+/// ask for. A count beyond it can only be a garbled value.
+constexpr std::size_t kMaxThreads = 1024;
+
 class ThreadPool {
  public:
   /// `threads` counts lanes *including* the calling thread, so
@@ -51,6 +56,8 @@ class ThreadPool {
   void parallelForChunks(std::size_t n, std::size_t chunk,
                          const std::function<void(std::size_t, std::size_t)>& fn);
 
+  /// MPCSPAN_THREADS, else hardware concurrency. A value that is not a
+  /// whole number in [1, kMaxThreads] throws std::invalid_argument.
   static std::size_t defaultThreads();
 
  private:

@@ -5,21 +5,6 @@
 
 namespace mpcspan::runtime {
 
-std::size_t MpcTopology::validate(
-    std::size_t numMachines,
-    const std::vector<std::vector<Message>>& outboxes) const {
-  std::vector<std::uint64_t> received(numMachines, 0);
-  for (const std::vector<Message>& outbox : outboxes)
-    for (const Message& msg : outbox) {
-      if (msg.dst >= numMachines)
-        throw std::invalid_argument("RoundEngine: message to unknown machine");
-      received[msg.dst] += msg.payload.size();
-    }
-  const std::size_t words = validateSources(outboxes, 0);
-  validateInbound(received);
-  return words;
-}
-
 std::size_t MpcTopology::validateSources(
     const std::vector<std::vector<Message>>& sliceOutboxes,
     std::size_t begin) const {

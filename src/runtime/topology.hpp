@@ -24,24 +24,14 @@ class MpcTopology {
 
   std::size_t wordsPerMachine() const { return wordsPerMachine_; }
 
-  /// Validates one whole round (outboxes[src] = every message machine src
-  /// sends) as the composition every sharded round runs: validateSources
-  /// over all sources, then validateInbound over the per-destination word
-  /// sums. Throws std::invalid_argument on a destination outside
-  /// [0, numMachines) and CapacityError on a budget violation. Returns the
-  /// words moved.
-  std::size_t validate(std::size_t numMachines,
-                       const std::vector<std::vector<Message>>& outboxes) const;
+  /// A round is legal when both halves pass: MachineSlice::step runs the
+  /// source half on its own outboxes, the receive half runs over every
+  /// slice's summed per-destination words, so the sharded barrier checks a
+  /// round before any frame is exchanged (tests/test_pipeline.cc).
 
   /// Source-side half: checks the send budget of the slice's own complete
   /// outboxes (sliceOutboxes[i] = every message machine begin + i sends;
   /// destinations already bounds-checked) and returns the words they send.
-  /// The receive budget belongs to validateInbound() over the cross-shard
-  /// per-destination sums. The split is what lets the sharded engine's one
-  /// barrier validate a round *before* any frame is exchanged: sources are
-  /// complete at phase A, and the inbound sums ride the barrier report for
-  /// the coordinator to total up (tests/test_pipeline.cc checks both halves
-  /// against the model rules).
   std::size_t validateSources(
       const std::vector<std::vector<Message>>& sliceOutboxes,
       std::size_t begin) const;

@@ -68,9 +68,6 @@ inline bool betterCand(const CandTuple& a, const CandTuple& b) {
 // are stateless, so they cross into the shard workers by type (see
 // mpc/primitives.hpp).
 struct CandByKey {
-  // Primary order is packed word 0 (CandTuple::key), ascending — lets the
-  // sort kernels run flat key passes (detail::PackedKeyWord).
-  static constexpr std::size_t kPackedKeyWord = 0;
   bool operator()(const CandTuple& a, const CandTuple& b) const {
     if (a.key != b.key) return a.key < b.key;
     return betterCand(a, b);

@@ -1,7 +1,6 @@
 // The per-worker Arena allocator, its WordBuf surface, Payload's borrowed
-// (zero-copy) mode, and the simd:: passes that the arena-backed contiguous
-// layout enables. The simd tests pin each pass against the obviously-correct
-// scalar definition or the std:: algorithm it stands for.
+// (zero-copy) mode, and the simd:: pass that the arena-backed contiguous
+// layout enables, pinned against its obviously-correct scalar definition.
 #include "runtime/arena.hpp"
 
 #include <gtest/gtest.h>
@@ -136,25 +135,7 @@ TEST(Payload, BorrowedWrapsWithoutCopyAndCopiesEscapeTheBorrow) {
   EXPECT_EQ(one.front(), 999u);
 }
 
-// --- simd passes: compiled path vs the scalar definition. ---
-
-TEST(Simd, GatherStrideMatchesScalar) {
-  Rng rng(7);
-  std::vector<Word> base(4096);
-  for (Word& w : base) w = rng();
-  for (const std::size_t stride : {1u, 2u, 3u, 5u, 8u}) {
-    for (const std::size_t offset :
-         {std::size_t{0}, std::size_t{1}, std::size_t{stride - 1}}) {
-      const std::size_t count = (base.size() - offset) / stride;
-      std::vector<Word> got(count), want(count);
-      runtime::simd::gatherStride(base.data(), offset, stride, count,
-                                  got.data());
-      for (std::size_t i = 0; i < count; ++i)
-        want[i] = base[i * stride + offset];
-      EXPECT_EQ(got, want) << "stride " << stride << " offset " << offset;
-    }
-  }
-}
+// --- The simd pass: compiled path vs the scalar definition. ---
 
 TEST(Simd, RunStartsMatchesScalarOnAdversarialKeys) {
   Rng rng(11);
@@ -171,30 +152,6 @@ TEST(Simd, RunStartsMatchesScalarOnAdversarialKeys) {
         want.push_back(static_cast<std::uint32_t>(i));
     EXPECT_EQ(got, want) << "n " << n;
   }
-}
-
-TEST(Simd, BoundsMatchStdAlgorithmsIncludingUnsignedExtremes) {
-  // Keys spanning the sign bit: the bounds must agree with
-  // std::upper_bound / lower_bound on unsigned order.
-  std::vector<Word> keys{0, 1, 5, 5, 5, 9, 1ull << 62, ~Word{0} - 1,
-                         ~Word{0}, ~Word{0}};
-  for (const Word probe :
-       {Word{0}, Word{4}, Word{5}, Word{6}, Word{10}, Word{1} << 62,
-        ~Word{0} - 1, ~Word{0}}) {
-    const auto ub = static_cast<std::size_t>(
-        std::upper_bound(keys.begin(), keys.end(), probe) - keys.begin());
-    const auto lb = static_cast<std::size_t>(
-        std::lower_bound(keys.begin(), keys.end(), probe) - keys.begin());
-    EXPECT_EQ(runtime::simd::upperBoundFrom(keys.data(), 0, keys.size(), probe),
-              ub)
-        << "probe " << probe;
-    EXPECT_EQ(runtime::simd::lowerBoundFrom(keys.data(), 0, keys.size(), probe),
-              lb)
-        << "probe " << probe;
-  }
-  // Resumable scan: starting from a prior bound returns the same index.
-  EXPECT_EQ(runtime::simd::upperBoundFrom(keys.data(), 5, keys.size(), Word{9}),
-            6u);
 }
 
 }  // namespace

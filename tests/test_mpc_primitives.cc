@@ -29,8 +29,6 @@ struct KVBetter {
   }
 };
 struct KVByKey {
-  // Exercises the flat-key route path (detail::PackedKeyWord) in tests.
-  static constexpr std::size_t kPackedKeyWord = 0;
   bool operator()(const KV& a, const KV& b) const {
     if (a.key != b.key) return a.key < b.key;
     return KVBetter{}(a, b);

@@ -1,11 +1,10 @@
 // The one pipelined STEP barrier's own contracts. Every round's waits draw
 // down one shared DeadlineBudget, so a peer that trickles bytes cannot reset
 // a per-wait timeout forever, while an unbudgeted exchange waits such a peer
-// out. And the MpcTopology split contract the barrier
-// rests on: validateSources over every shard slice plus validateInbound over
-// the summed inbound words, and whole-round validate(), must both agree with
-// an oracle of the model's rules. Exchange equivalence and failure modes live
-// in test_peer_exchange.
+// out. And the round check the barrier rests on: MachineSlice::step over
+// every shard range, then validateInbound over the summed inbound words,
+// must agree with an oracle of the model's rules. Exchange equivalence and
+// failure modes live in test_peer_exchange.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -16,8 +15,11 @@
 #include <thread>
 #include <vector>
 
+#include "probe_kernels.hpp"
+#include "runtime/machine_slice.hpp"
 #include "runtime/round_engine.hpp"
 #include "runtime/shard/peer_mesh.hpp"
+#include "runtime/shard/protocol.hpp"
 #include "runtime/shard/transport.hpp"
 #include "runtime/shard/wire.hpp"
 #include "runtime/shard/worker_loop.hpp"
@@ -98,12 +100,12 @@ TEST(DeadlineBudget, SpendsOneBudgetAcrossWaits) {
   EXPECT_TRUE(budget.expired());
 }
 
-// --- The MpcTopology split contract: validate() and the sharded split
-// (validateSources over every slice plus validateInbound over the summed
-// inbound words) must each accept or reject exactly when the model's rules
-// say so, with the same exception type and the same word total. The
-// reference is an oracle written from the rules themselves, not from any
-// MpcTopology code. ---
+// --- The round check: MachineSlice::step over every shard range, then
+// validateInbound over the summed inbound words, must accept or reject
+// exactly when the model's rules say so, with the same exception type and
+// the same word total. With one shard this is the in-process engine's
+// check; with more, the workers' and the coordinator's. The reference is an
+// oracle written from the rules themselves, not from any runtime code. ---
 
 enum class Verdict { kOk, kCapacity, kBounds };
 
@@ -148,26 +150,49 @@ Outcome outcomeOf(Fn&& validateRound) {
   }
 }
 
-/// The sharded barrier's composition. Like the workers, it bounds-checks
-/// destinations before any topology half sees them.
-Outcome validateSplit(const MpcTopology& topo, std::size_t n, std::size_t shards,
-                      const std::vector<std::vector<Message>>& outboxes) {
-  return outcomeOf([&] {
-    for (const auto& out : outboxes)
-      for (const Message& msg : out)
-        if (msg.dst >= n) throw std::invalid_argument("unknown machine");
-    std::size_t words = 0;
-    for (std::size_t s = 0; s < shards; ++s) {
-      const std::size_t lo = runtime::shard::shardRangeBegin(n, shards, s);
-      const std::size_t hi = runtime::shard::shardRangeEnd(n, shards, s);
-      const std::vector<std::vector<Message>> slice(outboxes.begin() + lo,
-                                                    outboxes.begin() + hi);
-      words += topo.validateSources(slice, lo);
+/// Steps `outboxes` as one scripted round on a slice per shard range and
+/// composes the verdicts as the coordinator does: the failed shard report
+/// it rethrows, else the receive budget over the summed inbound words.
+Outcome sliceCheck(const MpcTopology& topo, std::size_t n, std::size_t shards,
+                   const std::vector<std::vector<Message>>& outboxes) {
+  namespace shard = runtime::shard;
+  (void)&runtime::globalKernelRegistrar<test_kernels::ScriptKernel>;
+  runtime::ThreadPool pool(1);
+  runtime::BlockStore store(n);
+  store.create(1);
+  for (std::size_t m = 0; m < n; ++m) {
+    std::vector<Word> words{outboxes[m].size()};
+    for (const Message& msg : outboxes[m]) {
+      words.push_back(msg.dst);
+      words.push_back(msg.payload.size());
+      words.insert(words.end(), msg.payload.begin(), msg.payload.end());
     }
-    std::vector<std::uint64_t> received(n, 0);
-    for (const auto& out : outboxes)
-      for (const Message& msg : out) received[msg.dst] += msg.payload.size();
+    runtime::WordBuf& block = store.block(1, m);
+    block.resize(words.size());
+    std::copy(words.begin(), words.end(), block.data());
+  }
+  std::vector<shard::Report> reports(shards);
+  std::vector<std::uint64_t> received(n, 0);
+  for (std::size_t s = 0; s < shards; ++s) {
+    runtime::MachineSlice slice(n, shard::shardRangeBegin(n, shards, s),
+                                shard::shardRangeEnd(n, shards, s), topo, pool,
+                                store);
+    slice.addKernel(test_kernels::ScriptKernel::kernelName());
+    slice.local(0, {1});  // binds the script block
+    try {
+      const runtime::SliceRound round = slice.step(0, {0});
+      reports[s].words = round.words;
+      for (std::size_t m = 0; m < n; ++m) received[m] += round.inbound[m];
+    } catch (...) {
+      reports[s].kind = shard::classify(reports[s].err);
+    }
+  }
+  return outcomeOf([&] {
+    if (const std::size_t f = shard::failedReport(reports); f < shards)
+      shard::rethrow(reports[f].kind, reports[f].err);
     topo.validateInbound(received);
+    std::size_t words = 0;
+    for (const shard::Report& rep : reports) words += rep.words;
     return words;
   });
 }
@@ -190,7 +215,7 @@ std::vector<std::vector<Message>> randomRound(std::size_t n, Rng& rng) {
   return out;
 }
 
-TEST(TopologySplit, ValidateAndSplitMatchTheModelRules) {
+TEST(TopologySplit, SliceCheckMatchesTheModelRules) {
   constexpr std::size_t kCap = 8;
   Rng rng(20210712);
   const MpcTopology topo(kCap);
@@ -200,10 +225,8 @@ TEST(TopologySplit, ValidateAndSplitMatchTheModelRules) {
     const auto outboxes = randomRound(n, rng);
     const Outcome expected = oracle(kCap, n, outboxes);
     ++seen[static_cast<int>(expected.verdict)];
-    ASSERT_EQ(outcomeOf([&] { return topo.validate(n, outboxes); }), expected)
-        << "round " << round << ", validate()";
     for (const std::size_t shards : {std::size_t{1}, std::size_t{2}, n})
-      ASSERT_EQ(validateSplit(topo, n, shards, outboxes), expected)
+      ASSERT_EQ(sliceCheck(topo, n, shards, outboxes), expected)
           << "round " << round << ", " << shards << " shards";
   }
   // The rounds must exercise acceptance and both rejection kinds.

@@ -5,9 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <stdlib.h>
+
 #include <atomic>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
+#include "runtime/shard/sharded_engine.hpp"
+#include "runtime/shard/tcp_transport.hpp"
 #include "runtime/thread_pool.hpp"
 #include "probe_kernels.hpp"
 
@@ -64,6 +70,82 @@ TEST(ThreadPool, PropagatesExceptions) {
 
 TEST(ThreadPool, EnvDefaultIsAtLeastOne) {
   EXPECT_GE(ThreadPool::defaultThreads(), 1u);
+}
+
+/// Sets an environment variable for one scope, then unsets it.
+struct ScopedEnv {
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    ::setenv(name, value, 1);
+  }
+  ~ScopedEnv() { ::unsetenv(name_); }
+  const char* name_;
+};
+
+/// Runs fn and returns the std::invalid_argument message it throws ("" if
+/// it throws nothing).
+template <class Fn>
+std::string invalidArgumentOf(Fn&& fn) {
+  try {
+    fn();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(EnvKnobs, GarbledCountsThrowNamingTheVariable) {
+  // Only parsing runs here: a pool spawns its lanes at its first job and a
+  // sharded engine forks at its first operation, so no thread or worker
+  // starts, whatever the value.
+  for (const char* bad : {"4x", "abc", "0", "100000", "-2", " 3"}) {
+    {
+      const ScopedEnv env("MPCSPAN_THREADS", bad);
+      EXPECT_NE(invalidArgumentOf([] { ThreadPool::defaultThreads(); })
+                    .find("MPCSPAN_THREADS"),
+                std::string::npos)
+          << bad;
+      EXPECT_NE(invalidArgumentOf([] {
+                  RoundEngine(EngineConfig{8, 0, 1}, MpcTopology(16));
+                }).find("MPCSPAN_THREADS"),
+                std::string::npos)
+          << bad;
+    }
+    {
+      const ScopedEnv env("MPCSPAN_SHARDS", bad);
+      EXPECT_NE(invalidArgumentOf([] {
+                  RoundEngine(EngineConfig{8, 1, 0}, MpcTopology(16));
+                }).find("MPCSPAN_SHARDS"),
+                std::string::npos)
+          << bad;
+    }
+  }
+  for (const char* name :
+       {"MPCSPAN_TCP_TIMEOUT_MS", "MPCSPAN_TCP_PORT", "MPCSPAN_TCP_REMOTE"}) {
+    const ScopedEnv env(name, "2x");
+    std::string got = invalidArgumentOf([] { runtime::shard::defaultTcpTimeoutMs(); });
+    got += invalidArgumentOf([] { runtime::shard::defaultTcpPort(); });
+    got += invalidArgumentOf([] { runtime::shard::defaultTcpRemote(); });
+    EXPECT_NE(got.find(name), std::string::npos) << name;
+  }
+  // One past the cap fails, the cap itself and an empty value do not.
+  const std::string over = std::to_string(runtime::kMaxThreads + 1);
+  const std::string cap = std::to_string(runtime::kMaxThreads);
+  {
+    const ScopedEnv env("MPCSPAN_THREADS", over.c_str());
+    EXPECT_THROW(ThreadPool::defaultThreads(), std::invalid_argument);
+  }
+  {
+    const ScopedEnv env("MPCSPAN_THREADS", cap.c_str());
+    EXPECT_EQ(ThreadPool::defaultThreads(), runtime::kMaxThreads);
+    const ScopedEnv shards("MPCSPAN_SHARDS", "3");
+    const RoundEngine eng(EngineConfig{8, 0, 0}, MpcTopology(16));
+    EXPECT_EQ(eng.numShards(), 3u);
+    EXPECT_FALSE(eng.shardBackend()->started());
+  }
+  {
+    const ScopedEnv env("MPCSPAN_THREADS", "");
+    EXPECT_GE(ThreadPool::defaultThreads(), 1u);
+  }
 }
 
 TEST(RoundEngine, RejectsBadConfig) {

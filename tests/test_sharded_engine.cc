@@ -351,6 +351,44 @@ TEST(ResidentWorkers, PostForkRegistrationResolvesViaGlobalRegistry) {
   EXPECT_THROW(eng.registerKernel("test.unresolvable"), std::invalid_argument);
 }
 
+TEST(ResidentWorkers, KernelRegistrationFailsTheSameWayOnBothBackends) {
+  // A globally registered name whose factory returns null: both backends
+  // build the instance at registerKernel, so both throw there (not at the
+  // first step), with the same type and message, and tombstone the name.
+  runtime::registerGlobalKernel("test.null.factory", [] {
+    return std::unique_ptr<runtime::StepKernel>();
+  });
+  auto registrationError = [](RoundEngine& eng) -> std::string {
+    try {
+      eng.registerKernel("test.null.factory");
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return "";
+  };
+  RoundEngine inproc(EngineConfig{8, 1, 1}, MpcTopology(16));
+  RoundEngine sharded(EngineConfig{8, 1, 2}, MpcTopology(16));
+  const KernelId token = runtime::ensureKernel<test_kernels::TokenKernel>(sharded);
+  sharded.fetchKernel(token);  // starts the workers
+  ASSERT_TRUE(sharded.shardBackend()->started());
+  const std::string inprocError = registrationError(inproc);
+  EXPECT_NE(inprocError.find("factory returned null"), std::string::npos);
+  EXPECT_EQ(registrationError(sharded), inprocError);
+  EXPECT_FALSE(inproc.findKernel("test.null.factory").valid());
+  EXPECT_FALSE(sharded.findKernel("test.null.factory").valid());
+  // Both engines stay usable.
+  sharded.step(token, {1});
+  const KernelId inprocToken =
+      runtime::ensureKernel<test_kernels::TokenKernel>(inproc);
+  inproc.step(inprocToken, {1});
+  for (RoundEngine* eng : {&sharded, &inproc}) {
+    const auto inboxes = eng->snapshotInboxes();
+    ASSERT_EQ(inboxes[1].size(), 1u);
+    EXPECT_EQ(inboxes[1][0].src, 0u);
+    EXPECT_EQ(inboxes[1][0].payload, (std::vector<Word>{100}));
+  }
+}
+
 TEST(ResidentWorkers, WorkerDeathBetweenRoundsSurfacesAsShardError) {
   auto eng = std::make_unique<RoundEngine>(EngineConfig{8, 1, 4},
                                            MpcTopology(16));

@@ -33,6 +33,7 @@
 #include "runtime/shard/transport.hpp"
 #include "runtime/shard/wire.hpp"
 #include "runtime/shard/worker_loop.hpp"
+#include "runtime/thread_pool.hpp"
 #include "runtime/topology.hpp"
 
 namespace mpcspan {
@@ -434,7 +435,7 @@ TEST(WorkerSetup, EverySingleBitFlipDecodesOrIsShardError) {
       const WorkerSetup setup = decodeSetup(mutated);
       // What decodes is within the plausibility caps the worker sizes by.
       EXPECT_LE(setup.cfg.numMachines, runtime::shard::kMaxSetupMachines);
-      EXPECT_LE(setup.cfg.threads, runtime::shard::kMaxSetupThreads);
+      EXPECT_LE(setup.cfg.threads, runtime::kMaxThreads);
       EXPECT_LT(setup.cfg.shard, setup.cfg.shards);
       EXPECT_LE(setup.cfg.shards, setup.cfg.numMachines);
     } catch (const ShardError&) {
@@ -469,7 +470,7 @@ TEST(WorkerSetup, EverySpliceDecodesOrIsShardError) {
         const WorkerSetup setup = decodeSetup(spliced);
         const runtime::shard::WorkerConfig& cfg = setup.cfg;
         EXPECT_LE(cfg.numMachines, runtime::shard::kMaxSetupMachines);
-        EXPECT_LE(cfg.threads, runtime::shard::kMaxSetupThreads);
+        EXPECT_LE(cfg.threads, runtime::kMaxThreads);
         std::size_t words = 0;
         for (const std::uint64_t h : setup.store->handles())
           for (std::size_t m = 0; m < cfg.numMachines; ++m)
