@@ -72,7 +72,9 @@ void MachineSlice::install(std::vector<std::vector<Message>> projected) {
 }
 
 void MachineSlice::clear(std::size_t buffer) {
-  inboxes_[buffer].assign(hi_ - lo_, std::vector<Delivery>());
+  // A fresh vector, not assign(): assigning empty inboxes would keep each
+  // one's Delivery array allocated.
+  inboxes_[buffer] = std::vector<std::vector<Delivery>>(hi_ - lo_);
   arenas_[buffer].reset();
 }
 

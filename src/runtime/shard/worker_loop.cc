@@ -45,8 +45,8 @@ void runResidentWorker(const WorkerConfig& cfg, Channel& ctrl,
   // coordinator or peer that hangs mid-round surfaces as ShardError.
   const int roundDeadline = ctrl.deadline();
 
-  // Worker-owned state, alive across rounds: the kernel table and block
-  // store arrived in the SETUP frame, everything later comes over the wire.
+  // Worker-owned state, alive across rounds. The kernel table and block
+  // store arrived in the SETUP frame; everything later comes over the wire.
   ThreadPool pool(cfg.threads);
   MachineSlice slice(n, lo, hi, cfg.topology, pool, store);
   for (std::string& name : kernels) {
