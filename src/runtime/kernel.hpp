@@ -6,9 +6,9 @@
 // the in-process engine's one, or one per worker process — constructs one
 // kernel instance, and that instance **owns** its per-machine state across
 // rounds — per-machine inboxes and blocks stay resident where they are used
-// and are never re-shipped through the coordinator. Anything a kernel wants to persist
-// lives in the kernel instance or the BlockStore, and anything it wants to
-// communicate moves through returned messages.
+// and are never re-shipped through the coordinator. Anything a kernel wants
+// to persist lives in the kernel instance or the BlockStore, and anything it
+// wants to communicate moves through returned messages.
 //
 // Identity across processes: a kernel is a name in the process-global
 // registry (populated at static initialization — see GlobalKernelRegistrar),

@@ -22,7 +22,8 @@
 // drives one round. The instance owns per-machine state across rounds
 // (inboxes, BlockStore blocks) without ever re-shipping it.
 //
-// MpcSimulator is the model-specific facade over this class. See
+// MpcSimulator is the model-specific facade over this class; the Congested
+// Clique and PRAM costs are formulas, not engine rounds. See
 // src/runtime/README.md for the design.
 #pragma once
 

@@ -10,10 +10,10 @@
 #include <utility>
 
 #include "runtime/env.hpp"
-#include "runtime/thread_pool.hpp"
 #include "runtime/shard/protocol.hpp"
 #include "runtime/shard/tcp_transport.hpp"
 #include "runtime/shard/worker_loop.hpp"
+#include "runtime/thread_pool.hpp"
 
 namespace mpcspan::runtime::shard {
 

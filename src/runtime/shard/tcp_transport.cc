@@ -44,7 +44,7 @@ std::uint16_t defaultTcpPort() {
   return static_cast<std::uint16_t>(envNumber("MPCSPAN_TCP_PORT", 0, 65535, 0));
 }
 
-bool defaultTcpRemote() { return envNumber("MPCSPAN_TCP_REMOTE", 0, 1, 0) == 1; }
+bool defaultTcpRemote() { return envNumber("MPCSPAN_TCP_REMOTE", 0, 1, 0); }
 
 std::uint64_t makeTcpEpoch() {
   static std::atomic<std::uint64_t> counter{0};

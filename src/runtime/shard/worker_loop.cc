@@ -81,10 +81,8 @@ void runResidentWorker(const WorkerConfig& cfg, Channel& ctrl,
             if (id != slice.numKernels())
               throw std::runtime_error(
                   "ShardedEngine: kernel id out of order in worker");
-            // Append-only, even on failure: another worker may have
-            // resolved this id, so removing the slot would desync the id
-            // tables. A failed slot is inert — the coordinator tombstones
-            // the name, so no step can ever reference it.
+            // The id stays taken on failure too: another worker may hold
+            // it, and the coordinator tombstones the name.
             slice.addKernel(name);
           } catch (...) {
             kind = classify(err);

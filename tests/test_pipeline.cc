@@ -9,6 +9,7 @@
 
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <string>

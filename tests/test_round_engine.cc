@@ -122,7 +122,8 @@ TEST(EnvKnobs, GarbledCountsThrowNamingTheVariable) {
   for (const char* name :
        {"MPCSPAN_TCP_TIMEOUT_MS", "MPCSPAN_TCP_PORT", "MPCSPAN_TCP_REMOTE"}) {
     const ScopedEnv env(name, "2x");
-    std::string got = invalidArgumentOf([] { runtime::shard::defaultTcpTimeoutMs(); });
+    std::string got =
+        invalidArgumentOf([] { runtime::shard::defaultTcpTimeoutMs(); });
     got += invalidArgumentOf([] { runtime::shard::defaultTcpPort(); });
     got += invalidArgumentOf([] { runtime::shard::defaultTcpRemote(); });
     EXPECT_NE(got.find(name), std::string::npos) << name;

@@ -368,7 +368,8 @@ TEST(ResidentWorkers, KernelRegistrationFailsTheSameWayOnBothBackends) {
   };
   RoundEngine inproc(EngineConfig{8, 1, 1}, MpcTopology(16));
   RoundEngine sharded(EngineConfig{8, 1, 2}, MpcTopology(16));
-  const KernelId token = runtime::ensureKernel<test_kernels::TokenKernel>(sharded);
+  const KernelId token =
+      runtime::ensureKernel<test_kernels::TokenKernel>(sharded);
   sharded.fetchKernel(token);  // starts the workers
   ASSERT_TRUE(sharded.shardBackend()->started());
   const std::string inprocError = registrationError(inproc);
