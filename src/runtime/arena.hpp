@@ -14,9 +14,9 @@
 //    class on destruction/regrowth (BlockStore — block lifetimes overlap
 //    arbitrarily, so individual runs must be reusable).
 //  - reset(): the owner rewinds the whole arena once no allocation is
-//    referenced anymore (delivery rows — the sharded engine double-buffers
-//    two arenas and resets the one whose round has been superseded; see
-//    Payload::borrowed for the lifetime contract).
+//    referenced anymore (delivery rows — a MachineSlice keeps one arena per
+//    inbox buffer and resets it when that buffer is retired or discarded;
+//    see Payload::borrowed for the lifetime contract).
 // reset() invalidates every outstanding pointer, so an arena is either
 // recycle-managed or reset-managed — never both at once.
 //
