@@ -47,8 +47,8 @@ std::size_t distVectorCapItems(const MpcSimulator& sim) {
 }
 
 /// A vector of T sharded in blocks across the simulator's machines. The
-/// blocks are owned by the engine's BlockStore — host-side under a 1-shard
-/// engine, inside the resident worker processes when sharded — and are
+/// blocks are owned by a MachineSlice's BlockStore — the engine's own under
+/// a 1-shard engine, each resident worker's when sharded — and are
 /// addressed by handle(); collectHostSide()/blocksHostSide() fetch copies
 /// back for tests and host-side readout (free — never part of a simulated
 /// algorithm).

@@ -1,6 +1,5 @@
 #include "runtime/kernel.hpp"
 
-#include <algorithm>
 #include <mutex>
 #include <stdexcept>
 #include <utility>
@@ -29,14 +28,6 @@ const WordBuf& BlockStore::block(std::uint64_t handle,
   if (it == slots_.end())
     throw std::out_of_range("BlockStore: unknown block handle");
   return it->second.at(machine);
-}
-
-std::vector<std::uint64_t> BlockStore::handles() const {
-  std::vector<std::uint64_t> out;
-  out.reserve(slots_.size());
-  for (const auto& [h, blocks] : slots_) out.push_back(h);
-  std::sort(out.begin(), out.end());
-  return out;
 }
 
 namespace {

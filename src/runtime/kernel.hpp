@@ -14,9 +14,9 @@
 // registry (populated at static initialization — see GlobalKernelRegistrar),
 // and nothing else. Every process of an engine resolves the same name to
 // the same kernel: every worker — forked or attached from another host —
-// receives only the names in its SETUP frame and resolves them against the
-// registry of its own copy of the binary. Blocks travel the same way: each
-// worker receives its slice of the BlockStore in SETUP.
+// receives only the name, in a REGISTER_KERNEL frame, and resolves it
+// against the registry of its own copy of the binary. Blocks reach a worker
+// one way too: its slice of each createBlocks call, in a STORE frame.
 #pragma once
 
 #include <cstddef>
@@ -69,15 +69,10 @@ class BlockStore {
   std::size_t numMachines() const { return numMachines_; }
 
   void create(std::uint64_t handle);
-  bool has(std::uint64_t handle) const { return slots_.count(handle) != 0; }
   void erase(std::uint64_t handle) { slots_.erase(handle); }
-  void clear() { slots_.clear(); }
 
   WordBuf& block(std::uint64_t handle, std::size_t machine);
   const WordBuf& block(std::uint64_t handle, std::size_t machine) const;
-
-  /// Live handles in ascending order (snapshot adoption at worker fork).
-  std::vector<std::uint64_t> handles() const;
 
  private:
   std::size_t numMachines_;

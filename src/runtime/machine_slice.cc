@@ -7,9 +7,9 @@ namespace mpcspan::runtime {
 
 MachineSlice::MachineSlice(std::size_t numMachines, std::size_t lo,
                            std::size_t hi, MpcTopology topology,
-                           ThreadPool& pool, BlockStore& store)
+                           ThreadPool& pool)
     : numMachines_(numMachines), lo_(lo), hi_(hi), topology_(topology),
-      pool_(pool), store_(store) {
+      pool_(pool), store_(numMachines) {
   inboxes_[0].resize(hi - lo);
   inboxes_[1].resize(hi - lo);
 }

@@ -6,7 +6,8 @@
 // resident shard worker (shard/worker_loop.hpp) is one slice over its
 // shard's range, plus the section exchange, the merge and the verdict. Both
 // backends run these kernel loops, checks and delivery pass, so they agree
-// by construction. A round is step(), then the receive budget
+// by construction. The slice owns its machines' memory: the kernel
+// instances, the inboxes and the BlockStore blocks. A round is step(), then the receive budget
 // (MpcTopology::validateInbound over every slice's summed inbound words),
 // then install() and commit(), or abort().
 #pragma once
@@ -36,9 +37,9 @@ struct SliceRound {
 
 class MachineSlice {
  public:
-  /// `pool` and `store` must outlive the slice.
+  /// `pool` must outlive the slice.
   MachineSlice(std::size_t numMachines, std::size_t lo, std::size_t hi,
-               MpcTopology topology, ThreadPool& pool, BlockStore& store);
+               MpcTopology topology, ThreadPool& pool);
 
   std::size_t numKernels() const { return names_.size(); }
   /// Builds the globally registered kernel `name` under the next id. The id
@@ -72,6 +73,8 @@ class MachineSlice {
   const std::vector<std::vector<Delivery>>& inboxes() const {
     return inboxes_[cur_];
   }
+  /// The blocks the kernels see as ctx.store (only the range's are used).
+  BlockStore& store() { return store_; }
 
  private:
   StepKernel& kernel(std::size_t id);
@@ -83,7 +86,7 @@ class MachineSlice {
   std::size_t numMachines_, lo_, hi_;
   MpcTopology topology_;
   ThreadPool& pool_;
-  BlockStore& store_;
+  BlockStore store_;
   std::vector<std::string> names_;  // by kernel id
   std::vector<std::unique_ptr<StepKernel>> kernels_;
   // Readers see buffer cur_; a round is installed into the other one.

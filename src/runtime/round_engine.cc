@@ -11,32 +11,28 @@ namespace mpcspan::runtime {
 RoundEngine::RoundEngine(EngineConfig cfg, MpcTopology topology)
     : numMachines_(cfg.numMachines),
       topology_(topology),
-      pool_(cfg.threads),
-      store_(cfg.numMachines) {
+      pool_(cfg.threads) {
   if (numMachines_ == 0)
     throw std::invalid_argument("RoundEngine: numMachines must be positive");
 
   // Backend selection (the engine factory): 1 shard runs every machine in
   // one in-process MachineSlice; more partitions the machines over resident
-  // worker processes, which start once (lazily, at the first sharded
-  // operation, so the kernel names and blocks registered until then
-  // provision them) — splitting the configured lane count across them. The
-  // coordinator keeps its full-width pool_ anyway — sharded rounds bypass
-  // it, but consumers run their host-side compute through
-  // pool()/parallelFor() between rounds, and ThreadPool spawns its lanes
-  // lazily on first use, so a sharded run that never touches pool() still
-  // forks from a single-threaded parent.
+  // worker processes, which start here — splitting the configured lane
+  // count across them. The coordinator keeps its full-width pool_ anyway —
+  // sharded rounds bypass it, but consumers run their host-side compute
+  // through pool()/parallelFor() between rounds, and ThreadPool spawns its
+  // lanes lazily on first use, so the workers fork before any lane exists.
   std::size_t shards =
       cfg.shards == 0 ? shard::ShardedEngine::defaultShards() : cfg.shards;
   shards = std::min(shards, numMachines_);
   if (shards > 1) {
     const std::size_t perShard =
         std::max<std::size_t>(1, pool_.numThreads() / shards);
-    shard_ = std::make_unique<shard::ShardedEngine>(
-        numMachines_, shards, perShard, topology_, &kernels_, &store_);
+    shard_ = std::make_unique<shard::ShardedEngine>(numMachines_, shards,
+                                                    perShard, topology_);
   } else {
     slice_ = std::make_unique<MachineSlice>(numMachines_, 0, numMachines_,
-                                            topology_, pool_, store_);
+                                            topology_, pool_);
   }
 }
 
@@ -58,8 +54,8 @@ KernelId RoundEngine::registerKernel(std::string name) {
   const KernelId id{kernels_.size()};
   kernels_.push_back(std::move(name));
   try {
-    // The slice builds its instance; started workers resolve the name and
-    // ack (the SETUP frames carry names registered before the start).
+    // The slice builds its instance; every worker resolves the name, builds
+    // its own and acks.
     if (slice_)
       slice_->addKernel(kernels_.back());
     else
@@ -124,33 +120,30 @@ std::uint64_t RoundEngine::createBlocks(
   if (perMachine.size() != numMachines_)
     throw std::invalid_argument("createBlocks: perMachine size mismatch");
   const std::uint64_t handle = nextBlockHandle_++;
-  if (shard_ && shard_->started()) {
+  if (shard_) {
     shard_->storeBlocks(handle, std::move(perMachine));
     return handle;
   }
-  // In-process, or staged for the workers, which adopt the store's
-  // contents when they start (through the fork or in SETUP).
-  store_.create(handle);
+  BlockStore& store = slice_->store();
+  store.create(handle);
   for (std::size_t m = 0; m < numMachines_; ++m)
-    store_.block(handle, m) = std::move(perMachine[m]);
+    store.block(handle, m) = std::move(perMachine[m]);
   return handle;
 }
 
 std::vector<std::vector<Word>> RoundEngine::readBlocks(std::uint64_t handle) {
-  if (shard_ && shard_->started())
-    return shard_->fetchBlocks(handle);
+  if (shard_) return shard_->fetchBlocks(handle);
   std::vector<std::vector<Word>> out(numMachines_);
   for (std::size_t m = 0; m < numMachines_; ++m)
-    out[m] = store_.block(handle, m).toVector();
+    out[m] = slice_->store().block(handle, m).toVector();
   return out;
 }
 
 void RoundEngine::freeBlocks(std::uint64_t handle) {
-  if (shard_ && shard_->started()) {
+  if (shard_)
     shard_->freeBlocks(handle);
-    return;
-  }
-  store_.erase(handle);
+  else
+    slice_->store().erase(handle);
 }
 
 std::vector<std::vector<Delivery>> RoundEngine::snapshotInboxes() {

@@ -7,7 +7,8 @@
 //   - in-process (shards == 1): one MachineSlice over every machine
 //     (runtime/machine_slice.hpp) steps them on the pool;
 //   - sharded (EngineConfig::shards > 1, or MPCSPAN_SHARDS): resident worker
-//     processes, each running the same MachineSlice over its machine range,
+//     processes, started by the constructor, each running the same
+//     MachineSlice over its machine range,
 //     joined by a tcp mesh and driven by control frames
 //     (runtime/shard/sharded_engine.hpp).
 // Delivery is deterministic: every inbox holds its deliveries in (source
@@ -77,14 +78,13 @@ class RoundEngine {
   // --- Registered kernels: the resident step path. ---
 
   /// Registers the globally registered kernel `name` (GlobalKernelRegistrar;
-  /// ensureKernel<K> is the usual spelling) on this engine, before or after
-  /// the resident workers start: every worker resolves the name against its
-  /// own process-global registry. Throws std::invalid_argument if `name` is
-  /// not globally registered or is already registered on this engine. The
-  /// instance is built here (in every worker, once they run), so a kernel
-  /// that cannot be constructed throws here, and findKernel no longer finds
-  /// its name. Registered before the workers start, it is built when they
-  /// start and fails at its first use.
+  /// ensureKernel<K> is the usual spelling) on this engine: every resident
+  /// worker resolves the name against its own process-global registry.
+  /// Throws std::invalid_argument if `name` is not globally registered or
+  /// is already registered on this engine. The instance is built here (in
+  /// every worker when sharded), so a kernel that cannot be constructed
+  /// throws here, on both backends, and findKernel no longer finds its
+  /// name.
   KernelId registerKernel(std::string name);
   /// The id `name` was registered under, or an invalid id.
   KernelId findKernel(const std::string& name) const;
@@ -111,9 +111,8 @@ class RoundEngine {
   // --- Worker-owned block storage (DistVector backing). ---
 
   /// Ships perMachine[m] to machine m's owner and returns the handle.
-  /// Blocks live beside the kernels: in-process in the engine's own store,
-  /// sharded inside the resident workers (created before the workers start,
-  /// they provision them through the SETUP frames).
+  /// Blocks live beside the kernels, in the BlockStore of the MachineSlice
+  /// that runs the machine: the engine's own, or a resident worker's.
   std::uint64_t createBlocks(std::vector<std::vector<Word>> perMachine);
   std::vector<std::vector<Word>> readBlocks(std::uint64_t handle);
   void freeBlocks(std::uint64_t handle);
@@ -136,7 +135,6 @@ class RoundEngine {
   ThreadPool pool_;
   Accounting ledger_;
   std::vector<std::string> kernels_;  // registered names, by KernelId
-  BlockStore store_;  // in-process blocks; pre-start staging when sharded
   std::uint64_t nextBlockHandle_ = 1;
   /// Exactly one of the two backends: every machine in one in-process
   /// slice, or the resident workers (shards resolve to more than 1).

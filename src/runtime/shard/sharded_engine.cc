@@ -26,24 +26,6 @@ void closeInheritedFds() {
 }
 }  // namespace
 
-ShardedEngine::ShardedEngine(std::size_t numMachines, std::size_t shards,
-                             std::size_t threadsPerShard,
-                             MpcTopology topology,
-                             const std::vector<std::string>* kernels,
-                             BlockStore* blocks)
-    : numMachines_(numMachines),
-      shards_(shards),
-      threadsPerShard_(threadsPerShard == 0 ? 1 : threadsPerShard),
-      topology_(topology),
-      kernels_(kernels),
-      blocks_(blocks) {
-  if (numMachines_ == 0)
-    throw std::invalid_argument("ShardedEngine: numMachines must be positive");
-  if (shards_ < 2 || shards_ > numMachines_)
-    throw std::invalid_argument(
-        "ShardedEngine: shards must be in [2, numMachines]");
-}
-
 ShardedEngine::~ShardedEngine() { shutdownWorkers(); }
 
 std::size_t ShardedEngine::shardBegin(std::size_t s) const {
@@ -61,11 +43,19 @@ std::vector<pid_t> ShardedEngine::workerPids() const {
   return pids;
 }
 
-void ShardedEngine::start() {
-  if (failed_)
-    throw ShardError(
-        "ShardedEngine: shard backend is down (a worker died earlier)");
-  if (started()) return;
+ShardedEngine::ShardedEngine(std::size_t numMachines, std::size_t shards,
+                             std::size_t threadsPerShard,
+                             MpcTopology topology)
+    : numMachines_(numMachines),
+      shards_(shards),
+      threadsPerShard_(threadsPerShard == 0 ? 1 : threadsPerShard),
+      topology_(topology) {
+  if (numMachines_ == 0)
+    throw std::invalid_argument("ShardedEngine: numMachines must be positive");
+  if (shards_ < 2 || shards_ > numMachines_)
+    throw std::invalid_argument(
+        "ShardedEngine: shards must be in [2, numMachines]");
+
   const int deadline = defaultTcpTimeoutMs();
   const bool remote = defaultTcpRemote();
   // Forked workers dial over loopback, so only remote mode listens beyond
@@ -93,10 +83,10 @@ void ShardedEngine::start() {
       }
       if (pid == 0) {
         // The child needs no inherited fd: it dials the coordinator and gets
-        // everything else from SETUP. Holding the parent's fds (the listener,
-        // earlier engines' control channels) would keep those peers from
-        // ever seeing EOF — an earlier engine's idle worker would then
-        // outlive that engine's failure until this one dies.
+        // everything else over that connection. Holding the parent's fds
+        // (the listener, earlier engines' control channels) would keep those
+        // peers from ever seeing EOF — an earlier engine's idle worker would
+        // then outlive that engine's failure until this one dies.
         closeInheritedFds();
         try {
           attachTcpWorker("127.0.0.1", port, s, epoch, deadline);
@@ -148,7 +138,7 @@ void ShardedEngine::start() {
     for (std::size_t s = 0; s < shards_; ++s) {
       sendRoster(workers[s].fd, epoch, roster);
       sendWorkerSetup(workers[s].fd, numMachines_, shards_, s,
-                      threadsPerShard_, topology_, kernels_, blocks_);
+                      threadsPerShard_, topology_);
     }
   } catch (...) {
     // Unwind without zombies or hangs: closing the listener and every
@@ -164,9 +154,6 @@ void ShardedEngine::start() {
     throw;
   }
   workers_ = std::move(workers);
-  // The SETUP frames just handed every block to the workers; drop the
-  // coordinator copies so a later fetch can never read a stale one.
-  if (blocks_) blocks_->clear();
 }
 
 void ShardedEngine::shutdownWorkers() noexcept {
@@ -208,6 +195,9 @@ void ShardedEngine::fail(const std::string& what) {
 
 template <typename Fn>
 auto ShardedEngine::guarded(Fn&& io) -> decltype(io()) {
+  if (failed_)
+    throw ShardError(
+        "ShardedEngine: shard backend is down (a worker died earlier)");
   try {
     return io();
   } catch (const ShardError& e) {
@@ -268,7 +258,6 @@ std::vector<std::vector<Word>> ShardedEngine::fetchPerMachine(
 }
 
 void ShardedEngine::announceKernel(std::size_t id, const std::string& name) {
-  if (!started()) return;  // the provisioning will carry the table
   requestAll([&](std::size_t) {
     WireWriter f;
     f.u8(kOpRegisterKernel);
@@ -280,7 +269,6 @@ void ShardedEngine::announceKernel(std::size_t id, const std::string& name) {
 
 void ShardedEngine::stepKernel(std::size_t id, const std::vector<Word>& args,
                                std::size_t& roundWords) {
-  start();
   // One epoch per STEP attempt, aborts included; the workers advance their
   // own counters in lockstep, so both sides can vet every frame of the
   // conversation against it (a verdict must never be appliable to the wrong
@@ -347,7 +335,6 @@ void ShardedEngine::stepKernel(std::size_t id, const std::vector<Word>& args,
 }
 
 void ShardedEngine::localKernel(std::size_t id, const std::vector<Word>& args) {
-  start();
   requestAll([&](std::size_t) {
     WireWriter f;
     f.u8(kOpLocal);
@@ -359,7 +346,6 @@ void ShardedEngine::localKernel(std::size_t id, const std::vector<Word>& args) {
 
 std::vector<std::vector<Word>> ShardedEngine::fetchKernel(
     std::size_t id, const std::vector<Word>& args) {
-  start();
   WireWriter f;
   f.u8(kOpFetchKernel);
   f.u64(id);
@@ -369,22 +355,16 @@ std::vector<std::vector<Word>> ShardedEngine::fetchKernel(
 
 void ShardedEngine::storeBlocks(std::uint64_t handle,
                                 std::vector<std::vector<Word>> perMachine) {
-  start();
   requestAll([&](std::size_t s) {
     WireWriter f;
     f.u8(kOpStoreBlocks);
-    f.u64(handle);
-    for (std::size_t m = shardBegin(s); m < shardEnd(s); ++m) {
-      f.u64(perMachine[m].size());
-      f.words(perMachine[m].data(), perMachine[m].size());
-    }
+    writeBlockSlice(f, handle, perMachine, shardBegin(s), shardEnd(s));
     return f;
   });
 }
 
 std::vector<std::vector<Word>> ShardedEngine::fetchBlocks(
     std::uint64_t handle) {
-  start();
   WireWriter f;
   f.u8(kOpFetchBlocks);
   f.u64(handle);
@@ -392,7 +372,6 @@ std::vector<std::vector<Word>> ShardedEngine::fetchBlocks(
 }
 
 void ShardedEngine::freeBlocks(std::uint64_t handle) {
-  start();
   requestAll([&](std::size_t) {
     WireWriter f;
     f.u8(kOpFreeBlocks);
@@ -402,7 +381,6 @@ void ShardedEngine::freeBlocks(std::uint64_t handle) {
 }
 
 std::vector<std::vector<Delivery>> ShardedEngine::fetchInboxes() {
-  start();
   return guarded([&] {
     for (Worker& w : workers_) {
       WireWriter f;

@@ -2,13 +2,13 @@
 //
 // The simulated machines are partitioned into contiguous shards, each owned
 // by a **resident** worker *process* running the work-stealing ThreadPool
-// over its machine range. The workers start once per engine — lazily, at
-// the first operation that needs them — through a tcp rendezvous
-// (tcp_transport.hpp): each one, forked by this engine or attached from
-// another host by `mpcspan_worker --connect`, runs attachTcpWorker and is
-// provisioned by one SETUP frame with every kernel name and block
-// registered up to that point. They then stay alive across rounds, driven
-// by small control frames over the wire:
+// over its machine range. The workers start with the engine, in its
+// constructor, through a tcp rendezvous (tcp_transport.hpp): each one,
+// forked by this engine or attached from another host by `mpcspan_worker
+// --connect`, runs attachTcpWorker and learns its place from one SETUP
+// frame (dimensions and word budget). A sharded engine never exists
+// without its workers, so kernels and blocks reach them one way, over
+// the control frames that drive them for the engine's lifetime:
 //
 //   REGISTER_KERNEL  bind a kernel id to a globally registered name (ack'd);
 //   STEP             one kernel round: compute shard-side, exchange the
@@ -39,7 +39,6 @@
 #include <string>
 #include <vector>
 
-#include "runtime/kernel.hpp"
 #include "runtime/shard/transport.hpp"
 #include "runtime/shard/wire.hpp"
 #include "runtime/topology.hpp"
@@ -49,19 +48,17 @@ namespace mpcspan::runtime::shard {
 
 class ShardedEngine {
  public:
-  /// `kernels` (the registered kernel names, by id) and `blocks` are
-  /// borrowed from the owning RoundEngine; whatever they hold at start()
-  /// time provisions the workers through their SETUP frames, together with
-  /// `topology`.
+  /// Starts the resident workers and returns once every one is attached:
+  /// listens, forks one loopback worker per shard running attachTcpWorker
+  /// (MPCSPAN_TCP_REMOTE=1 forks nothing and awaits `mpcspan_worker
+  /// --connect` attaches instead), collects one control hello per shard,
+  /// and answers each with the mesh roster and a SETUP frame. A failed
+  /// rendezvous throws ShardError and leaves no worker behind.
   /// `threadsPerShard` is the lane count of each worker's local pool
   /// (>= 1). `shards` must be in [2, numMachines] — a single shard is
-  /// RoundEngine's in-process path. The engine forks one loopback worker
-  /// per shard by default; MPCSPAN_TCP_REMOTE=1 awaits `mpcspan_worker`
-  /// attaches instead. Both kinds run the same attachTcpWorker.
+  /// RoundEngine's in-process path.
   ShardedEngine(std::size_t numMachines, std::size_t shards,
-                std::size_t threadsPerShard, MpcTopology topology,
-                const std::vector<std::string>* kernels = nullptr,
-                BlockStore* blocks = nullptr);
+                std::size_t threadsPerShard, MpcTopology topology);
 
   /// Sends SHUTDOWN to every resident worker and reaps it (EINTR-safe);
   /// never throws, never leaks a zombie.
@@ -72,11 +69,8 @@ class ShardedEngine {
 
   std::size_t numShards() const { return shards_; }
   std::size_t threadsPerShard() const { return threadsPerShard_; }
-  /// True once the resident workers have started (they start lazily, at
-  /// the first round / kernel / block operation).
-  bool started() const { return !workers_.empty(); }
-  /// Pids of the live resident workers (empty before start()); stable
-  /// across rounds — the acceptance check that forking happens once.
+  /// Pids of the live resident workers (empty once the backend failed);
+  /// stable across rounds — the acceptance check that forking happens once.
   std::vector<pid_t> workerPids() const;
 
   /// Machine range [shardBegin(s), shardEnd(s)) owned by shard s
@@ -84,10 +78,9 @@ class ShardedEngine {
   std::size_t shardBegin(std::size_t s) const;
   std::size_t shardEnd(std::size_t s) const { return shardBegin(s + 1); }
 
-  /// Announces an engine-level registration to the running workers; no-op
-  /// before start() (the provisioning carries the table). The workers
-  /// resolve `name` against their registries and ack, so an unresolvable
-  /// kernel fails loudly here, not mid-round.
+  /// Registers kernel `name` under `id` on every worker. The workers
+  /// resolve `name` against their registries, build the instance and ack,
+  /// so a kernel that cannot be built fails loudly here, not mid-round.
   void announceKernel(std::size_t id, const std::string& name);
 
   /// One resident kernel round (the STEP barrier above). Writes the words
@@ -100,9 +93,8 @@ class ShardedEngine {
   std::vector<std::vector<Word>> fetchKernel(std::size_t id,
                                              const std::vector<Word>& args);
 
-  /// Worker-owned BlockStore maintenance. Before start() the blocks live in
-  /// the coordinator's store and provision the workers; afterwards
-  /// they move over the wire to the worker owning each machine.
+  /// Worker-owned BlockStore maintenance: the blocks move over the wire
+  /// (writeBlockSlice) to the worker owning each machine.
   void storeBlocks(std::uint64_t handle,
                    std::vector<std::vector<Word>> perMachine);
   std::vector<std::vector<Word>> fetchBlocks(std::uint64_t handle);
@@ -121,17 +113,11 @@ class ShardedEngine {
     Channel fd;      // coordinator end of the worker's tcp control dial
   };
 
-  /// Starts the resident workers if they are not running yet: listens,
-  /// forks local workers that run attachTcpWorker (unless
-  /// MPCSPAN_TCP_REMOTE=1), collects one control hello per shard, and
-  /// answers each with the mesh roster and a SETUP frame. Throws ShardError
-  /// if the backend already failed (a worker died earlier) or the
-  /// rendezvous fails.
-  void start();
   /// Marks the backend failed, best-effort shuts down and reaps every
   /// worker, and throws ShardError built from `what`.
   [[noreturn]] void fail(const std::string& what);
-  /// Runs `io` and converts any ShardError into a backend failure.
+  /// Runs `io` and converts any ShardError into a backend failure. Once
+  /// the backend failed, throws ShardError without running `io`.
   template <typename Fn>
   auto guarded(Fn&& io) -> decltype(io());
   void shutdownWorkers() noexcept;
@@ -153,8 +139,6 @@ class ShardedEngine {
   /// round r+1's state.
   std::uint64_t stepEpoch_ = 0;
   bool failed_ = false;
-  const std::vector<std::string>* kernels_;  // owner: RoundEngine
-  BlockStore* blocks_;                       // owner: RoundEngine
   std::vector<Worker> workers_;
 };
 

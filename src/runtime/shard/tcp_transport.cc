@@ -11,7 +11,6 @@
 #include <cstring>
 #include <ctime>
 #include <limits>
-#include <utility>
 
 #include "runtime/env.hpp"
 #include "runtime/shard/worker_loop.hpp"
@@ -231,19 +230,18 @@ void attachTcpWorker(const std::string& host, std::uint16_t port,
   sendControlHello(ctrl, {shard, epoch, meshListener.port()});
   std::uint64_t meshEpoch = 0;
   const std::vector<TcpPeerAddr> roster = readRoster(ctrl, epoch, &meshEpoch);
-  WorkerSetup setup = readWorkerSetup(ctrl);
-  if (setup.cfg.shard != shard)
+  WorkerConfig cfg = readWorkerSetup(ctrl);
+  if (cfg.shard != shard)
     throw ShardError("tcp worker: coordinator assigned shard " +
-                     std::to_string(setup.cfg.shard) + ", dialed as " +
+                     std::to_string(cfg.shard) + ", dialed as " +
                      std::to_string(shard));
-  if (roster.size() != setup.cfg.shards)
+  if (roster.size() != cfg.shards)
     throw ShardError("tcp worker: roster size mismatch");
-  setup.cfg.meshTimeoutMs = timeoutMs;
+  cfg.meshTimeoutMs = timeoutMs;
   std::vector<WireFd> peers =
       formTcpMesh(shard, meshEpoch, meshListener, roster, timeoutMs);
   meshListener.reset();
-  runResidentWorker(setup.cfg, ctrl, peers, std::move(setup.kernels),
-                    *setup.store);
+  runResidentWorker(cfg, ctrl, peers);
 }
 
 std::string peerHostOf(int fd) {

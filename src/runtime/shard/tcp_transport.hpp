@@ -20,8 +20,8 @@
 //   3. Once every shard has checked in, the coordinator answers each with a
 //      roster: u64 magic | u8 version | u64 epoch | u64 shards |
 //      shards x (str host + u64 mesh port), then a SETUP frame (see
-//      worker_loop.hpp) carrying the engine's dimensions, topology, kernel
-//      names and the shard's slice of the block store.
+//      worker_loop.hpp) carrying the engine's dimensions and the topology's
+//      word budget. Kernels and blocks follow later, as control frames.
 //   4. Workers dial each other to form the full mesh — shard s dials every
 //      t < s and accepts from every t > s (deadlock-free: connects complete
 //      against the listen backlog) — each connection opening with a mesh
@@ -50,7 +50,7 @@ namespace mpcspan::runtime::shard {
 constexpr std::uint64_t kTcpMagic = 0x314e415053504d4dull;
 /// Bumped whenever a control or mesh frame changes shape; remote workers
 /// from an older build are rejected at the handshake.
-constexpr std::uint8_t kTcpVersion = 5;
+constexpr std::uint8_t kTcpVersion = 6;
 
 /// MPCSPAN_TCP_TIMEOUT_MS (default 30000): the per-transfer deadline of
 /// every tcp channel (and the budget of each mesh exchange).

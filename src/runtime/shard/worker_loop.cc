@@ -32,8 +32,7 @@ std::size_t shardOfMachine(std::size_t numMachines, std::size_t shards,
 }
 
 void runResidentWorker(const WorkerConfig& cfg, Channel& ctrl,
-                       std::vector<WireFd>& peers,
-                       std::vector<std::string> kernels, BlockStore& store) {
+                       std::vector<WireFd>& peers) {
   const std::size_t n = cfg.numMachines;
   const std::size_t s = cfg.shard;
   const std::size_t lo = shardRangeBegin(n, cfg.shards, s);
@@ -45,17 +44,10 @@ void runResidentWorker(const WorkerConfig& cfg, Channel& ctrl,
   // coordinator or peer that hangs mid-round surfaces as ShardError.
   const int roundDeadline = ctrl.deadline();
 
-  // Worker-owned state, alive across rounds. The kernel table and block
-  // store arrived in the SETUP frame; everything later comes over the wire.
+  // Worker-owned state, alive across rounds: kernels and blocks arrive over
+  // the control wire.
   ThreadPool pool(cfg.threads);
-  MachineSlice slice(n, lo, hi, cfg.topology, pool, store);
-  for (std::string& name : kernels) {
-    try {
-      slice.addKernel(std::move(name));
-    } catch (...) {
-      // The slot stays; the first operation on it reports the failure.
-    }
-  }
+  MachineSlice slice(n, lo, hi, cfg.topology, pool);
 
   // This worker's STEP epoch, advanced once per kOpStep attempt (aborts
   // included) in lockstep with the coordinator's counter; every frame of
@@ -228,19 +220,10 @@ void runResidentWorker(const WorkerConfig& cfg, Channel& ctrl,
         }
 
         case kOpStoreBlocks: {
-          const std::uint64_t handle = cmd.u64();
           std::uint8_t kind = kOk;
           std::string err;
           try {
-            store.create(handle);
-            for (std::size_t m = lo; m < hi; ++m) {
-              const std::uint64_t len = cmd.u64();
-              if (len > cmd.remaining() / sizeof(Word))
-                throw ShardError("shard wire frame: corrupt block length");
-              WordBuf& block = store.block(handle, m);
-              block.resize(len);
-              cmd.words(block.data(), len);
-            }
+            readBlockSlice(cmd, lo, hi, slice.store());
           } catch (const ShardError&) {
             throw;
           } catch (...) {
@@ -258,7 +241,7 @@ void runResidentWorker(const WorkerConfig& cfg, Channel& ctrl,
           try {
             WireWriter rows;
             for (std::size_t m = lo; m < hi; ++m) {
-              const WordBuf& block = store.block(handle, m);
+              const WordBuf& block = slice.store().block(handle, m);
               rows.u64(block.size());
               rows.words(block.data(), block.size());
             }
@@ -276,7 +259,7 @@ void runResidentWorker(const WorkerConfig& cfg, Channel& ctrl,
 
         case kOpFreeBlocks: {
           const std::uint64_t handle = cmd.u64();
-          store.erase(handle);
+          slice.store().erase(handle);
           writeReport(ctrl, kOk, std::string());
           break;
         }
@@ -306,17 +289,39 @@ void runResidentWorker(const WorkerConfig& cfg, Channel& ctrl,
   }
 }
 
+void writeBlockSlice(WireWriter& w, std::uint64_t handle,
+                     const std::vector<std::vector<Word>>& perMachine,
+                     std::size_t lo, std::size_t hi) {
+  w.u64(handle);
+  for (std::size_t m = lo; m < hi; ++m) {
+    w.u64(perMachine[m].size());
+    w.words(perMachine[m].data(), perMachine[m].size());
+  }
+}
+
+std::uint64_t readBlockSlice(WireReader& r, std::size_t lo, std::size_t hi,
+                             BlockStore& store) {
+  const std::uint64_t handle = r.u64();
+  store.create(handle);
+  for (std::size_t m = lo; m < hi; ++m) {
+    const std::uint64_t len = r.u64();
+    if (len > r.remaining() / sizeof(Word))
+      throw ShardError("shard wire frame: corrupt block length");
+    WordBuf& block = store.block(handle, m);
+    block.resize(len);
+    r.words(block.data(), len);
+  }
+  if (!r.atEnd()) throw ShardError("shard wire frame: trailing bytes");
+  return handle;
+}
+
 // ---------------------------------------------------------------------------
 // Provisioning (kOpSetup).
 // ---------------------------------------------------------------------------
 
 void sendWorkerSetup(Channel& ch, std::size_t numMachines, std::size_t shards,
                      std::size_t shard, std::size_t threads,
-                     const MpcTopology& topology,
-                     const std::vector<std::string>* kernels,
-                     const BlockStore* blocks) {
-  const std::size_t lo = shardRangeBegin(numMachines, shards, shard);
-  const std::size_t hi = shardRangeEnd(numMachines, shards, shard);
+                     const MpcTopology& topology) {
   WireWriter w;
   w.u8(kOpSetup);
   w.u64(numMachines);
@@ -324,29 +329,14 @@ void sendWorkerSetup(Channel& ch, std::size_t numMachines, std::size_t shards,
   w.u64(shard);
   w.u64(threads);
   w.u64(topology.wordsPerMachine());
-  w.u64(kernels ? kernels->size() : 0);
-  if (kernels)
-    for (const std::string& name : *kernels) w.str(name);
-  const std::vector<std::uint64_t> handles =
-      blocks ? blocks->handles() : std::vector<std::uint64_t>{};
-  w.u64(handles.size());
-  for (const std::uint64_t h : handles) {
-    w.u64(h);
-    for (std::size_t m = lo; m < hi; ++m) {
-      const WordBuf& block = blocks->block(h, m);
-      w.u64(block.size());
-      w.words(block.data(), block.size());
-    }
-  }
   w.sendFramed(ch);
 }
 
-WorkerSetup readWorkerSetup(Channel& ch) {
+WorkerConfig readWorkerSetup(Channel& ch) {
   WireReader r = WireReader::recvFramed(ch);
   if (r.u8() != kOpSetup)
     throw ShardError("tcp setup: expected a SETUP frame (protocol desync)");
-  WorkerSetup setup;
-  WorkerConfig& cfg = setup.cfg;
+  WorkerConfig cfg;
   cfg.numMachines = r.u64();
   cfg.shards = r.u64();
   cfg.shard = r.u64();
@@ -357,39 +347,8 @@ WorkerSetup readWorkerSetup(Channel& ch) {
       cfg.threads > kMaxThreads)
     throw ShardError("tcp setup: implausible engine dimensions");
   cfg.topology = MpcTopology(r.u64());
-  const std::uint64_t kernelCount = r.u64();
-  // A serialized kernel entry is at least its 8-byte name-length prefix.
-  if (kernelCount > r.remaining() / sizeof(std::uint64_t))
-    throw ShardError("tcp setup: corrupt kernel count");
-  setup.kernels.reserve(kernelCount);
-  for (std::uint64_t k = 0; k < kernelCount; ++k)
-    setup.kernels.push_back(r.str());
-  const std::size_t n = cfg.numMachines;
-  const std::size_t lo = shardRangeBegin(n, cfg.shards, cfg.shard);
-  const std::size_t hi = shardRangeEnd(n, cfg.shards, cfg.shard);
-  setup.store = std::make_unique<BlockStore>(n);
-  const std::uint64_t handleCount = r.u64();
-  // A handle is at least its id plus one length per machine of the slice,
-  // so a garbled count or machine range fails here, before any store
-  // entry is sized by numMachines.
-  if (handleCount > r.remaining() / (sizeof(std::uint64_t) * (1 + hi - lo)))
-    throw ShardError("tcp setup: corrupt block handle count");
-  for (std::uint64_t i = 0; i < handleCount; ++i) {
-    const std::uint64_t h = r.u64();
-    if (setup.store->has(h))
-      throw ShardError("tcp setup: duplicate block handle");
-    setup.store->create(h);
-    for (std::size_t m = lo; m < hi; ++m) {
-      const std::uint64_t len = r.u64();
-      if (len > r.remaining() / sizeof(Word))
-        throw ShardError("tcp setup: corrupt block length");
-      WordBuf& block = setup.store->block(h, m);
-      block.resize(len);
-      r.words(block.data(), len);
-    }
-  }
   if (!r.atEnd()) throw ShardError("tcp setup: trailing bytes");
-  return setup;
+  return cfg;
 }
 
 }  // namespace mpcspan::runtime::shard

@@ -1,13 +1,13 @@
 // The resident worker's command loop, extracted from ShardedEngine so that
 // every worker process runs the same one. Every worker — a loopback child
 // the engine forked and a remote `mpcspan_worker --connect host:port
-// --shard k` alike — runs attachTcpWorker (tcp_transport.hpp) and is
-// provisioned by one SETUP frame (kOpSetup): the engine's dimensions, the
-// MPC word budget, the kernel table and its slice of the block store.
-//
-// The kernel table is names only: a kernel is a name in the process-global
-// registry (runtime/kernel.hpp), which every worker resolves in its own
-// process. The loop speaks the protocol.hpp control frames over `ctrl` and
+// --shard k` alike — runs attachTcpWorker (tcp_transport.hpp) and learns
+// its place from one SETUP frame (kOpSetup): the engine's dimensions and
+// the MPC word budget. It starts with no kernel and no block; both arrive
+// one way, over the control frames: REGISTER_KERNEL carries a name in the
+// process-global registry (runtime/kernel.hpp), which every worker resolves
+// in its own process, and STORE carries a block slice (writeBlockSlice).
+// The loop speaks the protocol.hpp control frames over `ctrl` and
 // exchanges cross-shard sections with its peers over the tcp mesh. Its
 // rounds run on a MachineSlice over the shard's range — the executor the
 // in-process engine runs over every machine — so kernel steps, checks and
@@ -16,12 +16,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "runtime/kernel.hpp"
 #include "runtime/shard/transport.hpp"
+#include "runtime/shard/wire.hpp"
 #include "runtime/topology.hpp"
 #include "runtime/types.hpp"
 
@@ -56,40 +55,36 @@ struct WorkerConfig {
 /// Runs the resident command loop until SHUTDOWN or wire EOF (both return
 /// cleanly; protocol violations and transport corruption throw out as the
 /// caller's exit-status policy dictates). `ctrl` is the coordinator
-/// channel; `peers` is this worker's mesh row. `kernels` (registered names,
-/// by kernel id) and `store` are the state the loop adopts; `store` is
-/// caller-owned because BlockStore is non-copyable and a worker
-/// materializes it straight off the wire.
+/// channel; `peers` is this worker's mesh row.
 void runResidentWorker(const WorkerConfig& cfg, Channel& ctrl,
-                       std::vector<WireFd>& peers,
-                       std::vector<std::string> kernels, BlockStore& store);
+                       std::vector<WireFd>& peers);
+
+/// The STORE frame's body after its opcode: u64 handle, then one
+/// `u64 len | len words` row per machine m in [lo, hi) (perMachine[m]).
+void writeBlockSlice(WireWriter& w, std::uint64_t handle,
+                     const std::vector<std::vector<Word>>& perMachine,
+                     std::size_t lo, std::size_t hi);
+/// Decodes a writeBlockSlice body into a new handle of `store` and returns
+/// the handle. Each length is checked against the bytes left before a block
+/// is sized by it, and a short body or bytes past the last row throw
+/// ShardError; a handle `store` already holds throws std::invalid_argument.
+std::uint64_t readBlockSlice(WireReader& r, std::size_t lo, std::size_t hi,
+                             BlockStore& store);
 
 /// Plausibility caps of a SETUP frame: a machine count beyond this, or a
 /// lane count beyond kMaxThreads (thread_pool.hpp), can only be a garbled
 /// field, and is rejected before anything is sized by it.
 constexpr std::uint64_t kMaxSetupMachines = 1ull << 24;
 
-/// Coordinator side of provisioning: one kOpSetup frame carrying
-/// dimensions, the topology's wordsPerMachine, the kernel names, and shard
-/// `shard`'s slice of the block store.
+/// Coordinator side of provisioning: one kOpSetup frame carrying shard
+/// `shard`'s dimensions and the topology's wordsPerMachine.
 void sendWorkerSetup(Channel& ch, std::size_t numMachines, std::size_t shards,
                      std::size_t shard, std::size_t threads,
-                     const MpcTopology& topology,
-                     const std::vector<std::string>* kernels,
-                     const BlockStore* blocks);
+                     const MpcTopology& topology);
 
-/// What readWorkerSetup materializes from the frame.
-struct WorkerSetup {
-  WorkerConfig cfg;
-  std::vector<std::string> kernels;
-  std::unique_ptr<BlockStore> store;
-};
-
-/// Worker side: reads the kOpSetup frame off `ch` and rebuilds the
-/// provisioned state. Every wire-supplied size is vetted against the
-/// caps above and the bytes left in the frame before anything is sized by
-/// it; a malformed frame (or a frame that is not kOpSetup) throws
-/// ShardError.
-WorkerSetup readWorkerSetup(Channel& ch);
+/// Worker side: reads the kOpSetup frame off `ch`. Every field is vetted
+/// against the caps above before anything is sized by it; a malformed
+/// frame (or a frame that is not kOpSetup) throws ShardError.
+WorkerConfig readWorkerSetup(Channel& ch);
 
 }  // namespace mpcspan::runtime::shard

@@ -1,5 +1,7 @@
 #include "util/args.hpp"
 
+#include <cctype>
+#include <cerrno>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -64,17 +66,47 @@ std::string ArgParser::get(const std::string& name) const {
   return s->second.defaultValue;
 }
 
+namespace {
+
+/// Parses all of `v` with a strtoll/strtod-shaped `parse`. A leading space,
+/// a trailing character, an empty value or an out-of-range number throws
+/// std::invalid_argument naming --name.
+template <class Parse>
+auto parseWhole(const std::string& name, const std::string& v,
+                const char* want, Parse parse) {
+  char* end = nullptr;
+  errno = 0;
+  const auto x = parse(v.c_str(), &end);
+  if (v.empty() || std::isspace(static_cast<unsigned char>(v[0])) ||
+      *end != '\0' || errno == ERANGE)
+    throw std::invalid_argument("--" + name + ": want " + want + ", got '" +
+                                v + "'");
+  return x;
+}
+
+}  // namespace
+
 std::int64_t ArgParser::getInt(const std::string& name) const {
-  return std::strtoll(get(name).c_str(), nullptr, 10);
+  return parseWhole(name, get(name), "an integer",
+                    [](const char* s, char** end) {
+                      return std::strtoll(s, end, 10);
+                    });
 }
 
 double ArgParser::getDouble(const std::string& name) const {
-  return std::strtod(get(name).c_str(), nullptr);
+  return parseWhole(name, get(name), "a number",
+                    [](const char* s, char** end) {
+                      return std::strtod(s, end);
+                    });
 }
 
 bool ArgParser::getBool(const std::string& name) const {
   const std::string v = get(name);
-  return v == "true" || v == "1" || v == "yes" || v == "on";
+  if (v == "true" || v == "1" || v == "yes" || v == "on") return true;
+  if (v == "false" || v == "0" || v == "no" || v == "off") return false;
+  throw std::invalid_argument("--" + name +
+                              ": want true/1/yes/on or false/0/no/off, got '" +
+                              v + "'");
 }
 
 std::string ArgParser::usage() const {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 namespace mpcspan {
 namespace {
 
@@ -60,6 +63,55 @@ TEST(Args, BoolAcceptsSeveralSpellings) {
   ArgParser p = makeParser();
   ASSERT_TRUE(parse(p, {"--on", "false"}));
   EXPECT_FALSE(p.getBool("on"));
+}
+
+/// The std::invalid_argument message `fn` throws ("" if it throws none).
+template <class Fn>
+std::string invalidArgumentOf(Fn&& fn) {
+  try {
+    fn();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Args, NumbersMustParseWhole) {
+  // A prefix that parses is not enough: `--n 300x` must not read as 300.
+  for (const char* bad : {"300x", "abc", "", " 3", "4.5", "0x10",
+                          "99999999999999999999"}) {
+    ArgParser p = makeParser();
+    ASSERT_TRUE(parse(p, {"--count", bad}));
+    EXPECT_NE(invalidArgumentOf([&] { p.getInt("count"); }).find("--count"),
+              std::string::npos)
+        << "'" << bad << "'";
+  }
+  for (const char* bad : {"0.5x", "abc", "", " 1", "1e999"}) {
+    ArgParser p = makeParser();
+    ASSERT_TRUE(parse(p, {"--ratio", bad}));
+    EXPECT_NE(invalidArgumentOf([&] { p.getDouble("ratio"); }).find("--ratio"),
+              std::string::npos)
+        << "'" << bad << "'";
+  }
+  ArgParser p = makeParser();
+  ASSERT_TRUE(parse(p, {"--count", "-12", "--ratio", "1e3"}));
+  EXPECT_EQ(p.getInt("count"), -12);
+  EXPECT_DOUBLE_EQ(p.getDouble("ratio"), 1000.0);
+}
+
+TEST(Args, BoolRejectsOtherSpellings) {
+  for (const char* v : {"false", "0", "no", "off"}) {
+    ArgParser p = makeParser();
+    ASSERT_TRUE(parse(p, {"--on", v}));
+    EXPECT_FALSE(p.getBool("on")) << v;
+  }
+  for (const char* bad : {"maybe", "TRUE", "2", "", "yes "}) {
+    ArgParser p = makeParser();
+    ASSERT_TRUE(parse(p, {"--on", bad}));
+    EXPECT_NE(invalidArgumentOf([&] { p.getBool("on"); }).find("--on"),
+              std::string::npos)
+        << "'" << bad << "'";
+  }
 }
 
 TEST(Args, UnknownFlagRejected) {

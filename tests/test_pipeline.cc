@@ -159,25 +159,24 @@ Outcome sliceCheck(const MpcTopology& topo, std::size_t n, std::size_t shards,
   namespace shard = runtime::shard;
   (void)&runtime::globalKernelRegistrar<test_kernels::ScriptKernel>;
   runtime::ThreadPool pool(1);
-  runtime::BlockStore store(n);
-  store.create(1);
+  std::vector<std::vector<Word>> scripts(n);
   for (std::size_t m = 0; m < n; ++m) {
-    std::vector<Word> words{outboxes[m].size()};
+    std::vector<Word>& words = scripts[m];
+    words.push_back(outboxes[m].size());
     for (const Message& msg : outboxes[m]) {
       words.push_back(msg.dst);
       words.push_back(msg.payload.size());
       words.insert(words.end(), msg.payload.begin(), msg.payload.end());
     }
-    runtime::WordBuf& block = store.block(1, m);
-    block.resize(words.size());
-    std::copy(words.begin(), words.end(), block.data());
   }
   std::vector<shard::Report> reports(shards);
   std::vector<std::uint64_t> received(n, 0);
   for (std::size_t s = 0; s < shards; ++s) {
-    runtime::MachineSlice slice(n, shard::shardRangeBegin(n, shards, s),
-                                shard::shardRangeEnd(n, shards, s), topo, pool,
-                                store);
+    const std::size_t lo = shard::shardRangeBegin(n, shards, s);
+    const std::size_t hi = shard::shardRangeEnd(n, shards, s);
+    runtime::MachineSlice slice(n, lo, hi, topo, pool);
+    slice.store().create(1);
+    for (std::size_t m = lo; m < hi; ++m) slice.store().block(1, m) = scripts[m];
     slice.addKernel(test_kernels::ScriptKernel::kernelName());
     slice.local(0, {1});  // binds the script block
     try {

@@ -94,8 +94,9 @@ std::string invalidArgumentOf(Fn&& fn) {
 }
 
 TEST(EnvKnobs, GarbledCountsThrowNamingTheVariable) {
-  // Only parsing runs here: a pool spawns its lanes at its first job and a
-  // sharded engine forks at its first operation, so no thread or worker
+  // Only parsing runs here: a pool spawns its lanes at its first job, and
+  // every engine built here is in-process or fails while parsing (a sharded
+  // engine forks its workers in its constructor), so no thread or worker
   // starts, whatever the value.
   for (const char* bad : {"4x", "abc", "0", "100000", "-2", " 3"}) {
     {
@@ -139,9 +140,7 @@ TEST(EnvKnobs, GarbledCountsThrowNamingTheVariable) {
     const ScopedEnv env("MPCSPAN_THREADS", cap.c_str());
     EXPECT_EQ(ThreadPool::defaultThreads(), runtime::kMaxThreads);
     const ScopedEnv shards("MPCSPAN_SHARDS", "3");
-    const RoundEngine eng(EngineConfig{8, 0, 0}, MpcTopology(16));
-    EXPECT_EQ(eng.numShards(), 3u);
-    EXPECT_FALSE(eng.shardBackend()->started());
+    EXPECT_EQ(runtime::shard::ShardedEngine::defaultShards(), 3u);
   }
   {
     const ScopedEnv env("MPCSPAN_THREADS", "");

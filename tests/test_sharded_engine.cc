@@ -226,16 +226,15 @@ TEST(ResidentWorkers, ForkOncePidsStableAcrossRounds) {
                   MpcTopology(16));
   const auto* backend = eng.shardBackend();
   ASSERT_NE(backend, nullptr);
-  EXPECT_FALSE(backend->started());  // lazy: nothing forked yet
+  // The constructor forked the workers.
+  const std::vector<pid_t> pids = backend->workerPids();
+  ASSERT_EQ(pids.size(), 4u);
 
   Outboxes out(8);
   for (std::size_t m = 0; m < 8; ++m) out[m].push_back({(m + 3) % 8, {m}});
   const KernelId k = registerScript(eng, {out});
   auto oneRound = [&] { eng.step(k, {0}); };
-  oneRound();
-  const std::vector<pid_t> pids = backend->workerPids();
-  ASSERT_EQ(pids.size(), 4u);
-  for (int r = 0; r < 5; ++r) oneRound();
+  for (int r = 0; r < 6; ++r) oneRound();
   EXPECT_EQ(backend->workerPids(), pids) << "workers must fork exactly once";
   EXPECT_EQ(eng.rounds(), 6u);
 }
@@ -328,26 +327,21 @@ TEST(ResidentWorkers, CapacityViolationInKernelRoundKeepsType) {
 }
 
 TEST(ResidentWorkers, PostForkRegistrationResolvesViaGlobalRegistry) {
-  // The workers fork at the first operation; a kernel registered afterwards
-  // reaches them by name through the process-global registry exactly as one
-  // registered before (that is how distSort's kernels appear mid-run, e.g.
-  // in the tradeoff contraction).
+  // The workers fork when the engine is built, so every kernel reaches them
+  // by name through the process-global registry, as distSort's kernels do
+  // mid-run (e.g. in the tradeoff contraction).
   runtime::registerGlobalKernel("test.counter.global", [] {
     return std::make_unique<CounterKernel>();
   });
   RoundEngine eng(EngineConfig{8, 1, 4},
                   MpcTopology(16));
-  const KernelId token = runtime::ensureKernel<test_kernels::TokenKernel>(eng);
-  eng.fetchKernel(token);  // forks the workers without a round
-  ASSERT_TRUE(eng.shardBackend()->started());
   const KernelId k = eng.registerKernel("test.counter.global");
   for (int r = 0; r < 3; ++r) eng.step(k);
   RoundEngine ref(EngineConfig{8, 1, 1}, MpcTopology(16));
   const KernelId rk = ref.registerKernel("test.counter.global");
   for (int r = 0; r < 3; ++r) ref.step(rk);
   EXPECT_EQ(eng.fetchKernel(k), ref.fetchKernel(rk));
-  // A name missing from the global registry is rejected at registration,
-  // after the fork as before it.
+  // A name missing from the global registry is rejected at registration.
   EXPECT_THROW(eng.registerKernel("test.unresolvable"), std::invalid_argument);
 }
 
@@ -366,18 +360,17 @@ TEST(ResidentWorkers, KernelRegistrationFailsTheSameWayOnBothBackends) {
     }
     return "";
   };
+  // The sharded engine is fresh: no operation has run on it yet.
   RoundEngine inproc(EngineConfig{8, 1, 1}, MpcTopology(16));
   RoundEngine sharded(EngineConfig{8, 1, 2}, MpcTopology(16));
-  const KernelId token =
-      runtime::ensureKernel<test_kernels::TokenKernel>(sharded);
-  sharded.fetchKernel(token);  // starts the workers
-  ASSERT_TRUE(sharded.shardBackend()->started());
   const std::string inprocError = registrationError(inproc);
   EXPECT_NE(inprocError.find("factory returned null"), std::string::npos);
   EXPECT_EQ(registrationError(sharded), inprocError);
   EXPECT_FALSE(inproc.findKernel("test.null.factory").valid());
   EXPECT_FALSE(sharded.findKernel("test.null.factory").valid());
   // Both engines stay usable.
+  const KernelId token =
+      runtime::ensureKernel<test_kernels::TokenKernel>(sharded);
   sharded.step(token, {1});
   const KernelId inprocToken =
       runtime::ensureKernel<test_kernels::TokenKernel>(inproc);

@@ -5,10 +5,11 @@
 // only same-host peers dial bind loopback only — plus the Channel contract
 // every shard stream stands on: one nonblocking mode, a deadline that
 // bounds a transfer even under a signal storm, and large frames in both
-// directions at once — and the SETUP decoder every worker runs on its first
-// frame, which must decode or reject every truncation, single-bit flip and
-// splice of two frames. Engine-level mesh behavior lives in
-// test_peer_exchange.
+// directions at once — and the two decoders every worker runs on its
+// coordinator's frames: SETUP, its first frame, and the STORE block slice,
+// the one way blocks reach it. Each must decode or reject every truncation,
+// single-bit flip and splice of two frames. Engine-level mesh behavior
+// lives in test_peer_exchange.
 #include "runtime/shard/tcp_transport.hpp"
 
 #include <arpa/inet.h>
@@ -29,6 +30,7 @@
 #include <utility>
 #include <vector>
 
+#include "alloc_cap.hpp"
 #include "runtime/kernel.hpp"
 #include "runtime/shard/transport.hpp"
 #include "runtime/shard/wire.hpp"
@@ -53,7 +55,9 @@ using runtime::shard::TcpPeerAddr;
 using runtime::shard::WireFd;
 using runtime::shard::WireReader;
 using runtime::shard::WireWriter;
-using runtime::shard::WorkerSetup;
+using runtime::shard::WorkerConfig;
+
+using Bytes = std::vector<std::uint8_t>;
 
 // --- Failure modes. Every one must be a ShardError within the deadline. ---
 
@@ -323,58 +327,35 @@ TEST(Channel, PeerClosingMidFrameIsShardError) {
 // --- The SETUP decoder. ---
 
 /// The body of the SETUP frame sendWorkerSetup writes for these arguments.
-std::vector<std::uint8_t> encodeSetup(std::size_t numMachines,
-                                      std::size_t shards, std::size_t shard,
-                                      std::size_t threads,
-                                      const runtime::MpcTopology& topo,
-                                      const std::vector<std::string>& kernels,
-                                      const runtime::BlockStore& store) {
+Bytes encodeSetup(std::size_t numMachines, std::size_t shards,
+                  std::size_t shard, std::size_t threads,
+                  const runtime::MpcTopology& topo) {
   WireFd txEnd;
   WireFd rxEnd;
   runtime::shard::makeSocketPair(txEnd, rxEnd);
   Channel tx(std::move(txEnd));
   Channel rx(std::move(rxEnd));
   runtime::shard::sendWorkerSetup(tx, numMachines, shards, shard, threads,
-                                  topo, &kernels, &store);
+                                  topo);
   WireReader r = WireReader::recvFramed(rx);
   const std::size_t n = r.remaining();
   const std::uint8_t* bytes = r.raw(n);
-  return std::vector<std::uint8_t>(bytes, bytes + n);
+  return Bytes(bytes, bytes + n);
 }
 
-/// A SETUP body: shard 1 of 3 over 8 machines (slice [3, 6)), 2 lanes, an
-/// MPC topology, two kernel names, and two block handles with blocks of
-/// different lengths.
-std::vector<std::uint8_t> setupBody() {
-  runtime::MpcTopology topo(48);
-  const std::vector<std::string> kernels{"test.alpha", "mpcspan.beta"};
-  runtime::BlockStore store(8);
-  for (const std::uint64_t h : {3u, 9u}) {
-    store.create(h);
-    for (std::size_t m = 0; m < 8; ++m)
-      store.block(h, m) = std::vector<Word>(m % 3, h * 100 + m);
-  }
-  return encodeSetup(8, 3, 1, 2, topo, kernels, store);
-}
+/// A SETUP body: shard 1 of 3 over 8 machines, 2 lanes, an MPC topology.
+Bytes setupBody() { return encodeSetup(8, 3, 1, 2, runtime::MpcTopology(48)); }
 
-/// A SETUP body with other dimensions throughout: shard 2 of 4 over 12
-/// machines (slice [6, 9)), 1 lane, another word budget S, one kernel name,
-/// and three block handles.
-std::vector<std::uint8_t> otherSetupBody() {
-  runtime::MpcTopology topo(20000);
-  const std::vector<std::string> kernels{"mpcspan.gamma.longer.name"};
-  runtime::BlockStore store(12);
-  for (const std::uint64_t h : {1u, 4u, 7u}) {
-    store.create(h);
-    for (std::size_t m = 0; m < 12; ++m)
-      store.block(h, m) = std::vector<Word>((m + h) % 4, h ^ (m << 8));
-  }
-  return encodeSetup(12, 4, 2, 1, topo, kernels, store);
+/// A SETUP body with other dimensions throughout: the last shard of 4 over
+/// 12 machines, 1 lane, another word budget S. Its shard id spliced onto
+/// setupBody's 3 shards names a shard that does not exist.
+Bytes otherSetupBody() {
+  return encodeSetup(12, 4, 3, 1, runtime::MpcTopology(20000));
 }
 
 /// Frames `body` (with its true length) and decodes it the way a tcp
 /// worker does.
-WorkerSetup decodeSetup(const std::vector<std::uint8_t>& body) {
+WorkerConfig decodeSetup(const Bytes& body) {
   WireFd txEnd;
   WireFd rxEnd;
   runtime::shard::makeSocketPair(txEnd, rxEnd);
@@ -387,8 +368,7 @@ WorkerSetup decodeSetup(const std::vector<std::uint8_t>& body) {
 }
 
 /// `body` with bit `bit` of the u64 field at byte `offset` flipped.
-std::vector<std::uint8_t> flipField(std::vector<std::uint8_t> body,
-                                    std::size_t offset, unsigned bit) {
+Bytes flipField(Bytes body, std::size_t offset, unsigned bit) {
   std::uint64_t v = 0;
   std::memcpy(&v, body.data() + offset, sizeof v);
   v ^= std::uint64_t{1} << bit;
@@ -396,48 +376,37 @@ std::vector<std::uint8_t> flipField(std::vector<std::uint8_t> body,
   return body;
 }
 
-TEST(WorkerSetup, RoundTripsDimensionsTopologyKernelsAndSlice) {
-  const WorkerSetup setup = decodeSetup(setupBody());
-  EXPECT_EQ(setup.cfg.numMachines, 8u);
-  EXPECT_EQ(setup.cfg.shards, 3u);
-  EXPECT_EQ(setup.cfg.shard, 1u);
-  EXPECT_EQ(setup.cfg.threads, 2u);
-  EXPECT_EQ(setup.cfg.topology.wordsPerMachine(), 48u);
-  EXPECT_EQ(setup.kernels,
-            (std::vector<std::string>{"test.alpha", "mpcspan.beta"}));
-  EXPECT_EQ(setup.store->handles(), (std::vector<std::uint64_t>{3, 9}));
-  for (const std::uint64_t h : {3u, 9u})
-    for (std::size_t m = 0; m < 8; ++m) {
-      // Only the shard's own slice [3, 6) crosses the wire.
-      const std::vector<Word> want =
-          m >= 3 && m < 6 ? std::vector<Word>(m % 3, h * 100 + m)
-                          : std::vector<Word>{};
-      EXPECT_EQ(setup.store->block(h, m).toVector(), want) << h << "/" << m;
-    }
+TEST(WorkerSetup, RoundTripsDimensionsAndTopology) {
+  const WorkerConfig cfg = decodeSetup(setupBody());
+  EXPECT_EQ(cfg.numMachines, 8u);
+  EXPECT_EQ(cfg.shards, 3u);
+  EXPECT_EQ(cfg.shard, 1u);
+  EXPECT_EQ(cfg.threads, 2u);
+  EXPECT_EQ(cfg.topology.wordsPerMachine(), 48u);
 }
 
 TEST(WorkerSetup, EveryTruncationIsShardError) {
-  const std::vector<std::uint8_t> body = setupBody();
+  const Bytes body = setupBody();
   for (std::size_t len = 0; len < body.size(); ++len)
-    EXPECT_THROW(decodeSetup(std::vector<std::uint8_t>(
-                     body.begin(), body.begin() + static_cast<long>(len))),
+    EXPECT_THROW(decodeSetup(Bytes(body.begin(),
+                                   body.begin() + static_cast<long>(len))),
                  ShardError)
         << "truncated to " << len << " of " << body.size() << " bytes";
 }
 
 TEST(WorkerSetup, EverySingleBitFlipDecodesOrIsShardError) {
-  const std::vector<std::uint8_t> body = setupBody();
+  const Bytes body = setupBody();
   std::size_t rejected = 0;
   for (std::size_t bit = 0; bit < 8 * body.size(); ++bit) {
-    std::vector<std::uint8_t> mutated = body;
+    Bytes mutated = body;
     mutated[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
     try {
-      const WorkerSetup setup = decodeSetup(mutated);
+      const WorkerConfig cfg = decodeSetup(mutated);
       // What decodes is within the plausibility caps the worker sizes by.
-      EXPECT_LE(setup.cfg.numMachines, runtime::shard::kMaxSetupMachines);
-      EXPECT_LE(setup.cfg.threads, runtime::kMaxThreads);
-      EXPECT_LT(setup.cfg.shard, setup.cfg.shards);
-      EXPECT_LE(setup.cfg.shards, setup.cfg.numMachines);
+      EXPECT_LE(cfg.numMachines, runtime::shard::kMaxSetupMachines);
+      EXPECT_LE(cfg.threads, runtime::kMaxThreads);
+      EXPECT_LT(cfg.shard, cfg.shards);
+      EXPECT_LE(cfg.shards, cfg.numMachines);
     } catch (const ShardError&) {
       ++rejected;
     } catch (const std::exception& e) {
@@ -451,34 +420,26 @@ TEST(WorkerSetup, EverySpliceDecodesOrIsShardError) {
   // The head of one valid frame joined to the tail of another, at every cut
   // point and in both orders. A splice either decodes to a setup that
   // re-encodes to exactly its bytes (the decoder accepts only canonical
-  // frames) or is rejected as ShardError — and nothing it decodes is sized
-  // beyond the caps or the bytes the frame carried.
-  const std::vector<std::uint8_t> a = setupBody();
-  const std::vector<std::uint8_t> b = otherSetupBody();
+  // frames) or is rejected as ShardError.
+  const Bytes a = setupBody();
+  const Bytes b = otherSetupBody();
   std::size_t decoded = 0;
   std::size_t rejected = 0;
   for (const auto& [head, tail] : {std::pair{&a, &b}, std::pair{&b, &a}})
     for (std::size_t cut = 0; cut <= std::max(head->size(), tail->size());
          ++cut) {
-      std::vector<std::uint8_t> spliced(
+      Bytes spliced(
           head->begin(),
           head->begin() + static_cast<long>(std::min(cut, head->size())));
       if (cut < tail->size())
         spliced.insert(spliced.end(),
                        tail->begin() + static_cast<long>(cut), tail->end());
       try {
-        const WorkerSetup setup = decodeSetup(spliced);
-        const runtime::shard::WorkerConfig& cfg = setup.cfg;
+        const WorkerConfig cfg = decodeSetup(spliced);
         EXPECT_LE(cfg.numMachines, runtime::shard::kMaxSetupMachines);
         EXPECT_LE(cfg.threads, runtime::kMaxThreads);
-        std::size_t words = 0;
-        for (const std::uint64_t h : setup.store->handles())
-          for (std::size_t m = 0; m < cfg.numMachines; ++m)
-            words += setup.store->block(h, m).size();
-        EXPECT_LE(words * sizeof(Word), spliced.size()) << "cut " << cut;
         EXPECT_EQ(encodeSetup(cfg.numMachines, cfg.shards, cfg.shard,
-                              cfg.threads, cfg.topology, setup.kernels,
-                              *setup.store),
+                              cfg.threads, cfg.topology),
                   spliced)
             << "cut " << cut << " decoded but does not re-encode to its bytes";
         ++decoded;
@@ -494,30 +455,150 @@ TEST(WorkerSetup, EverySpliceDecodesOrIsShardError) {
 
 TEST(WorkerSetup, FlippedMachinesOrThreadsRejectedBeforeSizing) {
   // Byte 0 is the opcode; numMachines is the u64 at byte 1, threads the one
-  // at byte 25. A high bit in either is refused by the dimension caps; a
-  // machine count still under the cap implies a slice the frame's blocks
-  // cannot hold, refused by the handle-count bound. Both checks run before
-  // anything — block store, thread pool — is sized by the field.
-  const std::vector<std::uint8_t> body = setupBody();
+  // at byte 25. A high bit in either is refused by the dimension caps
+  // before anything — thread pool, machine slice — is sized by the field.
+  const Bytes body = setupBody();
   struct Case {
     std::size_t offset;
-    unsigned firstBit, endBit;
-    const char* why;
+    unsigned firstBit;
   };
-  const Case cases[] = {{1, 24, 64, "implausible engine dimensions"},
-                        {1, 4, 24, "corrupt block handle count"},
-                        {25, 10, 64, "implausible engine dimensions"}};
-  for (const Case& c : cases)
-    for (unsigned bit = c.firstBit; bit < c.endBit; ++bit) {
+  for (const Case c : {Case{1, 24}, Case{25, 10}})
+    for (unsigned bit = c.firstBit; bit < 64; ++bit) {
       try {
         (void)decodeSetup(flipField(body, c.offset, bit));
         ADD_FAILURE() << "field at " << c.offset << ", bit " << bit
                       << " decoded";
       } catch (const ShardError& e) {
-        EXPECT_NE(std::string(e.what()).find(c.why), std::string::npos)
+        EXPECT_NE(std::string(e.what()).find("implausible engine dimensions"),
+                  std::string::npos)
             << "field at " << c.offset << ", bit " << bit << ": " << e.what();
       }
     }
+}
+
+// --- The STORE block-slice decoder: the one way blocks reach a worker. ---
+
+/// The slice the block-slice bodies below carry: machines [3, 6) of 8.
+constexpr std::size_t kSliceMachines = 8;
+constexpr std::size_t kSliceLo = 3;
+constexpr std::size_t kSliceHi = 6;
+
+/// machine m's block under `handle`: (m + shift) % 3 words.
+std::vector<Word> sliceBlock(std::uint64_t handle, std::size_t m,
+                             std::size_t shift) {
+  return std::vector<Word>((m + shift) % 3, handle * 100 + m);
+}
+
+/// The writeBlockSlice body of `handle`'s blocks (sliceBlock) over
+/// [kSliceLo, kSliceHi).
+Bytes blockSliceBody(std::uint64_t handle, std::size_t shift) {
+  std::vector<std::vector<Word>> perMachine(kSliceMachines);
+  for (std::size_t m = 0; m < kSliceMachines; ++m)
+    perMachine[m] = sliceBlock(handle, m, shift);
+  WireWriter w;
+  runtime::shard::writeBlockSlice(w, handle, perMachine, kSliceLo, kSliceHi);
+  return Bytes(w.data(), w.data() + w.size());
+}
+
+/// Decodes `bytes` the way a worker's STORE case does, into a fresh store,
+/// with a capped allocator (a few times the body, plus one arena chunk).
+/// Returns true if it decoded; fails the test unless the body either
+/// re-encodes to exactly its bytes or is rejected with ShardError.
+bool decodeBlockSlice(const Bytes& bytes, const std::string& label) {
+  runtime::BlockStore store(kSliceMachines);
+  WireReader r = WireReader::fromBytes(bytes);
+  std::uint64_t handle = 0;
+  try {
+    const test_alloc::AllocCap cap(4 * bytes.size() + (std::size_t{1} << 17));
+    handle = runtime::shard::readBlockSlice(r, kSliceLo, kSliceHi, store);
+  } catch (const ShardError&) {
+    return false;
+  } catch (const std::bad_alloc&) {
+    ADD_FAILURE() << label << ": allocation past the body's size";
+    return false;
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << label << ": not a ShardError: " << e.what();
+    return false;
+  }
+  std::vector<std::vector<Word>> perMachine(kSliceMachines);
+  for (std::size_t m = kSliceLo; m < kSliceHi; ++m)
+    perMachine[m] = store.block(handle, m).toVector();
+  WireWriter w;
+  runtime::shard::writeBlockSlice(w, handle, perMachine, kSliceLo, kSliceHi);
+  EXPECT_EQ(Bytes(w.data(), w.data() + w.size()), bytes)
+      << label << ": decoded but does not re-encode to its bytes";
+  return true;
+}
+
+TEST(BlockSlice, RoundTripsTheShardsBlocksOnly) {
+  const Bytes body = blockSliceBody(3, 0);
+  runtime::BlockStore store(kSliceMachines);
+  WireReader r = WireReader::fromBytes(body);
+  EXPECT_EQ(runtime::shard::readBlockSlice(r, kSliceLo, kSliceHi, store), 3u);
+  for (std::size_t m = 0; m < kSliceMachines; ++m) {
+    // Only the slice [3, 6) crosses the wire.
+    const std::vector<Word> want = m >= kSliceLo && m < kSliceHi
+                                       ? sliceBlock(3, m, 0)
+                                       : std::vector<Word>{};
+    EXPECT_EQ(store.block(3, m).toVector(), want) << m;
+  }
+  EXPECT_TRUE(decodeBlockSlice(body, "valid"));
+}
+
+TEST(BlockSlice, TrailingBytesAreShardError) {
+  Bytes body = blockSliceBody(3, 0);
+  body.push_back(0);
+  EXPECT_FALSE(decodeBlockSlice(body, "one trailing byte"));
+  const Bytes word(sizeof(Word), 0);
+  body = blockSliceBody(3, 0);
+  body.insert(body.end(), word.begin(), word.end());
+  EXPECT_FALSE(decodeBlockSlice(body, "one trailing word"));
+}
+
+TEST(BlockSlice, EveryTruncationIsShardError) {
+  const Bytes body = blockSliceBody(3, 0);
+  for (std::size_t len = 0; len < body.size(); ++len)
+    EXPECT_FALSE(decodeBlockSlice(
+        Bytes(body.begin(), body.begin() + static_cast<long>(len)),
+        "truncated to " + std::to_string(len)))
+        << "truncated to " << len << " of " << body.size() << " bytes";
+}
+
+TEST(BlockSlice, EverySingleBitFlipDecodesOrIsShardError) {
+  const Bytes body = blockSliceBody(3, 0);
+  std::size_t decoded = 0;
+  std::size_t rejected = 0;
+  for (std::size_t bit = 0; bit < 8 * body.size(); ++bit) {
+    Bytes mutated = body;
+    mutated[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    ++(decodeBlockSlice(mutated, "bit " + std::to_string(bit)) ? decoded
+                                                                : rejected);
+  }
+  EXPECT_GT(decoded, 0u);
+  EXPECT_GT(rejected, 0u);
+}
+
+TEST(BlockSlice, EverySpliceDecodesOrIsShardError) {
+  // Two bodies whose rows have other lengths, joined at every cut point in
+  // both orders.
+  const Bytes a = blockSliceBody(3, 0);
+  const Bytes b = blockSliceBody(9, 1);
+  std::size_t decoded = 0;
+  std::size_t rejected = 0;
+  for (const auto& [head, tail] : {std::pair{&a, &b}, std::pair{&b, &a}})
+    for (std::size_t cut = 0; cut <= std::max(head->size(), tail->size());
+         ++cut) {
+      Bytes spliced(
+          head->begin(),
+          head->begin() + static_cast<long>(std::min(cut, head->size())));
+      if (cut < tail->size())
+        spliced.insert(spliced.end(),
+                       tail->begin() + static_cast<long>(cut), tail->end());
+      ++(decodeBlockSlice(spliced, "cut " + std::to_string(cut)) ? decoded
+                                                                  : rejected);
+    }
+  EXPECT_GT(decoded, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 }  // namespace

@@ -7,7 +7,7 @@
 //     Attaches shard k to a coordinator that is awaiting remote workers
 //     (MPCSPAN_TCP_REMOTE=1) through attachTcpWorker, the same library path
 //     the engine's forked workers run: an epoch-0 control hello, the
-//     roster and the SETUP frame that provisions every worker, the tcp
+//     roster and the SETUP frame with the engine's dimensions, the tcp
 //     peer mesh, then the resident command loop until SHUTDOWN. A kernel
 //     is a name in the global registry, resolved against this binary's, so
 //     the coordinator and the workers must run the same build (a worker
@@ -15,8 +15,8 @@
 //
 //   mpcspan_worker --coordinate S --port P [--machines N] [--rounds R]
 //                  [--threads T] [--timeout ms]
-//     Hosts a sharded MPC run with S shards and waits for every shard to
-//     attach via --connect. Drives R rounds of a
+//     Hosts a sharded MPC run with S shards: building the engine waits for
+//     every shard to attach via --connect. Drives R rounds of a
 //     deterministic probe kernel and prints the fetched state checksum —
 //     the same workload however the workers attach (or, with 1 shard, in
 //     process), so CI can diff the checksums of all three runs.
@@ -54,7 +54,7 @@ std::uint64_t mix64(std::uint64_t x) {
 /// The coordinate-mode workload: every round each machine folds its inbox
 /// into an accumulator and passes a mixed word to its ring successor.
 /// Globally registered, like every kernel, so a worker (this same binary,
-/// any process) constructs it from the name in its SETUP frame.
+/// any process) constructs it from the name in its REGISTER_KERNEL frame.
 class TcpProbeKernel final : public StepKernel {
  public:
   static std::string kernelName() { return "tools.tcpprobe"; }
@@ -105,7 +105,8 @@ int runCoordinate(std::size_t shards, std::uint16_t port,
     return 2;
   }
   // The engine reads the rendezvous knobs from the environment; pin them to
-  // the flag values so the lazily-started backend sees exactly this setup.
+  // the flag values so the backend its constructor starts sees exactly this
+  // setup.
   // --local runs the identical workload with fork()ed loopback workers
   // instead of awaited attaches, so CI can diff the two checksums.
   ::setenv("MPCSPAN_TCP_REMOTE", local ? "0" : "1", 1);
@@ -113,13 +114,8 @@ int runCoordinate(std::size_t shards, std::uint16_t port,
   if (timeoutMs > 0)
     ::setenv("MPCSPAN_TCP_TIMEOUT_MS", std::to_string(timeoutMs).c_str(), 1);
 
-  EngineConfig cfg;
-  cfg.numMachines = machines;
-  cfg.threads = threads;
-  cfg.shards = shards;
-  RoundEngine eng(cfg, MpcTopology(/*wordsPerMachine=*/256));
-  const KernelId probe = ensureKernel<TcpProbeKernel>(eng);
-
+  // Announced before the engine is built: its constructor blocks until
+  // every shard has attached.
   if (local)
     std::fprintf(stderr, "mpcspan_worker: coordinating %zu local shard(s)\n",
                  shards);
@@ -128,6 +124,13 @@ int runCoordinate(std::size_t shards, std::uint16_t port,
                  "mpcspan_worker: coordinating %zu shard(s) on port %u — "
                  "waiting for `mpcspan_worker --connect` attaches\n",
                  shards, static_cast<unsigned>(port));
+  EngineConfig cfg;
+  cfg.numMachines = machines;
+  cfg.threads = threads;
+  cfg.shards = shards;
+  RoundEngine eng(cfg, MpcTopology(/*wordsPerMachine=*/256));
+  const KernelId probe = ensureKernel<TcpProbeKernel>(eng);
+
   for (std::size_t r = 0; r < rounds; ++r)
     eng.step(probe, {static_cast<Word>(r)});
 
