@@ -7,9 +7,9 @@
 // shard's range, plus the section exchange, the merge and the verdict. Both
 // backends run these kernel loops, checks and delivery pass, so they agree
 // by construction. The slice owns its machines' memory: the kernel
-// instances, the inboxes and the BlockStore blocks. A round is step(), then the receive budget
-// (MpcTopology::validateInbound over every slice's summed inbound words),
-// then install() and commit(), or abort().
+// instances, the inboxes and the BlockStore blocks. A round is step(), then
+// the receive budget (MpcTopology::validateInbound over every slice's summed
+// inbound words), then install() and commit(), or abort().
 #pragma once
 
 #include <cstddef>

@@ -8,9 +8,8 @@
 //     (runtime/machine_slice.hpp) steps them on the pool;
 //   - sharded (EngineConfig::shards > 1, or MPCSPAN_SHARDS): resident worker
 //     processes, started by the constructor, each running the same
-//     MachineSlice over its machine range,
-//     joined by a tcp mesh and driven by control frames
-//     (runtime/shard/sharded_engine.hpp).
+//     MachineSlice over its machine range, joined by a tcp mesh and driven
+//     by control frames (runtime/shard/sharded_engine.hpp).
 // Delivery is deterministic: every inbox holds its deliveries in (source
 // id, send position) order whatever the thread or shard count, so 1-thread,
 // N-thread, 1-shard and N-shard runs of a workload are bit-identical —

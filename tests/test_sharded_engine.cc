@@ -399,6 +399,26 @@ TEST(ResidentWorkers, WorkerDeathBetweenRoundsSurfacesAsShardError) {
   ASSERT_EQ(::kill(pids[2], SIGKILL), 0);
   EXPECT_THROW(oneRound(), ShardError);
   EXPECT_THROW(oneRound(), ShardError);
+  // Every other operation reports the dead backend too.
+  auto downError = [](auto&& op) -> std::string {
+    try {
+      op();
+    } catch (const ShardError& e) {
+      return e.what();
+    }
+    return "";
+  };
+  const std::string down = "shard backend is down";
+  EXPECT_NE(downError([&] { oneRound(); }).find(down), std::string::npos);
+  EXPECT_NE(downError([&] { runtime::ensureKernel<CounterKernel>(*eng); })
+                .find(down),
+            std::string::npos);
+  EXPECT_NE(downError([&] {
+              eng->createBlocks(std::vector<std::vector<Word>>(8));
+            }).find(down),
+            std::string::npos);
+  EXPECT_NE(downError([&] { eng->snapshotInboxes(); }).find(down),
+            std::string::npos);
   // Destruction must leave no zombies: every worker pid is fully reaped, so
   // a later waitpid knows nothing about them.
   eng.reset();
