@@ -98,12 +98,12 @@ class SpinKernel final : public runtime::StepKernel {
  public:
   static std::string kernelName() { return "bench.spin"; }
 
-  std::vector<runtime::Message> step(const runtime::KernelCtx& ctx) override {
+  void step(const runtime::KernelCtx& ctx, runtime::WordRows& out) override {
     // Deterministic local work standing in for a machine's round compute.
     std::uint64_t h = ctx.machine + 1;
     for (Word i = 0; i < ctx.args[0]; ++i)
       h = h * 6364136223846793005ULL + 1442695040888963407ULL;
-    return {{(ctx.machine + 1) % ctx.numMachines, {h}}};
+    out.add((ctx.machine + 1) % ctx.numMachines, {h});
   }
 };
 
@@ -128,8 +128,8 @@ class RingKernel final : public runtime::StepKernel {
  public:
   static std::string kernelName() { return "bench.ring"; }
 
-  std::vector<runtime::Message> step(const runtime::KernelCtx& ctx) override {
-    return {{(ctx.machine + 1) % ctx.numMachines, {ctx.machine}}};
+  void step(const runtime::KernelCtx& ctx, runtime::WordRows& out) override {
+    out.add((ctx.machine + 1) % ctx.numMachines, {ctx.machine});
   }
 };
 
@@ -180,15 +180,13 @@ class AllToAllKernel final : public runtime::StepKernel {
  public:
   static std::string kernelName() { return "bench.alltoall"; }
 
-  std::vector<runtime::Message> step(const runtime::KernelCtx& ctx) override {
+  void step(const runtime::KernelCtx& ctx, runtime::WordRows& out) override {
     const auto words = static_cast<std::size_t>(ctx.args[0]);
     std::vector<Word> pay(words);
     for (std::size_t i = 0; i < words; ++i) pay[i] = ctx.machine * 7919 + i;
-    std::vector<runtime::Message> out;
-    out.reserve(ctx.numMachines - 1);
+    out.reserve(ctx.numMachines - 1, (ctx.numMachines - 1) * words);
     for (std::size_t d = 0; d < ctx.numMachines; ++d)
-      if (d != ctx.machine) out.push_back({d, pay});
-    return out;
+      if (d != ctx.machine) out.add(d, pay);
   }
 };
 

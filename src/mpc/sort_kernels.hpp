@@ -13,7 +13,9 @@
 // hashes, splitter picks, broadcast schedule, partition bounds, fix-up
 // resolution), so rounds, ledger words, and final block contents are
 // unchanged (tests/test_golden.cc freezes them) and identical across 1/N
-// shards × 1/N threads.
+// shards × 1/N threads. Every phase reads its inbox rows in place and
+// appends its messages to the machine's outbox (runtime::WordRows), so a
+// route round's words are copied once, from the block into the outbox.
 //
 // The sort and seg-min kernels are type-parameterized on the item and its
 // stateless comparators; every kernel registers itself in the
@@ -25,6 +27,7 @@
 #include <algorithm>
 #include <cstring>
 #include <mutex>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <typeinfo>
@@ -52,16 +55,17 @@ constexpr Word kSegPhaseApply = 4;     // local: apply fix-ups
 
 namespace detail {
 
-/// Flattens a machine's resident inbox into one word vector: the payloads
-/// concatenated in delivery (sender) order.
-inline std::vector<Word> flatInbox(const runtime::KernelCtx& ctx) {
-  std::size_t total = 0;
-  for (const runtime::Delivery& d : ctx.inbox) total += d.payload.size();
-  std::vector<Word> flat;
-  flat.reserve(total);
-  for (const runtime::Delivery& d : ctx.inbox)
-    flat.insert(flat.end(), d.payload.begin(), d.payload.end());
-  return flat;
+/// Unpacks every item of a machine's resident inbox, rows in delivery
+/// (sender) order, straight from the rows.
+template <typename T>
+std::vector<T> unpackInbox(const runtime::KernelCtx& ctx) {
+  std::size_t count = 0;
+  for (const runtime::RowView& row : ctx.inbox)
+    count += row.words.size() / wordsPerItem<T>();
+  std::vector<T> items;
+  items.reserve(count);
+  for (const runtime::RowView& row : ctx.inbox) appendItems(items, row.words);
+  return items;
 }
 
 /// Reads one item out of a packed block without unpacking the rest (items
@@ -117,17 +121,17 @@ class SortKernel final : public runtime::StepKernel {
     return std::string("mpcspan.distsort.") + typeid(SortKernel).name();
   }
 
-  std::vector<runtime::Message> step(const runtime::KernelCtx& ctx) override {
+  void step(const runtime::KernelCtx& ctx, runtime::WordRows& out) override {
     ensureState(ctx);
     switch (ctx.args.at(0)) {
       case kSortPhaseSample:
-        return sample(ctx);
+        return sample(ctx, out);
       case kSortPhasePickAndFan:
-        return pickAndFan(ctx);
+        return pickAndFan(ctx, out);
       case kSortPhaseFanForward:
-        return fanForward(ctx);
+        return fanForward(ctx, out);
       case kSortPhaseRoute:
-        return route(ctx);
+        return route(ctx, out);
       default:
         throw std::invalid_argument("SortKernel: unknown step phase");
     }
@@ -145,7 +149,7 @@ class SortKernel final : public runtime::StepKernel {
         break;
       }
       case kSortPhaseMergeRoute: {
-        std::vector<T> items = unpackItems<T>(detail::flatInbox(ctx));
+        std::vector<T> items = detail::unpackInbox<T>(ctx);
         std::sort(items.begin(), items.end(), cmp_);
         ctx.store.block(ctx.args.at(1), ctx.machine) =
             packItems(items.data(), items.size());
@@ -161,11 +165,11 @@ class SortKernel final : public runtime::StepKernel {
     std::call_once(sized_, [&] { splitters_.resize(ctx.numMachines); });
   }
 
-  std::vector<runtime::Message> sample(const runtime::KernelCtx& ctx) {
+  void sample(const runtime::KernelCtx& ctx, runtime::WordRows& out) {
     const std::size_t perMachineSamples = ctx.args.at(2);
     const runtime::WordBuf& block = ctx.store.block(ctx.args.at(1), ctx.machine);
     const std::size_t count = block.size() / wordsPerItem<T>();
-    if (count == 0) return {};
+    if (count == 0) return;
     // Uniform random positions, seeded per machine: deterministic per-shard
     // quantile positions would pool into only `take` distinct quantile
     // levels across machines — far too coarse when numMachines > take —
@@ -181,12 +185,12 @@ class SortKernel final : public runtime::StepKernel {
       samples.push_back(detail::itemAt<T>(block, (h >> 33) % count));
     }
     std::sort(samples.begin(), samples.end(), cmp_);
-    return {{0, packItems(samples.data(), samples.size())}};
+    out.add(0, packItems(samples.data(), samples.size()));
   }
 
-  std::vector<runtime::Message> pickAndFan(const runtime::KernelCtx& ctx) {
-    if (ctx.machine != 0) return {};
-    std::vector<T> samples = unpackItems<T>(detail::flatInbox(ctx));
+  void pickAndFan(const runtime::KernelCtx& ctx, runtime::WordRows& out) {
+    if (ctx.machine != 0) return;
+    std::vector<T> samples = detail::unpackInbox<T>(ctx);
     std::sort(samples.begin(), samples.end(), cmp_);
     const std::size_t p = ctx.numMachines;
     std::vector<T>& splitters = splitters_[0];
@@ -196,27 +200,24 @@ class SortKernel final : public runtime::StepKernel {
       splitters.push_back(
           samples[std::min(samples.size() - 1, i * samples.size() / p)]);
     }
-    return fanOut(ctx, /*holders=*/1, /*branch=*/ctx.args.at(2));
+    fanOut(ctx, out, /*holders=*/1, /*branch=*/ctx.args.at(2));
   }
 
-  std::vector<runtime::Message> fanForward(const runtime::KernelCtx& ctx) {
+  void fanForward(const runtime::KernelCtx& ctx, runtime::WordRows& out) {
     absorbSplitters(ctx);
-    return fanOut(ctx, /*holders=*/ctx.args.at(2), /*branch=*/ctx.args.at(3));
+    fanOut(ctx, out, /*holders=*/ctx.args.at(2), /*branch=*/ctx.args.at(3));
   }
 
   /// One fan round of the splitter broadcast (the fanTargets schedule).
-  std::vector<runtime::Message> fanOut(const runtime::KernelCtx& ctx,
-                                       std::size_t holders,
-                                       std::size_t branch) {
+  void fanOut(const runtime::KernelCtx& ctx, runtime::WordRows& out,
+              std::size_t holders, std::size_t branch) {
     const FanTargets t =
         fanTargets(ctx.numMachines, holders, branch, ctx.machine);
-    std::vector<runtime::Message> out;
-    if (t.first == t.last) return out;
+    if (t.first == t.last) return;
     const std::vector<Word> payload = packItems(splitters_[ctx.machine].data(),
                                                 splitters_[ctx.machine].size());
-    out.reserve(t.last - t.first);
-    for (std::size_t d = t.first; d < t.last; ++d) out.push_back({d, payload});
-    return out;
+    out.reserve(t.last - t.first, (t.last - t.first) * payload.size());
+    for (std::size_t d = t.first; d < t.last; ++d) out.add(d, payload);
   }
 
   /// Broadcast targets store the splitters the round after receipt (their
@@ -227,12 +228,10 @@ class SortKernel final : public runtime::StepKernel {
   void absorbSplitters(const runtime::KernelCtx& ctx) {
     std::vector<T>& mine = splitters_[ctx.machine];
     if (!mine.empty() || ctx.inbox.empty()) return;
-    const runtime::Payload& payload = ctx.inbox.front().payload;
-    const std::vector<Word> words(payload.begin(), payload.end());
-    mine = unpackItems<T>(words);
+    mine = unpackItems<T>(ctx.inbox.front().words);
   }
 
-  std::vector<runtime::Message> route(const runtime::KernelCtx& ctx) {
+  void route(const runtime::KernelCtx& ctx, runtime::WordRows& out) {
     absorbSplitters(ctx);
     const std::vector<T>& splitters = splitters_[ctx.machine];
     const runtime::WordBuf& block = ctx.store.block(ctx.args.at(1), ctx.machine);
@@ -241,7 +240,7 @@ class SortKernel final : public runtime::StepKernel {
     // The block is sorted and packed in fixed-width cells, so each run is a
     // contiguous word slice: find the boundaries in place and ship the
     // slices without an unpack/repack round trip.
-    std::vector<runtime::Message> out;
+    out.reserve(splitters.size() + 1, block.size());
     std::size_t begin = 0;
     for (std::size_t j = 0; j <= splitters.size(); ++j) {
       std::size_t end;
@@ -260,13 +259,10 @@ class SortKernel final : public runtime::StepKernel {
         end = lo;
       }
       if (end > begin)
-        out.push_back(
-            {j, std::vector<Word>(
-                    block.begin() + static_cast<std::ptrdiff_t>(begin * wpi),
-                    block.begin() + static_cast<std::ptrdiff_t>(end * wpi))});
+        out.add(j, std::span<const Word>(block.data() + begin * wpi,
+                                         (end - begin) * wpi));
       begin = end;
     }
-    return out;
   }
 
   Cmp cmp_{};
@@ -285,13 +281,13 @@ class SegMinKernel final : public runtime::StepKernel {
     return std::string("mpcspan.segmin.") + typeid(SegMinKernel).name();
   }
 
-  std::vector<runtime::Message> step(const runtime::KernelCtx& ctx) override {
+  void step(const runtime::KernelCtx& ctx, runtime::WordRows& out) override {
     ensureState(ctx);
     switch (ctx.args.at(0)) {
       case kSegPhaseBoundary:
-        return boundary(ctx);
+        return boundary(ctx, out);
       case kSegPhaseFix:
-        return fix(ctx);
+        return fix(ctx, out);
       default:
         throw std::invalid_argument("SegMinKernel: unknown step phase");
     }
@@ -346,30 +342,32 @@ class SegMinKernel final : public runtime::StepKernel {
     std::call_once(sized_, [&] { reduced_.resize(ctx.numMachines); });
   }
 
-  std::vector<runtime::Message> boundary(const runtime::KernelCtx& ctx) {
+  void boundary(const runtime::KernelCtx& ctx, runtime::WordRows& out) {
     const std::vector<T>& red = reduced_[ctx.machine];
-    if (red.empty()) return {};
+    if (red.empty()) return;
     std::vector<T> pair{red.front(), red.back()};
     std::vector<Word> payload = packItems(pair.data(), pair.size());
     payload.push_back(ctx.machine);
-    return {{0, std::move(payload)}};
+    out.add(0, payload);
   }
 
-  std::vector<runtime::Message> fix(const runtime::KernelCtx& ctx) {
-    if (ctx.machine != 0) return {};
+  void fix(const runtime::KernelCtx& ctx, runtime::WordRows& out) {
+    if (ctx.machine != 0) return;
     const std::size_t rec = 2 * wordsPerItem<T>() + 1;
-    const std::vector<Word> raw = detail::flatInbox(ctx);
 
+    // One boundary record per row, from every machine with a reduced run.
     struct Boundary {
       std::size_t machine;
       T first, last;
     };
     std::vector<Boundary> bounds;
-    for (std::size_t off = 0; off + rec <= raw.size(); off += rec) {
+    bounds.reserve(ctx.inbox.size());
+    for (const runtime::RowView& row : ctx.inbox) {
+      if (row.words.size() < rec) continue;
       Boundary b;
-      std::memcpy(&b.first, raw.data() + off, sizeof(T));
-      std::memcpy(&b.last, raw.data() + off + wordsPerItem<T>(), sizeof(T));
-      b.machine = static_cast<std::size_t>(raw[off + rec - 1]);
+      std::memcpy(&b.first, row.words.data(), sizeof(T));
+      std::memcpy(&b.last, row.words.data() + wordsPerItem<T>(), sizeof(T));
+      b.machine = static_cast<std::size_t>(row.words[rec - 1]);
       bounds.push_back(b);
     }
     std::sort(bounds.begin(), bounds.end(), [](const Boundary& a,
@@ -408,7 +406,6 @@ class SegMinKernel final : public runtime::StepKernel {
       i = members.back() == i ? i + 1 : members.back();
     }
 
-    std::vector<runtime::Message> out;
     for (std::size_t m = 0; m < ctx.numMachines; ++m) {
       if (fixes[m].empty()) continue;
       std::vector<Word> payload;
@@ -418,9 +415,8 @@ class SegMinKernel final : public runtime::StepKernel {
         const std::vector<Word> w = packItems(&f.winner, 1);
         payload.insert(payload.end(), w.begin(), w.end());
       }
-      out.push_back({m, std::move(payload)});
+      out.add(m, payload);
     }
-    return out;
   }
 
   void apply(const runtime::KernelCtx& ctx) {
@@ -430,22 +426,24 @@ class SegMinKernel final : public runtime::StepKernel {
     // contract is key-sorted (ascending) input with one representative per
     // key after the reduce — so the lookup is a binary search, not the
     // former linear scan per fix-up.
-    const std::vector<Word> fw = detail::flatInbox(ctx);
     const std::size_t frec = 2 + wordsPerItem<T>();
     std::vector<T>& red = reduced_[ctx.machine];
-    for (std::size_t off = 0; off + frec <= fw.size(); off += frec) {
-      const std::uint64_t key = fw[off];
-      const bool keep = fw[off + 1] != 0;
-      T winner;
-      std::memcpy(&winner, fw.data() + off + 2, sizeof(T));
-      const auto it = std::lower_bound(
-          red.begin(), red.end(), key,
-          [this](const T& a, std::uint64_t k) { return keyOf_(a) < k; });
-      if (it != red.end() && keyOf_(*it) == key) {
-        if (keep)
-          *it = winner;
-        else
-          red.erase(it);
+    for (const runtime::RowView& row : ctx.inbox) {
+      for (std::size_t off = 0; off + frec <= row.words.size(); off += frec) {
+        const Word* fw = row.words.data() + off;
+        const std::uint64_t key = fw[0];
+        const bool keep = fw[1] != 0;
+        T winner;
+        std::memcpy(&winner, fw + 2, sizeof(T));
+        const auto it = std::lower_bound(
+            red.begin(), red.end(), key,
+            [this](const T& a, std::uint64_t k) { return keyOf_(a) < k; });
+        if (it != red.end() && keyOf_(*it) == key) {
+          if (keep)
+            *it = winner;
+          else
+            red.erase(it);
+        }
       }
     }
   }
@@ -465,7 +463,7 @@ class BroadcastKernel final : public runtime::StepKernel {
  public:
   static std::string kernelName() { return "mpcspan.broadcast"; }
 
-  std::vector<runtime::Message> step(const runtime::KernelCtx& ctx) override {
+  void step(const runtime::KernelCtx& ctx, runtime::WordRows& out) override {
     ensureState(ctx);
     const std::size_t holders = ctx.args.at(1);
     std::vector<Word>& mine = held_[ctx.machine];
@@ -477,10 +475,8 @@ class BroadcastKernel final : public runtime::StepKernel {
     }
     const FanTargets t =
         fanTargets(ctx.numMachines, holders, ctx.args.at(2), ctx.machine);
-    std::vector<runtime::Message> out;
-    out.reserve(t.last - t.first);
-    for (std::size_t d = t.first; d < t.last; ++d) out.push_back({d, mine});
-    return out;
+    out.reserve(t.last - t.first, (t.last - t.first) * mine.size());
+    for (std::size_t d = t.first; d < t.last; ++d) out.add(d, mine);
   }
 
   /// After the last fan round: its targets keep their copy.
@@ -503,8 +499,8 @@ class BroadcastKernel final : public runtime::StepKernel {
   /// replaced every round, so a non-empty inbox is the copy it just got.
   void absorb(const runtime::KernelCtx& ctx) {
     if (ctx.inbox.empty()) return;
-    const runtime::Payload& payload = ctx.inbox.front().payload;
-    held_[ctx.machine].assign(payload.begin(), payload.end());
+    const std::span<const Word> words = ctx.inbox.front().words;
+    held_[ctx.machine].assign(words.begin(), words.end());
   }
 
   std::once_flag sized_;

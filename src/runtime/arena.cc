@@ -25,8 +25,8 @@ Word* Arena::allocate(std::size_t words) {
     return p;
   }
   // Bump from the first chunk with room; chunks filled earlier stay
-  // fragmented until reset(), which is fine — runs this size will keep
-  // coming back through the free lists.
+  // fragmented, which is fine — runs this size will keep coming back
+  // through the free lists.
   for (Chunk& c : chunks_) {
     if (c.cap - c.used >= cap) {
       Word* p = c.mem.get() + c.used;
@@ -47,12 +47,6 @@ void Arena::recycle(Word* p, std::size_t capWords) noexcept {
   if (p == nullptr) return;
   std::lock_guard<std::mutex> lock(mu_);
   free_[bucketOf(capWords)].push_back(p);
-}
-
-void Arena::reset() noexcept {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (Chunk& c : chunks_) c.used = 0;
-  for (auto& bucket : free_) bucket.clear();
 }
 
 std::size_t Arena::reservedWords() const {

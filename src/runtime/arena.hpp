@@ -1,28 +1,17 @@
-// Per-worker bump/arena allocation for the resident runtime's hot word
-// buffers: BlockStore blocks and merged cross-shard inbox rows.
+// Per-worker arena allocation for the resident runtime's BlockStore blocks.
 //
-// Both consumers share one allocation shape — word buffers that are
-// rebuilt wholesale every kernel round — which a general-purpose heap
-// serves with a malloc/free pair (plus touching fresh pages) per row per
-// round. The Arena instead carves power-of-two word runs out of a few
-// large chunks and recycles them by size class, so a steady-state round
-// allocates nothing: every block and every inbox row lands in memory that
-// the previous round already warmed.
+// Blocks are word buffers that kernels rebuild wholesale phase after phase,
+// which a general-purpose heap serves with a malloc/free pair (plus touching
+// fresh pages) per block per phase. The Arena instead carves power-of-two
+// word runs out of a few large chunks and recycles them by size class: an
+// owning WordBuf returns its run to the matching class on destruction or
+// regrowth (block lifetimes overlap arbitrarily, so individual runs must be
+// reusable), and a steady-state phase lands in memory an earlier one
+// already warmed. Chunks live as long as the arena.
 //
-// Two reclamation disciplines, chosen per consumer:
-//  - recycle(): an owning WordBuf returns its run to the matching size
-//    class on destruction/regrowth (BlockStore — block lifetimes overlap
-//    arbitrarily, so individual runs must be reusable).
-//  - reset(): the owner rewinds the whole arena once no allocation is
-//    referenced anymore (delivery rows — a MachineSlice keeps one arena per
-//    inbox buffer and resets it when that buffer is retired or discarded;
-//    see Payload::borrowed for the lifetime contract).
-// reset() invalidates every outstanding pointer, so an arena is either
-// recycle-managed or reset-managed — never both at once.
-//
-// Thread-safety: allocate/recycle/reset are mutex-guarded (kernel steps
-// resize blocks from pool threads concurrently). The memory itself is
-// handed out exclusively, so readers/writers of distinct runs never race.
+// Thread-safety: allocate/recycle are mutex-guarded (kernel steps resize
+// blocks from pool threads concurrently). The memory itself is handed out
+// exclusively, so readers/writers of distinct runs never race.
 #pragma once
 
 #include <cstddef>
@@ -37,8 +26,8 @@ namespace mpcspan::runtime {
 
 class Arena {
  public:
-  /// Minimum capacity of any run (words); tiny rows still get a full
-  /// cache line so neighbouring rows never false-share.
+  /// Minimum capacity of any run (words); tiny blocks still get a full
+  /// cache line so neighbouring blocks never false-share.
   static constexpr std::size_t kMinRunWords = 8;
 
   explicit Arena(std::size_t minChunkWords = std::size_t{1} << 13);
@@ -58,11 +47,6 @@ class Arena {
   /// Returns a run to its size class for reuse. `capWords` must be the
   /// roundCapacity() the run was allocated with.
   void recycle(Word* p, std::size_t capWords) noexcept;
-
-  /// Rewinds every chunk and drops the free lists: all previously handed
-  /// out runs are invalidated, chunks are kept for reuse. Only legal when
-  /// the owner can prove nothing references the arena anymore.
-  void reset() noexcept;
 
   /// Total words of backing memory this arena has reserved (diagnostics).
   std::size_t reservedWords() const;
@@ -86,8 +70,7 @@ class Arena {
 /// A contiguous word buffer with std::vector<Word>'s hot-path surface,
 /// backed by an Arena when one is attached (heap otherwise, so standalone
 /// construction in tests and benches still works). Growth recycles the old
-/// run back to the arena; destruction does the same — WordBuf is only used
-/// with recycle-managed arenas (BlockStore), never reset-managed ones.
+/// run back to the arena; destruction does the same.
 class WordBuf {
  public:
   WordBuf() = default;

@@ -8,7 +8,7 @@
 // rounds — per-machine inboxes and blocks stay resident where they are used
 // and are never re-shipped through the coordinator. Anything a kernel wants
 // to persist lives in the kernel instance or the BlockStore, and anything it
-// wants to communicate moves through returned messages.
+// wants to communicate it appends to its outbox (a WordRows).
 //
 // Identity across processes: a kernel is a name in the process-global
 // registry (populated at static initialization — see GlobalKernelRegistrar),
@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -81,13 +82,16 @@ class BlockStore {
 };
 
 /// Everything a kernel sees when stepping one machine. `inbox` is the
-/// machine's resident inbox — the deliveries of the last committed kernel
-/// round — and `args` is the round's broadcast argument vector (identical
-/// on every machine; the coordinator-side driver's only per-round input).
+/// machine's resident inbox — the rows of the last committed kernel round,
+/// in (source, send position) order, each RowView's peer its sender — and
+/// `args` is the round's broadcast argument vector (identical on every
+/// machine; the coordinator-side driver's only per-round input). The
+/// inbox's words are valid until the next round commits; a kernel that
+/// keeps any of them copies them into its own state.
 struct KernelCtx {
   std::size_t machine;
   std::size_t numMachines;
-  const std::vector<Delivery>& inbox;
+  std::span<const RowView> inbox;
   const std::vector<Word>& args;
   BlockStore& store;
 };
@@ -101,11 +105,13 @@ class StepKernel {
  public:
   virtual ~StepKernel() = default;
 
-  /// One communication round: consume ctx.inbox, return this machine's
-  /// outbox. Throwing aborts the round for every shard (the resident inbox
-  /// and the ledger stay untouched; instance state mutated before the throw
-  /// persists, exactly as in-process captured state would).
-  virtual std::vector<Message> step(const KernelCtx& ctx) = 0;
+  /// One communication round: consume ctx.inbox and append this machine's
+  /// messages to `out` (empty on entry), one row per message in send order.
+  /// The round charges the outbox's word count. Throwing aborts the round
+  /// for every shard (the resident inbox and the ledger stay untouched;
+  /// instance state mutated before the throw persists, exactly as
+  /// in-process captured state would).
+  virtual void step(const KernelCtx& ctx, WordRows& out) = 0;
 
   /// A free local phase: no round, no messages (RoundEngine::stepLocal).
   virtual void local(const KernelCtx& ctx) { (void)ctx; }

@@ -10,8 +10,7 @@ MachineSlice::MachineSlice(std::size_t numMachines, std::size_t lo,
                            ThreadPool& pool)
     : numMachines_(numMachines), lo_(lo), hi_(hi), topology_(topology),
       pool_(pool), store_(numMachines) {
-  inboxes_[0].resize(hi - lo);
-  inboxes_[1].resize(hi - lo);
+  inboxes_[cur_].first.assign(hi - lo + 1, 0);
 }
 
 void MachineSlice::addKernel(std::string name) {
@@ -32,58 +31,60 @@ SliceRound MachineSlice::step(std::size_t id, const std::vector<Word>& args) {
   SliceRound round;
   round.outboxes.resize(hi_ - lo_);
   pool_.parallelFor(hi_ - lo_, [&](std::size_t i) {
-    round.outboxes[i] = ker.step(ctx(i, args));
+    ker.step(ctx(i, args), round.outboxes[i]);
   });
   round.inbound.assign(numMachines_, 0);
-  for (const std::vector<Message>& outbox : round.outboxes)
-    for (const Message& msg : outbox) {
-      if (msg.dst >= numMachines_)
+  for (const WordRows& outbox : round.outboxes)
+    for (const WordRows::Row& row : outbox.rows()) {
+      if (row.peer >= numMachines_)
         throw std::invalid_argument("RoundEngine: message to unknown machine");
-      round.inbound[msg.dst] += msg.payload.size();
+      round.inbound[row.peer] += row.len;
     }
   round.words = topology_.validateSources(round.outboxes, lo_);
   return round;
 }
 
-void MachineSlice::install(std::vector<std::vector<Message>> projected) {
-  // Index pass: per local destination, its messages as (src, pos) in
-  // ascending source order, each source in send order — the delivery order
-  // on every backend.
-  struct Ref {
-    std::uint32_t src, pos;
-  };
-  std::vector<std::vector<Ref>> byDst(hi_ - lo_);
-  for (std::size_t src = 0; src < projected.size(); ++src)
-    for (std::size_t pos = 0; pos < projected[src].size(); ++pos) {
-      const std::size_t d = projected[src][pos].dst;
-      if (d >= lo_ && d < hi_)
-        byDst[d - lo_].push_back({static_cast<std::uint32_t>(src),
-                                  static_cast<std::uint32_t>(pos)});
-    }
-  // Each destination belongs to one loop index and each message to one
-  // destination, so the payload moves are disjoint.
-  std::vector<std::vector<Delivery>>& next = inboxes_[1 - cur_];
-  pool_.parallelFor(hi_ - lo_, [&](std::size_t i) {
-    next[i].reserve(byDst[i].size());
-    for (const Ref& ref : byDst[i])
-      next[i].push_back(
-          {ref.src, std::move(projected[ref.src][ref.pos].payload)});
-  });
+void MachineSlice::install(std::vector<WordRows> projected) {
+  // A counting sort of the rows to this range by destination: sources
+  // ascending, each in send order — the delivery order on every backend.
+  Inboxes& next = inboxes_[1 - cur_];
+  next.storage = std::move(projected);
+  std::vector<std::size_t>& first = next.first;
+  first.assign(hi_ - lo_ + 1, 0);
+  for (const WordRows& rows : next.storage)
+    for (const WordRows::Row& row : rows.rows())
+      if (row.peer >= lo_ && row.peer < hi_) ++first[row.peer - lo_ + 1];
+  for (std::size_t i = 1; i < first.size(); ++i) first[i] += first[i - 1];
+  next.views.resize(first.back());
+  std::vector<std::size_t> at(first.begin(), first.end() - 1);
+  for (std::size_t src = 0; src < next.storage.size(); ++src)
+    for (const RowView row : next.storage[src])
+      if (row.peer >= lo_ && row.peer < hi_)
+        next.views[at[row.peer - lo_]++] = {src, row.words};
 }
 
-void MachineSlice::clear(std::size_t buffer) {
-  // A fresh vector, not assign(): assigning empty inboxes would keep each
-  // one's Delivery array allocated.
-  inboxes_[buffer] = std::vector<std::vector<Delivery>>(hi_ - lo_);
-  arenas_[buffer].reset();
+std::span<const RowView> MachineSlice::inbox(std::size_t i) const {
+  const Inboxes& cur = inboxes_[cur_];
+  return std::span<const RowView>(cur.views)
+      .subspan(cur.first[i], cur.first[i + 1] - cur.first[i]);
+}
+
+std::vector<WordRows> MachineSlice::snapshot() const {
+  std::vector<WordRows> out(hi_ - lo_);
+  for (std::size_t i = 0; i < out.size(); ++i)
+    for (const RowView& row : inbox(i)) out[i].add(row.peer, row.words);
+  return out;
 }
 
 void MachineSlice::commit() {
   cur_ = 1 - cur_;
-  clear(1 - cur_);
+  abort();
 }
 
-void MachineSlice::abort() { clear(1 - cur_); }
+void MachineSlice::abort() {
+  // A fresh buffer, not clear(): clearing would keep its memory allocated.
+  inboxes_[1 - cur_] = Inboxes();
+}
 
 void MachineSlice::local(std::size_t id, const std::vector<Word>& args) {
   StepKernel& ker = kernel(id);

@@ -10,15 +10,21 @@
 // instances, the inboxes and the BlockStore blocks. A round is step(), then
 // the receive budget (MpcTopology::validateInbound over every slice's summed
 // inbound words), then install() and commit(), or abort().
+//
+// A round's words are copied at most once on their way from kernel to
+// inbox: the outboxes the kernels fill become the inbox storage, and only a
+// shard worker's cross-shard rows are copied, from the peer frame into the
+// round's storage. Every row lives until the round that replaces its inbox
+// commits.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
-#include "runtime/arena.hpp"
 #include "runtime/kernel.hpp"
 #include "runtime/thread_pool.hpp"
 #include "runtime/topology.hpp"
@@ -29,7 +35,7 @@ namespace mpcspan::runtime {
 /// A slice's share of one round.
 struct SliceRound {
   /// outboxes[i] = every message machine lo + i sends, in send order.
-  std::vector<std::vector<Message>> outboxes;
+  std::vector<WordRows> outboxes;
   /// inbound[m] = words the slice sends to machine m (every m of the engine).
   std::vector<std::uint64_t> inbound;
   std::size_t words = 0;  // words the slice sends
@@ -51,15 +57,15 @@ class MachineSlice {
   /// throws std::invalid_argument, checked before any send budget
   /// (CapacityError). Neither inbox buffer is touched.
   SliceRound step(std::size_t kernel, const std::vector<Word>& args);
-  /// Moves the deliveries to this range out of projected[src] (every source
-  /// of the engine) into the back inbox buffer, in (src, send-position)
-  /// order.
-  void install(std::vector<std::vector<Message>> projected);
-  /// Where rows merged for the next install may borrow their words
-  /// (Payload::borrowed); reset with its inbox buffer.
-  Arena& backArena() { return arenas_[1 - cur_]; }
+  /// Installs a round into the back inbox buffer: projected[src] holds the
+  /// rows every source of the engine sends (peer = destination), and the
+  /// rows to this range become its inboxes in (src, send-position) order.
+  /// The buffer keeps `projected` as the inboxes' storage, without a copy,
+  /// until it is retired.
+  void install(std::vector<WordRows> projected);
   /// The installed round becomes the resident inboxes, and the round it
-  /// replaces is cleared at once, so one round stays alive between rounds.
+  /// replaces is retired at once — its storage freed — so one round stays
+  /// alive between rounds.
   void commit();
   /// Discards the installed round.
   void abort();
@@ -69,19 +75,26 @@ class MachineSlice {
   std::vector<std::vector<Word>> fetch(std::size_t kernel,
                                        const std::vector<Word>& args);
 
-  /// The resident inboxes; [i] is machine lo + i's.
-  const std::vector<std::vector<Delivery>>& inboxes() const {
-    return inboxes_[cur_];
-  }
+  /// Machine lo + i's resident inbox; valid until the next commit.
+  std::span<const RowView> inbox(std::size_t i) const;
+  /// Copies of the resident inboxes; [i] is machine lo + i's.
+  std::vector<WordRows> snapshot() const;
   /// The blocks the kernels see as ctx.store (only the range's are used).
   BlockStore& store() { return store_; }
 
  private:
   StepKernel& kernel(std::size_t id);
   KernelCtx ctx(std::size_t i, const std::vector<Word>& args) {
-    return KernelCtx{lo_ + i, numMachines_, inboxes_[cur_][i], args, store_};
+    return KernelCtx{lo_ + i, numMachines_, inbox(i), args, store_};
   }
-  void clear(std::size_t buffer);
+
+  /// One inbox buffer: the round's rows and every local inbox's views into
+  /// them. Machine lo + i's inbox is views[first[i], first[i + 1]).
+  struct Inboxes {
+    std::vector<WordRows> storage;
+    std::vector<RowView> views;
+    std::vector<std::size_t> first;
+  };
 
   std::size_t numMachines_, lo_, hi_;
   MpcTopology topology_;
@@ -90,8 +103,7 @@ class MachineSlice {
   std::vector<std::string> names_;  // by kernel id
   std::vector<std::unique_ptr<StepKernel>> kernels_;
   // Readers see buffer cur_; a round is installed into the other one.
-  Arena arenas_[2];
-  std::vector<std::vector<Delivery>> inboxes_[2];
+  Inboxes inboxes_[2];
   std::size_t cur_ = 0;
 };
 

@@ -1,9 +1,8 @@
 // Item <-> machine-word packing shared by registered kernels and their
 // drivers (the MPC sort and growth kernels). Items must be trivially
-// copyable;
-// an item occupies wordsPerItem<T>() whole words, so concatenating packed
-// payloads and unpacking the concatenation is the same as unpacking each
-// payload — the property the flat inbox views rely on.
+// copyable; an item occupies wordsPerItem<T>() whole words, so unpacking a
+// machine's inbox row by row (appendItems) yields the items of the packed
+// rows concatenated in delivery order.
 #pragma once
 
 #include <cstring>
@@ -28,14 +27,23 @@ std::vector<Word> packItems(const T* items, std::size_t count) {
   return words;
 }
 
-/// Works on any contiguous word container (std::vector<Word>, the
-/// arena-backed runtime::WordBuf blocks) — only data()/size() are used.
+/// Appends the items packed in `words` to `items`. Works on any contiguous
+/// word container (std::vector<Word>, the arena-backed runtime::WordBuf
+/// blocks, an inbox row's span) — only data()/size() are used.
+template <typename T, typename Words>
+void appendItems(std::vector<T>& items, const Words& words) {
+  const std::size_t count = words.size() / wordsPerItem<T>();
+  const std::size_t at = items.size();
+  items.resize(at + count);
+  for (std::size_t i = 0; i < count; ++i)
+    std::memcpy(&items[at + i], words.data() + i * wordsPerItem<T>(),
+                sizeof(T));
+}
+
 template <typename T, typename Words>
 std::vector<T> unpackItems(const Words& words) {
-  const std::size_t count = words.size() / wordsPerItem<T>();
-  std::vector<T> items(count);
-  for (std::size_t i = 0; i < count; ++i)
-    std::memcpy(&items[i], words.data() + i * wordsPerItem<T>(), sizeof(T));
+  std::vector<T> items;
+  appendItems(items, words);
   return items;
 }
 

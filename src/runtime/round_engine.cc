@@ -146,11 +146,11 @@ void RoundEngine::freeBlocks(std::uint64_t handle) {
     slice_->store().erase(handle);
 }
 
-std::vector<std::vector<Delivery>> RoundEngine::snapshotInboxes() {
+std::vector<WordRows> RoundEngine::snapshotInboxes() {
   // Sharded, the inboxes live in the workers; a failed backend surfaces as
   // ShardError.
   if (shard_) return shard_->fetchInboxes();
-  return slice_->inboxes();
+  return slice_->snapshot();
 }
 
 }  // namespace mpcspan::runtime

@@ -10,8 +10,8 @@
 //     processes, started by the constructor, each running the same
 //     MachineSlice over its machine range, joined by a tcp mesh and driven
 //     by control frames (runtime/shard/sharded_engine.hpp).
-// Delivery is deterministic: every inbox holds its deliveries in (source
-// id, send position) order whatever the thread or shard count, so 1-thread,
+// Delivery is deterministic: every inbox holds its rows in (source id,
+// send position) order whatever the thread or shard count, so 1-thread,
 // N-thread, 1-shard and N-shard runs of a workload are bit-identical —
 // rounds, traffic totals and message contents (tests/test_golden.cc pins
 // them).
@@ -92,7 +92,7 @@ class RoundEngine {
   /// steps every machine where that machine lives (the engine's or its
   /// worker's MachineSlice), the outboxes are validated against the topology
   /// (an unknown destination throws std::invalid_argument, a model
-  /// violation CapacityError), and the deliveries land in the machines'
+  /// violation CapacityError), and the rows land in the machines'
   /// resident inboxes in (src, send-position) order. Sharded, the inboxes
   /// stay worker-owned (use snapshotInboxes() or fetchKernel() to observe
   /// state). `args` is broadcast to every machine. A throw — kernel or
@@ -116,8 +116,9 @@ class RoundEngine {
   std::vector<std::vector<Word>> readBlocks(std::uint64_t handle);
   void freeBlocks(std::uint64_t handle);
 
-  /// Every machine's resident inbox, fetched from wherever it lives.
-  std::vector<std::vector<Delivery>> snapshotInboxes();
+  /// A copy of every machine's resident inbox (peer = source, in delivery
+  /// order), fetched from wherever it lives.
+  std::vector<WordRows> snapshotInboxes();
 
   /// Deterministic parallel loop on the engine's pool. fn must write to
   /// disjoint outputs; then the result is identical for every thread count.

@@ -189,13 +189,15 @@ std::vector<WireReader> meshExchange(std::vector<WireFd>& peers,
 
 void mergeSectionRows(WireReader& r, std::uint64_t count, std::size_t srcLo,
                       std::size_t srcHi, std::size_t dstLo, std::size_t dstHi,
-                      std::vector<std::vector<Message>>& projected,
-                      Arena* arena) {
+                      std::vector<WordRows>& projected) {
   // A row is at least three u64 headers; vet the count before any pass.
   if (count > r.remaining() / (3 * sizeof(std::uint64_t)))
     throw ShardError("shard wire frame: corrupt row count");
   const std::size_t mark = r.pos();
-  std::vector<std::uint32_t> perSrc(srcHi - srcLo, 0);
+  struct Totals {
+    std::size_t rows = 0, words = 0;
+  };
+  std::vector<Totals> perSrc(srcHi - srcLo);
   std::uint64_t prevSrc = srcLo;
   for (std::uint64_t i = 0; i < count; ++i) {
     const std::uint64_t src = r.u64();
@@ -209,30 +211,23 @@ void mergeSectionRows(WireReader& r, std::uint64_t count, std::size_t srcLo,
     if (len > r.remaining() / sizeof(Word))
       throw ShardError("shard wire frame: corrupt payload length");
     (void)r.raw(len * sizeof(Word));  // skip the payload; need() re-vets
-    ++perSrc[src - srcLo];
+    ++perSrc[src - srcLo].rows;
+    perSrc[src - srcLo].words += len;
   }
   // A count that undercounts the rows would otherwise drop the tail.
   if (!r.atEnd()) throw ShardError("shard wire frame: trailing bytes");
   r.seek(mark);
-  for (std::size_t src = srcLo; src < srcHi; ++src)
-    if (perSrc[src - srcLo] > 0)
-      projected[src].reserve(projected[src].size() + perSrc[src - srcLo]);
-  std::vector<Word> scratch;
+  for (std::size_t src = srcLo; src < srcHi; ++src) {
+    const Totals& t = perSrc[src - srcLo];
+    if (t.rows > 0)
+      projected[src].reserve(projected[src].size() + t.rows,
+                             projected[src].wordCount() + t.words);
+  }
   for (std::uint64_t i = 0; i < count; ++i) {
     const std::uint64_t src = r.u64();
     const std::uint64_t dst = r.u64();
     const std::uint64_t len = r.u64();
-    if (arena != nullptr && len > 1) {
-      Word* run = arena->allocate(len);
-      r.words(run, len);
-      projected[src].push_back(
-          {static_cast<std::size_t>(dst), Payload::borrowed(run, len)});
-      continue;
-    }
-    scratch.resize(len);
-    r.words(scratch.data(), len);
-    projected[src].push_back(
-        {static_cast<std::size_t>(dst), Payload(scratch.data(), len)});
+    r.words(projected[src].append(dst, len), len);
   }
 }
 

@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "runtime/arena.hpp"
 #include "runtime/shard/transport.hpp"
 #include "runtime/shard/wire.hpp"
 #include "runtime/types.hpp"
@@ -45,24 +44,17 @@ std::vector<WireReader> meshExchange(std::vector<WireFd>& peers,
                                      const DeadlineBudget* budget = nullptr);
 
 /// Merges `count` section rows (src, dst, len, words) — the rest of the
-/// frame — into the projected round view: pass 1 vets every header (src in
+/// frame — into the projected round view, appending each row to
+/// projected[src] (peer = dst): pass 1 vets every header (src in
 /// [srcLo, srcHi) and never descending, dst in [dstLo, dstHi), len against
 /// the bytes actually remaining — all before any multiplication that could
-/// wrap), counts rows per source, and requires the rows to end the frame;
-/// pass 2 rewinds and fills the exactly-reserved vectors. A corrupt frame
-/// throws ShardError before any row is consumed; projected[] is only
-/// touched once the whole section has been vetted, and every section that
-/// merges re-encodes to its own bytes.
-///
-/// With a non-null `arena`, multi-word payloads are copied once from the
-/// frame into arena runs and delivered as Payload::borrowed — no per-row
-/// heap vector. The borrowed payloads are valid until the caller resets
-/// that arena (the resident workers double-buffer two delivery arenas and
-/// reset the incoming one at the top of each merge, so payloads installed
-/// in round N die when round N + 2 starts merging).
+/// wrap), counts rows and words per source, and requires the rows to end
+/// the frame; pass 2 rewinds and copies each row's words, once, into the
+/// exactly-reserved rows. A corrupt frame throws ShardError before any row
+/// is consumed; projected[] is only touched once the whole section has been
+/// vetted, and every section that merges re-encodes to its own bytes.
 void mergeSectionRows(WireReader& r, std::uint64_t count, std::size_t srcLo,
                       std::size_t srcHi, std::size_t dstLo, std::size_t dstHi,
-                      std::vector<std::vector<Message>>& projected,
-                      Arena* arena = nullptr);
+                      std::vector<WordRows>& projected);
 
 }  // namespace mpcspan::runtime::shard

@@ -75,6 +75,40 @@ std::vector<Word> readArgs(WireReader& r) {
   return args;
 }
 
+void writeInboxes(WireWriter& w, const std::vector<WordRows>& inboxes) {
+  for (const WordRows& inbox : inboxes) {
+    w.u64(inbox.size());
+    for (const RowView row : inbox) {
+      w.u64(row.peer);
+      w.u64(row.words.size());
+      w.words(row.words.data(), row.words.size());
+    }
+  }
+}
+
+std::vector<WordRows> readInboxes(WireReader& r, std::size_t machines,
+                                  std::size_t numMachines) {
+  std::vector<WordRows> inboxes(machines);
+  for (WordRows& inbox : inboxes) {
+    const std::uint64_t count = r.u64();
+    // A row is at least two u64s.
+    if (count > r.remaining() / (2 * sizeof(std::uint64_t)))
+      throw ShardError("shard wire frame: corrupt row count");
+    inbox.reserve(count, 0);
+    for (std::uint64_t i = 0; i < count; ++i) {
+      const std::uint64_t src = r.u64();
+      const std::uint64_t len = r.u64();
+      if (src >= numMachines)
+        throw ShardError("shard wire frame: row source out of range");
+      if (len > r.remaining() / sizeof(Word))
+        throw ShardError("shard wire frame: corrupt payload length");
+      r.words(inbox.append(src, len), len);
+    }
+  }
+  if (!r.atEnd()) throw ShardError("shard wire frame: trailing bytes");
+  return inboxes;
+}
+
 void writeReport(Channel& ch, std::uint8_t kind, const std::string& err,
                  std::uint64_t words) {
   WireWriter w;

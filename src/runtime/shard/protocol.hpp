@@ -88,33 +88,15 @@ void spinAwaitReadable(int fd, const util::DeadlineBudget* budget = nullptr);
 void writeArgs(WireWriter& w, const std::vector<Word>& args);
 std::vector<Word> readArgs(WireReader& r);
 
-/// Parses one shard's per-machine section of a frame into rows[m] for m in
-/// [lo, hi): a u64 count, then (u64 id, u64 len, len words) per row; Row is
-/// Delivery (id = src). Wire-supplied sizes are vetted against the frame's
-/// remaining bytes before sizing any container, so a corrupt frame throws
-/// ShardError, never bad_alloc.
-template <class Row>
-void parseRows(WireReader& r, std::size_t lo, std::size_t hi,
-               std::vector<std::vector<Row>>& rows) {
-  std::vector<Word> scratch;
-  for (std::size_t m = lo; m < hi; ++m) {
-    const std::uint64_t count = r.u64();
-    // A row is at least two u64s.
-    if (count > r.remaining() / (2 * sizeof(std::uint64_t)))
-      throw ShardError("shard wire frame: corrupt row count");
-    rows[m].reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-      const std::uint64_t id = r.u64();
-      const std::uint64_t len = r.u64();
-      if (len > r.remaining() / sizeof(Word))
-        throw ShardError("shard wire frame: corrupt payload length");
-      scratch.resize(len);
-      r.words(scratch.data(), len);
-      rows[m].push_back(
-          {static_cast<std::size_t>(id), Payload(scratch.data(), len)});
-    }
-  }
-}
+/// The FETCH_INBOXES reply body: per inbox, a u64 row count, then
+/// (u64 src, u64 len, len words) per row.
+void writeInboxes(WireWriter& w, const std::vector<WordRows>& inboxes);
+/// Decodes a writeInboxes body of `machines` inboxes whose sources are
+/// machines of an engine of `numMachines`. Each count and length is checked
+/// against the bytes left before anything is sized by it; a short body, a
+/// source outside the engine, or bytes past the last inbox throw ShardError.
+std::vector<WordRows> readInboxes(WireReader& r, std::size_t machines,
+                                  std::size_t numMachines);
 
 /// Sends a {kind, words | error} report.
 void writeReport(Channel& ch, std::uint8_t kind, const std::string& err,

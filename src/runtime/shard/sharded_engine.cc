@@ -380,17 +380,20 @@ void ShardedEngine::freeBlocks(std::uint64_t handle) {
   });
 }
 
-std::vector<std::vector<Delivery>> ShardedEngine::fetchInboxes() {
+std::vector<WordRows> ShardedEngine::fetchInboxes() {
   return guarded([&] {
     for (Worker& w : workers_) {
       WireWriter f;
       f.u8(kOpFetchInboxes);
       f.sendFramed(w.fd);
     }
-    std::vector<std::vector<Delivery>> out(numMachines_);
+    std::vector<WordRows> out;
+    out.reserve(numMachines_);
     for (std::size_t s = 0; s < shards_; ++s) {
       WireReader r = WireReader::recvFramed(workers_[s].fd);
-      parseRows<Delivery>(r, shardBegin(s), shardEnd(s), out);
+      for (WordRows& inbox :
+           readInboxes(r, shardEnd(s) - shardBegin(s), numMachines_))
+        out.push_back(std::move(inbox));
     }
     return out;
   });

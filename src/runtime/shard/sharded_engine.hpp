@@ -84,7 +84,7 @@ class ShardedEngine {
   void announceKernel(std::size_t id, const std::string& name);
 
   /// One resident kernel round (the STEP barrier above). Writes the words
-  /// moved to roundWords; deliveries land in the worker-resident inboxes.
+  /// moved to roundWords; the rows land in the worker-resident inboxes.
   void stepKernel(std::size_t id, const std::vector<Word>& args,
                   std::size_t& roundWords);
 
@@ -101,7 +101,7 @@ class ShardedEngine {
   void freeBlocks(std::uint64_t handle);
 
   /// Ships every worker's resident inboxes back (free; diagnostics).
-  std::vector<std::vector<Delivery>> fetchInboxes();
+  std::vector<WordRows> fetchInboxes();
 
   /// The MPCSPAN_SHARDS env var, else 1. A value that is not a whole
   /// number in [1, kMaxThreads] throws std::invalid_argument.

@@ -96,7 +96,7 @@ void runResidentWorker(const WorkerConfig& cfg, Channel& ctrl,
           // Phase A, the local gate: step the slice (a kernel throw, a rogue
           // destination or an over-budget sender is reported before the
           // verdict, along with this worker's inbound word sums), then
-          // bucket every cross-shard message into its destination shard's
+          // bucket every cross-shard row into its destination shard's
           // section, in (src asc, send-position asc) order.
           std::uint8_t kind = kOk;
           std::string err;
@@ -106,11 +106,11 @@ void runResidentWorker(const WorkerConfig& cfg, Channel& ctrl,
           try {
             round = slice.step(kid, args);
             for (std::size_t i = 0; i < local; ++i)
-              for (const Message& msg : round.outboxes[i]) {
-                if (msg.dst >= lo && msg.dst < hi) continue;
-                const std::size_t t = shardOfMachine(n, cfg.shards, msg.dst);
-                sections[t].row(lo + i, msg.dst, msg.payload.data(),
-                                msg.payload.size());
+              for (const RowView row : round.outboxes[i]) {
+                if (row.peer >= lo && row.peer < hi) continue;
+                const std::size_t t = shardOfMachine(n, cfg.shards, row.peer);
+                sections[t].row(lo + i, row.peer, row.words.data(),
+                                row.words.size());
                 ++counts[t];
               }
           } catch (...) {
@@ -143,7 +143,7 @@ void runResidentWorker(const WorkerConfig& cfg, Channel& ctrl,
           std::vector<WireReader> frames =
               meshExchange(peers, s, counts, sections, &budget);
           if (kind == kOk) {
-            std::vector<std::vector<Message>> projected(n);
+            std::vector<WordRows> projected(n);
             for (std::size_t i = 0; i < local; ++i)
               projected[lo + i] = std::move(round.outboxes[i]);
             try {
@@ -153,7 +153,7 @@ void runResidentWorker(const WorkerConfig& cfg, Channel& ctrl,
                 mergeSectionRows(frames[t], count,
                                  shardRangeBegin(n, cfg.shards, t),
                                  shardRangeEnd(n, cfg.shards, t), lo, hi,
-                                 projected, &slice.backArena());
+                                 projected);
               }
             } catch (const ShardError&) {
               throw;
@@ -266,14 +266,7 @@ void runResidentWorker(const WorkerConfig& cfg, Channel& ctrl,
 
         case kOpFetchInboxes: {
           WireWriter w;
-          for (const std::vector<Delivery>& inbox : slice.inboxes()) {
-            w.u64(inbox.size());
-            for (const Delivery& d : inbox) {
-              w.u64(d.src);
-              w.u64(d.payload.size());
-              w.words(d.payload.data(), d.payload.size());
-            }
-          }
+          writeInboxes(w, slice.snapshot());
           w.sendFramed(ctrl);
           break;
         }

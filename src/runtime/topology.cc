@@ -6,12 +6,10 @@
 namespace mpcspan::runtime {
 
 std::size_t MpcTopology::validateSources(
-    const std::vector<std::vector<Message>>& sliceOutboxes,
-    std::size_t begin) const {
+    const std::vector<WordRows>& sliceOutboxes, std::size_t begin) const {
   std::size_t sliceWords = 0;
   for (std::size_t i = 0; i < sliceOutboxes.size(); ++i) {
-    std::size_t sent = 0;
-    for (const Message& msg : sliceOutboxes[i]) sent += msg.payload.size();
+    const std::size_t sent = sliceOutboxes[i].wordCount();
     if (sent > wordsPerMachine_)
       throw CapacityError("machine " + std::to_string(begin + i) + " sends " +
                           std::to_string(sent) + " words > capacity " +

@@ -32,9 +32,8 @@ class MpcTopology {
   /// Source-side half: checks the send budget of the slice's own complete
   /// outboxes (sliceOutboxes[i] = every message machine begin + i sends;
   /// destinations already bounds-checked) and returns the words they send.
-  std::size_t validateSources(
-      const std::vector<std::vector<Message>>& sliceOutboxes,
-      std::size_t begin) const;
+  std::size_t validateSources(const std::vector<WordRows>& sliceOutboxes,
+                              std::size_t begin) const;
 
   /// Receiver-side half: received[m] = words delivered to machine m this
   /// round, summed across every shard (same-shard deliveries included).

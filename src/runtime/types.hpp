@@ -1,18 +1,17 @@
 // Shared vocabulary of the round-engine runtime: the machine word, the
-// capacity-violation error, message/delivery records, and the round/traffic
-// ledger.
+// capacity-violation error, a round's traffic (WordRows, and RowView over
+// one of its rows), and the round/traffic ledger.
 //
 // `Word` and `CapacityError` live directly in namespace mpcspan — they are
 // the currency of the MPC layer above the engine too (mpc/simulator.hpp,
 // mpc/primitives.hpp).
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
+#include <span>
 #include <stdexcept>
-#include <utility>
 #include <vector>
 
 namespace mpcspan {
@@ -29,137 +28,79 @@ class CapacityError : public std::runtime_error {
 
 namespace runtime {
 
-/// Message payload with a single-word fast path: a one-word message (a
-/// broadcast word, a token, a count) is stored inline, with no heap
-/// allocation per message. Longer payloads
-/// spill to a heap vector — or, for merged cross-shard rows, *borrow* words
-/// that a per-worker delivery arena owns (see Payload::borrowed), so the
-/// resident inbox stops paying one vector per row per round.
-class Payload {
+/// One message as a view: its peer — the destination in an outbox, the
+/// sender in an inbox — and its words.
+struct RowView {
+  std::size_t peer;
+  std::span<const Word> words;
+};
+
+/// A round's traffic in one owned buffer: every message's words back to
+/// back, plus one (peer, len) row per message, in order. It is a kernel's
+/// outbox (peer = destination, in send order), a shard worker's rows from
+/// one source after the section merge (peer = destination), and a machine's
+/// inbox as snapshotInboxes returns it (peer = source, in delivery order).
+class WordRows {
  public:
-  Payload() = default;
-  Payload(std::initializer_list<Word> ws) { assignAny(ws.begin(), ws.size()); }
-  Payload(const std::vector<Word>& ws) { assignAny(ws.data(), ws.size()); }
-  Payload(std::vector<Word>&& ws) {
-    if (ws.size() <= 1) {
-      assign(ws.data(), ws.size());
-    } else {
-      heap_ = std::move(ws);
-      size_ = kHeapTag;
+  struct Row {
+    std::size_t peer;
+    std::size_t len;
+    friend bool operator==(const Row&, const Row&) = default;
+  };
+
+  class const_iterator {
+   public:
+    RowView operator*() const { return {row_->peer, {words_, row_->len}}; }
+    const_iterator& operator++() {
+      words_ += row_->len;
+      ++row_;
+      return *this;
     }
-  }
-  Payload(const Word* ws, std::size_t n) { assignAny(ws, n); }
+    bool operator==(const const_iterator& o) const { return row_ == o.row_; }
 
-  /// Wraps `n` words owned by an external allocator without copying them.
-  /// The borrow is only as durable as the owner's memory: the sharded
-  /// engine hands out arena words that stay valid until the round that
-  /// *replaces* the inbox commits, which covers every legal access to a
-  /// resident inbox (kernels read ctx.inbox only inside the round). A
-  /// *copy* of a borrowed payload deep-copies to the heap — copies escape
-  /// the round (inbox snapshots, test captures), so they must not extend
-  /// the borrow. Single words still go inline.
-  static Payload borrowed(const Word* ws, std::size_t n) {
-    Payload p;
-    if (n <= 1) {
-      p.assign(ws, n);
-    } else {
-      p.ext_ = ws;
-      p.inline_ = n;
-      p.size_ = kExtTag;
-    }
-    return p;
-  }
+   private:
+    friend class WordRows;
+    const_iterator(const Row* row, const Word* words)
+        : row_(row), words_(words) {}
+    const Row* row_;
+    const Word* words_;
+  };
 
-  Payload(const Payload& o) { *this = o; }
-  Payload& operator=(const Payload& o) {
-    if (this == &o) return *this;
-    if (o.size_ == kExtTag) {
-      heap_.assign(o.ext_, o.ext_ + o.inline_);
-      size_ = kHeapTag;
-      ext_ = nullptr;
-    } else {
-      inline_ = o.inline_;
-      size_ = o.size_;
-      heap_ = o.heap_;
-      ext_ = nullptr;
-    }
-    return *this;
+  /// Appends a row carrying `ws` to `peer`.
+  void add(std::size_t peer, std::span<const Word> ws) {
+    rows_.push_back({peer, ws.size()});
+    words_.insert(words_.end(), ws.begin(), ws.end());
   }
-  Payload(Payload&& o) noexcept
-      : inline_(o.inline_), size_(o.size_), heap_(std::move(o.heap_)),
-        ext_(o.ext_) {
-    o.size_ = 0;
-    o.ext_ = nullptr;
+  void add(std::size_t peer, std::initializer_list<Word> ws) {
+    add(peer, std::span<const Word>(ws.begin(), ws.size()));
   }
-  Payload& operator=(Payload&& o) noexcept {
-    inline_ = o.inline_;
-    size_ = o.size_;
-    heap_ = std::move(o.heap_);
-    ext_ = o.ext_;
-    o.size_ = 0;
-    o.ext_ = nullptr;
-    return *this;
+  /// Appends a row of `len` zeroed words to `peer` and returns them, for
+  /// the caller to fill before the next append.
+  Word* append(std::size_t peer, std::size_t len) {
+    rows_.push_back({peer, len});
+    words_.resize(words_.size() + len);
+    return words_.data() + words_.size() - len;
+  }
+  void reserve(std::size_t rows, std::size_t words) {
+    rows_.reserve(rows);
+    words_.reserve(words);
   }
 
-  std::size_t size() const {
-    return size_ == kHeapTag   ? heap_.size()
-           : size_ == kExtTag ? static_cast<std::size_t>(inline_)
-                              : size_;
-  }
-  bool empty() const { return size() == 0; }
-  const Word* data() const {
-    return size_ == kHeapTag ? heap_.data() : size_ == kExtTag ? ext_ : &inline_;
-  }
-  const Word* begin() const { return data(); }
-  const Word* end() const { return data() + size(); }
-  Word operator[](std::size_t i) const { return data()[i]; }
-  Word front() const { return data()[0]; }
+  /// Rows (messages), and words over every row.
+  std::size_t size() const { return rows_.size(); }
+  bool empty() const { return rows_.empty(); }
+  std::size_t wordCount() const { return words_.size(); }
+  const std::vector<Row>& rows() const { return rows_; }
+  std::span<const Word> words() const { return words_; }
 
-  friend bool operator==(const Payload& a, const Payload& b) {
-    return a.size() == b.size() && std::equal(a.begin(), a.end(), b.begin());
-  }
-  friend bool operator==(const Payload& a, const std::vector<Word>& b) {
-    return a.size() == b.size() && std::equal(a.begin(), a.end(), b.begin());
-  }
-  friend bool operator==(const std::vector<Word>& a, const Payload& b) {
-    return b == a;
-  }
+  const_iterator begin() const { return {rows_.data(), words_.data()}; }
+  const_iterator end() const { return {rows_.data() + rows_.size(), nullptr}; }
+
+  friend bool operator==(const WordRows&, const WordRows&) = default;
 
  private:
-  static constexpr std::size_t kHeapTag = static_cast<std::size_t>(-1);
-  static constexpr std::size_t kExtTag = static_cast<std::size_t>(-2);
-
-  void assign(const Word* ws, std::size_t n) {  // n <= 1
-    inline_ = n ? ws[0] : 0;
-    size_ = n;
-  }
-  void assignAny(const Word* ws, std::size_t n) {
-    if (n <= 1) {
-      assign(ws, n);
-    } else {
-      heap_.assign(ws, ws + n);
-      size_ = kHeapTag;
-    }
-  }
-
-  Word inline_ = 0;  // the word itself, or the borrowed length (kExtTag)
-  std::size_t size_ = 0;
-  std::vector<Word> heap_;
-  const Word* ext_ = nullptr;  // borrowed words (kExtTag only)
-};
-
-/// A message from one machine to another within a single synchronous round.
-struct Message {
-  std::size_t dst;
-  Payload payload;
-};
-
-/// A delivered message: the payload plus the sender's id. Inboxes hold
-/// deliveries in stable (src, send-position) order, independent of how many
-/// threads stepped the round.
-struct Delivery {
-  std::size_t src;
-  Payload payload;
+  std::vector<Word> words_;
+  std::vector<Row> rows_;
 };
 
 /// The round/traffic ledger of one engine.

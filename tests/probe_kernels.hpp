@@ -22,21 +22,19 @@ class ProbeKernel final : public runtime::StepKernel {
  public:
   static std::string kernelName() { return "test.probe"; }
 
-  std::vector<runtime::Message> step(const runtime::KernelCtx& ctx) override {
+  void step(const runtime::KernelCtx& ctx, runtime::WordRows& out) override {
     ensureSized(ctx);
     const std::size_t n = ctx.numMachines;
     const std::size_t m = ctx.machine;
     Word sum = 1;
-    for (const runtime::Delivery& d : ctx.inbox)
-      sum += 3 * d.src + d.payload.front();
+    for (const runtime::RowView& row : ctx.inbox)
+      sum += 3 * row.peer + row.words.front();
     state_[m] += sum;
     const Word r = ++round_[m];
-    // Mixed single-word (inline payload) and multi-word fan-out.
-    std::vector<runtime::Message> out;
-    out.push_back({(m + r) % n, {state_[m], state_[m] ^ m, r}});
-    out.push_back({(m * 3 + 1) % n, {state_[m]}});
-    if (m % 2 == 0) out.push_back({(m + n - 1) % n, {r, static_cast<Word>(m)}});
-    return out;
+    // Mixed single-word and multi-word fan-out.
+    out.add((m + r) % n, {state_[m], state_[m] ^ m, r});
+    out.add((m * 3 + 1) % n, {state_[m]});
+    if (m % 2 == 0) out.add((m + n - 1) % n, {r, static_cast<Word>(m)});
   }
 
   std::vector<Word> fetch(const runtime::KernelCtx& ctx) override {
@@ -66,20 +64,18 @@ class TokenKernel final : public runtime::StepKernel {
  public:
   static std::string kernelName() { return "test.token"; }
 
-  std::vector<runtime::Message> step(const runtime::KernelCtx& ctx) override {
-    std::vector<runtime::Message> out;
+  void step(const runtime::KernelCtx& ctx, runtime::WordRows& out) override {
     if (!ctx.args.empty()) {
-      if (ctx.machine == 0) out.push_back({1, {100}});
+      if (ctx.machine == 0) out.add(1, {100});
     } else if (!ctx.inbox.empty()) {
-      out.push_back({(ctx.machine + 1) % ctx.numMachines,
-                     {ctx.inbox[0].payload[0] + 1}});
+      out.add((ctx.machine + 1) % ctx.numMachines,
+              {ctx.inbox[0].words[0] + 1});
     }
-    return out;
   }
 };
 
 /// One round's outboxes: outboxes[m] = every message machine m sends.
-using Outboxes = std::vector<std::vector<runtime::Message>>;
+using Outboxes = std::vector<runtime::WordRows>;
 
 /// Replays a fixed per-round outbox table: step returns round args[0]'s
 /// outbox of ctx.machine. The table is an ordinary worker-resident block —
@@ -95,21 +91,19 @@ class ScriptKernel final : public runtime::StepKernel {
     handle_ = ctx.args.at(0);  // the same value from every machine
   }
 
-  std::vector<runtime::Message> step(const runtime::KernelCtx& ctx) override {
+  void step(const runtime::KernelCtx& ctx, runtime::WordRows& out) override {
     const runtime::WordBuf& block = ctx.store.block(handle_, ctx.machine);
     const Word round = ctx.args.at(0);
     std::size_t pos = 0;
     for (Word r = 0; pos < block.size(); ++r) {
       const Word count = block.data()[pos++];
-      std::vector<runtime::Message> out;
       for (Word i = 0; i < count; ++i) {
         const std::size_t dst = block.data()[pos];
         const std::size_t len = block.data()[pos + 1];
-        if (r == round)
-          out.push_back({dst, runtime::Payload(block.data() + pos + 2, len)});
+        if (r == round) out.add(dst, {block.data() + pos + 2, len});
         pos += 2 + len;
       }
-      if (r == round) return out;
+      if (r == round) return;
     }
     throw std::out_of_range("ScriptKernel: no such round");
   }
@@ -126,11 +120,11 @@ inline runtime::KernelId registerScript(runtime::RoundEngine& eng,
       throw std::invalid_argument("registerScript: one outbox per machine");
     for (std::size_t m = 0; m < round.size(); ++m) {
       perMachine[m].push_back(round[m].size());
-      for (const runtime::Message& msg : round[m]) {
-        perMachine[m].push_back(msg.dst);
-        perMachine[m].push_back(msg.payload.size());
-        perMachine[m].insert(perMachine[m].end(), msg.payload.begin(),
-                             msg.payload.end());
+      for (const runtime::RowView row : round[m]) {
+        perMachine[m].push_back(row.peer);
+        perMachine[m].push_back(row.words.size());
+        perMachine[m].insert(perMachine[m].end(), row.words.begin(),
+                             row.words.end());
       }
     }
   }
@@ -140,14 +134,14 @@ inline runtime::KernelId registerScript(runtime::RoundEngine& eng,
 }
 
 /// Steps scripted round `round` and returns every machine's inbox.
-inline std::vector<std::vector<runtime::Delivery>> scriptedRound(
+inline std::vector<runtime::WordRows> scriptedRound(
     runtime::RoundEngine& eng, runtime::KernelId k, Word round) {
   eng.step(k, {round});
   return eng.snapshotInboxes();
 }
 
 /// A one-round script: registers `out` and runs it.
-inline std::vector<std::vector<runtime::Delivery>> scriptedRound(
+inline std::vector<runtime::WordRows> scriptedRound(
     runtime::RoundEngine& eng, Outboxes out) {
   return scriptedRound(eng, registerScript(eng, {std::move(out)}), 0);
 }

@@ -1,6 +1,6 @@
-// The per-worker Arena allocator, its WordBuf surface, Payload's borrowed
-// (zero-copy) mode, and the simd:: pass that the arena-backed contiguous
-// layout enables, pinned against its obviously-correct scalar definition.
+// The per-worker Arena allocator, its WordBuf surface, and the simd:: pass
+// that the arena-backed contiguous layout enables, pinned against its
+// obviously-correct scalar definition.
 #include "runtime/arena.hpp"
 
 #include <gtest/gtest.h>
@@ -16,7 +16,6 @@ namespace mpcspan {
 namespace {
 
 using runtime::Arena;
-using runtime::Payload;
 using runtime::WordBuf;
 
 TEST(Arena, RoundCapacityIsPowerOfTwoWithCacheLineFloor) {
@@ -52,17 +51,6 @@ TEST(Arena, SteadyStateChurnReservesNoNewMemory) {
     for (int i = 0; i < 64; ++i) runs.push_back(a.allocate(200));
     for (Word* p : runs) a.recycle(p, Arena::roundCapacity(200));
   }
-  EXPECT_EQ(a.reservedWords(), reserved);
-}
-
-TEST(Arena, ResetRewindsWithoutReleasingChunks) {
-  Arena a;
-  for (int i = 0; i < 32; ++i) (void)a.allocate(1000);
-  const std::size_t reserved = a.reservedWords();
-  a.reset();
-  EXPECT_EQ(a.reservedWords(), reserved);
-  // Post-reset allocations reuse the rewound chunks.
-  for (int i = 0; i < 32; ++i) ASSERT_NE(a.allocate(1000), nullptr);
   EXPECT_EQ(a.reservedWords(), reserved);
 }
 
@@ -113,26 +101,6 @@ TEST(WordBuf, StandaloneHeapModeStillWorks) {
   for (Word w = 0; w < 1000; ++w) b.push_back(w);
   EXPECT_EQ(b.size(), 1000u);
   EXPECT_EQ(b[999], 999u);
-}
-
-TEST(Payload, BorrowedWrapsWithoutCopyAndCopiesEscapeTheBorrow) {
-  std::vector<Word> backing{10, 20, 30, 40};
-  Payload p = Payload::borrowed(backing.data(), backing.size());
-  EXPECT_EQ(p.size(), 4u);
-  EXPECT_EQ(p.data(), backing.data());  // zero-copy: same words
-  backing[2] = 77;
-  EXPECT_EQ(p[2], 77u);  // the borrow sees the owner's writes
-
-  Payload copy = p;  // copies deep-copy: they outlive the owner
-  EXPECT_NE(copy.data(), backing.data());
-  backing[0] = 999;
-  EXPECT_EQ(copy[0], 10u);
-  EXPECT_EQ(copy.size(), 4u);
-
-  // Single words go inline even when "borrowed" — no dangling possible.
-  Payload one = Payload::borrowed(backing.data(), 1);
-  EXPECT_NE(one.data(), backing.data());
-  EXPECT_EQ(one.front(), 999u);
 }
 
 // --- The simd pass: compiled path vs the scalar definition. ---

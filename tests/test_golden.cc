@@ -50,7 +50,8 @@
 namespace mpcspan {
 namespace {
 
-using runtime::Delivery;
+using runtime::RowView;
+using runtime::WordRows;
 using runtime::EngineConfig;
 using runtime::KernelId;
 using runtime::RoundEngine;
@@ -95,20 +96,20 @@ struct Hasher {
   void add(std::uint64_t w) { h = mix64(h ^ w); }
 };
 
-/// Every delivery of every resident inbox. With `payloads` false only the
-/// shape (senders and payload lengths) is hashed: the growth wave's inboxes
+/// Every row of every resident inbox. With `payloads` false only the
+/// shape (senders and row lengths) is hashed: the growth wave's inboxes
 /// hold packed structs (runtime/pack.hpp) whose padding bytes are not part
 /// of any value and differ from run to run.
-std::uint64_t inboxHash(const std::vector<std::vector<Delivery>>& inboxes,
+std::uint64_t inboxHash(const std::vector<WordRows>& inboxes,
                         bool payloads = true) {
   Hasher hs;
   for (std::size_t m = 0; m < inboxes.size(); ++m) {
     hs.add(inboxes[m].size());
-    for (const Delivery& d : inboxes[m]) {
-      hs.add(d.src);
-      hs.add(d.payload.size());
+    for (const RowView& d : inboxes[m]) {
+      hs.add(d.peer);
+      hs.add(d.words.size());
       if (payloads)
-        for (const Word w : d.payload) hs.add(w);
+        for (const Word w : d.words) hs.add(w);
     }
   }
   return hs.h;

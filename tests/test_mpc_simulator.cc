@@ -56,22 +56,18 @@ TEST(MpcSimulator, RejectsEmptyConfig) {
 std::vector<std::vector<Word>> flatRound(MpcSimulator& sim,
                                          test_kernels::Outboxes out) {
   std::vector<std::vector<Word>> inbox;
-  for (const auto& deliveries :
-       test_kernels::scriptedRound(sim.engine(), std::move(out))) {
-    inbox.emplace_back();
-    for (const runtime::Delivery& d : deliveries)
-      inbox.back().insert(inbox.back().end(), d.payload.begin(),
-                          d.payload.end());
-  }
+  for (const runtime::WordRows& rows :
+       test_kernels::scriptedRound(sim.engine(), std::move(out)))
+    inbox.emplace_back(rows.words().begin(), rows.words().end());
   return inbox;
 }
 
 TEST(MpcSimulator, DeliversMessagesAndCountsRounds) {
   MpcSimulator sim(MpcConfig{3, 16});
   test_kernels::Outboxes out(3);
-  out[0].push_back({1, {10, 20}});
-  out[2].push_back({1, {30}});
-  out[1].push_back({0, {40}});
+  out[0].add(1, {10, 20});
+  out[2].add(1, {30});
+  out[1].add(0, {40});
   const auto inbox = flatRound(sim, std::move(out));
   EXPECT_EQ(sim.rounds(), 1u);
   EXPECT_EQ(sim.totalWordsSent(), 4u);
@@ -83,24 +79,24 @@ TEST(MpcSimulator, DeliversMessagesAndCountsRounds) {
 TEST(MpcSimulator, EnforcesSendCapacity) {
   MpcSimulator sim(MpcConfig{2, 4});
   test_kernels::Outboxes out(2);
-  out[0].push_back({1, {1, 2, 3, 4, 5}});
+  out[0].add(1, {1, 2, 3, 4, 5});
   EXPECT_THROW(flatRound(sim, std::move(out)), CapacityError);
 }
 
 TEST(MpcSimulator, EnforcesReceiveCapacity) {
   MpcSimulator sim(MpcConfig{3, 4});
   test_kernels::Outboxes out(3);
-  out[0].push_back({2, {1, 2, 3}});
-  out[1].push_back({2, {4, 5, 6}});
+  out[0].add(2, {1, 2, 3});
+  out[1].add(2, {4, 5, 6});
   EXPECT_THROW(flatRound(sim, std::move(out)), CapacityError);
 }
 
 TEST(MpcSimulator, TracksPeakTraffic) {
   MpcSimulator sim(MpcConfig{2, 16});
   test_kernels::Outboxes out(2);
-  out[0].push_back({1, {1, 2, 3}});
+  out[0].add(1, {1, 2, 3});
   test_kernels::Outboxes out2(2);
-  out2[1].push_back({0, {1}});
+  out2[1].add(0, {1});
   const runtime::KernelId k =
       test_kernels::registerScript(sim.engine(), {out, out2});
   sim.engine().step(k, {0});

@@ -23,7 +23,6 @@
 #include <thread>
 #include <vector>
 
-#include "runtime/arena.hpp"
 #include "runtime/round_engine.hpp"
 #include "runtime/shard/peer_mesh.hpp"
 #include "runtime/shard/sharded_engine.hpp"
@@ -37,11 +36,11 @@
 namespace mpcspan {
 namespace {
 
-using runtime::Delivery;
+using runtime::RowView;
 using runtime::EngineConfig;
 using runtime::KernelCtx;
 using runtime::KernelId;
-using runtime::Message;
+using runtime::WordRows;
 using runtime::MpcTopology;
 using runtime::RoundEngine;
 using runtime::StepKernel;
@@ -66,10 +65,10 @@ Result observe(RoundEngine& eng, KernelId k) {
   Result res;
   res.fetched = eng.fetchKernel(k);
   for (const auto& inbox : eng.snapshotInboxes())
-    for (const Delivery& d : inbox) {
-      res.flatInboxes.push_back(d.src);
-      res.flatInboxes.insert(res.flatInboxes.end(), d.payload.begin(),
-                             d.payload.end());
+    for (const RowView& d : inbox) {
+      res.flatInboxes.push_back(d.peer);
+      res.flatInboxes.insert(res.flatInboxes.end(), d.words.begin(),
+                             d.words.end());
     }
   res.rounds = eng.rounds();
   res.words = eng.totalWordsSent();
@@ -108,19 +107,20 @@ class ThrowerKernel final : public StepKernel {
  public:
   static std::string kernelName() { return "test.thrower"; }
 
-  std::vector<Message> step(const KernelCtx& ctx) override {
+  void step(const KernelCtx& ctx, WordRows& out) override {
     if (!ctx.args.empty() && ctx.machine == 5)
       throw std::runtime_error("boom mid-round");
     const std::size_t n = ctx.numMachines;
     const std::size_t m = ctx.machine;
     Word sum = m + 3;
-    for (const Delivery& d : ctx.inbox) sum += 5 * d.src + d.payload.front();
-    return {{(m + sum) % n, {sum}}, {(m * 7 + 2) % n, {sum ^ m}}};
+    for (const RowView& d : ctx.inbox) sum += 5 * d.peer + d.words.front();
+    out.add((m + sum) % n, {sum});
+    out.add((m * 7 + 2) % n, {sum ^ m});
   }
 
   std::vector<Word> fetch(const KernelCtx& ctx) override {
     Word sum = 0;
-    for (const Delivery& d : ctx.inbox) sum += d.src + d.payload.front();
+    for (const RowView& d : ctx.inbox) sum += d.peer + d.words.front();
     return {sum};
   }
 };
@@ -158,10 +158,11 @@ class Flooder final : public StepKernel {
  public:
   static std::string kernelName() { return "test.flooder"; }
 
-  std::vector<Message> step(const KernelCtx& ctx) override {
+  void step(const KernelCtx& ctx, WordRows& out) override {
     if (!ctx.args.empty())
-      return {{0, {1, 2, 3, 4, 5}}};  // 8 machines x 5 words > cap 16
-    return {{(ctx.machine + 5) % ctx.numMachines, {ctx.machine + 7}}};
+      out.add(0, {1, 2, 3, 4, 5});  // 8 machines x 5 words > cap 16
+    else
+      out.add((ctx.machine + 5) % ctx.numMachines, {ctx.machine + 7});
   }
 };
 
@@ -178,13 +179,7 @@ TEST(TcpMesh, CapacityAbortKeepsStateAndWorkers) {
   EXPECT_THROW(eng.step(k, {1}), CapacityError);
   EXPECT_EQ(eng.rounds(), 1u);
   EXPECT_EQ(eng.totalWordsSent(), wordsBefore);
-  const auto inboxesAfter = eng.snapshotInboxes();
-  ASSERT_EQ(inboxesBefore.size(), inboxesAfter.size());
-  for (std::size_t m = 0; m < inboxesBefore.size(); ++m) {
-    ASSERT_EQ(inboxesBefore[m].size(), inboxesAfter[m].size());
-    for (std::size_t i = 0; i < inboxesBefore[m].size(); ++i)
-      EXPECT_EQ(inboxesBefore[m][i].payload, inboxesAfter[m][i].payload);
-  }
+  EXPECT_EQ(eng.snapshotInboxes(), inboxesBefore);
   eng.step(k);  // the workers survived the abort
   EXPECT_EQ(eng.rounds(), 2u);
 }
@@ -197,9 +192,9 @@ class PeerDeathKernel final : public StepKernel {
  public:
   static std::string kernelName() { return "test.peerdeath"; }
 
-  std::vector<Message> step(const KernelCtx& ctx) override {
+  void step(const KernelCtx& ctx, WordRows& out) override {
     if (ctx.machine == 2 || ctx.machine == 3) std::_Exit(4);
-    return {{(ctx.machine + 4) % ctx.numMachines, {ctx.machine}}};
+    out.add((ctx.machine + 4) % ctx.numMachines, {ctx.machine});
   }
 };
 
@@ -229,17 +224,17 @@ class BigFrameKernel final : public StepKernel {
   static std::string kernelName() { return "test.bigframe"; }
   static constexpr std::size_t kWords = 200000;  // 1.6 MB of payload
 
-  std::vector<Message> step(const KernelCtx& ctx) override {
+  void step(const KernelCtx& ctx, WordRows& out) override {
     ensureSized(ctx);
     const std::size_t n = ctx.numMachines;
     const std::size_t m = ctx.machine;
     Word seed = m + 1;
-    for (const Delivery& d : ctx.inbox) seed += d.payload[0] + d.payload[kWords / 2];
+    for (const RowView& d : ctx.inbox) seed += d.words[0] + d.words[kWords / 2];
     seen_[m] += seed;
     std::vector<Word> pay(kWords);
     for (std::size_t w = 0; w < kWords; ++w)
       pay[w] = seed * 2654435761u + w;
-    return {{(m + 1) % n, std::move(pay)}};
+    out.add((m + 1) % n, pay);
   }
 
   std::vector<Word> fetch(const KernelCtx& ctx) override {
@@ -275,26 +270,19 @@ TEST(TcpMesh, ExchangeRoundsAndBlocksRideTheBackend) {
   // blocks must match the in-process engine too.
   RoundEngine sharded(EngineConfig{6, 1, 3}, MpcTopology(64));
   RoundEngine ref(EngineConfig{6, 1, 1}, MpcTopology(64));
-  std::vector<std::vector<std::vector<Delivery>>> inboxes;
+  std::vector<std::vector<WordRows>> inboxes;
   for (RoundEngine* eng : {&sharded, &ref}) {
     std::vector<std::vector<Word>> per(6);
     for (std::size_t m = 0; m < 6; ++m) per[m] = {m * 10 + 1, m * 10 + 2};
     const std::uint64_t h = eng->createBlocks(per);
     test_kernels::Outboxes out(6);
     for (std::size_t m = 0; m < 6; ++m)
-      out[m].push_back({(m + 1) % 6, {m, m ^ 7}});
+      out[m].add((m + 1) % 6, {m, m ^ 7});
     inboxes.push_back(test_kernels::scriptedRound(*eng, std::move(out)));
     EXPECT_EQ(eng->readBlocks(h), per);
     eng->freeBlocks(h);
   }
-  ASSERT_EQ(inboxes[0].size(), inboxes[1].size());
-  for (std::size_t m = 0; m < inboxes[0].size(); ++m) {
-    ASSERT_EQ(inboxes[0][m].size(), inboxes[1][m].size());
-    for (std::size_t i = 0; i < inboxes[0][m].size(); ++i) {
-      EXPECT_EQ(inboxes[0][m][i].src, inboxes[1][m][i].src);
-      EXPECT_EQ(inboxes[0][m][i].payload, inboxes[1][m][i].payload);
-    }
-  }
+  EXPECT_EQ(inboxes[0], inboxes[1]);
   EXPECT_EQ(sharded.rounds(), ref.rounds());
   EXPECT_EQ(sharded.totalWordsSent(), ref.totalWordsSent());
 }
@@ -308,7 +296,7 @@ WireReader toReader(const WireWriter& w) {
 }
 
 TEST(PeerSectionParse, ImplausibleRowCountRejectedWithoutOverflow) {
-  std::vector<std::vector<Message>> projected(8);
+  std::vector<WordRows> projected(8);
   WireReader empty = WireReader::fromBytes({});
   EXPECT_THROW(mergeSectionRows(empty, ~std::uint64_t{0}, 0, 4, 4, 8, projected),
                ShardError);
@@ -323,7 +311,7 @@ TEST(PeerSectionParse, ImplausibleRowCountRejectedWithoutOverflow) {
 }
 
 TEST(PeerSectionParse, ImplausiblePayloadLengthRejectedWithoutOverflow) {
-  std::vector<std::vector<Message>> projected(8);
+  std::vector<WordRows> projected(8);
   WireWriter w;
   w.u64(0);                       // src
   w.u64(4);                       // dst
@@ -334,7 +322,7 @@ TEST(PeerSectionParse, ImplausiblePayloadLengthRejectedWithoutOverflow) {
 }
 
 TEST(PeerSectionParse, RowOutOfRangeRejectedBeforeAnyRowLands) {
-  std::vector<std::vector<Message>> projected(8);
+  std::vector<WordRows> projected(8);
   const Word payload = 42;
   // First row valid, second row's src escapes the sender's shard range: the
   // vet pass must reject the whole section before row one is consumed.
@@ -352,7 +340,7 @@ TEST(PeerSectionParse, RowOutOfRangeRejectedBeforeAnyRowLands) {
 }
 
 TEST(PeerSectionParse, TruncatedRowRejected) {
-  std::vector<std::vector<Message>> projected(8);
+  std::vector<WordRows> projected(8);
   const Word payload = 7;
   WireWriter w;
   w.row(0, 4, &payload, 1);
@@ -363,7 +351,7 @@ TEST(PeerSectionParse, TruncatedRowRejected) {
 }
 
 TEST(PeerSectionParse, ValidSectionMergesInRowOrder) {
-  std::vector<std::vector<Message>> projected(8);
+  std::vector<WordRows> projected(8);
   const Word a[3] = {10, 11, 12};
   const Word b = 20;
   WireWriter w;
@@ -372,12 +360,13 @@ TEST(PeerSectionParse, ValidSectionMergesInRowOrder) {
   w.row(3, 5, &b, 1);
   WireReader r = toReader(w);
   mergeSectionRows(r, 3, 0, 4, 4, 8, projected);
-  ASSERT_EQ(projected[1].size(), 2u);
-  EXPECT_EQ(projected[1][0].dst, 6u);
-  EXPECT_EQ(projected[1][0].payload, (std::vector<Word>{10, 11, 12}));
-  EXPECT_EQ(projected[1][1].dst, 4u);
-  ASSERT_EQ(projected[3].size(), 1u);
-  EXPECT_EQ(projected[3][0].dst, 5u);
+  WordRows from1;
+  from1.add(6, {10, 11, 12});
+  from1.add(4, {20});
+  WordRows from3;
+  from3.add(5, {20});
+  EXPECT_EQ(projected[1], from1);
+  EXPECT_EQ(projected[3], from3);
   EXPECT_TRUE(r.atEnd());
 }
 
@@ -414,18 +403,16 @@ std::vector<Bytes> sampleSections() {
 }
 
 /// Decodes `bytes` the way the worker loop does, with a capped allocator
-/// (a few times the frame, plus one arena chunk). Returns true if the rows
+/// (a few times the frame). Returns true if the rows
 /// merged; fails the test unless the frame either re-encodes to its own
 /// bytes or is rejected with ShardError and projected[] untouched.
-bool decodeSection(const Bytes& bytes, runtime::Arena* arena,
-                   const std::string& label) {
-  std::vector<std::vector<Message>> projected(8);
+bool decodeSection(const Bytes& bytes, const std::string& label) {
+  std::vector<WordRows> projected(8);
   WireReader r = WireReader::fromBytes(bytes);
-  if (arena != nullptr) arena->reset();
   try {
-    const test_alloc::AllocCap cap(4 * bytes.size() + (std::size_t{1} << 17));
+    const test_alloc::AllocCap cap(4 * bytes.size() + 256);
     const std::uint64_t count = r.u64();
-    mergeSectionRows(r, count, 0, 4, 4, 8, projected, arena);
+    mergeSectionRows(r, count, 0, 4, 4, 8, projected);
   } catch (const ShardError&) {
     for (const auto& rows : projected)
       EXPECT_TRUE(rows.empty()) << label << ": rows landed before the throw";
@@ -442,33 +429,27 @@ bool decodeSection(const Bytes& bytes, runtime::Arena* arena,
   WireWriter w;
   w.u64(rows);
   for (std::size_t src = 0; src < projected.size(); ++src)
-    for (const Message& m : projected[src])
-      w.row(src, m.dst, m.payload.data(), m.payload.size());
+    for (const RowView row : projected[src])
+      w.row(src, row.peer, row.words.data(), row.words.size());
   EXPECT_EQ(Bytes(w.data(), w.data() + w.size()), bytes)
       << label << ": merged but does not re-encode to its bytes";
   return true;
 }
 
 TEST(PeerSectionParse, ValidSectionsReencodeByteIdentically) {
-  runtime::Arena arena;
-  for (const Bytes& b : sampleSections()) {
-    EXPECT_TRUE(decodeSection(b, nullptr, "valid"));
-    EXPECT_TRUE(decodeSection(b, &arena, "valid (arena)"));
-  }
+  for (const Bytes& b : sampleSections()) EXPECT_TRUE(decodeSection(b, "valid"));
 }
 
 TEST(PeerSectionParse, TruncationsAndSplicesAtEveryCutReencodeOrReject) {
   const std::vector<Bytes> sections = sampleSections();
-  runtime::Arena arena;
   std::size_t merged = 0, mutants = 0;
   for (std::size_t a = 0; a < sections.size(); ++a) {
     const Bytes& sa = sections[a];
     for (std::size_t cut = 0; cut < sa.size(); ++cut) {
       // A strict prefix always leaves the count above the rows it holds.
       const Bytes head(sa.begin(), sa.begin() + static_cast<std::ptrdiff_t>(cut));
-      EXPECT_FALSE(decodeSection(head, cut % 2 ? &arena : nullptr,
-                                 "truncation " + std::to_string(a) + "@" +
-                                     std::to_string(cut)));
+      EXPECT_FALSE(decodeSection(head, "truncation " + std::to_string(a) +
+                                           "@" + std::to_string(cut)));
     }
     for (std::size_t b = 0; b < sections.size(); ++b) {
       const Bytes& sb = sections[b];
@@ -478,10 +459,10 @@ TEST(PeerSectionParse, TruncationsAndSplicesAtEveryCutReencodeOrReject) {
         if (cut < sb.size())
           m.insert(m.end(), sb.begin() + static_cast<std::ptrdiff_t>(cut),
                    sb.end());
-        merged += decodeSection(m, ++mutants % 2 ? &arena : nullptr,
-                                "splice " + std::to_string(a) + "+" +
-                                    std::to_string(b) + "@" +
-                                    std::to_string(cut));
+        ++mutants;
+        merged += decodeSection(m, "splice " + std::to_string(a) + "+" +
+                                       std::to_string(b) + "@" +
+                                       std::to_string(cut));
       }
     }
   }
@@ -492,7 +473,6 @@ TEST(PeerSectionParse, TruncationsAndSplicesAtEveryCutReencodeOrReject) {
 
 TEST(PeerSectionParse, SeededBitFlipsReencodeOrReject) {
   const std::vector<Bytes> sections = sampleSections();
-  runtime::Arena arena;
   Rng rng(20261018);
   std::size_t merged = 0, rejected = 0;
   for (int i = 0; i < 20000; ++i) {
@@ -500,8 +480,7 @@ TEST(PeerSectionParse, SeededBitFlipsReencodeOrReject) {
     const std::uint64_t flips = 1 + rng.next(3);
     for (std::uint64_t f = 0; f < flips; ++f)
       m[rng.next(m.size())] ^= static_cast<std::uint8_t>(1u << rng.next(8));
-    if (decodeSection(m, i % 2 ? &arena : nullptr,
-                      "mutant " + std::to_string(i)))
+    if (decodeSection(m, "mutant " + std::to_string(i)))
       ++merged;
     else
       ++rejected;
@@ -552,8 +531,8 @@ TEST(PeerMesh, LargeFrameFullDuplexExchangeCompletes) {
       runtime::shard::makeSocketPair(mesh[a][b], mesh[b][a]);
   std::vector<std::thread> threads;
   std::vector<std::exception_ptr> errors(kWorkers);
-  std::vector<std::vector<std::vector<Message>>> received(
-      kWorkers, std::vector<std::vector<Message>>(kWorkers));
+  std::vector<std::vector<WordRows>> received(
+      kWorkers, std::vector<WordRows>(kWorkers));
   for (std::size_t i = 0; i < kWorkers; ++i) {
     threads.emplace_back([&, i] {
       try {
@@ -585,11 +564,11 @@ TEST(PeerMesh, LargeFrameFullDuplexExchangeCompletes) {
     for (std::size_t t = 0; t < kWorkers; ++t) {
       if (t == i) continue;
       ASSERT_EQ(received[i][t].size(), 1u) << i << " <- " << t;
-      const Message& msg = received[i][t][0];
-      EXPECT_EQ(msg.dst, i);
-      ASSERT_EQ(msg.payload.size(), kWords);
-      EXPECT_EQ(msg.payload[0], t * 1000 + i);
-      EXPECT_EQ(msg.payload[kWords - 1], t * 1000 + i + kWords - 1);
+      const RowView row = *received[i][t].begin();
+      EXPECT_EQ(row.peer, i);
+      ASSERT_EQ(row.words.size(), kWords);
+      EXPECT_EQ(row.words[0], t * 1000 + i);
+      EXPECT_EQ(row.words[kWords - 1], t * 1000 + i + kWords - 1);
     }
   }
 }

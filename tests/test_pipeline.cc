@@ -30,7 +30,8 @@
 namespace mpcspan {
 namespace {
 
-using runtime::Message;
+using runtime::RowView;
+using runtime::WordRows;
 using runtime::MpcTopology;
 using runtime::shard::DeadlineBudget;
 using runtime::shard::ShardError;
@@ -120,17 +121,17 @@ struct Outcome {
 /// The MPC rules: every machine sends and receives at most `cap` words.
 /// Any destination outside [0, n) is a bounds error first.
 Outcome oracle(std::size_t cap, std::size_t n,
-               const std::vector<std::vector<Message>>& outboxes) {
+               const std::vector<WordRows>& outboxes) {
   for (const auto& out : outboxes)
-    for (const Message& msg : out)
-      if (msg.dst >= n) return {Verdict::kBounds, 0};
+    for (const RowView msg : out)
+      if (msg.peer >= n) return {Verdict::kBounds, 0};
   std::size_t words = 0;
   std::vector<std::size_t> received(n, 0);
   for (std::size_t src = 0; src < n; ++src) {
     std::size_t sent = 0;
-    for (const Message& msg : outboxes[src]) {
-      sent += msg.payload.size();
-      received[msg.dst] += msg.payload.size();
+    for (const RowView msg : outboxes[src]) {
+      sent += msg.words.size();
+      received[msg.peer] += msg.words.size();
     }
     if (sent > cap) return {Verdict::kCapacity, 0};
     words += sent;
@@ -155,7 +156,7 @@ Outcome outcomeOf(Fn&& validateRound) {
 /// composes the verdicts as the coordinator does: the failed shard report
 /// it rethrows, else the receive budget over the summed inbound words.
 Outcome sliceCheck(const MpcTopology& topo, std::size_t n, std::size_t shards,
-                   const std::vector<std::vector<Message>>& outboxes) {
+                   const std::vector<WordRows>& outboxes) {
   namespace shard = runtime::shard;
   (void)&runtime::globalKernelRegistrar<test_kernels::ScriptKernel>;
   runtime::ThreadPool pool(1);
@@ -163,10 +164,10 @@ Outcome sliceCheck(const MpcTopology& topo, std::size_t n, std::size_t shards,
   for (std::size_t m = 0; m < n; ++m) {
     std::vector<Word>& words = scripts[m];
     words.push_back(outboxes[m].size());
-    for (const Message& msg : outboxes[m]) {
-      words.push_back(msg.dst);
-      words.push_back(msg.payload.size());
-      words.insert(words.end(), msg.payload.begin(), msg.payload.end());
+    for (const RowView msg : outboxes[m]) {
+      words.push_back(msg.peer);
+      words.push_back(msg.words.size());
+      words.insert(words.end(), msg.words.begin(), msg.words.end());
     }
   }
   std::vector<shard::Report> reports(shards);
@@ -199,8 +200,8 @@ Outcome sliceCheck(const MpcTopology& topo, std::size_t n, std::size_t shards,
 
 /// One seeded random round shaped to hit every MPC rule: over-budget sends
 /// and receives, and the odd out-of-range destination.
-std::vector<std::vector<Message>> randomRound(std::size_t n, Rng& rng) {
-  std::vector<std::vector<Message>> out(n);
+std::vector<WordRows> randomRound(std::size_t n, Rng& rng) {
+  std::vector<WordRows> out(n);
   for (std::size_t src = 0; src < n; ++src) {
     const std::size_t count = rng.next(5);
     for (std::size_t i = 0; i < count; ++i) {
@@ -209,7 +210,7 @@ std::vector<std::vector<Message>> randomRound(std::size_t n, Rng& rng) {
       const std::size_t len = rng.next(5);
       std::vector<Word> pay(len);
       for (Word& w : pay) w = rng.next(1000);
-      out[src].push_back({dst, std::move(pay)});
+      out[src].add(dst, pay);
     }
   }
   return out;

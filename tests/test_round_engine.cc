@@ -20,9 +20,9 @@
 namespace mpcspan {
 namespace {
 
-using runtime::Delivery;
 using runtime::EngineConfig;
-using runtime::Message;
+using runtime::RowView;
+using runtime::WordRows;
 using runtime::MpcTopology;
 using runtime::RoundEngine;
 using runtime::ThreadPool;
@@ -154,18 +154,18 @@ TEST(RoundEngine, RejectsBadConfig) {
 
 TEST(RoundEngine, DeliversInSourceOrder) {
   RoundEngine eng = makeMpcEngine(4, 16, 2);
-  std::vector<std::vector<Message>> out(4);
-  out[3].push_back({1, {30}});
-  out[0].push_back({1, {10, 11}});
-  out[0].push_back({1, {12}});
-  out[2].push_back({1, {20}});
+  std::vector<WordRows> out(4);
+  out[3].add(1, {30});
+  out[0].add(1, {10, 11});
+  out[0].add(1, {12});
+  out[2].add(1, {20});
   const auto inbox = scriptedRound(eng, std::move(out));
-  ASSERT_EQ(inbox[1].size(), 4u);
-  EXPECT_EQ(inbox[1][0].src, 0u);
-  EXPECT_EQ(inbox[1][0].payload, (std::vector<Word>{10, 11}));
-  EXPECT_EQ(inbox[1][1].payload, (std::vector<Word>{12}));
-  EXPECT_EQ(inbox[1][2].src, 2u);
-  EXPECT_EQ(inbox[1][3].src, 3u);
+  WordRows want;
+  want.add(0, {10, 11});
+  want.add(0, {12});
+  want.add(2, {20});
+  want.add(3, {30});
+  EXPECT_EQ(inbox[1], want);
   EXPECT_EQ(eng.rounds(), 1u);
   EXPECT_EQ(eng.totalWordsSent(), 5u);
   EXPECT_EQ(eng.maxRoundWords(), 5u);
@@ -173,8 +173,8 @@ TEST(RoundEngine, DeliversInSourceOrder) {
 
 TEST(RoundEngine, MpcTopologyEnforcesBudgets) {
   RoundEngine eng = makeMpcEngine(2, 4, 1);
-  std::vector<std::vector<Message>> out(2);
-  out[0].push_back({1, {1, 2, 3, 4, 5}});
+  std::vector<WordRows> out(2);
+  out[0].add(1, {1, 2, 3, 4, 5});
   EXPECT_THROW(scriptedRound(eng, std::move(out)), CapacityError);
 }
 
@@ -185,8 +185,8 @@ TEST(RoundEngine, StepRunsMachineCentricRounds) {
   eng.step(k, {0});
   for (int r = 0; r < 6; ++r) eng.step(k);
   const auto inboxes = eng.snapshotInboxes();
-  EXPECT_EQ(inboxes[7].size(), 1u);
-  EXPECT_EQ(inboxes[7][0].payload[0], 106u);
+  ASSERT_EQ(inboxes[7].size(), 1u);
+  EXPECT_EQ(inboxes[7].words()[0], 106u);
   EXPECT_EQ(eng.rounds(), 7u);
 }
 
@@ -211,15 +211,15 @@ WorkloadTrace runWorkload(std::size_t threads) {
     for (std::size_t src = 0; src < p; ++src)
       for (std::size_t k = 0; k < 3; ++k) {
         h = h * 6364136223846793005ULL + 1442695040888963407ULL;
-        out[src].push_back({(src + 1 + (h >> 33) % (p - 1)) % p, {h, h ^ src}});
+        out[src].add((src + 1 + (h >> 33) % (p - 1)) % p, {h, h ^ src});
       }
   const runtime::KernelId k = registerScript(eng, std::move(script));
   for (Word round = 0; round < 10; ++round) {
     const auto inbox = scriptedRound(eng, k, round);
-    for (const auto& deliveries : inbox)
-      for (const Delivery& d : deliveries) {
-        trace.flat.push_back(d.src);
-        trace.flat.insert(trace.flat.end(), d.payload.begin(), d.payload.end());
+    for (const WordRows& rows : inbox)
+      for (const RowView row : rows) {
+        trace.flat.push_back(row.peer);
+        trace.flat.insert(trace.flat.end(), row.words.begin(), row.words.end());
       }
   }
   trace.rounds = eng.rounds();

@@ -31,10 +31,10 @@
 namespace mpcspan {
 namespace {
 
-using runtime::Delivery;
+using runtime::RowView;
 using runtime::EngineConfig;
 using runtime::KernelId;
-using runtime::Message;
+using runtime::WordRows;
 using runtime::MpcTopology;
 using runtime::RoundEngine;
 using runtime::shard::ShardedEngine;
@@ -54,11 +54,11 @@ struct Trace {
   friend bool operator==(const Trace&, const Trace&) = default;
 };
 
-void recordRound(Trace& trace, const std::vector<std::vector<Delivery>>& inbox) {
+void recordRound(Trace& trace, const std::vector<WordRows>& inbox) {
   for (const auto& deliveries : inbox)
-    for (const Delivery& d : deliveries) {
-      trace.flat.push_back(d.src);
-      trace.flat.insert(trace.flat.end(), d.payload.begin(), d.payload.end());
+    for (const RowView& d : deliveries) {
+      trace.flat.push_back(d.peer);
+      trace.flat.insert(trace.flat.end(), d.words.begin(), d.words.end());
     }
 }
 
@@ -68,8 +68,7 @@ void finishTrace(Trace& trace, RoundEngine& eng) {
   trace.maxRound = eng.maxRoundWords();
 }
 
-/// Deterministic all-to-all MPC workload with mixed payload sizes (1-word
-/// fast path and heap spills).
+/// Deterministic all-to-all MPC workload with mixed message sizes.
 Trace runMpcWorkload(std::size_t threads, std::size_t shards) {
   const std::size_t p = 16;
   RoundEngine eng(EngineConfig{p, threads, shards},
@@ -84,9 +83,9 @@ Trace runMpcWorkload(std::size_t threads, std::size_t shards) {
         h = h * 6364136223846793005ULL + 1442695040888963407ULL;
         const std::size_t dst = (src + 1 + (h >> 33) % (p - 1)) % p;
         if (k == 0)
-          out[src].push_back({dst, {h}});  // single word: inline payload
+          out[src].add(dst, {h});
         else
-          out[src].push_back({dst, {h, h ^ src, h >> 7}});
+          out[src].add(dst, {h, h ^ src, h >> 7});
       }
   const KernelId k = registerScript(eng, std::move(script));
   for (Word round = 0; round < 8; ++round)
@@ -113,16 +112,16 @@ TEST(ShardedEngine, StepRunsInWorkerProcesses) {
   for (int r = 0; r < 6; ++r) eng.step(k);
   const auto inboxes = eng.snapshotInboxes();
   ASSERT_EQ(inboxes[7].size(), 1u);
-  EXPECT_EQ(inboxes[7][0].payload[0], 106u);
+  EXPECT_EQ(inboxes[7].words()[0], 106u);
   EXPECT_EQ(eng.rounds(), 7u);
 }
 
 TEST(ShardedEngine, CapacityViolationAbortsTheRoundLoudly) {
   RoundEngine eng(EngineConfig{4, 1, 2}, MpcTopology(2));
   Outboxes out(4);
-  out[3].push_back({0, {1, 2, 3}});  // sender over budget, validated by shard 1
+  out[3].add(0, {1, 2, 3});  // sender over budget, validated by shard 1
   Outboxes ok(4);
-  ok[0].push_back({3, {7}});
+  ok[0].add(3, {7});
   const KernelId k = registerScript(eng, {out, ok});
   EXPECT_THROW(eng.step(k, {0}), CapacityError);
   // The engine survives an aborted round: the barrier released every worker.
@@ -142,9 +141,9 @@ TEST(ShardedEngine, UnknownDestinationAbortsTheKernelRound) {
                     MpcTopology(8));
     ASSERT_EQ(eng.numShards(), shards);
     Outboxes bad(8);
-    bad[7].push_back({1u << 20, {1}});
+    bad[7].add(1u << 20, {1});
     Outboxes ok(8);
-    ok[7].push_back({0, {5}});
+    ok[7].add(0, {5});
     const KernelId k = registerScript(eng, {ok, bad, ok});
     eng.step(k, {0});
     EXPECT_THROW(eng.step(k, {1}), std::invalid_argument) << shards;
@@ -152,8 +151,35 @@ TEST(ShardedEngine, UnknownDestinationAbortsTheKernelRound) {
     EXPECT_EQ(eng.totalWordsSent(), 1u) << shards;
     const auto inbox = scriptedRound(eng, k, 2);
     ASSERT_EQ(inbox[0].size(), 1u) << shards;
-    EXPECT_EQ(inbox[0][0].payload[0], 5u);
+    EXPECT_EQ(inbox[0].words()[0], 5u);
     EXPECT_EQ(eng.rounds(), 2u) << shards;
+  }
+}
+
+TEST(ShardedEngine, ZeroWordMessagesArriveAsEmptyRowsChargedNothing) {
+  // A message with no words is still a message: on both backends it reaches
+  // its destination as an empty row from its sender, in delivery order, and
+  // the ledger charges it 0 words. At 4 shards machine 7's row crosses
+  // shards and machine 0's stays in its own.
+  for (const std::size_t shards : {1u, 4u}) {
+    RoundEngine eng(EngineConfig{8, 1, shards}, MpcTopology(8));
+    ASSERT_EQ(eng.numShards(), shards);
+    Outboxes out(8);
+    out[7].add(0, {});
+    out[0].add(1, {});
+    out[0].add(1, {9});
+    out[5].add(0, {});
+    const auto inbox = scriptedRound(eng, std::move(out));
+    WordRows to0;
+    to0.add(5, {});
+    to0.add(7, {});
+    WordRows to1;
+    to1.add(0, {});
+    to1.add(0, {9});
+    EXPECT_EQ(inbox[0], to0) << shards;
+    EXPECT_EQ(inbox[1], to1) << shards;
+    EXPECT_EQ(eng.totalWordsSent(), 1u) << shards;
+    EXPECT_EQ(eng.maxRoundWords(), 1u) << shards;
   }
 }
 
@@ -197,14 +223,14 @@ class CounterKernel final : public runtime::StepKernel {
  public:
   static std::string kernelName() { return "test.counter"; }
 
-  std::vector<Message> step(const runtime::KernelCtx& ctx) override {
+  void step(const runtime::KernelCtx& ctx, WordRows& out) override {
     ensureSized(ctx);
     Word sum = 1;
-    for (const Delivery& d : ctx.inbox) sum += d.payload.front();
+    for (const RowView& d : ctx.inbox) sum += d.words.front();
     counters_[ctx.machine] += sum;
     if (!ctx.args.empty() && ctx.args[0] == 1 && ctx.machine == 2)
       throw std::runtime_error("counter kernel boom");
-    return {{(ctx.machine + 1) % ctx.numMachines, {counters_[ctx.machine]}}};
+    out.add((ctx.machine + 1) % ctx.numMachines, {counters_[ctx.machine]});
   }
 
   std::vector<Word> fetch(const runtime::KernelCtx& ctx) override {
@@ -231,7 +257,7 @@ TEST(ResidentWorkers, ForkOncePidsStableAcrossRounds) {
   ASSERT_EQ(pids.size(), 4u);
 
   Outboxes out(8);
-  for (std::size_t m = 0; m < 8; ++m) out[m].push_back({(m + 3) % 8, {m}});
+  for (std::size_t m = 0; m < 8; ++m) out[m].add((m + 3) % 8, {m});
   const KernelId k = registerScript(eng, {out});
   auto oneRound = [&] { eng.step(k, {0}); };
   for (int r = 0; r < 6; ++r) oneRound();
@@ -257,10 +283,10 @@ TEST(ResidentWorkers, KernelStatePersistsAndMatchesInProcessBitForBit) {
     } res;
     res.counters = eng.fetchKernel(k);
     for (const auto& inbox : eng.snapshotInboxes())
-      for (const Delivery& d : inbox) {
-        res.flatInboxes.push_back(d.src);
-        res.flatInboxes.insert(res.flatInboxes.end(), d.payload.begin(),
-                               d.payload.end());
+      for (const RowView& d : inbox) {
+        res.flatInboxes.push_back(d.peer);
+        res.flatInboxes.insert(res.flatInboxes.end(), d.words.begin(),
+                               d.words.end());
       }
     res.rounds = eng.rounds();
     res.words = eng.totalWordsSent();
@@ -289,15 +315,7 @@ TEST(ResidentWorkers, KernelThrowMidRoundAbortsRoundForAllShards) {
   // guarantee only covers committed rounds.
   EXPECT_THROW(eng.step(k, {1}), std::runtime_error);
   EXPECT_EQ(eng.rounds(), 1u);
-  const auto inboxesAfter = eng.snapshotInboxes();
-  ASSERT_EQ(inboxesBefore.size(), inboxesAfter.size());
-  for (std::size_t m = 0; m < inboxesBefore.size(); ++m) {
-    ASSERT_EQ(inboxesBefore[m].size(), inboxesAfter[m].size());
-    for (std::size_t i = 0; i < inboxesBefore[m].size(); ++i) {
-      EXPECT_EQ(inboxesBefore[m][i].src, inboxesAfter[m][i].src);
-      EXPECT_EQ(inboxesBefore[m][i].payload, inboxesAfter[m][i].payload);
-    }
-  }
+  EXPECT_EQ(eng.snapshotInboxes(), inboxesBefore);
   eng.step(k);
   EXPECT_EQ(eng.rounds(), 2u);
 }
@@ -307,10 +325,11 @@ class Flooder final : public runtime::StepKernel {
  public:
   static std::string kernelName() { return "test.flooder"; }
 
-  std::vector<Message> step(const runtime::KernelCtx& ctx) override {
+  void step(const runtime::KernelCtx& ctx, WordRows& out) override {
     if (!ctx.args.empty())
-      return {{0, {1, 2, 3, 4, 5}}};  // 8 machines x 5 words > cap 16
-    return {{0, {1}}};
+      out.add(0, {1, 2, 3, 4, 5});  // 8 machines x 5 words > cap 16
+    else
+      out.add(0, {1});
   }
 };
 
@@ -376,10 +395,9 @@ TEST(ResidentWorkers, KernelRegistrationFailsTheSameWayOnBothBackends) {
       runtime::ensureKernel<test_kernels::TokenKernel>(inproc);
   inproc.step(inprocToken, {1});
   for (RoundEngine* eng : {&sharded, &inproc}) {
-    const auto inboxes = eng->snapshotInboxes();
-    ASSERT_EQ(inboxes[1].size(), 1u);
-    EXPECT_EQ(inboxes[1][0].src, 0u);
-    EXPECT_EQ(inboxes[1][0].payload, (std::vector<Word>{100}));
+    runtime::WordRows want;
+    want.add(0, {100});
+    EXPECT_EQ(eng->snapshotInboxes()[1], want);
   }
 }
 
@@ -387,7 +405,7 @@ TEST(ResidentWorkers, WorkerDeathBetweenRoundsSurfacesAsShardError) {
   auto eng = std::make_unique<RoundEngine>(EngineConfig{8, 1, 4},
                                            MpcTopology(16));
   Outboxes out(8);
-  out[1].push_back({6, {9}});
+  out[1].add(6, {9});
   const KernelId k = registerScript(*eng, {out});
   auto oneRound = [&] { eng->step(k, {0}); };
   oneRound();
@@ -481,7 +499,7 @@ TEST(ResidentWorkers, DestructorReapsIdleWorkers) {
     RoundEngine eng(EngineConfig{6, 1, 3},
                     MpcTopology(16));
     Outboxes out(6);
-    out[0].push_back({5, {1}});
+    out[0].add(5, {1});
     scriptedRound(eng, std::move(out));
     pids = eng.shardBackend()->workerPids();
     ASSERT_EQ(pids.size(), 3u);

@@ -59,16 +59,14 @@ class TcpProbeKernel final : public StepKernel {
  public:
   static std::string kernelName() { return "tools.tcpprobe"; }
 
-  std::vector<Message> step(const KernelCtx& ctx) override {
+  void step(const KernelCtx& ctx, WordRows& out) override {
     std::uint64_t& acc = accFor(ctx);
-    for (const Delivery& d : ctx.inbox)
-      for (std::size_t i = 0; i < d.payload.size(); ++i)
-        acc = mix64(acc ^ d.payload[i] ^ (static_cast<Word>(d.src) << 32));
+    for (const RowView& d : ctx.inbox)
+      for (std::size_t i = 0; i < d.words.size(); ++i)
+        acc = mix64(acc ^ d.words[i] ^ (static_cast<Word>(d.peer) << 32));
     const Word round = ctx.args.empty() ? 0 : ctx.args[0];
-    const Word out = mix64(acc ^ round ^ ctx.machine);
-    std::vector<Message> msgs;
-    msgs.push_back({(ctx.machine + 1) % ctx.numMachines, {out}});
-    return msgs;
+    out.add((ctx.machine + 1) % ctx.numMachines,
+            {mix64(acc ^ round ^ ctx.machine)});
   }
 
   std::vector<Word> fetch(const KernelCtx& ctx) override {
