@@ -10,6 +10,7 @@
 #include "graph/io.hpp"
 #include "mpc/dist_spanner.hpp"
 #include "mpc/simulator.hpp"
+#include "runtime/thread_pool.hpp"
 #include "spanner/baswana_sen.hpp"
 #include "spanner/cluster_merging.hpp"
 #include "spanner/sqrtk.hpp"
@@ -18,7 +19,30 @@
 
 namespace mpcspan::query {
 
+void BuildPlan::validate() const {
+  const auto check = [](bool ok, const char* field, auto value,
+                        const std::string& range) {
+    if (!ok)
+      throw std::invalid_argument("build plan: " + std::string(field) + " = " +
+                                  std::to_string(value) + " is outside " +
+                                  range);
+  };
+  if (("|" + std::string(kSpannerAlgos) + "|").find("|" + algo + "|") ==
+      std::string::npos)
+    throw std::invalid_argument("build plan: unknown algo '" + algo +
+                                "' (want " + kSpannerAlgos + ")");
+  check(k >= 1 && k <= kMaxK, "k", k, "[1, " + std::to_string(kMaxK) + "]");
+  check(t <= kMaxT, "t", t, "[0, " + std::to_string(kMaxT) + "]");
+  check(gamma > 0 && gamma <= 1, "gamma", gamma, "(0, 1]");
+  check(sketchK >= 1 && sketchK <= kMaxSketchK, "sketchK", sketchK,
+        "[1, " + std::to_string(kMaxSketchK) + "]");
+  const std::string lanes = "[0, " + std::to_string(runtime::kMaxThreads) + "]";
+  check(threads <= runtime::kMaxThreads, "threads", threads, lanes);
+  check(shards <= runtime::kMaxThreads, "shards", shards, lanes);
+}
+
 SpannerResult buildSpanner(const Graph& g, const BuildPlan& plan) {
+  plan.validate();
   const std::string& algo = plan.algo;
   if (algo == "baswana-sen")
     return buildBaswanaSen(g, {.k = plan.k, .seed = plan.seed});
@@ -40,8 +64,7 @@ SpannerResult buildSpanner(const Graph& g, const BuildPlan& plan) {
                ? buildDistributedTradeoff(sim, g, plan.k, plan.t, plan.seed)
                : buildDistributedBaswanaSen(sim, g, plan.k, plan.seed);
   }
-  throw std::invalid_argument("unknown algo '" + algo + "' (want " +
-                              kSpannerAlgos + ")");
+  throw std::logic_error("buildSpanner: no builder for algo " + algo);
 }
 
 QueryArtifact buildArtifact(const Graph& g, const BuildPlan& plan) {
@@ -71,7 +94,6 @@ QueryArtifact buildArtifact(const Graph& g, const BuildPlan& plan) {
 namespace {
 constexpr std::uint32_t kArtifactMagic = 0x4151504du;  // "MPQA" little-endian
 constexpr std::uint32_t kArtifactVersion = 1;
-constexpr std::uint64_t kMaxSketchK = 4096;  // plausibility cap on levels
 
 /// Bytes between the read position and the end of `in`; unbounded when
 /// the stream cannot seek.

@@ -47,6 +47,12 @@ inline constexpr const char* kSpannerAlgos =
     "baswana-sen|cluster-merging|sqrtk|tradeoff|unweighted-fast|"
     "dist-baswana-sen|dist-tradeoff";
 
+/// The largest k and t a plan may ask for (BuildPlan::validate), and the
+/// most Thorup–Zwick levels a plan may ask for and an artifact carry.
+inline constexpr std::uint32_t kMaxK = 64;
+inline constexpr std::uint32_t kMaxT = 64;
+inline constexpr std::uint32_t kMaxSketchK = 4096;
+
 /// Everything a build needs to know. `algo` is one of kSpannerAlgos: the
 /// host engine's algorithms (`gamma` applies to unweighted-fast, which needs
 /// an unweighted graph), or "dist-*" on the sharded MPC simulator
@@ -65,10 +71,22 @@ struct BuildPlan {
   std::size_t threads = 0;        // dist-*: simulator stepping threads
   std::size_t shards = 0;         // dist-*: simulator shards
   double gamma = 0.5;             // dist-*: machine memory exponent
+
+  /// Throws std::invalid_argument naming the first field outside its range:
+  ///   - algo: one of kSpannerAlgos;
+  ///   - k: [1, kMaxK]. The stretch is 2k − 1, and once k exceeds log2 n
+  ///     (< 32 for any graph VertexId can index) a larger k changes nothing;
+  ///   - t: [0, kMaxT] growth iterations per epoch (0 = ceil(log2 k));
+  ///   - gamma: (0, 1], the exponent of the machine memory S = N^gamma;
+  ///   - sketchK: [1, kMaxSketchK];
+  ///   - threads, shards: 0 (the default) or at most runtime::kMaxThreads.
+  /// buildSpanner, and so buildArtifact, calls it before any work.
+  void validate() const;
 };
 
 /// Builds the spanner `plan` names. A dist-* build provisions its simulator
-/// for ~4x the edge tuples. Throws std::invalid_argument on an unknown algo.
+/// for ~4x the edge tuples. Throws std::invalid_argument on a plan that
+/// fails BuildPlan::validate.
 SpannerResult buildSpanner(const Graph& g, const BuildPlan& plan);
 
 /// The serve-side state: input graph, spanner (edge ids + certified

@@ -86,11 +86,19 @@ auto parseWhole(const std::string& name, const std::string& v,
 
 }  // namespace
 
-std::int64_t ArgParser::getInt(const std::string& name) const {
-  return parseWhole(name, get(name), "an integer",
-                    [](const char* s, char** end) {
-                      return std::strtoll(s, end, 10);
-                    });
+std::int64_t ArgParser::getInt(const std::string& name, std::int64_t lo,
+                               std::int64_t hi) const {
+  const std::string want = "an integer in [" + std::to_string(lo) + ", " +
+                           std::to_string(hi) + "]";
+  const std::string v = get(name);
+  const std::int64_t x =
+      parseWhole(name, v, want.c_str(), [](const char* s, char** end) {
+        return std::strtoll(s, end, 10);
+      });
+  if (x < lo || x > hi)
+    throw std::invalid_argument("--" + name + ": want " + want + ", got '" +
+                                v + "'");
+  return x;
 }
 
 double ArgParser::getDouble(const std::string& name) const {

@@ -25,9 +25,11 @@ class ArgParser {
 
   bool has(const std::string& name) const;
   std::string get(const std::string& name) const;
-  /// The whole value must parse: "300x", "abc", "" or an out-of-range
-  /// number throws std::invalid_argument naming the flag.
-  std::int64_t getInt(const std::string& name) const;
+  /// The whole value must parse to an integer in [lo, hi]: "300x", "abc",
+  /// "" or a number outside the range throws std::invalid_argument naming
+  /// the flag and the range.
+  std::int64_t getInt(const std::string& name, std::int64_t lo,
+                      std::int64_t hi) const;
   double getDouble(const std::string& name) const;
   /// One of true/1/yes/on or false/0/no/off; anything else throws
   /// std::invalid_argument naming the flag.

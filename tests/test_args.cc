@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
 namespace mpcspan {
 namespace {
+
+constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
 
 ArgParser makeParser() {
   ArgParser p("tool", "test tool");
@@ -26,7 +31,7 @@ TEST(Args, DefaultsApplyWhenUnset) {
   ArgParser p = makeParser();
   ASSERT_TRUE(parse(p, {}));
   EXPECT_EQ(p.get("name"), "default");
-  EXPECT_EQ(p.getInt("count"), 7);
+  EXPECT_EQ(p.getInt("count", kMin, kMax), 7);
   EXPECT_DOUBLE_EQ(p.getDouble("ratio"), 0.5);
   EXPECT_FALSE(p.getBool("on"));
   EXPECT_FALSE(p.has("name"));
@@ -36,7 +41,7 @@ TEST(Args, EqualsForm) {
   ArgParser p = makeParser();
   ASSERT_TRUE(parse(p, {"--name=alice", "--count=42"}));
   EXPECT_EQ(p.get("name"), "alice");
-  EXPECT_EQ(p.getInt("count"), 42);
+  EXPECT_EQ(p.getInt("count", kMin, kMax), 42);
   EXPECT_TRUE(p.has("name"));
 }
 
@@ -82,7 +87,7 @@ TEST(Args, NumbersMustParseWhole) {
                           "99999999999999999999"}) {
     ArgParser p = makeParser();
     ASSERT_TRUE(parse(p, {"--count", bad}));
-    EXPECT_NE(invalidArgumentOf([&] { p.getInt("count"); }).find("--count"),
+    EXPECT_NE(invalidArgumentOf([&] { p.getInt("count", kMin, kMax); }).find("--count"),
               std::string::npos)
         << "'" << bad << "'";
   }
@@ -95,8 +100,30 @@ TEST(Args, NumbersMustParseWhole) {
   }
   ArgParser p = makeParser();
   ASSERT_TRUE(parse(p, {"--count", "-12", "--ratio", "1e3"}));
-  EXPECT_EQ(p.getInt("count"), -12);
+  EXPECT_EQ(p.getInt("count", kMin, kMax), -12);
   EXPECT_DOUBLE_EQ(p.getDouble("ratio"), 1000.0);
+}
+
+TEST(Args, IntegersMustLieInTheirRange) {
+  // Both ends are inclusive; a value past either names the flag and the
+  // range, as the tools' counts, ids and timeouts rely on.
+  for (const char* ok : {"0", "7", "4294967295"}) {
+    ArgParser p = makeParser();
+    ASSERT_TRUE(parse(p, {"--count", ok}));
+    EXPECT_EQ(p.getInt("count", 0, 4294967295), std::stoll(ok));
+  }
+  for (const char* bad : {"-1", "4294967296", "-9223372036854775808"}) {
+    ArgParser p = makeParser();
+    ASSERT_TRUE(parse(p, {"--count", bad}));
+    const std::string err =
+        invalidArgumentOf([&] { p.getInt("count", 0, 4294967295); });
+    EXPECT_NE(err.find("--count"), std::string::npos) << bad;
+    EXPECT_NE(err.find("[0, 4294967295]"), std::string::npos) << err;
+  }
+  ArgParser p = makeParser();
+  ASSERT_TRUE(parse(p, {"--count", "-1"}));
+  EXPECT_EQ(p.getInt("count", -1, 1), -1);
+  EXPECT_NE(invalidArgumentOf([&] { p.getInt("count", 1, 1024); }), "");
 }
 
 TEST(Args, BoolRejectsOtherSpellings) {

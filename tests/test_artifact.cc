@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <new>
 #include <optional>
 #include <sstream>
@@ -15,6 +16,7 @@
 #include "graph/distance.hpp"
 #include "graph/generators.hpp"
 #include "query/build.hpp"
+#include "runtime/thread_pool.hpp"
 #include "util/deadline.hpp"
 #include "util/rng.hpp"
 #include "alloc_cap.hpp"
@@ -338,6 +340,91 @@ TEST(Artifact, UnknownAlgoIsRejectedAtBuildTime) {
   query::BuildPlan plan;
   plan.algo = "nope";
   EXPECT_THROW(query::buildArtifact(testGraph(), plan), std::invalid_argument);
+}
+
+// --- BuildPlan::validate: one range per field, checked before any work.
+// Each out-of-range value below is one the build accepted before the check
+// existed (a host algo ignores gamma, threads and shards; k, t and sketchK
+// had no upper bound). ---
+
+/// What buildArtifact throws for `plan` on a small graph: the
+/// std::invalid_argument message, or "" if it builds.
+std::string planError(const query::BuildPlan& plan) {
+  try {
+    (void)query::buildArtifact(testGraph(40, 120), plan);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+query::BuildPlan hostPlan() {
+  query::BuildPlan plan;
+  plan.algo = "tradeoff";
+  plan.k = 3;
+  plan.sketchK = 2;
+  return plan;
+}
+
+/// `field = value` must be rejected, and the message must name the field.
+template <class Field, class Value>
+void expectRejected(Field query::BuildPlan::*field, Value value,
+                    const std::string& name) {
+  query::BuildPlan plan = hostPlan();
+  plan.*field = static_cast<Field>(value);
+  EXPECT_THROW(plan.validate(), std::invalid_argument) << name;
+  EXPECT_NE(planError(plan).find(name + " ="), std::string::npos)
+      << name << " = " << value;
+}
+
+TEST(BuildPlan, EveryTestedPlanValidates) {
+  EXPECT_NO_THROW(query::BuildPlan{}.validate());
+  EXPECT_NO_THROW(hostPlan().validate());
+  EXPECT_EQ(planError(hostPlan()), "");
+}
+
+TEST(BuildPlan, AlgoMustBeOneOfTheBuilders) {
+  // buildSpanner's dispatch refused these before; validate() now names the
+  // builders before any work.
+  for (const std::string algo : {"", "nope", "tradeoff|sqrtk", "|"}) {
+    query::BuildPlan plan = hostPlan();
+    plan.algo = algo;
+    EXPECT_THROW(plan.validate(), std::invalid_argument) << algo;
+  }
+}
+
+TEST(BuildPlan, KOutsideItsRangeIsRejected) {
+  expectRejected(&query::BuildPlan::k, query::kMaxK + 1, "k");
+  expectRejected(&query::BuildPlan::k, 4294967295u, "k");
+}
+
+TEST(BuildPlan, TOutsideItsRangeIsRejected) {
+  expectRejected(&query::BuildPlan::t, query::kMaxT + 1, "t");
+}
+
+TEST(BuildPlan, GammaOutsideItsRangeIsRejected) {
+  for (const double gamma : {2.0, 0.0, -0.5, 1.0000001})
+    expectRejected(&query::BuildPlan::gamma, gamma, "gamma");
+  query::BuildPlan plan = hostPlan();
+  plan.gamma = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(plan.validate(), std::invalid_argument);
+}
+
+TEST(BuildPlan, SketchKOutsideItsRangeIsRejected) {
+  expectRejected(&query::BuildPlan::sketchK, query::kMaxSketchK + 1,
+                 "sketchK");
+}
+
+TEST(BuildPlan, ThreadsOutsideItsRangeIsRejected) {
+  // Checked before any pool exists: no lane is ever started for it.
+  expectRejected(&query::BuildPlan::threads, runtime::kMaxThreads + 1,
+                 "threads");
+  expectRejected(&query::BuildPlan::threads, ~std::size_t{0}, "threads");
+}
+
+TEST(BuildPlan, ShardsOutsideItsRangeIsRejected) {
+  expectRejected(&query::BuildPlan::shards, runtime::kMaxThreads + 1,
+                 "shards");
 }
 
 }  // namespace

@@ -32,6 +32,7 @@
 
 #include "alloc_cap.hpp"
 #include "runtime/kernel.hpp"
+#include "runtime/shard/protocol.hpp"
 #include "runtime/shard/transport.hpp"
 #include "runtime/shard/wire.hpp"
 #include "runtime/shard/worker_loop.hpp"
@@ -596,6 +597,131 @@ TEST(BlockSlice, EverySpliceDecodesOrIsShardError) {
                        tail->begin() + static_cast<long>(cut), tail->end());
       ++(decodeBlockSlice(spliced, "cut " + std::to_string(cut)) ? decoded
                                                                   : rejected);
+    }
+  EXPECT_GT(decoded, 0u);
+  EXPECT_GT(rejected, 0u);
+}
+
+// --- The FETCH_INBOXES reply decoder: how the coordinator reads a worker's
+// resident inboxes. ---
+
+/// Three inboxes of an 8-machine engine: an empty one, one holding a
+/// zero-word row, and rows of several lengths from several sources.
+std::vector<runtime::WordRows> sampleInboxes(Word shift) {
+  std::vector<runtime::WordRows> inboxes(3);
+  inboxes[1].add(2, {});
+  inboxes[2].add(0, {shift});
+  inboxes[2].add(0, {shift + 1, shift + 2, shift + 3});
+  inboxes[2].add(7, {~Word{0} - shift, 5});
+  return inboxes;
+}
+
+Bytes inboxBody(Word shift) {
+  WireWriter w;
+  runtime::shard::writeInboxes(w, sampleInboxes(shift));
+  return Bytes(w.data(), w.data() + w.size());
+}
+
+/// Decodes `bytes` the way the coordinator reads a worker's reply, with a
+/// capped allocator (a few times the body). Returns true if it decoded;
+/// fails the test unless the body either re-encodes to exactly its bytes or
+/// is rejected with ShardError.
+bool decodeInboxes(const Bytes& bytes, const std::string& label) {
+  WireReader r = WireReader::fromBytes(bytes);
+  std::vector<runtime::WordRows> inboxes;
+  try {
+    const test_alloc::AllocCap cap(4 * bytes.size() + 256);
+    inboxes = runtime::shard::readInboxes(r, 3, kSliceMachines);
+  } catch (const ShardError&) {
+    return false;
+  } catch (const std::bad_alloc&) {
+    ADD_FAILURE() << label << ": allocation past the body's size";
+    return false;
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << label << ": not a ShardError: " << e.what();
+    return false;
+  }
+  WireWriter w;
+  runtime::shard::writeInboxes(w, inboxes);
+  EXPECT_EQ(Bytes(w.data(), w.data() + w.size()), bytes)
+      << label << ": decoded but does not re-encode to its bytes";
+  return true;
+}
+
+TEST(InboxReply, RoundTripsEveryRow) {
+  const Bytes body = inboxBody(40);
+  WireReader r = WireReader::fromBytes(body);
+  EXPECT_EQ(runtime::shard::readInboxes(r, 3, kSliceMachines),
+            sampleInboxes(40));
+  EXPECT_TRUE(decodeInboxes(body, "valid"));
+}
+
+TEST(InboxReply, TrailingBytesAreShardError) {
+  Bytes body = inboxBody(40);
+  body.push_back(0);
+  EXPECT_FALSE(decodeInboxes(body, "one trailing byte"));
+  // A fourth, empty inbox: a whole trailing row count.
+  const Bytes word(sizeof(Word), 0);
+  body = inboxBody(40);
+  body.insert(body.end(), word.begin(), word.end());
+  EXPECT_FALSE(decodeInboxes(body, "one trailing word"));
+}
+
+TEST(InboxReply, SourceOutsideTheEngineIsShardError) {
+  std::vector<runtime::WordRows> inboxes = sampleInboxes(40);
+  inboxes[0].add(kSliceMachines, {1});
+  WireWriter w;
+  runtime::shard::writeInboxes(w, inboxes);
+  EXPECT_FALSE(decodeInboxes(Bytes(w.data(), w.data() + w.size()),
+                             "source 8 of 8 machines"));
+}
+
+TEST(InboxReply, EveryTruncationIsShardError) {
+  const Bytes body = inboxBody(40);
+  for (std::size_t len = 0; len < body.size(); ++len)
+    EXPECT_FALSE(decodeInboxes(
+        Bytes(body.begin(), body.begin() + static_cast<long>(len)),
+        "truncated to " + std::to_string(len)))
+        << "truncated to " << len << " of " << body.size() << " bytes";
+}
+
+TEST(InboxReply, EverySingleBitFlipDecodesOrIsShardError) {
+  const Bytes body = inboxBody(40);
+  std::size_t decoded = 0;
+  std::size_t rejected = 0;
+  for (std::size_t bit = 0; bit < 8 * body.size(); ++bit) {
+    Bytes mutated = body;
+    mutated[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    ++(decodeInboxes(mutated, "bit " + std::to_string(bit)) ? decoded
+                                                            : rejected);
+  }
+  EXPECT_GT(decoded, 0u);
+  EXPECT_GT(rejected, 0u);
+}
+
+TEST(InboxReply, EverySpliceDecodesOrIsShardError) {
+  // Two bodies of one shape but other words, and a body of another shape,
+  // joined at every cut point in both orders.
+  const Bytes a = inboxBody(40);
+  const Bytes b = inboxBody(9);
+  WireWriter w;
+  runtime::shard::writeInboxes(w, std::vector<runtime::WordRows>(3));
+  const Bytes c(w.data(), w.data() + w.size());
+  std::size_t decoded = 0;
+  std::size_t rejected = 0;
+  for (const auto& [head, tail] :
+       {std::pair{&a, &b}, std::pair{&b, &a}, std::pair{&a, &c},
+        std::pair{&c, &a}})
+    for (std::size_t cut = 0; cut <= std::max(head->size(), tail->size());
+         ++cut) {
+      Bytes spliced(
+          head->begin(),
+          head->begin() + static_cast<long>(std::min(cut, head->size())));
+      if (cut < tail->size())
+        spliced.insert(spliced.end(),
+                       tail->begin() + static_cast<long>(cut), tail->end());
+      ++(decodeInboxes(spliced, "cut " + std::to_string(cut)) ? decoded
+                                                              : rejected);
     }
   EXPECT_GT(decoded, 0u);
   EXPECT_GT(rejected, 0u);

@@ -41,6 +41,7 @@
 #include "graph/io.hpp"
 #include "query/audit.hpp"
 #include "query/build.hpp"
+#include "runtime/thread_pool.hpp"
 #include "serve/client.hpp"
 #include "spanner/verify.hpp"
 #include "util/args.hpp"
@@ -50,12 +51,62 @@ using namespace mpcspan;
 
 namespace {
 
+constexpr std::int64_t kMaxInt64 = std::numeric_limits<std::int64_t>::max();
+constexpr std::int64_t kMaxVertexId = std::numeric_limits<VertexId>::max();
+constexpr std::int64_t kMaxQueries = 1'000'000'000;  // one random run
+
+/// Where the graph comes from, read from the flags before any graph is
+/// generated or read.
+struct GraphSource {
+  std::string input;
+  std::string format;
+  Family family = Family::kGnm;
+  std::size_t n = 0;
+  double deg = 0;
+  WeightSpec weights;
+  std::uint64_t seed = 0;
+};
+
+GraphSource graphSourceOf(const ArgParser& args) {
+  GraphSource src;
+  src.input = args.get("input");
+  src.format = args.get("format");
+  if (src.format != "auto" && src.format != "mpcspan" && src.format != "snap")
+    throw std::invalid_argument("unknown --format: " + src.format +
+                                " (want auto|mpcspan|snap)");
+  src.n = static_cast<std::size_t>(args.getInt("n", 1, kMaxVertexId));
+  // A simple graph on n vertices has average degree at most n - 1.
+  src.deg = args.getDouble("deg");
+  if (!(src.deg >= 0 && src.deg <= static_cast<double>(src.n - 1)))
+    throw std::invalid_argument("--deg: want an average degree in [0, n - 1] = [0, " +
+                                std::to_string(src.n - 1) + "], got '" +
+                                args.get("deg") + "'");
+  const std::string wm = args.get("weights");
+  if (wm == "uniform")
+    src.weights = {WeightModel::kUniform, args.getDouble("wmax")};
+  else if (wm == "integer")
+    src.weights = {WeightModel::kInteger, args.getDouble("wmax")};
+  else if (wm == "exponential")
+    src.weights = {WeightModel::kExponential, args.getDouble("wmax")};
+  else if (wm != "unit")
+    throw std::invalid_argument("unknown --weights: " + wm);
+  const std::string fam = args.get("family");
+  bool known = false;
+  for (Family f : {Family::kGnm, Family::kBarabasiAlbert, Family::kGrid,
+                   Family::kGeometric, Family::kCycle, Family::kHypercube,
+                   Family::kComplete})
+    if (fam == familyName(f)) {
+      src.family = f;
+      known = true;
+    }
+  if (!known) throw std::invalid_argument("unknown --family: " + fam);
+  src.seed = static_cast<std::uint64_t>(args.getInt("seed", 0, kMaxInt64));
+  return src;
+}
+
 Graph loadGraphFile(const std::string& path, const std::string& format) {
   if (format == "mpcspan") return readEdgeListFile(path);
   if (format == "snap") return readSnapDimacsFile(path);
-  if (format != "auto")
-    throw std::invalid_argument("unknown --format: " + format +
-                                " (want auto|mpcspan|snap)");
   // Sniff: mpcspan edge lists start with an "n <count>" header line.
   std::ifstream probe(path);
   if (!probe) throw std::runtime_error("cannot open for read: " + path);
@@ -70,33 +121,11 @@ Graph loadGraphFile(const std::string& path, const std::string& format) {
   throw std::runtime_error("empty input file: " + path);
 }
 
-Graph generateGraph(const ArgParser& args) {
-  const auto n = static_cast<std::size_t>(args.getInt("n"));
-  const double deg = args.getDouble("deg");
-  WeightSpec weights;
-  const std::string wm = args.get("weights");
-  if (wm == "uniform")
-    weights = {WeightModel::kUniform, args.getDouble("wmax")};
-  else if (wm == "integer")
-    weights = {WeightModel::kInteger, args.getDouble("wmax")};
-  else if (wm == "exponential")
-    weights = {WeightModel::kExponential, args.getDouble("wmax")};
-  else if (wm != "unit")
-    throw std::invalid_argument("unknown --weights: " + wm);
-
-  const std::string fam = args.get("family");
-  Rng rng(static_cast<std::uint64_t>(args.getInt("seed")));
-  for (Family f : {Family::kGnm, Family::kBarabasiAlbert, Family::kGrid,
-                   Family::kGeometric, Family::kCycle, Family::kHypercube,
-                   Family::kComplete})
-    if (fam == familyName(f)) return makeFamily(f, n, deg, rng, weights);
-  throw std::invalid_argument("unknown --family: " + fam);
-}
-
-Graph loadGraph(const ArgParser& args) {
-  Graph g = args.has("input")
-                ? loadGraphFile(args.get("input"), args.get("format"))
-                : generateGraph(args);
+Graph loadGraph(const GraphSource& src) {
+  Rng rng(src.seed);
+  Graph g = !src.input.empty()
+                ? loadGraphFile(src.input, src.format)
+                : makeFamily(src.family, src.n, src.deg, rng, src.weights);
   std::fprintf(stdout, "graph: n=%zu m=%zu %s\n", g.numVertices(), g.numEdges(),
                g.isUnweighted() ? "(unweighted)" : "(weighted)");
   return g;
@@ -125,20 +154,19 @@ ArgParser& addBuildFlags(ArgParser& args) {
       .flag("seed", "1", "random seed");
 }
 
-/// Reads back the build flags of addBuildFlags.
+/// Reads back the build flags of addBuildFlags and validates the plan.
 query::BuildPlan planOf(const ArgParser& args) {
   query::BuildPlan plan;
   plan.algo = args.get("algo");
-  plan.k = static_cast<std::uint32_t>(args.getInt("k"));
-  plan.t = static_cast<std::uint32_t>(args.getInt("t"));
-  plan.seed = static_cast<std::uint64_t>(args.getInt("seed"));
+  plan.k = static_cast<std::uint32_t>(args.getInt("k", 1, query::kMaxK));
+  plan.t = static_cast<std::uint32_t>(args.getInt("t", 0, query::kMaxT));
+  plan.seed = static_cast<std::uint64_t>(args.getInt("seed", 0, kMaxInt64));
   plan.gamma = args.getDouble("gamma");
-  // Negative counts fall back to the defaults (0 = env var / hardware),
-  // matching the env vars' own garbage handling.
   plan.threads = static_cast<std::size_t>(
-      std::max<std::int64_t>(0, args.getInt("threads")));
+      args.getInt("threads", 0, runtime::kMaxThreads));
   plan.shards = static_cast<std::size_t>(
-      std::max<std::int64_t>(0, args.getInt("shards")));
+      args.getInt("shards", 0, runtime::kMaxThreads));
+  plan.validate();
   return plan;
 }
 
@@ -164,11 +192,13 @@ int runBuildOracle(int argc, const char* const* argv) {
   try {
     if (args.get("out").empty())
       throw std::invalid_argument("build-oracle requires --out <path>");
-    const Graph g = loadGraph(args);
-
+    const GraphSource src = graphSourceOf(args);
     query::BuildPlan plan = planOf(args);
-    plan.sketchK = static_cast<std::uint32_t>(args.getInt("sketch-k"));
-    plan.sketchSeed = static_cast<std::uint64_t>(args.getInt("sketch-seed"));
+    plan.sketchK = static_cast<std::uint32_t>(
+        args.getInt("sketch-k", 1, query::kMaxSketchK));
+    plan.sketchSeed =
+        static_cast<std::uint64_t>(args.getInt("sketch-seed", 0, kMaxInt64));
+    const Graph g = loadGraph(src);
 
     const auto t0 = std::chrono::steady_clock::now();
     const query::QueryArtifact a = query::buildArtifact(g, plan);
@@ -356,13 +386,19 @@ int runQuery(int argc, const char* const* argv) {
     if (args.has("u") != args.has("v"))
       throw std::invalid_argument("--u and --v must be given together");
 
-    const auto q = static_cast<std::size_t>(
-        std::max<std::int64_t>(1, args.getInt("queries")));
+    const auto q =
+        static_cast<std::size_t>(args.getInt("queries", 1, kMaxQueries));
     const std::size_t threads = std::min<std::size_t>(
         q, static_cast<std::size_t>(
-               std::max<std::int64_t>(1, args.getInt("threads"))));
-    const auto seed = static_cast<std::uint64_t>(args.getInt("seed"));
-    const std::int64_t deadlineMs = args.getInt("deadline-ms");
+               args.getInt("threads", 1, runtime::kMaxThreads)));
+    const auto seed =
+        static_cast<std::uint64_t>(args.getInt("seed", 0, kMaxInt64));
+    const auto deadlineMs = static_cast<int>(
+        args.getInt("deadline-ms", -1, std::numeric_limits<int>::max()));
+    std::optional<std::pair<VertexId, VertexId>> single;
+    if (args.has("u"))
+      single.emplace(static_cast<VertexId>(args.getInt("u", 0, kMaxVertexId)),
+                     static_cast<VertexId>(args.getInt("v", 0, kMaxVertexId)));
 
     std::size_t n = 0;
     double composedStretch = 0;
@@ -400,21 +436,16 @@ int runQuery(int argc, const char* const* argv) {
                    a.algorithm.c_str(), a.k, a.sketchParams.k, a.composedStretch);
       // The plane takes the graph over; read it back through plane->graph.
       plane.emplace(query::makeQueryPlane(std::move(a)));
-      const int budgetMs =
-          deadlineMs < 0 ? -1
-                         : static_cast<int>(std::min<std::int64_t>(
-                               deadlineMs, std::numeric_limits<int>::max()));
-      ask = [&plane, budgetMs](std::size_t, VertexId u, VertexId v) {
+      ask = [&plane, deadlineMs](std::size_t, VertexId u, VertexId v) {
         const query::BudgetedAnswer a = plane->tiered->queryBudgeted(
-            u, v, util::DeadlineBudget(budgetMs));
+            u, v, util::DeadlineBudget(deadlineMs));
         return serve::WireAnswer{a.dist, a.tier, a.degraded, a.stretch, 0};
       };
     }
     if (n == 0) throw std::runtime_error("the served graph is empty");
 
-    if (args.has("u")) {
-      const auto u = static_cast<VertexId>(args.getInt("u"));
-      const auto v = static_cast<VertexId>(args.getInt("v"));
+    if (single) {
+      const auto [u, v] = *single;
       if (u >= n || v >= n)
         throw std::invalid_argument("--u/--v out of range [0, n)");
       printAnswer(u, v, ask(0, u, v));
@@ -480,9 +511,10 @@ int main(int argc, char** argv) {
   }
 
   try {
-    const Graph g = loadGraph(args);
-
+    const GraphSource src = graphSourceOf(args);
     const query::BuildPlan plan = planOf(args);
+    const bool verify = args.getBool("verify");
+    const Graph g = loadGraph(src);
     const SpannerResult r = query::buildSpanner(g, plan);
     std::fprintf(stdout,
                  "%s: %zu edges (%.1f%%), k=%u, %zu iterations / %zu epochs\n",
@@ -502,7 +534,7 @@ int main(int argc, char** argv) {
     std::fprintf(stdout, "certified stretch <= %.1f; ledger: %s\n", r.stretchBound,
                  r.cost.ledgerString().c_str());
 
-    if (args.getBool("verify")) {
+    if (verify) {
       const StretchReport report = verifySpanner(
           g, r.edges, r.stretchBound, {.maxEdgeChecks = 4000, .pairSources = 4});
       std::fprintf(stdout,

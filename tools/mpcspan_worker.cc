@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -35,6 +36,8 @@
 #include "runtime/round_engine.hpp"
 #include "runtime/shard/tcp_transport.hpp"
 #include "runtime/shard/wire.hpp"
+#include "runtime/shard/worker_loop.hpp"
+#include "runtime/thread_pool.hpp"
 #include "runtime/topology.hpp"
 #include "util/args.hpp"
 
@@ -175,24 +178,28 @@ int main(int argc, char** argv) {
   }
 
   try {
-    int timeoutMs = static_cast<int>(args.getInt("timeout"));
-    if (timeoutMs <= 0) timeoutMs = mpcspan::runtime::shard::defaultTcpTimeoutMs();
+    constexpr std::int64_t kMaxInt = std::numeric_limits<int>::max();
+    int timeoutMs = static_cast<int>(args.getInt("timeout", 0, kMaxInt));
+    if (timeoutMs == 0) timeoutMs = mpcspan::runtime::shard::defaultTcpTimeoutMs();
 
-    const auto shards = static_cast<std::size_t>(args.getInt("coordinate"));
+    const auto shards =
+        static_cast<std::size_t>(args.getInt("coordinate", 0, kMaxThreads));
     if (shards > 0)
-      return runCoordinate(shards,
-                           parsePort(args.get("port"), /*dial=*/false),
-                           static_cast<std::size_t>(args.getInt("machines")),
-                           static_cast<std::size_t>(args.getInt("rounds")),
-                           static_cast<std::size_t>(args.getInt("threads")),
-                           timeoutMs, args.getBool("local"));
+      return runCoordinate(
+          shards, parsePort(args.get("port"), /*dial=*/false),
+          static_cast<std::size_t>(
+              args.getInt("machines", 1, kMaxSetupMachines)),
+          static_cast<std::size_t>(args.getInt("rounds", 0, kMaxInt)),
+          static_cast<std::size_t>(args.getInt("threads", 0, kMaxThreads)),
+          timeoutMs, args.getBool("local"));
     if (args.get("connect").empty()) {
       std::fprintf(stderr, "error: one of --connect or --coordinate is required\n\n%s",
                    args.usage().c_str());
       return 2;
     }
     return runConnect(args.get("connect"),
-                      static_cast<std::size_t>(args.getInt("shard")),
+                      static_cast<std::size_t>(
+                          args.getInt("shard", 0, kMaxThreads - 1)),
                       timeoutMs);
   } catch (const mpcspan::runtime::shard::ShardError& e) {
     std::fprintf(stderr, "ShardError: %s\n", e.what());

@@ -14,7 +14,7 @@
 //
 // Exit status: 0 clean shutdown, 1 fatal (the artifact would not load, the
 // port would not bind), 2 usage error (an unknown flag, no --artifact, a
-// --port outside 0..65535).
+// --port outside 0..65535, an integer flag outside its range).
 //
 // Signal handling is self-pipe only: the handlers write one byte ('T'
 // terminate, 'H' reload) to the server's nonblocking signal fd and do
@@ -24,14 +24,19 @@
 
 #include <cstdio>
 #include <exception>
+#include <limits>
 #include <stdexcept>
 
+#include "runtime/thread_pool.hpp"
 #include "serve/server.hpp"
 #include "util/args.hpp"
 
 namespace {
 
 int gSignalFd = -1;
+
+// The largest --queue: more connections than any listen backlog holds.
+constexpr std::int64_t kMaxQueue = 1 << 16;
 
 void onTerm(int) {
   const char c = 'T';
@@ -79,13 +84,17 @@ int main(int argc, char** argv) {
     opts.artifactPath = args.get("artifact");
     opts.host = args.get("host");
     opts.port = parsePort(args.get("port"), /*dial=*/false);
+    constexpr std::int64_t kMaxMs = std::numeric_limits<int>::max();
     opts.sessionThreads = static_cast<std::size_t>(
-        std::max<std::int64_t>(1, args.getInt("threads")));
-    opts.queueCapacity = static_cast<std::size_t>(
-        std::max<std::int64_t>(1, args.getInt("queue")));
-    opts.defaultDeadlineMs = static_cast<int>(args.getInt("deadline-ms"));
-    opts.frameTimeoutMs = static_cast<int>(args.getInt("frame-timeout-ms"));
-    opts.writeTimeoutMs = static_cast<int>(args.getInt("write-timeout-ms"));
+        args.getInt("threads", 1, runtime::kMaxThreads));
+    opts.queueCapacity =
+        static_cast<std::size_t>(args.getInt("queue", 1, kMaxQueue));
+    opts.defaultDeadlineMs =
+        static_cast<int>(args.getInt("deadline-ms", -1, kMaxMs));
+    opts.frameTimeoutMs =
+        static_cast<int>(args.getInt("frame-timeout-ms", 1, kMaxMs));
+    opts.writeTimeoutMs =
+        static_cast<int>(args.getInt("write-timeout-ms", 1, kMaxMs));
 
     serve::Server server(opts);
     server.start();  // installs the process-wide SIGPIPE ignore
