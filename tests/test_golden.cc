@@ -50,11 +50,11 @@
 namespace mpcspan {
 namespace {
 
-using runtime::RowView;
-using runtime::WordRows;
 using runtime::EngineConfig;
 using runtime::KernelId;
 using runtime::RoundEngine;
+using runtime::RowView;
+using runtime::WordRows;
 
 // --- Backend configurations. ---
 

@@ -36,19 +36,19 @@
 namespace mpcspan {
 namespace {
 
-using runtime::RowView;
 using runtime::EngineConfig;
 using runtime::KernelCtx;
 using runtime::KernelId;
-using runtime::WordRows;
 using runtime::MpcTopology;
 using runtime::RoundEngine;
+using runtime::RowView;
 using runtime::StepKernel;
-using runtime::shard::mergeSectionRows;
+using runtime::WordRows;
 using runtime::shard::ShardError;
 using runtime::shard::WireFd;
 using runtime::shard::WireReader;
 using runtime::shard::WireWriter;
+using runtime::shard::mergeSectionRows;
 using test_kernels::ProbeKernel;
 using test_kernels::probeTopology;
 

@@ -30,9 +30,9 @@
 namespace mpcspan {
 namespace {
 
+using runtime::MpcTopology;
 using runtime::RowView;
 using runtime::WordRows;
-using runtime::MpcTopology;
 using runtime::shard::DeadlineBudget;
 using runtime::shard::ShardError;
 using runtime::shard::WireFd;

@@ -21,11 +21,11 @@ namespace mpcspan {
 namespace {
 
 using runtime::EngineConfig;
-using runtime::RowView;
-using runtime::WordRows;
 using runtime::MpcTopology;
 using runtime::RoundEngine;
+using runtime::RowView;
 using runtime::ThreadPool;
+using runtime::WordRows;
 using test_kernels::Outboxes;
 using test_kernels::registerScript;
 using test_kernels::scriptedRound;
@@ -146,6 +146,30 @@ TEST(EnvKnobs, GarbledCountsThrowNamingTheVariable) {
     const ScopedEnv env("MPCSPAN_THREADS", "");
     EXPECT_GE(ThreadPool::defaultThreads(), 1u);
   }
+}
+
+TEST(WordRows, RowsIterateInOrderOverOneWordBuffer) {
+  WordRows rows;
+  rows.add(3, {10, 11});
+  rows.add(0, {});
+  Word* filled = rows.append(5, 3);
+  filled[0] = 20;
+  filled[2] = 22;
+  EXPECT_EQ(rows.size(), 3u);
+  EXPECT_EQ(rows.wordCount(), 5u);
+  const std::vector<Word> words(rows.words().begin(), rows.words().end());
+  EXPECT_EQ(words, (std::vector<Word>{10, 11, 20, 0, 22}));
+  std::vector<std::size_t> peers, lens;
+  for (const RowView row : rows) {
+    peers.push_back(row.peer);
+    lens.push_back(row.words.size());
+  }
+  EXPECT_EQ(peers, (std::vector<std::size_t>{3, 0, 5}));
+  EXPECT_EQ(lens, (std::vector<std::size_t>{2, 0, 3}));
+  // Equal rows need equal peers and lengths, not only equal words.
+  WordRows same;
+  same.add(3, {10, 11, 20, 0, 22});
+  EXPECT_NE(rows, same);
 }
 
 TEST(RoundEngine, RejectsBadConfig) {

@@ -31,14 +31,14 @@
 namespace mpcspan {
 namespace {
 
-using runtime::RowView;
 using runtime::EngineConfig;
 using runtime::KernelId;
-using runtime::WordRows;
 using runtime::MpcTopology;
 using runtime::RoundEngine;
-using runtime::shard::ShardedEngine;
+using runtime::RowView;
+using runtime::WordRows;
 using runtime::shard::ShardError;
+using runtime::shard::ShardedEngine;
 using test_kernels::Outboxes;
 using test_kernels::registerScript;
 using test_kernels::scriptedRound;
