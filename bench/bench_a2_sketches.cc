@@ -2,10 +2,18 @@
 // (Thorup–Zwick) preprocessing accelerated by first sparsifying with a
 // spanner. Compares preprocessing relaxations, sketch storage, and realized
 // approximation for sketches built directly on G vs on its spanner.
+//
+// A second table times the preprocessing on the spanner at 1 pool lane and
+// at nproc lanes; the bench exits 1 when the two tables differ in any byte.
+// Under MPCSPAN_BENCH_JSON each of its rows is also written as JSON.
+#include <algorithm>
+#include <chrono>
 #include <cmath>
+#include <thread>
 
 #include "apsp/sketches.hpp"
 #include "bench/bench_common.hpp"
+#include "graph/connectivity.hpp"
 #include "graph/distance.hpp"
 #include "spanner/tradeoff.hpp"
 #include "util/stats.hpp"
@@ -29,6 +37,30 @@ std::pair<double, double> auditSketch(const Graph& g, const DistanceSketches& sk
   }
   const Summary s = summarize(ratios);
   return {s.mean, s.max};
+}
+
+bool sameTables(const SketchTables& a, const SketchTables& b) {
+  return a.k == b.k && a.n == b.n && a.pivotDist == b.pivotDist &&
+         a.pivot == b.pivot && a.bunchStart == b.bunchStart &&
+         a.bunchW == b.bunchW && a.bunchDist == b.bunchDist &&
+         a.levelSizes == b.levelSizes && a.relaxations == b.relaxations;
+}
+
+/// Best of three wall times of the sketch construction on `lanes` lanes,
+/// in ms; `out` receives the tables of the last run.
+double timeSketches(const Graph& h, const SketchParams& sp, std::size_t lanes,
+                    SketchTables& out) {
+  double best = 0;
+  for (int rep = 0; rep < 3; ++rep) {
+    const auto t0 = std::chrono::steady_clock::now();
+    const DistanceSketches sk(h, sp, lanes);
+    const double ms = std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+    best = rep == 0 ? ms : std::min(best, ms);
+    if (rep == 2) out = sk.exportTables();
+  }
+  return best;
 }
 
 }  // namespace
@@ -70,5 +102,42 @@ int main() {
               "# times fewer preprocessing relaxations at a modest realized\n"
               "# approximation penalty (the certified bound composes, the\n"
               "# measured ratio barely moves on random graphs).\n");
+
+  const std::size_t nproc = std::clamp<std::size_t>(
+      std::thread::hardware_concurrency(), 1, runtime::kMaxThreads);
+  BenchJson json("a2_sketches");
+  Table lanes("TZ(k=3) preprocessing on the spanner: 1 lane vs nproc lanes");
+  lanes.header({"n", "spanner edges", "lanes", "1 lane ms", "N lanes ms",
+                "speedup", "tables"});
+  bool allSame = true;
+  for (std::size_t n : {4000u, 16000u}) {
+    const Graph g = weightedGnm(n, 24 * n, /*seed=*/n + 3);
+    TradeoffParams tp;
+    tp.k = 6;
+    tp.t = 0;
+    tp.seed = 7;
+    const Graph h = subgraph(g, buildTradeoffSpanner(g, tp).edges);
+    const SketchParams sp{.k = 3, .seed = 5};
+    SketchTables one, many;
+    const double ms1 = timeSketches(h, sp, 1, one);
+    const double msN = timeSketches(h, sp, nproc, many);
+    const bool same = sameTables(one, many);
+    allSame = allSame && same;
+    lanes.addRow({Table::num(n), Table::num(h.numEdges()), Table::num(nproc),
+                  Table::num(ms1, 1), Table::num(msN, 1),
+                  Table::num(ms1 / msN, 2), same ? "identical" : "DIFFER"});
+    json.record({{"n", double(n)},
+                 {"spanner_edges", double(h.numEdges())},
+                 {"lanes", double(nproc)},
+                 {"lanes1_ms", ms1},
+                 {"lanesN_ms", msN},
+                 {"identical", same ? 1.0 : 0.0}});
+  }
+  lanes.print();
+  if (!allSame) {
+    std::fprintf(stderr, "error: the sketch tables differ between 1 and %zu lanes\n",
+                 nproc);
+    return 1;
+  }
   return 0;
 }

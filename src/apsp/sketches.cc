@@ -2,174 +2,276 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
+#include <functional>
+#include <memory>
+#include <mutex>
 #include <stdexcept>
-#include <unordered_map>
+#include <string>
+#include <utility>
 
 #include "graph/connectivity.hpp"
 #include "graph/distance.hpp"
+#include "runtime/thread_pool.hpp"
 #include "util/rng.hpp"
 
 namespace mpcspan {
 
 namespace {
-using QItem = std::pair<Weight, VertexId>;
-using MinHeap = std::priority_queue<QItem, std::vector<QItem>, std::greater<>>;
-}  // namespace
 
-DistanceSketches::DistanceSketches(const Graph& g, const SketchParams& params)
-    : k_(std::max<std::uint32_t>(params.k, 1)), n_(g.numVertices()) {
-  build(g, params.seed);
+/// Consecutive bunch sources per chunk. The chunking depends only on n, and
+/// the level-(k-1) sources, whose searches span the whole component, fall
+/// at random positions, so the pool's slices carry similar work.
+constexpr std::size_t kSourcesPerChunk = 32;
+
+/// Min-heap of (distance, vertex) over a reused vector. Every push lowers
+/// its vertex's distance strictly, so no two entries are equal and the pop
+/// order is the total order of the pairs, as with std::priority_queue.
+class MinHeap {
+ public:
+  bool empty() const { return items_.empty(); }
+  void push(Weight d, VertexId v) {
+    items_.emplace_back(d, v);
+    std::push_heap(items_.begin(), items_.end(), std::greater<>{});
+  }
+  std::pair<Weight, VertexId> pop() {
+    std::pop_heap(items_.begin(), items_.end(), std::greater<>{});
+    const auto top = items_.back();
+    items_.pop_back();
+    return top;
+  }
+
+ private:
+  std::vector<std::pair<Weight, VertexId>> items_;
+};
+
+/// Multi-source Dijkstra from `sources`: dist[v] = d(sources, v) and
+/// piv[v] = the source that realizes it. Returns the neighbour scans.
+std::uint64_t pivotSearch(const Graph& g, const std::vector<VertexId>& sources,
+                          std::vector<Weight>& dist, std::vector<VertexId>& piv) {
+  MinHeap heap;
+  for (VertexId s : sources) {
+    dist[s] = 0;
+    piv[s] = s;
+    heap.push(0.0, s);
+  }
+  std::uint64_t scans = 0;
+  while (!heap.empty()) {
+    const auto [d, v] = heap.pop();
+    if (d > dist[v]) continue;
+    scans += g.neighbors(v).size();
+    for (const Incidence& inc : g.neighbors(v)) {
+      const Weight nd = d + g.edge(inc.edge).w;
+      if (nd < dist[inc.to]) {
+        dist[inc.to] = nd;
+        piv[inc.to] = piv[v];
+        heap.push(nd, inc.to);
+      }
+    }
+  }
+  return scans;
 }
 
-DistanceSketches::DistanceSketches(SketchTables t)
-    : k_(t.k), n_(static_cast<std::size_t>(t.n)) {
-  if (k_ == 0) throw std::invalid_argument("sketch tables: k must be >= 1");
-  if (t.pivotDist.size() != k_ + 1 || t.pivot.size() != k_ + 1)
+/// One chunk's bunch emissions: (v, w, d) means w joins the bunch of v at
+/// distance d. Kept as three arrays so the flatten's range scans read only v.
+struct Emissions {
+  std::vector<VertexId> v, w;
+  std::vector<Weight> d;
+  std::uint64_t scans = 0;
+};
+
+/// One lane's bunch-search state: a dense distance array that is kInfDist
+/// outside the running search, the vertices the search touched, and the
+/// heap. Checked out per chunk, so at most one exists per running lane.
+struct BunchSearch {
+  explicit BunchSearch(std::size_t n) : dist(n, kInfDist) {}
+  std::vector<Weight> dist;
+  std::vector<VertexId> touched;
+  MinHeap heap;
+
+  /// Dijkstra from w, truncated where d(w, v) >= bound[v] = d(A_{i+1}, v).
+  /// A vertex is pushed only at a strictly smaller distance and weights are
+  /// nonnegative, so each reached vertex is emitted exactly once.
+  void run(const Graph& g, VertexId w, const std::vector<Weight>& bound,
+           Emissions& out) {
+    dist[w] = 0;
+    touched.push_back(w);
+    heap.push(0.0, w);
+    while (!heap.empty()) {
+      const auto [d, v] = heap.pop();
+      if (d > dist[v]) continue;
+      out.v.push_back(v);
+      out.w.push_back(w);
+      out.d.push_back(d);
+      out.scans += g.neighbors(v).size();
+      for (const Incidence& inc : g.neighbors(v)) {
+        const Weight nd = d + g.edge(inc.edge).w;
+        if (nd >= bound[inc.to] || nd >= dist[inc.to]) continue;
+        if (dist[inc.to] == kInfDist) touched.push_back(inc.to);
+        dist[inc.to] = nd;
+        heap.push(nd, inc.to);
+      }
+    }
+    for (VertexId v : touched) dist[v] = kInfDist;
+    touched.clear();
+  }
+};
+
+/// Lends BunchSearch states to chunks; a state returns when its chunk ends.
+class SearchStates {
+ public:
+  explicit SearchStates(std::size_t n) : n_(n) {}
+  std::unique_ptr<BunchSearch> take() {
+    {
+      std::lock_guard<std::mutex> lock(m_);
+      if (!free_.empty()) {
+        auto s = std::move(free_.back());
+        free_.pop_back();
+        return s;
+      }
+    }
+    return std::make_unique<BunchSearch>(n_);
+  }
+  void give(std::unique_ptr<BunchSearch> s) {
+    std::lock_guard<std::mutex> lock(m_);
+    free_.push_back(std::move(s));
+  }
+
+ private:
+  std::size_t n_;
+  std::mutex m_;
+  std::vector<std::unique_ptr<BunchSearch>> free_;
+};
+
+SketchTables buildTables(const Graph& g, std::uint32_t k, std::uint64_t seed,
+                         std::size_t lanes) {
+  if (lanes > runtime::kMaxThreads)
+    throw std::invalid_argument("sketches: lanes = " + std::to_string(lanes) +
+                                " is outside [0, " +
+                                std::to_string(runtime::kMaxThreads) + "]");
+  runtime::ThreadPool pool(lanes);
+  const std::size_t n = g.numVertices();
+  SketchTables t;
+  t.k = k;
+  t.n = n;
+
+  // Levels: A_0 = V; A_i keeps each member of A_{i-1} with prob n^{-1/k}.
+  // top[v] is the highest level that holds v, so v is a bunch source of
+  // level top[v].
+  const double p = std::pow(static_cast<double>(std::max<std::size_t>(n, 2)),
+                            -1.0 / static_cast<double>(k));
+  std::vector<std::vector<VertexId>> levels(k);
+  levels[0].resize(n);
+  for (VertexId v = 0; v < n; ++v) levels[0][v] = v;
+  std::vector<std::uint32_t> top(n, 0);
+  for (std::uint32_t i = 1; i < k; ++i)
+    for (VertexId v : levels[i - 1]) {
+      const std::uint64_t h = mix64(seed ^ mix64((std::uint64_t(i) << 32) | v));
+      if (static_cast<double>(h >> 11) * 0x1.0p-53 < p) {
+        levels[i].push_back(v);
+        top[v] = i;
+      }
+    }
+  for (const auto& lvl : levels)
+    t.levelSizes.push_back(static_cast<VertexId>(lvl.size()));
+
+  // Pivots: one multi-source Dijkstra per level, side by side (level k ==
+  // empty set, distance infinity by convention).
+  t.pivotDist.assign(k + 1, std::vector<Weight>(n, kInfDist));
+  t.pivot.assign(k + 1, std::vector<VertexId>(n, kNoVertex));
+  std::vector<std::uint64_t> pivotScans(k, 0);
+  pool.parallelFor(k, [&](std::size_t i) {
+    pivotScans[i] = pivotSearch(g, levels[i], t.pivotDist[i], t.pivot[i]);
+  });
+
+  // Bunches: every vertex w is the source of one truncated search at level
+  // top[w]. Chunks of consecutive sources, each into its own buffer.
+  std::vector<Emissions> chunks((n + kSourcesPerChunk - 1) / kSourcesPerChunk);
+  SearchStates states(n);
+  pool.parallelForChunks(n, kSourcesPerChunk, [&](std::size_t lo, std::size_t hi) {
+    std::unique_ptr<BunchSearch> search = states.take();
+    Emissions& out = chunks[lo / kSourcesPerChunk];
+    for (std::size_t w = lo; w < hi; ++w)
+      search->run(g, static_cast<VertexId>(w), t.pivotDist[top[w] + 1], out);
+    states.give(std::move(search));
+  });
+
+  for (std::uint64_t s : pivotScans) t.relaxations += s;
+  for (const Emissions& c : chunks) t.relaxations += c.scans;
+
+  // Flatten: a counting sort of the emissions by v, taken chunk by chunk in
+  // source order, so each segment comes out in increasing w. Each vertex
+  // range is one parallel index that scans every chunk's v array and fills
+  // only its own vertices.
+  const std::size_t parts = pool.numThreads();
+  const auto forVertexRanges = [&](const auto& fn) {
+    pool.parallelFor(parts, [&](std::size_t r) {
+      fn(static_cast<VertexId>(n * r / parts),
+         static_cast<VertexId>(n * (r + 1) / parts));
+    });
+  };
+  t.bunchStart.assign(n + 1, 0);
+  forVertexRanges([&](VertexId lo, VertexId hi) {
+    for (const Emissions& c : chunks)
+      for (VertexId v : c.v)
+        if (v >= lo && v < hi) ++t.bunchStart[v + 1];
+  });
+  for (std::size_t v = 0; v < n; ++v) t.bunchStart[v + 1] += t.bunchStart[v];
+  t.bunchW.resize(t.bunchStart[n]);
+  t.bunchDist.resize(t.bunchStart[n]);
+  forVertexRanges([&](VertexId lo, VertexId hi) {
+    std::vector<std::uint64_t> at(t.bunchStart.begin() + lo,
+                                  t.bunchStart.begin() + hi);
+    for (const Emissions& c : chunks)
+      for (std::size_t j = 0; j < c.v.size(); ++j) {
+        const VertexId v = c.v[j];
+        if (v < lo || v >= hi) continue;
+        const std::uint64_t at_v = at[v - lo]++;
+        t.bunchW[at_v] = c.w[j];
+        t.bunchDist[at_v] = c.d[j];
+      }
+  });
+  return t;
+}
+
+}  // namespace
+
+DistanceSketches::DistanceSketches(const Graph& g, const SketchParams& params,
+                                   std::size_t lanes)
+    : t_(buildTables(g, std::max<std::uint32_t>(params.k, 1), params.seed,
+                     lanes)) {}
+
+DistanceSketches::DistanceSketches(SketchTables t) {
+  const std::uint32_t k = t.k;
+  const std::size_t n = static_cast<std::size_t>(t.n);
+  if (k == 0) throw std::invalid_argument("sketch tables: k must be >= 1");
+  if (t.pivotDist.size() != k + 1 || t.pivot.size() != k + 1)
     throw std::invalid_argument("sketch tables: pivot level count != k+1");
-  for (std::uint32_t i = 0; i <= k_; ++i)
-    if (t.pivotDist[i].size() != n_ || t.pivot[i].size() != n_)
+  for (std::uint32_t i = 0; i <= k; ++i)
+    if (t.pivotDist[i].size() != n || t.pivot[i].size() != n)
       throw std::invalid_argument("sketch tables: pivot row size != n");
-  if (t.bunchStart.size() != n_ + 1 || t.bunchStart.front() != 0)
+  for (const auto& row : t.pivot)
+    for (VertexId p : row)
+      if (p >= n && p != kNoVertex)
+        throw std::invalid_argument("sketch tables: pivot out of range");
+  if (t.bunchStart.size() != n + 1 || t.bunchStart.front() != 0)
     throw std::invalid_argument("sketch tables: bad bunch offsets");
-  for (std::size_t v = 0; v < n_; ++v)
+  for (std::size_t v = 0; v < n; ++v)
     if (t.bunchStart[v] > t.bunchStart[v + 1])
       throw std::invalid_argument("sketch tables: non-monotone bunch offsets");
   if (t.bunchStart.back() != t.bunchW.size() ||
       t.bunchW.size() != t.bunchDist.size())
     throw std::invalid_argument("sketch tables: bunch array size mismatch");
-  for (VertexId w : t.bunchW)
-    if (w >= n_) throw std::invalid_argument("sketch tables: bunch vertex out of range");
-  if (t.levelSizes.size() != k_)
+  for (std::size_t v = 0; v < n; ++v)
+    for (std::uint64_t j = t.bunchStart[v]; j < t.bunchStart[v + 1]; ++j) {
+      if (t.bunchW[j] >= n)
+        throw std::invalid_argument("sketch tables: bunch vertex out of range");
+      if (j > t.bunchStart[v] && t.bunchW[j] <= t.bunchW[j - 1])
+        throw std::invalid_argument(
+            "sketch tables: bunch not strictly increasing in w");
+    }
+  if (t.levelSizes.size() != k)
     throw std::invalid_argument("sketch tables: level size count != k");
-  pivotDist_ = std::move(t.pivotDist);
-  pivot_ = std::move(t.pivot);
-  bunchStart_ = std::move(t.bunchStart);
-  bunchW_ = std::move(t.bunchW);
-  bunchDist_ = std::move(t.bunchDist);
-  levelSizes_ = std::move(t.levelSizes);
-  relaxations_ = static_cast<std::size_t>(t.relaxations);
-}
-
-SketchTables DistanceSketches::exportTables() const {
-  SketchTables t;
-  t.k = k_;
-  t.n = n_;
-  t.pivotDist = pivotDist_;
-  t.pivot = pivot_;
-  t.bunchStart = bunchStart_;
-  t.bunchW = bunchW_;
-  t.bunchDist = bunchDist_;
-  t.levelSizes = levelSizes_;
-  t.relaxations = relaxations_;
-  return t;
-}
-
-void DistanceSketches::build(const Graph& g, std::uint64_t seed) {
-  // Levels: A_0 = V; A_i keeps each member of A_{i-1} with prob n^{-1/k}.
-  const double p =
-      std::pow(static_cast<double>(std::max<std::size_t>(n_, 2)),
-               -1.0 / static_cast<double>(k_));
-  std::vector<std::vector<VertexId>> levels(k_);
-  levels[0].resize(n_);
-  for (VertexId v = 0; v < n_; ++v) levels[0][v] = v;
-  for (std::uint32_t i = 1; i < k_; ++i)
-    for (VertexId v : levels[i - 1]) {
-      const std::uint64_t h = mix64(seed ^ mix64((std::uint64_t(i) << 32) | v));
-      if (static_cast<double>(h >> 11) * 0x1.0p-53 < p) levels[i].push_back(v);
-    }
-  levelSizes_.clear();
-  for (const auto& lvl : levels)
-    levelSizes_.push_back(static_cast<VertexId>(lvl.size()));
-
-  // Pivots: multi-source Dijkstra from each level (level k == empty set,
-  // distance infinity by convention).
-  pivotDist_.assign(k_ + 1, std::vector<Weight>(n_, kInfDist));
-  pivot_.assign(k_ + 1, std::vector<VertexId>(n_, kNoVertex));
-  for (std::uint32_t i = 0; i < k_; ++i) {
-    auto& dist = pivotDist_[i];
-    auto& piv = pivot_[i];
-    MinHeap heap;
-    for (VertexId s : levels[i]) {
-      dist[s] = 0;
-      piv[s] = s;
-      heap.emplace(0.0, s);
-    }
-    while (!heap.empty()) {
-      const auto [d, v] = heap.top();
-      heap.pop();
-      if (d > dist[v]) continue;
-      for (const Incidence& inc : g.neighbors(v)) {
-        const Weight nd = d + g.edge(inc.edge).w;
-        ++relaxations_;
-        if (nd < dist[inc.to]) {
-          dist[inc.to] = nd;
-          piv[inc.to] = piv[v];
-          heap.emplace(nd, inc.to);
-        }
-      }
-    }
-  }
-
-  // Bunches: for each w in A_i \ A_{i+1}, a Dijkstra truncated to the
-  // region where d(w, v) < d(A_{i+1}, v). Emissions are collected per
-  // vertex and flattened to w-sorted arrays afterwards; a vertex can be
-  // re-settled at its final distance along tied paths, so emissions are
-  // deduplicated by w (the duplicates carry the identical distance).
-  std::vector<std::vector<std::pair<VertexId, Weight>>> tmp(n_);
-  std::vector<char> inNext(n_, 0);
-  for (std::uint32_t i = 0; i < k_; ++i) {
-    std::fill(inNext.begin(), inNext.end(), 0);
-    if (i + 1 < k_)
-      for (VertexId v : levels[i + 1]) inNext[v] = 1;
-    for (VertexId w : levels[i]) {
-      if (i + 1 < k_ && inNext[w]) continue;  // belongs to a higher level
-      std::unordered_map<VertexId, Weight> dist;
-      dist.emplace(w, 0.0);
-      MinHeap heap;
-      heap.emplace(0.0, w);
-      while (!heap.empty()) {
-        const auto [d, v] = heap.top();
-        heap.pop();
-        const auto dv = dist.find(v);
-        if (dv == dist.end() || d > dv->second) continue;
-        tmp[v].emplace_back(w, d);
-        for (const Incidence& inc : g.neighbors(v)) {
-          const Weight nd = d + g.edge(inc.edge).w;
-          ++relaxations_;
-          if (nd >= pivotDist_[i + 1][inc.to]) continue;  // TZ truncation
-          const auto it = dist.find(inc.to);
-          if (it == dist.end() || nd < it->second) {
-            dist[inc.to] = nd;
-            heap.emplace(nd, inc.to);
-          }
-        }
-      }
-    }
-  }
-
-  bunchStart_.assign(n_ + 1, 0);
-  for (std::size_t v = 0; v < n_; ++v) {
-    auto& b = tmp[v];
-    std::sort(b.begin(), b.end(),
-              [](const auto& a, const auto& c) { return a.first < c.first; });
-    b.erase(std::unique(b.begin(), b.end(),
-                        [](const auto& a, const auto& c) {
-                          return a.first == c.first;
-                        }),
-            b.end());
-    bunchStart_[v + 1] = bunchStart_[v] + b.size();
-  }
-  bunchW_.reserve(bunchStart_.back());
-  bunchDist_.reserve(bunchStart_.back());
-  for (std::size_t v = 0; v < n_; ++v) {
-    for (const auto& [w, d] : tmp[v]) {
-      bunchW_.push_back(w);
-      bunchDist_.push_back(d);
-    }
-    tmp[v].clear();
-    tmp[v].shrink_to_fit();
-  }
+  t_ = std::move(t);
 }
 
 Weight DistanceSketches::query(VertexId u, VertexId v) const {
@@ -177,24 +279,27 @@ Weight DistanceSketches::query(VertexId u, VertexId v) const {
   VertexId w = u;
   Weight du = 0;  // d(w, u)
   for (std::uint32_t i = 0;; ) {
-    const auto first = bunchW_.begin() + static_cast<std::ptrdiff_t>(bunchStart_[v]);
-    const auto last = bunchW_.begin() + static_cast<std::ptrdiff_t>(bunchStart_[v + 1]);
+    const auto first =
+        t_.bunchW.begin() + static_cast<std::ptrdiff_t>(t_.bunchStart[v]);
+    const auto last =
+        t_.bunchW.begin() + static_cast<std::ptrdiff_t>(t_.bunchStart[v + 1]);
     const auto it = std::lower_bound(first, last, w);
     if (it != last && *it == w)
-      return du + bunchDist_[static_cast<std::size_t>(it - bunchW_.begin())];
+      return du + t_.bunchDist[static_cast<std::size_t>(it - t_.bunchW.begin())];
     ++i;
-    if (i >= k_) return kInfDist;
+    if (i >= t_.k) return kInfDist;
     std::swap(u, v);
-    w = pivot_[i][u];
+    w = t_.pivot[i][u];
     if (w == kNoVertex) return kInfDist;
-    du = pivotDist_[i][u];
+    du = t_.pivotDist[i][u];
   }
 }
 
 SpannerSketches buildSketchesOnSpanner(const Graph& g, const SpannerResult& spanner,
-                                       const SketchParams& params) {
+                                       const SketchParams& params,
+                                       std::size_t lanes) {
   const Graph h = subgraph(g, spanner.edges);
-  SpannerSketches out{DistanceSketches(h, params),
+  SpannerSketches out{DistanceSketches(h, params, lanes),
                       (2.0 * params.k - 1.0) * spanner.stretchBound,
                       spanner.edges.size()};
   return out;

@@ -9,14 +9,30 @@
 // expected bunch size O(k n^{1/k})) plus a helper that builds it on top of
 // any SpannerResult, with the composed stretch certificate.
 //
+// Construction is one parallel, deterministic pass on the lanes of a
+// runtime::ThreadPool; one lane runs the same code inline. The k pivot
+// searches run side by side. The bunch searches, one per source vertex
+// (each w in A_i \ A_{i+1} grows a Dijkstra truncated where
+// d(w, v) >= d(A_{i+1}, v)), run in fixed chunks of consecutive sources,
+// each chunk writing its (v, w, d) emissions to its own buffer. The flatten
+// buckets those emissions by v, chunk by chunk in source order, in parallel
+// by vertex range, so every bunch comes out sorted by w. Nothing in the
+// result depends on the lane count: the tables, the relaxation count
+// included, are the same bytes at every lane count.
+//
+// Memory beyond the tables: per lane, one dense distance array of n
+// Weights (reset through a touched list after each source) and one heap;
+// the chunk buffers hold every emission once, 16 bytes each, until the
+// flatten has copied them into the tables.
+//
 // Bunches are stored as flat per-vertex (w, dist) arrays sorted by w —
-// query is a binary search over a contiguous segment, construction cost
-// and memory are the flat arrays instead of n hash maps, and the whole
+// query is a binary search over a contiguous segment, and the whole
 // structure round-trips through SketchTables for the build-once /
 // serve-many query artifacts (src/query/build.hpp). All query methods are
 // const and safe to call concurrently.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -37,12 +53,13 @@ struct SketchParams {
 struct SketchTables {
   std::uint32_t k = 0;
   std::uint64_t n = 0;
-  // pivotDist[i][v] = d(A_i, v); pivot[i][v] = the realizing vertex.
-  // k+1 levels each (level k = empty set, distance infinity).
+  // pivotDist[i][v] = d(A_i, v); pivot[i][v] = the realizing vertex, or
+  // kNoVertex when v cannot reach A_i. k+1 levels each (level k = empty
+  // set, distance infinity).
   std::vector<std::vector<Weight>> pivotDist;
   std::vector<std::vector<VertexId>> pivot;
   // Bunch of v: entries [bunchStart[v], bunchStart[v+1]) of the flat
-  // arrays, sorted by bunchW within the segment.
+  // arrays, strictly increasing in bunchW within the segment.
   std::vector<std::uint64_t> bunchStart;  // n + 1 offsets
   std::vector<VertexId> bunchW;
   std::vector<Weight> bunchDist;
@@ -52,49 +69,48 @@ struct SketchTables {
 
 class DistanceSketches {
  public:
-  DistanceSketches(const Graph& g, const SketchParams& params);
+  /// Builds the sketches of g on `lanes` lanes of a runtime::ThreadPool:
+  /// 0 means the pool's default (MPCSPAN_THREADS, else the hardware lanes)
+  /// and 1 runs inline on the calling thread. The tables are identical at
+  /// every lane count. Throws std::invalid_argument when `lanes` exceeds
+  /// runtime::kMaxThreads.
+  DistanceSketches(const Graph& g, const SketchParams& params,
+                   std::size_t lanes = 0);
 
   /// Adopts prebuilt tables (artifact load path). Throws
   /// std::invalid_argument on any internal inconsistency (size mismatch,
-  /// non-monotone bunch offsets, out-of-range ids), so a corrupt artifact
-  /// fails cleanly instead of constructing a partially valid sketch.
+  /// non-monotone bunch offsets, a bunch not strictly increasing in w,
+  /// out-of-range ids), so a corrupt artifact fails cleanly instead of
+  /// constructing a sketch whose binary searches answer wrongly.
   explicit DistanceSketches(SketchTables tables);
 
-  /// Copies the query state out for serialization.
-  SketchTables exportTables() const;
+  /// The query state, as saved in an artifact.
+  const SketchTables& tables() const { return t_; }
+
+  /// A copy of tables().
+  SketchTables exportTables() const { return t_; }
 
   /// Estimated distance; at most (2k-1) * d(u,v), at least d(u,v).
   /// kInfDist when u,v are disconnected. Thread-safe (const state only).
   Weight query(VertexId u, VertexId v) const;
 
-  std::uint32_t k() const { return k_; }
-  std::size_t numVertices() const { return n_; }
-  double stretchBound() const { return 2.0 * k_ - 1.0; }
+  std::uint32_t k() const { return t_.k; }
+  std::size_t numVertices() const { return static_cast<std::size_t>(t_.n); }
+  double stretchBound() const { return 2.0 * t_.k - 1.0; }
 
   /// Sum of bunch sizes (the sketch storage; expected O(k n^{1+1/k})).
-  std::size_t totalBunchEntries() const { return bunchW_.size(); }
+  std::size_t totalBunchEntries() const { return t_.bunchW.size(); }
 
   /// Edge relaxations performed during preprocessing (the [DN19] cost that
   /// spanners shrink).
-  std::size_t preprocessingRelaxations() const { return relaxations_; }
+  std::size_t preprocessingRelaxations() const {
+    return static_cast<std::size_t>(t_.relaxations);
+  }
 
-  const std::vector<VertexId>& levelSizes() const { return levelSizes_; }
+  const std::vector<VertexId>& levelSizes() const { return t_.levelSizes; }
 
  private:
-  void build(const Graph& g, std::uint64_t seed);
-
-  std::uint32_t k_;
-  std::size_t n_;
-  // pivotDist_[i][v] = d(A_i, v); pivot_[i][v] = the realizing vertex.
-  std::vector<std::vector<Weight>> pivotDist_;
-  std::vector<std::vector<VertexId>> pivot_;
-  // Flat bunches: the bunch of v is the w-sorted segment
-  // [bunchStart_[v], bunchStart_[v+1]) of (bunchW_, bunchDist_).
-  std::vector<std::uint64_t> bunchStart_;
-  std::vector<VertexId> bunchW_;
-  std::vector<Weight> bunchDist_;
-  std::vector<VertexId> levelSizes_;
-  std::size_t relaxations_ = 0;
+  SketchTables t_;
 };
 
 /// Sketches computed on the spanner instead of g (the [DN19] application).
@@ -105,7 +121,9 @@ struct SpannerSketches {
   std::size_t spannerEdges = 0;
 };
 
+/// `lanes` as in the DistanceSketches constructor.
 SpannerSketches buildSketchesOnSpanner(const Graph& g, const SpannerResult& spanner,
-                                       const SketchParams& params);
+                                       const SketchParams& params,
+                                       std::size_t lanes = 0);
 
 }  // namespace mpcspan

@@ -75,7 +75,9 @@ QueryArtifact buildArtifact(const Graph& g, const BuildPlan& plan) {
                              : r.stretchBound;
   const Graph h = subgraph(g, r.edges);
   const SketchParams sp{plan.sketchK, plan.sketchSeed};
-  DistanceSketches sketches(h, sp);
+  // The simulator is gone by now, so the sketch stage takes the lanes of
+  // either engine dimension: a 1 x 4 sharded plan also gets 4.
+  DistanceSketches sketches(h, sp, std::max(plan.threads, plan.shards));
   const double composed = sketches.stretchBound() * stretch;
   return QueryArtifact{g,
                        std::move(r.edges),
@@ -125,7 +127,7 @@ void saveArtifact(const QueryArtifact& a, std::ostream& out) {
   w.u32(a.sketchParams.k);
   w.u64(a.sketchParams.seed);
   w.f64(a.composedStretch);
-  const SketchTables t = a.sketches.exportTables();
+  const SketchTables& t = a.sketches.tables();
   w.u32(t.k);
   w.u64(t.n);
   for (const auto& row : t.pivotDist) w.f64Vec(row);

@@ -56,7 +56,8 @@ inline constexpr std::uint32_t kMaxSketchK = 4096;
 /// Everything a build needs to know. `algo` is one of kSpannerAlgos: the
 /// host engine's algorithms (`gamma` applies to unweighted-fast, which needs
 /// an unweighted graph), or "dist-*" on the sharded MPC simulator
-/// (`threads`/`shards`/`gamma` apply).
+/// (`threads`/`shards`/`gamma` apply). buildArtifact also sizes its sketch
+/// stage from `threads`/`shards`, for every algo.
 struct BuildPlan {
   std::string algo = "tradeoff";
   std::uint32_t k = 8;
@@ -68,8 +69,11 @@ struct BuildPlan {
   // passes it through) so that the artifact format and its version stay as
   // they are; it goes with the next artifact version.
   std::size_t cacheSources = 64;
-  std::size_t threads = 0;        // dist-*: simulator stepping threads
-  std::size_t shards = 0;         // dist-*: simulator shards
+  // dist-*: the simulator's stepping threads and shards. The sketch stage
+  // of buildArtifact runs on max(threads, shards) pool lanes (0 = the
+  // pool's default), whatever the algo: the simulator is freed by then.
+  std::size_t threads = 0;
+  std::size_t shards = 0;
   double gamma = 0.5;             // dist-*: machine memory exponent
 
   /// Throws std::invalid_argument naming the first field outside its range:

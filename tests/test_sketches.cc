@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <stdexcept>
 
 #include "graph/builder.hpp"
 #include "graph/distance.hpp"
 #include "graph/generators.hpp"
+#include "runtime/thread_pool.hpp"
 #include "spanner/tradeoff.hpp"
 
 namespace mpcspan {
@@ -130,6 +133,112 @@ TEST(Sketches, SpannerCutsPreprocessingWork) {
   const SpannerSketches accel = buildSketchesOnSpanner(g, spanner, sp);
   EXPECT_LT(accel.sketches.preprocessingRelaxations(),
             direct.preprocessingRelaxations());
+}
+
+template <class T>
+std::uint64_t hashRow(std::uint64_t h, const std::vector<T>& row) {
+  h = mix64(h ^ row.size());
+  for (const T& x : row) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &x, sizeof(T));
+    h = mix64(h ^ bits);
+  }
+  return h;
+}
+
+/// Digest of everything an artifact saves of the sketches, the relaxation
+/// count included.
+std::uint64_t tablesDigest(const SketchTables& t) {
+  std::uint64_t h = mix64(mix64(t.k) ^ t.n);
+  h = mix64(h ^ t.relaxations);
+  for (const auto& row : t.pivotDist) h = hashRow(h, row);
+  for (const auto& row : t.pivot) h = hashRow(h, row);
+  h = hashRow(h, t.bunchStart);
+  h = hashRow(h, t.bunchW);
+  h = hashRow(h, t.bunchDist);
+  return hashRow(h, t.levelSizes);
+}
+
+TEST(Sketches, TablesAreIdenticalAtEveryLaneCount) {
+  // Digests frozen from the single-threaded construction that the parallel
+  // one replaced. The unit grid ties many shortest paths. k = 1 is exact
+  // APSP (n^2 bunch entries, n searches over the whole graph), so it runs
+  // on graphs a tenth the size.
+  Rng r1(31), r2(32), r3(31), r4(32);
+  const Graph gnm = gnmRandom(3000, 60000, r1, {WeightModel::kUniform, 20.0});
+  const Graph grid = grid2d(40, 40, r2);
+  const Graph gnmSmall = gnmRandom(300, 6000, r3, {WeightModel::kUniform, 20.0});
+  const Graph gridSmall = grid2d(20, 20, r4);
+  struct Case {
+    const char* name;
+    const Graph* g;
+    std::uint32_t k;
+    std::uint64_t digest;
+  };
+  const Case cases[] = {
+      {"gnm300", &gnmSmall, 1, 0xd6f8d805820ac768ull},
+      {"gnm3000", &gnm, 2, 0xb756f7e6c29512afull},
+      {"gnm3000", &gnm, 3, 0x4331b058e167d47bull},
+      {"gnm3000", &gnm, 4, 0xdf368781c758b8baull},
+      {"grid20", &gridSmall, 1, 0xa7e2ff64f2a2c52dull},
+      {"grid40", &grid, 2, 0x6c952afb24d50070ull},
+      {"grid40", &grid, 3, 0x783be56c1e711eadull},
+      {"grid40", &grid, 4, 0x796f5e2c97bfe0d6ull},
+  };
+  for (const Case& c : cases)
+    for (std::size_t lanes : {1, 2, 3, 4, 7}) {
+      const DistanceSketches sk(*c.g, {.k = c.k, .seed = 7}, lanes);
+      EXPECT_EQ(tablesDigest(sk.exportTables()), c.digest)
+          << c.name << " k=" << c.k << " lanes=" << lanes;
+    }
+}
+
+TEST(Sketches, LaneCountBeyondThePoolLimitIsRefused) {
+  Rng rng(9);
+  const Graph g = gnmRandom(50, 200, rng, {}, true);
+  EXPECT_THROW(DistanceSketches(g, {}, runtime::kMaxThreads + 1),
+               std::invalid_argument);
+}
+
+/// Tables of a small sketch and a vertex whose bunch holds two entries or
+/// more, to tamper with.
+std::pair<SketchTables, VertexId> tablesWithALongBunch() {
+  Rng rng(10);
+  const Graph g = gnmRandom(200, 1200, rng, {WeightModel::kUniform, 5.0}, true);
+  SketchTables t = DistanceSketches(g, {.k = 3, .seed = 11}, 1).exportTables();
+  for (VertexId v = 0; v < t.n; ++v)
+    if (t.bunchStart[v + 1] - t.bunchStart[v] >= 2) return {std::move(t), v};
+  ADD_FAILURE() << "no bunch with two entries";
+  return {std::move(t), 0};
+}
+
+TEST(Sketches, AdoptedTablesAreAcceptedUntampered) {
+  auto [t, v] = tablesWithALongBunch();
+  const SketchTables copy = t;
+  const DistanceSketches sk(std::move(t));
+  EXPECT_EQ(tablesDigest(sk.tables()), tablesDigest(copy));
+}
+
+TEST(Sketches, AdoptedBunchWithASwappedPairIsRejected) {
+  auto [t, v] = tablesWithALongBunch();
+  const std::size_t j = t.bunchStart[v];
+  std::swap(t.bunchW[j], t.bunchW[j + 1]);
+  std::swap(t.bunchDist[j], t.bunchDist[j + 1]);
+  EXPECT_THROW(DistanceSketches{std::move(t)}, std::invalid_argument);
+}
+
+TEST(Sketches, AdoptedBunchWithADuplicateWIsRejected) {
+  auto [t, v] = tablesWithALongBunch();
+  const std::size_t j = t.bunchStart[v];
+  t.bunchW[j + 1] = t.bunchW[j];
+  t.bunchDist[j + 1] = t.bunchDist[j];
+  EXPECT_THROW(DistanceSketches{std::move(t)}, std::invalid_argument);
+}
+
+TEST(Sketches, AdoptedPivotOutOfRangeIsRejected) {
+  auto [t, v] = tablesWithALongBunch();
+  t.pivot[1][v] = static_cast<VertexId>(t.n);
+  EXPECT_THROW(DistanceSketches{std::move(t)}, std::invalid_argument);
 }
 
 }  // namespace
