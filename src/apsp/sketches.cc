@@ -5,6 +5,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <new>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -14,6 +15,8 @@
 #include "runtime/thread_pool.hpp"
 #include "util/rng.hpp"
 
+#include <sys/mman.h>
+
 namespace mpcspan {
 
 namespace {
@@ -22,6 +25,38 @@ namespace {
 /// the level-(k-1) sources, whose searches span the whole component, fall
 /// at random positions, so the pool's slices carry similar work.
 constexpr std::size_t kSourcesPerChunk = 32;
+
+/// Allocates whole pages from the system and unmaps them on release. Every
+/// buffer that a pool thread grows uses it: through malloc those blocks
+/// would land in the pool threads' arenas, which the caller's later
+/// allocations never reuse, so the build's freed scratch would stay
+/// resident for the rest of the process (and in every process it forks).
+template <class T>
+struct PageAllocator {
+  using value_type = T;
+  PageAllocator() = default;
+  template <class U>
+  PageAllocator(const PageAllocator<U>&) {}
+
+  T* allocate(std::size_t count) {
+    void* p = mmap(nullptr, bytes(count), PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED) throw std::bad_alloc();
+    return static_cast<T*>(p);
+  }
+  void deallocate(T* p, std::size_t count) { munmap(p, bytes(count)); }
+
+  template <class U>
+  bool operator==(const PageAllocator<U>&) const { return true; }
+
+ private:
+  static std::size_t bytes(std::size_t count) {
+    return std::max<std::size_t>(count * sizeof(T), 1);
+  }
+};
+
+template <class T>
+using PageVector = std::vector<T, PageAllocator<T>>;
 
 /// Min-heap of (distance, vertex) over a reused vector. Every push lowers
 /// its vertex's distance strictly, so no two entries are equal and the pop
@@ -41,7 +76,7 @@ class MinHeap {
   }
 
  private:
-  std::vector<std::pair<Weight, VertexId>> items_;
+  PageVector<std::pair<Weight, VertexId>> items_;
 };
 
 /// Multi-source Dijkstra from `sources`: dist[v] = d(sources, v) and
@@ -71,28 +106,30 @@ std::uint64_t pivotSearch(const Graph& g, const std::vector<VertexId>& sources,
   return scans;
 }
 
-/// One chunk's bunch emissions: (v, w, d) means w joins the bunch of v at
-/// distance d. Kept as three arrays so the flatten's range scans read only v.
+/// Bunch emissions: (v[j], w[j], d[j]) means w joins the bunch of v at
+/// distance d. Three arrays, so the flatten's range scans read only v.
 struct Emissions {
-  std::vector<VertexId> v, w;
-  std::vector<Weight> d;
-  std::uint64_t scans = 0;
+  PageVector<VertexId> v, w;
+  PageVector<Weight> d;
 };
 
 /// One lane's bunch-search state: a dense distance array that is kInfDist
-/// outside the running search, the vertices the search touched, and the
-/// heap. Checked out per chunk, so at most one exists per running lane.
+/// outside the running search, the vertices the search touched, the heap,
+/// and the emissions of every chunk it ran, in run order. Checked out per
+/// chunk, so at most one exists per running lane.
 struct BunchSearch {
   explicit BunchSearch(std::size_t n) : dist(n, kInfDist) {}
-  std::vector<Weight> dist;
-  std::vector<VertexId> touched;
+  PageVector<Weight> dist;
+  PageVector<VertexId> touched;
   MinHeap heap;
+  Emissions out;
 
-  /// Dijkstra from w, truncated where d(w, v) >= bound[v] = d(A_{i+1}, v).
-  /// A vertex is pushed only at a strictly smaller distance and weights are
-  /// nonnegative, so each reached vertex is emitted exactly once.
-  void run(const Graph& g, VertexId w, const std::vector<Weight>& bound,
-           Emissions& out) {
+  /// Dijkstra from w, truncated where d(w, v) >= bound[v] = d(A_{i+1}, v);
+  /// returns the neighbour scans. A vertex is pushed only at a strictly
+  /// smaller distance and weights are nonnegative, so each reached vertex
+  /// is emitted exactly once.
+  std::uint64_t run(const Graph& g, VertexId w, const std::vector<Weight>& bound) {
+    std::uint64_t scans = 0;
     dist[w] = 0;
     touched.push_back(w);
     heap.push(0.0, w);
@@ -102,7 +139,7 @@ struct BunchSearch {
       out.v.push_back(v);
       out.w.push_back(w);
       out.d.push_back(d);
-      out.scans += g.neighbors(v).size();
+      scans += g.neighbors(v).size();
       for (const Incidence& inc : g.neighbors(v)) {
         const Weight nd = d + g.edge(inc.edge).w;
         if (nd >= bound[inc.to] || nd >= dist[inc.to]) continue;
@@ -113,10 +150,19 @@ struct BunchSearch {
     }
     for (VertexId v : touched) dist[v] = kInfDist;
     touched.clear();
+    return scans;
   }
 };
 
-/// Lends BunchSearch states to chunks; a state returns when its chunk ends.
+/// Where one chunk's emissions went: [begin, end) of `from->out`.
+struct ChunkSpan {
+  const BunchSearch* from = nullptr;
+  std::size_t begin = 0, end = 0;
+  std::uint64_t scans = 0;
+};
+
+/// Lends BunchSearch states to chunks; a state returns when its chunk ends
+/// and lives, with its emissions, as long as this object.
 class SearchStates {
  public:
   explicit SearchStates(std::size_t n) : n_(n) {}
@@ -184,23 +230,28 @@ SketchTables buildTables(const Graph& g, std::uint32_t k, std::uint64_t seed,
   });
 
   // Bunches: every vertex w is the source of one truncated search at level
-  // top[w]. Chunks of consecutive sources, each into its own buffer.
-  std::vector<Emissions> chunks((n + kSourcesPerChunk - 1) / kSourcesPerChunk);
+  // top[w]. A chunk's emissions are one span of its lane's buffer, recorded
+  // by chunk index.
+  std::vector<ChunkSpan> spans((n + kSourcesPerChunk - 1) / kSourcesPerChunk);
   SearchStates states(n);
   pool.parallelForChunks(n, kSourcesPerChunk, [&](std::size_t lo, std::size_t hi) {
     std::unique_ptr<BunchSearch> search = states.take();
-    Emissions& out = chunks[lo / kSourcesPerChunk];
+    ChunkSpan& span = spans[lo / kSourcesPerChunk];
+    span.from = search.get();
+    span.begin = search->out.v.size();
     for (std::size_t w = lo; w < hi; ++w)
-      search->run(g, static_cast<VertexId>(w), t.pivotDist[top[w] + 1], out);
+      span.scans +=
+          search->run(g, static_cast<VertexId>(w), t.pivotDist[top[w] + 1]);
+    span.end = search->out.v.size();
     states.give(std::move(search));
   });
 
   for (std::uint64_t s : pivotScans) t.relaxations += s;
-  for (const Emissions& c : chunks) t.relaxations += c.scans;
+  for (const ChunkSpan& c : spans) t.relaxations += c.scans;
 
   // Flatten: a counting sort of the emissions by v, taken chunk by chunk in
   // source order, so each segment comes out in increasing w. Each vertex
-  // range is one parallel index that scans every chunk's v array and fills
+  // range is one parallel index that scans every chunk's span and fills
   // only its own vertices.
   const std::size_t parts = pool.numThreads();
   const auto forVertexRanges = [&](const auto& fn) {
@@ -211,23 +262,25 @@ SketchTables buildTables(const Graph& g, std::uint32_t k, std::uint64_t seed,
   };
   t.bunchStart.assign(n + 1, 0);
   forVertexRanges([&](VertexId lo, VertexId hi) {
-    for (const Emissions& c : chunks)
-      for (VertexId v : c.v)
+    for (const ChunkSpan& c : spans)
+      for (std::size_t j = c.begin; j < c.end; ++j) {
+        const VertexId v = c.from->out.v[j];
         if (v >= lo && v < hi) ++t.bunchStart[v + 1];
+      }
   });
   for (std::size_t v = 0; v < n; ++v) t.bunchStart[v + 1] += t.bunchStart[v];
   t.bunchW.resize(t.bunchStart[n]);
   t.bunchDist.resize(t.bunchStart[n]);
   forVertexRanges([&](VertexId lo, VertexId hi) {
-    std::vector<std::uint64_t> at(t.bunchStart.begin() + lo,
-                                  t.bunchStart.begin() + hi);
-    for (const Emissions& c : chunks)
-      for (std::size_t j = 0; j < c.v.size(); ++j) {
-        const VertexId v = c.v[j];
+    PageVector<std::uint64_t> at(t.bunchStart.begin() + lo,
+                                 t.bunchStart.begin() + hi);
+    for (const ChunkSpan& c : spans)
+      for (std::size_t j = c.begin; j < c.end; ++j) {
+        const VertexId v = c.from->out.v[j];
         if (v < lo || v >= hi) continue;
         const std::uint64_t at_v = at[v - lo]++;
-        t.bunchW[at_v] = c.w[j];
-        t.bunchDist[at_v] = c.d[j];
+        t.bunchW[at_v] = c.from->out.w[j];
+        t.bunchDist[at_v] = c.from->out.d[j];
       }
   });
   return t;

@@ -13,17 +13,19 @@
 // runtime::ThreadPool; one lane runs the same code inline. The k pivot
 // searches run side by side. The bunch searches, one per source vertex
 // (each w in A_i \ A_{i+1} grows a Dijkstra truncated where
-// d(w, v) >= d(A_{i+1}, v)), run in fixed chunks of consecutive sources,
-// each chunk writing its (v, w, d) emissions to its own buffer. The flatten
-// buckets those emissions by v, chunk by chunk in source order, in parallel
-// by vertex range, so every bunch comes out sorted by w. Nothing in the
-// result depends on the lane count: the tables, the relaxation count
-// included, are the same bytes at every lane count.
+// d(w, v) >= d(A_{i+1}, v)), run in fixed chunks of consecutive sources;
+// each chunk's (v, w, d) emissions form one span of its lane's buffer,
+// recorded by chunk index. The flatten buckets the emissions by v, chunk by
+// chunk in source order, in parallel by vertex range, so every bunch comes
+// out sorted by w. Nothing in the result depends on the lane count: the
+// tables, the relaxation count included, are the same bytes at every lane
+// count.
 //
 // Memory beyond the tables: per lane, one dense distance array of n
-// Weights (reset through a touched list after each source) and one heap;
-// the chunk buffers hold every emission once, 16 bytes each, until the
-// flatten has copied them into the tables.
+// Weights (reset through a touched list after each source), one heap, and
+// its emissions, 16 bytes each, until the flatten has copied them into the
+// tables. These buffers are pages mapped for the build and unmapped after
+// it, so none of them stays resident in the pool threads' malloc arenas.
 //
 // Bunches are stored as flat per-vertex (w, dist) arrays sorted by w —
 // query is a binary search over a contiguous segment, and the whole
