@@ -6,6 +6,7 @@
 #include <memory>
 #include <mutex>
 #include <new>
+#include <queue>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -58,26 +59,13 @@ struct PageAllocator {
 template <class T>
 using PageVector = std::vector<T, PageAllocator<T>>;
 
-/// Min-heap of (distance, vertex) over a reused vector. Every push lowers
-/// its vertex's distance strictly, so no two entries are equal and the pop
-/// order is the total order of the pairs, as with std::priority_queue.
-class MinHeap {
- public:
-  bool empty() const { return items_.empty(); }
-  void push(Weight d, VertexId v) {
-    items_.emplace_back(d, v);
-    std::push_heap(items_.begin(), items_.end(), std::greater<>{});
-  }
-  std::pair<Weight, VertexId> pop() {
-    std::pop_heap(items_.begin(), items_.end(), std::greater<>{});
-    const auto top = items_.back();
-    items_.pop_back();
-    return top;
-  }
-
- private:
-  PageVector<std::pair<Weight, VertexId>> items_;
-};
+/// Min-heap of (distance, vertex). Every push lowers its vertex's distance
+/// strictly, so no two entries are equal and the pop order is the total
+/// order of the pairs. An emptied heap keeps its capacity for the next
+/// search.
+using MinHeap = std::priority_queue<std::pair<Weight, VertexId>,
+                                    PageVector<std::pair<Weight, VertexId>>,
+                                    std::greater<>>;
 
 /// Multi-source Dijkstra from `sources`: dist[v] = d(sources, v) and
 /// piv[v] = the source that realizes it. Returns the neighbour scans.
@@ -87,11 +75,12 @@ std::uint64_t pivotSearch(const Graph& g, const std::vector<VertexId>& sources,
   for (VertexId s : sources) {
     dist[s] = 0;
     piv[s] = s;
-    heap.push(0.0, s);
+    heap.emplace(0.0, s);
   }
   std::uint64_t scans = 0;
   while (!heap.empty()) {
-    const auto [d, v] = heap.pop();
+    const auto [d, v] = heap.top();
+    heap.pop();
     if (d > dist[v]) continue;
     scans += g.neighbors(v).size();
     for (const Incidence& inc : g.neighbors(v)) {
@@ -99,7 +88,7 @@ std::uint64_t pivotSearch(const Graph& g, const std::vector<VertexId>& sources,
       if (nd < dist[inc.to]) {
         dist[inc.to] = nd;
         piv[inc.to] = piv[v];
-        heap.push(nd, inc.to);
+        heap.emplace(nd, inc.to);
       }
     }
   }
@@ -132,9 +121,10 @@ struct BunchSearch {
     std::uint64_t scans = 0;
     dist[w] = 0;
     touched.push_back(w);
-    heap.push(0.0, w);
+    heap.emplace(0.0, w);
     while (!heap.empty()) {
-      const auto [d, v] = heap.pop();
+      const auto [d, v] = heap.top();
+      heap.pop();
       if (d > dist[v]) continue;
       out.v.push_back(v);
       out.w.push_back(w);
@@ -145,7 +135,7 @@ struct BunchSearch {
         if (nd >= bound[inc.to] || nd >= dist[inc.to]) continue;
         if (dist[inc.to] == kInfDist) touched.push_back(inc.to);
         dist[inc.to] = nd;
-        heap.push(nd, inc.to);
+        heap.emplace(nd, inc.to);
       }
     }
     for (VertexId v : touched) dist[v] = kInfDist;
