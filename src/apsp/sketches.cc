@@ -1,5 +1,7 @@
 #include "apsp/sketches.hpp"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <cmath>
 #include <functional>
@@ -15,8 +17,6 @@
 #include "graph/distance.hpp"
 #include "runtime/thread_pool.hpp"
 #include "util/rng.hpp"
-
-#include <sys/mman.h>
 
 namespace mpcspan {
 
