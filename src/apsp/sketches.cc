@@ -339,10 +339,9 @@ Weight DistanceSketches::query(VertexId u, VertexId v) const {
 }
 
 SpannerSketches buildSketchesOnSpanner(const Graph& g, const SpannerResult& spanner,
-                                       const SketchParams& params,
-                                       std::size_t lanes) {
+                                       const SketchParams& params) {
   const Graph h = subgraph(g, spanner.edges);
-  SpannerSketches out{DistanceSketches(h, params, lanes),
+  SpannerSketches out{DistanceSketches(h, params),
                       (2.0 * params.k - 1.0) * spanner.stretchBound,
                       spanner.edges.size()};
   return out;

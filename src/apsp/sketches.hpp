@@ -123,9 +123,8 @@ struct SpannerSketches {
   std::size_t spannerEdges = 0;
 };
 
-/// `lanes` as in the DistanceSketches constructor.
+/// Builds on the pool's default lanes.
 SpannerSketches buildSketchesOnSpanner(const Graph& g, const SpannerResult& spanner,
-                                       const SketchParams& params,
-                                       std::size_t lanes = 0);
+                                       const SketchParams& params);
 
 }  // namespace mpcspan

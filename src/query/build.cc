@@ -76,8 +76,11 @@ QueryArtifact buildArtifact(const Graph& g, const BuildPlan& plan) {
   const Graph h = subgraph(g, r.edges);
   const SketchParams sp{plan.sketchK, plan.sketchSeed};
   // The simulator is gone by now, so the sketch stage takes the lanes of
-  // either engine dimension: a 1 x 4 sharded plan also gets 4.
-  DistanceSketches sketches(h, sp, std::max(plan.threads, plan.shards));
+  // either engine dimension: a 1 x 4 sharded plan also gets 4. threads = 0
+  // is the pool's default, so --shards 2 alone does not cap the stage at 2.
+  const std::size_t threads =
+      plan.threads != 0 ? plan.threads : runtime::ThreadPool::defaultThreads();
+  DistanceSketches sketches(h, sp, std::max(threads, plan.shards));
   const double composed = sketches.stretchBound() * stretch;
   return QueryArtifact{g,
                        std::move(r.edges),

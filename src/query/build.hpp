@@ -70,8 +70,9 @@ struct BuildPlan {
   // they are; it goes with the next artifact version.
   std::size_t cacheSources = 64;
   // dist-*: the simulator's stepping threads and shards. The sketch stage
-  // of buildArtifact runs on max(threads, shards) pool lanes (0 = the
-  // pool's default), whatever the algo: the simulator is freed by then.
+  // of buildArtifact runs on max(threads, shards) pool lanes, threads = 0
+  // counting as the pool's default, whatever the algo: the simulator is
+  // freed by then.
   std::size_t threads = 0;
   std::size_t shards = 0;
   double gamma = 0.5;             // dist-*: machine memory exponent
