@@ -32,6 +32,8 @@ constexpr std::size_t kSourcesPerChunk = 32;
 /// would land in the pool threads' arenas, which the caller's later
 /// allocations never reuse, so the build's freed scratch would stay
 /// resident for the rest of the process (and in every process it forks).
+/// With std::allocator in its place, the e2ebench build_sharded workload's
+/// peak RSS read 621 -> 697 MB (4-core host, 5 of 5 pairs).
 template <class T>
 struct PageAllocator {
   using value_type = T;
