@@ -7,7 +7,6 @@
 
 #include <numeric>
 #include <string>
-#include <unordered_map>
 
 #include "graph/distance.hpp"
 #include "graph/generators.hpp"
@@ -212,54 +211,6 @@ BENCHMARK(BM_CrossShardExchange)
     ->Arg(2)
     ->Arg(1)
     ->Unit(benchmark::kMicrosecond);
-
-/// The arena acceptance probe: BlockStore block churn shaped like the sort
-/// kernels' per-round traffic — every machine's block is cleared and
-/// refilled each "round", with the block capacity run recycled through the
-/// store's arena (vs the per-block heap vector the store used before).
-/// arg0 = 1 arena-backed store / 0 plain heap vectors.
-void BM_ArenaBlockChurn(benchmark::State& state) {
-  using namespace mpcspan::runtime;
-  const bool arenaBacked = state.range(0) != 0;
-  constexpr std::size_t kMachines = 64;
-  constexpr std::size_t kWords = 2048;
-  std::vector<Word> fill(kWords);
-  for (std::size_t i = 0; i < kWords; ++i) fill[i] = i * 2654435761u;
-  BlockStore store(kMachines);
-  // The pre-arena BlockStore: handles in an unordered_map, each block a
-  // bare std::vector<Word> that create() constructs and erase() frees.
-  std::unordered_map<int, std::vector<std::vector<Word>>> heapStore;
-  std::uint64_t sink = 0;
-  for (auto _ : state) {
-    if (arenaBacked) {
-      // Handle lifecycle churn (the growth driver emits into a fresh
-      // handle each iteration): erase recycles every block's run into the
-      // store's arena, create + append draws them straight back out.
-      store.create(1);
-      for (std::size_t m = 0; m < kMachines; ++m) {
-        WordBuf& b = store.block(1, m);
-        b.append(fill.data(), (m % 2) ? kWords : kWords / 2);
-        sink += b.data()[0] + b.size();
-      }
-      store.erase(1);
-    } else {
-      auto [it, _ins] = heapStore.emplace(
-          1, std::vector<std::vector<Word>>(kMachines));
-      for (std::size_t m = 0; m < kMachines; ++m) {
-        std::vector<Word>& b = it->second[m];  // fresh allocation each round
-        b.insert(b.end(), fill.begin(),
-                 fill.begin() + ((m % 2) ? kWords : kWords / 2));
-        sink += b.data()[0] + b.size();
-      }
-      heapStore.erase(it);
-    }
-    benchmark::DoNotOptimize(sink);
-  }
-  state.SetLabel(arenaBacked ? "arena-blockstore" : "heap-vectors");
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kMachines));
-}
-BENCHMARK(BM_ArenaBlockChurn)->Arg(1)->Arg(0)->Unit(benchmark::kMicrosecond);
 
 void BM_VerifyPairStretch(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

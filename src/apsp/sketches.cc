@@ -294,6 +294,10 @@ DistanceSketches::DistanceSketches(SketchTables t) {
   for (std::uint32_t i = 0; i <= k; ++i)
     if (t.pivotDist[i].size() != n || t.pivot[i].size() != n)
       throw std::invalid_argument("sketch tables: pivot row size != n");
+  // A_k is empty, so level k has no pivots; query never reads the row.
+  for (std::size_t v = 0; v < n; ++v)
+    if (t.pivotDist[k][v] != kInfDist || t.pivot[k][v] != kNoVertex)
+      throw std::invalid_argument("sketch tables: level-k row is not empty");
   for (const auto& row : t.pivot)
     for (VertexId p : row)
       if (p >= n && p != kNoVertex)

@@ -82,8 +82,9 @@ class DistanceSketches {
   /// Adopts prebuilt tables (artifact load path). Throws
   /// std::invalid_argument on any internal inconsistency (size mismatch,
   /// non-monotone bunch offsets, a bunch not strictly increasing in w,
-  /// out-of-range ids), so a corrupt artifact fails cleanly instead of
-  /// constructing a sketch whose binary searches answer wrongly.
+  /// out-of-range ids, a level-k row that is not the empty level), so a
+  /// corrupt artifact fails cleanly instead of constructing a sketch whose
+  /// binary searches answer wrongly.
   explicit DistanceSketches(SketchTables tables);
 
   /// The query state, as saved in an artifact.

@@ -1,11 +1,13 @@
 #include "graph/io.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <cstring>
+#include <cstddef>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 #include "graph/builder.hpp"
 
@@ -182,42 +184,39 @@ Graph readSnapDimacsFile(const std::string& path) {
 // ---------------------------------------------------------------------------
 // Binary primitives
 
-void BinWriter::u32(std::uint32_t x) {
-  char buf[4];
-  std::memcpy(buf, &x, 4);
-  out_.write(buf, 4);
+// Every value goes out as its native bytes, which are the format's
+// little-endian bytes on a little-endian host.
+static_assert(std::endian::native == std::endian::little,
+              "the binary formats are written as native little-endian bytes");
+
+void BinWriter::bytes(const void* src, std::size_t len) {
+  out_.write(static_cast<const char*>(src), static_cast<std::streamsize>(len));
 }
 
-void BinWriter::u64(std::uint64_t x) {
-  char buf[8];
-  std::memcpy(buf, &x, 8);
-  out_.write(buf, 8);
-}
+void BinWriter::u32(std::uint32_t x) { bytes(&x, 4); }
 
-void BinWriter::f64(double x) {
-  char buf[8];
-  std::memcpy(buf, &x, 8);
-  out_.write(buf, 8);
-}
+void BinWriter::u64(std::uint64_t x) { bytes(&x, 8); }
+
+void BinWriter::f64(double x) { bytes(&x, 8); }
 
 void BinWriter::str(const std::string& s) {
   u32(static_cast<std::uint32_t>(s.size()));
-  out_.write(s.data(), static_cast<std::streamsize>(s.size()));
+  bytes(s.data(), s.size());
 }
 
 void BinWriter::u32Vec(const std::vector<std::uint32_t>& xs) {
   u64(xs.size());
-  for (std::uint32_t x : xs) u32(x);
+  bytes(xs.data(), xs.size() * sizeof(std::uint32_t));
 }
 
 void BinWriter::u64Vec(const std::vector<std::uint64_t>& xs) {
   u64(xs.size());
-  for (std::uint64_t x : xs) u64(x);
+  bytes(xs.data(), xs.size() * sizeof(std::uint64_t));
 }
 
 void BinWriter::f64Vec(const std::vector<double>& xs) {
   u64(xs.size());
-  for (double x : xs) f64(x);
+  bytes(xs.data(), xs.size() * sizeof(double));
 }
 
 void BinReader::bytes(void* dst, std::size_t len) {
@@ -311,11 +310,12 @@ void writeGraphBinary(const Graph& g, std::ostream& out) {
   w.u32(kGraphVersion);
   w.u64(g.numVertices());
   w.u64(g.numEdges());
-  for (const Edge& e : g.edges()) {
-    w.u32(e.u);
-    w.u32(e.v);
-    w.f64(e.w);
-  }
+  // The section's (u32 u, u32 v, f64 w) triples are exactly Edge's bytes.
+  static_assert(std::is_trivially_copyable_v<Edge> && sizeof(Edge) == 16 &&
+                    offsetof(Edge, v) == 4 && offsetof(Edge, w) == 8 &&
+                    sizeof(VertexId) == 4 && sizeof(Weight) == 8,
+                "Edge must be (u32, u32, f64) with no padding");
+  w.bytes(g.edges().data(), g.edges().size() * sizeof(Edge));
 }
 
 Graph readGraphBinary(std::istream& in, std::uint64_t maxVertices) {

@@ -55,6 +55,9 @@ class BinWriter {
   void u32Vec(const std::vector<std::uint32_t>& xs);
   void u64Vec(const std::vector<std::uint64_t>& xs);
   void f64Vec(const std::vector<double>& xs);
+  /// Writes `len` raw bytes; each *Vec writes its count, then its array in
+  /// one call.
+  void bytes(const void* src, std::size_t len);
 
  private:
   std::ostream& out_;

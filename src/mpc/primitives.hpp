@@ -56,20 +56,21 @@ template <typename T>
 class DistVector {
  public:
   DistVector(MpcSimulator& sim, const std::vector<T>& data)
-      : sim_(&sim), machines_(sim.numMachines()), size_(data.size()) {
+      : sim_(&sim), size_(data.size()) {
+    const std::size_t machines = sim.numMachines();
     const std::size_t capItems = distVectorCapItems<T>(sim);
     // Block boundaries first (cheap, serial), then a parallel pack.
-    std::vector<std::pair<std::size_t, std::size_t>> spans(machines_, {0, 0});
+    std::vector<std::pair<std::size_t, std::size_t>> spans(machines, {0, 0});
     std::size_t cursor = 0;
-    for (std::size_t m = 0; m < machines_ && cursor < data.size(); ++m) {
+    for (std::size_t m = 0; m < machines && cursor < data.size(); ++m) {
       const std::size_t take = std::min(capItems, data.size() - cursor);
       spans[m] = {cursor, take};
       cursor += take;
     }
     if (cursor < data.size())
       throw CapacityError("DistVector: data does not fit in the cluster");
-    std::vector<std::vector<Word>> blocks(machines_);
-    sim.engine().parallelFor(machines_, [&](std::size_t m) {
+    std::vector<std::vector<Word>> blocks(machines);
+    sim.engine().parallelFor(machines, [&](std::size_t m) {
       const auto [begin, take] = spans[m];
       blocks[m] = packItems(data.data() + begin, take);
     });
@@ -89,13 +90,11 @@ class DistVector {
   DistVector(const DistVector&) = delete;
   DistVector& operator=(const DistVector&) = delete;
   DistVector(DistVector&& o) noexcept
-      : sim_(o.sim_), machines_(o.machines_), size_(o.size_),
-        handle_(o.handle_) {
+      : sim_(o.sim_), size_(o.size_), handle_(o.handle_) {
     o.sim_ = nullptr;
   }
 
   MpcSimulator& sim() const { return *sim_; }
-  std::size_t numShards() const { return machines_; }
   std::size_t size() const { return size_; }
   /// BlockStore handle of the per-machine blocks (kernel args).
   std::uint64_t handle() const { return handle_; }
@@ -121,7 +120,6 @@ class DistVector {
 
  private:
   MpcSimulator* sim_;
-  std::size_t machines_;
   std::size_t size_;
   std::uint64_t handle_ = 0;
 };

@@ -35,7 +35,6 @@
 
 #include "runtime/pack.hpp"
 #include "runtime/kernel.hpp"
-#include "runtime/simd.hpp"
 
 namespace mpcspan {
 
@@ -69,10 +68,9 @@ std::vector<T> unpackInbox(const runtime::KernelCtx& ctx) {
 }
 
 /// Reads one item out of a packed block without unpacking the rest (items
-/// occupy fixed wordsPerItem<T>() cells). Works on any contiguous word
-/// container (std::vector<Word>, the arena-backed runtime::WordBuf).
-template <typename T, typename Words>
-T itemAt(const Words& block, std::size_t pos) {
+/// occupy fixed wordsPerItem<T>() cells).
+template <typename T>
+T itemAt(const std::vector<Word>& block, std::size_t pos) {
   T item;
   std::memcpy(&item, block.data() + pos * wordsPerItem<T>(), sizeof(T));
   return item;
@@ -141,7 +139,8 @@ class SortKernel final : public runtime::StepKernel {
     ensureState(ctx);
     switch (ctx.args.at(0)) {
       case kSortPhaseSortLocal: {
-        runtime::WordBuf& block = ctx.store.block(ctx.args.at(1), ctx.machine);
+        std::vector<Word>& block =
+            ctx.store.block(ctx.args.at(1), ctx.machine);
         std::vector<T> items = unpackItems<T>(block);
         std::sort(items.begin(), items.end(), cmp_);
         block = packItems(items.data(), items.size());
@@ -167,7 +166,8 @@ class SortKernel final : public runtime::StepKernel {
 
   void sample(const runtime::KernelCtx& ctx, runtime::WordRows& out) {
     const std::size_t perMachineSamples = ctx.args.at(2);
-    const runtime::WordBuf& block = ctx.store.block(ctx.args.at(1), ctx.machine);
+    const std::vector<Word>& block =
+        ctx.store.block(ctx.args.at(1), ctx.machine);
     const std::size_t count = block.size() / wordsPerItem<T>();
     if (count == 0) return;
     // Uniform random positions, seeded per machine: deterministic per-shard
@@ -234,7 +234,8 @@ class SortKernel final : public runtime::StepKernel {
   void route(const runtime::KernelCtx& ctx, runtime::WordRows& out) {
     absorbSplitters(ctx);
     const std::vector<T>& splitters = splitters_[ctx.machine];
-    const runtime::WordBuf& block = ctx.store.block(ctx.args.at(1), ctx.machine);
+    const std::vector<Word>& block =
+        ctx.store.block(ctx.args.at(1), ctx.machine);
     constexpr std::size_t wpi = wordsPerItem<T>();
     const std::size_t count = block.size() / wpi;
     // The block is sorted and packed in fixed-width cells, so each run is a
@@ -297,29 +298,17 @@ class SegMinKernel final : public runtime::StepKernel {
     ensureState(ctx);
     switch (ctx.args.at(0)) {
       case kSegPhaseReduce: {
-        // Local reduce (free): one representative per key per machine.
-        // Restructured as flat passes over the contiguous block: extract
-        // every key (keyOf_ is a stateless inlined functor, so this loop
-        // autovectorizes), find run starts with the vectorized
-        // neighbour-compare, then take each run's minimum — instead of a
-        // branch-per-item append loop.
+        // Local reduce (free): one representative per key per machine, in
+        // one pass over the key-sorted items — a new key starts a run, and
+        // a strictly better item replaces the run's representative.
         std::vector<T>& red = reduced_[ctx.machine];
         red.clear();
-        const std::vector<T> items =
-            unpackItems<T>(ctx.store.block(ctx.args.at(1), ctx.machine));
-        std::vector<Word> keys(items.size());
-        for (std::size_t i = 0; i < items.size(); ++i) keys[i] = keyOf_(items[i]);
-        std::vector<std::uint32_t> starts;
-        runtime::simd::runStarts(keys.data(), keys.size(), starts);
-        red.reserve(starts.size());
-        for (std::size_t r = 0; r < starts.size(); ++r) {
-          const std::size_t b = starts[r];
-          const std::size_t e =
-              r + 1 < starts.size() ? starts[r + 1] : items.size();
-          T best = items[b];
-          for (std::size_t i = b + 1; i < e; ++i)
-            if (better_(items[i], best)) best = items[i];
-          red.push_back(best);
+        for (const T& item :
+             unpackItems<T>(ctx.store.block(ctx.args.at(1), ctx.machine))) {
+          if (red.empty() || keyOf_(item) != keyOf_(red.back()))
+            red.push_back(item);
+          else if (better_(item, red.back()))
+            red.back() = item;
         }
         break;
       }
@@ -470,8 +459,7 @@ class BroadcastKernel final : public runtime::StepKernel {
     if (holders > 1) {
       absorb(ctx);  // the previous fan round's targets
     } else if (ctx.machine == 0) {
-      const runtime::WordBuf& block = ctx.store.block(ctx.args.at(0), 0);
-      mine.assign(block.begin(), block.end());
+      mine = ctx.store.block(ctx.args.at(0), 0);
     }
     const FanTargets t =
         fanTargets(ctx.numMachines, holders, ctx.args.at(2), ctx.machine);

@@ -10,20 +10,19 @@ void BlockStore::create(std::uint64_t handle) {
   const auto [it, inserted] = slots_.try_emplace(handle);
   if (!inserted)
     throw std::invalid_argument("BlockStore: handle already exists");
-  it->second.reserve(numMachines_);
-  for (std::size_t m = 0; m < numMachines_; ++m)
-    it->second.emplace_back(&arena_);
+  it->second.resize(numMachines_);
 }
 
-WordBuf& BlockStore::block(std::uint64_t handle, std::size_t machine) {
+std::vector<Word>& BlockStore::block(std::uint64_t handle,
+                                     std::size_t machine) {
   const auto it = slots_.find(handle);
   if (it == slots_.end())
     throw std::out_of_range("BlockStore: unknown block handle");
   return it->second.at(machine);
 }
 
-const WordBuf& BlockStore::block(std::uint64_t handle,
-                                 std::size_t machine) const {
+const std::vector<Word>& BlockStore::block(std::uint64_t handle,
+                                           std::size_t machine) const {
   const auto it = slots_.find(handle);
   if (it == slots_.end())
     throw std::out_of_range("BlockStore: unknown block handle");

@@ -28,7 +28,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "runtime/arena.hpp"
 #include "runtime/types.hpp"
 
 namespace mpcspan::runtime {
@@ -48,18 +47,15 @@ struct KernelId {
 /// (RoundEngine::createBlocks) and are dense vectors over all machines —
 /// a worker simply leaves the blocks outside its range empty.
 ///
-/// Ownership: every block is an arena-backed WordBuf drawing from the
-/// store's private Arena. The store owns the words for as long as the
-/// handle lives — kernels get a reference via block(), may resize/rewrite
-/// it freely, and must never retain the data pointer across a round (a
-/// regrow moves the words to a different arena run). erase()/clear()
-/// recycle the runs inside the arena; the arena itself lives exactly as
-/// long as the store, so no block reference can outlive its memory.
+/// Ownership: every block is a std::vector<Word>, which the store owns for
+/// as long as the handle lives — kernels get a reference via block(), may
+/// resize, rewrite or move a vector into it freely, and must never retain
+/// the data pointer across a round (a regrow moves the words). erase()
+/// frees the handle's blocks.
 ///
 /// Thread-safety: create/erase only between parallel phases (the engine's
 /// frame handling is single-threaded); block() for *distinct* machines is
-/// safe from concurrent kernel steps because lookups never rehash, and
-/// concurrent regrows are safe because the arena is internally locked.
+/// safe from concurrent kernel steps because lookups never rehash.
 class BlockStore {
  public:
   explicit BlockStore(std::size_t numMachines) : numMachines_(numMachines) {}
@@ -72,13 +68,13 @@ class BlockStore {
   void create(std::uint64_t handle);
   void erase(std::uint64_t handle) { slots_.erase(handle); }
 
-  WordBuf& block(std::uint64_t handle, std::size_t machine);
-  const WordBuf& block(std::uint64_t handle, std::size_t machine) const;
+  std::vector<Word>& block(std::uint64_t handle, std::size_t machine);
+  const std::vector<Word>& block(std::uint64_t handle,
+                                 std::size_t machine) const;
 
  private:
   std::size_t numMachines_;
-  Arena arena_;  // declared before slots_: blocks must die first
-  std::unordered_map<std::uint64_t, std::vector<WordBuf>> slots_;
+  std::unordered_map<std::uint64_t, std::vector<std::vector<Word>>> slots_;
 };
 
 /// Everything a kernel sees when stepping one machine. `inbox` is the

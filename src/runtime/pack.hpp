@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstring>
+#include <span>
 #include <type_traits>
 #include <vector>
 
@@ -27,11 +28,9 @@ std::vector<Word> packItems(const T* items, std::size_t count) {
   return words;
 }
 
-/// Appends the items packed in `words` to `items`. Works on any contiguous
-/// word container (std::vector<Word>, the arena-backed runtime::WordBuf
-/// blocks, an inbox row's span) — only data()/size() are used.
-template <typename T, typename Words>
-void appendItems(std::vector<T>& items, const Words& words) {
+/// Appends the items packed in `words` (a block or an inbox row) to `items`.
+template <typename T>
+void appendItems(std::vector<T>& items, std::span<const Word> words) {
   const std::size_t count = words.size() / wordsPerItem<T>();
   const std::size_t at = items.size();
   items.resize(at + count);
@@ -40,8 +39,8 @@ void appendItems(std::vector<T>& items, const Words& words) {
                 sizeof(T));
 }
 
-template <typename T, typename Words>
-std::vector<T> unpackItems(const Words& words) {
+template <typename T>
+std::vector<T> unpackItems(std::span<const Word> words) {
   std::vector<T> items;
   appendItems(items, words);
   return items;

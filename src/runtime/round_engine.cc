@@ -135,7 +135,7 @@ std::vector<std::vector<Word>> RoundEngine::readBlocks(std::uint64_t handle) {
   if (shard_) return shard_->fetchBlocks(handle);
   std::vector<std::vector<Word>> out(numMachines_);
   for (std::size_t m = 0; m < numMachines_; ++m)
-    out[m] = slice_->store().block(handle, m).toVector();
+    out[m] = slice_->store().block(handle, m);
   return out;
 }
 

@@ -241,7 +241,7 @@ void runResidentWorker(const WorkerConfig& cfg, Channel& ctrl,
           try {
             WireWriter rows;
             for (std::size_t m = lo; m < hi; ++m) {
-              const WordBuf& block = slice.store().block(handle, m);
+              const std::vector<Word>& block = slice.store().block(handle, m);
               rows.u64(block.size());
               rows.words(block.data(), block.size());
             }
@@ -300,7 +300,7 @@ std::uint64_t readBlockSlice(WireReader& r, std::size_t lo, std::size_t hi,
     const std::uint64_t len = r.u64();
     if (len > r.remaining() / sizeof(Word))
       throw ShardError("shard wire frame: corrupt block length");
-    WordBuf& block = store.block(handle, m);
+    std::vector<Word>& block = store.block(handle, m);
     block.resize(len);
     r.words(block.data(), len);
   }

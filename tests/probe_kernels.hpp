@@ -92,7 +92,7 @@ class ScriptKernel final : public runtime::StepKernel {
   }
 
   void step(const runtime::KernelCtx& ctx, runtime::WordRows& out) override {
-    const runtime::WordBuf& block = ctx.store.block(handle_, ctx.machine);
+    const std::vector<Word>& block = ctx.store.block(handle_, ctx.machine);
     const Word round = ctx.args.at(0);
     std::size_t pos = 0;
     for (Word r = 0; pos < block.size(); ++r) {

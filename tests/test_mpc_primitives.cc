@@ -169,6 +169,50 @@ TEST(SegmentedMin, SingleKeySpanningAllMachines) {
   EXPECT_DOUBLE_EQ(reduced[0].weight, 1.0);
 }
 
+TEST(SegmentedMin, FirstBestPerKeyOnFewKeysAcrossMachineBoundaries) {
+  // Few distinct keys, so the key-sorted input has runs of every length,
+  // most of them crossing machine boundaries, and weights from {0, 1, 2},
+  // so every run has ties: the representative must be the run's first
+  // strictly best item, wherever the run's machines split it.
+  Rng rng(11);
+  for (const std::size_t n : {0u, 1u, 3u, 4u, 5u, 64u, 1000u}) {
+    for (const std::size_t machines : {4u, 8u}) {
+      std::vector<KV> data(n);
+      for (KV& kv : data) kv.key = rng.next(5);
+      std::sort(data.begin(), data.end(),
+                [](const KV& a, const KV& b) { return a.key < b.key; });
+      for (std::size_t i = 0; i < n; ++i) {
+        data[i].weight = static_cast<double>(rng.next(3));
+        data[i].payload = static_cast<std::uint32_t>(i);
+      }
+      // A block holds wordsPerMachine / 6 KVs: size it to spread the items
+      // over every machine, but leave machine 0 room for the fix-up's
+      // 7-word boundary record from each machine.
+      const std::size_t perMachine = (n + machines - 1) / machines;
+      MpcSimulator sim(MpcConfig{
+          machines, std::max<std::size_t>(7 * machines, 6 * perMachine)});
+      DistVector<KV> dv(sim, data);
+      const std::vector<KV> got =
+          segmentedMinSorted(dv, KVKey{}, KVWeightBetter{});
+
+      std::vector<KV> want;
+      for (const KV& kv : data) {
+        if (want.empty() || want.back().key != kv.key)
+          want.push_back(kv);
+        else if (KVWeightBetter{}(kv, want.back()))
+          want.back() = kv;
+      }
+      ASSERT_EQ(got.size(), want.size()) << "n " << n << " p " << machines;
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got[i].key, want[i].key) << "n " << n << " p " << machines;
+        EXPECT_EQ(got[i].weight, want[i].weight);
+        EXPECT_EQ(got[i].payload, want[i].payload)
+            << "n " << n << " p " << machines << " key " << want[i].key;
+      }
+    }
+  }
+}
+
 TEST(DistVectorSharded, SortAndSegMinOnWorkerOwnedBlocksMatchInProcess) {
   // The whole primitive pipeline — block storage, local sort, sampling,
   // splitter broadcast, the all-to-all route, the boundary fix-up — runs

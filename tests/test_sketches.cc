@@ -241,5 +241,17 @@ TEST(Sketches, AdoptedPivotOutOfRangeIsRejected) {
   EXPECT_THROW(DistanceSketches{std::move(t)}, std::invalid_argument);
 }
 
+TEST(Sketches, AdoptedNonEmptyLevelKIsRejected) {
+  // Level k is the empty set A_k: every pivot kNoVertex, every distance
+  // kInfDist. A pivot in range, or a finite distance, there is corrupt.
+  auto [t, v] = tablesWithALongBunch();
+  SketchTables withPivot = t;
+  withPivot.pivot[t.k][v] = 0;
+  EXPECT_THROW(DistanceSketches{std::move(withPivot)}, std::invalid_argument);
+  SketchTables withDist = t;
+  withDist.pivotDist[t.k][v] = 1.0;
+  EXPECT_THROW(DistanceSketches{std::move(withDist)}, std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace mpcspan

@@ -502,7 +502,7 @@ Bytes blockSliceBody(std::uint64_t handle, std::size_t shift) {
 }
 
 /// Decodes `bytes` the way a worker's STORE case does, into a fresh store,
-/// with a capped allocator (a few times the body, plus one arena chunk).
+/// with a capped allocator (a few times the body, plus 128 KiB of slack).
 /// Returns true if it decoded; fails the test unless the body either
 /// re-encodes to exactly its bytes or is rejected with ShardError.
 bool decodeBlockSlice(const Bytes& bytes, const std::string& label) {
@@ -523,7 +523,7 @@ bool decodeBlockSlice(const Bytes& bytes, const std::string& label) {
   }
   std::vector<std::vector<Word>> perMachine(kSliceMachines);
   for (std::size_t m = kSliceLo; m < kSliceHi; ++m)
-    perMachine[m] = store.block(handle, m).toVector();
+    perMachine[m] = store.block(handle, m);
   WireWriter w;
   runtime::shard::writeBlockSlice(w, handle, perMachine, kSliceLo, kSliceHi);
   EXPECT_EQ(Bytes(w.data(), w.data() + w.size()), bytes)
@@ -541,7 +541,7 @@ TEST(BlockSlice, RoundTripsTheShardsBlocksOnly) {
     const std::vector<Word> want = m >= kSliceLo && m < kSliceHi
                                        ? sliceBlock(3, m, 0)
                                        : std::vector<Word>{};
-    EXPECT_EQ(store.block(3, m).toVector(), want) << m;
+    EXPECT_EQ(store.block(3, m), want) << m;
   }
   EXPECT_TRUE(decodeBlockSlice(body, "valid"));
 }
